@@ -50,6 +50,7 @@ from .fock import (
     normalize,
     project_mode,
     project_modes,
+    schmidt_coefficients,
     schmidt_decompose,
     single,
     tensor_product,

@@ -2,7 +2,8 @@
 
 Photon-number distributions, probability mass outside a declared support
 set, state fidelities, and bipartite entanglement entropy (base-2, from the
-Schmidt coefficients).
+Schmidt spectrum alone: :func:`kerrcat.fock.schmidt_coefficients`, singular
+values without vectors, over the occupied support).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import StateMismatchError
-from .fock import FockVector, MultiModeState, schmidt_decompose
+from .fock import FockVector, MultiModeState, schmidt_coefficients
 
 # Schmidt coefficients at or below this count as zero (rank and entropy).
 SCHMIDT_COEFF_THRESHOLD = 1e-10
@@ -93,17 +94,15 @@ def fidelity(state, target) -> float:
     return min(value, 1.0)
 
 
-def schmidt_coefficients(state: MultiModeState, left_modes) -> np.ndarray:
-    return schmidt_decompose(state, left_modes).coefficients
-
-
 def entanglement_entropy(state: MultiModeState, left_modes) -> float:
     """Entropy (bits) of the Schmidt spectrum across the bipartition.
 
     Zero (within numerics) iff the state is a product across the cut. The
-    state's squared norm must lie within ``_UNIT_NORM_SLACK`` of 1; the
-    Schmidt weights are divided by it, so within that slack the entropy is
-    scale-invariant.
+    spectrum comes from :func:`kerrcat.fock.schmidt_coefficients`: singular
+    values only, of the bipartition matrix with its exactly-zero rows and
+    columns dropped. The state's squared norm must lie within
+    ``_UNIT_NORM_SLACK`` of 1; the Schmidt weights are divided by it, so
+    within that slack the entropy is scale-invariant.
     """
     _, n2 = _as_unit_array(state, "state")
     coeffs = schmidt_coefficients(state, left_modes)

@@ -233,39 +233,33 @@ def _empty_report() -> AnalysisReport:
     return AnalysisReport({}, None, None, {}, None, 0.0)
 
 
-def _analyze_superposition(name: str, branch: Branch, params: SuperpositionParams) -> AnalysisReport:
+def _analyze_superposition(
+    name: str, branch: Branch, source_kind: str, targets: dict
+) -> AnalysisReport:
     if branch.state is None:
         return _empty_report()
     dist = photon_distribution(branch.state, "a")
-    label, allowed = _support_for(params.source_a.kind, name, dist.size)
-    targets = {
-        t: fidelity(branch.state, target)
-        for t, target in superposition_targets(params).items()
-    }
+    label, allowed = _support_for(source_kind, name, dist.size)
     return AnalysisReport(
         distributions={"a": tuple(dist.tolist())},
         support_residual=support_residual(dist, allowed),
         allowed_support=label,
-        fidelity_targets=targets,
+        fidelity_targets={t: fidelity(branch.state, target) for t, target in targets.items()},
         schmidt_entropy=None,
         pre_norm=branch.pre_norm,
     )
 
 
-def _analyze_entanglement(name: str, branch: Branch, params: EntanglementParams) -> AnalysisReport:
+def _analyze_entanglement(branch: Branch, targets: dict) -> AnalysisReport:
     if branch.state is None:
         return _empty_report()
-    targets = {
-        t: fidelity(branch.state, target)
-        for t, target in entanglement_targets(params).items()
-    }
     return AnalysisReport(
         distributions={
             m: tuple(photon_distribution(branch.state, m).tolist()) for m in ("a", "a2")
         },
         support_residual=None,
         allowed_support=None,
-        fidelity_targets=targets,
+        fidelity_targets={t: fidelity(branch.state, target) for t, target in targets.items()},
         schmidt_entropy=entanglement_entropy(branch.state, {"a"}),
         pre_norm=branch.pre_norm,
     )
@@ -341,22 +335,31 @@ def _protocol_params(config: RunConfig):
     return EntanglementParams(spec, spec, config.tau, config.tau2, config.theta)
 
 
-def _run_protocol_report(config: RunConfig) -> dict:
+def _run_protocol(config: RunConfig):
+    """Run the configured protocol and analyze its branches.
+
+    The fidelity targets are built once per run, after the protocol, and
+    shared by every branch. Returns ``(params, result, branches_dict)``.
+    """
     params = _protocol_params(config)
     if config.protocol == "superposition":
         result = run_superposition(params, trace=config.trace)
-        analyzer = lambda name, branch: _analyze_superposition(name, branch, params)
-        cutoffs = {"a": params.source_a.resolved_cutoff(), "b": 1, "c": 1}
-        echo = {"tau": config.tau, "theta": config.theta}
+        targets = superposition_targets(params)
+        kind = params.source_a.kind
+        analyzer = lambda name, branch: _analyze_superposition(name, branch, kind, targets)
     else:
         result = run_entanglement(params, trace=config.trace)
-        analyzer = lambda name, branch: _analyze_entanglement(name, branch, params)
-        cutoffs = {
-            "a": params.source_a.resolved_cutoff(),
-            "b": 1,
-            "c": 1,
-            "a2": params.source_a2.resolved_cutoff(),
-        }
+        targets = entanglement_targets(params)
+        analyzer = lambda name, branch: _analyze_entanglement(branch, targets)
+    return params, result, _branches_dict(result, analyzer)
+
+
+def _run_protocol_report(config: RunConfig) -> dict:
+    params, result, branches = _run_protocol(config)
+    cutoffs = {"a": params.source_a.resolved_cutoff(), "b": 1, "c": 1}
+    echo = {"tau": config.tau, "theta": config.theta}
+    if config.protocol == "entanglement":
+        cutoffs["a2"] = params.source_a2.resolved_cutoff()
         echo = {"tau": config.tau, "tau2": config.tau2, "theta": config.theta}
     report = {
         "schema": SCHEMA_TAG,
@@ -370,7 +373,7 @@ def _run_protocol_report(config: RunConfig) -> dict:
             "workers": config.workers,
             "format": config.fmt,
         },
-        "branches": _branches_dict(result, analyzer),
+        "branches": branches,
     }
     if config.trace:
         report["trace"] = _trace_list(result)
@@ -435,14 +438,7 @@ def _evaluate_point(task) -> dict:
         },
     }
     try:
-        params = _protocol_params(overridden)
-        if overridden.protocol == "superposition":
-            result = run_superposition(params)
-            analyzer = lambda name, branch: _analyze_superposition(name, branch, params)
-        else:
-            result = run_entanglement(params)
-            analyzer = lambda name, branch: _analyze_entanglement(name, branch, params)
-        record["branches"] = _branches_dict(result, analyzer)
+        record["branches"] = _run_protocol(overridden)[2]
         record["error"] = None
     except (FockSpaceError, ValueError) as err:
         record["branches"] = {}

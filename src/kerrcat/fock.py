@@ -228,8 +228,9 @@ class SchmidtDecomposition:
         return int(np.count_nonzero(self.coefficients > threshold))
 
 
-def schmidt_decompose(state: MultiModeState, left_modes) -> SchmidtDecomposition:
-    """SVD of the state across the (left_modes | rest) bipartition.
+def _bipartition_matrix(state: MultiModeState, left_modes):
+    """The state reshaped to a (left | rest) matrix, plus each side's labels
+    and shape.
 
     ``left_modes`` must be a nonempty proper subset of the state's labels;
     each side keeps the mode order of the original state.
@@ -251,6 +252,19 @@ def schmidt_decompose(state: MultiModeState, left_modes) -> SchmidtDecomposition
     matrix = np.transpose(state.tensor, left_axes + right_axes).reshape(
         int(np.prod(left_shape)), int(np.prod(right_shape))
     )
+    return matrix, (left_labels, left_shape), (right_labels, right_shape)
+
+
+def schmidt_decompose(state: MultiModeState, left_modes) -> SchmidtDecomposition:
+    """SVD of the state across the (left_modes | rest) bipartition.
+
+    ``left_modes`` must be a nonempty proper subset of the state's labels;
+    each side keeps the mode order of the original state. Use
+    :func:`schmidt_coefficients` when only the spectrum is needed.
+    """
+    matrix, (left_labels, left_shape), (right_labels, right_shape) = _bipartition_matrix(
+        state, left_modes
+    )
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     lefts = tuple(
         MultiModeState(left_labels, u[:, k].reshape(left_shape)) for k in range(s.size)
@@ -261,3 +275,21 @@ def schmidt_decompose(state: MultiModeState, left_modes) -> SchmidtDecomposition
     coeffs = s.copy()
     coeffs.setflags(write=False)
     return SchmidtDecomposition(coeffs, lefts, rights)
+
+
+def schmidt_coefficients(state: MultiModeState, left_modes) -> np.ndarray:
+    """Schmidt spectrum across the (left_modes | rest) bipartition, without
+    the Schmidt vectors.
+
+    Only the occupied support is decomposed: rows and columns of the
+    bipartition matrix that are exactly zero are dropped first, which leaves
+    every nonzero singular value unchanged (a squeezed source, occupied on
+    even photon numbers only, halves each side). The result is sorted
+    nonincreasing and holds every nonzero coefficient of
+    :func:`schmidt_decompose`, possibly followed by numerically-zero ones;
+    it is shorter than that spectrum by the zero coefficients dropped with
+    the empty rows or columns.
+    """
+    matrix, _, _ = _bipartition_matrix(state, left_modes)
+    occupied = matrix[np.ix_(matrix.any(axis=1), matrix.any(axis=0))]
+    return np.linalg.svd(occupied, compute_uv=False)

@@ -5,9 +5,10 @@ caller's cutoff. The truncation-leakage budget is opt-in: ``coherent``,
 ``squeezed_vacuum``, ``cat_squeezed`` and ``cat_coherent`` take
 ``eps=None`` by default, which returns the exact truncated amplitudes at a
 caller-pinned cutoff with no leakage check (the state then keeps its norm
-deficit). Given a float ``eps``, the probability mass of the exact
-(infinite-dimensional) state above the cutoff must stay below it, or the
-factory raises :class:`CutoffError`. :class:`kerrcat.protocols.SourceSpec`
+deficit). A given ``eps`` must lie in (0, 1) (``ValueError`` otherwise,
+NaN included), and the probability mass of the exact (infinite-dimensional)
+state above the cutoff must stay below it, or the factory raises
+:class:`CutoffError`. :class:`kerrcat.protocols.SourceSpec`
 always passes its own budget (``DEFAULT_LEAKAGE`` unless set), and so do
 ``run_circuit`` and the CLI's ``--epsilon``; ``suggest_cutoff`` always
 works to a budget, ``DEFAULT_LEAKAGE`` by default.
@@ -114,9 +115,16 @@ def _leakage(amps: np.ndarray) -> float:
     return max(0.0, 1.0 - float(np.vdot(amps, amps).real))
 
 
+def _check_budget(eps: float) -> None:
+    # written so that NaN fails too
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"leakage budget must lie in (0, 1), got {eps!r}")
+
+
 def _check_leakage(amps: np.ndarray, eps: float | None, what: str) -> None:
     if eps is None:
         return
+    _check_budget(eps)
     leak = _leakage(amps)
     if leak >= eps:
         raise CutoffError(
@@ -196,10 +204,12 @@ def suggest_cutoff(param, eps: float = DEFAULT_LEAKAGE) -> int:
 
     Found by accumulating the exact photon-number distribution until the
     remaining tail drops under the budget. Accepts a :class:`SqueezeParam`
-    or a :class:`CoherentParam`.
+    or a :class:`CoherentParam`. A coherent amplitude whose mean photon
+    number overflows, or whose distribution underflows to zero before the
+    tail is under the budget (from |alpha|^2 of about 710 to 745 up,
+    depending on ``eps``), raises :class:`CutoffError`.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"leakage budget must lie in (0, 1), got {eps!r}")
+    _check_budget(eps)
     if isinstance(param, SqueezeParam):
         if param.r == 0.0:
             return 0
@@ -214,13 +224,24 @@ def suggest_cutoff(param, eps: float = DEFAULT_LEAKAGE) -> int:
             p = p * t2 * (2 * m + 1) / (2 * m + 2)
             m += 1
     if isinstance(param, CoherentParam):
-        mean = abs(param.alpha) ** 2
+        try:
+            mean = abs(param.alpha) ** 2
+        except OverflowError:
+            raise CutoffError(
+                f"coherent({param.alpha}): mean photon number overflows; no cutoff exists"
+            ) from None
         if mean == 0.0:
             return 0
         total = 0.0
         p = math.exp(-mean)
         n = 0
         while True:
+            # once p is 0 the total can no longer grow
+            if p == 0.0:
+                raise CutoffError(
+                    f"coherent({param.alpha}): photon-number probabilities underflow at "
+                    f"n={n} before the leakage tail {1.0 - total:.3e} is under {eps:.3e}"
+                )
             total += p
             if 1.0 - total < eps:
                 return n

@@ -22,6 +22,7 @@ from kerrcat import (
     normalize,
     project_mode,
     project_modes,
+    schmidt_coefficients,
     schmidt_decompose,
     single,
     squeezed_vacuum,
@@ -237,6 +238,16 @@ class TestProjection:
             project_mode(s, "a", 3)
 
 
+def assert_spectrum_matches_decomposition(state, left):
+    """schmidt_coefficients is the nonzero part of schmidt_decompose's
+    spectrum; whatever it leaves out is zero."""
+    values = schmidt_coefficients(state, left)
+    full = schmidt_decompose(state, left).coefficients
+    assert np.abs(values - full[: values.size]).max() < 1e-12
+    assert np.all(full[values.size:] < 1e-12)
+    return values
+
+
 class TestSchmidt:
     def test_product_state_rank_one(self):
         u = single("u", FockVector(np.array([0.6, 0.8]) * 0.5))
@@ -257,8 +268,22 @@ class TestSchmidt:
         mxi = squeezed_vacuum(SqueezeParam(0.5, math.pi), 26).amplitudes
         arr = np.multiply.outer(mxi, mxi) - np.multiply.outer(xi, xi)
         arr /= np.linalg.norm(arr)
-        sd = schmidt_decompose(MultiModeState(("a", "a2"), arr), {"a"})
+        state = MultiModeState(("a", "a2"), arr)
+        sd = schmidt_decompose(state, {"a"})
         assert sd.rank(1e-10) == 2
+        # odd photon numbers are empty on both sides: 14 of 27 rows and columns
+        values = assert_spectrum_matches_decomposition(state, {"a"})
+        assert values.size == 14
+        assert np.count_nonzero(values > 1e-10) == 2
+
+    def test_spectrum_with_zero_rows_on_one_side(self):
+        rng = np.random.default_rng(17)
+        arr = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        arr[[1, 3], :] = 0.0
+        arr /= np.linalg.norm(arr)
+        state = MultiModeState(("l", "r"), arr)
+        assert assert_spectrum_matches_decomposition(state, {"l"}).size == 4
+        assert assert_spectrum_matches_decomposition(state, {"r"}).size == 4
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(15)
@@ -276,12 +301,14 @@ class TestSchmidt:
         assert all(
             sd.coefficients[i] >= sd.coefficients[i + 1] for i in range(sd.coefficients.size - 1)
         )
+        assert assert_spectrum_matches_decomposition(state, {"p"}).size == 100
 
     def test_partition_errors(self):
         state = random_state(np.random.default_rng(16), ("a", "b"), (2, 2))
-        with pytest.raises(ModeLabelError):
-            schmidt_decompose(state, set())
-        with pytest.raises(ModeLabelError):
-            schmidt_decompose(state, {"a", "b"})
-        with pytest.raises(ModeLabelError):
-            schmidt_decompose(state, {"nope"})
+        for split in (schmidt_decompose, schmidt_coefficients):
+            with pytest.raises(ModeLabelError):
+                split(state, set())
+            with pytest.raises(ModeLabelError):
+                split(state, {"a", "b"})
+            with pytest.raises(ModeLabelError):
+                split(state, {"nope"})

@@ -9,6 +9,7 @@ import pytest
 from kerrcat import (
     CoherentParam,
     CutoffError,
+    SourceSpec,
     SqueezeParam,
     ZeroStateError,
     cat_coherent,
@@ -81,6 +82,16 @@ class TestCoherent:
         assert np.allclose(out.amplitudes, expected, rtol=1e-14, atol=0)
         with pytest.raises(CutoffError):
             coherent(CoherentParam(2.0), 5, eps=1e-10)
+
+    def test_given_budget_must_lie_in_unit_interval(self):
+        # NaN compares false with everything, so a plain `leak >= eps` test
+        # would wave it through
+        for eps in (float("nan"), 0.0, 1.0, 5.0, -1e-10):
+            with pytest.raises(ValueError, match=r"leakage budget must lie in \(0, 1\)"):
+                coherent(CoherentParam(2.0), 5, eps=eps)
+            for cutoff in (4, None):
+                with pytest.raises(ValueError, match=r"leakage budget must lie in \(0, 1\)"):
+                    SourceSpec.squeezed(0.9, cutoff=cutoff, eps=eps).build()
 
     def test_truncated_norm_within_budget(self):
         for alpha in (0.2, 1.0, 1.5):
@@ -211,6 +222,11 @@ class TestSuggestCutoff:
         for param in (SqueezeParam(0.8), CoherentParam(1.3)):
             cuts = [suggest_cutoff(param, e) for e in (1e-6, 1e-8, 1e-10, 1e-12)]
             assert cuts == sorted(cuts)
+
+    def test_overflowing_coherent_amplitude(self):
+        for alpha in (1e200, complex(1e308, 1e308)):
+            with pytest.raises(CutoffError, match="overflows"):
+                suggest_cutoff(CoherentParam(alpha), 1e-10)
 
     def test_eps_domain(self):
         with pytest.raises(ValueError):
