@@ -1,12 +1,17 @@
 """Unitary circuit elements and ideal photon detection.
 
 Phase shifts and cross-Kerr couplings are exact diagonal phase
-multiplications. The 50:50 beam splitter mixes two equal-cutoff modes; it
-conserves the pair's total photon number, so its matrix is assembled
-block-by-block from the exponentiated hopping generator (spectral
-decomposition of the tridiagonal block). The phase convention is pinned so
-that a single photon entering either port leaves as an equal superposition
-with an ``i`` on the crossed port:
+multiplications. The 50:50 beam splitter mixes two equal-cutoff modes. It
+conserves the pair's total photon number N, so it is stored and applied
+per N block, never as a dense (d, d, d, d) operator: one cached plan per
+cutoff c holds the unitary of each of the 2c + 1 blocks (the spectral
+exponential of the tridiagonal hopping generator). The blocks of total
+photon number N and N + c + 1 share one row of c + 1 slots, so the c + 1
+rows hold every pair exactly once. Applying it is one gather of the pair amplitudes into
+(row, slot) order, one batched matmul with the rows' block-diagonal
+unitaries and one scatter back, at any cutoff. The phase convention is
+pinned so that a single photon entering either port leaves as an equal
+superposition with an ``i`` on the crossed port:
 
     |1>|0| -> (|1>|0> + i |0>|1>) / sqrt(2)
     |0>|1| -> (|0>|1> + i |1>|0>) / sqrt(2)
@@ -15,7 +20,7 @@ Blocks whose total photon number exceeds the per-mode cutoff cannot be
 represented completely; the element then applies the physical unitary
 restricted to the representable states, losing the truncated amplitudes,
 and emits a :class:`TruncationWarning` if the input actually populates
-such a block.
+such a block (the plan also lists those pairs).
 """
 
 from __future__ import annotations
@@ -135,18 +140,37 @@ def apply_cross_kerr(
     return state.with_tensor(state.tensor * phases.reshape(shape))
 
 
-@lru_cache(maxsize=None)
-def _beam_splitter_matrix(cutoff: int, half_angle: float) -> np.ndarray:
-    """Two-mode matrix with shape (d, d, d, d), d = cutoff + 1.
+@dataclass(frozen=True, eq=False)
+class _BeamSplitterPlan:
+    """The splitter at one cutoff c as c + 1 rows of c + 1 slots.
 
-    Indexed [out_1, out_2, in_1, in_2]. Assembled per total-photon block N;
-    the hopping generator within a block is tridiagonal with entries
+    Photon pair ``(n1, n2)`` sits in row ``(n1 + n2) mod (c + 1)``, slot
+    ``n1``: row r holds the splits of total photon number r (slots 0..r)
+    and of r + c + 1 (slots r + 1..c), every pair exactly once.
+    ``gather`` is the ``(n1, n2)`` index pair of each ``(row, slot)``,
+    ``unitaries[r]`` the block-diagonal unitary of row r, ``scatter[p]`` the
+    flat ``(row, slot)`` position of pair ``p = n1 * (c + 1) + n2``, and
+    ``over_cutoff`` the ``(n1, n2)`` index pair of the pairs with
+    ``n1 + n2 > c``.
+    """
+
+    gather: tuple[np.ndarray, np.ndarray]
+    unitaries: np.ndarray
+    scatter: np.ndarray
+    over_cutoff: tuple[np.ndarray, np.ndarray]
+
+
+@lru_cache(maxsize=None)
+def _beam_splitter_plan(cutoff: int, half_angle: float) -> _BeamSplitterPlan:
+    """Build the plan from its 2c + 1 total-photon blocks.
+
+    The hopping generator within block N is tridiagonal with entries
     sqrt((m+1)(N-m)), and the block unitary is its spectral exponential at
-    the given half-angle. Over-cutoff blocks are filled with the physical
-    unitary restricted to representable photon splits.
+    the given half-angle. Over-cutoff blocks (N > c) keep the physical
+    unitary restricted to the representable splits.
     """
     d = cutoff + 1
-    out = np.zeros((d, d, d, d), dtype=np.complex128)
+    unitaries = np.zeros((d, d, d), dtype=np.complex128)
     for total in range(2 * cutoff + 1):
         gen = np.zeros((total + 1, total + 1))
         for m in range(total):
@@ -154,12 +178,16 @@ def _beam_splitter_matrix(cutoff: int, half_angle: float) -> np.ndarray:
             gen[m, m + 1] = gen[m + 1, m]
         evals, evecs = np.linalg.eigh(gen)
         block = (evecs * np.exp(1j * half_angle * evals)) @ evecs.T.conj()
-        lo, hi = max(0, total - cutoff), min(total, cutoff)
-        for mi in range(lo, hi + 1):
-            for mj in range(lo, hi + 1):
-                out[mi, total - mi, mj, total - mj] = block[mi, mj]
-    out.setflags(write=False)
-    return out
+        kept = slice(max(0, total - cutoff), min(total, cutoff) + 1)
+        unitaries[total % d, kept, kept] = block[kept, kept]
+    slot = np.arange(d)
+    gather = (np.tile(slot, (d, 1)), (slot[:, None] - slot) % d)
+    n1, n2 = np.divmod(np.arange(d * d), d)
+    over = n1 + n2 > cutoff
+    plan = _BeamSplitterPlan(gather, unitaries, (n1 + n2) % d * d + n1, (n1[over], n2[over]))
+    for arr in (*plan.gather, plan.unitaries, plan.scatter, *plan.over_cutoff):
+        arr.setflags(write=False)
+    return plan
 
 
 def apply_beam_splitter(state: MultiModeState, mode_1: str, mode_2: str) -> MultiModeState:
@@ -173,8 +201,15 @@ def apply_beam_splitter(state: MultiModeState, mode_1: str, mode_2: str) -> Mult
             f"beam splitter needs equal cutoffs, got {d1 - 1} ({mode_1!r}) vs {d2 - 1} ({mode_2!r})"
         )
     cutoff = d1 - 1
+    plan = _beam_splitter_plan(cutoff, _BS_HALF_ANGLE)
 
-    boundary = _over_cutoff_mass(state, ax1, ax2, cutoff)
+    # a view with the (mode_1, mode_2) photon numbers as its first two axes;
+    # indexing it with (n1, n2) arrays copies only the pairs asked for
+    moved = np.moveaxis(state.tensor, (ax1, ax2), (0, 1))
+
+    over = moved[plan.over_cutoff]
+    boundary = float(np.vdot(over, over).real)
+    del over
     if boundary > _BOUNDARY_MASS_THRESHOLD:
         warnings.warn(
             f"beam splitter on modes ({mode_1!r}, {mode_2!r}): probability "
@@ -184,17 +219,12 @@ def apply_beam_splitter(state: MultiModeState, mode_1: str, mode_2: str) -> Mult
             stacklevel=2,
         )
 
-    matrix = _beam_splitter_matrix(cutoff, _BS_HALF_ANGLE)
-    moved = np.moveaxis(state.tensor, (ax1, ax2), (0, 1))
-    mixed = np.tensordot(matrix, moved, axes=([2, 3], [0, 1]))
-    return state.with_tensor(np.moveaxis(mixed, (0, 1), (ax1, ax2)))
-
-
-def _over_cutoff_mass(state: MultiModeState, ax1: int, ax2: int, cutoff: int) -> float:
-    probs = np.abs(np.moveaxis(state.tensor, (ax1, ax2), (0, 1))) ** 2
-    pair = probs.reshape(probs.shape[0], probs.shape[1], -1).sum(axis=2)
-    n1, n2 = np.indices(pair.shape)
-    return float(pair[n1 + n2 > cutoff].sum())
+    # rebinding frees each copy once the next exists: at most two copies
+    # besides the input are alive at a time
+    pairs = moved[plan.gather].reshape(d1, d1, -1)
+    pairs = np.matmul(plan.unitaries, pairs)
+    pairs = pairs.reshape(d1 * d1, -1)[plan.scatter]
+    return state.with_tensor(np.moveaxis(pairs.reshape(moved.shape), (0, 1), (ax1, ax2)))
 
 
 def apply_element(state: MultiModeState, element: Element):

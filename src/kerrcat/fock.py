@@ -2,8 +2,8 @@
 
 A single mode with cutoff N is the span of the photon-number states
 |0>, ..., |N>. Multimode states live on the tensor product, stored as a
-dense complex array with one axis per mode; the first label is the
-slowest-varying (row-major) axis. States are immutable after construction
+dense C-ordered complex array with one axis per mode; the first label is
+the slowest-varying (row-major) axis. States are immutable after construction
 and may be sub-normalized (e.g. after a projective detection); explicit
 :func:`normalize` is the only place a norm is ever divided out.
 """
@@ -25,7 +25,10 @@ ZERO_NORM_THRESHOLD = 1e-12
 
 
 def _frozen_complex_array(data, ndim=None) -> np.ndarray:
-    arr = np.array(data, dtype=np.complex128)
+    # Always a C-ordered copy: a strided view (e.g. from np.moveaxis) would
+    # otherwise keep its layout, and every later slice of it would gather
+    # the whole tensor again.
+    arr = np.array(data, dtype=np.complex128, order="C")
     if ndim is not None and arr.ndim != ndim:
         raise StateMismatchError(f"expected a {ndim}-d amplitude array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

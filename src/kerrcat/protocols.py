@@ -18,6 +18,7 @@ themselves are state-agnostic diagonal phases.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -25,8 +26,9 @@ from typing import Mapping
 import numpy as np
 
 from . import dsl
+from .analysis import joint_photon_distribution
 from .elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift, apply_element
-from .errors import ZeroStateError
+from .errors import CutoffError, ZeroStateError
 from .fock import (
     FockVector,
     MultiModeState,
@@ -158,6 +160,23 @@ def _detection_branch(state: MultiModeState, outcome) -> Branch:
     return Branch(tuple(outcome), prob, conditioned, pre_norm)
 
 
+def _pinned_sources(*specs: SourceSpec) -> tuple[SourceSpec, ...]:
+    """The sources with their cutoffs resolved, once.
+
+    Raises :class:`CutoffError` before any state is allocated when the full
+    protocol state (the sources times the two cutoff-1 photon modes) would
+    hold more than ``dsl.MAX_STATE_DIMENSION`` amplitudes.
+    """
+    pinned = tuple(dataclasses.replace(s, cutoff=s.resolved_cutoff()) for s in specs)
+    dimension = 4 * math.prod(s.cutoff + 1 for s in pinned)
+    if dimension > dsl.MAX_STATE_DIMENSION:
+        raise CutoffError(
+            f"source cutoffs {[s.cutoff for s in pinned]} need a state of {dimension} "
+            f"amplitudes, above the maximum state dimension {dsl.MAX_STATE_DIMENSION}"
+        )
+    return pinned
+
+
 def run_superposition(params: SuperpositionParams, trace: bool = False) -> ProtocolResult:
     """Single-photon interferometer with one Kerr-coupled data mode.
 
@@ -166,6 +185,7 @@ def run_superposition(params: SuperpositionParams, trace: bool = False) -> Proto
     * ``Db_fires`` (1, 0): data mode ~ rotated - e^{i theta} original,
     * ``Dc_fires`` (0, 1): data mode ~ rotated + e^{i theta} original.
     """
+    (source_a,) = _pinned_sources(params.source_a)
     stages = []
 
     bc = tensor_product(single("b", fock(1, 1)), single("c", vacuum(1)))
@@ -173,7 +193,7 @@ def run_superposition(params: SuperpositionParams, trace: bool = False) -> Proto
     bc = apply_element(bc, BalancedBeamSplitter("b", "c"))
     stages.append(("after_first_splitter", bc))
 
-    full = tensor_product(single("a", params.source_a.build()), bc)
+    full = tensor_product(single("a", source_a.build()), bc)
     stages.append(("with_data_source", full))
     full = apply_element(full, CrossKerr("a", "b", params.tau))
     full = apply_element(full, PhaseShift("c", params.theta))
@@ -194,6 +214,7 @@ def run_entanglement(params: EntanglementParams, trace: bool = False) -> Protoco
     A click projects modes (a, a2) onto rotated (x) rotated -+ e^{i theta}
     original (x) original; ``Db_fires`` carries the minus combination.
     """
+    source_a, source_a2 = _pinned_sources(params.source_a, params.source_a2)
     stages = []
 
     bc = tensor_product(single("b", fock(1, 1)), single("c", vacuum(1)))
@@ -201,13 +222,13 @@ def run_entanglement(params: EntanglementParams, trace: bool = False) -> Protoco
     bc = apply_element(bc, BalancedBeamSplitter("b", "c"))
     stages.append(("after_first_splitter", bc))
 
-    full = tensor_product(single("a", params.source_a.build()), bc)
+    full = tensor_product(single("a", source_a.build()), bc)
     stages.append(("with_data_source", full))
     full = apply_element(full, CrossKerr("a", "b", params.tau))
     full = apply_element(full, PhaseShift("c", params.theta))
     stages.append(("after_kerr_and_phase", full))
 
-    full = tensor_product(full, single("a2", params.source_a2.build()))
+    full = tensor_product(full, single("a2", source_a2.build()))
     stages.append(("with_second_source", full))
     full = apply_element(full, CrossKerr("a2", "b", params.tau2))
     stages.append(("after_second_kerr", full))
@@ -234,21 +255,6 @@ def superposition_targets(params: SuperpositionParams) -> dict[str, FockVector]:
         except ZeroStateError:
             pass
     return targets
-
-
-def superposition_branch_states(params: SuperpositionParams) -> dict[str, FockVector]:
-    """Analytic conditional states, built without running the circuit."""
-    base = params.source_a.build()
-    rotated = params.source_a.kerr_rotated(params.tau).build()
-    phase = np.exp(1j * params.theta)
-    out = {}
-    for name, sign in ((DB, -1), (DC, +1)):
-        try:
-            state, _ = normalize(rotated.amplitudes + sign * phase * base.amplitudes)
-        except ZeroStateError:
-            continue
-        out[name] = state
-    return out
 
 
 def entanglement_targets(params: EntanglementParams) -> dict[str, MultiModeState]:
@@ -334,12 +340,18 @@ def run_circuit(
 ) -> ProtocolResult:
     """Fold the program's elements over its initial product state.
 
-    Detection directives are enumerated as a joint outcome tree over the
-    detected modes: every outcome combination with probability at or above
-    the zero-branch threshold becomes a branch, keyed like ``"b=1 c=0"``.
-    The outcome combination the program asks for is always reported, with
-    probability zero and no state if it cannot occur. Without any detection
-    the single branch is keyed ``"unconditional"``.
+    Detection directives are enumerated as joint outcomes over the detected
+    modes, in ascending photon numbers with the first detected mode
+    slowest. The joint photon-number law of those modes is computed once
+    and only outcomes whose law clears half the zero-branch threshold are
+    sliced out of the state; each sliced outcome is then kept when its own
+    squared norm is at or above the threshold, exactly as if every outcome
+    had been sliced (the half is a margin far wider than the rounding
+    difference between the two sums). Kept branches are keyed like
+    ``"b=1 c=0"``. The outcome combination the program asks for is always
+    reported, in its place in that order, with probability zero and no
+    state if it falls below the threshold. Without any detection the single
+    branch is keyed ``"unconditional"``.
     """
     dsl.validate_program(program)
 
@@ -359,12 +371,14 @@ def run_circuit(
             branches[UNCONDITIONAL] = Branch((), state.squared_norm, unit, pre)
     else:
         requested = tuple(detected)
-        for outcome in _outcome_tree(state, [m for m, _ in detected]):
+        modes = [m for m, _ in detected]
+        candidates = joint_photon_distribution(state, modes) >= ZERO_BRANCH_THRESHOLD / 2
+        candidates[tuple(n for _, n in detected)] = True
+        for counts in np.argwhere(candidates).tolist():
+            outcome = tuple(zip(modes, counts))
             branch = _detection_branch(state, outcome)
             if branch.probability >= ZERO_BRANCH_THRESHOLD or outcome == requested:
                 branches[_outcome_key(outcome)] = branch
-        if _outcome_key(requested) not in branches:
-            branches[_outcome_key(requested)] = Branch(requested, 0.0, None, 0.0)
     return ProtocolResult(branches, tuple(stages) if trace else None)
 
 
@@ -388,20 +402,6 @@ def _build_source(decl, cutoff: int, eps: float) -> FockVector:
         case dsl.CoherentSourceDecl(re=re, im=im):
             return coherent(CoherentParam(complex(re, im)), cutoff, eps)
     raise TypeError(f"unknown source declaration {decl!r}")
-
-
-def _outcome_tree(state: MultiModeState, modes: list[str]):
-    """All joint outcomes over the detected modes, ascending per mode."""
-    dims = [state.tensor.shape[state.axis(m)] for m in modes]
-    def rec(prefix, idx):
-        if idx == len(modes):
-            yield tuple(prefix)
-            return
-        for n in range(dims[idx]):
-            prefix.append((modes[idx], n))
-            yield from rec(prefix, idx + 1)
-            prefix.pop()
-    yield from rec([], 0)
 
 
 def _outcome_key(outcome) -> str:

@@ -93,9 +93,19 @@ def fock(n: int, cutoff: int) -> FockVector:
     return FockVector(amps)
 
 
-def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+def _mean_photon_number(param: CoherentParam) -> float:
+    try:
+        return abs(param.alpha) ** 2
+    except OverflowError:
+        raise CutoffError(
+            f"coherent({param.alpha}): mean photon number overflows; no cutoff exists"
+        ) from None
+
+
+def _coherent_amplitudes(param: CoherentParam, cutoff: int) -> np.ndarray:
+    alpha = param.alpha
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    amps[0] = math.exp(-0.5 * _mean_photon_number(param))
     for n in range(cutoff):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
     return amps
@@ -137,10 +147,12 @@ def coherent(param: CoherentParam, cutoff: int, eps: float | None = None) -> Foc
 
     With ``eps=None`` the truncated amplitudes are returned unchecked; with a
     float, a truncation leakage at or above ``eps`` raises :class:`CutoffError`.
+    An amplitude whose mean photon number |alpha|^2 overflows raises
+    :class:`CutoffError` at any cutoff.
     """
     if cutoff < 0:
         raise CutoffError(f"cutoff must be >= 0, got {cutoff}")
-    amps = _coherent_amplitudes(param.alpha, cutoff)
+    amps = _coherent_amplitudes(param, cutoff)
     _check_leakage(amps, eps, f"coherent({param.alpha})")
     return FockVector(amps)
 
@@ -224,12 +236,7 @@ def suggest_cutoff(param, eps: float = DEFAULT_LEAKAGE) -> int:
             p = p * t2 * (2 * m + 1) / (2 * m + 2)
             m += 1
     if isinstance(param, CoherentParam):
-        try:
-            mean = abs(param.alpha) ** 2
-        except OverflowError:
-            raise CutoffError(
-                f"coherent({param.alpha}): mean photon number overflows; no cutoff exists"
-            ) from None
+        mean = _mean_photon_number(param)
         if mean == 0.0:
             return 0
         total = 0.0

@@ -109,6 +109,15 @@ def test_unreachable_coherent_cutoff_is_a_numerical_error(alpha_re):
     assert "numerical error" in done.stderr
 
 
+def test_overflowing_coherent_source_in_circuit_file(tmp_path):
+    path = tmp_path / "huge.qcirc"
+    path.write_text("mode a cutoff 3\nsource a coherent re=1e200 im=0\n", encoding="utf-8")
+    done = run_kerrcat("run", "--circuit", str(path))
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "numerical error" in done.stderr
+
+
 def test_sweep_records_unreachable_cutoff_per_point():
     done = run_kerrcat("sweep", "--protocol", "superposition", "--source", "coherent",
                        "--sweep", "alpha_re:1:1e200:2")

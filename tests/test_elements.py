@@ -4,8 +4,11 @@ scaling-and-squaring matrix oracle for the general splitter blocks."""
 import math
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from kerrcat import (
@@ -30,7 +33,7 @@ from kerrcat import (
     squeezed_vacuum,
     tensor_product,
 )
-from kerrcat.elements import _beam_splitter_matrix, _BS_HALF_ANGLE
+from kerrcat.elements import _beam_splitter_plan, _BS_HALF_ANGLE
 
 
 def random_state(rng, labels, cutoffs):
@@ -67,12 +70,18 @@ class TestBeamSplitterConvention:
     def test_single_photon_block_pinned_before_higher_blocks(self):
         # the 2x2 single-photon block must be exact before any use of the
         # higher blocks is trusted
-        matrix = _beam_splitter_matrix(4, _BS_HALF_ANGLE)
+        # the N=1 block sits in row 1, slots 0..1 (slot = n1), beside the
+        # N=6 block in slots 2..4
+        plan = _beam_splitter_plan(4, _BS_HALF_ANGLE)
+        n1, n2 = plan.gather
+        assert (n1[1, :2].tolist(), n2[1, :2].tolist()) == ([0, 1], [1, 0])
+        row = plan.unitaries[1]
         isq = 1 / math.sqrt(2)
-        assert abs(matrix[1, 0, 1, 0] - isq) < 1e-14
-        assert abs(matrix[0, 1, 1, 0] - 1j * isq) < 1e-14
-        assert abs(matrix[0, 1, 0, 1] - isq) < 1e-14
-        assert abs(matrix[1, 0, 0, 1] - 1j * isq) < 1e-14
+        assert abs(row[1, 1] - isq) < 1e-14
+        assert abs(row[0, 1] - 1j * isq) < 1e-14
+        assert abs(row[0, 0] - isq) < 1e-14
+        assert abs(row[1, 0] - 1j * isq) < 1e-14
+        assert np.abs(row[:2, 2:]).max() == 0.0 and np.abs(row[2:, :2]).max() == 0.0
 
     def test_single_photon_action(self):
         isq = 1 / math.sqrt(2)
@@ -93,7 +102,7 @@ class TestBeamSplitterConvention:
 
     def test_matches_expm_oracle_on_random_states(self):
         rng = np.random.default_rng(21)
-        for cutoff in (2, 3, 4):
+        for cutoff in (1, 2, 3, 4):
             oracle = oracle_bs_operator(cutoff)
             for _ in range(5):
                 state = strip_boundary(
@@ -102,6 +111,52 @@ class TestBeamSplitterConvention:
                 applied = apply_beam_splitter(state, "b", "c").tensor.ravel()
                 expected = oracle @ state.tensor.ravel()
                 assert np.abs(applied - expected).max() < 1e-12
+
+    def test_matches_expm_oracle_on_non_adjacent_reversed_modes(self):
+        # modes (a, b, c) with the splitter on (c, a): the generator is built
+        # on the full three-mode space, so no axis handling is shared
+        cutoff, spectator = 2, 1
+        d = cutoff + 1
+        lower = np.diag(np.sqrt(np.arange(1, d)), 1)
+        a_op = np.kron(lower, np.eye((spectator + 1) * d))
+        c_op = np.kron(np.eye(d * (spectator + 1)), lower)
+        oracle = expm(1j * (math.pi / 4) * (a_op.T.conj() @ c_op + c_op.T.conj() @ a_op))
+        rng = np.random.default_rng(27)
+        for _ in range(5):
+            state = strip_boundary(
+                random_state(rng, ("a", "b", "c"), (cutoff, spectator, cutoff)), "c", "a"
+            )
+            applied = apply_beam_splitter(state, "c", "a").tensor
+            assert applied.flags.c_contiguous
+            expected = oracle @ state.tensor.ravel()
+            assert np.abs(applied.ravel() - expected).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cutoff=st.integers(0, 6),
+        spectator=st.integers(0, 3),
+        order=st.permutations(("x", "y", "z")),
+        data=st.data(),
+    )
+    def test_norm_preserved_below_cutoff(self, cutoff, spectator, order, data):
+        # the splitter acts on order[0], order[1]; order[2] is a spectator
+        cutoffs = {order[0]: cutoff, order[1]: cutoff, order[2]: spectator}
+        labels = ("x", "y", "z")
+        shape = tuple(cutoffs[l] + 1 for l in labels)
+        amplitudes = data.draw(
+            hnp.arrays(
+                np.complex128,
+                shape,
+                elements=st.complex_numbers(max_magnitude=1.0, allow_subnormal=False),
+            )
+        )
+        photons = np.indices(shape)
+        below = photons[labels.index(order[0])] + photons[labels.index(order[1])] <= cutoff
+        amplitudes = np.where(below, amplitudes, 0)
+        assume(np.linalg.norm(amplitudes) > 1e-3)
+        state = MultiModeState(labels, amplitudes / np.linalg.norm(amplitudes))
+        out = apply_beam_splitter(state, order[0], order[1])
+        assert abs(out.squared_norm - state.squared_norm) <= 1e-12
 
     def test_double_application_is_swap_with_phase(self):
         # two passes equal a pi/2 phase on each mode composed with a swap;

@@ -2,6 +2,7 @@
 generic circuit runner's equivalence with the built-in pipelines."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from kerrcat import (
     CoherentParam,
+    CutoffError,
     EntanglementParams,
     MultiModeState,
     SourceSpec,
@@ -22,6 +24,7 @@ from kerrcat import (
     fidelity,
     fock,
     inner_product,
+    project_modes,
     run_circuit,
     run_entanglement,
     run_superposition,
@@ -33,9 +36,16 @@ from kerrcat import (
     tensor_product,
     vacuum,
 )
-from kerrcat.dsl import CircuitProgram, CircuitValidationError, FockSourceDecl, parse
+from kerrcat import cli, protocols
+from kerrcat.dsl import (
+    MAX_STATE_DIMENSION,
+    CircuitProgram,
+    CircuitValidationError,
+    FockSourceDecl,
+    parse,
+)
 from kerrcat.elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift
-from kerrcat.protocols import DB, DC
+from kerrcat.protocols import DB, DC, ZERO_BRANCH_THRESHOLD
 
 S_R05 = 0.8050181821945921
 E_M2 = math.exp(-2.0)
@@ -218,6 +228,45 @@ class TestKerrRotationRule:
         assert rotated.param.alpha == pytest.approx((1.0 + 0.5j) * cmath.exp(-1j * math.pi))
 
 
+class TestStateDimensionBudget:
+    @pytest.fixture
+    def no_oversized_products(self, monkeypatch):
+        # a source or product above the limit fails the test before it is
+        # allocated (a source shares the state with two cutoff-1 modes)
+        def guarded_product(a, b):
+            assert a.tensor.size * b.tensor.size <= MAX_STATE_DIMENSION
+            return tensor_product(a, b)
+
+        def guarded_source(param, cutoff, eps=None):
+            assert 4 * (cutoff + 1) <= MAX_STATE_DIMENSION
+            return squeezed_vacuum(param, cutoff, eps)
+
+        monkeypatch.setattr(protocols, "tensor_product", guarded_product)
+        monkeypatch.setattr(protocols, "squeezed_vacuum", guarded_source)
+
+    def test_entanglement_over_the_limit(self, no_oversized_products):
+        # r = 3 resolves cutoff 4218: 4 * 4219**2 = 71.2M amplitudes
+        params = EntanglementParams(
+            SourceSpec.squeezed(3.0), SourceSpec.squeezed(3.0), tau=math.pi / 2, tau2=math.pi / 2
+        )
+        with pytest.raises(CutoffError, match="maximum state dimension"):
+            run_entanglement(params)
+
+    def test_superposition_over_the_limit(self, no_oversized_products):
+        spec = SourceSpec.squeezed(0.5, cutoff=MAX_STATE_DIMENSION // 4)
+        with pytest.raises(CutoffError, match="maximum state dimension"):
+            run_superposition(SuperpositionParams(spec, tau=math.pi / 2))
+
+    def test_cli_run_and_sweep(self, no_oversized_products):
+        assert cli.main(["run", "--protocol", "entanglement", "--r", "3"]) == 2
+        argv = ["sweep", "--protocol", "entanglement", "--sweep", "r:0.3:3:2"]
+        inside, outside = (json.loads(line) for line in cli.render_output(argv).splitlines())
+        assert inside["error"] is None and inside["branches"]
+        assert outside["branches"] == {}
+        assert outside["error"].startswith("CutoffError: ")
+        assert "maximum state dimension" in outside["error"]
+
+
 class TestRunCircuit:
     def test_superposition_program_equivalence(self):
         params = SuperpositionParams(SourceSpec.squeezed(0.5), tau=math.pi / 2, theta=0.0)
@@ -272,6 +321,38 @@ class TestRunCircuit:
         assert result["b=1 c=1"].probability == 0.0
         assert result["b=1 c=1"].state is None
         assert abs(result.total_probability - 1.0) < 1e-12
+
+    def test_branches_match_brute_force_enumeration(self):
+        # s is squeezed, so every odd count on it has probability exactly 0;
+        # the requested (a=0, s=1) sits second in the ascending order
+        program = parse(
+            "mode s cutoff 3\nmode a cutoff 2\nmode b cutoff 2\nmode c cutoff 2\n"
+            "source s squeezed r=0.5 phi=0\nsource a fock n=1\n"
+            "bs c a\nkerr s a tau=pi/3\nbs a b\n"
+            "detect a n=0\ndetect s n=1\n"
+        ).program
+        result = run_circuit(program, eps=0.05, trace=True)
+        final = result.trace[-1][1]
+        requested = (("a", 0), ("s", 1))
+        expected = {}
+        for na in range(3):
+            for ns in range(4):
+                outcome = (("a", na), ("s", ns))
+                _, prob = project_modes(final, outcome)
+                if prob >= ZERO_BRANCH_THRESHOLD or outcome == requested:
+                    expected[f"a={na} s={ns}"] = (outcome, prob)
+        assert list(result.branches) == list(expected)
+        assert list(result.branches).index("a=0 s=1") == 1
+        for key, (outcome, prob) in expected.items():
+            branch = result[key]
+            assert branch.outcome == outcome
+            if prob >= ZERO_BRANCH_THRESHOLD:
+                assert branch.probability == prob
+                assert branch.state.labels == ("b", "c")
+                assert branch.state.tensor.flags.c_contiguous
+            else:
+                assert branch.probability == 0.0 and branch.state is None
+        assert abs(result.total_probability - final.squared_norm) < 1e-12
 
     def test_validation_errors_carry_element_index(self):
         program = CircuitProgram(

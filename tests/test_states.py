@@ -227,6 +227,10 @@ class TestSuggestCutoff:
         for alpha in (1e200, complex(1e308, 1e308)):
             with pytest.raises(CutoffError, match="overflows"):
                 suggest_cutoff(CoherentParam(alpha), 1e-10)
+            # a pinned cutoff, with or without a budget, fails the same way
+            for eps in (None, 1e-6):
+                with pytest.raises(CutoffError, match="overflows"):
+                    coherent(CoherentParam(alpha), 3, eps)
 
     def test_eps_domain(self):
         with pytest.raises(ValueError):
