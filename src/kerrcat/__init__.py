@@ -8,7 +8,6 @@ the diagnostics (distributions, fidelities, Schmidt data) to verify them.
 """
 
 from .analysis import (
-    AnalysisReport,
     entanglement_entropy,
     fidelity,
     joint_photon_distribution,

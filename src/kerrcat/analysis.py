@@ -8,8 +8,7 @@ values without vectors, over the occupied support).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -110,22 +109,3 @@ def entanglement_entropy(state: MultiModeState, left_modes) -> float:
     if p.size == 0:
         return 0.0
     return float(-(p * np.log2(p)).sum())
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Per-branch diagnostics bundle assembled by the CLI layer.
-
-    ``distributions`` maps mode label to its photon-number distribution.
-    ``support_residual`` is the mass outside ``allowed_support`` (None when
-    no support law applies). ``fidelity_targets`` maps target name to
-    fidelity. ``schmidt_entropy`` is in bits, None when no bipartition
-    applies. ``pre_norm`` is the branch amplitude norm before conditioning.
-    """
-
-    distributions: Mapping[str, tuple[float, ...]]
-    support_residual: float | None
-    allowed_support: str | None
-    fidelity_targets: Mapping[str, float] = field(default_factory=dict)
-    schmidt_entropy: float | None = None
-    pre_norm: float = 0.0

@@ -23,19 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsl
-from .analysis import (
-    AnalysisReport,
-    entanglement_entropy,
-    fidelity,
-    photon_distribution,
-    support_residual,
-)
+from .analysis import entanglement_entropy, fidelity, photon_distribution, support_residual
 from .checks import run_self_checks
 from .errors import FockSpaceError
 from .protocols import (
     DB,
-    DC,
-    Branch,
     EntanglementParams,
     ProtocolResult,
     SourceSpec,
@@ -229,77 +221,61 @@ def _support_for(source_kind: str, branch_name: str, dim: int):
     return "even", range(0, dim, 2)
 
 
-def _empty_report() -> AnalysisReport:
-    return AnalysisReport({}, None, None, {}, None, 0.0)
-
-
-def _analyze_superposition(
-    name: str, branch: Branch, source_kind: str, targets: dict
-) -> AnalysisReport:
-    if branch.state is None:
-        return _empty_report()
-    dist = photon_distribution(branch.state, "a")
+def _analyze_superposition(name: str, state, source_kind: str, targets: dict) -> dict:
+    dist = photon_distribution(state, "a")
     label, allowed = _support_for(source_kind, name, dist.size)
-    return AnalysisReport(
-        distributions={"a": tuple(dist.tolist())},
-        support_residual=support_residual(dist, allowed),
-        allowed_support=label,
-        fidelity_targets={t: fidelity(branch.state, target) for t, target in targets.items()},
-        schmidt_entropy=None,
-        pre_norm=branch.pre_norm,
-    )
-
-
-def _analyze_entanglement(branch: Branch, targets: dict) -> AnalysisReport:
-    if branch.state is None:
-        return _empty_report()
-    return AnalysisReport(
-        distributions={
-            m: tuple(photon_distribution(branch.state, m).tolist()) for m in ("a", "a2")
-        },
-        support_residual=None,
-        allowed_support=None,
-        fidelity_targets={t: fidelity(branch.state, target) for t, target in targets.items()},
-        schmidt_entropy=entanglement_entropy(branch.state, {"a"}),
-        pre_norm=branch.pre_norm,
-    )
-
-
-def _analyze_circuit(branch: Branch) -> AnalysisReport:
-    if branch.state is None:
-        return _empty_report()
-    labels = branch.state.labels
-    entropy = entanglement_entropy(branch.state, {labels[0]}) if len(labels) == 2 else None
-    return AnalysisReport(
-        distributions={m: tuple(photon_distribution(branch.state, m).tolist()) for m in labels},
-        support_residual=None,
-        allowed_support=None,
-        fidelity_targets={},
-        schmidt_entropy=entropy,
-        pre_norm=branch.pre_norm,
-    )
-
-
-def _branch_dict(branch: Branch, report: AnalysisReport) -> dict:
     return {
-        "outcome": {mode: n for mode, n in branch.outcome},
-        "probability": branch.probability,
-        "pre_norm": branch.pre_norm,
-        "analysis": {
-            "distributions": {m: list(d) for m, d in report.distributions.items()},
-            "support_residual": report.support_residual,
-            "allowed_support": report.allowed_support,
-            "fidelity_targets": dict(report.fidelity_targets),
-            "schmidt_entropy": report.schmidt_entropy,
-        },
+        "distributions": {"a": dist.tolist()},
+        "support_residual": support_residual(dist, allowed),
+        "allowed_support": label,
+        "fidelity_targets": {t: fidelity(state, target) for t, target in targets.items()},
+        "schmidt_entropy": None,
+    }
+
+
+def _analyze_entanglement(state, targets: dict) -> dict:
+    return {
+        "distributions": {m: photon_distribution(state, m).tolist() for m in ("a", "a2")},
+        "support_residual": None,
+        "allowed_support": None,
+        "fidelity_targets": {t: fidelity(state, target) for t, target in targets.items()},
+        "schmidt_entropy": entanglement_entropy(state, {"a"}),
+    }
+
+
+def _analyze_circuit(state) -> dict:
+    labels = state.labels
+    return {
+        "distributions": {m: photon_distribution(state, m).tolist() for m in labels},
+        "support_residual": None,
+        "allowed_support": None,
+        "fidelity_targets": {},
+        "schmidt_entropy": entanglement_entropy(state, {labels[0]}) if len(labels) == 2 else None,
     }
 
 
 def _branches_dict(result: ProtocolResult, analyzer) -> dict:
-    return {
-        name: _branch_dict(branch, analyzer(name, branch))
-        for name, branch in result.branches.items()
-    }
+    """The report's branches; ``analyzer(name, state)`` gives the analysis
+    of each branch that has a state."""
+    branches = {}
+    for name, branch in result.branches.items():
+        if branch.state is None:
+            analysis = {
+                "distributions": {},
+                "support_residual": None,
+                "allowed_support": None,
+                "fidelity_targets": {},
+                "schmidt_entropy": None,
+            }
+        else:
+            analysis = analyzer(name, branch.state)
+        branches[name] = {
+            "outcome": {mode: n for mode, n in branch.outcome},
+            "probability": branch.probability,
+            "pre_norm": branch.pre_norm,
+            "analysis": analysis,
+        }
+    return branches
 
 
 def _trace_list(result: ProtocolResult) -> list[dict]:
@@ -322,12 +298,15 @@ def _source_dict(config: RunConfig) -> dict:
 
 
 def _protocol_params(config: RunConfig):
+    """The configured protocol's parameters, with the source cutoff pinned
+    once for the run, its fidelity targets and its report."""
     if config.source == "squeezed":
         spec = SourceSpec.squeezed(config.r, config.phi, eps=config.epsilon)
     else:
         spec = SourceSpec.coherent(
             complex(config.alpha_re, config.alpha_im), eps=config.epsilon
         )
+    spec = spec.pinned()
     if config.protocol == "superposition":
         return SuperpositionParams(spec, config.tau, config.theta)
     # the CLI drives both entanglement arms with the same source parameters;
@@ -346,27 +325,50 @@ def _run_protocol(config: RunConfig):
         result = run_superposition(params, trace=config.trace)
         targets = superposition_targets(params)
         kind = params.source_a.kind
-        analyzer = lambda name, branch: _analyze_superposition(name, branch, kind, targets)
+        analyzer = lambda name, state: _analyze_superposition(name, state, kind, targets)
     else:
         result = run_entanglement(params, trace=config.trace)
         targets = entanglement_targets(params)
-        analyzer = lambda name, branch: _analyze_entanglement(branch, targets)
+        analyzer = lambda name, state: _analyze_entanglement(state, targets)
     return params, result, _branches_dict(result, analyzer)
 
 
-def _run_protocol_report(config: RunConfig) -> dict:
-    params, result, branches = _run_protocol(config)
-    cutoffs = {"a": params.source_a.resolved_cutoff(), "b": 1, "c": 1}
-    echo = {"tau": config.tau, "theta": config.theta}
-    if config.protocol == "entanglement":
-        cutoffs["a2"] = params.source_a2.resolved_cutoff()
-        echo = {"tau": config.tau, "tau2": config.tau2, "theta": config.theta}
+def _read_circuit(path: str) -> dsl.CircuitProgram:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as err:
+        raise _UsageError(f"cannot read circuit file: {err}") from None
+    parsed = dsl.parse(text)
+    for diag in parsed.diagnostics:
+        if diag.severity == "warning":
+            print(f"{path}:{diag}", file=sys.stderr)
+    if not parsed.ok:
+        raise _DiagnosticsError(path, parsed.errors)
+    return parsed.program
+
+
+def _run_report(config: RunConfig) -> dict:
+    """The report of one run, of a built-in protocol or of a circuit file."""
+    if config.protocol is not None:
+        params, result, branches = _run_protocol(config)
+        given = {"protocol": config.protocol}
+        taus = {"tau": config.tau}
+        cutoffs = {"a": params.source_a.cutoff, "b": 1, "c": 1}
+        if config.protocol == "entanglement":
+            taus["tau2"] = config.tau2
+            cutoffs["a2"] = params.source_a2.cutoff
+        echo = {"source": _source_dict(config), **taus, "theta": config.theta}
+    else:
+        program = _read_circuit(config.circuit)
+        result = run_circuit(program, eps=config.epsilon, trace=config.trace)
+        branches = _branches_dict(result, lambda name, state: _analyze_circuit(state))
+        given, echo, cutoffs = {"circuit": config.circuit}, {}, dict(program.modes)
     report = {
         "schema": SCHEMA_TAG,
         "kind": "run",
         "config": {
-            "input": {"protocol": config.protocol},
-            "source": _source_dict(config),
+            "input": given,
             **echo,
             "epsilon": config.epsilon,
             "cutoffs": cutoffs,
@@ -374,36 +376,6 @@ def _run_protocol_report(config: RunConfig) -> dict:
             "format": config.fmt,
         },
         "branches": branches,
-    }
-    if config.trace:
-        report["trace"] = _trace_list(result)
-    return report
-
-
-def _run_circuit_report(config: RunConfig) -> dict:
-    try:
-        with open(config.circuit, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as err:
-        raise _UsageError(f"cannot read circuit file: {err}") from None
-    parsed = dsl.parse(text)
-    for diag in parsed.diagnostics:
-        if diag.severity == "warning":
-            print(f"{config.circuit}:{diag}", file=sys.stderr)
-    if not parsed.ok:
-        raise _DiagnosticsError(config.circuit, parsed.errors)
-    result = run_circuit(parsed.program, eps=config.epsilon, trace=config.trace)
-    report = {
-        "schema": SCHEMA_TAG,
-        "kind": "run",
-        "config": {
-            "input": {"circuit": config.circuit},
-            "epsilon": config.epsilon,
-            "cutoffs": dict(parsed.program.modes),
-            "workers": config.workers,
-            "format": config.fmt,
-        },
-        "branches": _branches_dict(result, lambda name, branch: _analyze_circuit(branch)),
     }
     if config.trace:
         report["trace"] = _trace_list(result)
@@ -496,21 +468,31 @@ def _serialize(config: RunConfig, payload) -> str:
     return "".join(json.dumps(rec, allow_nan=False) + "\n" for rec in payload)
 
 
+def _run_config(argv) -> RunConfig | None:
+    """The configuration of a ``run`` or ``sweep`` command line; None for
+    ``check``."""
+    args = _build_parser().parse_args(argv)
+    if args.command == "check":
+        return None
+    return _config_from_args(args)
+
+
+def _render(config: RunConfig) -> str:
+    if config.command == "run":
+        return _serialize(config, _run_report(config))
+    return _serialize(config, _sweep_records(config))
+
+
 def render_output(argv) -> str:
     """Everything ``main`` would print to stdout, as a string.
 
     Raises instead of printing diagnostics; used by tests and the embedded
     determinism check.
     """
-    args = _build_parser().parse_args(argv)
-    if args.command == "check":
+    config = _run_config(argv)
+    if config is None:
         raise _UsageError("render_output does not drive the check command")
-    config = _config_from_args(args)
-    if config.command == "run":
-        if config.protocol is not None:
-            return _serialize(config, _run_protocol_report(config))
-        return _serialize(config, _run_circuit_report(config))
-    return _serialize(config, _sweep_records(config))
+    return _render(config)
 
 
 def _cmd_check() -> int:
@@ -526,12 +508,11 @@ def _cmd_check() -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        if args.command == "check":
+        config = _run_config(argv)
+        if config is None:
             return _cmd_check()
-        config = _config_from_args(args)
         started = time.perf_counter()
-        output = render_output(argv if argv is not None else sys.argv[1:])
+        output = _render(config)
         elapsed = time.perf_counter() - started
         if config.out:
             with open(config.out, "w", encoding="utf-8", newline="\n") as handle:

@@ -411,6 +411,10 @@ def _find_decl_line(text: str, label: str) -> int:
     return 1
 
 
+def format_mode(label: str, cutoff: int) -> str:
+    return f"mode {label} cutoff {cutoff}"
+
+
 def format_element(element: Element) -> str:
     match element:
         case BalancedBeamSplitter(mode_1=m1, mode_2=m2):
@@ -437,7 +441,7 @@ def format_source(label: str, decl: SourceDecl) -> str:
 
 def format_program(program: CircuitProgram) -> str:
     """Canonical text; ``parse`` of the result is structurally equal."""
-    lines = [f"mode {label} cutoff {cutoff}" for label, cutoff in program.modes]
+    lines = [format_mode(label, cutoff) for label, cutoff in program.modes]
     lines += [format_source(label, decl) for label, decl in program.sources]
     lines += [format_element(e) for e in program.elements]
     lines += [format_element(d) for d in program.detects]

@@ -26,6 +26,8 @@ such a block (the plan also lists those pairs).
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -216,7 +218,7 @@ def apply_beam_splitter(state: MultiModeState, mode_1: str, mode_2: str) -> Mult
             f"{boundary:.3e} sits on pair photon numbers above the cutoff "
             f"{cutoff}; that mass is partly truncated",
             TruncationWarning,
-            stacklevel=2,
+            stacklevel=_outside_caller_level(),
         )
 
     # rebinding frees each copy once the next exists: at most two copies
@@ -225,6 +227,17 @@ def apply_beam_splitter(state: MultiModeState, mode_1: str, mode_2: str) -> Mult
     pairs = np.matmul(plan.unitaries, pairs)
     pairs = pairs.reshape(d1 * d1, -1)[plan.scatter]
     return state.with_tensor(np.moveaxis(pairs.reshape(moved.shape), (0, 1), (ax1, ax2)))
+
+
+def _outside_caller_level() -> int:
+    """The ``stacklevel`` of the first frame outside this package, so that a
+    warning raised inside it points at the user's call, however many
+    package frames (dispatch, circuit runner, protocols) lie in between."""
+    package = os.path.dirname(os.path.abspath(__file__)) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def apply_element(state: MultiModeState, element: Element):

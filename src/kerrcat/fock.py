@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,16 +138,6 @@ def tensor_product(a: MultiModeState, b: MultiModeState) -> MultiModeState:
     if shared:
         raise ModeLabelError(f"mode labels {sorted(shared)} appear on both sides")
     return MultiModeState(a.labels + b.labels, np.multiply.outer(a.tensor, b.tensor))
-
-
-def product_state(parts: Iterable[tuple[str, FockVector]]) -> MultiModeState:
-    """Tensor product of labeled single-mode vectors, in the given order."""
-    state = None
-    for label, vec in parts:
-        state = single(label, vec) if state is None else tensor_product(state, single(label, vec))
-    if state is None:
-        raise ModeLabelError("product of zero modes is ambiguous; give at least one")
-    return state
 
 
 def inner_product(a: MultiModeState, b: MultiModeState) -> complex:

@@ -1,4 +1,4 @@
-"""Conditional-state protocols and the generic circuit runner.
+"""Conditional-state protocols and the circuit runner.
 
 Both built-in pipelines interfere a single photon with itself across two
 50:50 beam splitters. Between the splitters, one arm picks up a cross-Kerr
@@ -6,6 +6,15 @@ phase from the data mode(s) and the other a fixed phase shift; detecting
 which output port the photon exits then projects the data mode(s) onto a
 superposition (one data mode) or an entangled pair (two data modes) of the
 original and the Kerr-rotated source states.
+
+Each pipeline is a circuit program (``superposition_program``,
+``entanglement_program``) run by :func:`run_circuit`, the only place states
+go through elements. ``run_circuit`` joins each declared mode to the state
+just before the first element that touches it, so the photon modes are
+mixed before any data mode joins them; ``run_superposition`` and
+``run_entanglement`` pin the source cutoffs once, run their program, and
+name the two click outcomes ``Db_fires`` (b=1 c=0) and ``Dc_fires``
+(b=0 c=1).
 
 The Kerr rotation acts on the source parameters as:
 
@@ -29,14 +38,7 @@ from . import dsl
 from .analysis import joint_photon_distribution
 from .elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift, apply_element
 from .errors import CutoffError, ZeroStateError
-from .fock import (
-    FockVector,
-    MultiModeState,
-    normalize,
-    project_modes,
-    single,
-    tensor_product,
-)
+from .fock import FockVector, MultiModeState, normalize, project_modes, single, tensor_product
 from .states import (
     DEFAULT_LEAKAGE,
     CoherentParam,
@@ -88,6 +90,11 @@ class SourceSpec:
                 raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
             return self.cutoff
         return suggest_cutoff(self.param, self.eps)
+
+    def pinned(self) -> "SourceSpec":
+        """This source with its cutoff resolved once, so that later uses
+        (programs, targets, report echoes) skip ``suggest_cutoff``."""
+        return dataclasses.replace(self, cutoff=self.resolved_cutoff())
 
     def build(self) -> FockVector:
         c = self.resolved_cutoff()
@@ -167,7 +174,7 @@ def _pinned_sources(*specs: SourceSpec) -> tuple[SourceSpec, ...]:
     protocol state (the sources times the two cutoff-1 photon modes) would
     hold more than ``dsl.MAX_STATE_DIMENSION`` amplitudes.
     """
-    pinned = tuple(dataclasses.replace(s, cutoff=s.resolved_cutoff()) for s in specs)
+    pinned = tuple(s.pinned() for s in specs)
     dimension = 4 * math.prod(s.cutoff + 1 for s in pinned)
     if dimension > dsl.MAX_STATE_DIMENSION:
         raise CutoffError(
@@ -186,60 +193,38 @@ def run_superposition(params: SuperpositionParams, trace: bool = False) -> Proto
     * ``Dc_fires`` (0, 1): data mode ~ rotated + e^{i theta} original.
     """
     (source_a,) = _pinned_sources(params.source_a)
-    stages = []
-
-    bc = tensor_product(single("b", fock(1, 1)), single("c", vacuum(1)))
-    stages.append(("single_photon_input", bc))
-    bc = apply_element(bc, BalancedBeamSplitter("b", "c"))
-    stages.append(("after_first_splitter", bc))
-
-    full = tensor_product(single("a", source_a.build()), bc)
-    stages.append(("with_data_source", full))
-    full = apply_element(full, CrossKerr("a", "b", params.tau))
-    full = apply_element(full, PhaseShift("c", params.theta))
-    stages.append(("after_kerr_and_phase", full))
-    full = apply_element(full, BalancedBeamSplitter("b", "c"))
-    stages.append(("after_second_splitter", full))
-
-    branches = {
-        DB: _detection_branch(full, (("b", 1), ("c", 0))),
-        DC: _detection_branch(full, (("b", 0), ("c", 1))),
-    }
-    return ProtocolResult(branches, tuple(stages) if trace else None)
+    program = superposition_program(dataclasses.replace(params, source_a=source_a))
+    return _click_branches(run_circuit(program, source_a.eps, trace))
 
 
 def run_entanglement(params: EntanglementParams, trace: bool = False) -> ProtocolResult:
     """Two Kerr media couple the photon's transmitted arm to two data modes.
 
     A click projects modes (a, a2) onto rotated (x) rotated -+ e^{i theta}
-    original (x) original; ``Db_fires`` carries the minus combination.
+    original (x) original; ``Db_fires`` carries the minus combination. Both
+    sources must share one leakage budget (``ValueError`` otherwise), since
+    the circuit checks every source against the same ``eps``.
     """
     source_a, source_a2 = _pinned_sources(params.source_a, params.source_a2)
-    stages = []
+    if source_a.eps != source_a2.eps:
+        raise ValueError(
+            f"both sources need the same leakage budget, got {source_a.eps!r} "
+            f"and {source_a2.eps!r}"
+        )
+    program = entanglement_program(
+        dataclasses.replace(params, source_a=source_a, source_a2=source_a2)
+    )
+    return _click_branches(run_circuit(program, source_a.eps, trace))
 
-    bc = tensor_product(single("b", fock(1, 1)), single("c", vacuum(1)))
-    stages.append(("single_photon_input", bc))
-    bc = apply_element(bc, BalancedBeamSplitter("b", "c"))
-    stages.append(("after_first_splitter", bc))
 
-    full = tensor_product(single("a", source_a.build()), bc)
-    stages.append(("with_data_source", full))
-    full = apply_element(full, CrossKerr("a", "b", params.tau))
-    full = apply_element(full, PhaseShift("c", params.theta))
-    stages.append(("after_kerr_and_phase", full))
-
-    full = tensor_product(full, single("a2", source_a2.build()))
-    stages.append(("with_second_source", full))
-    full = apply_element(full, CrossKerr("a2", "b", params.tau2))
-    stages.append(("after_second_kerr", full))
-    full = apply_element(full, BalancedBeamSplitter("b", "c"))
-    stages.append(("after_second_splitter", full))
-
-    branches = {
-        DB: _detection_branch(full, (("b", 1), ("c", 0))),
-        DC: _detection_branch(full, (("b", 0), ("c", 1))),
-    }
-    return ProtocolResult(branches, tuple(stages) if trace else None)
+def _click_branches(result: ProtocolResult) -> ProtocolResult:
+    """Name the two single-click outcomes of a protocol circuit; a click the
+    circuit dropped below ``ZERO_BRANCH_THRESHOLD`` is a zero branch."""
+    branches = {}
+    for name, outcome in ((DB, (("b", 1), ("c", 0))), (DC, (("b", 0), ("c", 1)))):
+        branch = result.branches.get(_outcome_key(outcome))
+        branches[name] = branch or Branch(outcome, 0.0, None, 0.0)
+    return ProtocolResult(branches, result.trace)
 
 
 def superposition_targets(params: SuperpositionParams) -> dict[str, FockVector]:
@@ -338,7 +323,17 @@ UNCONDITIONAL = "unconditional"
 def run_circuit(
     program: "dsl.CircuitProgram", eps: float = DEFAULT_LEAKAGE, trace: bool = False
 ) -> ProtocolResult:
-    """Fold the program's elements over its initial product state.
+    """Run the program's elements and detections.
+
+    Every source is built (and checked against ``eps``) first. Each
+    declared mode then joins the state just before the first element that
+    touches it, at its declared axis position; modes no element touches
+    join after the last element. The state's labels therefore always keep
+    the declared order, and an element never acts on modes it has not yet
+    met. With ``trace`` the result lists the state after each join and each
+    element, named by the DSL line behind it: the ``source`` line of the
+    joining mode (``mode <label> cutoff <n>`` for a vacuum mode), or the
+    element's own line.
 
     Detection directives are enumerated as joint outcomes over the detected
     modes, in ascending photon numbers with the first detected mode
@@ -355,11 +350,30 @@ def run_circuit(
     """
     dsl.validate_program(program)
 
-    state = _initial_state(program, eps)
-    stages = [("input", state)]
-    for element in program.elements:
-        state = apply_element(state, element)
-        stages.append((dsl.format_element(element), state))
+    sources = dict(program.sources)
+    declared = [label for label, _ in program.modes]
+    unjoined = {
+        label: _build_source(sources.get(label), cutoff, eps) for label, cutoff in program.modes
+    }
+    state = MultiModeState((), np.array(1.0 + 0.0j))
+    stages = []
+    # the trailing None stands for detection, before which every mode joins
+    for element in (*program.elements, None):
+        touched = unjoined if element is None else dsl._element_modes(element)
+        for label in [m for m in declared if m in unjoined and m in touched]:
+            state = _joined(state, label, unjoined.pop(label), declared)
+            if trace:
+                decl = sources.get(label)
+                line = (
+                    dsl.format_mode(label, state.cutoff(label))
+                    if decl is None
+                    else dsl.format_source(label, decl)
+                )
+                stages.append((line, state))
+        if element is not None:
+            state = apply_element(state, element)
+            if trace:
+                stages.append((dsl.format_element(element), state))
 
     detected = [(d.mode, d.n) for d in program.detects]
     branches: dict[str, Branch] = {}
@@ -382,13 +396,17 @@ def run_circuit(
     return ProtocolResult(branches, tuple(stages) if trace else None)
 
 
-def _initial_state(program: "dsl.CircuitProgram", eps: float) -> MultiModeState:
-    sources = dict(program.sources)
-    state = MultiModeState((), np.array(1.0 + 0.0j))
-    for label, cutoff in program.modes:
-        decl = sources.get(label)
-        state = tensor_product(state, single(label, _build_source(decl, cutoff, eps)))
-    return state
+def _joined(state: MultiModeState, label: str, vector: FockVector, declared) -> MultiModeState:
+    """``state`` with ``vector`` joined as mode ``label``, its axis placed so
+    that the labels keep their ``declared`` order."""
+    at = sum(declared.index(m) < declared.index(label) for m in state.labels)
+    # complex products round differently with their operands swapped; a mode
+    # joining in front multiplies from the left, like tensor_product(mode, rest)
+    if at == 0:
+        tensor = np.multiply.outer(vector.amplitudes, state.tensor)
+    else:
+        tensor = np.moveaxis(np.multiply.outer(state.tensor, vector.amplitudes), -1, at)
+    return MultiModeState(state.labels[:at] + (label,) + state.labels[at:], tensor)
 
 
 def _build_source(decl, cutoff: int, eps: float) -> FockVector:

@@ -67,7 +67,9 @@ class TestProtocolReports:
             cli.render_output(["run", "--protocol", protocol, "--r", "0.2", "--trace"])
         )
         validate(report)
-        assert report["trace"][0]["stage"] == "single_photon_input"
+        # stages are named by DSL lines; the photon mode joins first
+        assert report["trace"][0]["stage"] == "source b fock n=1"
+        assert report["trace"][0]["modes"] == ["b"]
 
     def test_sweep_json_lines_and_csv_agree(self, protocol):
         argv = ["sweep", "--protocol", protocol, "--sweep", "r:0.1:0.3:3"]
@@ -96,7 +98,8 @@ def test_circuit_run(tmp_path):
     validate(report)
     assert report["config"]["cutoffs"] == {"a": 16, "b": 1, "c": 1}
     assert "b=1 c=0" in report["branches"]
-    assert report["trace"][0]["stage"] == "input"
+    assert report["trace"][0]["stage"] == "source b fock n=1"
+    assert report["trace"][0]["modes"] == ["b"]
 
 
 @pytest.mark.parametrize("alpha_re", ["1e200", "1000", "30"])

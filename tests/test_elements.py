@@ -29,10 +29,13 @@ from kerrcat import (
     coherent,
     fidelity,
     fock,
+    run_circuit,
     single,
     squeezed_vacuum,
     tensor_product,
 )
+from kerrcat.checks import _strip_boundary as strip_boundary
+from kerrcat.dsl import parse
 from kerrcat.elements import _beam_splitter_plan, _BS_HALF_ANGLE
 
 
@@ -41,19 +44,6 @@ def random_state(rng, labels, cutoffs):
     arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     arr /= np.linalg.norm(arr)
     return MultiModeState(tuple(labels), arr)
-
-
-def strip_boundary(state, m1, m2):
-    """Remove pair-photon content above the cutoff, then renormalize."""
-    ax1, ax2 = state.axis(m1), state.axis(m2)
-    cutoff = state.tensor.shape[ax1] - 1
-    arr = np.array(state.tensor)
-    moved = np.moveaxis(arr, (ax1, ax2), (0, 1))
-    n1, n2 = np.indices(moved.shape[:2])
-    moved[n1 + n2 > cutoff] = 0
-    arr = np.moveaxis(moved, (0, 1), (ax1, ax2))
-    arr /= np.linalg.norm(arr)
-    return MultiModeState(state.labels, arr)
 
 
 def oracle_bs_operator(cutoff):
@@ -200,6 +190,21 @@ class TestBeamSplitterConvention:
         with pytest.warns(TruncationWarning):
             out = apply_beam_splitter(s, "b", "c")
         assert out.squared_norm < 0.5
+
+    def test_warning_points_at_the_caller(self):
+        # not at the package's own dispatch or circuit-runner lines
+        s = tensor_product(single("b", fock(1, 1)), single("c", fock(1, 1)))
+        program = parse(
+            "mode b cutoff 1\nmode c cutoff 1\nsource b fock n=1\nsource c fock n=1\nbs b c\n"
+        ).program
+        for call in (
+            lambda: apply_beam_splitter(s, "b", "c"),
+            lambda: apply_element(s, BalancedBeamSplitter("b", "c")),
+            lambda: run_circuit(program),
+        ):
+            with pytest.warns(TruncationWarning) as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
 
     def test_no_warning_below_boundary(self):
         s = tensor_product(single("b", fock(1, 1)), single("c", fock(0, 1)))

@@ -1,0 +1,88 @@
+"""Golden corpus: CLI outputs compared with outputs committed in ``golden/``.
+
+Protocol runs and sweeps must match byte for byte. Circuit-file reports are
+compared as parsed JSON: the same keys in the same order, and every float
+within 1e-14 of the recorded one, because circuit files fold their elements
+in a different floating-point order than when the corpus was recorded
+(lazy mode joins: each mode joins just before the first element that
+touches it). None of the cases uses ``--trace``.
+
+Rewrite the expected files, from the repository root, with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from kerrcat import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FLOAT_TOLERANCE = 1e-14
+
+PROTOCOL_CASES = {
+    "superposition-squeezed.json": ["run", "--protocol", "superposition", "--r", "0.4"],
+    "superposition-coherent.json": [
+        "run", "--protocol", "superposition", "--source", "coherent",
+        "--alpha-re", "1.2", "--alpha-im", "0.3", "--tau", "pi", "--theta", "0.3",
+    ],
+    "entanglement-squeezed.json": [
+        "run", "--protocol", "entanglement", "--r", "0.3", "--phi", "pi/4",
+        "--tau2", "pi/3", "--theta", "0.2",
+    ],
+    "entanglement-coherent.json": [
+        "run", "--protocol", "entanglement", "--source", "coherent", "--alpha-re", "0.8",
+    ],
+    # squeezed sources: tau = tau2 = pi leaves Db_fires at probability zero
+    "sweep-entanglement.jsonl": [
+        "sweep", "--protocol", "entanglement", "--sweep", "tau:pi/2:pi:2", "--sweep", "tau2:pi/2:pi:2",
+    ],
+    "sweep-entanglement.csv": [
+        "sweep", "--protocol", "entanglement", "--sweep", "tau:pi/2:pi:2", "--sweep", "tau2:pi/2:pi:2",
+        "--format", "csv",
+    ],
+}
+# run from inside golden/, so the echoed circuit path is the relative one
+CIRCUIT_CASES = {
+    "lazy-joins.json": ["run", "--circuit", "lazy-joins.qcirc", "--epsilon", "1e-4"],
+}
+
+
+def assert_close(actual, expected, path="$"):
+    assert type(actual) is type(expected), path
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected), path
+        for key in expected:
+            assert_close(actual[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), path
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_close(a, e, f"{path}[{i}]")
+    elif isinstance(expected, float):
+        assert math.isclose(actual, expected, rel_tol=0, abs_tol=FLOAT_TOLERANCE), path
+    else:
+        assert actual == expected, path
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
+def test_protocol_output_is_byte_identical(name):
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    assert cli.render_output(PROTOCOL_CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUIT_CASES))
+def test_circuit_output_matches(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    expected = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    assert_close(json.loads(cli.render_output(CIRCUIT_CASES[name])), expected)
+
+
+if __name__ == "__main__":
+    import os
+
+    os.chdir(GOLDEN)
+    for name, argv in {**PROTOCOL_CASES, **CIRCUIT_CASES}.items():
+        Path(name).write_text(cli.render_output(argv), encoding="utf-8", newline="\n")
+        print(f"wrote {GOLDEN / name}")

@@ -44,7 +44,7 @@ from kerrcat.dsl import (
     FockSourceDecl,
     parse,
 )
-from kerrcat.elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift
+from kerrcat.elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift, apply_element
 from kerrcat.protocols import DB, DC, ZERO_BRANCH_THRESHOLD
 
 S_R05 = 0.8050181821945921
@@ -105,9 +105,22 @@ class TestSuperposition:
             assert fidelity(base[DC].state, flipped[DB].state) >= 1 - 1e-10
 
     def test_trace_matches_analytic_stages(self):
+        # each mode joins just before the first element that touches it, so
+        # the photon modes are split before the data mode joins them
         params = SuperpositionParams(SourceSpec.squeezed(0.5), tau=math.pi / 2, theta=0.0)
         result = run_superposition(params, trace=True)
-        stages = dict(result.trace)
+        assert [name for name, _ in result.trace] == [
+            "source b fock n=1",
+            "mode c cutoff 1",
+            "bs b c",
+            "source a squeezed r=0.5 phi=0",
+            "kerr a b tau=pi/2",
+            "phase c theta=0",
+            "bs b c",
+        ]
+        after_first_splitter, with_data_source, after_kerr_and_phase, after_second_splitter = (
+            result.trace[i][1] for i in (2, 3, 5, 6)
+        )
         cutoff = params.source_a.resolved_cutoff()
         xi = squeezed_vacuum(SqueezeParam(0.5), cutoff)
         flipped = squeezed_vacuum(SqueezeParam(0.5, math.pi), cutoff)
@@ -116,11 +129,11 @@ class TestSuperposition:
         split = np.zeros((2, 2), complex)
         split[1, 0] = isq
         split[0, 1] = 1j * isq
-        assert fidelity(stages["after_first_splitter"], MultiModeState(("b", "c"), split)) >= 1 - 1e-10
+        assert fidelity(after_first_splitter, MultiModeState(("b", "c"), split)) >= 1 - 1e-10
 
         with_source = np.multiply.outer(xi.amplitudes, split)
         assert (
-            fidelity(stages["with_data_source"], MultiModeState(("a", "b", "c"), with_source))
+            fidelity(with_data_source, MultiModeState(("a", "b", "c"), with_source))
             >= 1 - 1e-10
         )
 
@@ -128,7 +141,7 @@ class TestSuperposition:
         kicked[:, 1, 0] = flipped.amplitudes * isq
         kicked[:, 0, 1] = 1j * xi.amplitudes * isq
         assert (
-            fidelity(stages["after_kerr_and_phase"], MultiModeState(("a", "b", "c"), kicked))
+            fidelity(after_kerr_and_phase, MultiModeState(("a", "b", "c"), kicked))
             >= 1 - 1e-10
         )
 
@@ -136,7 +149,7 @@ class TestSuperposition:
         out[:, 1, 0] = 0.5 * (flipped.amplitudes - xi.amplitudes)
         out[:, 0, 1] = 0.5j * (flipped.amplitudes + xi.amplitudes)
         assert (
-            fidelity(stages["after_second_splitter"], MultiModeState(("a", "b", "c"), out))
+            fidelity(after_second_splitter, MultiModeState(("a", "b", "c"), out))
             >= 1 - 1e-10
         )
 
@@ -198,6 +211,20 @@ class TestEntanglement:
             expected_p = float(np.linalg.norm(rot + sign * base) ** 2) / 4
             assert fidelity(result[key].state, MultiModeState(("a", "a2"), target)) >= 1 - 1e-9
             assert abs(result[key].probability - expected_p) < 1e-9
+
+    def test_sources_share_one_leakage_budget(self):
+        # the circuit checks every source against one eps: differing budgets
+        # are refused, and the shared one still binds each source
+        looser = EntanglementParams(
+            SourceSpec.squeezed(0.5), SourceSpec.squeezed(0.5, eps=1e-6), tau=1.0, tau2=1.0
+        )
+        with pytest.raises(ValueError, match="same leakage budget"):
+            run_entanglement(looser)
+        truncated = EntanglementParams(
+            SourceSpec.squeezed(0.5), SourceSpec.squeezed(0.9, cutoff=4), tau=1.0, tau2=1.0
+        )
+        with pytest.raises(CutoffError):
+            run_entanglement(truncated)
 
     def test_completeness_over_random_draws(self):
         rng = np.random.default_rng(43)
@@ -288,6 +315,44 @@ class TestRunCircuit:
         for det, key in mapping.items():
             assert abs(via_circuit[key].probability - direct[det].probability) < 1e-12
             assert np.abs(via_circuit[key].state.tensor - direct[det].state.tensor).max() < 1e-12
+
+    def test_lazy_joins_match_the_eager_product(self):
+        # the first element meets the later-declared mode c before a, and d
+        # (no source: a vacuum join) is touched by no element
+        program = parse(
+            "mode a cutoff 2\nmode d cutoff 1\nmode b cutoff 3\nmode c cutoff 2\n"
+            "source a fock n=1\nsource b coherent re=0.6 im=0.2\nsource c fock n=1\n"
+            "bs c a\nkerr b c tau=pi/3\nphase a theta=0.4\nbs a c\n"
+            "detect a n=1\n"
+        ).program
+        result = run_circuit(program, eps=0.05, trace=True)
+        assert [(name, state.labels) for name, state in result.trace] == [
+            ("source a fock n=1", ("a",)),
+            ("source c fock n=1", ("a", "c")),
+            ("bs c a", ("a", "c")),
+            ("source b coherent re=0.6 im=0.2", ("a", "b", "c")),
+            ("kerr b c tau=pi/3", ("a", "b", "c")),
+            ("phase a theta=0.4", ("a", "b", "c")),
+            ("bs a c", ("a", "b", "c")),
+            ("mode d cutoff 1", ("a", "d", "b", "c")),
+        ]
+
+        eager = tensor_product(
+            tensor_product(single("a", fock(1, 2)), single("d", vacuum(1))),
+            tensor_product(
+                single("b", coherent(CoherentParam(0.6 + 0.2j), 3)), single("c", fock(1, 2))
+            ),
+        )
+        for element in program.elements:
+            eager = apply_element(eager, element)
+        assert np.abs(result.trace[-1][1].tensor - eager.tensor).max() < 1e-12
+        assert list(result.branches) == ["a=0", "a=1", "a=2"]
+        for n in range(3):
+            remaining, prob = project_modes(eager, (("a", n),))
+            branch = result[f"a={n}"]
+            assert branch.state.labels == ("d", "b", "c")
+            assert abs(branch.probability - prob) < 1e-12
+            assert np.abs(branch.state.tensor - remaining.tensor / math.sqrt(prob)).max() < 1e-12
 
     def test_program_texts_parse_back(self):
         from kerrcat import format_program
