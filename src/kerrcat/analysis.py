@@ -96,7 +96,8 @@ def fidelity(state, target) -> float:
 def entanglement_entropy(state: MultiModeState, left_modes) -> float:
     """Entropy (bits) of the Schmidt spectrum across the bipartition.
 
-    Zero (within numerics) iff the state is a product across the cut. The
+    Zero (within numerics) iff the state is a product across the cut, and
+    never negative: a sum that rounds to -0.0 or below is 0.0. The
     spectrum comes from :func:`kerrcat.fock.schmidt_coefficients`: singular
     values only, of the bipartition matrix with its exactly-zero rows and
     columns dropped. The state's squared norm must lie within
@@ -106,6 +107,4 @@ def entanglement_entropy(state: MultiModeState, left_modes) -> float:
     _, n2 = _as_unit_array(state, "state")
     coeffs = schmidt_coefficients(state, left_modes)
     p = coeffs[coeffs > SCHMIDT_COEFF_THRESHOLD] ** 2 / n2
-    if p.size == 0:
-        return 0.0
-    return float(-(p * np.log2(p)).sum())
+    return max(0.0, float(-(p * np.log2(p)).sum()))

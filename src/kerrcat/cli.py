@@ -42,6 +42,9 @@ from .protocols import (
 SCHEMA_TAG = "kerrcat-report/1"
 WORKERS_ENV = "KERRCAT_WORKERS"
 SWEEPABLE = ("r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta")
+# Largest sweep grid (the product of the axes' step counts). Every point's
+# record, about 9 kB in memory, is held until the report is written.
+MAX_SWEEP_POINTS = 10_000
 
 _CSV_COLUMNS = (
     "point", "r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta",
@@ -113,11 +116,7 @@ def _sweep_spec(text: str) -> SweepSpec:
         raise argparse.ArgumentTypeError(
             f"unknown sweep parameter {param!r}; choose from {', '.join(SWEEPABLE)}"
         )
-    try:
-        start_v = _angle(start)
-        stop_v = _angle(stop)
-    except argparse.ArgumentTypeError:
-        raise
+    start_v, stop_v = _angle(start), _angle(stop)
     if not steps.isdigit() or int(steps) < 1:
         raise argparse.ArgumentTypeError(f"steps must be a positive integer, got {steps!r}")
     return SweepSpec(param, start_v, stop_v, int(steps))
@@ -204,6 +203,11 @@ def _config_from_args(args) -> RunConfig:
             raise _UsageError("sweeps need --protocol; circuit files have no sweepable parameters")
         if not config.sweeps:
             raise _UsageError("sweep needs at least one --sweep PARAM:START:STOP:STEPS")
+        points = math.prod(spec.steps for spec in config.sweeps)
+        if points > MAX_SWEEP_POINTS:
+            raise _UsageError(
+                f"the sweep grid has {points} points, more than the {MAX_SWEEP_POINTS} allowed"
+            )
         if config.trace:
             raise _UsageError("--trace is only available for single runs")
     return config

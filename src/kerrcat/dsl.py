@@ -14,21 +14,39 @@ case-sensitive::
 
     <angle> := <float> | pi | pi/<uint> | <float>*pi
 
-Modes must be declared before use; sources must precede circuit elements;
-detection directives come last. Angles are evaluated to radians at parse
-time; the formatter prints them back in the shortest symbolic form
-(``pi/2`` rather than a decimal). ``parse(format_program(p))`` is
-structurally equal to ``p``.
+The rules are checked in two places:
+
+* :func:`parse` handles what only the text shows: tokens and their
+  positions, number syntax, statement order (mode declarations and sources
+  before circuit elements, detection directives last) and that a mode is
+  declared on an earlier line than any statement that names it. A line
+  that breaks one of these rules is an error diagnostic at the offending
+  token, and the line is dropped.
+* :func:`validate_program` owns the circuit rules, shared by parsed files
+  and programs built in code (``kerrcat.protocols``): no mode declared
+  twice, at most ``MAX_STATE_DIMENSION`` amplitudes in the running product
+  of the declared mode dimensions, ``r >= 0``, fock and detected photon
+  numbers within the mode's cutoff, one source and one detection per mode,
+  equal cutoffs on both beam-splitter ports, and every named mode declared.
+  It raises :class:`kerrcat.errors.CutoffError` for the state dimension and
+  :class:`CircuitValidationError` for every other rule; ``parse`` reports
+  the same violations, and warns about declared modes that nothing names,
+  as diagnostics at the statement's line and column.
+
+Angles are evaluated to radians at parse time; the formatter prints them
+back in the shortest symbolic form (``pi/2`` rather than a decimal).
+``parse(format_program(p))`` is structurally equal to ``p``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .elements import BalancedBeamSplitter, CrossKerr, Detect, Element, PhaseShift
+from .errors import CutoffError
 
 # Running product of mode dimensions above which a program is rejected.
 MAX_STATE_DIMENSION = 1 << 26
@@ -37,6 +55,12 @@ _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _UINT_RE = re.compile(r"\d+\Z")
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 _TOKEN_RE = re.compile(r"\S+")
+
+# The statement kinds, in the order of CircuitProgram's fields.
+_SECTIONS = ("mode", "source", "element", "detect")
+# The order of the text: declarations and sources, elements, detections.
+_ORDER = ("decl", "elements", "detects")
+_ELEMENTS_FIRST = "circuit elements must precede detection directives"
 
 
 @dataclass(frozen=True)
@@ -67,10 +91,6 @@ class CircuitProgram:
     sources: tuple[tuple[str, SourceDecl], ...] = ()
     elements: tuple[Element, ...] = ()
     detects: tuple[Detect, ...] = ()
-
-    @property
-    def mode_cutoffs(self) -> dict[str, int]:
-        return dict(self.modes)
 
 
 @dataclass(frozen=True)
@@ -110,6 +130,13 @@ class _LineError(Exception):
         self.message = message
 
 
+def _int_literal(text: str, column: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than CPython's int-string conversion limit
+        raise _LineError(column, f"{what} has too many digits ({len(text)})") from None
+
+
 def _parse_angle(text: str, column: int) -> float:
     if text == "pi":
         return math.pi
@@ -117,10 +144,13 @@ def _parse_angle(text: str, column: int) -> float:
         denom = text[3:]
         if not _UINT_RE.match(denom):
             raise _LineError(column, f"malformed angle {text!r}: expected pi/<uint>")
-        d = int(denom)
-        if d == 0:
-            raise _LineError(column, "angle pi/0 is undefined")
-        return math.pi / d
+        try:
+            return math.pi / int(denom)
+        except ZeroDivisionError:
+            raise _LineError(column, "angle pi/0 is undefined") from None
+        except (ValueError, OverflowError):  # past CPython's int-string limit or float range
+            message = f"angle denominator has too many digits ({len(denom)})"
+            raise _LineError(column, message) from None
     if text.endswith("*pi"):
         factor = text[:-3]
         if not _FLOAT_RE.match(factor):
@@ -154,198 +184,148 @@ def _float_text(value: float) -> str:
 
 
 class _Parser:
+    """Statement syntax, section order and declared-before-use.
+
+    ``read`` takes one line's tokens and returns ``(section, item)`` or
+    raises :class:`_LineError`; the circuit rules are left to
+    :func:`_violations`.
+    """
+
     def __init__(self):
-        self.diagnostics: list[ParseDiagnostic] = []
-        self.modes: list[tuple[str, int]] = []
-        self.mode_index: dict[str, int] = {}
-        self.sources: list[tuple[str, SourceDecl]] = []
-        self.sourced: set[str] = set()
-        self.elements: list[Element] = []
-        self.detects: list[Detect] = []
-        self.detected: set[str] = set()
-        self.used: set[str] = set()
-        self.section = "decl"  # decl -> elements -> detects
-        self.dimension = 1
+        self.declared: set[str] = set()
+        # labels named by any line, rejected ones too: only the parser sees
+        # those, and a mode named on a broken line is not "never used"
+        self.named: set[str] = set()
+        self.section = "decl"
+        self.tokens: list[tuple[str, int]] = []  # the line being read
 
-    def error(self, line_no: int, column: int, message: str, excerpt: str):
-        self.diagnostics.append(ParseDiagnostic("error", line_no, column, message, excerpt))
-
-    def warning(self, line_no: int, column: int, message: str, excerpt: str):
-        self.diagnostics.append(ParseDiagnostic("warning", line_no, column, message, excerpt))
+    def read(self, tokens):
+        self.tokens = tokens
+        keyword, col = tokens[0]
+        if keyword not in _HANDLERS:
+            raise _LineError(col, f"unknown keyword {keyword!r}")
+        return _HANDLERS[keyword](self)
 
     # --- token helpers -----------------------------------------------------
 
-    def _take(self, tokens, idx, what, end_col):
-        if idx >= len(tokens):
-            raise _LineError(end_col, f"missing {what}")
-        return tokens[idx]
+    def _take(self, idx, what):
+        if idx >= len(self.tokens):
+            text, col = self.tokens[-1]
+            raise _LineError(col + len(text), f"missing {what}")
+        return self.tokens[idx]
 
-    def _label(self, tok) -> str:
-        text, col = tok
+    def _label(self, idx, what="mode label") -> str:
+        text, col = self._take(idx, what)
         if not _LABEL_RE.match(text):
             raise _LineError(col, f"invalid mode label {text!r}")
         return text
 
-    def _declared(self, tok) -> str:
-        label = self._label(tok)
-        if label not in self.mode_index:
-            raise _LineError(tok[1], f"mode {label!r} is not declared")
-        self.used.add(label)
+    def _declared(self, idx, what="mode label") -> str:
+        label = self._label(idx, what)
+        if label not in self.declared:
+            raise _LineError(self.tokens[idx][1], f"mode {label!r} is not declared")
+        self.named.add(label)
         return label
 
-    def _uint(self, tok, what) -> int:
-        text, col = tok
-        if not _UINT_RE.match(text):
-            raise _LineError(col, f"malformed {what}: expected an unsigned integer, got {text!r}")
-        return int(text)
+    def _distinct(self) -> tuple[str, str]:
+        m1 = self._declared(1, "first mode label")
+        m2 = self._declared(2, "second mode label")
+        if m1 == m2:
+            raise _LineError(self.tokens[2][1], "modes must be distinct")
+        return m1, m2
 
-    def _kv(self, tok, key: str) -> tuple[str, int]:
-        text, col = tok
+    def _kv(self, idx, key: str, what: str) -> tuple[str, int]:
+        text, col = self._take(idx, f"{key}=<{what}>")
         prefix = key + "="
         if not text.startswith(prefix):
             raise _LineError(col, f"expected {key}=<value>, got {text!r}")
         return text[len(prefix):], col + len(prefix)
 
-    def _kv_float(self, tok, key: str) -> float:
-        text, col = self._kv(tok, key)
-        if not _FLOAT_RE.match(text):
+    def _kv_float(self, idx, key: str, what: str = "float") -> float:
+        text, col = self._kv(idx, key, what)
+        if what == "angle":
+            value = _parse_angle(text, col)
+        elif _FLOAT_RE.match(text):
+            value = float(text)
+        else:
             raise _LineError(col, f"malformed {key} value {text!r}: expected a float")
-        value = float(text)
         if not math.isfinite(value):
             raise _LineError(col, f"{key} value {text!r} is not finite")
         return value
 
-    def _kv_angle(self, tok, key: str) -> float:
-        text, col = self._kv(tok, key)
-        value = _parse_angle(text, col)
-        if not math.isfinite(value):
-            raise _LineError(col, f"{key} value {text!r} is not finite")
-        return value
-
-    def _kv_uint(self, tok, key: str) -> int:
-        text, col = self._kv(tok, key)
+    def _kv_uint(self, idx, key: str) -> int:
+        text, col = self._kv(idx, key, "uint")
         if not _UINT_RE.match(text):
             raise _LineError(col, f"malformed {key} value {text!r}: expected an unsigned integer")
-        return int(text)
+        return _int_literal(text, col, f"{key} value")
 
-    def _cutoff_of(self, label: str) -> int:
-        return self.modes[self.mode_index[label]][1]
+    def _end(self, idx):
+        if len(self.tokens) > idx:
+            text, col = self.tokens[idx]
+            raise _LineError(col, f"unexpected trailing token {text!r}")
 
-    def _no_extra(self, tokens, idx):
-        if len(tokens) > idx:
-            raise _LineError(tokens[idx][1], f"unexpected trailing token {tokens[idx][0]!r}")
-
-    def _need_section(self, target: str, tok):
-        text, col = tok
-        if target == "elements":
-            if self.section == "detects":
-                raise _LineError(col, "circuit elements must precede detection directives")
-            self.section = "elements"
-        elif target == "detects":
-            self.section = "detects"
+    def _enter(self, section: str, message: str = ""):
+        if _ORDER.index(section) < _ORDER.index(self.section):
+            raise _LineError(self.tokens[0][1], message)
+        self.section = section
 
     # --- statement handlers ------------------------------------------------
 
-    def stmt_mode(self, tokens, end_col):
-        if self.section != "decl":
-            raise _LineError(tokens[0][1], "mode declarations must precede circuit elements")
-        label = self._label(self._take(tokens, 1, "mode label", end_col))
-        if label in self.mode_index:
-            raise _LineError(tokens[1][1], f"mode {label!r} is already declared")
-        kw = self._take(tokens, 2, "'cutoff'", end_col)
-        if kw[0] != "cutoff":
-            raise _LineError(kw[1], f"expected 'cutoff', got {kw[0]!r}")
-        cutoff = self._uint(self._take(tokens, 3, "cutoff value", end_col), "cutoff")
-        self._no_extra(tokens, 4)
-        if self.dimension * (cutoff + 1) > MAX_STATE_DIMENSION:
-            raise _LineError(
-                tokens[3][1],
-                f"declared modes exceed the maximum state dimension {MAX_STATE_DIMENSION}",
-            )
-        self.dimension *= cutoff + 1
-        self.mode_index[label] = len(self.modes)
-        self.modes.append((label, cutoff))
+    def stmt_mode(self):
+        self._enter("decl", "mode declarations must precede circuit elements")
+        label = self._label(1)
+        kw, col = self._take(2, "'cutoff'")
+        if kw != "cutoff":
+            raise _LineError(col, f"expected 'cutoff', got {kw!r}")
+        text, col = self._take(3, "cutoff value")
+        if not _UINT_RE.match(text):
+            raise _LineError(col, f"malformed cutoff: expected an unsigned integer, got {text!r}")
+        cutoff = _int_literal(text, col, "cutoff")
+        self._end(4)
+        self.declared.add(label)
+        return "mode", (label, cutoff)
 
-    def stmt_source(self, tokens, end_col):
-        if self.section != "decl":
-            raise _LineError(tokens[0][1], "sources must precede circuit elements")
-        label = self._declared(self._take(tokens, 1, "mode label", end_col))
-        if label in self.sourced:
-            raise _LineError(tokens[1][1], f"mode {label!r} already has a source")
-        kind = self._take(tokens, 2, "source kind", end_col)
-        if kind[0] == "squeezed":
-            r = self._kv_float(self._take(tokens, 3, "r=<float>", end_col), "r")
-            if r < 0:
-                raise _LineError(tokens[3][1], "squeeze magnitude r must be >= 0")
-            phi = self._kv_angle(self._take(tokens, 4, "phi=<angle>", end_col), "phi")
-            self._no_extra(tokens, 5)
-            decl: SourceDecl = SqueezedSourceDecl(r, phi)
-        elif kind[0] == "coherent":
-            re_part = self._kv_float(self._take(tokens, 3, "re=<float>", end_col), "re")
-            im_part = self._kv_float(self._take(tokens, 4, "im=<float>", end_col), "im")
-            self._no_extra(tokens, 5)
-            decl = CoherentSourceDecl(re_part, im_part)
-        elif kind[0] == "fock":
-            n = self._kv_uint(self._take(tokens, 3, "n=<uint>", end_col), "n")
-            if n > self._cutoff_of(label):
-                raise _LineError(
-                    tokens[3][1],
-                    f"fock source n={n} exceeds cutoff {self._cutoff_of(label)} of mode {label!r}",
-                )
-            self._no_extra(tokens, 4)
-            decl = FockSourceDecl(n)
+    def stmt_source(self):
+        self._enter("decl", "sources must precede circuit elements")
+        label = self._declared(1)
+        kind, col = self._take(2, "source kind")
+        if kind == "squeezed":
+            decl = SqueezedSourceDecl(self._kv_float(3, "r"), self._kv_float(4, "phi", "angle"))
+        elif kind == "coherent":
+            decl = CoherentSourceDecl(self._kv_float(3, "re"), self._kv_float(4, "im"))
+        elif kind == "fock":
+            decl = FockSourceDecl(self._kv_uint(3, "n"))
         else:
-            raise _LineError(kind[1], f"unknown source kind {kind[0]!r}")
-        self.sourced.add(label)
-        self.sources.append((label, decl))
+            raise _LineError(col, f"unknown source kind {kind!r}")
+        self._end(4 if kind == "fock" else 5)
+        return "source", (label, decl)
 
-    def stmt_bs(self, tokens, end_col):
-        self._need_section("elements", tokens[0])
-        m1 = self._declared(self._take(tokens, 1, "first mode label", end_col))
-        tok2 = self._take(tokens, 2, "second mode label", end_col)
-        m2 = self._declared(tok2)
-        if m1 == m2:
-            raise _LineError(tok2[1], "modes must be distinct")
-        if self._cutoff_of(m1) != self._cutoff_of(m2):
-            raise _LineError(
-                tok2[1],
-                f"beam splitter needs equal cutoffs, got {self._cutoff_of(m1)} vs {self._cutoff_of(m2)}",
-            )
-        self._no_extra(tokens, 3)
-        self.elements.append(BalancedBeamSplitter(m1, m2))
+    def stmt_bs(self):
+        self._enter("elements", _ELEMENTS_FIRST)
+        m1, m2 = self._distinct()
+        self._end(3)
+        return "element", BalancedBeamSplitter(m1, m2)
 
-    def stmt_phase(self, tokens, end_col):
-        self._need_section("elements", tokens[0])
-        mode = self._declared(self._take(tokens, 1, "mode label", end_col))
-        theta = self._kv_angle(self._take(tokens, 2, "theta=<angle>", end_col), "theta")
-        self._no_extra(tokens, 3)
-        self.elements.append(PhaseShift(mode, theta))
+    def stmt_phase(self):
+        self._enter("elements", _ELEMENTS_FIRST)
+        mode = self._declared(1)
+        theta = self._kv_float(2, "theta", "angle")
+        self._end(3)
+        return "element", PhaseShift(mode, theta)
 
-    def stmt_kerr(self, tokens, end_col):
-        self._need_section("elements", tokens[0])
-        m1 = self._declared(self._take(tokens, 1, "first mode label", end_col))
-        tok2 = self._take(tokens, 2, "second mode label", end_col)
-        m2 = self._declared(tok2)
-        if m1 == m2:
-            raise _LineError(tok2[1], "modes must be distinct")
-        tau = self._kv_angle(self._take(tokens, 3, "tau=<angle>", end_col), "tau")
-        self._no_extra(tokens, 4)
-        self.elements.append(CrossKerr(m1, m2, tau))
+    def stmt_kerr(self):
+        self._enter("elements", _ELEMENTS_FIRST)
+        m1, m2 = self._distinct()
+        tau = self._kv_float(3, "tau", "angle")
+        self._end(4)
+        return "element", CrossKerr(m1, m2, tau)
 
-    def stmt_detect(self, tokens, end_col):
-        self._need_section("detects", tokens[0])
-        tok1 = self._take(tokens, 1, "mode label", end_col)
-        mode = self._declared(tok1)
-        if mode in self.detected:
-            raise _LineError(tok1[1], f"mode {mode!r} is already detected")
-        n = self._kv_uint(self._take(tokens, 2, "n=<uint>", end_col), "n")
-        if n > self._cutoff_of(mode):
-            raise _LineError(
-                tokens[2][1], f"detected n={n} exceeds cutoff {self._cutoff_of(mode)} of mode {mode!r}"
-            )
-        self._no_extra(tokens, 3)
-        self.detected.add(mode)
-        self.detects.append(Detect(mode, n))
+    def stmt_detect(self):
+        self._enter("detects")
+        mode = self._declared(1)
+        n = self._kv_uint(2, "n")
+        self._end(3)
+        return "detect", Detect(mode, n)
 
 
 _HANDLERS = {
@@ -361,8 +341,11 @@ _HANDLERS = {
 def parse(text: str | bytes) -> ParseResult:
     """Parse circuit source into a program, collecting all diagnostics.
 
-    On any error diagnostic, no program is returned. Accepts str or UTF-8
-    bytes; LF and CRLF line endings are both fine.
+    Syntax and order errors point at the offending token; circuit-rule
+    violations (see :func:`validate_program`) and the unused-mode warnings
+    point at the statement's first token. Errors come in line order, then
+    the warnings. On any error diagnostic, no program is returned. Accepts
+    str or UTF-8 bytes; LF and CRLF line endings are both fine.
     """
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -373,6 +356,10 @@ def parse(text: str | bytes) -> ParseResult:
             return ParseResult(None, (diag,))
 
     p = _Parser()
+    errors: list[ParseDiagnostic] = []
+    items: dict[str, list] = {section: [] for section in _SECTIONS}
+    # (line, column, excerpt) of each statement, by section and index
+    where: dict[str, list] = {section: [] for section in _SECTIONS}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
         hash_pos = line.find("#")
@@ -380,35 +367,28 @@ def parse(text: str | bytes) -> ParseResult:
         tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(body)]
         if not tokens:
             continue
-        keyword, col = tokens[0]
-        handler = _HANDLERS.get(keyword)
-        end_col = tokens[-1][1] + len(tokens[-1][0])
         try:
-            if handler is None:
-                raise _LineError(col, f"unknown keyword {keyword!r}")
-            handler(p, tokens, end_col)
+            section, item = p.read(tokens)
         except _LineError as err:
-            p.error(line_no, err.column, err.message, line)
+            errors.append(ParseDiagnostic("error", line_no, err.column, err.message, line))
+            continue
+        items[section].append(item)
+        where[section].append((line_no, tokens[0][1], line))
 
-    for label, cutoff in p.modes:
-        if label not in p.used and label not in p.sourced:
-            decl_line = _find_decl_line(text, label)
-            p.warning(decl_line, 1, f"mode {label!r} is declared but never used", "")
+    def at(severity, section, index, message):
+        line_no, col, excerpt = where[section][index]
+        return ParseDiagnostic(severity, line_no, col, message, excerpt)
 
-    if any(d.severity == "error" for d in p.diagnostics):
-        return ParseResult(None, tuple(p.diagnostics))
-    program = CircuitProgram(
-        tuple(p.modes), tuple(p.sources), tuple(p.elements), tuple(p.detects)
-    )
-    return ParseResult(program, tuple(p.diagnostics))
-
-
-def _find_decl_line(text: str, label: str) -> int:
-    for i, raw in enumerate(text.split("\n"), start=1):
-        tokens = raw.split()
-        if len(tokens) >= 2 and tokens[0] == "mode" and tokens[1] == label:
-            return i
-    return 1
+    program = CircuitProgram(*(tuple(items[section]) for section in _SECTIONS))
+    violations, declared_at = _violations(program)
+    errors += [at("error", *statement, str(err)) for statement, err in violations]
+    errors.sort(key=lambda d: d.line)
+    warnings = [
+        at("warning", "mode", index, f"mode {label!r} is declared but never used")
+        for label, index in declared_at.items()
+        if label not in p.named
+    ]
+    return ParseResult(None if errors else program, tuple(errors + warnings))
 
 
 def format_mode(label: str, cutoff: int) -> str:
@@ -449,77 +429,99 @@ def format_program(program: CircuitProgram) -> str:
 
 
 def validate_program(program: CircuitProgram) -> None:
-    """Check a (possibly hand-built) program; raises CircuitValidationError.
+    """Check a program, parsed or built in code, against the circuit rules
+    of the module docstring; ``parse`` reports the same violations.
 
-    Parsed programs always pass; this guards programs assembled in code.
+    Raises :class:`kerrcat.errors.CutoffError` when the declared modes
+    exceed ``MAX_STATE_DIMENSION`` amplitudes and
+    :class:`CircuitValidationError` for any other rule, on the first
+    violation in statement order, named like ``element 1: ...``.
     """
-    cutoffs: dict[str, int] = {}
-    dimension = 1
-    for label, cutoff in program.modes:
-        if label in cutoffs:
-            raise CircuitValidationError(f"mode {label!r} declared twice")
-        if cutoff < 0:
-            raise CircuitValidationError(f"mode {label!r} has negative cutoff {cutoff}")
-        dimension *= cutoff + 1
-        if dimension > MAX_STATE_DIMENSION:
-            raise CircuitValidationError(
-                f"total state dimension exceeds {MAX_STATE_DIMENSION}"
-            )
-        cutoffs[label] = cutoff
+    violations, _ = _violations(program)
+    if violations:
+        (section, index), err = violations[0]
+        raise type(err)(f"{section} {index}: {err}")
 
-    seen_sources = set()
-    for label, decl in program.sources:
+
+def _violations(program: CircuitProgram):
+    """Every circuit-rule violation of ``program``, at most one per
+    statement and in statement order, as ``((section, index), error)``;
+    and, per declared label, the index of the mode declaration that counts.
+
+    A rejected statement counts as absent for the rules of later ones.
+    """
+    violations = []
+
+    def reject(section, index, message, kind=CircuitValidationError):
+        violations.append(((section, index), kind(message)))
+
+    cutoffs: dict[str, int] = {}
+    declared_at: dict[str, int] = {}  # the mode statement that counts
+    dimension = 1
+    for index, (label, cutoff) in enumerate(program.modes):
+        size = dimension * (cutoff + 1)
+        if label in cutoffs:
+            reject("mode", index, f"mode {label!r} is already declared")
+        elif cutoff < 0:
+            reject("mode", index, f"mode {label!r} has negative cutoff {cutoff}")
+        elif size > MAX_STATE_DIMENSION:
+            reject("mode", index, f"mode {label!r} (cutoff {cutoff}) brings the state to {size} "
+                   f"amplitudes, above the maximum state dimension {MAX_STATE_DIMENSION}",
+                   CutoffError)
+        else:
+            dimension = size
+            cutoffs[label] = cutoff
+            declared_at[label] = index
+
+    sourced = set()
+    for index, (label, decl) in enumerate(program.sources):
         if label not in cutoffs:
-            raise CircuitValidationError(f"source on undeclared mode {label!r}")
-        if label in seen_sources:
-            raise CircuitValidationError(f"mode {label!r} has two sources")
-        seen_sources.add(label)
-        if isinstance(decl, FockSourceDecl) and decl.n > cutoffs[label]:
-            raise CircuitValidationError(
-                f"fock source n={decl.n} exceeds cutoff {cutoffs[label]} of mode {label!r}"
-            )
-        if isinstance(decl, SqueezedSourceDecl) and decl.r < 0:
-            raise CircuitValidationError(f"source on mode {label!r} has negative r")
+            reject("source", index, f"mode {label!r} is not declared")
+        elif label in sourced:
+            reject("source", index, f"mode {label!r} already has a source")
+        elif isinstance(decl, FockSourceDecl) and decl.n > cutoffs[label]:
+            reject("source", index,
+                   f"fock source n={decl.n} exceeds cutoff {cutoffs[label]} of mode {label!r}")
+        elif isinstance(decl, SqueezedSourceDecl) and decl.r < 0:
+            reject("source", index, "squeeze magnitude r must be >= 0")
+        else:
+            sourced.add(label)
 
     for index, element in enumerate(program.elements):
         if isinstance(element, Detect):
-            raise CircuitValidationError(
-                f"element {index}: detection must come after all circuit elements"
-            )
-        refs = _element_modes(element)
-        for mode in refs:
+            reject("element", index, "detection must come after all circuit elements")
+            continue
+        for mode in _element_modes(element):
             if mode not in cutoffs:
-                raise CircuitValidationError(f"element {index}: undeclared mode {mode!r}")
-        if isinstance(element, BalancedBeamSplitter):
-            c1, c2 = cutoffs[element.mode_1], cutoffs[element.mode_2]
-            if c1 != c2:
-                raise CircuitValidationError(
-                    f"element {index}: beam splitter cutoff mismatch {c1} vs {c2}"
-                )
+                reject("element", index, f"mode {mode!r} is not declared")
+                break
+        else:
+            if isinstance(element, BalancedBeamSplitter):
+                c1, c2 = cutoffs[element.mode_1], cutoffs[element.mode_2]
+                if c1 != c2:
+                    reject("element", index, f"beam splitter cutoff mismatch {c1} vs {c2}")
 
     detected = set()
     for index, det in enumerate(program.detects):
         if not isinstance(det, Detect):
-            raise CircuitValidationError(f"detect {index}: not a detection directive")
+            reject("detect", index, "not a detection directive")
+            continue
         if det.mode not in cutoffs:
-            raise CircuitValidationError(f"detect {index}: undeclared mode {det.mode!r}")
-        if det.mode in detected:
-            raise CircuitValidationError(f"detect {index}: mode {det.mode!r} detected twice")
-        if det.n > cutoffs[det.mode]:
-            raise CircuitValidationError(
-                f"detect {index}: n={det.n} exceeds cutoff {cutoffs[det.mode]}"
-            )
-        detected.add(det.mode)
+            reject("detect", index, f"mode {det.mode!r} is not declared")
+        elif det.mode in detected:
+            reject("detect", index, f"mode {det.mode!r} is already detected")
+        elif det.n > cutoffs[det.mode]:
+            reject("detect", index,
+                   f"detected n={det.n} exceeds cutoff {cutoffs[det.mode]} of mode {det.mode!r}")
+        else:
+            detected.add(det.mode)
+
+    return violations, declared_at
 
 
 def _element_modes(element: Element) -> tuple[str, ...]:
-    match element:
-        case BalancedBeamSplitter(mode_1=m1, mode_2=m2):
-            return (m1, m2)
-        case PhaseShift(mode=m):
-            return (m,)
-        case CrossKerr(mode_1=m1, mode_2=m2):
-            return (m1, m2)
-        case Detect(mode=m):
-            return (m,)
+    if isinstance(element, (BalancedBeamSplitter, CrossKerr)):
+        return (element.mode_1, element.mode_2)
+    if isinstance(element, (PhaseShift, Detect)):
+        return (element.mode,)
     raise TypeError(f"not a circuit element: {element!r}")

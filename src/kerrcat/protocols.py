@@ -28,7 +28,6 @@ themselves are state-agnostic diagonal phases.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -37,7 +36,7 @@ import numpy as np
 from . import dsl
 from .analysis import joint_photon_distribution
 from .elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift, apply_element
-from .errors import CutoffError, ZeroStateError
+from .errors import ZeroStateError
 from .fock import FockVector, MultiModeState, normalize, project_modes, single, tensor_product
 from .states import (
     DEFAULT_LEAKAGE,
@@ -167,23 +166,6 @@ def _detection_branch(state: MultiModeState, outcome) -> Branch:
     return Branch(tuple(outcome), prob, conditioned, pre_norm)
 
 
-def _pinned_sources(*specs: SourceSpec) -> tuple[SourceSpec, ...]:
-    """The sources with their cutoffs resolved, once.
-
-    Raises :class:`CutoffError` before any state is allocated when the full
-    protocol state (the sources times the two cutoff-1 photon modes) would
-    hold more than ``dsl.MAX_STATE_DIMENSION`` amplitudes.
-    """
-    pinned = tuple(s.pinned() for s in specs)
-    dimension = 4 * math.prod(s.cutoff + 1 for s in pinned)
-    if dimension > dsl.MAX_STATE_DIMENSION:
-        raise CutoffError(
-            f"source cutoffs {[s.cutoff for s in pinned]} need a state of {dimension} "
-            f"amplitudes, above the maximum state dimension {dsl.MAX_STATE_DIMENSION}"
-        )
-    return pinned
-
-
 def run_superposition(params: SuperpositionParams, trace: bool = False) -> ProtocolResult:
     """Single-photon interferometer with one Kerr-coupled data mode.
 
@@ -192,7 +174,7 @@ def run_superposition(params: SuperpositionParams, trace: bool = False) -> Proto
     * ``Db_fires`` (1, 0): data mode ~ rotated - e^{i theta} original,
     * ``Dc_fires`` (0, 1): data mode ~ rotated + e^{i theta} original.
     """
-    (source_a,) = _pinned_sources(params.source_a)
+    source_a = params.source_a.pinned()
     program = superposition_program(dataclasses.replace(params, source_a=source_a))
     return _click_branches(run_circuit(program, source_a.eps, trace))
 
@@ -205,7 +187,7 @@ def run_entanglement(params: EntanglementParams, trace: bool = False) -> Protoco
     sources must share one leakage budget (``ValueError`` otherwise), since
     the circuit checks every source against the same ``eps``.
     """
-    source_a, source_a2 = _pinned_sources(params.source_a, params.source_a2)
+    source_a, source_a2 = params.source_a.pinned(), params.source_a2.pinned()
     if source_a.eps != source_a2.eps:
         raise ValueError(
             f"both sources need the same leakage budget, got {source_a.eps!r} "
@@ -325,15 +307,18 @@ def run_circuit(
 ) -> ProtocolResult:
     """Run the program's elements and detections.
 
-    Every source is built (and checked against ``eps``) first. Each
-    declared mode then joins the state just before the first element that
-    touches it, at its declared axis position; modes no element touches
-    join after the last element. The state's labels therefore always keep
-    the declared order, and an element never acts on modes it has not yet
-    met. With ``trace`` the result lists the state after each join and each
-    element, named by the DSL line behind it: the ``source`` line of the
-    joining mode (``mode <label> cutoff <n>`` for a vacuum mode), or the
-    element's own line.
+    The program is checked by :func:`dsl.validate_program` before any state
+    is built, so a state above ``dsl.MAX_STATE_DIMENSION`` amplitudes raises
+    :class:`kerrcat.errors.CutoffError` without being allocated. Every
+    source is then built (and checked against ``eps``). Each declared mode
+    then joins the state just before the first element that touches it, at
+    its declared axis position; modes no element touches join after the
+    last element. The state's labels therefore always keep the declared
+    order, and an element never acts on modes it has not yet met. With
+    ``trace`` the result lists the state after each join and each element,
+    named by the DSL line behind it: the ``source`` line of the joining
+    mode (``mode <label> cutoff <n>`` for a vacuum mode), or the element's
+    own line.
 
     Detection directives are enumerated as joint outcomes over the detected
     modes, in ascending photon numbers with the first detected mode

@@ -7,7 +7,9 @@ import pytest
 
 from kerrcat import (
     CoherentParam,
+    EntanglementParams,
     MultiModeState,
+    SourceSpec,
     SqueezeParam,
     StateMismatchError,
     apply_phase_shift,
@@ -19,12 +21,14 @@ from kerrcat import (
     fock,
     joint_photon_distribution,
     photon_distribution,
+    run_entanglement,
     single,
     squeezed_vacuum,
     support_residual,
     tensor_product,
     vacuum,
 )
+from kerrcat.protocols import DC
 
 OVERLAP_OPPOSITE_R05 = 0.8050181821945921
 
@@ -139,6 +143,19 @@ class TestEntanglementEntropy:
             single("a", coherent(CoherentParam(0.5), 12)), single("b", fock(1, 2))
         )
         assert entanglement_entropy(state, {"a"}) == pytest.approx(0.0, abs=1e-10)
+
+    def test_product_states_are_exactly_zero(self):
+        # unclamped, these sums come out as -0.0 and -3.2e-16 (the report
+        # schema requires schmidt_entropy >= 0)
+        params = EntanglementParams(
+            SourceSpec.squeezed(0.5), SourceSpec.squeezed(0.5), tau=math.pi / 2, tau2=math.pi
+        )
+        for state in (
+            tensor_product(single("a", fock(1, 2)), single("b", fock(0, 2))),
+            run_entanglement(params)[DC].state,
+        ):
+            value = entanglement_entropy(state, {"a"})
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_bell_pair_is_one_bit(self):
         arr = np.zeros((2, 2), complex)

@@ -142,6 +142,37 @@ def test_usage_and_circuit_errors_exit_1(tmp_path):
     assert cli.main(["run", "--circuit", str(bad)]) == 1
 
 
+def test_huge_integer_literals_are_diagnostics(tmp_path):
+    # past CPython's 4,300-digit int-string limit in a circuit file, and past
+    # the float range in a pi/<uint> angle on the command line
+    path = tmp_path / "huge.qcirc"
+    path.write_text(f"mode a cutoff {'9' * 5000}\n", encoding="utf-8")
+    for argv in (
+        ("run", "--circuit", str(path)),
+        ("run", "--protocol", "superposition", "--tau", "pi/" + "7" * 400),
+    ):
+        done = run_kerrcat(*argv)
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "too many digits" in done.stderr
+
+
+@pytest.mark.parametrize("axes", [["r:0:1:1000000000"], ["r:0:1:200", "tau:0:pi:51"]])
+def test_oversized_sweep_grid_is_a_usage_error(axes, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli, "_grid_points", forbidden)
+    argv = ["sweep", "--protocol", "superposition"]
+    for axis in axes:
+        argv += ["--sweep", axis]
+    with pytest.raises(cli._UsageError, match="sweep grid has"):
+        cli._config_from_args(cli._build_parser().parse_args(argv))
+    assert cli.main(argv) == 1
+    limit = f"r:0:1:{cli.MAX_SWEEP_POINTS}"
+    assert cli._run_config(["sweep", "--protocol", "superposition", "--sweep", limit])
+
+
 def test_self_checks_pass():
     results = run_self_checks()
     assert tuple(r.name for r in results) == CHECK_NAMES

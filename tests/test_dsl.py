@@ -57,17 +57,20 @@ ORDER = [
      "mode 'b' is not declared"),
 ]
 
+# circuit-rule violations point at the statement's first token
 SEMANTIC = [
-    ("duplicate-mode", "mode a cutoff 1\nmode a cutoff 2\n", 2, 6, "'a' is already declared"),
-    ("state-dimension", "mode a cutoff 67108863\nmode b cutoff 1\n", 2, 15,
+    ("duplicate-mode", "mode a cutoff 1\nmode a cutoff 2\n", 2, 1, "'a' is already declared"),
+    ("state-dimension", "mode a cutoff 67108863\nmode b cutoff 1\n", 2, 1,
      "maximum state dimension"),
-    ("second-source", AB + "source a fock n=0\nsource a fock n=1\n", 4, 8,
+    ("second-source", AB + "source a fock n=0\nsource a fock n=1\n", 4, 1,
      "'a' already has a source"),
-    ("negative-r", AB + "source a squeezed r=-0.5 phi=0\n", 3, 19, "r must be >= 0"),
-    ("fock-over-cutoff", AB + "source a fock n=3\n", 3, 15, "n=3 exceeds cutoff 2 of mode 'a'"),
-    ("bs-cutoffs", "mode a cutoff 2\nmode b cutoff 3\nbs a b\n", 3, 6, "equal cutoffs"),
-    ("detected-twice", AB + "detect a n=0\ndetect a n=1\n", 4, 8, "'a' is already detected"),
-    ("detect-over-cutoff", AB + "detect b n=3\n", 3, 10, "n=3 exceeds cutoff 2 of mode 'b'"),
+    ("negative-r", AB + "source a squeezed r=-0.5 phi=0\n", 3, 1, "r must be >= 0"),
+    ("fock-over-cutoff", AB + "source a fock n=3\n", 3, 1, "n=3 exceeds cutoff 2 of mode 'a'"),
+    ("bs-cutoffs", "mode a cutoff 2\nmode b cutoff 3\nbs a b\n", 3, 1,
+     "beam splitter cutoff mismatch 2 vs 3"),
+    ("detected-twice", AB + "detect a n=0\ndetect a n=1\n", 4, 1, "'a' is already detected"),
+    ("detect-over-cutoff", AB + "detect b n=3\n", 3, 1, "n=3 exceeds cutoff 2 of mode 'b'"),
+    ("indented-statement", AB + "  detect b n=3\n", 3, 3, "exceeds cutoff"),
 ]
 
 
@@ -82,6 +85,26 @@ def test_first_error(text, line, column, message):
     first = result.errors[0]
     assert (first.severity, first.line, first.column) == ("error", line, column)
     assert message in first.message
+
+
+HUGE = "9" * 5000  # past CPython's int-string conversion limit
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        (f"mode a cutoff {HUGE}\n", 1, 15),
+        (AB + f"detect a n={HUGE}\n", 3, 12),
+        (AB + f"source a fock n={HUGE}\n", 3, 17),
+        (AB + f"phase a theta=pi/{HUGE}\n", 3, 15),
+        (AB + f"phase a theta=pi/{HUGE[:400]}\n", 3, 15),  # past the float range
+    ],
+    ids=["cutoff", "detect", "fock", "angle", "angle-float-range"],
+)
+def test_huge_integer_literal(text, line, column):
+    (first,) = parse(text).errors
+    assert (first.line, first.column) == (line, column)
+    assert "too many digits" in first.message
 
 
 def test_undecodable_bytes():

@@ -5,7 +5,8 @@ compared as parsed JSON: the same keys in the same order, and every float
 within 1e-14 of the recorded one, because circuit files fold their elements
 in a different floating-point order than when the corpus was recorded
 (lazy mode joins: each mode joins just before the first element that
-touches it). None of the cases uses ``--trace``.
+touches it). None of the cases uses ``--trace``. Every recorded JSON report
+and JSON-lines record must also pass the package's ``report.schema.json``.
 
 Rewrite the expected files, from the repository root, with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -15,11 +16,16 @@ import json
 import math
 from pathlib import Path
 
+import jsonschema
 import pytest
 
+import kerrcat
 from kerrcat import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SCHEMA = json.loads(
+    (Path(kerrcat.__file__).resolve().parent / "report.schema.json").read_text(encoding="utf-8")
+)
 FLOAT_TOLERANCE = 1e-14
 
 PROTOCOL_CASES = {
@@ -77,6 +83,20 @@ def test_circuit_output_matches(name, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     expected = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
     assert_close(json.loads(cli.render_output(CIRCUIT_CASES[name])), expected)
+
+
+JSON_CASES = sorted(n for n in {**PROTOCOL_CASES, **CIRCUIT_CASES} if n.endswith((".json", ".jsonl")))
+
+
+@pytest.mark.parametrize("name", JSON_CASES)
+def test_recorded_reports_match_the_schema(name):
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    if name.endswith(".jsonl"):
+        records = [json.loads(line) for line in text.splitlines()]
+    else:
+        records = [json.loads(text)]
+    for record in records:
+        jsonschema.validate(record, SCHEMA)
 
 
 if __name__ == "__main__":
