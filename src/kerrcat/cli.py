@@ -17,14 +17,12 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dsl
 from .analysis import entanglement_entropy, fidelity, photon_distribution, support_residual
-from .checks import run_self_checks
 from .errors import FockSpaceError
 from .protocols import (
     DB,
@@ -98,11 +96,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(value: float, text: str) -> float:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value {text!r} is not finite")
+    return value
+
+
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    return _finite(value, text)
+
+
 def _angle(text: str) -> float:
     try:
-        return dsl._parse_angle(text, 1)
+        value = dsl._parse_angle(text, 1)
     except dsl._LineError as err:
         raise argparse.ArgumentTypeError(err.message) from None
+    return _finite(value, text)
 
 
 def _sweep_spec(text: str) -> SweepSpec:
@@ -117,6 +130,9 @@ def _sweep_spec(text: str) -> SweepSpec:
             f"unknown sweep parameter {param!r}; choose from {', '.join(SWEEPABLE)}"
         )
     start_v, stop_v = _angle(start), _angle(stop)
+    # np.linspace steps by stop - start; past the float range the grid is NaN
+    if not math.isfinite(stop_v - start_v):
+        raise argparse.ArgumentTypeError(f"sweep range {start}:{stop} overflows the float range")
     if not steps.isdigit() or int(steps) < 1:
         raise argparse.ArgumentTypeError(f"steps must be a positive integer, got {steps!r}")
     return SweepSpec(param, start_v, stop_v, int(steps))
@@ -130,10 +146,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--protocol", choices=("superposition", "entanglement"))
         p.add_argument("--circuit", metavar="PATH", help="circuit file (.qcirc)")
         p.add_argument("--source", choices=("squeezed", "coherent"), default="squeezed")
-        p.add_argument("--r", type=float, default=0.5, help="squeeze magnitude")
+        p.add_argument("--r", type=_number, default=0.5, help="squeeze magnitude")
         p.add_argument("--phi", type=_angle, default=0.0, help="squeeze phase (angle syntax)")
-        p.add_argument("--alpha-re", type=float, default=1.0, dest="alpha_re")
-        p.add_argument("--alpha-im", type=float, default=0.0, dest="alpha_im")
+        p.add_argument("--alpha-re", type=_number, default=1.0, dest="alpha_re")
+        p.add_argument("--alpha-im", type=_number, default=0.0, dest="alpha_im")
         p.add_argument("--tau", type=_angle, default=math.pi / 2, help="Kerr phase (angle syntax)")
         p.add_argument("--tau2", type=_angle, default=math.pi / 2, help="second Kerr phase")
         p.add_argument("--theta", type=_angle, default=0.0, help="phase-shifter angle")
@@ -426,8 +442,14 @@ def _sweep_records(config: RunConfig) -> list[dict]:
     tasks = [(config, i, point) for i, point in enumerate(_grid_points(config.sweeps))]
     if config.workers <= 1 or len(tasks) <= 1:
         return [_evaluate_point(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Contiguous chunks keep neighbouring points, which often share a source,
+    # in one process (and its factory memo); four chunks per worker still
+    # balance points whose cost grows along the grid.
+    chunksize = math.ceil(len(tasks) / (4 * config.workers))
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(_evaluate_point, tasks, chunksize=1))
+        return list(pool.map(_evaluate_point, tasks, chunksize=chunksize))
 
 
 def _csv_cell(value) -> str:
@@ -500,6 +522,8 @@ def render_output(argv) -> str:
 
 
 def _cmd_check() -> int:
+    from .checks import run_self_checks
+
     results = run_self_checks()
     for res in results:
         status = "PASS" if res.passed else "FAIL"

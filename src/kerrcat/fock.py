@@ -6,12 +6,20 @@ dense C-ordered complex array with one axis per mode; the first label is
 the slowest-varying (row-major) axis. States are immutable after construction
 and may be sub-normalized (e.g. after a projective detection); explicit
 :func:`normalize` is the only place a norm is ever divided out.
+
+Every :class:`FockVector` and :class:`MultiModeState` is checked when it is
+built: its amplitudes must be finite and its squared norm at most
+``1 + NORM_SLACK`` (:class:`StateMismatchError` otherwise). The check takes
+one pass: the squared norm is computed once, and kept as the state's
+``squared_norm``. A finite sum of |a_i|^2 means every a_i is finite, so the
+element-wise finiteness scan runs only when that sum is not; finite
+amplitudes whose squared norm overflows to infinity fail the norm bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,21 +32,24 @@ NORM_SLACK = 1e-9
 ZERO_NORM_THRESHOLD = 1e-12
 
 
-def _frozen_complex_array(data, ndim=None) -> np.ndarray:
+def _frozen_complex_array(data, ndim=None) -> tuple[np.ndarray, float]:
+    """A read-only complex copy of ``data`` and its squared norm; raises
+    :class:`StateMismatchError` for a wrong ``ndim`` or a non-finite entry."""
     # Always a C-ordered copy: a strided view (e.g. from np.moveaxis) would
     # otherwise keep its layout, and every later slice of it would gather
     # the whole tensor again.
     arr = np.array(data, dtype=np.complex128, order="C")
     if ndim is not None and arr.ndim != ndim:
         raise StateMismatchError(f"expected a {ndim}-d amplitude array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    n2 = float(np.vdot(arr, arr).real)
+    # a NaN or infinite entry always makes the sum NaN or infinite
+    if not math.isfinite(n2) and not np.all(np.isfinite(arr)):
         raise StateMismatchError("amplitudes must be finite (no NaN/Inf)")
     arr.setflags(write=False)
-    return arr
+    return arr, n2
 
 
-def _check_norm_bound(arr: np.ndarray, what: str) -> None:
-    n2 = float(np.vdot(arr, arr).real)
+def _check_norm_bound(n2: float, what: str) -> None:
     if n2 > 1.0 + NORM_SLACK:
         raise StateMismatchError(f"{what} has squared norm {n2!r} > 1 + {NORM_SLACK}")
 
@@ -48,21 +59,19 @@ class FockVector:
     """Single-mode state: ``amplitudes[n]`` is the amplitude of ``n`` photons."""
 
     amplitudes: np.ndarray
+    squared_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = _frozen_complex_array(self.amplitudes, ndim=1)
+        arr, n2 = _frozen_complex_array(self.amplitudes, ndim=1)
         if arr.size == 0:
             raise StateMismatchError("a mode needs at least the vacuum amplitude")
-        _check_norm_bound(arr, "FockVector")
+        _check_norm_bound(n2, "FockVector")
         object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "squared_norm", n2)
 
     @property
     def cutoff(self) -> int:
         return self.amplitudes.size - 1
-
-    @property
-    def squared_norm(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     @property
     def norm(self) -> float:
@@ -83,27 +92,25 @@ class MultiModeState:
 
     labels: tuple[str, ...]
     tensor: np.ndarray
+    squared_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
         if len(set(labels)) != len(labels):
             raise ModeLabelError(f"duplicate mode labels in {labels}")
-        arr = _frozen_complex_array(self.tensor)
+        arr, n2 = _frozen_complex_array(self.tensor)
         if arr.ndim != len(labels):
             raise StateMismatchError(
                 f"tensor has {arr.ndim} axes for {len(labels)} mode labels"
             )
-        _check_norm_bound(arr, "MultiModeState")
+        _check_norm_bound(n2, "MultiModeState")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "tensor", arr)
+        object.__setattr__(self, "squared_norm", n2)
 
     @property
     def cutoffs(self) -> tuple[int, ...]:
         return tuple(d - 1 for d in self.tensor.shape)
-
-    @property
-    def squared_norm(self) -> float:
-        return float(np.vdot(self.tensor, self.tensor).real)
 
     @property
     def norm(self) -> float:

@@ -15,12 +15,31 @@ works to a budget, ``DEFAULT_LEAKAGE`` by default.
 
 The squeezed-vacuum amplitudes are generated by a two-term recurrence
 rather than explicit factorials, so they stay finite well past n = 170.
+A squeeze magnitude whose cosh(r) overflows (r above about 710) raises
+:class:`CutoffError`, with or without a pinned cutoff.
+
+``squeezed_vacuum``, ``coherent``, ``cat_squeezed``, ``cat_coherent`` and
+``suggest_cutoff`` share one memo of the last ``MEMO_SIZE`` results, so a
+source that a run builds, its parity cats and its targets are computed
+once, and a sweep that keeps the source across neighbouring points builds
+it once for all of them. The memo is keyed on the exact bit pattern of
+every float and complex argument: 0.0 and -0.0 compare equal but give
+different amplitudes (the sign of a zero imaginary part), so they are
+kept apart. Arguments of any other type than ``int``, ``float``,
+``complex``, ``None`` and the two parameter classes bypass the memo.
+Results are immutable states, so every caller can share one; exceptions
+are never stored, so a failing call raises again on every call. The memo
+stays small because a single source can hold millions of amplitudes.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +49,11 @@ from .fock import FockVector, normalize
 
 DEFAULT_LEAKAGE = 1e-10
 TWO_PI = 2.0 * math.pi
+# Entries the factory memo keeps. A sweep point of either built-in protocol
+# uses at most five (its cutoff, source, rotated source or negated
+# amplitude, and two cats), so one point's builds all stay in the memo
+# while the next point with the same source reuses them.
+MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -77,6 +101,55 @@ class CoherentParam:
         return CoherentParam(self.alpha * cmath.exp(1j * delta))
 
 
+_MEMO: OrderedDict = OrderedDict()
+_MEMO_LOCK = threading.Lock()
+_DOUBLE = struct.Struct("<d")
+
+
+def _exact(value):
+    """``value`` as a memo key part that is equal only for identical bits;
+    ``TypeError`` for a type the memo does not key."""
+    kind = type(value)
+    if kind is float:
+        return _DOUBLE.pack(value)
+    if kind is complex:
+        return _DOUBLE.pack(value.real) + _DOUBLE.pack(value.imag)
+    if kind is int or value is None:
+        return value
+    if kind is SqueezeParam:
+        return kind, _exact(value.r), _exact(value.phi)
+    if kind is CoherentParam:
+        return kind, _exact(value.alpha)
+    raise TypeError(f"no memo key for {kind.__name__}")
+
+
+def _memoized(factory):
+    """``factory`` behind the shared memo (see the module docstring)."""
+
+    @functools.wraps(factory)
+    def memoized(*args, **kwargs):
+        try:
+            key = (
+                factory,
+                tuple(map(_exact, args)),
+                tuple((name, _exact(v)) for name, v in sorted(kwargs.items())),
+            )
+        except TypeError:
+            return factory(*args, **kwargs)
+        with _MEMO_LOCK:
+            if key in _MEMO:
+                _MEMO.move_to_end(key)
+                return _MEMO[key]
+        result = factory(*args, **kwargs)
+        with _MEMO_LOCK:
+            _MEMO[key] = result
+            if len(_MEMO) > MEMO_SIZE:
+                _MEMO.popitem(last=False)
+        return result
+
+    return memoized
+
+
 def vacuum(cutoff: int) -> FockVector:
     """|0> on a mode with the given cutoff."""
     return fock(0, cutoff)
@@ -110,10 +183,19 @@ def _coherent_amplitudes(param: CoherentParam, cutoff: int) -> np.ndarray:
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
     return amps
 
-def _squeezed_amplitudes(r: float, phi: float, cutoff: int) -> np.ndarray:
+def _cosh(param: SqueezeParam) -> float:
+    try:
+        return math.cosh(param.r)
+    except OverflowError:
+        raise CutoffError(
+            f"squeezed(r={param.r}, phi={param.phi}): cosh(r) overflows; no cutoff exists"
+        ) from None
+
+
+def _squeezed_amplitudes(param: SqueezeParam, cutoff: int) -> np.ndarray:
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[0] = 1.0 / math.sqrt(math.cosh(r))
-    step = -cmath.exp(1j * phi) * math.tanh(r)
+    amps[0] = 1.0 / math.sqrt(_cosh(param))
+    step = -cmath.exp(1j * param.phi) * math.tanh(param.r)
     cur = amps[0]
     for m in range(cutoff // 2):
         cur = cur * step * math.sqrt(2 * m + 1) / math.sqrt(2 * m + 2)
@@ -142,6 +224,7 @@ def _check_leakage(amps: np.ndarray, eps: float | None, what: str) -> None:
         )
 
 
+@_memoized
 def coherent(param: CoherentParam, cutoff: int, eps: float | None = None) -> FockVector:
     """Coherent state |alpha>, amplitudes alpha^n e^{-|alpha|^2/2} / sqrt(n!).
 
@@ -157,19 +240,23 @@ def coherent(param: CoherentParam, cutoff: int, eps: float | None = None) -> Foc
     return FockVector(amps)
 
 
+@_memoized
 def squeezed_vacuum(param: SqueezeParam, cutoff: int, eps: float | None = None) -> FockVector:
     """Squeezed vacuum |xi>; only even photon numbers are occupied.
 
     With ``eps=None`` the truncated amplitudes are returned unchecked; with a
     float, a truncation leakage at or above ``eps`` raises :class:`CutoffError`.
+    A magnitude whose cosh(r) overflows raises :class:`CutoffError` at any
+    cutoff.
     """
     if cutoff < 0:
         raise CutoffError(f"cutoff must be >= 0, got {cutoff}")
-    amps = _squeezed_amplitudes(param.r, param.phi, cutoff)
+    amps = _squeezed_amplitudes(param, cutoff)
     _check_leakage(amps, eps, f"squeezed(r={param.r}, phi={param.phi})")
     return FockVector(amps)
 
 
+@_memoized
 def cat_squeezed(
     param: SqueezeParam, sign: int, cutoff: int, eps: float | None = None
 ) -> FockVector:
@@ -191,6 +278,7 @@ def cat_squeezed(
     return unit
 
 
+@_memoized
 def cat_coherent(
     param: CoherentParam, sign: int, cutoff: int, eps: float | None = None
 ) -> FockVector:
@@ -211,22 +299,24 @@ def _check_sign(sign: int) -> None:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
+@_memoized
 def suggest_cutoff(param, eps: float = DEFAULT_LEAKAGE) -> int:
     """Smallest cutoff whose truncation leakage is below ``eps``.
 
     Found by accumulating the exact photon-number distribution until the
     remaining tail drops under the budget. Accepts a :class:`SqueezeParam`
-    or a :class:`CoherentParam`. A coherent amplitude whose mean photon
-    number overflows, or whose distribution underflows to zero before the
-    tail is under the budget (from |alpha|^2 of about 710 to 745 up,
-    depending on ``eps``), raises :class:`CutoffError`.
+    or a :class:`CoherentParam`. A squeeze magnitude whose cosh(r)
+    overflows, a coherent amplitude whose mean photon number overflows, or
+    one whose distribution underflows to zero before the tail is under the
+    budget (from |alpha|^2 of about 710 to 745 up, depending on ``eps``),
+    raises :class:`CutoffError`.
     """
     _check_budget(eps)
     if isinstance(param, SqueezeParam):
         if param.r == 0.0:
             return 0
         total = 0.0
-        p = 1.0 / math.cosh(param.r)  # |<0|xi>|^2
+        p = 1.0 / _cosh(param)  # |<0|xi>|^2
         t2 = math.tanh(param.r) ** 2
         m = 0
         while True:

@@ -134,6 +134,93 @@ def test_sweep_records_unreachable_cutoff_per_point():
         validate(rec)
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--protocol", "superposition", "--r", "nan"),
+    ("run", "--protocol", "superposition", "--r", "inf"),
+    ("run", "--protocol", "superposition", "--r", "1e400"),
+    ("run", "--protocol", "superposition", "--source", "coherent", "--alpha-re", "nan"),
+    ("run", "--protocol", "superposition", "--source", "coherent", "--alpha-im", "inf"),
+    ("run", "--protocol", "superposition", "--phi", "1e308*pi"),
+    ("sweep", "--protocol", "superposition", "--sweep", "tau:0:1e308*pi:2"),
+    # each end is finite, but the grid step overflows
+    ("sweep", "--protocol", "superposition", "--sweep", "r:-1e308:1e308:3"),
+])
+def test_non_finite_numbers_are_usage_errors(argv):
+    done = run_kerrcat(*argv)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "kerrcat: error: argument" in done.stderr
+
+
+@pytest.mark.parametrize("given", ["protocol", "circuit"])
+def test_overflowing_squeeze_magnitude_is_a_numerical_error(given, tmp_path):
+    # cosh(r) overflows above r of about 710, with or without a pinned cutoff
+    if given == "protocol":
+        argv = ("run", "--protocol", "superposition", "--r", "800")
+    else:
+        path = tmp_path / "huge.qcirc"
+        path.write_text("mode a cutoff 3\nsource a squeezed r=800 phi=0\n", encoding="utf-8")
+        argv = ("run", "--circuit", str(path))
+    done = run_kerrcat(*argv)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "numerical error" in done.stderr and "cosh(r) overflows" in done.stderr
+
+
+def test_sweep_records_overflowing_squeeze_per_point():
+    lines = cli.render_output(
+        ["sweep", "--protocol", "entanglement", "--sweep", "r:0.2:711:2"]
+    ).splitlines()
+    first, second = (json.loads(line) for line in lines)
+    assert first["error"] is None and first["branches"]
+    assert second["branches"] == {}
+    assert second["error"].startswith("CutoffError: ") and "cosh(r)" in second["error"]
+    for rec in (first, second):
+        validate(rec)
+
+
+def test_import_loads_neither_checks_nor_the_process_pool():
+    lazy = ("kerrcat.checks", "concurrent.futures.process")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, kerrcat.cli; print([m for m in {lazy!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_parallel_sweep_sends_contiguous_chunks(monkeypatch):
+    import concurrent.futures
+
+    chunks = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            tasks = list(tasks)
+            chunks.extend(tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.4:6",
+            "--sweep", "tau:0:pi:4"]
+    parallel = cli.render_output(argv + ["--workers", "2"])
+    assert parallel == cli.render_output(argv + ["--workers", "1"])
+    # 24 points on two workers: eight contiguous chunks, four per worker
+    assert [[index for _, index, _ in chunk] for chunk in chunks] == [
+        list(range(i, i + 3)) for i in range(0, 24, 3)
+    ]
+
+
 def test_usage_and_circuit_errors_exit_1(tmp_path):
     assert cli.main(["run"]) == 1
     assert cli.main(["run", "--protocol", "superposition", "--epsilon", "nan"]) == 1

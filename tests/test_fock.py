@@ -7,6 +7,7 @@ amplitude enumeration (see the inline helpers).
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,40 @@ class TestConstruction:
     def test_rejects_overlong_norm(self):
         with pytest.raises(StateMismatchError):
             FockVector([1.0, 1.0])
+
+    @pytest.mark.parametrize("build", [
+        lambda arr: FockVector(arr),
+        lambda arr: MultiModeState(("a",), arr),
+        lambda arr: MultiModeState(("a", "b"), np.reshape(arr, (2, 1))),
+    ], ids=["FockVector", "MultiModeState", "MultiModeState-2d"])
+    @pytest.mark.parametrize("entries, message", [
+        ([float("nan"), 0.0], "amplitudes must be finite (no NaN/Inf)"),
+        ([complex(0.0, float("nan")), 0.0], "amplitudes must be finite (no NaN/Inf)"),
+        ([float("inf"), 0.0], "amplitudes must be finite (no NaN/Inf)"),
+        ([0.0, complex(0.0, float("-inf"))], "amplitudes must be finite (no NaN/Inf)"),
+        ([1e200, 1e200j], "has squared norm inf > 1 + 1e-09"),
+        ([1.0, 1e-4], "has squared norm 1.00000001 > 1 + 1e-09"),
+    ])
+    def test_one_pass_check_keeps_errors(self, build, entries, message):
+        with pytest.raises(StateMismatchError, match=re.escape(message)):
+            build(np.array(entries, dtype=complex))
+
+    def test_squared_norm_is_the_checked_sum(self):
+        arr = np.array([0.6, 0.3j, 1e-5 - 2e-5j, 0.0])
+        for state in (FockVector(arr), MultiModeState(("a",), arr)):
+            assert state.squared_norm == float(np.vdot(arr, arr).real)
+        # the bound allows NORM_SLACK, and no more
+        assert FockVector([1.0, 3e-5]).squared_norm == 1.0 + 9e-10
+        with pytest.raises(StateMismatchError, match="MultiModeState has squared norm"):
+            MultiModeState(("a",), [1.0, 4e-5])
+
+    def test_check_order(self):
+        # a multimode state is checked for finiteness before its axis count,
+        # a single mode for its dimension first
+        with pytest.raises(StateMismatchError, match="must be finite"):
+            MultiModeState(("a",), [[float("nan")]])
+        with pytest.raises(StateMismatchError, match="expected a 1-d amplitude array"):
+            FockVector(float("inf"))
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ModeLabelError):

@@ -20,6 +20,7 @@ from kerrcat import (
     suggest_cutoff,
     vacuum,
 )
+from kerrcat import states
 
 
 def squeezed_amp_direct(n, r, phi=0.0):
@@ -243,3 +244,132 @@ def test_factory_outputs_keep_leakage_budget():
     for r in (0.1, 0.5, 1.0):
         cutoff = suggest_cutoff(SqueezeParam(r), 1e-10)
         assert squeezed_vacuum(SqueezeParam(r), cutoff).squared_norm >= 1 - 1e-10
+
+
+def test_overflowing_squeeze_magnitude():
+    # cosh(r) overflows above r of about 710
+    for r in (711.0, 800.0, 1e300):
+        param = SqueezeParam(r)
+        with pytest.raises(CutoffError, match="cosh"):
+            suggest_cutoff(param, 1e-10)
+        for eps in (None, 1e-6):
+            with pytest.raises(CutoffError, match="cosh"):
+                squeezed_vacuum(param, 3, eps)
+            with pytest.raises(CutoffError, match="cosh"):
+                cat_squeezed(param, 1, 3, eps)
+        with pytest.raises(CutoffError, match="cosh"):
+            SourceSpec.squeezed(r).build()
+
+
+class TestFactoryMemo:
+    """The factories share one memo; it must be invisible except for speed."""
+
+    GRID_R = (0.0, 0.3, 1.1)
+    GRID_PHI = (0.0, 1.3, 5.9)
+    GRID_ALPHA = (0j, 0.7 - 0.2j, -1.4 + 0.9j)
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        states._MEMO.clear()
+        yield
+        states._MEMO.clear()
+
+    @staticmethod
+    def uncached(monkeypatch, call):
+        with monkeypatch.context() as patch:
+            patch.setattr(states, "MEMO_SIZE", 0)
+            patch.setattr(states, "_MEMO", type(states._MEMO)())
+            return call()
+
+    def calls(self):
+        for r in self.GRID_R:
+            for phi in self.GRID_PHI:
+                p = SqueezeParam(r, phi)
+                yield lambda p=p: suggest_cutoff(p, 1e-8)
+                yield lambda p=p: squeezed_vacuum(p, 12, 1e-3)
+                yield lambda p=p: squeezed_vacuum(p, 9)
+                for sign in (1, -1):
+                    yield lambda p=p, s=sign: cat_squeezed(p, s, 12, 1e-3)
+        for alpha in self.GRID_ALPHA:
+            p = CoherentParam(alpha)
+            yield lambda p=p: suggest_cutoff(p, 1e-8)
+            yield lambda p=p: coherent(p, 14, 1e-3)
+            yield lambda p=p: coherent(p, 5)
+            for sign in (1, -1):
+                yield lambda p=p, s=sign: cat_coherent(p, s, 14, eps=1e-3)
+
+    @staticmethod
+    def outcome(call):
+        try:
+            value = call()
+        except (CutoffError, ZeroStateError) as err:
+            return type(err), str(err)
+        if isinstance(value, int):
+            return value
+        return value.amplitudes.tobytes(), value.squared_norm
+
+    def test_memoized_equal_uncached_builds_bit_for_bit(self, monkeypatch):
+        calls = list(self.calls())
+        expected = [self.uncached(monkeypatch, lambda: self.outcome(c)) for c in calls]
+        # twice over: the first pass fills the memo, the second reads it
+        # wherever the memo still holds the entry
+        for _ in range(2):
+            assert [self.outcome(c) for c in calls] == expected
+
+    def test_signed_zeros_are_not_merged(self, monkeypatch):
+        # SqueezeParam reduces phi modulo 2 pi, which maps -0.0 to 0.0: those
+        # two parameters are bit for bit the same and may share one build
+        pairs = [
+            (True, lambda z: squeezed_vacuum(SqueezeParam(z, 0.5), 4, None)),
+            (False, lambda z: squeezed_vacuum(SqueezeParam(0.5, z), 4, None)),
+            (True, lambda z: coherent(CoherentParam(complex(z, z)), 3)),
+            (True, lambda z: coherent(CoherentParam(complex(0.0, z)), 3)),
+            (True, lambda z: cat_coherent(CoherentParam(complex(0.6, z)), 1, 3)),
+        ]
+        for distinct, build in pairs:
+            plus, minus = build(0.0), build(-0.0)
+            assert (minus is not plus) == distinct
+            for z, got in ((0.0, plus), (-0.0, minus)):
+                want = self.uncached(monkeypatch, lambda: build(z))
+                assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        # the documented case: equal, equal-hashing parameters, different bits
+        zero, negative_zero = CoherentParam(0j), CoherentParam(complex(-0.0, -0.0))
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        assert (coherent(zero, 3).amplitudes.tobytes()
+                != coherent(negative_zero, 3).amplitudes.tobytes())
+
+    def test_errors_are_raised_on_every_call(self, monkeypatch):
+        built = []
+        original = states._cosh
+
+        def counted(param):
+            built.append(param)
+            return original(param)
+
+        monkeypatch.setattr(states, "_cosh", counted)
+        for attempt in range(3):
+            with pytest.raises(CutoffError, match="leaks probability"):
+                squeezed_vacuum(SqueezeParam(0.9), 4, 1e-10)
+            with pytest.raises(CutoffError, match="cosh"):
+                suggest_cutoff(SqueezeParam(800.0), 1e-10)
+            with pytest.raises(ZeroStateError):
+                cat_squeezed(SqueezeParam(0.0), -1, 4)
+        # each failing call ran again; the zero-squeeze base that
+        # cat_squeezed builds before failing was built once and kept
+        assert built == [SqueezeParam(0.9), SqueezeParam(800.0), SqueezeParam(0.0)] + [
+            SqueezeParam(0.9), SqueezeParam(800.0)] * 2
+        assert list(states._MEMO.values()) == [squeezed_vacuum(SqueezeParam(0.0), 4, None)]
+
+    def test_memo_stays_bounded(self):
+        built = [squeezed_vacuum(SqueezeParam(0.1 * k), 6) for k in range(3 * states.MEMO_SIZE)]
+        assert len(states._MEMO) == states.MEMO_SIZE
+        # the newest entries are shared, the oldest are rebuilt
+        assert squeezed_vacuum(SqueezeParam(0.1 * (len(built) - 1)), 6) is built[-1]
+        assert squeezed_vacuum(SqueezeParam(0.0), 6) is not built[0]
+        assert len(states._MEMO) == states.MEMO_SIZE
+
+    def test_other_argument_types_bypass_the_memo(self):
+        param = SqueezeParam(np.float64(0.4))
+        first, second = squeezed_vacuum(param, 6), squeezed_vacuum(param, np.int64(6))
+        assert first is not second and not states._MEMO
+        assert first.amplitudes.tobytes() == squeezed_vacuum(SqueezeParam(0.4), 6).amplitudes.tobytes()
