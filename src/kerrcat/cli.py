@@ -442,6 +442,8 @@ def _sweep_records(config: RunConfig) -> list[dict]:
     tasks = [(config, i, point) for i, point in enumerate(_grid_points(config.sweeps))]
     if config.workers <= 1 or len(tasks) <= 1:
         return [_evaluate_point(t) for t in tasks]
+    # imported here, as the checks are in _cmd_check: every CLI process
+    # would pay for the import, and only parallel sweeps use it
     from concurrent.futures import ProcessPoolExecutor
 
     # Contiguous chunks keep neighbouring points, which often share a source,
