@@ -18,10 +18,9 @@ rather than explicit factorials, so they stay finite well past n = 170.
 A squeeze magnitude whose cosh(r) overflows (r above about 710) raises
 :class:`CutoffError`, with or without a pinned cutoff.
 
-``squeezed_vacuum``, ``coherent``, ``cat_squeezed``, ``cat_coherent`` and
-``suggest_cutoff`` share one memo of the last ``MEMO_SIZE`` results, so a
-source that a run builds, its parity cats and its targets are computed
-once, and a sweep that keeps the source across neighbouring points builds
+``squeezed_vacuum``, ``coherent``, ``cat_squeezed`` and ``cat_coherent``
+share one memo of the last ``MEMO_SIZE`` results, so a source that a run
+builds, its parity cats and its targets are computed once, and a sweep that keeps the source across neighbouring points builds
 it once for all of them. The memo is keyed on the exact bit pattern of
 every float and complex argument: 0.0 and -0.0 compare equal but give
 different amplitudes (the sign of a zero imaginary part), so they are
@@ -50,9 +49,9 @@ from .fock import FockVector, normalize
 DEFAULT_LEAKAGE = 1e-10
 TWO_PI = 2.0 * math.pi
 # Entries the factory memo keeps. A sweep point of either built-in protocol
-# uses at most five (its cutoff, source, rotated source or negated
-# amplitude, and two cats), so one point's builds all stay in the memo
-# while the next point with the same source reuses them.
+# uses at most four (its source, rotated source or negated amplitude, and
+# two cats), so one point's builds all stay in the memo while the next
+# point with the same source reuses them.
 MEMO_SIZE = 8
 
 
@@ -299,7 +298,6 @@ def _check_sign(sign: int) -> None:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
-@_memoized
 def suggest_cutoff(param, eps: float = DEFAULT_LEAKAGE) -> int:
     """Smallest cutoff whose truncation leakage is below ``eps``.
 
