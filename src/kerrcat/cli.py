@@ -26,6 +26,7 @@ from .analysis import entanglement_entropy, fidelity, photon_distribution, suppo
 from .errors import FockSpaceError
 from .protocols import (
     DB,
+    DC,
     EntanglementParams,
     ProtocolResult,
     SourceSpec,
@@ -231,71 +232,56 @@ def _config_from_args(args) -> RunConfig:
 
 # --- analysis assembly -------------------------------------------------------
 
-def _support_for(source_kind: str, branch_name: str, dim: int):
-    if source_kind == "squeezed":
-        if branch_name == DB:
-            return "2,6,10,...", range(2, dim, 4)
-        return "0,4,8,...", range(0, dim, 4)
-    if branch_name == DB:
-        return "odd", range(1, dim, 2)
-    return "even", range(0, dim, 2)
+# (source kind, branch) -> allowed photon numbers of a superposition branch:
+# (label, first, step)
+_SUPPORT = {
+    ("squeezed", DB): ("2,6,10,...", 2, 4),
+    ("squeezed", DC): ("0,4,8,...", 0, 4),
+    ("coherent", DB): ("odd", 1, 2),
+    ("coherent", DC): ("even", 0, 2),
+}
 
 
-def _analyze_superposition(name: str, state, source_kind: str, targets: dict) -> dict:
-    dist = photon_distribution(state, "a")
-    label, allowed = _support_for(source_kind, name, dist.size)
+def _analysis(state, targets: dict, support=None) -> dict:
+    """The analysis record of one branch.
+
+    It holds the photon distribution of every remaining mode, the Schmidt
+    entropy across the first mode when exactly two modes remain, the
+    residual outside the ``support`` law ``(label, first, step)`` of a
+    single remaining mode when one is given, and the fidelity with each of
+    ``targets``. A branch with no state gets the empty record.
+    """
+    dists = {} if state is None else {m: photon_distribution(state, m) for m in state.labels}
+    label = residual = None
+    if support is not None and dists:
+        label, first, step = support
+        (dist,) = dists.values()
+        residual = support_residual(dist, range(first, dist.size, step))
     return {
-        "distributions": {"a": dist.tolist()},
-        "support_residual": support_residual(dist, allowed),
+        "distributions": {m: dist.tolist() for m, dist in dists.items()},
+        "support_residual": residual,
         "allowed_support": label,
-        "fidelity_targets": {t: fidelity(state, target) for t, target in targets.items()},
-        "schmidt_entropy": None,
+        "fidelity_targets": {} if state is None else {
+            t: fidelity(state, target) for t, target in targets.items()
+        },
+        "schmidt_entropy": (
+            entanglement_entropy(state, {state.labels[0]}) if len(dists) == 2 else None
+        ),
     }
 
 
-def _analyze_entanglement(state, targets: dict) -> dict:
+def _branches_dict(result: ProtocolResult, targets: dict, source_kind: str | None = None) -> dict:
+    """The report's branches, each analyzed against ``targets``; with a
+    ``source_kind``, each branch's support law is checked too."""
     return {
-        "distributions": {m: photon_distribution(state, m).tolist() for m in ("a", "a2")},
-        "support_residual": None,
-        "allowed_support": None,
-        "fidelity_targets": {t: fidelity(state, target) for t, target in targets.items()},
-        "schmidt_entropy": entanglement_entropy(state, {"a"}),
-    }
-
-
-def _analyze_circuit(state) -> dict:
-    labels = state.labels
-    return {
-        "distributions": {m: photon_distribution(state, m).tolist() for m in labels},
-        "support_residual": None,
-        "allowed_support": None,
-        "fidelity_targets": {},
-        "schmidt_entropy": entanglement_entropy(state, {labels[0]}) if len(labels) == 2 else None,
-    }
-
-
-def _branches_dict(result: ProtocolResult, analyzer) -> dict:
-    """The report's branches; ``analyzer(name, state)`` gives the analysis
-    of each branch that has a state."""
-    branches = {}
-    for name, branch in result.branches.items():
-        if branch.state is None:
-            analysis = {
-                "distributions": {},
-                "support_residual": None,
-                "allowed_support": None,
-                "fidelity_targets": {},
-                "schmidt_entropy": None,
-            }
-        else:
-            analysis = analyzer(name, branch.state)
-        branches[name] = {
+        name: {
             "outcome": {mode: n for mode, n in branch.outcome},
             "probability": branch.probability,
             "pre_norm": branch.pre_norm,
-            "analysis": analysis,
+            "analysis": _analysis(branch.state, targets, _SUPPORT.get((source_kind, name))),
         }
-    return branches
+        for name, branch in result.branches.items()
+    }
 
 
 def _trace_list(result: ProtocolResult) -> list[dict]:
@@ -343,14 +329,11 @@ def _run_protocol(config: RunConfig):
     params = _protocol_params(config)
     if config.protocol == "superposition":
         result = run_superposition(params, trace=config.trace)
-        targets = superposition_targets(params)
-        kind = params.source_a.kind
-        analyzer = lambda name, state: _analyze_superposition(name, state, kind, targets)
+        branches = _branches_dict(result, superposition_targets(params), params.source_a.kind)
     else:
         result = run_entanglement(params, trace=config.trace)
-        targets = entanglement_targets(params)
-        analyzer = lambda name, state: _analyze_entanglement(state, targets)
-    return params, result, _branches_dict(result, analyzer)
+        branches = _branches_dict(result, entanglement_targets(params))
+    return params, result, branches
 
 
 def _read_circuit(path: str) -> dsl.CircuitProgram:
@@ -382,7 +365,7 @@ def _run_report(config: RunConfig) -> dict:
     else:
         program = _read_circuit(config.circuit)
         result = run_circuit(program, eps=config.epsilon, trace=config.trace)
-        branches = _branches_dict(result, lambda name, state: _analyze_circuit(state))
+        branches = _branches_dict(result, {})
         given, echo, cutoffs = {"circuit": config.circuit}, {}, dict(program.modes)
     report = {
         "schema": SCHEMA_TAG,
