@@ -1,34 +1,31 @@
 """Analytic state factories: vacuum, Fock, coherent, squeezed, parity cats.
 
-Amplitudes are produced from closed-form expressions and truncated at the
-caller's cutoff. The truncation-leakage budget is opt-in: ``coherent``,
-``squeezed_vacuum``, ``cat_squeezed`` and ``cat_coherent`` take
-``eps=None`` by default, which returns the exact truncated amplitudes at a
-caller-pinned cutoff with no leakage check (the state then keeps its norm
-deficit). A given ``eps`` must lie in (0, 1) (``ValueError`` otherwise,
-NaN included), and the probability mass of the exact (infinite-dimensional)
-state above the cutoff must stay below it, or the factory raises
-:class:`CutoffError`. :class:`kerrcat.protocols.SourceSpec`
-always passes its own budget (``DEFAULT_LEAKAGE`` unless set), and so do
-``run_circuit`` and the CLI's ``--epsilon``; ``suggest_cutoff`` always
-works to a budget, ``DEFAULT_LEAKAGE`` by default.
+Each source kind has one photon-number law, computed in one numpy pass: a
+``cumprod`` of the ratios between neighbouring amplitudes, seeded with the
+vacuum amplitude. The factories return its amplitudes. Its tail, 1 minus
+the running sum of |a_n|^2, is the truncation leakage that the factories'
+budget check and :func:`suggest_cutoff` both read. Both runs go in order,
+so a cutoff suggested for a budget is accepted at that budget bit for bit.
 
-The squeezed-vacuum amplitudes are generated by a two-term recurrence
-rather than explicit factorials, so they stay finite well past n = 170.
-A squeeze magnitude whose cosh(r) overflows (r above about 710) raises
-:class:`CutoffError`, with or without a pinned cutoff.
+The budget is opt-in: ``coherent``, ``squeezed_vacuum``, ``cat_squeezed``
+and ``cat_coherent`` take ``eps=None`` by default, which returns the
+truncated amplitudes unchecked (with their norm deficit). A given ``eps``
+must lie in (0, 1) (``ValueError`` otherwise, NaN included), and a leakage
+at or above it raises :class:`CutoffError`. ``SourceSpec``, ``run_circuit``
+and the CLI always pass a budget. ``suggest_cutoff`` computes the law only
+up to a closed-form bound on the cutoff, and raises :class:`CutoffError`
+before it allocates when that bound reaches ``dsl.MAX_STATE_DIMENSION`` (r
+of about 7.7 and above at the default budget). A cosh(r) or |alpha|^2 that
+overflows raises :class:`CutoffError` at any cutoff.
 
-``squeezed_vacuum``, ``coherent``, ``cat_squeezed`` and ``cat_coherent``
-share one memo of the last ``MEMO_SIZE`` results, so a source that a run
-builds, its parity cats and its targets are computed once, and a sweep that keeps the source across neighbouring points builds
-it once for all of them. The memo is keyed on the exact bit pattern of
-every float and complex argument: 0.0 and -0.0 compare equal but give
-different amplitudes (the sign of a zero imaginary part), so they are
-kept apart. Arguments of any other type than ``int``, ``float``,
-``complex``, ``None`` and the two parameter classes bypass the memo.
-Results are immutable states, so every caller can share one; exceptions
-are never stored, so a failing call raises again on every call. The memo
-stays small because a single source can hold millions of amplitudes.
+The four factories above share one memo of the last ``MEMO_SIZE`` results,
+so a run's source, cats and targets are built once, and so is a source a
+sweep keeps across neighbouring points. Keys are the exact bit patterns of
+float and complex arguments: 0.0 and -0.0 compare equal but give different
+amplitudes. Arguments of other types than ``int``, ``float``, ``complex``,
+``None`` and the two parameter classes bypass the memo. Results are
+immutable and shared; exceptions are never stored. The memo stays small
+because a single source can hold millions of amplitudes.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError, ZeroStateError
+from .dsl import MAX_STATE_DIMENSION
 from .fock import FockVector, normalize
 
 DEFAULT_LEAKAGE = 1e-10
@@ -170,40 +168,44 @@ def _mean_photon_number(param: CoherentParam) -> float:
         return abs(param.alpha) ** 2
     except OverflowError:
         raise CutoffError(
-            f"coherent({param.alpha}): mean photon number overflows; no cutoff exists"
+            f"{_label(param)}: mean photon number overflows; no cutoff exists"
         ) from None
 
-
-def _coherent_amplitudes(param: CoherentParam, cutoff: int) -> np.ndarray:
-    alpha = param.alpha
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[0] = math.exp(-0.5 * _mean_photon_number(param))
-    for n in range(cutoff):
-        amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
-    return amps
 
 def _cosh(param: SqueezeParam) -> float:
     try:
         return math.cosh(param.r)
     except OverflowError:
-        raise CutoffError(
-            f"squeezed(r={param.r}, phi={param.phi}): cosh(r) overflows; no cutoff exists"
-        ) from None
+        raise CutoffError(f"{_label(param)}: cosh(r) overflows; no cutoff exists") from None
 
 
-def _squeezed_amplitudes(param: SqueezeParam, cutoff: int) -> np.ndarray:
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[0] = 1.0 / math.sqrt(_cosh(param))
-    step = -cmath.exp(1j * param.phi) * math.tanh(param.r)
-    cur = amps[0]
-    for m in range(cutoff // 2):
-        cur = cur * step * math.sqrt(2 * m + 1) / math.sqrt(2 * m + 2)
-        amps[2 * m + 2] = cur
-    return amps
+def _label(param) -> str:
+    if isinstance(param, SqueezeParam):
+        return f"squeezed(r={param.r}, phi={param.phi})"
+    return f"coherent({param.alpha})"
 
 
-def _leakage(amps: np.ndarray) -> float:
-    return max(0.0, 1.0 - float(np.vdot(amps, amps).real))
+def _law(param, cutoff: int) -> tuple[np.ndarray, int]:
+    """The source's amplitudes on its support, every ``stride``-th photon
+    number (2 for a squeezed vacuum, else 1) up to ``cutoff``, and that
+    stride: the vacuum amplitude times the running product of the ratios
+    between neighbouring amplitudes. ``cumprod`` multiplies in order, so no
+    entry depends on ``cutoff``."""
+    if isinstance(param, SqueezeParam):
+        head, stride = 1.0 / math.sqrt(_cosh(param)), 2
+        m = np.arange(cutoff // 2)
+        step = -cmath.exp(1j * param.phi) * math.tanh(param.r)
+        ratios = step * (np.sqrt(2 * m + 1) / np.sqrt(2 * m + 2))
+    else:
+        head, stride = math.exp(-0.5 * _mean_photon_number(param)), 1
+        ratios = param.alpha / np.sqrt(np.arange(1, cutoff + 1))
+    return np.cumprod(np.concatenate(([head], ratios))), stride
+
+
+def _tail(law: np.ndarray) -> np.ndarray:
+    """Entry k: the probability beyond the first k + 1 entries of a
+    :func:`_law`, as 1 minus their running sum of squares (prefix-stable)."""
+    return 1.0 - np.cumsum(law.real**2 + law.imag**2)
 
 
 def _check_budget(eps: float) -> None:
@@ -212,47 +214,35 @@ def _check_budget(eps: float) -> None:
         raise ValueError(f"leakage budget must lie in (0, 1), got {eps!r}")
 
 
-def _check_leakage(amps: np.ndarray, eps: float | None, what: str) -> None:
-    if eps is None:
-        return
-    _check_budget(eps)
-    leak = _leakage(amps)
-    if leak >= eps:
-        raise CutoffError(
-            f"{what}: cutoff {amps.size - 1} leaks probability {leak:.3e} >= budget {eps:.3e}"
-        )
+def _source(param, cutoff: int, eps: float | None) -> FockVector:
+    if cutoff < 0:
+        raise CutoffError(f"cutoff must be >= 0, got {cutoff}")
+    law, stride = _law(param, cutoff)
+    if eps is not None:
+        _check_budget(eps)
+        leak = _tail(law)[-1]
+        if leak >= eps:
+            raise CutoffError(
+                f"{_label(param)}: cutoff {cutoff} leaks probability {leak:.3e} "
+                f">= budget {eps:.3e}"
+            )
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    amps[::stride] = law
+    return FockVector(amps)
 
 
 @_memoized
 def coherent(param: CoherentParam, cutoff: int, eps: float | None = None) -> FockVector:
-    """Coherent state |alpha>, amplitudes alpha^n e^{-|alpha|^2/2} / sqrt(n!).
-
-    With ``eps=None`` the truncated amplitudes are returned unchecked; with a
-    float, a truncation leakage at or above ``eps`` raises :class:`CutoffError`.
-    An amplitude whose mean photon number |alpha|^2 overflows raises
-    :class:`CutoffError` at any cutoff.
-    """
-    if cutoff < 0:
-        raise CutoffError(f"cutoff must be >= 0, got {cutoff}")
-    amps = _coherent_amplitudes(param, cutoff)
-    _check_leakage(amps, eps, f"coherent({param.alpha})")
-    return FockVector(amps)
+    """Coherent state |alpha>, amplitudes alpha^n e^{-|alpha|^2/2} / sqrt(n!),
+    checked against the leakage budget ``eps`` unless it is None."""
+    return _source(param, cutoff, eps)
 
 
 @_memoized
 def squeezed_vacuum(param: SqueezeParam, cutoff: int, eps: float | None = None) -> FockVector:
-    """Squeezed vacuum |xi>; only even photon numbers are occupied.
-
-    With ``eps=None`` the truncated amplitudes are returned unchecked; with a
-    float, a truncation leakage at or above ``eps`` raises :class:`CutoffError`.
-    A magnitude whose cosh(r) overflows raises :class:`CutoffError` at any
-    cutoff.
-    """
-    if cutoff < 0:
-        raise CutoffError(f"cutoff must be >= 0, got {cutoff}")
-    amps = _squeezed_amplitudes(param, cutoff)
-    _check_leakage(amps, eps, f"squeezed(r={param.r}, phi={param.phi})")
-    return FockVector(amps)
+    """Squeezed vacuum |xi>, on even photon numbers only, checked against
+    the leakage budget ``eps`` unless it is None."""
+    return _source(param, cutoff, eps)
 
 
 @_memoized
@@ -298,48 +288,54 @@ def _check_sign(sign: int) -> None:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
+def _cutoff_bound(param, eps: float) -> int:
+    """A cutoff whose exact leakage is under ``eps``, from a closed-form tail
+    bound; :class:`CutoffError` when that bound reaches
+    ``MAX_STATE_DIMENSION``."""
+    log_budget = -math.log(eps)
+    if isinstance(param, SqueezeParam):
+        log_cosh = math.log(_cosh(param))
+        # P(n > 2m) <= cosh(r) tanh(r)^(2m+2), because neighbouring
+        # even-photon probabilities fall by a factor below tanh(r)^2
+        t2 = math.tanh(param.r) ** 2
+        log_t2 = math.log(t2) if t2 > 0.0 else -math.inf
+        bound = 2 * math.ceil((log_budget + log_cosh) / -log_t2) if t2 < 1.0 else math.inf
+    else:
+        mean = _mean_photon_number(param)
+        if math.exp(-mean) == 0.0:
+            raise CutoffError(f"{_label(param)}: e^(-|alpha|^2) underflows to 0; no cutoff exists")
+        # the Poisson Chernoff bound, in Bernstein form:
+        # P(n >= mean + x) <= exp(-x^2 / (2 (mean + x/3)))
+        x = log_budget / 3 + math.sqrt(log_budget**2 / 9 + 2 * log_budget * mean)
+        bound = math.ceil(mean + x)
+    if not bound < MAX_STATE_DIMENSION:
+        raise CutoffError(
+            f"{_label(param)}: the tail bound asks for a cutoff of {bound:.3g} to keep the "
+            f"leakage under {eps:.3e}, at or above MAX_STATE_DIMENSION = {MAX_STATE_DIMENSION}"
+        )
+    return bound
+
+
 def suggest_cutoff(param, eps: float = DEFAULT_LEAKAGE) -> int:
     """Smallest cutoff whose truncation leakage is below ``eps``.
 
-    Found by accumulating the exact photon-number distribution until the
-    remaining tail drops under the budget. Accepts a :class:`SqueezeParam`
-    or a :class:`CoherentParam`. A squeeze magnitude whose cosh(r)
-    overflows, a coherent amplitude whose mean photon number overflows, or
-    one whose distribution underflows to zero before the tail is under the
-    budget (from |alpha|^2 of about 710 to 745 up, depending on ``eps``),
-    raises :class:`CutoffError`.
+    Accepts a :class:`SqueezeParam` or a :class:`CoherentParam`. The leakage
+    is the one the factories check, so they accept the returned cutoff at
+    ``eps`` and reject every smaller one. The law is computed once, up to a
+    closed-form bound on the cutoff: the squeezed tail beyond photon number
+    2m is at most cosh(r) tanh(r)^(2m+2), and the coherent tail obeys the
+    Poisson Chernoff bound. :class:`CutoffError` is raised, before anything
+    is allocated, when that bound reaches ``dsl.MAX_STATE_DIMENSION`` (r of
+    about 7.7 and above at the default budget, and any r whose tanh(r)^2
+    rounds to 1), when cosh(r) or |alpha|^2 overflows, and when
+    e^(-|alpha|^2) underflows to 0 (|alpha|^2 above about 745). It is also
+    raised when ``eps`` is too small for the computed leakage to get under.
     """
     _check_budget(eps)
-    if isinstance(param, SqueezeParam):
-        if param.r == 0.0:
-            return 0
-        total = 0.0
-        p = 1.0 / _cosh(param)  # |<0|xi>|^2
-        t2 = math.tanh(param.r) ** 2
-        m = 0
-        while True:
-            total += p
-            if 1.0 - total < eps:
-                return 2 * m
-            p = p * t2 * (2 * m + 1) / (2 * m + 2)
-            m += 1
-    if isinstance(param, CoherentParam):
-        mean = _mean_photon_number(param)
-        if mean == 0.0:
-            return 0
-        total = 0.0
-        p = math.exp(-mean)
-        n = 0
-        while True:
-            # once p is 0 the total can no longer grow
-            if p == 0.0:
-                raise CutoffError(
-                    f"coherent({param.alpha}): photon-number probabilities underflow at "
-                    f"n={n} before the leakage tail {1.0 - total:.3e} is under {eps:.3e}"
-                )
-            total += p
-            if 1.0 - total < eps:
-                return n
-            p = p * mean / (n + 1)
-            n += 1
-    raise TypeError(f"unsupported source parameter {type(param).__name__}")
+    if not isinstance(param, (SqueezeParam, CoherentParam)):
+        raise TypeError(f"unsupported source parameter {type(param).__name__}")
+    law, stride = _law(param, _cutoff_bound(param, eps))
+    tail = _tail(law)
+    if not tail[-1] < eps:  # the tail never grows, so no entry is under eps
+        raise CutoffError(f"{_label(param)}: the leakage stays at {tail[-1]:.3e} >= {eps:.3e}")
+    return stride * int(np.argmax(tail < eps))

@@ -9,9 +9,13 @@ touches it). None of the cases uses ``--trace``. Every recorded JSON report
 and JSON-lines record must also pass the package's ``report.schema.json``.
 
 Rewrite the expected files, from the repository root, with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``. Before it replaces a file,
+it prints how many of the file's numbers change and the largest absolute
+change.
 """
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -99,10 +103,47 @@ def test_recorded_reports_match_the_schema(name):
         jsonschema.validate(record, SCHEMA)
 
 
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def numbers(name: str, text: str) -> list[float]:
+    """Every number in the recorded file ``name``, in order."""
+    if name.endswith(".csv"):
+        numeric = []
+        for cell in (c for row in csv.reader(io.StringIO(text)) for c in row):
+            try:
+                numeric.append(float(cell))
+            except ValueError:
+                pass
+        return numeric
+    lines = text.splitlines() if name.endswith(".jsonl") else [text]
+    leaves = _leaves([json.loads(line) for line in lines])
+    return [v for v in leaves if isinstance(v, (int, float)) and not isinstance(v, bool)]
+
+
+def moved(name: str, old: str, new: str) -> str:
+    """How the numbers of ``name`` change from ``old`` to ``new``."""
+    before, after = numbers(name, old), numbers(name, new)
+    if len(before) != len(after):
+        return f"{name}: {len(after)} numbers, was {len(before)}"
+    changes = [abs(a - b) for a, b in zip(after, before) if a != b]
+    return (f"{name}: {len(changes)} of {len(after)} numbers differ, "
+            f"largest absolute difference {max(changes, default=0.0):.3e}")
+
+
 if __name__ == "__main__":
     import os
 
     os.chdir(GOLDEN)
     for name, argv in {**PROTOCOL_CASES, **CIRCUIT_CASES}.items():
-        Path(name).write_text(cli.render_output(argv), encoding="utf-8", newline="\n")
+        text = cli.render_output(argv)
+        print(moved(name, Path(name).read_text(encoding="utf-8"), text))
+        Path(name).write_text(text, encoding="utf-8", newline="\n")
         print(f"wrote {GOLDEN / name}")

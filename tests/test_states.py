@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrcat import (
     CoherentParam,
@@ -244,6 +246,64 @@ def test_factory_outputs_keep_leakage_budget():
     for r in (0.1, 0.5, 1.0):
         cutoff = suggest_cutoff(SqueezeParam(r), 1e-10)
         assert squeezed_vacuum(SqueezeParam(r), cutoff).squared_norm >= 1 - 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    source=st.one_of(
+        st.builds(
+            SqueezeParam,
+            st.floats(0.0, 3.0),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        st.builds(
+            CoherentParam,
+            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+        ),
+    ),
+    eps=st.floats(1e-14, 1e-2),
+)
+def test_suggested_cutoff_is_the_smallest_the_factory_accepts(source, eps):
+    factory, stride = (
+        (squeezed_vacuum, 2) if isinstance(source, SqueezeParam) else (coherent, 1)
+    )
+    try:
+        cutoff = suggest_cutoff(source, eps)
+    except CutoffError:
+        # |alpha|^2 rounds by up to about 1e-14, so the computed leakage can
+        # stay above a budget that small; the factory then agrees
+        with pytest.raises(CutoffError, match="leaks probability"):
+            factory(source, states._cutoff_bound(source, eps), eps)
+        return
+    assert cutoff % stride == 0
+    factory(source, cutoff, eps)
+    if cutoff >= stride:
+        with pytest.raises(CutoffError, match="leaks probability"):
+            factory(source, cutoff - stride, eps)
+
+
+def test_large_squeezing_cutoff_is_accepted():
+    # the cutoff search and the factory once summed the tail differently,
+    # and the factory rejected this cutoff by a hair
+    param = SqueezeParam(6.0)
+    squeezed_vacuum(param, suggest_cutoff(param), 1e-10)
+    states._MEMO.clear()
+
+
+@pytest.mark.parametrize("r", [7.7, 8.0, 20.0, 40.0, 700.0])
+def test_cutoff_bound_past_the_state_cap_is_refused_before_allocating(r, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the law was computed")
+
+    monkeypatch.setattr(states, "_law", forbidden)
+    with pytest.raises(CutoffError, match="MAX_STATE_DIMENSION"):
+        suggest_cutoff(SqueezeParam(r), 1e-10)
+
+
+def test_budget_below_float_resolution_is_a_cutoff_error():
+    # the computed probabilities of this source sum to 1 - 1.6e-14
+    with pytest.raises(CutoffError, match="leakage stays at"):
+        suggest_cutoff(CoherentParam(6.25 + 6j), 1e-16)
 
 
 def test_overflowing_squeeze_magnitude():
