@@ -445,16 +445,10 @@ CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
 CHECK_NAMES = tuple(name for name, _ in CHECKS)
 
 
-def run_self_checks(names=None) -> list[CheckResult]:
-    """Run the named checks (all by default) and collect results."""
-    selected = set(CHECK_NAMES if names is None else names)
-    unknown = selected - set(CHECK_NAMES)
-    if unknown:
-        raise ValueError(f"unknown check names: {sorted(unknown)}")
+def run_self_checks() -> list[CheckResult]:
+    """Run every check and collect results."""
     results = []
     for name, fn in CHECKS:
-        if name not in selected:
-            continue
         start = time.perf_counter()
         try:
             detail = fn()

@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ from .protocols import (
 )
 
 SCHEMA_TAG = "kerrcat-report/1"
-WORKERS_ENV = "KERRCAT_WORKERS"
 SWEEPABLE = ("r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta")
 # Largest sweep grid (the product of the axes' step counts). Every point's
 # record, about 9 kB in memory, is held until the report is written.
@@ -158,8 +156,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--trace", action="store_true", help="include the stage-by-stage trace")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-        p.add_argument("--workers", type=int, default=None,
-                       help=f"parallel sweep workers (default ${WORKERS_ENV} or 1)")
+        p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
 
     run_p = sub.add_parser("run", help="run one protocol or circuit")
     add_common(run_p)
@@ -173,17 +170,6 @@ def _build_parser() -> _Parser:
 
     sub.add_parser("check", help="run the embedded verification suite")
     return parser
-
-
-def _resolve_workers(value) -> int:
-    if value is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        if not raw.isdigit() or int(raw) < 1:
-            raise _UsageError(f"${WORKERS_ENV} must be a positive integer, got {raw!r}")
-        return int(raw)
-    if value < 1:
-        raise _UsageError(f"--workers must be >= 1, got {value}")
-    return value
 
 
 def _config_from_args(args) -> RunConfig:
@@ -203,11 +189,13 @@ def _config_from_args(args) -> RunConfig:
         trace=args.trace,
         fmt=args.fmt,
         out=args.out,
-        workers=_resolve_workers(args.workers),
+        workers=args.workers,
         sweeps=tuple(getattr(args, "sweep", ()) or ()),
     )
     if not 0.0 < config.epsilon < 1.0:
         raise _UsageError(f"--epsilon must lie in (0, 1), got {config.epsilon!r}")
+    if config.workers < 1:
+        raise _UsageError(f"--workers must be >= 1, got {config.workers}")
     if config.r < 0:
         raise _UsageError(f"--r must be >= 0, got {config.r!r}")
     if (config.protocol is None) == (config.circuit is None):
@@ -528,8 +516,11 @@ def main(argv=None) -> int:
         output = _render(config)
         elapsed = time.perf_counter() - started
         if config.out:
-            with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(output)
+            try:
+                with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
+                    handle.write(output)
+            except OSError as err:
+                raise _UsageError(f"cannot write report: {err}") from None
         else:
             sys.stdout.write(output)
         print(f"kerrcat: {config.command} completed in {elapsed:.3f}s", file=sys.stderr)

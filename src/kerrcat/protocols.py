@@ -101,12 +101,12 @@ class SourceSpec:
             return squeezed_vacuum(self.param, c, self.eps)
         return coherent(self.param, c, self.eps)
 
-    def kerr_rotated(self, tau: float, photons: int = 1) -> "SourceSpec":
-        """Source after a cross-Kerr phase tau against ``photons`` photons."""
+    def kerr_rotated(self, tau: float) -> "SourceSpec":
+        """Source after a cross-Kerr phase tau against one photon."""
         if isinstance(self.param, SqueezeParam):
-            param = self.param.phase_shifted(-2.0 * photons * tau)
+            param = self.param.phase_shifted(-2.0 * tau)
         else:
-            param = self.param.rotated(-photons * tau)
+            param = self.param.rotated(-tau)
         return SourceSpec(param, self.resolved_cutoff(), self.eps)
 
     def cat(self, sign: int) -> FockVector:

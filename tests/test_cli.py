@@ -45,11 +45,11 @@ def check_branches(branches: dict, protocol: str) -> None:
             assert analysis["schmidt_entropy"] is None
 
 
-def run_kerrcat(*argv: str) -> subprocess.CompletedProcess:
+def run_kerrcat(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     return subprocess.run(
         [sys.executable, "-m", "kerrcat", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -152,31 +152,40 @@ def test_non_finite_numbers_are_usage_errors(argv):
     assert "kerrcat: error: argument" in done.stderr
 
 
-@pytest.mark.parametrize("given", ["protocol", "circuit"])
+@pytest.mark.parametrize("given", ["protocol", "circuit", "r=8", "r=20", "r=40"])
 def test_overflowing_squeeze_magnitude_is_a_numerical_error(given, tmp_path):
-    # cosh(r) overflows above r of about 710, with or without a pinned cutoff
-    if given == "protocol":
-        argv = ("run", "--protocol", "superposition", "--r", "800")
-    else:
+    # cosh(r) overflows above r of about 710, with or without a pinned
+    # cutoff. From r of about 7.7 the cutoff's tail bound passes the state
+    # cap, and from about 19 tanh(r)^2 rounds to 1; the cutoff search used to
+    # run for minutes there, or for ever.
+    message = "cosh(r) overflows"
+    if given == "circuit":
         path = tmp_path / "huge.qcirc"
         path.write_text("mode a cutoff 3\nsource a squeezed r=800 phi=0\n", encoding="utf-8")
         argv = ("run", "--circuit", str(path))
-    done = run_kerrcat(*argv)
+    elif given == "protocol":
+        argv = ("run", "--protocol", "superposition", "--r", "800")
+    else:
+        argv = ("run", "--protocol", "superposition", "--r", given.removeprefix("r="))
+        message = "MAX_STATE_DIMENSION"
+    done = run_kerrcat(*argv, timeout=20)
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
-    assert "numerical error" in done.stderr and "cosh(r) overflows" in done.stderr
+    assert "numerical error" in done.stderr and message in done.stderr
 
 
 def test_sweep_records_overflowing_squeeze_per_point():
-    lines = cli.render_output(
-        ["sweep", "--protocol", "entanglement", "--sweep", "r:0.2:711:2"]
-    ).splitlines()
-    first, second = (json.loads(line) for line in lines)
-    assert first["error"] is None and first["branches"]
-    assert second["branches"] == {}
-    assert second["error"].startswith("CutoffError: ") and "cosh(r)" in second["error"]
-    for rec in (first, second):
-        validate(rec)
+    # r = 20: no cutoff under the state cap (the search used to hang)
+    for stop, message in (("711", "cosh(r)"), ("20", "MAX_STATE_DIMENSION")):
+        done = run_kerrcat("sweep", "--protocol", "entanglement", "--sweep", f"r:0.2:{stop}:2",
+                           timeout=20)
+        assert done.returncode == 0, done.stderr
+        first, second = (json.loads(line) for line in done.stdout.splitlines())
+        assert first["error"] is None and first["branches"]
+        assert second["branches"] == {}
+        assert second["error"].startswith("CutoffError: ") and message in second["error"]
+        for rec in (first, second):
+            validate(rec)
 
 
 def test_import_loads_neither_checks_nor_the_process_pool():
@@ -221,12 +230,16 @@ def test_parallel_sweep_sends_contiguous_chunks(monkeypatch):
     ]
 
 
-def test_usage_and_circuit_errors_exit_1(tmp_path):
+def test_usage_and_circuit_errors_exit_1(tmp_path, capsys):
     assert cli.main(["run"]) == 1
     assert cli.main(["run", "--protocol", "superposition", "--epsilon", "nan"]) == 1
     bad = tmp_path / "bad.qcirc"
     bad.write_text("mode a cutoff 3\nbs a zz\n", encoding="utf-8")
     assert cli.main(["run", "--circuit", str(bad)]) == 1
+    # the report cannot be written: a missing directory, and a directory
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert cli.main(["run", "--protocol", "superposition", "--out", str(out)]) == 1
+        assert "kerrcat: error: cannot write report: " in capsys.readouterr().err
 
 
 def test_huge_integer_literals_are_diagnostics(tmp_path):
