@@ -18,9 +18,9 @@ before it allocates when that bound reaches ``dsl.MAX_STATE_DIMENSION`` (r
 of about 7.7 and above at the default budget). A cosh(r) or |alpha|^2 that
 overflows raises :class:`CutoffError` at any cutoff.
 
-The four factories above share one memo of the last ``MEMO_SIZE`` results,
-so a run's source, cats and targets are built once, and so is a source a
-sweep keeps across neighbouring points. Keys are the exact bit patterns of
+These four factories and ``suggest_cutoff`` share one memo of the last
+``MEMO_SIZE`` results, so a run's source, cats and targets are built once,
+and so is a source (and its cutoff) a sweep keeps across neighbouring points. Keys are the exact bit patterns of
 float and complex arguments: 0.0 and -0.0 compare equal but give different
 amplitudes. Arguments of other types than ``int``, ``float``, ``complex``,
 ``None`` and the two parameter classes bypass the memo. Results are
@@ -47,8 +47,8 @@ from .fock import FockVector, normalize
 DEFAULT_LEAKAGE = 1e-10
 TWO_PI = 2.0 * math.pi
 # Entries the factory memo keeps. A sweep point of either built-in protocol
-# uses at most four (its source, rotated source or negated amplitude, and
-# two cats), so one point's builds all stay in the memo while the next
+# uses at most five (its cutoff, source, rotated source or negated amplitude,
+# and two cats), so one point's builds all stay in the memo while the next
 # point with the same source reuses them.
 MEMO_SIZE = 8
 
@@ -193,9 +193,9 @@ def _law(param, cutoff: int) -> tuple[np.ndarray, int]:
     entry depends on ``cutoff``."""
     if isinstance(param, SqueezeParam):
         head, stride = 1.0 / math.sqrt(_cosh(param)), 2
-        m = np.arange(cutoff // 2)
+        odd = np.arange(1.0, cutoff, 2.0)  # 2m + 1 for the ratio from 2m to 2m + 2
         step = -cmath.exp(1j * param.phi) * math.tanh(param.r)
-        ratios = step * (np.sqrt(2 * m + 1) / np.sqrt(2 * m + 2))
+        ratios = step * (np.sqrt(odd) / np.sqrt(odd + 1.0))
     else:
         head, stride = math.exp(-0.5 * _mean_photon_number(param)), 1
         ratios = param.alpha / np.sqrt(np.arange(1, cutoff + 1))
@@ -316,6 +316,7 @@ def _cutoff_bound(param, eps: float) -> int:
     return bound
 
 
+@_memoized
 def suggest_cutoff(param, eps: float = DEFAULT_LEAKAGE) -> int:
     """Smallest cutoff whose truncation leakage is below ``eps``.
 
