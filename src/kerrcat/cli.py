@@ -239,7 +239,10 @@ def _analysis(state, targets: dict, support=None) -> dict:
     single remaining mode when one is given, and the fidelity with each of
     ``targets``. A branch with no state gets the empty record.
     """
-    dists = {} if state is None else {m: photon_distribution(state, m) for m in state.labels}
+    dists, fidelities = {}, {}
+    if state is not None:
+        dists = {m: photon_distribution(state, m) for m in state.labels}
+        fidelities = {t: fidelity(state, target) for t, target in targets.items()}
     label = residual = None
     if support is not None and dists:
         label, first, step = support
@@ -249,9 +252,7 @@ def _analysis(state, targets: dict, support=None) -> dict:
         "distributions": {m: dist.tolist() for m, dist in dists.items()},
         "support_residual": residual,
         "allowed_support": label,
-        "fidelity_targets": {} if state is None else {
-            t: fidelity(state, target) for t, target in targets.items()
-        },
+        "fidelity_targets": fidelities,
         "schmidt_entropy": (
             entanglement_entropy(state, {state.labels[0]}) if len(dists) == 2 else None
         ),

@@ -20,9 +20,9 @@ overflows raises :class:`CutoffError` at any cutoff.
 
 These four factories and ``suggest_cutoff`` share one memo of the last
 ``MEMO_SIZE`` results, so a run's source, cats and targets are built once,
-and so is a source (and its cutoff) a sweep keeps across neighbouring points. Keys are the exact bit patterns of
-float and complex arguments: 0.0 and -0.0 compare equal but give different
-amplitudes. Arguments of other types than ``int``, ``float``, ``complex``,
+and so are a source and its cutoff that a sweep keeps across neighbouring
+points. Keys are the exact bit patterns of float and complex arguments:
+0.0 and -0.0 compare equal but give different amplitudes. Arguments of other types than ``int``, ``float``, ``complex``,
 ``None`` and the two parameter classes bypass the memo. Results are
 immutable and shared; exceptions are never stored. The memo stays small
 because a single source can hold millions of amplitudes.
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffError, ZeroStateError
 from .dsl import MAX_STATE_DIMENSION
+from .errors import CutoffError, ZeroStateError
 from .fock import FockVector, normalize
 
 DEFAULT_LEAKAGE = 1e-10
