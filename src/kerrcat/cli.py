@@ -16,13 +16,15 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import dsl
 from .analysis import entanglement_entropy, fidelity, photon_distribution, support_residual
-from .errors import FockSpaceError
+from .errors import FockSpaceError, TruncationWarning
 from .protocols import (
     DB,
     DC,
@@ -42,6 +44,9 @@ SWEEPABLE = ("r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta")
 # Largest sweep grid (the product of the axes' step counts). Every point's
 # record, about 9 kB in memory, is held until the report is written.
 MAX_SWEEP_POINTS = 10_000
+# Most --workers a sweep may ask for. The process pool forks all of its
+# workers up front, so an unbounded count could exhaust the process table.
+MAX_WORKERS = 64
 
 _CSV_COLUMNS = (
     "point", "r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta",
@@ -194,8 +199,8 @@ def _config_from_args(args) -> RunConfig:
     )
     if not 0.0 < config.epsilon < 1.0:
         raise _UsageError(f"--epsilon must lie in (0, 1), got {config.epsilon!r}")
-    if config.workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {config.workers}")
+    if not 1 <= config.workers <= MAX_WORKERS:
+        raise _UsageError(f"--workers must lie in 1..{MAX_WORKERS}, got {config.workers}")
     if config.r < 0:
         raise _UsageError(f"--r must be >= 0, got {config.r!r}")
     if (config.protocol is None) == (config.circuit is None):
@@ -421,8 +426,9 @@ def _sweep_records(config: RunConfig) -> list[dict]:
     # Contiguous chunks keep neighbouring points, which often share a source,
     # in one process (and its factory memo); four chunks per worker still
     # balance points whose cost grows along the grid.
-    chunksize = math.ceil(len(tasks) / (4 * config.workers))
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(tasks))
+    chunksize = math.ceil(len(tasks) / (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_evaluate_point, tasks, chunksize=chunksize))
 
 
@@ -460,9 +466,64 @@ def _sweep_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    if "n" in text:  # nan, inf or -inf: no finite float's repr has an "n"
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return text
+
+
+def _indented_json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, in
+    one recursive pass.
+
+    ``indent`` sends the standard library to its pure-Python encoder, which
+    took a third of a large circuit report's run. Here a list of floats,
+    the bulk of a report, is one ``join`` of ``float.__repr__``, and strings
+    go through the C string encoder. ``newline`` is the line break and
+    indentation of the enclosing level. Dict keys must be strings.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _indented_json(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        try:
+            body = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # not all floats
+            body = ("," + inner).join([_indented_json(item, inner) for item in value])
+        else:
+            if "n" in body:
+                for item in value:
+                    _json_float(item)
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _serialize(config: RunConfig, payload) -> str:
     if config.command == "run":
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        return _indented_json(payload) + "\n"
     if config.fmt == "csv":
         return _sweep_csv(payload)
     return "".join(json.dumps(rec, allow_nan=False) + "\n" for rec in payload)
@@ -508,13 +569,30 @@ def _cmd_check() -> int:
     return 0 if not failed else 1
 
 
+def _plain_truncation_warnings(show):
+    """A ``warnings.showwarning`` that prints a :class:`TruncationWarning`
+    as ``kerrcat: warning: <message>`` and hands other warnings to ``show``.
+    Its source location would be a frame of the interpreter's module
+    runner, which tells a command-line user nothing."""
+
+    def showwarning(message, category, filename, lineno, file=None, line=None):
+        if issubclass(category, TruncationWarning):
+            print(f"kerrcat: warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, filename, lineno, file, line)
+
+    return showwarning
+
+
 def main(argv=None) -> int:
     try:
         config = _run_config(argv)
         if config is None:
             return _cmd_check()
         started = time.perf_counter()
-        output = _render(config)
+        with warnings.catch_warnings():
+            warnings.showwarning = _plain_truncation_warnings(warnings.showwarning)
+            output = _render(config)
         elapsed = time.perf_counter() - started
         if config.out:
             try:

@@ -4,14 +4,16 @@ Phase shifts and cross-Kerr couplings are exact diagonal phase
 multiplications. The 50:50 beam splitter mixes two equal-cutoff modes. It
 conserves the pair's total photon number N, so it is stored and applied
 per N block, never as a dense (d, d, d, d) operator: one cached plan per
-cutoff c holds the unitary of each of the 2c + 1 blocks (the spectral
-exponential of the tridiagonal hopping generator). The blocks of total
-photon number N and N + c + 1 share one row of c + 1 slots, so the c + 1
-rows hold every pair exactly once. Applying it is one gather of the pair amplitudes into
-(row, slot) order, one batched matmul with the rows' block-diagonal
-unitaries and one scatter back, at any cutoff. The phase convention is
-pinned so that a single photon entering either port leaves as an equal
-superposition with an ``i`` on the crossed port:
+cutoff c holds the unitary of each of the 2c + 1 blocks. Block N follows
+from block N - 1 by a recurrence in the creation operators (the Fock-basis
+idea behind the recurrences for Gaussian gates of Miatto & Quesada,
+arXiv:2004.11002), in O(c^3) operations for the whole plan. The blocks of
+total photon number N and N + c + 1 share one row of c + 1 slots, so the
+c + 1 rows hold every pair exactly once. Applying it is one gather of the
+pair amplitudes into (row, slot) order, one batched matmul with the rows'
+block-diagonal unitaries and one scatter back, at any cutoff. The phase
+convention is pinned so that a single photon entering either port leaves
+as an equal superposition with an ``i`` on the crossed port:
 
     |1>|0| -> (|1>|0> + i |0>|1>) / sqrt(2)
     |0>|1| -> (|0>|1> + i |1>|0>) / sqrt(2)
@@ -164,25 +166,57 @@ class _BeamSplitterPlan:
 
 @lru_cache(maxsize=None)
 def _beam_splitter_plan(cutoff: int, half_angle: float) -> _BeamSplitterPlan:
-    """Build the plan from its 2c + 1 total-photon blocks.
+    """Build the plan from its 2c + 1 total-photon blocks, block N from
+    block N - 1.
 
-    The hopping generator within block N is tridiagonal with entries
-    sqrt((m+1)(N-m)), and the block unitary is its spectral exponential at
-    the given half-angle. Over-cutoff blocks (N > c) keep the physical
-    unitary restricted to the representable splits.
+    With c, s the cosine and sine of the half-angle, the splitter maps
+    a1+ to c a1+ + i s a2+ and a2+ to i s a1+ + c a2+. So column n of block
+    N (the image of |n, N-n>) is that of block N - 1 raised by a1+ along one
+    route and by a2+ along the other::
+
+        U|n, N-n> = (c a1+ + i s a2+) U|n-1, N-n> / sqrt(n)
+                  = (i s a1+ + c a2+) U|n, N-n-1> / sqrt(N-n)
+
+    Either route alone amplifies rounding, to a unitarity error of 5e-6 in
+    block 80 and past 1 by block 120; their mean with weights n/N and
+    (N-n)/N stays at rounding level (under 1e-14 up to block 400). The
+    entries are U_N[m, n] = i^(m+n) R_N[m, n] with R_N real, so the mean
+    reads, from R_0 = [[1]] and with R_{N-1} zero outside slots 0..N-1::
+
+        N R_N[m, n] = sqrt(n)   (s sqrt(N-m) R[m, n-1] - c sqrt(m) R[m-1, n-1])
+                    + sqrt(N-n) (c sqrt(N-m) R[m, n]   + s sqrt(m) R[m-1, n])
+
+    An entry needs only block N - 1's entries one slot around it, so an
+    over-cutoff block (N > c) is built on its kept slots max(0, N - c)..c
+    alone, the physical unitary restricted to the representable splits.
     """
     d = cutoff + 1
-    unitaries = np.zeros((d, d, d), dtype=np.complex128)
-    for total in range(2 * cutoff + 1):
-        gen = np.zeros((total + 1, total + 1))
-        for m in range(total):
-            gen[m + 1, m] = math.sqrt((m + 1) * (total - m))
-            gen[m, m + 1] = gen[m + 1, m]
-        evals, evecs = np.linalg.eigh(gen)
-        block = (evecs * np.exp(1j * half_angle * evals)) @ evecs.T.conj()
-        kept = slice(max(0, total - cutoff), min(total, cutoff) + 1)
-        unitaries[total % d, kept, kept] = block[kept, kept]
+    c, s = math.cos(half_angle), math.sin(half_angle)
+    photons = np.arange(2 * cutoff + 1)
+    # roots[i, j] = sqrt(i j); row r of roots[::-1] is row 2c - r of roots
+    roots = np.sqrt(np.multiply.outer(photons, photons))
     slot = np.arange(d)
+    phases = np.array([1, 1j, -1, -1j])[np.add.outer(slot, slot) % 4]  # i^(m+n)
+    unitaries = np.zeros((d, d, d), dtype=np.complex128)
+    unitaries[0, 0, 0] = 1.0
+    window = np.ones((1, 1))
+    for total in range(1, 2 * cutoff + 1):
+        lo, hi = max(0, total - cutoff), min(total, cutoff)
+        if total <= cutoff:
+            # block N - 1 fills slots 0..N-1; add the empty slots -1 and N
+            padded = np.zeros((total + 2, total + 2))
+            padded[1:-1, 1:-1] = window
+            window = padded
+        # the kept slots m, and the rows of roots[::-1] that hold N - m
+        up = slice(lo, hi + 1)
+        down = slice(2 * cutoff - total + lo, 2 * cutoff - total + hi + 1)
+        mixed = roots[::-1][down, up]  # sqrt(N - m) sqrt(n)
+        cw, sw = window * (c / total), window * (s / total)
+        window = (
+            cw[1:, 1:] * roots[::-1, ::-1][down, down] - cw[:-1, :-1] * roots[up, up]
+            + sw[1:, :-1] * mixed + sw[:-1, 1:] * mixed.T
+        )
+        unitaries[total % d, up, up] = window * phases[up, up]
     gather = (np.tile(slot, (d, 1)), (slot[:, None] - slot) % d)
     n1, n2 = np.divmod(np.arange(d * d), d)
     over = n1 + n2 > cutoff

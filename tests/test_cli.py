@@ -1,5 +1,6 @@
-"""CLI tests: rendered reports against the report schema, exit codes, and
-the embedded ``kerrcat check`` suite."""
+"""CLI tests: rendered reports against the report schema, exit codes, the
+report writer against ``json.dumps``, and the embedded ``kerrcat check``
+suite."""
 
 import csv
 import io
@@ -11,7 +12,10 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kerrcat
 from kerrcat import cli
@@ -199,14 +203,17 @@ def test_import_loads_neither_checks_nor_the_process_pool():
     assert done.stdout.strip() == "[]"
 
 
-def test_parallel_sweep_sends_contiguous_chunks(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replaces the process pool by one that maps in this process and
+    records its worker count and the chunks it was sent."""
     import concurrent.futures
 
-    chunks = []
+    seen = {"workers": [], "chunks": []}
 
     class SerialPool:
         def __init__(self, max_workers):
-            self.workers = max_workers
+            seen["workers"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -216,18 +223,38 @@ def test_parallel_sweep_sends_contiguous_chunks(monkeypatch):
 
         def map(self, fn, tasks, chunksize):
             tasks = list(tasks)
-            chunks.extend(tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize))
+            seen["chunks"].extend(tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize))
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return seen
+
+
+def test_parallel_sweep_sends_contiguous_chunks(serial_pool):
     argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.4:6",
             "--sweep", "tau:0:pi:4"]
     parallel = cli.render_output(argv + ["--workers", "2"])
     assert parallel == cli.render_output(argv + ["--workers", "1"])
     # 24 points on two workers: eight contiguous chunks, four per worker
-    assert [[index for _, index, _ in chunk] for chunk in chunks] == [
+    assert serial_pool["workers"] == [2]
+    assert [[index for _, index, _ in chunk] for chunk in serial_pool["chunks"]] == [
         list(range(i, i + 3)) for i in range(0, 24, 3)
     ]
+
+
+def test_pool_has_no_more_workers_than_points(serial_pool):
+    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"]
+    cli.render_output(argv + ["--workers", str(cli.MAX_WORKERS)])
+    assert serial_pool["workers"] == [3]
+    assert [[index for _, index, _ in chunk] for chunk in serial_pool["chunks"]] == [[0], [1], [2]]
+
+
+def test_too_many_workers_is_a_usage_error(serial_pool, capsys):
+    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"]
+    for workers in (0, cli.MAX_WORKERS + 1, 100_000):
+        assert cli.main(argv + ["--workers", str(workers)]) == 1
+        assert "kerrcat: error: --workers must lie in" in capsys.readouterr().err
+    assert serial_pool["workers"] == []
 
 
 def test_usage_and_circuit_errors_exit_1(tmp_path, capsys):
@@ -271,6 +298,83 @@ def test_oversized_sweep_grid_is_a_usage_error(axes, monkeypatch):
     assert cli.main(argv) == 1
     limit = f"r:0:1:{cli.MAX_SWEEP_POINTS}"
     assert cli._run_config(["sweep", "--protocol", "superposition", "--sweep", limit])
+
+
+def test_truncation_warning_is_a_kerrcat_diagnostic(tmp_path):
+    # |1, 1> into a cutoff-1 splitter: all of its mass sits above the cutoff
+    path = tmp_path / "spill.qcirc"
+    path.write_text(
+        "mode b cutoff 1\nmode c cutoff 1\nsource b fock n=1\nsource c fock n=1\n"
+        "bs b c\ndetect b n=1\n",
+        encoding="utf-8",
+    )
+    done = run_kerrcat("run", "--circuit", str(path))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("kerrcat: warning: beam splitter on modes ('b', 'c'): ")
+    assert "runpy" not in done.stderr and "TruncationWarning" not in done.stderr
+    with pytest.warns(kerrcat.TruncationWarning):
+        assert done.stdout == cli.render_output(["run", "--circuit", str(path)])
+
+
+FINITE_FLOATS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text()
+    | FINITE_FLOATS
+    | FINITE_FLOATS.map(np.float64)
+    # the writer's one-join path for lists made only of floats
+    | st.lists(FINITE_FLOATS | FINITE_FLOATS.map(np.float64)),
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    assert cli._indented_json(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_report_writer_rejects_non_finite_floats(bad):
+    for value in (bad, [bad], [1.0, bad], {"x": [0.5, bad]}, [1, bad], ("a", bad)):
+        with pytest.raises(ValueError):
+            json.dumps(value, indent=2, allow_nan=False)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._indented_json(value)
+
+
+@pytest.mark.parametrize("bad", [object(), np.int64(1), 1j, b"x", {1.0}, np.zeros(2)])
+def test_report_writer_rejects_unencodable_objects(bad):
+    for value in (bad, [bad], [0.5, bad], {"x": bad}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, allow_nan=False)
+        with pytest.raises(TypeError):
+            cli._indented_json(value)
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._indented_json({1: 2})
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--protocol", "entanglement", "--r", "0.2", "--trace"],
+    ["run", "--circuit", "CIRCUIT", "--trace"],
+])
+def test_traced_run_report_is_written_as_json_dumps_would(argv, tmp_path):
+    path = tmp_path / "cat.qcirc"
+    path.write_text(CIRCUIT, encoding="utf-8")
+    config = cli._run_config([str(path) if arg == "CIRCUIT" else arg for arg in argv])
+    report = cli._run_report(config)
+    expected = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    assert cli._serialize(config, report) == expected
 
 
 def test_self_checks_pass():

@@ -1,10 +1,13 @@
-"""Element tests: splitter convention, diagonal phases, unitarity, and the
-scaling-and-squaring matrix oracle for the general splitter blocks."""
+"""Element tests: splitter convention, diagonal phases, unitarity, the
+scaling-and-squaring matrix oracle for the general splitter blocks, and a
+high-precision binomial-expansion reference for the splitter plan."""
 
 import math
+import time
 import warnings
 
 import hypothesis.extra.numpy as hnp
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +32,7 @@ from kerrcat import (
     coherent,
     fidelity,
     fock,
+    photon_distribution,
     run_circuit,
     single,
     squeezed_vacuum,
@@ -54,6 +58,113 @@ def oracle_bs_operator(cutoff):
     c = np.kron(np.eye(d), lower)
     gen = b.T.conj() @ c + c.T.conj() @ b
     return expm(1j * (math.pi / 4) * gen)
+
+
+def pack_blocks(cutoff, block):
+    """The plan's (row, slot, slot) table from ``block(total, kept)``, the
+    entries of the unitary of each total photon number on its representable
+    slots ``kept``, which go to row N mod (c + 1)."""
+    d = cutoff + 1
+    unitaries = np.zeros((d, d, d), dtype=np.complex128)
+    for total in range(2 * cutoff + 1):
+        kept = range(max(0, total - cutoff), min(total, cutoff) + 1)
+        unitaries[total % d, kept.start:kept.stop, kept.start:kept.stop] = block(total, kept)
+    return unitaries
+
+
+def eigh_unitaries(cutoff, half_angle=_BS_HALF_ANGLE):
+    """The blocks as spectral exponentials of the tridiagonal hopping
+    generators, the way the plan was built before its recurrence."""
+
+    def block(total, kept):
+        off = np.sqrt(np.arange(1, total + 1) * np.arange(total, 0, -1))
+        evals, evecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        full = (evecs * np.exp(1j * half_angle * evals)) @ evecs.T.conj()
+        return full[kept.start:kept.stop, kept.start:kept.stop]
+
+    return pack_blocks(cutoff, block)
+
+
+def mpmath_unitaries(cutoff, half_angle=_BS_HALF_ANGLE, bits=256):
+    """The blocks from the binomial expansion of
+    U|n, N-n> = (c a1+ + i s a2+)^n (i s a1+ + c a2+)^(N-n) |0> / sqrt(n! (N-n)!).
+
+    Entry (m, n) of block N is i^(m+n) sqrt(n! (N-n)! / (m! (N-m)!)) times
+    sum_k (-1)^k C(n, k) C(N-n, m-k) c^(N-n-m+2k) s^(n+m-2k). The powers
+    of c and s and the square roots come from 40-digit mpmath as
+    ``bits``-bit fixed-point integers, so the alternating sum, which
+    cancels up to 11 digits at c = 40, is exact.
+    """
+    with mpmath.workdps(40):
+        h = mpmath.mpf(half_angle)
+        c, s = mpmath.cos(h), mpmath.sin(h)
+
+        def fixed(x):
+            return int(mpmath.nint(mpmath.ldexp(x, bits)))
+
+        def block(total, kept):
+            power = [fixed(c ** (total - b) * s ** b) for b in range(total + 1)]
+            # g[m] / g[n] = sqrt(n! (N-n)! / (m! (N-m)!))
+            g = [fixed(1 / mpmath.sqrt(mpmath.binomial(total, m))) for m in range(total + 1)]
+            out = np.zeros((len(kept), len(kept)), dtype=np.complex128)
+            for i, m in enumerate(kept):
+                for j, n in enumerate(kept):
+                    acc = sum(
+                        (-1) ** k * math.comb(n, k) * math.comb(total - n, m - k)
+                        * power[n + m - 2 * k]
+                        for k in range(max(0, m + n - total), min(m, n) + 1)
+                    )
+                    out[i, j] = acc * g[m] / g[n] / 2 ** bits * 1j ** ((m + n) % 4)
+            return out
+
+        return pack_blocks(cutoff, block)
+
+
+class TestBeamSplitterPlan:
+    def test_cutoff_one_entries_pinned(self):
+        # the protocols mix only cutoff-1 modes, so their report bytes
+        # depend on exactly these values; row 0 slot 1 is the kept corner of
+        # the over-cutoff N = 2 block, cos^2 - sin^2 of the half-angle
+        unitaries = _beam_splitter_plan(1, _BS_HALF_ANGLE).unitaries
+        assert unitaries.tolist() == [
+            [[1, 0], [0, 2.220446049250313e-16]],
+            [[0.7071067811865476, 0.7071067811865475j], [0.7071067811865475j, 0.7071067811865476]],
+        ]
+
+    def test_unitary_at_cutoff_200(self):
+        # unbuffered: the cache would keep the 130 MB table alive
+        cutoff = 200
+        unitaries = _beam_splitter_plan.__wrapped__(cutoff, _BS_HALF_ANGLE).unitaries
+        worst = 0.0
+        for total in range(cutoff + 1):
+            block = unitaries[total, : total + 1, : total + 1]
+            worst = max(worst, np.abs(block @ block.conj().T - np.eye(total + 1)).max())
+        assert worst <= 1e-13
+
+    def test_closer_to_the_reference_than_eigh(self):
+        cutoff = 40
+        reference = mpmath_unitaries(cutoff)
+        plan_error = np.abs(_beam_splitter_plan(cutoff, _BS_HALF_ANGLE).unitaries - reference).max()
+        eigh_error = np.abs(eigh_unitaries(cutoff) - reference).max()
+        assert plan_error < eigh_error
+        assert plan_error <= 1e-15
+
+    def test_matches_eigh_at_other_half_angles(self):
+        for half_angle in (0.0, 0.3, 1.1, math.pi / 2, -2.0):
+            plan = _beam_splitter_plan(6, half_angle)
+            assert np.abs(plan.unitaries - eigh_unitaries(6, half_angle)).max() < 1e-13
+
+    def test_builds_faster_than_eigh(self):
+        def best_of(build, runs=5):
+            times = []
+            for _ in range(runs):
+                start = time.perf_counter()
+                build()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        recurrence = best_of(lambda: _beam_splitter_plan.__wrapped__(40, _BS_HALF_ANGLE))
+        assert recurrence <= 0.3 * best_of(lambda: eigh_unitaries(40))
 
 
 class TestBeamSplitterConvention:
@@ -285,6 +396,69 @@ class TestCrossKerr:
         s = single("a", fock(0, 1))
         with pytest.raises(ModeLabelError):
             apply_cross_kerr(s, "a", "a", 0.5)
+
+
+ANGLES = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def diagonal_cases(draw):
+    """A normalized state on modes x, y, z (cutoffs 0..5) and two of its
+    modes in either order."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=3, max_size=3)))
+    amplitudes = draw(
+        hnp.arrays(
+            np.complex128,
+            shape,
+            elements=st.complex_numbers(max_magnitude=1.0, allow_subnormal=False),
+        )
+    )
+    assume(np.linalg.norm(amplitudes) > 1e-3)
+    state = MultiModeState(("x", "y", "z"), amplitudes / np.linalg.norm(amplitudes))
+    return state, draw(st.permutations(("x", "y", "z")))[:2]
+
+
+def diagonal_oracle(state, exponent):
+    """The dense diagonal operator exp(i exponent(n_x, n_y, n_z)) on the
+    flattened state, over every basis state."""
+    photons = np.indices(state.tensor.shape).reshape(state.tensor.ndim, -1)
+    operator = np.diag(np.exp(1j * exponent(*photons)))
+    return (operator @ state.tensor.ravel()).reshape(state.tensor.shape)
+
+
+class TestDiagonalElementProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=diagonal_cases(), theta=ANGLES)
+    def test_phase_shift(self, case, theta):
+        state, (mode, _) = case
+        out = apply_phase_shift(state, mode, theta)
+        assert abs(out.squared_norm - state.squared_norm) <= 1e-12
+        for m in state.labels:
+            assert np.abs(photon_distribution(out, m) - photon_distribution(state, m)).max() <= 1e-12
+        axis = state.labels.index(mode)
+        expected = diagonal_oracle(state, lambda *n: theta * n[axis])
+        assert np.abs(out.tensor - expected).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=diagonal_cases(), theta_1=ANGLES, theta_2=ANGLES)
+    def test_phase_shifts_compose(self, case, theta_1, theta_2):
+        state, (mode, _) = case
+        twice = apply_phase_shift(apply_phase_shift(state, mode, theta_1), mode, theta_2)
+        once = apply_phase_shift(state, mode, theta_1 + theta_2)
+        assert np.abs(twice.tensor - once.tensor).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=diagonal_cases(), tau=ANGLES)
+    def test_cross_kerr(self, case, tau):
+        state, (mode_1, mode_2) = case
+        out = apply_cross_kerr(state, mode_1, mode_2, tau)
+        assert np.array_equal(out.tensor, apply_cross_kerr(state, mode_2, mode_1, tau).tensor)
+        assert abs(out.squared_norm - state.squared_norm) <= 1e-12
+        for m in state.labels:
+            assert np.abs(photon_distribution(out, m) - photon_distribution(state, m)).max() <= 1e-12
+        ax1, ax2 = state.labels.index(mode_1), state.labels.index(mode_2)
+        expected = diagonal_oracle(state, lambda *n: -tau * n[ax1] * n[ax2])
+        assert np.abs(out.tensor - expected).max() <= 1e-12
 
 
 class TestUnitarity:
