@@ -55,15 +55,15 @@ def support_residual(distribution: np.ndarray, allowed: Iterable[int]) -> float:
 
 
 def _as_unit_array(state, what: str) -> tuple[np.ndarray, float]:
-    """The state's amplitude array and its squared norm, which must lie
-    within ``_UNIT_NORM_SLACK`` of 1."""
+    """The state's amplitude array and its squared norm (the one its
+    constructor computed), which must lie within ``_UNIT_NORM_SLACK`` of 1."""
     if isinstance(state, FockVector):
         arr = state.amplitudes
     elif isinstance(state, MultiModeState):
         arr = state.tensor
     else:
         raise TypeError(f"{what} must be a FockVector or MultiModeState")
-    n2 = float(np.vdot(arr, arr).real)
+    n2 = state.squared_norm
     if abs(n2 - 1.0) > _UNIT_NORM_SLACK:
         raise StateMismatchError(f"{what} must be normalized, squared norm is {n2!r}")
     return arr, n2

@@ -4,8 +4,11 @@ parameters in parallel, and check the build against its embedded suite.
 Reports are deterministic: the same configuration yields byte-identical
 output regardless of worker count (timing goes to stderr, never into the
 report). JSON is the primary format; CSV is available for sweeps only.
-Exit codes: 0 success, 1 diagnostics (usage, parse or validation errors),
-2 numerical errors (leakage budget exceeded, zero-norm states, ...).
+Exit codes: 0 success, 1 diagnostics (usage, parse or validation errors,
+or a failed check), 2 numerical errors (leakage budget exceeded, zero-norm
+states, ...). A sweep records a point's numerical or validation error as
+that point's ``error`` and goes on, so it exits 1 on usage errors and
+otherwise 0.
 """
 
 from __future__ import annotations
@@ -409,7 +412,7 @@ def _evaluate_point(task) -> dict:
     try:
         record["branches"] = _run_protocol(overridden)[2]
         record["error"] = None
-    except (FockSpaceError, ValueError) as err:
+    except (FockSpaceError, FloatingPointError, ValueError) as err:
         record["branches"] = {}
         record["error"] = f"{type(err).__name__}: {err}"
     return record

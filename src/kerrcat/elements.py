@@ -9,11 +9,12 @@ from block N - 1 by a recurrence in the creation operators (the Fock-basis
 idea behind the recurrences for Gaussian gates of Miatto & Quesada,
 arXiv:2004.11002), in O(c^3) operations for the whole plan. The blocks of
 total photon number N and N + c + 1 share one row of c + 1 slots, so the
-c + 1 rows hold every pair exactly once. Applying it is one gather of the
-pair amplitudes into (row, slot) order, one batched matmul with the rows'
-block-diagonal unitaries and one scatter back, at any cutoff. The phase
-convention is pinned so that a single photon entering either port leaves
-as an equal superposition with an ``i`` on the crossed port:
+c + 1 rows hold every pair exactly once. Applying it gathers the pair
+amplitudes into (row, slot) order, multiplies them by the rows'
+block-diagonal unitaries in one batched matmul and scatters the products
+into the output, at any cutoff. The phase convention is pinned so that a
+single photon entering either port leaves as an equal superposition with
+an ``i`` on the crossed port:
 
     |1>|0| -> (|1>|0> + i |0>|1>) / sqrt(2)
     |0>|1| -> (|0>|1> + i |1>|0>) / sqrt(2)
@@ -23,6 +24,16 @@ represented completely; the element then applies the physical unitary
 restricted to the representable states, losing the truncated amplitudes,
 and emits a :class:`TruncationWarning` if the input actually populates
 such a block (the plan also lists those pairs).
+
+Every kernel writes its output once, into an array it allocates and hands
+to the state without a copy (see :mod:`kerrcat.fock`). The phase and Kerr
+kernels hold one output-sized array and their small phase table. The
+splitter holds its output plus one chunk of at most ``_CHUNK_AMPLITUDES``
+amplitudes at a time: the chunk's gathered pairs and their products (and,
+before them, its over-cutoff pairs for the truncation check). Chunks run
+along the first axis outside the mode pair, so a chunk is never smaller
+than one slice of that axis. Plans of the last ``_PLAN_CACHE_SIZE`` cutoffs
+are cached; each holds (c + 1)^3 complex entries.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ModeLabelError, StateMismatchError, TruncationWarning
-from .fock import MultiModeState, project_mode
+from .fock import MultiModeState, _Owned, project_mode
 
 # Half-angle of the exponentiated hopping generator. pi/4 realizes the 50:50
 # convention above; tests may override it to verify the convention is load-
@@ -48,6 +59,16 @@ _BS_HALF_ANGLE = math.pi / 4
 # Input probability mass on over-cutoff blocks above which the beam splitter
 # warns about truncation loss.
 _BOUNDARY_MASS_THRESHOLD = 1e-15
+
+# Amplitudes the splitter gathers and multiplies in one step, at least one
+# slice of the first axis outside the mode pair. Chunk boundaries change
+# which BLAS kernel multiplies which amplitudes, so changing this moves
+# outputs in their last bits.
+_CHUNK_AMPLITUDES = 65_536
+
+# Splitter plans kept, one per cutoff; a plan holds (c + 1)^3 complex entries
+# (131 MB at c = 200).
+_PLAN_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -121,7 +142,7 @@ def apply_phase_shift(state: MultiModeState, mode: str, theta: float) -> MultiMo
     phases = np.exp(1j * theta * np.arange(dim))
     shape = [1] * state.tensor.ndim
     shape[ax] = dim
-    return state.with_tensor(state.tensor * phases.reshape(shape))
+    return MultiModeState(state.labels, _Owned(state.tensor * phases.reshape(shape)))
 
 
 def apply_cross_kerr(
@@ -141,7 +162,7 @@ def apply_cross_kerr(
     # ordered the other way round in the tensor.
     if ax1 > ax2:
         phases = phases.T
-    return state.with_tensor(state.tensor * phases.reshape(shape))
+    return MultiModeState(state.labels, _Owned(state.tensor * phases.reshape(shape)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,20 +172,19 @@ class _BeamSplitterPlan:
     Photon pair ``(n1, n2)`` sits in row ``(n1 + n2) mod (c + 1)``, slot
     ``n1``: row r holds the splits of total photon number r (slots 0..r)
     and of r + c + 1 (slots r + 1..c), every pair exactly once.
-    ``gather`` is the ``(n1, n2)`` index pair of each ``(row, slot)``,
-    ``unitaries[r]`` the block-diagonal unitary of row r, ``scatter[p]`` the
-    flat ``(row, slot)`` position of pair ``p = n1 * (c + 1) + n2``, and
+    ``gather`` is the ``(n1, n2)`` index pair of each ``(row, slot)``, so
+    it both gathers the pairs into rows and scatters the rows back;
+    ``unitaries[r]`` is the block-diagonal unitary of row r, and
     ``over_cutoff`` the ``(n1, n2)`` index pair of the pairs with
     ``n1 + n2 > c``.
     """
 
     gather: tuple[np.ndarray, np.ndarray]
     unitaries: np.ndarray
-    scatter: np.ndarray
     over_cutoff: tuple[np.ndarray, np.ndarray]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _beam_splitter_plan(cutoff: int, half_angle: float) -> _BeamSplitterPlan:
     """Build the plan from its 2c + 1 total-photon blocks, block N from
     block N - 1.
@@ -220,8 +240,8 @@ def _beam_splitter_plan(cutoff: int, half_angle: float) -> _BeamSplitterPlan:
     gather = (np.tile(slot, (d, 1)), (slot[:, None] - slot) % d)
     n1, n2 = np.divmod(np.arange(d * d), d)
     over = n1 + n2 > cutoff
-    plan = _BeamSplitterPlan(gather, unitaries, (n1 + n2) % d * d + n1, (n1[over], n2[over]))
-    for arr in (*plan.gather, plan.unitaries, plan.scatter, *plan.over_cutoff):
+    plan = _BeamSplitterPlan(gather, unitaries, (n1[over], n2[over]))
+    for arr in (*plan.gather, plan.unitaries, *plan.over_cutoff):
         arr.setflags(write=False)
     return plan
 
@@ -239,13 +259,29 @@ def apply_beam_splitter(state: MultiModeState, mode_1: str, mode_2: str) -> Mult
     cutoff = d1 - 1
     plan = _beam_splitter_plan(cutoff, _BS_HALF_ANGLE)
 
-    # a view with the (mode_1, mode_2) photon numbers as its first two axes;
-    # indexing it with (n1, n2) arrays copies only the pairs asked for
-    moved = np.moveaxis(state.tensor, (ax1, ax2), (0, 1))
-
-    over = moved[plan.over_cutoff]
-    boundary = float(np.vdot(over, over).real)
-    del over
+    tensor = state.tensor
+    # the (mode_1, mode_2) photon numbers lead in every chunk's views, so
+    # indexing them with (n1, n2) arrays copies only the pairs asked for
+    rest = [i for i in range(tensor.ndim) if i not in (ax1, ax2)]
+    order = (ax1, ax2, *rest)
+    chunks = [()]
+    if rest:
+        first = tensor.shape[rest[0]]
+        step = max(1, _CHUNK_AMPLITUDES * first // tensor.size)
+        leading = (slice(None),) * rest[0]
+        chunks = [(*leading, slice(lo, lo + step)) for lo in range(0, first, step)]
+    out = None
+    boundary = 0.0
+    for index in chunks:
+        mass, products = _mixed_chunk(plan, tensor[index].transpose(order))
+        boundary += mass
+        if out is None:
+            # allocated after the first chunk's temporaries, so that freeing
+            # them leaves no free block at the top of the heap, which malloc
+            # would hand back to the system and fault in again on every call
+            out = np.empty_like(tensor)
+        out[index].transpose(order)[plan.gather] = products
+        del products  # before the next chunk's, which would be a third temporary
     if boundary > _BOUNDARY_MASS_THRESHOLD:
         warnings.warn(
             f"beam splitter on modes ({mode_1!r}, {mode_2!r}): probability "
@@ -254,13 +290,19 @@ def apply_beam_splitter(state: MultiModeState, mode_1: str, mode_2: str) -> Mult
             TruncationWarning,
             stacklevel=_outside_caller_level(),
         )
+    return MultiModeState(state.labels, _Owned(out))
 
-    # rebinding frees each copy once the next exists: at most two copies
-    # besides the input are alive at a time
-    pairs = moved[plan.gather].reshape(d1, d1, -1)
-    pairs = np.matmul(plan.unitaries, pairs)
-    pairs = pairs.reshape(d1 * d1, -1)[plan.scatter]
-    return state.with_tensor(np.moveaxis(pairs.reshape(moved.shape), (0, 1), (ax1, ax2)))
+
+def _mixed_chunk(plan: _BeamSplitterPlan, source: np.ndarray) -> tuple[float, np.ndarray]:
+    """The probability of ``source``, a chunk view with the mode pair's axes
+    leading, on over-cutoff pairs, and the splitter's image of its pairs in
+    (row, slot) order."""
+    over = source[plan.over_cutoff]
+    boundary = float(np.vdot(over, over).real)
+    del over  # the gathered pairs and their products are the chunk's two temporaries
+    d = source.shape[0]
+    products = np.matmul(plan.unitaries, source[plan.gather].reshape(d, d, -1))
+    return boundary, products.reshape(source.shape)
 
 
 def _outside_caller_level() -> int:

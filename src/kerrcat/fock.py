@@ -14,6 +14,15 @@ one pass: the squared norm is computed once, and kept as the state's
 ``squared_norm``. A finite sum of |a_i|^2 means every a_i is finite, so the
 element-wise finiteness scan runs only when that sum is not; finite
 amplitudes whose squared norm overflows to infinity fail the norm bound.
+
+A state normally keeps a read-only C-ordered copy of the array it is given,
+so no caller can change it later. The package's own kernels instead hand
+over an array they have just allocated, wrapped in the private
+:class:`_Owned`: the constructor adopts it without the copy, after the same
+checks, and marks it read-only. Only an array that owns its whole buffer is
+adopted; anything else, such as a slice that is a view of a larger tensor,
+is still copied, so a state never pins memory beyond its own amplitudes.
+Public ``FockVector(...)`` and ``MultiModeState(...)`` calls always copy.
 """
 
 from __future__ import annotations
@@ -32,13 +41,42 @@ NORM_SLACK = 1e-9
 ZERO_NORM_THRESHOLD = 1e-12
 
 
+class _Owned:
+    """An array the package has just allocated and hands over to a state,
+    which adopts it instead of copying it (see the module docstring)."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _adoptable(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is C-ordered complex128 and spans all of the buffer it
+    keeps alive, so adopting it pins no memory beyond its own entries."""
+    owner = arr if arr.base is None else arr.base
+    return (
+        arr.dtype == np.complex128
+        and arr.flags.c_contiguous
+        and isinstance(owner, np.ndarray)
+        and owner.flags.owndata
+        and owner.nbytes == arr.nbytes
+    )
+
+
 def _frozen_complex_array(data, ndim=None) -> tuple[np.ndarray, float]:
-    """A read-only complex copy of ``data`` and its squared norm; raises
-    :class:`StateMismatchError` for a wrong ``ndim`` or a non-finite entry."""
-    # Always a C-ordered copy: a strided view (e.g. from np.moveaxis) would
-    # otherwise keep its layout, and every later slice of it would gather
-    # the whole tensor again.
-    arr = np.array(data, dtype=np.complex128, order="C")
+    """A read-only complex array of ``data`` and its squared norm; raises
+    :class:`StateMismatchError` for a wrong ``ndim`` or a non-finite entry.
+    An :class:`_Owned` array is adopted when it qualifies, and every other
+    input is copied."""
+    owned = type(data) is _Owned
+    if owned and _adoptable(data.array):
+        arr = data.array
+    else:
+        # A C-ordered copy: a strided view (e.g. a transpose) would otherwise
+        # keep its layout, and every later slice of it would gather the whole
+        # tensor again; a slice would keep its parent's tensor alive.
+        arr = np.array(data.array if owned else data, dtype=np.complex128, order="C")
     if ndim is not None and arr.ndim != ndim:
         raise StateMismatchError(f"expected a {ndim}-d amplitude array, got shape {arr.shape}")
     n2 = float(np.vdot(arr, arr).real)
@@ -144,7 +182,7 @@ def tensor_product(a: MultiModeState, b: MultiModeState) -> MultiModeState:
     shared = set(a.labels) & set(b.labels)
     if shared:
         raise ModeLabelError(f"mode labels {sorted(shared)} appear on both sides")
-    return MultiModeState(a.labels + b.labels, np.multiply.outer(a.tensor, b.tensor))
+    return MultiModeState(a.labels + b.labels, _Owned(np.multiply.outer(a.tensor, b.tensor)))
 
 
 def inner_product(a: MultiModeState, b: MultiModeState) -> complex:
@@ -171,13 +209,13 @@ def normalize(state, threshold: float = ZERO_NORM_THRESHOLD):
         n = float(np.linalg.norm(arr))
         if n <= threshold:
             raise ZeroStateError(f"norm {n!r} is at or below the zero threshold {threshold!r}")
-        return FockVector(arr / n), n
+        return FockVector(_Owned(arr / n)), n
     n = state.norm
     if n <= threshold:
         raise ZeroStateError(f"norm {n!r} is at or below the zero threshold {threshold!r}")
     if isinstance(state, FockVector):
-        return FockVector(state.amplitudes / n), n
-    return state.with_tensor(state.tensor / n), n
+        return FockVector(_Owned(state.amplitudes / n)), n
+    return MultiModeState(state.labels, _Owned(state.tensor / n)), n
 
 
 def project_mode(state: MultiModeState, mode: str, n: int) -> tuple[MultiModeState, float]:
@@ -189,27 +227,38 @@ def project_mode(state: MultiModeState, mode: str, n: int) -> tuple[MultiModeSta
     normalized here; use :func:`normalize` (which rejects numerically-zero
     branches) to condition on the outcome.
     """
-    ax = state.axis(mode)
-    dim = state.tensor.shape[ax]
-    if not 0 <= n < dim:
-        raise CutoffError(f"photon count {n} out of range for mode {mode!r} (cutoff {dim - 1})")
-    sliced = np.take(state.tensor, n, axis=ax)
-    labels = state.labels[:ax] + state.labels[ax + 1:]
-    remaining = MultiModeState(labels, sliced)
-    return remaining, remaining.squared_norm
+    return project_modes(state, ((mode, n),))
 
 
 def project_modes(
     state: MultiModeState, outcomes: Sequence[tuple[str, int]]
 ) -> tuple[MultiModeState, float]:
-    """Chain of projections; probability is for the joint outcome."""
-    current = state
-    prob = None
-    for mode, n in outcomes:
-        current, prob = project_mode(current, mode, n)
-    if prob is None:
+    """Projections of several modes, in order; probability is for the joint
+    outcome.
+
+    Each mode is checked as :func:`project_mode` would check it on the state
+    left by the outcomes before it, so a mode named twice is unknown the
+    second time. All modes are then sliced with one index, and the kept
+    slice is copied once.
+    """
+    if not outcomes:
         return state, state.squared_norm
-    return current, prob
+    index = [slice(None)] * len(state.labels)
+    remaining = state.labels
+    for mode, n in outcomes:
+        if mode not in remaining:
+            raise ModeLabelError(f"unknown mode {mode!r}; state has {remaining}")
+        ax = state.labels.index(mode)
+        dim = state.tensor.shape[ax]
+        if not 0 <= n < dim:
+            raise CutoffError(
+                f"photon count {n} out of range for mode {mode!r} (cutoff {dim - 1})"
+            )
+        index[ax] = n
+        remaining = tuple(label for label in remaining if label != mode)
+    # the trailing Ellipsis keeps a full projection a 0-d view, not a scalar
+    remaining_state = MultiModeState(remaining, state.tensor[(*index, Ellipsis)])
+    return remaining_state, remaining_state.squared_norm
 
 
 @dataclass(frozen=True, eq=False)

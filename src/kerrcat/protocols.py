@@ -37,7 +37,15 @@ from . import dsl
 from .analysis import joint_photon_distribution
 from .elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift, apply_element
 from .errors import ZeroStateError
-from .fock import FockVector, MultiModeState, normalize, project_modes, single, tensor_product
+from .fock import (
+    FockVector,
+    MultiModeState,
+    _Owned,
+    normalize,
+    project_modes,
+    single,
+    tensor_product,
+)
 from .states import (
     DEFAULT_LEAKAGE,
     CoherentParam,
@@ -245,7 +253,7 @@ def entanglement_targets(params: EntanglementParams) -> dict[str, MultiModeState
         norm = float(np.linalg.norm(combined))
         if norm <= ZERO_BRANCH_THRESHOLD:
             continue
-        targets[name] = MultiModeState(("a", "a2"), combined / norm)
+        targets[name] = MultiModeState(("a", "a2"), _Owned(combined / norm))
     return targets
 
 
@@ -385,13 +393,15 @@ def _joined(state: MultiModeState, label: str, vector: FockVector, declared) -> 
     """``state`` with ``vector`` joined as mode ``label``, its axis placed so
     that the labels keep their ``declared`` order."""
     at = sum(declared.index(m) < declared.index(label) for m in state.labels)
+    # one broadcast product, laid out in the joined axis order
+    ones = (1,) * (state.tensor.ndim - at)
+    column = vector.amplitudes.reshape(vector.amplitudes.shape + ones)
+    rest = state.tensor.reshape(state.tensor.shape[:at] + (1,) + state.tensor.shape[at:])
     # complex products round differently with their operands swapped; a mode
     # joining in front multiplies from the left, like tensor_product(mode, rest)
-    if at == 0:
-        tensor = np.multiply.outer(vector.amplitudes, state.tensor)
-    else:
-        tensor = np.moveaxis(np.multiply.outer(state.tensor, vector.amplitudes), -1, at)
-    return MultiModeState(state.labels[:at] + (label,) + state.labels[at:], tensor)
+    tensor = column * rest if at == 0 else rest * column
+    labels = state.labels[:at] + (label,) + state.labels[at:]
+    return MultiModeState(labels, _Owned(tensor))
 
 
 def _build_source(decl, cutoff: int, eps: float) -> FockVector:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .dsl import MAX_STATE_DIMENSION
 from .errors import CutoffError, ZeroStateError
-from .fock import FockVector, normalize
+from .fock import FockVector, _Owned, normalize
 
 DEFAULT_LEAKAGE = 1e-10
 TWO_PI = 2.0 * math.pi
@@ -51,6 +51,9 @@ TWO_PI = 2.0 * math.pi
 # and two cats), so one point's builds all stay in the memo while the next
 # point with the same source reuses them.
 MEMO_SIZE = 8
+# Entries whose squares _tail adds at a time, so that its temporaries stay
+# small beside a source of millions of amplitudes.
+_SQUARES_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ def fock(n: int, cutoff: int) -> FockVector:
         raise CutoffError(f"photon number {n} exceeds cutoff {cutoff}")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     amps[n] = 1.0
-    return FockVector(amps)
+    return FockVector(_Owned(amps))
 
 
 def _mean_photon_number(param: CoherentParam) -> float:
@@ -186,26 +189,40 @@ def _label(param) -> str:
 
 
 def _law(param, cutoff: int) -> tuple[np.ndarray, int]:
-    """The source's amplitudes on its support, every ``stride``-th photon
-    number (2 for a squeezed vacuum, else 1) up to ``cutoff``, and that
-    stride: the vacuum amplitude times the running product of the ratios
-    between neighbouring amplitudes. ``cumprod`` multiplies in order, so no
-    entry depends on ``cutoff``."""
+    """The source's amplitudes up to ``cutoff``, zero off its support, and
+    the stride of that support (2 for a squeezed vacuum, else 1). On the
+    support, ``amps[::stride]``, they are the vacuum amplitude times the
+    running product of the ratios between neighbouring amplitudes, built in
+    place in the returned array. ``cumprod`` multiplies in order, so no entry
+    depends on ``cutoff``."""
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
     if isinstance(param, SqueezeParam):
-        head, stride = 1.0 / math.sqrt(_cosh(param)), 2
+        stride = 2
+        law = amps[::2]
+        law[0] = 1.0 / math.sqrt(_cosh(param))
         odd = np.arange(1.0, cutoff, 2.0)  # 2m + 1 for the ratio from 2m to 2m + 2
-        step = -cmath.exp(1j * param.phi) * math.tanh(param.r)
-        ratios = step * (np.sqrt(odd) / np.sqrt(odd + 1.0))
+        ratios = np.sqrt(odd)
+        np.add(odd, 1.0, out=odd)
+        np.divide(ratios, np.sqrt(odd, out=odd), out=ratios)
+        np.multiply(-cmath.exp(1j * param.phi) * math.tanh(param.r), ratios, out=law[1:])
     else:
-        head, stride = math.exp(-0.5 * _mean_photon_number(param)), 1
-        ratios = param.alpha / np.sqrt(np.arange(1, cutoff + 1))
-    return np.cumprod(np.concatenate(([head], ratios))), stride
+        stride, law = 1, amps
+        law[0] = math.exp(-0.5 * _mean_photon_number(param))
+        roots = np.arange(1.0, cutoff + 1)
+        np.divide(param.alpha, np.sqrt(roots, out=roots), out=law[1:])
+    np.cumprod(law, out=law)
+    return amps, stride
 
 
 def _tail(law: np.ndarray) -> np.ndarray:
-    """Entry k: the probability beyond the first k + 1 entries of a
-    :func:`_law`, as 1 minus their running sum of squares (prefix-stable)."""
-    return 1.0 - np.cumsum(law.real**2 + law.imag**2)
+    """Entry k: the probability beyond the first k + 1 entries of a source's
+    support, as 1 minus their running sum of squares (prefix-stable), in one
+    float array."""
+    tail = np.square(law.real)
+    for lo in range(0, tail.size, _SQUARES_CHUNK):
+        tail[lo : lo + _SQUARES_CHUNK] += np.square(law.imag[lo : lo + _SQUARES_CHUNK])
+    np.cumsum(tail, out=tail)
+    return np.subtract(1.0, tail, out=tail)
 
 
 def _check_budget(eps: float) -> None:
@@ -217,18 +234,16 @@ def _check_budget(eps: float) -> None:
 def _source(param, cutoff: int, eps: float | None) -> FockVector:
     if cutoff < 0:
         raise CutoffError(f"cutoff must be >= 0, got {cutoff}")
-    law, stride = _law(param, cutoff)
+    amps, stride = _law(param, cutoff)
     if eps is not None:
         _check_budget(eps)
-        leak = _tail(law)[-1]
+        leak = _tail(amps[::stride])[-1]
         if leak >= eps:
             raise CutoffError(
                 f"{_label(param)}: cutoff {cutoff} leaks probability {leak:.3e} "
                 f">= budget {eps:.3e}"
             )
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[::stride] = law
-    return FockVector(amps)
+    return FockVector(_Owned(amps))
 
 
 @_memoized
@@ -335,8 +350,8 @@ def suggest_cutoff(param, eps: float = DEFAULT_LEAKAGE) -> int:
     _check_budget(eps)
     if not isinstance(param, (SqueezeParam, CoherentParam)):
         raise TypeError(f"unsupported source parameter {type(param).__name__}")
-    law, stride = _law(param, _cutoff_bound(param, eps))
-    tail = _tail(law)
+    amps, stride = _law(param, _cutoff_bound(param, eps))
+    tail = _tail(amps[::stride])
     if not tail[-1] < eps:  # the tail never grows, so no entry is under eps
         raise CutoffError(f"{_label(param)}: the leakage stays at {tail[-1]:.3e} >= {eps:.3e}")
     return stride * int(np.argmax(tail < eps))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import kerrcat
 from kerrcat import cli
-from kerrcat.checks import CHECK_NAMES, run_self_checks
+from kerrcat.checks import CHECK_NAMES, CheckFailure, run_self_checks
 
 PACKAGE_DIR = Path(kerrcat.__file__).resolve().parent
 SCHEMA = json.loads((PACKAGE_DIR / "report.schema.json").read_text(encoding="utf-8"))
@@ -382,3 +382,80 @@ def test_self_checks_pass():
     assert tuple(r.name for r in results) == CHECK_NAMES
     failed = {r.name: r.detail for r in results if not r.passed}
     assert not failed
+
+
+# --- the exit-code contract (module docstring of kerrcat.cli) ---------------
+
+EXIT_ENTRY_POINTS = ("protocol-run", "circuit-run", "sweep-point", "check")
+NUMERICAL_ERRORS = (
+    kerrcat.CutoffError,
+    kerrcat.ZeroStateError,
+    kerrcat.StateMismatchError,
+    kerrcat.ModeLabelError,
+    FloatingPointError,
+)
+
+
+def _exit_code_cases():
+    """(entry point, error, expected exit code): ``None`` is a clean run,
+    ``"usage"`` an unknown option, ``"parse"`` a broken circuit file, and an
+    exception class is raised from inside the entry point."""
+    for entry in EXIT_ENTRY_POINTS:
+        point = entry == "sweep-point"
+        yield entry, None, 0
+        yield entry, "usage", 1
+        for error in NUMERICAL_ERRORS:
+            yield entry, error, 0 if point else 2
+        yield entry, kerrcat.CircuitValidationError, 0 if point else 1
+    yield "circuit-run", "parse", 1
+    yield "check", CheckFailure, 1
+
+
+@pytest.mark.parametrize(
+    "entry, error, code",
+    list(_exit_code_cases()),
+    ids=lambda v: v if isinstance(v, str) else getattr(v, "__name__", str(v)),
+)
+def test_exit_code_matrix(entry, error, code, tmp_path, monkeypatch, capsys):
+    import kerrcat.checks
+
+    circuit = tmp_path / "cat.qcirc"
+    circuit.write_text(CIRCUIT, encoding="utf-8")
+    argv = {
+        "protocol-run": ["run", "--protocol", "superposition", "--r", "0.2"],
+        "circuit-run": ["run", "--circuit", str(circuit)],
+        "sweep-point": ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.2:2"],
+        "check": ["check"],
+    }[entry]
+
+    def raise_error(*args, **kwargs):
+        raise error("injected")
+
+    # the self-check suite is replaced by one check that passes or raises
+    check = raise_error if isinstance(error, type) else lambda: "ok"
+    monkeypatch.setattr(kerrcat.checks, "CHECKS", (("stand-in", check),))
+    if error == "usage":
+        argv.append("--no-such-option")
+    elif error == "parse":
+        circuit.write_text("mode a cutoff 3\nbs a zz\n", encoding="utf-8")
+    elif error is not None and entry != "check":
+        target = "run_circuit" if entry == "circuit-run" else "run_superposition"
+        monkeypatch.setattr(cli, target, raise_error)
+
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if entry == "sweep-point" and isinstance(error, type):
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [rec["error"] for rec in records] == [f"{error.__name__}: injected"] * 2
+        assert all(rec["branches"] == {} for rec in records)
+    elif code == 2:
+        assert "kerrcat: numerical error: injected" in err
+    elif error is kerrcat.CircuitValidationError:
+        assert "kerrcat: invalid circuit: injected" in err
+    elif error == "usage":
+        assert "kerrcat: error: " in err
+    elif error == "parse":
+        assert err.startswith(f"{circuit}:")
+    elif error is CheckFailure:
+        assert "[FAIL] stand-in: injected" in out

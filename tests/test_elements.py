@@ -3,6 +3,7 @@ scaling-and-squaring matrix oracle for the general splitter blocks, and a
 high-precision binomial-expansion reference for the splitter plan."""
 
 import math
+import re
 import time
 import warnings
 
@@ -40,7 +41,8 @@ from kerrcat import (
 )
 from kerrcat.checks import _strip_boundary as strip_boundary
 from kerrcat.dsl import parse
-from kerrcat.elements import _beam_splitter_plan, _BS_HALF_ANGLE
+from kerrcat import elements
+from kerrcat.elements import _beam_splitter_plan, _BS_HALF_ANGLE, _PLAN_CACHE_SIZE
 
 
 def random_state(rng, labels, cutoffs):
@@ -154,6 +156,13 @@ class TestBeamSplitterPlan:
             plan = _beam_splitter_plan(6, half_angle)
             assert np.abs(plan.unitaries - eigh_unitaries(6, half_angle)).max() < 1e-13
 
+    def test_plan_cache_is_bounded(self):
+        for cutoff in range(2, 2 + 2 * _PLAN_CACHE_SIZE):
+            _beam_splitter_plan(cutoff, _BS_HALF_ANGLE)
+        info = _beam_splitter_plan.cache_info()
+        assert info.maxsize == _PLAN_CACHE_SIZE
+        assert info.currsize == _PLAN_CACHE_SIZE
+
     def test_builds_faster_than_eigh(self):
         def best_of(build, runs=5):
             times = []
@@ -231,6 +240,32 @@ class TestBeamSplitterConvention:
             assert applied.flags.c_contiguous
             expected = oracle @ state.tensor.ravel()
             assert np.abs(applied.ravel() - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("labels, cutoffs, pair", [
+        (("a", "b", "c"), (3, 8, 3), ("c", "a")),  # chunks along the spectator between
+        (("a", "b", "c", "d"), (6, 2, 2, 4), ("c", "b")),  # chunks along the leading axis
+        (("a", "b"), (5, 5), ("a", "b")),  # no axis outside the pair: one chunk
+    ])
+    def test_chunks_give_the_unchunked_image(self, labels, cutoffs, pair, monkeypatch):
+        # chunks of one slice, and of two with a shorter last one, against
+        # one chunk for the whole tensor; the truncated mass is summed over
+        # the chunks
+        state = random_state(np.random.default_rng(29), labels, cutoffs)
+        spectators = [state.tensor.shape[i] for i, l in enumerate(labels) if l not in pair]
+        per_slice = state.tensor.size // (spectators or [1])[0]
+
+        def split():
+            with pytest.warns(TruncationWarning) as record:
+                tensor = apply_beam_splitter(state, *pair).tensor
+            (warning,) = record
+            return tensor, float(re.search(r"probability (\S+)", str(warning.message))[1])
+
+        whole, mass = split()
+        for chunk in (1, 2 * per_slice):
+            monkeypatch.setattr(elements, "_CHUNK_AMPLITUDES", chunk)
+            chunked, chunked_mass = split()
+            assert np.abs(chunked - whole).max() <= 1e-15
+            assert chunked_mass == pytest.approx(mass, rel=1e-3)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -30,6 +30,7 @@ from kerrcat import (
     tensor_product,
     vacuum,
 )
+from kerrcat.fock import _Owned
 from kerrcat.states import SqueezeParam
 
 # direct evaluation of <xi|-xi> at r=0.5: brute-force amplitude sum agrees
@@ -125,6 +126,46 @@ class TestConstruction:
                 reduced, _ = project_modes(state, [("x", i), ("y", j)])
                 assert reduced.tensor == pytest.approx(arr[i, j])
         assert state.tensor.ravel()[1 * 3 + 2] == pytest.approx(arr[1, 2])
+
+
+class TestAdoption:
+    def test_public_constructors_copy(self):
+        arr = np.array([0.6, 0.8j])
+        for state, kept in ((FockVector(arr), "amplitudes"), (MultiModeState(("a",), arr), "tensor")):
+            assert not np.shares_memory(getattr(state, kept), arr)
+        assert arr.flags.writeable
+
+    def test_fresh_array_is_adopted_read_only(self):
+        arr = np.array([[0.6, 0.0], [0.0, 0.8j]])
+        state = MultiModeState(("a", "b"), _Owned(arr))
+        assert state.tensor is arr and not arr.flags.writeable
+        vec = np.array([1.0, 0.0j]).reshape(1, 2)[0]  # a view spanning its whole buffer
+        assert FockVector(_Owned(vec)).amplitudes is vec
+
+    @pytest.mark.parametrize("make", [
+        lambda big: big[1],  # a slice of a larger tensor
+        lambda big: big.T,  # not C-ordered
+        lambda big: big.real.copy(),  # not complex
+    ], ids=["slice", "transpose", "float"])
+    def test_other_arrays_are_copied(self, make):
+        big = np.full((2, 2), 0.5 + 0j)
+        data = make(big)
+        state = MultiModeState(("a", "b")[: data.ndim], _Owned(data))
+        assert state.tensor.base is None and state.tensor.flags.c_contiguous
+        assert not np.shares_memory(state.tensor, big)
+        assert np.array_equal(state.tensor, data)
+
+    def test_adopted_arrays_keep_every_check(self):
+        with pytest.raises(StateMismatchError, match="must be finite"):
+            FockVector(_Owned(np.array([np.nan, 0j])))
+        with pytest.raises(StateMismatchError, match="squared norm"):
+            MultiModeState(("a",), _Owned(np.array([1.0, 1.0 + 0j])))
+        with pytest.raises(StateMismatchError, match="2 axes for 1 mode labels"):
+            MultiModeState(("a",), _Owned(np.zeros((2, 2), complex)))
+        with pytest.raises(ModeLabelError, match="duplicate"):
+            MultiModeState(("a", "a"), _Owned(np.zeros((2, 2), complex)))
+        with pytest.raises(StateMismatchError, match="expected a 1-d amplitude array"):
+            FockVector(_Owned(np.zeros((1, 1), complex)))
 
 
 class TestTensorProduct:
@@ -271,6 +312,40 @@ class TestProjection:
         from kerrcat import CutoffError
         with pytest.raises(CutoffError):
             project_mode(s, "a", 3)
+
+    def test_joint_errors_name_the_state_left_so_far(self):
+        from kerrcat import CutoffError
+        state = random_state(np.random.default_rng(3), ("a", "b", "c"), (2, 1, 1))
+        with pytest.raises(ModeLabelError, match=re.escape("unknown mode 'b'; state has ('a', 'c')")):
+            project_modes(state, [("b", 0), ("b", 1)])
+        with pytest.raises(CutoffError, match=re.escape("photon count 2 out of range for mode 'c'")):
+            project_modes(state, [("b", 0), ("c", 2)])
+
+    def test_joint_projection_matches_one_mode_at_a_time(self):
+        state = random_state(np.random.default_rng(4), ("a", "b", "c", "d"), (3, 1, 2, 1))
+        for outcomes in ([("c", 1), ("a", 2)], [("d", 0), ("b", 1), ("a", 3), ("c", 0)]):
+            joint, prob = project_modes(state, outcomes)
+            tensor = state.tensor
+            labels = list(state.labels)
+            for mode, n in outcomes:
+                tensor = np.take(tensor, n, axis=labels.index(mode))
+                labels.remove(mode)
+            assert joint.labels == tuple(labels)
+            assert np.array_equal(joint.tensor, tensor)
+            assert prob == float(np.vdot(tensor, tensor).real) == joint.squared_norm
+
+    def test_branch_does_not_pin_its_parent(self):
+        import gc
+        import weakref
+
+        state = random_state(np.random.default_rng(5), ("a", "b", "c"), (3, 1, 1))
+        parent = weakref.ref(state.tensor)
+        branches = [project_modes(state, [("b", 1), ("c", 0)])[0], project_mode(state, "a", 2)[0],
+                    project_modes(state, [("a", 0), ("b", 0), ("c", 0)])[0]]
+        del state
+        gc.collect()
+        assert parent() is None
+        assert all(branch.tensor.base is None for branch in branches)
 
 
 def assert_spectrum_matches_decomposition(state, left):
