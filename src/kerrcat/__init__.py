@@ -45,7 +45,6 @@ from .fock import (
     FockVector,
     MultiModeState,
     SchmidtDecomposition,
-    inner_product,
     normalize,
     project_mode,
     project_modes,

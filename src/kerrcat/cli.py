@@ -45,7 +45,8 @@ from .protocols import (
 SCHEMA_TAG = "kerrcat-report/1"
 SWEEPABLE = ("r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta")
 # Largest sweep grid (the product of the axes' step counts). Every point's
-# record, about 9 kB in memory, is held until the report is written.
+# record is held until the report is written, and a record grows with the
+# source cutoff (each branch keeps its photon distribution).
 MAX_SWEEP_POINTS = 10_000
 # Most --workers a sweep may ask for. The process pool forks all of its
 # workers up front, so an unbounded count could exhaust the process table.
@@ -173,7 +174,7 @@ def _build_parser() -> _Parser:
     add_common(sweep_p)
     sweep_p.add_argument(
         "--sweep", type=_sweep_spec, action="append", metavar="PARAM:START:STOP:STEPS",
-        help="grid axis; repeat for a cartesian grid", default=[],
+        help="grid axis; repeat for a cartesian grid", default=[], dest="sweeps",
     )
 
     sub.add_parser("check", help="run the embedded verification suite")
@@ -181,25 +182,7 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> RunConfig:
-    config = RunConfig(
-        command=args.command,
-        protocol=args.protocol,
-        circuit=args.circuit,
-        source=args.source,
-        r=args.r,
-        phi=args.phi,
-        alpha_re=args.alpha_re,
-        alpha_im=args.alpha_im,
-        tau=args.tau,
-        tau2=args.tau2,
-        theta=args.theta,
-        epsilon=args.epsilon,
-        trace=args.trace,
-        fmt=args.fmt,
-        out=args.out,
-        workers=args.workers,
-        sweeps=tuple(getattr(args, "sweep", ()) or ()),
-    )
+    config = RunConfig(**{**vars(args), "sweeps": tuple(getattr(args, "sweeps", ()))})
     if not 0.0 < config.epsilon < 1.0:
         raise _UsageError(f"--epsilon must lie in (0, 1), got {config.epsilon!r}")
     if not 1 <= config.workers <= MAX_WORKERS:
@@ -550,8 +533,7 @@ def _render(config: RunConfig) -> str:
 def render_output(argv) -> str:
     """Everything ``main`` would print to stdout, as a string.
 
-    Raises instead of printing diagnostics; used by tests and the embedded
-    determinism check.
+    Raises instead of printing diagnostics; used by tests.
     """
     config = _run_config(argv)
     if config is None:

@@ -49,11 +49,11 @@ from typing import Union
 import numpy as np
 
 from .errors import ModeLabelError, StateMismatchError, TruncationWarning
-from .fock import MultiModeState, _Owned, project_mode
+from .fock import MultiModeState, _Owned
 
 # Half-angle of the exponentiated hopping generator. pi/4 realizes the 50:50
-# convention above; tests may override it to verify the convention is load-
-# bearing (the cache is keyed on it).
+# convention above; the plan cache is keyed on it, so tests can build plans
+# at other angles.
 _BS_HALF_ANGLE = math.pi / 4
 
 # Input probability mass on over-cutoff blocks above which the beam splitter
@@ -316,8 +316,9 @@ def _outside_caller_level() -> int:
     return level
 
 
-def apply_element(state: MultiModeState, element: Element):
-    """Dispatch one element; Detect returns ``(remaining_state, probability)``."""
+def apply_element(state: MultiModeState, element: Element) -> MultiModeState:
+    """Apply one unitary element; a :class:`Detect` is not one, and raises
+    :class:`TypeError` like any other non-element."""
     match element:
         case BalancedBeamSplitter(mode_1=m1, mode_2=m2):
             return apply_beam_splitter(state, m1, m2)
@@ -325,6 +326,4 @@ def apply_element(state: MultiModeState, element: Element):
             return apply_phase_shift(state, m, theta)
         case CrossKerr(mode_1=m1, mode_2=m2, tau=tau):
             return apply_cross_kerr(state, m1, m2, tau)
-        case Detect(mode=m, n=n):
-            return project_mode(state, m, n)
     raise TypeError(f"not a circuit element: {element!r}")

@@ -163,10 +163,6 @@ class MultiModeState:
     def cutoff(self, mode: str) -> int:
         return self.tensor.shape[self.axis(mode)] - 1
 
-    def with_tensor(self, tensor) -> "MultiModeState":
-        """Same labels, new amplitudes."""
-        return MultiModeState(self.labels, tensor)
-
     def __repr__(self):
         spec = ", ".join(f"{l}:{c}" for l, c in zip(self.labels, self.cutoffs))
         return f"MultiModeState([{spec}], squared_norm={self.squared_norm:.6g})"
@@ -183,15 +179,6 @@ def tensor_product(a: MultiModeState, b: MultiModeState) -> MultiModeState:
     if shared:
         raise ModeLabelError(f"mode labels {sorted(shared)} appear on both sides")
     return MultiModeState(a.labels + b.labels, _Owned(np.multiply.outer(a.tensor, b.tensor)))
-
-
-def inner_product(a: MultiModeState, b: MultiModeState) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.labels != b.labels:
-        raise StateMismatchError(f"mode labels differ: {a.labels} vs {b.labels}")
-    if a.tensor.shape != b.tensor.shape:
-        raise StateMismatchError(f"cutoffs differ: {a.cutoffs} vs {b.cutoffs}")
-    return complex(np.vdot(a.tensor, b.tensor))
 
 
 def normalize(state, threshold: float = ZERO_NORM_THRESHOLD):

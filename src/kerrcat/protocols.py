@@ -161,10 +161,6 @@ class ProtocolResult:
     def __getitem__(self, name: str) -> Branch:
         return self.branches[name]
 
-    @property
-    def total_probability(self) -> float:
-        return sum(b.probability for b in self.branches.values())
-
 
 def _detection_branch(state: MultiModeState, outcome) -> Branch:
     remaining, prob = project_modes(state, outcome)

@@ -22,10 +22,11 @@ These four factories and ``suggest_cutoff`` share one memo of the last
 ``MEMO_SIZE`` results, so a run's source, cats and targets are built once,
 and so are a source and its cutoff that a sweep keeps across neighbouring
 points. Keys are the exact bit patterns of float and complex arguments:
-0.0 and -0.0 compare equal but give different amplitudes. Arguments of other types than ``int``, ``float``, ``complex``,
-``None`` and the two parameter classes bypass the memo. Results are
-immutable and shared; exceptions are never stored. The memo stays small
-because a single source can hold millions of amplitudes.
+0.0 and -0.0 compare equal but give different amplitudes. Arguments of
+other types than ``int``, ``float``, ``complex``, ``None`` and the two
+parameter classes bypass the memo. Results are immutable and shared;
+exceptions are never stored. The memo stays small because a single source
+can hold millions of amplitudes.
 """
 
 from __future__ import annotations

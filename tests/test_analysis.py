@@ -64,7 +64,7 @@ class TestPhotonDistribution:
     def test_sums_to_squared_norm(self):
         rng = np.random.default_rng(31)
         state = random_state(rng, ("a", "b"), (6, 3))
-        state = state.with_tensor(state.tensor * 0.6)
+        state = MultiModeState(state.labels, state.tensor * 0.6)
         dist = photon_distribution(state, "a")
         assert abs(dist.sum() - state.squared_norm) < 1e-10
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import kerrcat
 from kerrcat import cli
-from kerrcat.checks import CHECK_NAMES, CheckFailure, run_self_checks
+from kerrcat.checks import CHECKS, CheckFailure
 
 PACKAGE_DIR = Path(kerrcat.__file__).resolve().parent
 SCHEMA = json.loads((PACKAGE_DIR / "report.schema.json").read_text(encoding="utf-8"))
@@ -242,6 +242,12 @@ def test_parallel_sweep_sends_contiguous_chunks(serial_pool):
     ]
 
 
+def test_parallel_sweep_on_the_process_pool_is_byte_identical():
+    # the only test that sends points to real worker processes
+    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.4:4", "--format", "csv"]
+    assert cli.render_output(argv + ["--workers", "2"]) == cli.render_output(argv + ["--workers", "1"])
+
+
 def test_pool_has_no_more_workers_than_points(serial_pool):
     argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"]
     cli.render_output(argv + ["--workers", str(cli.MAX_WORKERS)])
@@ -377,11 +383,10 @@ def test_traced_run_report_is_written_as_json_dumps_would(argv, tmp_path):
     assert cli._serialize(config, report) == expected
 
 
-def test_self_checks_pass():
-    results = run_self_checks()
-    assert tuple(r.name for r in results) == CHECK_NAMES
-    failed = {r.name: r.detail for r in results if not r.passed}
-    assert not failed
+@pytest.mark.parametrize("check", [fn for _, fn in CHECKS], ids=[name for name, _ in CHECKS])
+def test_check_item(check):
+    # a failing item raises CheckFailure with its finding as the message
+    check()
 
 
 # --- the exit-code contract (module docstring of kerrcat.cli) ---------------

@@ -1,11 +1,13 @@
 """Circuit DSL tests: one case per parser rule (syntax, statement order and
 circuit semantics), each pinning severity, line, column and a message
-substring, plus round-trip and parser/validator agreement properties."""
+substring, plus round-trip, parser/validator agreement and any-bytes
+properties."""
 
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerrcat.dsl import (
@@ -13,6 +15,7 @@ from kerrcat.dsl import (
     CircuitValidationError,
     CoherentSourceDecl,
     FockSourceDecl,
+    ParseResult,
     SqueezedSourceDecl,
     format_program,
     parse,
@@ -184,8 +187,44 @@ def valid_programs(draw):
     return CircuitProgram(modes, tuple(sources), tuple(elements), detects)
 
 
+# texts outside what valid_programs() draws: no modes at all, comments, the
+# two-arm entanglement circuit, k*pi angles, and so on
+CORPUS = (
+    "",
+    "mode a cutoff 0\n",
+    (
+        "mode a cutoff 14\nmode b cutoff 1\nmode c cutoff 1\n"
+        "source a coherent re=1.0 im=0.0\nsource b fock n=1\n"
+        "bs b c\nkerr a b tau=pi\nphase c theta=0\nbs b c\n"
+        "detect b n=1\ndetect c n=0\n"
+    ),
+    (
+        "mode a cutoff 26\nmode b cutoff 1\nmode c cutoff 1\nmode a2 cutoff 26\n"
+        "source a squeezed r=0.5 phi=0\nsource b fock n=1\nsource a2 squeezed r=0.5 phi=0\n"
+        "bs b c\nkerr a b tau=pi/2\nphase c theta=0\nkerr a2 b tau=pi/2\nbs b c\n"
+        "detect b n=1\ndetect c n=0\n"
+    ),
+    "mode x cutoff 3\nmode y cutoff 3\nsource x fock n=2\nbs x y\n",
+    "mode q cutoff 5\nphase q theta=0.25*pi\nphase q theta=-0.5*pi\ndetect q n=0\n",
+    "mode m cutoff 2\nmode n_2 cutoff 2\nkerr m n_2 tau=1.25\n",
+    (
+        "# comment only at the top\nmode a cutoff 4   # trailing comment\n"
+        "mode b cutoff 4\nsource a coherent re=0.25 im=-0.5\nbs a b\ndetect a n=2\n"
+    ),
+)
+
+
+def corpus_examples(test):
+    """The round trip of every ``CORPUS`` text, as explicit examples; a text
+    that fails to parse gives the example ``None``, which fails the test."""
+    for text in CORPUS:
+        test = example(program=parse(text).program)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(program=valid_programs())
+@corpus_examples
 def test_format_parse_round_trip(program):
     validate_program(program)
     result = parse(format_program(program))
@@ -238,3 +277,17 @@ def test_parser_and_validator_agree(program):
     assert result.ok == valid
     if valid:
         assert result.program == program
+
+
+FUZZ_TOKENS = (
+    b"mode source bs phase kerr detect cutoff squeezed coherent fock pi "
+    b"r= phi= re= im= n= tau= theta= a b c 0 1 2.5 -1 # \n \t \r\n \xff\xfe"
+).split(b" ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.binary() | st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40).map(b" ".join))
+@example(blob=random.Random(0).randbytes(65536))
+def test_parse_returns_a_result_for_any_bytes(blob):
+    # diagnostics for any input, never an exception
+    assert isinstance(parse(blob), ParseResult)

@@ -39,7 +39,6 @@ from kerrcat import (
     squeezed_vacuum,
     tensor_product,
 )
-from kerrcat.checks import _strip_boundary as strip_boundary
 from kerrcat.dsl import parse
 from kerrcat import elements
 from kerrcat.elements import _beam_splitter_plan, _BS_HALF_ANGLE, _PLAN_CACHE_SIZE
@@ -50,6 +49,19 @@ def random_state(rng, labels, cutoffs):
     arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     arr /= np.linalg.norm(arr)
     return MultiModeState(tuple(labels), arr)
+
+
+def strip_boundary(state, mode_1, mode_2):
+    """Zero pair-photon blocks above the cutoff and renormalize."""
+    ax1, ax2 = state.axis(mode_1), state.axis(mode_2)
+    cutoff = state.tensor.shape[ax1] - 1
+    arr = np.array(state.tensor)
+    moved = np.moveaxis(arr, (ax1, ax2), (0, 1))
+    n1, n2 = np.indices(moved.shape[:2])
+    moved[n1 + n2 > cutoff] = 0.0
+    arr = np.moveaxis(moved, (0, 1), (ax1, ax2))
+    arr /= np.linalg.norm(arr)
+    return MultiModeState(state.labels, arr)
 
 
 def oracle_bs_operator(cutoff):
@@ -193,17 +205,18 @@ class TestBeamSplitterConvention:
         assert abs(row[1, 0] - 1j * isq) < 1e-14
         assert np.abs(row[:2, 2:]).max() == 0.0 and np.abs(row[2:, :2]).max() == 0.0
 
-    def test_single_photon_action(self):
+    @pytest.mark.parametrize("cutoff", [1, 5])
+    def test_single_photon_action(self, cutoff):
+        # a photon on either port splits 50:50 with i on the crossed port,
+        # and every other amplitude stays zero
         isq = 1 / math.sqrt(2)
-        s10 = tensor_product(single("b", fock(1, 1)), single("c", fock(0, 1)))
-        out = apply_beam_splitter(s10, "b", "c").tensor
-        assert abs(out[1, 0] - isq) <= 1e-12
-        assert abs(out[0, 1] - 1j * isq) <= 1e-12
-
-        s01 = tensor_product(single("b", fock(0, 1)), single("c", fock(1, 1)))
-        out = apply_beam_splitter(s01, "b", "c").tensor
-        assert abs(out[0, 1] - isq) <= 1e-12
-        assert abs(out[1, 0] - 1j * isq) <= 1e-12
+        for nb, nc in ((1, 0), (0, 1)):
+            s = tensor_product(single("b", fock(nb, cutoff)), single("c", fock(nc, cutoff)))
+            out = apply_beam_splitter(s, "b", "c").tensor
+            expected = np.zeros_like(out)
+            expected[nb, nc] = isq
+            expected[nc, nb] = 1j * isq
+            assert np.abs(out - expected).max() <= 1e-12
 
     def test_vacuum_unchanged(self):
         s = tensor_product(single("b", fock(0, 2)), single("c", fock(0, 2)))
@@ -391,28 +404,6 @@ class TestCrossKerr:
         out = apply_cross_kerr(s, "a", "b", 0.0)
         assert np.array_equal(out.tensor, s.tensor)
 
-    def test_squeezed_phase_rotation(self):
-        # against one photon, the squeeze phase advances by -2*tau
-        p = SqueezeParam(0.6, 0.4)
-        cutoff = 40
-        for tau in (0.3, math.pi / 2, 2.2):
-            s = tensor_product(single("b", fock(1, 1)), single("a", squeezed_vacuum(p, cutoff)))
-            out = apply_cross_kerr(s, "a", "b", tau)
-            rotated = squeezed_vacuum(SqueezeParam(p.r, p.phi - 2 * tau), cutoff)
-            target = tensor_product(single("b", fock(1, 1)), single("a", rotated))
-            assert fidelity(out, target) >= 1 - 1e-10
-
-    def test_coherent_amplitude_rotation(self):
-        alpha = CoherentParam(0.9)
-        cutoff = 24
-        for tau in (0.3, math.pi, 5.0):
-            s = tensor_product(single("b", fock(1, 1)), single("a", coherent(alpha, cutoff)))
-            out = apply_cross_kerr(s, "a", "b", tau)
-            target = tensor_product(
-                single("b", fock(1, 1)), single("a", coherent(alpha.rotated(-tau), cutoff))
-            )
-            assert fidelity(out, target) >= 1 - 1e-10
-
     def test_axis_order_irrelevant(self):
         rng = np.random.default_rng(24)
         state = random_state(rng, ("a", "b"), (3, 4))
@@ -537,21 +528,10 @@ class TestDispatch:
         target = MultiModeState(("a", "b", "c"), expected)
         assert fidelity(out, target) >= 1 - 1e-10
 
-    def test_detect_dispatch_returns_probability(self):
-        # the odd-parity click on the full interferometer output
-        from kerrcat import SourceSpec, SuperpositionParams, run_superposition
-        from kerrcat.protocols import DB
-
-        result = run_superposition(
-            SuperpositionParams(SourceSpec.squeezed(0.5), tau=math.pi / 2)
-        )
-        full = result  # probability frozen from the overlap oracle
-        assert abs(full[DB].probability - 0.09749090890270395) < 1e-4
-
+    def test_detect_is_not_an_element(self):
         s = tensor_product(single("b", fock(1, 1)), single("c", fock(0, 1)))
-        remaining, prob = apply_element(s, Detect("b", 1))
-        assert prob == pytest.approx(1.0)
-        assert remaining.labels == ("c",)
+        with pytest.raises(TypeError, match="not a circuit element"):
+            apply_element(s, Detect("b", 1))
 
     def test_descriptor_validation(self):
         with pytest.raises(ModeLabelError):

@@ -144,7 +144,7 @@ def test_every_returned_state_is_constructed(monkeypatch):
         lambda: _joined(three, "a2", vector, LABELS),
         lambda: project_modes(small, (("b", 1), ("a", 2)))[0],
         lambda: project_mode(small, "c", 0)[0],
-        lambda: normalize(small.with_tensor(small.tensor * 0.5))[0],
+        lambda: normalize(MultiModeState(small.labels, small.tensor * 0.5))[0],
         lambda: normalize(vector.amplitudes * 0.5)[0],
         lambda: tensor_product(three, single("a2", vector)),
         lambda: squeezed_vacuum.__wrapped__(SqueezeParam(0.3), 8, 1e-3),

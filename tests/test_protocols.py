@@ -1,5 +1,7 @@
 """Protocol pipeline tests: branch states, probabilities, traces, and the
-generic circuit runner's equivalence with the built-in pipelines."""
+generic circuit runner's equivalence with the built-in pipelines. The
+scheme's headline claims (parity cats, entangled pairs, Kerr phase rules)
+are checked once, by the ``kerrcat check`` items in ``kerrcat.checks``."""
 
 import cmath
 import json
@@ -16,19 +18,14 @@ from kerrcat import (
     SourceSpec,
     SqueezeParam,
     SuperpositionParams,
-    cat_coherent,
-    cat_squeezed,
     coherent,
     entanglement_program,
-    entanglement_targets,
     fidelity,
     fock,
-    inner_product,
     project_modes,
     run_circuit,
     run_entanglement,
     run_superposition,
-    schmidt_decompose,
     single,
     squeezed_vacuum,
     superposition_program,
@@ -47,37 +44,18 @@ from kerrcat.dsl import (
 from kerrcat.elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift, apply_element
 from kerrcat.protocols import DB, DC, ZERO_BRANCH_THRESHOLD
 
-S_R05 = 0.8050181821945921
-E_M2 = math.exp(-2.0)
+
+def total_probability(result):
+    return sum(branch.probability for branch in result.branches.values())
 
 
 class TestSuperposition:
-    def test_squeezed_cat_branches(self):
-        params = SuperpositionParams(SourceSpec.squeezed(0.5), tau=math.pi / 2, theta=0.0)
-        result = run_superposition(params)
-        cutoff = params.source_a.resolved_cutoff()
-        assert fidelity(result[DB].state, cat_squeezed(SqueezeParam(0.5), -1, cutoff)) >= 1 - 1e-9
-        assert fidelity(result[DC].state, cat_squeezed(SqueezeParam(0.5), +1, cutoff)) >= 1 - 1e-9
-        assert abs(result[DB].probability - (1 - S_R05) / 2) < 1e-6
-        assert abs(result[DC].probability - (1 + S_R05) / 2) < 1e-6
-
     def test_zero_squeeze_click_is_deterministic(self):
         result = run_superposition(SuperpositionParams(SourceSpec.squeezed(0.0), tau=1.3))
         assert result[DB].probability == 0.0
         assert result[DB].state is None
         assert result[DC].probability == pytest.approx(1.0, abs=1e-12)
         assert fidelity(result[DC].state, vacuum(0)) == pytest.approx(1.0)
-
-    def test_coherent_cat_branches(self):
-        src = SourceSpec.coherent(1.0, eps=1e-12)
-        result = run_superposition(SuperpositionParams(src, tau=math.pi, theta=0.0))
-        cutoff = src.resolved_cutoff()
-        f_odd = fidelity(result[DB].state, cat_coherent(CoherentParam(1.0), -1, cutoff, eps=1e-12))
-        f_even = fidelity(result[DC].state, cat_coherent(CoherentParam(1.0), +1, cutoff, eps=1e-12))
-        assert f_odd >= 1 - 1e-9
-        assert f_even >= 1 - 1e-9
-        assert abs(result[DB].probability - (1 - E_M2) / 2) < 1e-9
-        assert abs(result[DC].probability - (1 + E_M2) / 2) < 1e-9
 
     def test_branch_probabilities_complete(self):
         rng = np.random.default_rng(41)
@@ -87,7 +65,7 @@ class TestSuperposition:
                 src, tau=float(rng.uniform(0, 2 * math.pi)), theta=float(rng.uniform(0, 2 * math.pi))
             )
             result = run_superposition(params)
-            assert abs(result.total_probability - 1.0) <= max(1e-9, src.eps)
+            assert abs(total_probability(result) - 1.0) <= max(1e-9, src.eps)
 
     def test_theta_shift_swaps_branches(self):
         rng = np.random.default_rng(42)
@@ -161,18 +139,6 @@ class TestSuperposition:
 
 
 class TestEntanglement:
-    def test_branches_match_analytic_pairs(self):
-        params = EntanglementParams(
-            SourceSpec.squeezed(0.5), SourceSpec.squeezed(0.5), tau=math.pi / 2, tau2=math.pi / 2
-        )
-        result = run_entanglement(params)
-        targets = entanglement_targets(params)
-        assert fidelity(result[DB].state, targets["pair_minus"]) >= 1 - 1e-9
-        assert fidelity(result[DC].state, targets["pair_plus"]) >= 1 - 1e-9
-        assert abs(result[DB].probability - (1 - S_R05**2) / 2) < 1e-6
-        assert schmidt_decompose(result[DB].state, {"a"}).rank(1e-10) == 2
-        assert schmidt_decompose(result[DC].state, {"a"}).rank(1e-10) == 2
-
     def test_no_kerr_phase_means_no_entanglement(self):
         params = EntanglementParams(
             SourceSpec.squeezed(0.5), SourceSpec.squeezed(0.3), tau=0.0, tau2=0.0
@@ -183,7 +149,7 @@ class TestEntanglement:
         product = tensor_product(
             single("a", params.source_a.build()), single("a2", params.source_a2.build())
         )
-        unit = product.with_tensor(product.tensor / product.norm)
+        unit = MultiModeState(product.labels, product.tensor / product.norm)
         assert fidelity(result[DC].state, unit) >= 1 - 1e-10
 
     def test_mixed_sources_against_brute_force(self):
@@ -237,22 +203,7 @@ class TestEntanglement:
                 theta=float(rng.uniform(0, 2 * math.pi)),
             )
             result = run_entanglement(params)
-            assert abs(result.total_probability - 1.0) <= max(1e-9, 2e-10)
-
-
-class TestKerrRotationRule:
-    def test_squeezed_rotation(self):
-        spec = SourceSpec.squeezed(0.5, 0.3)
-        rotated = spec.kerr_rotated(0.7)
-        assert isinstance(rotated.param, SqueezeParam)
-        assert rotated.param.r == 0.5
-        assert rotated.param.phi == pytest.approx((0.3 - 1.4) % (2 * math.pi))
-        assert rotated.cutoff == spec.resolved_cutoff()
-
-    def test_coherent_rotation(self):
-        spec = SourceSpec.coherent(1.0 + 0.5j)
-        rotated = spec.kerr_rotated(math.pi)
-        assert rotated.param.alpha == pytest.approx((1.0 + 0.5j) * cmath.exp(-1j * math.pi))
+            assert abs(total_probability(result) - 1.0) <= max(1e-9, 2e-10)
 
 
 class TestStateDimensionBudget:
@@ -374,7 +325,8 @@ class TestRunCircuit:
         expected = tensor_product(
             single("a", coherent(CoherentParam(0.5), 12)), single("b", fock(2, 2))
         )
-        assert fidelity(branch.state, expected.with_tensor(expected.tensor / expected.norm)) >= 1 - 1e-12
+        unit = MultiModeState(expected.labels, expected.tensor / expected.norm)
+        assert fidelity(branch.state, unit) >= 1 - 1e-12
 
     def test_branch_tree_reports_requested_zero_branch(self):
         # photon never in (1,1); the requested combination is still reported
@@ -385,7 +337,7 @@ class TestRunCircuit:
         result = run_circuit(program)
         assert result["b=1 c=1"].probability == 0.0
         assert result["b=1 c=1"].state is None
-        assert abs(result.total_probability - 1.0) < 1e-12
+        assert abs(total_probability(result) - 1.0) < 1e-12
 
     def test_branches_match_brute_force_enumeration(self):
         # s is squeezed, so every odd count on it has probability exactly 0;
@@ -417,7 +369,7 @@ class TestRunCircuit:
                 assert branch.state.tensor.flags.c_contiguous
             else:
                 assert branch.probability == 0.0 and branch.state is None
-        assert abs(result.total_probability - final.squared_norm) < 1e-12
+        assert abs(total_probability(result) - final.squared_norm) < 1e-12
 
     def test_validation_errors_carry_element_index(self):
         program = CircuitProgram(
