@@ -206,6 +206,24 @@ class TestEntanglement:
             assert abs(total_probability(result) - 1.0) <= max(1e-9, 2e-10)
 
 
+class TestKerrRotationRule:
+    # the parameter bookkeeping of kerr_rotated: kind, wrapped phase and a
+    # pinned cutoff, none of which a fidelity against the rotated state sees
+    def test_squeezed_rotation(self):
+        spec = SourceSpec.squeezed(0.5, 0.3)
+        rotated = spec.kerr_rotated(0.7)
+        assert isinstance(rotated.param, SqueezeParam)
+        assert rotated.param.r == 0.5
+        assert rotated.param.phi == pytest.approx((0.3 - 1.4) % (2 * math.pi))
+        assert rotated.cutoff == spec.resolved_cutoff()
+
+    def test_coherent_rotation(self):
+        spec = SourceSpec.coherent(1.0 + 0.5j, eps=1e-12)
+        rotated = spec.kerr_rotated(math.pi)
+        assert rotated.param.alpha == pytest.approx((1.0 + 0.5j) * cmath.exp(-1j * math.pi))
+        assert (rotated.cutoff, rotated.eps) == (spec.resolved_cutoff(), 1e-12)
+
+
 class TestStateDimensionBudget:
     @pytest.fixture
     def no_oversized_products(self, monkeypatch):
