@@ -17,7 +17,6 @@ from .analysis import (
 from .dsl import (
     CircuitProgram,
     CircuitValidationError,
-    ParseDiagnostic,
     ParseResult,
     format_program,
     parse,
@@ -57,7 +56,6 @@ from .protocols import (
     Branch,
     EntanglementParams,
     ProtocolResult,
-    SourceSpec,
     SuperpositionParams,
     entanglement_program,
     entanglement_targets,
@@ -69,6 +67,7 @@ from .protocols import (
 )
 from .states import (
     CoherentParam,
+    FockParam,
     SqueezeParam,
     cat_coherent,
     cat_squeezed,

@@ -30,13 +30,20 @@ from .protocols import (
     DB,
     DC,
     EntanglementParams,
-    SourceSpec,
     SuperpositionParams,
     entanglement_targets,
     run_entanglement,
     run_superposition,
 )
-from .states import CoherentParam, SqueezeParam, cat_coherent, cat_squeezed, fock
+from .states import (
+    CoherentParam,
+    SqueezeParam,
+    build_source,
+    cat_coherent,
+    cat_squeezed,
+    fock,
+    suggest_cutoff,
+)
 
 
 class CheckFailure(AssertionError):
@@ -119,26 +126,18 @@ def check_kerr_phase_rules() -> str:
     rng = np.random.default_rng(20250809)
     eps = 1e-12
     worst = 1.0
+    photon = single("b", fock(1, 1))
     for _ in range(20):
         r = float(rng.uniform(0.05, 1.0))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         tau = float(rng.uniform(0.0, 2.0 * math.pi))
-
-        src = SourceSpec.squeezed(r, phi, eps=eps)
-        state = tensor_product(single("a", src.build()), single("b", fock(1, 1)))
-        evolved = apply_cross_kerr(state, "a", "b", tau)
-        target = tensor_product(single("a", src.kerr_rotated(tau).build()), single("b", fock(1, 1)))
-        f_sq = fidelity(evolved, target)
-
         alpha = float(rng.uniform(0.05, 1.0)) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        src_c = SourceSpec.coherent(alpha, eps=eps)
-        state = tensor_product(single("a", src_c.build()), single("b", fock(1, 1)))
-        evolved = apply_cross_kerr(state, "a", "b", tau)
-        target = tensor_product(
-            single("a", src_c.kerr_rotated(tau).build()), single("b", fock(1, 1))
-        )
-        f_coh = fidelity(evolved, target)
-        worst = min(worst, f_sq, f_coh)
+        for src in (SqueezeParam(r, phi), CoherentParam(alpha)):
+            cutoff = suggest_cutoff(src, eps)
+            state = tensor_product(single("a", build_source(src, cutoff, eps)), photon)
+            evolved = apply_cross_kerr(state, "a", "b", tau)
+            rotated = build_source(src.kerr_rotated(tau), cutoff, eps)
+            worst = min(worst, fidelity(evolved, tensor_product(single("a", rotated), photon)))
     _require(worst >= 1.0 - 1e-10, f"worst rotated-parameter fidelity {worst!r}")
     return f"worst fidelity {worst!r}"
 
@@ -150,10 +149,10 @@ def check_squeezed_cat_branches() -> str:
     amplitude-sum overlap oracle.
     """
     r = 0.5
-    params = SuperpositionParams(SourceSpec.squeezed(r), tau=math.pi / 2, theta=0.0)
+    params = SuperpositionParams(SqueezeParam(r), tau=math.pi / 2, theta=0.0)
     result = run_superposition(params)
-    cutoff = params.source_a.resolved_cutoff()
-    eps = params.source_a.eps
+    eps = params.eps
+    cutoff = suggest_cutoff(params.source_a, eps)
 
     f_odd = fidelity(result[DB].state, cat_squeezed(SqueezeParam(r), -1, cutoff, eps))
     f_even = fidelity(result[DC].state, cat_squeezed(SqueezeParam(r), +1, cutoff, eps))
@@ -175,9 +174,9 @@ def check_cat_support_laws() -> str:
     """Branch photon distributions live on n=4k (plus) and n=4k+2 (minus)."""
     worst = 0.0
     for r in (0.2, 0.5, 1.0):
-        params = SuperpositionParams(SourceSpec.squeezed(r), tau=math.pi / 2, theta=0.0)
+        params = SuperpositionParams(SqueezeParam(r), tau=math.pi / 2, theta=0.0)
         result = run_superposition(params)
-        dim = params.source_a.resolved_cutoff() + 1
+        dim = suggest_cutoff(params.source_a, params.eps) + 1
         dist_db = photon_distribution(result[DB].state, "a")
         dist_dc = photon_distribution(result[DC].state, "a")
         res_db = support_residual(dist_db, range(2, dim, 4))
@@ -191,10 +190,9 @@ def check_coherent_cat_branches() -> str:
     """alpha=1, tau=pi, theta=0: odd/even coherent cats, probabilities
     (1 -+ |<alpha|-alpha>|)/2 from the brute-force overlap oracle."""
     alpha = 1.0
-    src = SourceSpec.coherent(alpha, eps=1e-12)
-    params = SuperpositionParams(src, tau=math.pi, theta=0.0)
+    params = SuperpositionParams(CoherentParam(alpha), tau=math.pi, theta=0.0, eps=1e-12)
     result = run_superposition(params)
-    cutoff = src.resolved_cutoff()
+    cutoff = suggest_cutoff(params.source_a, params.eps)
 
     f_odd = fidelity(result[DB].state, cat_coherent(CoherentParam(alpha), -1, cutoff, eps=1e-12))
     f_even = fidelity(result[DC].state, cat_coherent(CoherentParam(alpha), +1, cutoff, eps=1e-12))
@@ -216,20 +214,20 @@ def check_kerr_budget_advantage() -> str:
     coherent branches at the same tau stay below 0.99 fidelity with either
     coherent cat (so the coherent protocol genuinely needs the doubled phase).
     """
-    sq_src = SourceSpec.squeezed(0.5)
-    sq = run_superposition(SuperpositionParams(sq_src, tau=math.pi / 2))
-    cutoff = sq_src.resolved_cutoff()
+    sq_params = SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2)
+    sq = run_superposition(sq_params)
+    eps = sq_params.eps
+    cutoff = suggest_cutoff(sq_params.source_a, eps)
     f_sq = min(
-        fidelity(sq[DB].state, cat_squeezed(SqueezeParam(0.5), -1, cutoff, sq_src.eps)),
-        fidelity(sq[DC].state, cat_squeezed(SqueezeParam(0.5), +1, cutoff, sq_src.eps)),
+        fidelity(sq[DB].state, cat_squeezed(SqueezeParam(0.5), -1, cutoff, eps)),
+        fidelity(sq[DC].state, cat_squeezed(SqueezeParam(0.5), +1, cutoff, eps)),
     )
     _require(f_sq >= 1.0 - 1e-9, f"squeezed cat fidelity at half phase {f_sq!r}")
 
     alpha = 1.0
-    src = SourceSpec.coherent(alpha)
-    coh = run_superposition(SuperpositionParams(src, tau=math.pi / 2, theta=0.0))
-    c = src.resolved_cutoff()
-    cats = [cat_coherent(CoherentParam(alpha), s, c, src.eps) for s in (+1, -1)]
+    coh = run_superposition(SuperpositionParams(CoherentParam(alpha), tau=math.pi / 2))
+    c = suggest_cutoff(CoherentParam(alpha), eps)
+    cats = [cat_coherent(CoherentParam(alpha), s, c, eps) for s in (+1, -1)]
     f_coh = max(
         fidelity(branch.state, cat)
         for branch in (coh[DB], coh[DC])
@@ -263,9 +261,7 @@ def check_entanglement_branches() -> str:
     overlaps.
     """
     r = 0.5
-    params = EntanglementParams(
-        SourceSpec.squeezed(r), SourceSpec.squeezed(r), tau=math.pi / 2, tau2=math.pi / 2
-    )
+    params = EntanglementParams(SqueezeParam(r), SqueezeParam(r), tau=math.pi / 2, tau2=math.pi / 2)
     result = run_entanglement(params)
     targets = entanglement_targets(params)
 

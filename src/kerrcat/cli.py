@@ -33,7 +33,6 @@ from .protocols import (
     DC,
     EntanglementParams,
     ProtocolResult,
-    SourceSpec,
     SuperpositionParams,
     entanglement_targets,
     run_circuit,
@@ -41,6 +40,7 @@ from .protocols import (
     run_superposition,
     superposition_targets,
 )
+from .states import DEFAULT_LEAKAGE, CoherentParam, SqueezeParam, suggest_cutoff
 
 SCHEMA_TAG = "kerrcat-report/1"
 SWEEPABLE = ("r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta")
@@ -80,23 +80,25 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One ``run`` or ``sweep`` command line; the defaults are argparse's."""
+
     command: str
-    protocol: str | None = None
-    circuit: str | None = None
-    source: str = "squeezed"
-    r: float = 0.5
-    phi: float = 0.0
-    alpha_re: float = 1.0
-    alpha_im: float = 0.0
-    tau: float = math.pi / 2
-    tau2: float = math.pi / 2
-    theta: float = 0.0
-    epsilon: float = 1e-10
-    trace: bool = False
-    fmt: str = "json"
-    out: str | None = None
-    workers: int = 1
-    sweeps: tuple[SweepSpec, ...] = ()
+    protocol: str | None
+    circuit: str | None
+    source: str
+    r: float
+    phi: float
+    alpha_re: float
+    alpha_im: float
+    tau: float
+    tau2: float
+    theta: float
+    epsilon: float
+    trace: bool
+    fmt: str
+    out: str | None
+    workers: int
+    sweeps: tuple[SweepSpec, ...]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,7 +163,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--tau", type=_angle, default=math.pi / 2, help="Kerr phase (angle syntax)")
         p.add_argument("--tau2", type=_angle, default=math.pi / 2, help="second Kerr phase")
         p.add_argument("--theta", type=_angle, default=0.0, help="phase-shifter angle")
-        p.add_argument("--epsilon", type=float, default=1e-10, help="truncation leakage budget")
+        p.add_argument(
+            "--epsilon", type=float, default=DEFAULT_LEAKAGE, help="truncation leakage budget"
+        )
         p.add_argument("--trace", action="store_true", help="include the stage-by-stage trace")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
@@ -284,20 +288,18 @@ def _source_dict(config: RunConfig) -> dict:
 
 
 def _protocol_params(config: RunConfig):
-    """The configured protocol's parameters, with the source cutoff pinned
-    once for the run, its fidelity targets and its report."""
+    """The configured protocol's parameters."""
     if config.source == "squeezed":
-        spec = SourceSpec.squeezed(config.r, config.phi, eps=config.epsilon)
+        source = SqueezeParam(config.r, config.phi)
     else:
-        spec = SourceSpec.coherent(
-            complex(config.alpha_re, config.alpha_im), eps=config.epsilon
-        )
-    spec = spec.pinned()
+        source = CoherentParam(complex(config.alpha_re, config.alpha_im))
     if config.protocol == "superposition":
-        return SuperpositionParams(spec, config.tau, config.theta)
+        return SuperpositionParams(source, config.tau, config.theta, config.epsilon)
     # the CLI drives both entanglement arms with the same source parameters;
     # mixed-source pairs are expressed as circuit files or through the API
-    return EntanglementParams(spec, spec, config.tau, config.tau2, config.theta)
+    return EntanglementParams(
+        source, source, config.tau, config.tau2, config.theta, config.epsilon
+    )
 
 
 def _run_protocol(config: RunConfig):
@@ -309,7 +311,7 @@ def _run_protocol(config: RunConfig):
     params = _protocol_params(config)
     if config.protocol == "superposition":
         result = run_superposition(params, trace=config.trace)
-        branches = _branches_dict(result, superposition_targets(params), params.source_a.kind)
+        branches = _branches_dict(result, superposition_targets(params), config.source)
     else:
         result = run_entanglement(params, trace=config.trace)
         branches = _branches_dict(result, entanglement_targets(params))
@@ -337,10 +339,10 @@ def _run_report(config: RunConfig) -> dict:
         params, result, branches = _run_protocol(config)
         given = {"protocol": config.protocol}
         taus = {"tau": config.tau}
-        cutoffs = {"a": params.source_a.cutoff, "b": 1, "c": 1}
+        cutoffs = {"a": suggest_cutoff(params.source_a, params.eps), "b": 1, "c": 1}
         if config.protocol == "entanglement":
             taus["tau2"] = config.tau2
-            cutoffs["a2"] = params.source_a2.cutoff
+            cutoffs["a2"] = suggest_cutoff(params.source_a2, params.eps)
         echo = {"source": _source_dict(config), **taus, "theta": config.theta}
     else:
         program = _read_circuit(config.circuit)
@@ -382,15 +384,7 @@ def _evaluate_point(task) -> dict:
         "schema": SCHEMA_TAG,
         "kind": "sweep-point",
         "point": index,
-        "params": {
-            "r": overridden.r,
-            "phi": overridden.phi,
-            "alpha_re": overridden.alpha_re,
-            "alpha_im": overridden.alpha_im,
-            "tau": overridden.tau,
-            "tau2": overridden.tau2,
-            "theta": overridden.theta,
-        },
+        "params": {name: getattr(overridden, name) for name in SWEEPABLE},
     }
     try:
         record["branches"] = _run_protocol(overridden)[2]
@@ -507,14 +501,6 @@ def _indented_json(value, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _serialize(config: RunConfig, payload) -> str:
-    if config.command == "run":
-        return _indented_json(payload) + "\n"
-    if config.fmt == "csv":
-        return _sweep_csv(payload)
-    return "".join(json.dumps(rec, allow_nan=False) + "\n" for rec in payload)
-
-
 def _run_config(argv) -> RunConfig | None:
     """The configuration of a ``run`` or ``sweep`` command line; None for
     ``check``."""
@@ -526,8 +512,11 @@ def _run_config(argv) -> RunConfig | None:
 
 def _render(config: RunConfig) -> str:
     if config.command == "run":
-        return _serialize(config, _run_report(config))
-    return _serialize(config, _sweep_records(config))
+        return _indented_json(_run_report(config)) + "\n"
+    records = _sweep_records(config)
+    if config.fmt == "csv":
+        return _sweep_csv(records)
+    return "".join(json.dumps(rec, allow_nan=False) + "\n" for rec in records)
 
 
 def render_output(argv) -> str:

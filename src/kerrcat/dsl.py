@@ -17,24 +17,27 @@ case-sensitive::
 The rules are checked in two places:
 
 * :func:`parse` handles what only the text shows: tokens and their
-  positions, number syntax, statement order (mode declarations and sources
-  before circuit elements, detection directives last) and that a mode is
-  declared on an earlier line than any statement that names it. A line
-  that breaks one of these rules is an error diagnostic at the offending
-  token, and the line is dropped.
+  positions, number syntax and range (finite values, ``r >= 0``, which the
+  source types in ``kerrcat.states`` also enforce), statement order (mode
+  declarations and sources before circuit elements, detection directives
+  last) and that a mode is declared on an earlier line than any statement
+  that names it. A line that breaks one of these rules is an error
+  diagnostic at the offending token, and the line is dropped.
 * :func:`validate_program` owns the circuit rules, shared by parsed files
   and programs built in code (``kerrcat.protocols``): no mode declared
   twice, at most ``MAX_STATE_DIMENSION`` amplitudes in the running product
-  of the declared mode dimensions, ``r >= 0``, fock and detected photon
-  numbers within the mode's cutoff, one source and one detection per mode,
-  equal cutoffs on both beam-splitter ports, and every named mode declared.
+  of the declared mode dimensions, fock and detected photon numbers within
+  the mode's cutoff, one source and one detection per mode, equal cutoffs
+  on both beam-splitter ports, and every named mode declared.
   It raises :class:`kerrcat.errors.CutoffError` for the state dimension and
   :class:`CircuitValidationError` for every other rule; ``parse`` reports
   the same violations, and warns about declared modes that nothing names,
   as diagnostics at the statement's line and column.
 
 Angles are evaluated to radians at parse time; the formatter prints them
-back in the shortest symbolic form (``pi/2`` rather than a decimal).
+back in the shortest symbolic form (``pi/2`` rather than a decimal). A
+source is held as its ``kerrcat.states`` parameter, which wraps a squeezed
+phase into [0, 2 pi): ``phi=-0.25*pi`` prints back as ``phi=1.75*pi``.
 ``parse(format_program(p))`` is structurally equal to ``p``.
 """
 
@@ -43,13 +46,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
 
 from .elements import BalancedBeamSplitter, CrossKerr, Detect, Element, PhaseShift
 from .errors import CutoffError
-
-# Running product of mode dimensions above which a program is rejected.
-MAX_STATE_DIMENSION = 1 << 26
+from .states import MAX_STATE_DIMENSION, CoherentParam, FockParam, SqueezeParam
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _UINT_RE = re.compile(r"\d+\Z")
@@ -64,31 +64,11 @@ _ELEMENTS_FIRST = "circuit elements must precede detection directives"
 
 
 @dataclass(frozen=True)
-class SqueezedSourceDecl:
-    r: float
-    phi: float
-
-
-@dataclass(frozen=True)
-class CoherentSourceDecl:
-    re: float
-    im: float
-
-
-@dataclass(frozen=True)
-class FockSourceDecl:
-    n: int
-
-
-SourceDecl = Union[SqueezedSourceDecl, CoherentSourceDecl, FockSourceDecl]
-
-
-@dataclass(frozen=True)
 class CircuitProgram:
     """Parsed circuit: declarations, sources, unitary elements, detections."""
 
     modes: tuple[tuple[str, int], ...] = ()
-    sources: tuple[tuple[str, SourceDecl], ...] = ()
+    sources: tuple[tuple[str, SqueezeParam | CoherentParam | FockParam], ...] = ()
     elements: tuple[Element, ...] = ()
     detects: tuple[Detect, ...] = ()
 
@@ -290,15 +270,18 @@ class _Parser:
         label = self._declared(1)
         kind, col = self._take(2, "source kind")
         if kind == "squeezed":
-            decl = SqueezedSourceDecl(self._kv_float(3, "r"), self._kv_float(4, "phi", "angle"))
+            r = self._kv_float(3, "r")
+            if r < 0:  # at the value, like a non-finite one
+                raise _LineError(self.tokens[3][1] + 2, "squeeze magnitude r must be >= 0")
+            param = SqueezeParam(r, self._kv_float(4, "phi", "angle"))
         elif kind == "coherent":
-            decl = CoherentSourceDecl(self._kv_float(3, "re"), self._kv_float(4, "im"))
+            param = CoherentParam(complex(self._kv_float(3, "re"), self._kv_float(4, "im")))
         elif kind == "fock":
-            decl = FockSourceDecl(self._kv_uint(3, "n"))
+            param = FockParam(self._kv_uint(3, "n"))
         else:
             raise _LineError(col, f"unknown source kind {kind!r}")
         self._end(4 if kind == "fock" else 5)
-        return "source", (label, decl)
+        return "source", (label, param)
 
     def stmt_bs(self):
         self._enter("elements", _ELEMENTS_FIRST)
@@ -408,21 +391,22 @@ def format_element(element: Element) -> str:
     raise TypeError(f"not a circuit element: {element!r}")
 
 
-def format_source(label: str, decl: SourceDecl) -> str:
-    match decl:
-        case SqueezedSourceDecl(r=r, phi=phi):
+def format_source(label: str, param) -> str:
+    match param:
+        case SqueezeParam(r=r, phi=phi):
             return f"source {label} squeezed r={_float_text(r)} phi={_angle_text(phi)}"
-        case CoherentSourceDecl(re=re_part, im=im_part):
-            return f"source {label} coherent re={_float_text(re_part)} im={_float_text(im_part)}"
-        case FockSourceDecl(n=n):
+        case CoherentParam(alpha=alpha):
+            re_part, im_part = _float_text(alpha.real), _float_text(alpha.imag)
+            return f"source {label} coherent re={re_part} im={im_part}"
+        case FockParam(n=n):
             return f"source {label} fock n={n}"
-    raise TypeError(f"not a source declaration: {decl!r}")
+    raise TypeError(f"not a source parameter: {param!r}")
 
 
 def format_program(program: CircuitProgram) -> str:
     """Canonical text; ``parse`` of the result is structurally equal."""
     lines = [format_mode(label, cutoff) for label, cutoff in program.modes]
-    lines += [format_source(label, decl) for label, decl in program.sources]
+    lines += [format_source(label, param) for label, param in program.sources]
     lines += [format_element(e) for e in program.elements]
     lines += [format_element(d) for d in program.detects]
     return "\n".join(lines) + ("\n" if lines else "")
@@ -474,16 +458,14 @@ def _violations(program: CircuitProgram):
             declared_at[label] = index
 
     sourced = set()
-    for index, (label, decl) in enumerate(program.sources):
+    for index, (label, param) in enumerate(program.sources):
         if label not in cutoffs:
             reject("source", index, f"mode {label!r} is not declared")
         elif label in sourced:
             reject("source", index, f"mode {label!r} already has a source")
-        elif isinstance(decl, FockSourceDecl) and decl.n > cutoffs[label]:
+        elif isinstance(param, FockParam) and param.n > cutoffs[label]:
             reject("source", index,
-                   f"fock source n={decl.n} exceeds cutoff {cutoffs[label]} of mode {label!r}")
-        elif isinstance(decl, SqueezedSourceDecl) and decl.r < 0:
-            reject("source", index, "squeeze magnitude r must be >= 0")
+                   f"fock source n={param.n} exceeds cutoff {cutoffs[label]} of mode {label!r}")
         else:
             sourced.add(label)
 

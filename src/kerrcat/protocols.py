@@ -12,22 +12,18 @@ Each pipeline is a circuit program (``superposition_program``,
 go through elements. ``run_circuit`` joins each declared mode to the state
 just before the first element that touches it, so the photon modes are
 mixed before any data mode joins them; ``run_superposition`` and
-``run_entanglement`` pin the source cutoffs once, run their program, and
-name the two click outcomes ``Db_fires`` (b=1 c=0) and ``Dc_fires``
-(b=0 c=1).
+``run_entanglement`` run their program and name the two click outcomes
+``Db_fires`` (b=1 c=0) and ``Dc_fires`` (b=0 c=1). Each data mode's cutoff
+is ``suggest_cutoff`` of its source at the protocol's one budget ``eps``.
 
-The Kerr rotation acts on the source parameters as:
-
-* coherent alpha  ->  alpha * exp(-i * tau)   per photon in the coupled mode,
-* squeezed phase  ->  phi - 2 * tau           per photon in the coupled mode,
-
-which is where the source-kind dispatch lives; the circuit elements
+The Kerr rotation acts on the source parameters as ``kerr_rotated`` (in
+``kerrcat.states``): alpha -> alpha * exp(-i * tau) and phi -> phi - 2 * tau
+per photon in the coupled mode. The targets use it; the circuit elements
 themselves are state-agnostic diagonal phases.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -49,14 +45,12 @@ from .fock import (
 from .states import (
     DEFAULT_LEAKAGE,
     CoherentParam,
+    FockParam,
     SqueezeParam,
+    build_source,
     cat_coherent,
     cat_squeezed,
-    coherent,
-    fock,
-    squeezed_vacuum,
     suggest_cutoff,
-    vacuum,
 )
 
 # Branches whose joint detection probability falls below this are reported
@@ -68,77 +62,21 @@ DC = "Dc_fires"
 
 
 @dataclass(frozen=True)
-class SourceSpec:
-    """A data-mode source: squeezed vacuum or coherent state.
-
-    The cutoff may be pinned explicitly; otherwise it is the smallest cutoff
-    whose truncation leakage stays below ``eps``.
-    """
-
-    param: SqueezeParam | CoherentParam
-    cutoff: int | None = None
-    eps: float = DEFAULT_LEAKAGE
-
-    @classmethod
-    def squeezed(cls, r: float, phi: float = 0.0, *, cutoff=None, eps=DEFAULT_LEAKAGE):
-        return cls(SqueezeParam(r, phi), cutoff, eps)
-
-    @classmethod
-    def coherent(cls, alpha: complex, *, cutoff=None, eps=DEFAULT_LEAKAGE):
-        return cls(CoherentParam(alpha), cutoff, eps)
-
-    @property
-    def kind(self) -> str:
-        return "squeezed" if isinstance(self.param, SqueezeParam) else "coherent"
-
-    def resolved_cutoff(self) -> int:
-        if self.cutoff is not None:
-            if self.cutoff < 0:
-                raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
-            return self.cutoff
-        return suggest_cutoff(self.param, self.eps)
-
-    def pinned(self) -> "SourceSpec":
-        """This source with its cutoff resolved once, so that later uses
-        (programs, targets, report echoes) skip ``suggest_cutoff``."""
-        return dataclasses.replace(self, cutoff=self.resolved_cutoff())
-
-    def build(self) -> FockVector:
-        c = self.resolved_cutoff()
-        if isinstance(self.param, SqueezeParam):
-            return squeezed_vacuum(self.param, c, self.eps)
-        return coherent(self.param, c, self.eps)
-
-    def kerr_rotated(self, tau: float) -> "SourceSpec":
-        """Source after a cross-Kerr phase tau against one photon."""
-        if isinstance(self.param, SqueezeParam):
-            param = self.param.phase_shifted(-2.0 * tau)
-        else:
-            param = self.param.rotated(-tau)
-        return SourceSpec(param, self.resolved_cutoff(), self.eps)
-
-    def cat(self, sign: int) -> FockVector:
-        """The parity cat of this source (undefined for vanishing inputs)."""
-        c = self.resolved_cutoff()
-        if isinstance(self.param, SqueezeParam):
-            return cat_squeezed(self.param, sign, c, self.eps)
-        return cat_coherent(self.param, sign, c, self.eps)
-
-
-@dataclass(frozen=True)
 class SuperpositionParams:
-    source_a: SourceSpec
+    source_a: SqueezeParam | CoherentParam
     tau: float
     theta: float = 0.0
+    eps: float = DEFAULT_LEAKAGE
 
 
 @dataclass(frozen=True)
 class EntanglementParams:
-    source_a: SourceSpec
-    source_a2: SourceSpec
+    source_a: SqueezeParam | CoherentParam
+    source_a2: SqueezeParam | CoherentParam
     tau: float
     tau2: float
     theta: float = 0.0
+    eps: float = DEFAULT_LEAKAGE
 
 
 @dataclass(frozen=True)
@@ -178,29 +116,16 @@ def run_superposition(params: SuperpositionParams, trace: bool = False) -> Proto
     * ``Db_fires`` (1, 0): data mode ~ rotated - e^{i theta} original,
     * ``Dc_fires`` (0, 1): data mode ~ rotated + e^{i theta} original.
     """
-    source_a = params.source_a.pinned()
-    program = superposition_program(dataclasses.replace(params, source_a=source_a))
-    return _click_branches(run_circuit(program, source_a.eps, trace))
+    return _click_branches(run_circuit(superposition_program(params), params.eps, trace))
 
 
 def run_entanglement(params: EntanglementParams, trace: bool = False) -> ProtocolResult:
     """Two Kerr media couple the photon's transmitted arm to two data modes.
 
     A click projects modes (a, a2) onto rotated (x) rotated -+ e^{i theta}
-    original (x) original; ``Db_fires`` carries the minus combination. Both
-    sources must share one leakage budget (``ValueError`` otherwise), since
-    the circuit checks every source against the same ``eps``.
+    original (x) original; ``Db_fires`` carries the minus combination.
     """
-    source_a, source_a2 = params.source_a.pinned(), params.source_a2.pinned()
-    if source_a.eps != source_a2.eps:
-        raise ValueError(
-            f"both sources need the same leakage budget, got {source_a.eps!r} "
-            f"and {source_a2.eps!r}"
-        )
-    program = entanglement_program(
-        dataclasses.replace(params, source_a=source_a, source_a2=source_a2)
-    )
-    return _click_branches(run_circuit(program, source_a.eps, trace))
+    return _click_branches(run_circuit(entanglement_program(params), params.eps, trace))
 
 
 def _click_branches(result: ProtocolResult) -> ProtocolResult:
@@ -219,10 +144,13 @@ def superposition_targets(params: SuperpositionParams) -> dict[str, FockVector]:
     Keys ``even_cat`` / ``odd_cat``; a key is omitted when the cat vanishes
     identically (zero-amplitude source).
     """
+    source, eps = params.source_a, params.eps
+    cat = cat_squeezed if isinstance(source, SqueezeParam) else cat_coherent
+    cutoff = suggest_cutoff(source, eps)
     targets = {}
     for name, sign in (("even_cat", +1), ("odd_cat", -1)):
         try:
-            targets[name] = params.source_a.cat(sign)
+            targets[name] = cat(source, sign, cutoff, eps)
         except ZeroStateError:
             pass
     return targets
@@ -233,14 +161,16 @@ def entanglement_targets(params: EntanglementParams) -> dict[str, MultiModeState
 
     Keys ``pair_plus`` / ``pair_minus``; a key is omitted when that
     combination vanishes identically (e.g. both taus zero for the minus
-    branch).
+    branch). Each rotated source is built at the cutoff of its unrotated one.
     """
+    a, a2, eps = params.source_a, params.source_a2, params.eps
+    cutoff_a, cutoff_a2 = suggest_cutoff(a, eps), suggest_cutoff(a2, eps)
     base = tensor_product(
-        single("a", params.source_a.build()), single("a2", params.source_a2.build())
+        single("a", build_source(a, cutoff_a, eps)), single("a2", build_source(a2, cutoff_a2, eps))
     )
     rotated = tensor_product(
-        single("a", params.source_a.kerr_rotated(params.tau).build()),
-        single("a2", params.source_a2.kerr_rotated(params.tau2).build()),
+        single("a", build_source(a.kerr_rotated(params.tau), cutoff_a, eps)),
+        single("a2", build_source(a2.kerr_rotated(params.tau2), cutoff_a2, eps)),
     )
     phase = np.exp(1j * params.theta)
     targets = {}
@@ -255,13 +185,9 @@ def entanglement_targets(params: EntanglementParams) -> dict[str, MultiModeState
 
 def superposition_program(params: SuperpositionParams) -> "dsl.CircuitProgram":
     """The one-data-mode pipeline as a circuit program."""
-    cutoff = params.source_a.resolved_cutoff()
     return dsl.CircuitProgram(
-        modes=(("a", cutoff), ("b", 1), ("c", 1)),
-        sources=(
-            ("a", _source_decl(params.source_a)),
-            ("b", dsl.FockSourceDecl(1)),
-        ),
+        modes=(("a", suggest_cutoff(params.source_a, params.eps)), ("b", 1), ("c", 1)),
+        sources=(("a", params.source_a), ("b", FockParam(1))),
         elements=(
             BalancedBeamSplitter("b", "c"),
             CrossKerr("a", "b", params.tau),
@@ -276,16 +202,12 @@ def entanglement_program(params: EntanglementParams) -> "dsl.CircuitProgram":
     """The two-data-mode pipeline as a circuit program."""
     return dsl.CircuitProgram(
         modes=(
-            ("a", params.source_a.resolved_cutoff()),
+            ("a", suggest_cutoff(params.source_a, params.eps)),
             ("b", 1),
             ("c", 1),
-            ("a2", params.source_a2.resolved_cutoff()),
+            ("a2", suggest_cutoff(params.source_a2, params.eps)),
         ),
-        sources=(
-            ("a", _source_decl(params.source_a)),
-            ("b", dsl.FockSourceDecl(1)),
-            ("a2", _source_decl(params.source_a2)),
-        ),
+        sources=(("a", params.source_a), ("b", FockParam(1)), ("a2", params.source_a2)),
         elements=(
             BalancedBeamSplitter("b", "c"),
             CrossKerr("a", "b", params.tau),
@@ -295,12 +217,6 @@ def entanglement_program(params: EntanglementParams) -> "dsl.CircuitProgram":
         ),
         detects=(Detect("b", 1), Detect("c", 0)),
     )
-
-
-def _source_decl(spec: SourceSpec):
-    if isinstance(spec.param, SqueezeParam):
-        return dsl.SqueezedSourceDecl(spec.param.r, spec.param.phi)
-    return dsl.CoherentSourceDecl(spec.param.alpha.real, spec.param.alpha.imag)
 
 
 UNCONDITIONAL = "unconditional"
@@ -342,7 +258,7 @@ def run_circuit(
     sources = dict(program.sources)
     declared = [label for label, _ in program.modes]
     unjoined = {
-        label: _build_source(sources.get(label), cutoff, eps) for label, cutoff in program.modes
+        label: build_source(sources.get(label), cutoff, eps) for label, cutoff in program.modes
     }
     state = MultiModeState((), np.array(1.0 + 0.0j))
     stages = []
@@ -352,11 +268,11 @@ def run_circuit(
         for label in [m for m in declared if m in unjoined and m in touched]:
             state = _joined(state, label, unjoined.pop(label), declared)
             if trace:
-                decl = sources.get(label)
+                param = sources.get(label)
                 line = (
                     dsl.format_mode(label, state.cutoff(label))
-                    if decl is None
-                    else dsl.format_source(label, decl)
+                    if param is None
+                    else dsl.format_source(label, param)
                 )
                 stages.append((line, state))
         if element is not None:
@@ -398,19 +314,6 @@ def _joined(state: MultiModeState, label: str, vector: FockVector, declared) -> 
     tensor = column * rest if at == 0 else rest * column
     labels = state.labels[:at] + (label,) + state.labels[at:]
     return MultiModeState(labels, _Owned(tensor))
-
-
-def _build_source(decl, cutoff: int, eps: float) -> FockVector:
-    match decl:
-        case None:
-            return vacuum(cutoff)
-        case dsl.FockSourceDecl(n=n):
-            return fock(n, cutoff)
-        case dsl.SqueezedSourceDecl(r=r, phi=phi):
-            return squeezed_vacuum(SqueezeParam(r, phi), cutoff, eps)
-        case dsl.CoherentSourceDecl(re=re, im=im):
-            return coherent(CoherentParam(complex(re, im)), cutoff, eps)
-    raise TypeError(f"unknown source declaration {decl!r}")
 
 
 def _outcome_key(outcome) -> str:

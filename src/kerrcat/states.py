@@ -11,12 +11,18 @@ The budget is opt-in: ``coherent``, ``squeezed_vacuum``, ``cat_squeezed``
 and ``cat_coherent`` take ``eps=None`` by default, which returns the
 truncated amplitudes unchecked (with their norm deficit). A given ``eps``
 must lie in (0, 1) (``ValueError`` otherwise, NaN included), and a leakage
-at or above it raises :class:`CutoffError`. ``SourceSpec``, ``run_circuit``
-and the CLI always pass a budget. ``suggest_cutoff`` computes the law only
-up to a closed-form bound on the cutoff, and raises :class:`CutoffError`
-before it allocates when that bound reaches ``dsl.MAX_STATE_DIMENSION`` (r
-of about 7.7 and above at the default budget). A cosh(r) or |alpha|^2 that
-overflows raises :class:`CutoffError` at any cutoff.
+at or above it raises :class:`CutoffError`. :func:`build_source`, and so
+``run_circuit`` and the CLI, always pass a budget. ``suggest_cutoff``
+computes the law only up to a closed-form bound on the cutoff, and raises
+:class:`CutoffError` before it allocates when that bound reaches
+``MAX_STATE_DIMENSION`` (r of about 7.7 and above at the default budget).
+A cosh(r) or |alpha|^2 that overflows raises :class:`CutoffError` at any
+cutoff.
+
+A source is described by one parameter type: :class:`SqueezeParam`,
+:class:`CoherentParam` or :class:`FockParam` (``None`` is the vacuum).
+:func:`build_source` is the one map from a parameter to its factory, and
+``kerr_rotated`` is each type's cross-Kerr rule against one photon.
 
 These four factories and ``suggest_cutoff`` share one memo of the last
 ``MEMO_SIZE`` results, so a run's source, cats and targets are built once,
@@ -41,11 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import MAX_STATE_DIMENSION
 from .errors import CutoffError, ZeroStateError
 from .fock import FockVector, _Owned, normalize
 
 DEFAULT_LEAKAGE = 1e-10
+# Amplitudes above which a state is refused: the running product of a
+# circuit's mode dimensions, and a suggested cutoff.
+MAX_STATE_DIMENSION = 1 << 26
 TWO_PI = 2.0 * math.pi
 # Entries the factory memo keeps. A sweep point of either built-in protocol
 # uses at most five (its cutoff, source, rotated source or negated amplitude,
@@ -69,7 +77,9 @@ class SqueezeParam:
             raise ValueError("squeeze parameters must be finite")
         if self.r < 0:
             raise ValueError(f"squeeze magnitude must be >= 0, got {self.r}")
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
+        # a tiny negative phi rounds up to exactly 2 pi; the second modulo
+        # takes it to 0, so that phi lies in [0, 2 pi) and wraps idempotently
+        object.__setattr__(self, "phi", self.phi % TWO_PI % TWO_PI)
 
     @property
     def xi(self) -> complex:
@@ -79,8 +89,10 @@ class SqueezeParam:
         """The parameter of |-xi>: phase advanced by pi, magnitude kept."""
         return SqueezeParam(self.r, self.phi + math.pi)
 
-    def phase_shifted(self, delta: float) -> "SqueezeParam":
-        return SqueezeParam(self.r, self.phi + delta)
+    def kerr_rotated(self, tau: float) -> "SqueezeParam":
+        """The parameter after a cross-Kerr phase tau against one photon:
+        xi -> xi * exp(-2i * tau)."""
+        return SqueezeParam(self.r, self.phi + -2.0 * tau)
 
 
 @dataclass(frozen=True)
@@ -98,8 +110,21 @@ class CoherentParam:
     def negated(self) -> "CoherentParam":
         return CoherentParam(-self.alpha)
 
-    def rotated(self, delta: float) -> "CoherentParam":
-        return CoherentParam(self.alpha * cmath.exp(1j * delta))
+    def kerr_rotated(self, tau: float) -> "CoherentParam":
+        """The parameter after a cross-Kerr phase tau against one photon:
+        alpha -> alpha * exp(-i * tau)."""
+        return CoherentParam(self.alpha * cmath.exp(1j * -tau))
+
+
+@dataclass(frozen=True)
+class FockParam:
+    """Photon-number state |n>, with n >= 0."""
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"photon number must be >= 0, got {self.n}")
 
 
 _MEMO: OrderedDict = OrderedDict()
@@ -299,6 +324,23 @@ def cat_coherent(
     return unit
 
 
+def build_source(param, cutoff: int, eps: float | None) -> FockVector:
+    """The state of a mode's source: the vacuum for ``None``, else the
+    factory of the parameter's type, a :class:`SqueezeParam` or
+    :class:`CoherentParam` checked against the leakage budget ``eps``. Each
+    factory is looked up by its module-level name at call time, so a
+    wrapper installed under that name sees every source built."""
+    if param is None:
+        return vacuum(cutoff)
+    if isinstance(param, FockParam):
+        return fock(param.n, cutoff)
+    if isinstance(param, SqueezeParam):
+        return squeezed_vacuum(param, cutoff, eps)
+    if isinstance(param, CoherentParam):
+        return coherent(param, cutoff, eps)
+    raise TypeError(f"unsupported source parameter {type(param).__name__}")
+
+
 def _check_sign(sign: int) -> None:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
@@ -342,7 +384,7 @@ def suggest_cutoff(param, eps: float = DEFAULT_LEAKAGE) -> int:
     closed-form bound on the cutoff: the squeezed tail beyond photon number
     2m is at most cosh(r) tanh(r)^(2m+2), and the coherent tail obeys the
     Poisson Chernoff bound. :class:`CutoffError` is raised, before anything
-    is allocated, when that bound reaches ``dsl.MAX_STATE_DIMENSION`` (r of
+    is allocated, when that bound reaches ``MAX_STATE_DIMENSION`` (r of
     about 7.7 and above at the default budget, and any r whose tanh(r)^2
     rounds to 1), when cosh(r) or |alpha|^2 overflows, and when
     e^(-|alpha|^2) underflows to 0 (|alpha|^2 above about 745). It is also

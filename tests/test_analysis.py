@@ -9,7 +9,6 @@ from kerrcat import (
     CoherentParam,
     EntanglementParams,
     MultiModeState,
-    SourceSpec,
     SqueezeParam,
     StateMismatchError,
     apply_phase_shift,
@@ -148,7 +147,7 @@ class TestEntanglementEntropy:
         # unclamped, these sums come out as -0.0 and -3.2e-16 (the report
         # schema requires schmidt_entropy >= 0)
         params = EntanglementParams(
-            SourceSpec.squeezed(0.5), SourceSpec.squeezed(0.5), tau=math.pi / 2, tau2=math.pi
+            SqueezeParam(0.5), SqueezeParam(0.5), tau=math.pi / 2, tau2=math.pi
         )
         for state in (
             tensor_product(single("a", fock(1, 2)), single("b", fock(0, 2))),

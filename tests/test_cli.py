@@ -378,9 +378,8 @@ def test_traced_run_report_is_written_as_json_dumps_would(argv, tmp_path):
     path = tmp_path / "cat.qcirc"
     path.write_text(CIRCUIT, encoding="utf-8")
     config = cli._run_config([str(path) if arg == "CIRCUIT" else arg for arg in argv])
-    report = cli._run_report(config)
-    expected = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    assert cli._serialize(config, report) == expected
+    expected = json.dumps(cli._run_report(config), indent=2, allow_nan=False) + "\n"
+    assert cli._render(config) == expected
 
 
 @pytest.mark.parametrize("check", [fn for _, fn in CHECKS], ids=[name for name, _ in CHECKS])

@@ -4,6 +4,7 @@ scheme's headline claims (parity cats, entangled pairs, Kerr phase rules)
 are checked once, by the ``kerrcat check`` items in ``kerrcat.checks``."""
 
 import cmath
+import dataclasses
 import json
 import math
 
@@ -14,12 +15,13 @@ from kerrcat import (
     CoherentParam,
     CutoffError,
     EntanglementParams,
+    FockParam,
     MultiModeState,
-    SourceSpec,
     SqueezeParam,
     SuperpositionParams,
     coherent,
     entanglement_program,
+    entanglement_targets,
     fidelity,
     fock,
     project_modes,
@@ -28,19 +30,14 @@ from kerrcat import (
     run_superposition,
     single,
     squeezed_vacuum,
+    suggest_cutoff,
     superposition_program,
     superposition_targets,
     tensor_product,
     vacuum,
 )
-from kerrcat import cli, protocols
-from kerrcat.dsl import (
-    MAX_STATE_DIMENSION,
-    CircuitProgram,
-    CircuitValidationError,
-    FockSourceDecl,
-    parse,
-)
+from kerrcat import cli, protocols, states
+from kerrcat.dsl import MAX_STATE_DIMENSION, CircuitProgram, CircuitValidationError, parse
 from kerrcat.elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift, apply_element
 from kerrcat.protocols import DB, DC, ZERO_BRANCH_THRESHOLD
 
@@ -49,9 +46,15 @@ def total_probability(result):
     return sum(branch.probability for branch in result.branches.values())
 
 
+def with_cutoff(program, label, cutoff):
+    """``program`` with mode ``label`` declared at ``cutoff``."""
+    modes = tuple((m, cutoff if m == label else c) for m, c in program.modes)
+    return dataclasses.replace(program, modes=modes)
+
+
 class TestSuperposition:
     def test_zero_squeeze_click_is_deterministic(self):
-        result = run_superposition(SuperpositionParams(SourceSpec.squeezed(0.0), tau=1.3))
+        result = run_superposition(SuperpositionParams(SqueezeParam(0.0), tau=1.3))
         assert result[DB].probability == 0.0
         assert result[DB].state is None
         assert result[DC].probability == pytest.approx(1.0, abs=1e-12)
@@ -60,12 +63,12 @@ class TestSuperposition:
     def test_branch_probabilities_complete(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
-            src = SourceSpec.squeezed(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0, 2 * math.pi)))
+            src = SqueezeParam(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0, 2 * math.pi)))
             params = SuperpositionParams(
                 src, tau=float(rng.uniform(0, 2 * math.pi)), theta=float(rng.uniform(0, 2 * math.pi))
             )
             result = run_superposition(params)
-            assert abs(total_probability(result) - 1.0) <= max(1e-9, src.eps)
+            assert abs(total_probability(result) - 1.0) <= max(1e-9, params.eps)
 
     def test_theta_shift_swaps_branches(self):
         rng = np.random.default_rng(42)
@@ -73,9 +76,9 @@ class TestSuperposition:
             r = float(rng.uniform(0.1, 0.9))
             tau = float(rng.uniform(0.2, 2 * math.pi))
             theta = float(rng.uniform(0, 2 * math.pi))
-            base = run_superposition(SuperpositionParams(SourceSpec.squeezed(r), tau, theta))
+            base = run_superposition(SuperpositionParams(SqueezeParam(r), tau, theta))
             flipped = run_superposition(
-                SuperpositionParams(SourceSpec.squeezed(r), tau, theta + math.pi)
+                SuperpositionParams(SqueezeParam(r), tau, theta + math.pi)
             )
             assert abs(base[DB].probability - flipped[DC].probability) < 1e-12
             assert abs(base[DC].probability - flipped[DB].probability) < 1e-12
@@ -85,7 +88,7 @@ class TestSuperposition:
     def test_trace_matches_analytic_stages(self):
         # each mode joins just before the first element that touches it, so
         # the photon modes are split before the data mode joins them
-        params = SuperpositionParams(SourceSpec.squeezed(0.5), tau=math.pi / 2, theta=0.0)
+        params = SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2, theta=0.0)
         result = run_superposition(params, trace=True)
         assert [name for name, _ in result.trace] == [
             "source b fock n=1",
@@ -99,7 +102,7 @@ class TestSuperposition:
         after_first_splitter, with_data_source, after_kerr_and_phase, after_second_splitter = (
             result.trace[i][1] for i in (2, 3, 5, 6)
         )
-        cutoff = params.source_a.resolved_cutoff()
+        cutoff = suggest_cutoff(params.source_a, params.eps)
         xi = squeezed_vacuum(SqueezeParam(0.5), cutoff)
         flipped = squeezed_vacuum(SqueezeParam(0.5, math.pi), cutoff)
         isq = 1 / math.sqrt(2)
@@ -132,22 +135,23 @@ class TestSuperposition:
         )
 
     def test_targets_track_source_kind(self):
-        sq = superposition_targets(SuperpositionParams(SourceSpec.squeezed(0.5), tau=1.0))
+        sq = superposition_targets(SuperpositionParams(SqueezeParam(0.5), tau=1.0))
         assert set(sq) == {"even_cat", "odd_cat"}
-        degenerate = superposition_targets(SuperpositionParams(SourceSpec.squeezed(0.0), tau=1.0))
+        degenerate = superposition_targets(SuperpositionParams(SqueezeParam(0.0), tau=1.0))
         assert set(degenerate) == {"even_cat"}
 
 
 class TestEntanglement:
     def test_no_kerr_phase_means_no_entanglement(self):
         params = EntanglementParams(
-            SourceSpec.squeezed(0.5), SourceSpec.squeezed(0.3), tau=0.0, tau2=0.0
+            SqueezeParam(0.5), SqueezeParam(0.3), tau=0.0, tau2=0.0
         )
         result = run_entanglement(params)
         assert result[DB].probability == 0.0
         assert result[DB].state is None
         product = tensor_product(
-            single("a", params.source_a.build()), single("a2", params.source_a2.build())
+            single("a", squeezed_vacuum(params.source_a, suggest_cutoff(params.source_a))),
+            single("a2", squeezed_vacuum(params.source_a2, suggest_cutoff(params.source_a2))),
         )
         unit = MultiModeState(product.labels, product.tensor / product.norm)
         assert fidelity(result[DC].state, unit) >= 1 - 1e-10
@@ -158,12 +162,12 @@ class TestEntanglement:
         alpha = CoherentParam(1.0)
         eta = SqueezeParam(0.5)
         params = EntanglementParams(
-            SourceSpec.coherent(1.0), SourceSpec.squeezed(0.5), tau=math.pi / 2, tau2=math.pi / 2
+            CoherentParam(1.0), SqueezeParam(0.5), tau=math.pi / 2, tau2=math.pi / 2
         )
         result = run_entanglement(params)
 
-        ca = params.source_a.resolved_cutoff()
-        c2 = params.source_a2.resolved_cutoff()
+        ca = suggest_cutoff(params.source_a, params.eps)
+        c2 = suggest_cutoff(params.source_a2, params.eps)
         base = np.multiply.outer(
             coherent(alpha, ca).amplitudes, squeezed_vacuum(eta, c2).amplitudes
         )
@@ -179,25 +183,18 @@ class TestEntanglement:
             assert abs(result[key].probability - expected_p) < 1e-9
 
     def test_sources_share_one_leakage_budget(self):
-        # the circuit checks every source against one eps: differing budgets
-        # are refused, and the shared one still binds each source
-        looser = EntanglementParams(
-            SourceSpec.squeezed(0.5), SourceSpec.squeezed(0.5, eps=1e-6), tau=1.0, tau2=1.0
-        )
-        with pytest.raises(ValueError, match="same leakage budget"):
-            run_entanglement(looser)
-        truncated = EntanglementParams(
-            SourceSpec.squeezed(0.5), SourceSpec.squeezed(0.9, cutoff=4), tau=1.0, tau2=1.0
-        )
-        with pytest.raises(CutoffError):
-            run_entanglement(truncated)
+        # the circuit checks every source against its one eps, so the second
+        # source binds too: at cutoff 4 it leaks past the budget
+        params = EntanglementParams(SqueezeParam(0.5), SqueezeParam(0.9), tau=1.0, tau2=1.0)
+        with pytest.raises(CutoffError, match="leaks probability"):
+            run_circuit(with_cutoff(entanglement_program(params), "a2", 4), params.eps)
 
     def test_completeness_over_random_draws(self):
         rng = np.random.default_rng(43)
         for _ in range(5):
             params = EntanglementParams(
-                SourceSpec.squeezed(float(rng.uniform(0.05, 0.8))),
-                SourceSpec.coherent(float(rng.uniform(0.1, 1.0))),
+                SqueezeParam(float(rng.uniform(0.05, 0.8))),
+                CoherentParam(float(rng.uniform(0.1, 1.0))),
                 tau=float(rng.uniform(0, 2 * math.pi)),
                 tau2=float(rng.uniform(0, 2 * math.pi)),
                 theta=float(rng.uniform(0, 2 * math.pi)),
@@ -207,21 +204,31 @@ class TestEntanglement:
 
 
 class TestKerrRotationRule:
-    # the parameter bookkeeping of kerr_rotated: kind, wrapped phase and a
-    # pinned cutoff, none of which a fidelity against the rotated state sees
+    # the parameter bookkeeping of kerr_rotated: kind, kept magnitude and
+    # wrapped phase, which a fidelity against the rotated state does not see
     def test_squeezed_rotation(self):
-        spec = SourceSpec.squeezed(0.5, 0.3)
-        rotated = spec.kerr_rotated(0.7)
-        assert isinstance(rotated.param, SqueezeParam)
-        assert rotated.param.r == 0.5
-        assert rotated.param.phi == pytest.approx((0.3 - 1.4) % (2 * math.pi))
-        assert rotated.cutoff == spec.resolved_cutoff()
+        rotated = SqueezeParam(0.5, 0.3).kerr_rotated(0.7)
+        assert isinstance(rotated, SqueezeParam)
+        assert rotated.r == 0.5
+        assert rotated.phi == pytest.approx((0.3 - 1.4) % (2 * math.pi))
 
     def test_coherent_rotation(self):
-        spec = SourceSpec.coherent(1.0 + 0.5j, eps=1e-12)
-        rotated = spec.kerr_rotated(math.pi)
-        assert rotated.param.alpha == pytest.approx((1.0 + 0.5j) * cmath.exp(-1j * math.pi))
-        assert (rotated.cutoff, rotated.eps) == (spec.resolved_cutoff(), 1e-12)
+        rotated = CoherentParam(1.0 + 0.5j).kerr_rotated(math.pi)
+        assert isinstance(rotated, CoherentParam)
+        assert rotated.alpha == pytest.approx((1.0 + 0.5j) * cmath.exp(-1j * math.pi))
+
+    def test_targets_take_their_cutoffs_at_the_given_budget(self):
+        # both the source and its rotation on each arm sit at the cutoff of
+        # the unrotated source at eps, not at the default budget
+        params = EntanglementParams(
+            CoherentParam(1.0 + 0.5j), SqueezeParam(0.5, 0.3), tau=math.pi, tau2=0.7, eps=1e-12
+        )
+        expected = [suggest_cutoff(param, 1e-12) for param in (params.source_a, params.source_a2)]
+        assert expected != [suggest_cutoff(params.source_a), suggest_cutoff(params.source_a2)]
+        targets = entanglement_targets(params)
+        assert set(targets) == {"pair_plus", "pair_minus"}
+        for target in targets.values():
+            assert [target.cutoff("a"), target.cutoff("a2")] == expected
 
 
 class TestStateDimensionBudget:
@@ -238,20 +245,20 @@ class TestStateDimensionBudget:
             return squeezed_vacuum(param, cutoff, eps)
 
         monkeypatch.setattr(protocols, "tensor_product", guarded_product)
-        monkeypatch.setattr(protocols, "squeezed_vacuum", guarded_source)
+        monkeypatch.setattr(states, "squeezed_vacuum", guarded_source)
 
     def test_entanglement_over_the_limit(self, no_oversized_products):
         # r = 3 resolves cutoff 4218: 4 * 4219**2 = 71.2M amplitudes
         params = EntanglementParams(
-            SourceSpec.squeezed(3.0), SourceSpec.squeezed(3.0), tau=math.pi / 2, tau2=math.pi / 2
+            SqueezeParam(3.0), SqueezeParam(3.0), tau=math.pi / 2, tau2=math.pi / 2
         )
         with pytest.raises(CutoffError, match="maximum state dimension"):
             run_entanglement(params)
 
     def test_superposition_over_the_limit(self, no_oversized_products):
-        spec = SourceSpec.squeezed(0.5, cutoff=MAX_STATE_DIMENSION // 4)
+        program = superposition_program(SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2))
         with pytest.raises(CutoffError, match="maximum state dimension"):
-            run_superposition(SuperpositionParams(spec, tau=math.pi / 2))
+            run_circuit(with_cutoff(program, "a", MAX_STATE_DIMENSION // 4))
 
     def test_cli_run_and_sweep(self, no_oversized_products):
         assert cli.main(["run", "--protocol", "entanglement", "--r", "3"]) == 2
@@ -265,7 +272,7 @@ class TestStateDimensionBudget:
 
 class TestRunCircuit:
     def test_superposition_program_equivalence(self):
-        params = SuperpositionParams(SourceSpec.squeezed(0.5), tau=math.pi / 2, theta=0.0)
+        params = SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2, theta=0.0)
         direct = run_superposition(params)
         program = superposition_program(params)
         via_circuit = run_circuit(program)
@@ -276,7 +283,7 @@ class TestRunCircuit:
 
     def test_entanglement_program_equivalence(self):
         params = EntanglementParams(
-            SourceSpec.squeezed(0.5), SourceSpec.coherent(0.8), tau=math.pi / 2, tau2=1.1
+            SqueezeParam(0.5), CoherentParam(0.8), tau=math.pi / 2, tau2=1.1
         )
         direct = run_entanglement(params)
         via_circuit = run_circuit(entanglement_program(params))
@@ -326,7 +333,7 @@ class TestRunCircuit:
     def test_program_texts_parse_back(self):
         from kerrcat import format_program
 
-        params = SuperpositionParams(SourceSpec.squeezed(0.5), tau=math.pi / 2)
+        params = SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2)
         text = format_program(superposition_program(params))
         assert "kerr a b tau=pi/2" in text
         reparsed = parse(text)
@@ -392,7 +399,7 @@ class TestRunCircuit:
     def test_validation_errors_carry_element_index(self):
         program = CircuitProgram(
             modes=(("a", 2), ("b", 2)),
-            sources=(("a", FockSourceDecl(1)),),
+            sources=(("a", FockParam(1)),),
             elements=(PhaseShift("a", 0.1), CrossKerr("a", "zz", 0.5)),
             detects=(),
         )

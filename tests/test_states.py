@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerrcat import (
     CoherentParam,
     CutoffError,
-    SourceSpec,
+    FockParam,
     SqueezeParam,
     ZeroStateError,
     cat_coherent,
@@ -23,6 +23,7 @@ from kerrcat import (
     vacuum,
 )
 from kerrcat import states
+from kerrcat.states import build_source
 
 
 def squeezed_amp_direct(n, r, phi=0.0):
@@ -92,9 +93,10 @@ class TestCoherent:
         for eps in (float("nan"), 0.0, 1.0, 5.0, -1e-10):
             with pytest.raises(ValueError, match=r"leakage budget must lie in \(0, 1\)"):
                 coherent(CoherentParam(2.0), 5, eps=eps)
-            for cutoff in (4, None):
-                with pytest.raises(ValueError, match=r"leakage budget must lie in \(0, 1\)"):
-                    SourceSpec.squeezed(0.9, cutoff=cutoff, eps=eps).build()
+            with pytest.raises(ValueError, match=r"leakage budget must lie in \(0, 1\)"):
+                build_source(SqueezeParam(0.9), 4, eps)
+            with pytest.raises(ValueError, match=r"leakage budget must lie in \(0, 1\)"):
+                suggest_cutoff(SqueezeParam(0.9), eps)
 
     def test_truncated_norm_within_budget(self):
         for alpha in (0.2, 1.0, 1.5):
@@ -141,6 +143,37 @@ class TestSqueezedVacuum:
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             SqueezeParam(-0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(0.0, 3.0), phi=st.floats(allow_nan=False, allow_infinity=False))
+@example(r=0.5, phi=-1e-17)  # phi % 2 pi rounds up to exactly 2 pi
+def test_squeeze_phase_wraps_once_into_one_turn(r, phi):
+    param = SqueezeParam(r, phi)
+    assert 0.0 <= param.phi < 2 * math.pi
+    assert SqueezeParam(r, param.phi) == param
+
+
+class TestSourceParams:
+    def test_fock_param_rejects_negative_n(self):
+        assert FockParam(0).n == 0
+        with pytest.raises(ValueError, match="photon number"):
+            FockParam(-1)
+
+    def test_source_types_map_to_their_factories(self):
+        cases = (
+            (None, vacuum(5)),
+            (FockParam(3), fock(3, 5)),
+            (SqueezeParam(0.2, 0.4), squeezed_vacuum(SqueezeParam(0.2, 0.4), 5, 1e-3)),
+            (CoherentParam(0.1j), coherent(CoherentParam(0.1j), 5, 1e-3)),
+        )
+        for param, expected in cases:
+            built = build_source(param, 5, 1e-3)
+            assert built.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        with pytest.raises(CutoffError, match="leaks probability"):
+            build_source(SqueezeParam(0.9), 4, 1e-10)
+        with pytest.raises(TypeError, match="unsupported source parameter"):
+            build_source(0.5, 5, 1e-3)
 
 
 class TestSqueezedCat:
@@ -318,7 +351,7 @@ def test_overflowing_squeeze_magnitude():
             with pytest.raises(CutoffError, match="cosh"):
                 cat_squeezed(param, 1, 3, eps)
         with pytest.raises(CutoffError, match="cosh"):
-            SourceSpec.squeezed(r).build()
+            build_source(param, 3, 1e-6)
 
 
 class TestFactoryMemo:

@@ -46,6 +46,7 @@ def test_every_traced_name_exists(layer, name):
         (["run", "--circuit", "tests/golden/lazy-joins.qcirc", "--epsilon", "1e-4"],
          "protocols.run_circuit"),
         (["run", "--protocol", "superposition", "--r", "0.2"], "protocols.run_superposition"),
+        (["run", "--protocol", "entanglement", "--r", "0.3"], "protocols.run_entanglement"),
     ],
 )
 def test_traced_run_records_spans(argv, span, tmp_path):
@@ -59,3 +60,7 @@ def test_traced_run_records_spans(argv, span, tmp_path):
     assert done.returncode == 0, done.stderr
     names = {s[0] for s in json.loads(report.read_text(encoding="utf-8"))["spans"]}
     assert {span, "dsl.validate_program", "cli.main"} <= names
+    if "--protocol" in argv:
+        # protocol sources are built through states.build_source, which must
+        # still reach the traced factory; their cutoffs come from the search
+        assert {"states.squeezed_vacuum", "states.suggest_cutoff"} <= names
