@@ -1,4 +1,5 @@
-"""Diagnostics over output states.
+"""Diagnostics over labelled output states (:class:`MultiModeState`; a
+factory's single-mode vector is labelled with :func:`kerrcat.fock.single`).
 
 Photon-number distributions, probability mass outside a declared support
 set, state fidelities, and bipartite entanglement entropy (base-2, from the
@@ -13,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import StateMismatchError
-from .fock import FockVector, MultiModeState, schmidt_coefficients
+from .fock import MultiModeState, schmidt_coefficients
 
 # Schmidt coefficients at or below this count as zero (rank and entropy).
 SCHMIDT_COEFF_THRESHOLD = 1e-10
@@ -30,10 +31,7 @@ def photon_distribution(state: MultiModeState, mode: str) -> np.ndarray:
     Sums to the squared norm of the state (sub-normalized states keep their
     deficit).
     """
-    ax = state.axis(mode)
-    probs = np.abs(state.tensor) ** 2
-    axes = tuple(i for i in range(probs.ndim) if i != ax)
-    return probs.sum(axis=axes)
+    return joint_photon_distribution(state, (mode,))
 
 
 def joint_photon_distribution(state: MultiModeState, modes: Iterable[str]) -> np.ndarray:
@@ -55,40 +53,31 @@ def support_residual(distribution: np.ndarray, allowed: Iterable[int]) -> float:
 
 
 def _as_unit_array(state, what: str) -> tuple[np.ndarray, float]:
-    """The state's amplitude array and its squared norm (the one its
+    """The state's amplitude tensor and its squared norm (the one its
     constructor computed), which must lie within ``_UNIT_NORM_SLACK`` of 1."""
-    if isinstance(state, FockVector):
-        arr = state.amplitudes
-    elif isinstance(state, MultiModeState):
-        arr = state.tensor
-    else:
-        raise TypeError(f"{what} must be a FockVector or MultiModeState")
+    if not isinstance(state, MultiModeState):
+        raise TypeError(f"{what} must be a MultiModeState, not {type(state).__name__}")
     n2 = state.squared_norm
     if abs(n2 - 1.0) > _UNIT_NORM_SLACK:
         raise StateMismatchError(f"{what} must be normalized, squared norm is {n2!r}")
-    return arr, n2
+    return state.tensor, n2
 
 
-def fidelity(state, target) -> float:
+def fidelity(state: MultiModeState, target: MultiModeState) -> float:
     """|<target|state>|^2 / (<state|state> <target|target>) for normalized
     states of identical shape.
 
     Both squared norms must lie within ``_UNIT_NORM_SLACK`` of 1; within that
     slack the value is scale-invariant, so a sub-normalized truncated state
-    has fidelity 1 with itself. FockVector and single-mode MultiModeState
-    inputs may be mixed; two multimode states must carry the same labels in
-    the same order.
+    has fidelity 1 with itself. The two states must carry the same labels in
+    the same order, and the same cutoff on each mode.
     """
     a, a_n2 = _as_unit_array(state, "state")
     b, b_n2 = _as_unit_array(target, "target")
-    if isinstance(state, MultiModeState) and isinstance(target, MultiModeState):
-        if state.labels != target.labels:
-            raise StateMismatchError(f"labels differ: {state.labels} vs {target.labels}")
+    if state.labels != target.labels:
+        raise StateMismatchError(f"labels differ: {state.labels} vs {target.labels}")
     if a.shape != b.shape:
-        if a.size == b.size:
-            a, b = a.reshape(-1), b.reshape(-1)
-        else:
-            raise StateMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
+        raise StateMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
     value = abs(complex(np.vdot(b, a))) ** 2 / (a_n2 * b_n2)
     return min(value, 1.0)
 

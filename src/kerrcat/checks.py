@@ -34,13 +34,12 @@ from .protocols import (
     entanglement_targets,
     run_entanglement,
     run_superposition,
+    superposition_targets,
 )
 from .states import (
     CoherentParam,
     SqueezeParam,
     build_source,
-    cat_coherent,
-    cat_squeezed,
     fock,
     suggest_cutoff,
 )
@@ -151,11 +150,10 @@ def check_squeezed_cat_branches() -> str:
     r = 0.5
     params = SuperpositionParams(SqueezeParam(r), tau=math.pi / 2, theta=0.0)
     result = run_superposition(params)
-    eps = params.eps
-    cutoff = suggest_cutoff(params.source_a, eps)
+    targets = superposition_targets(params)
 
-    f_odd = fidelity(result[DB].state, cat_squeezed(SqueezeParam(r), -1, cutoff, eps))
-    f_even = fidelity(result[DC].state, cat_squeezed(SqueezeParam(r), +1, cutoff, eps))
+    f_odd = fidelity(result[DB].state, targets["odd_cat"])
+    f_even = fidelity(result[DC].state, targets["even_cat"])
     _require(f_odd >= 1.0 - 1e-9, f"odd-cat branch fidelity {f_odd!r}")
     _require(f_even >= 1.0 - 1e-9, f"even-cat branch fidelity {f_even!r}")
 
@@ -192,10 +190,10 @@ def check_coherent_cat_branches() -> str:
     alpha = 1.0
     params = SuperpositionParams(CoherentParam(alpha), tau=math.pi, theta=0.0, eps=1e-12)
     result = run_superposition(params)
-    cutoff = suggest_cutoff(params.source_a, params.eps)
+    targets = superposition_targets(params)
 
-    f_odd = fidelity(result[DB].state, cat_coherent(CoherentParam(alpha), -1, cutoff, eps=1e-12))
-    f_even = fidelity(result[DC].state, cat_coherent(CoherentParam(alpha), +1, cutoff, eps=1e-12))
+    f_odd = fidelity(result[DB].state, targets["odd_cat"])
+    f_even = fidelity(result[DC].state, targets["even_cat"])
     _require(f_odd >= 1.0 - 1e-9, f"odd-cat branch fidelity {f_odd!r}")
     _require(f_even >= 1.0 - 1e-9, f"even-cat branch fidelity {f_even!r}")
 
@@ -216,18 +214,16 @@ def check_kerr_budget_advantage() -> str:
     """
     sq_params = SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2)
     sq = run_superposition(sq_params)
-    eps = sq_params.eps
-    cutoff = suggest_cutoff(sq_params.source_a, eps)
+    sq_cats = superposition_targets(sq_params)
     f_sq = min(
-        fidelity(sq[DB].state, cat_squeezed(SqueezeParam(0.5), -1, cutoff, eps)),
-        fidelity(sq[DC].state, cat_squeezed(SqueezeParam(0.5), +1, cutoff, eps)),
+        fidelity(sq[DB].state, sq_cats["odd_cat"]), fidelity(sq[DC].state, sq_cats["even_cat"])
     )
     _require(f_sq >= 1.0 - 1e-9, f"squeezed cat fidelity at half phase {f_sq!r}")
 
     alpha = 1.0
-    coh = run_superposition(SuperpositionParams(CoherentParam(alpha), tau=math.pi / 2))
-    c = suggest_cutoff(CoherentParam(alpha), eps)
-    cats = [cat_coherent(CoherentParam(alpha), s, c, eps) for s in (+1, -1)]
+    coh_params = SuperpositionParams(CoherentParam(alpha), tau=math.pi / 2)
+    coh = run_superposition(coh_params)
+    cats = superposition_targets(coh_params).values()
     f_coh = max(
         fidelity(branch.state, cat)
         for branch in (coh[DB], coh[DC])

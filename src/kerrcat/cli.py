@@ -14,7 +14,7 @@ otherwise 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import io
 import json
 import math
 import sys
@@ -53,8 +53,7 @@ MAX_SWEEP_POINTS = 10_000
 MAX_WORKERS = 64
 
 _CSV_COLUMNS = (
-    "point", "r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta",
-    "branch", "probability", "pre_norm", "fidelity_plus", "fidelity_minus",
+    "point", *SWEEPABLE, "branch", "probability", "pre_norm", "fidelity_plus", "fidelity_minus",
     "support_residual", "schmidt_entropy", "error",
 )
 
@@ -76,29 +75,6 @@ class SweepSpec:
     start: float
     stop: float
     steps: int
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One ``run`` or ``sweep`` command line; the defaults are argparse's."""
-
-    command: str
-    protocol: str | None
-    circuit: str | None
-    source: str
-    r: float
-    phi: float
-    alpha_re: float
-    alpha_im: float
-    tau: float
-    tau2: float
-    theta: float
-    epsilon: float
-    trace: bool
-    fmt: str
-    out: str | None
-    workers: int
-    sweeps: tuple[SweepSpec, ...]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,9 +119,13 @@ def _sweep_spec(text: str) -> SweepSpec:
     # np.linspace steps by stop - start; past the float range the grid is NaN
     if not math.isfinite(stop_v - start_v):
         raise argparse.ArgumentTypeError(f"sweep range {start}:{stop} overflows the float range")
-    if not steps.isdigit() or int(steps) < 1:
+    try:  # ASCII digits only: str.isdigit alone also passes "²", which int refuses
+        count = dsl._int_literal(steps, 1, "steps") if steps.isascii() and steps.isdigit() else 0
+    except dsl._LineError as err:
+        raise argparse.ArgumentTypeError(err.message) from None
+    if count < 1:
         raise argparse.ArgumentTypeError(f"steps must be a positive integer, got {steps!r}")
-    return SweepSpec(param, start_v, stop_v, int(steps))
+    return SweepSpec(param, start_v, stop_v, count)
 
 
 def _build_parser() -> _Parser:
@@ -185,8 +165,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    config = RunConfig(**{**vars(args), "sweeps": tuple(getattr(args, "sweeps", ()))})
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The checked configuration of a ``run`` or ``sweep`` command line: its
+    namespace, with ``sweeps`` as a tuple (empty for ``run``)."""
+    config = argparse.Namespace(**{**vars(args), "sweeps": tuple(getattr(args, "sweeps", ()))})
     if not 0.0 < config.epsilon < 1.0:
         raise _UsageError(f"--epsilon must lie in (0, 1), got {config.epsilon!r}")
     if not 1 <= config.workers <= MAX_WORKERS:
@@ -203,6 +185,10 @@ def _config_from_args(args) -> RunConfig:
             raise _UsageError("sweeps need --protocol; circuit files have no sweepable parameters")
         if not config.sweeps:
             raise _UsageError("sweep needs at least one --sweep PARAM:START:STOP:STEPS")
+        swept = [spec.param for spec in config.sweeps]
+        for param in swept:
+            if swept.count(param) > 1:
+                raise _UsageError(f"--sweep names {param!r} more than once; give each axis once")
         points = math.prod(spec.steps for spec in config.sweeps)
         if points > MAX_SWEEP_POINTS:
             raise _UsageError(
@@ -281,13 +267,13 @@ def _trace_list(result: ProtocolResult) -> list[dict]:
     return out
 
 
-def _source_dict(config: RunConfig) -> dict:
+def _source_dict(config: argparse.Namespace) -> dict:
     if config.source == "squeezed":
         return {"kind": "squeezed", "r": config.r, "phi": config.phi}
     return {"kind": "coherent", "alpha_re": config.alpha_re, "alpha_im": config.alpha_im}
 
 
-def _protocol_params(config: RunConfig):
+def _protocol_params(config: argparse.Namespace):
     """The configured protocol's parameters."""
     if config.source == "squeezed":
         source = SqueezeParam(config.r, config.phi)
@@ -302,7 +288,7 @@ def _protocol_params(config: RunConfig):
     )
 
 
-def _run_protocol(config: RunConfig):
+def _run_protocol(config: argparse.Namespace):
     """Run the configured protocol and analyze its branches.
 
     The fidelity targets are built once per run, after the protocol, and
@@ -333,7 +319,7 @@ def _read_circuit(path: str) -> dsl.CircuitProgram:
     return parsed.program
 
 
-def _run_report(config: RunConfig) -> dict:
+def _run_report(config: argparse.Namespace) -> dict:
     """The report of one run, of a built-in protocol or of a circuit file."""
     if config.protocol is not None:
         params, result, branches = _run_protocol(config)
@@ -379,7 +365,7 @@ def _grid_points(sweeps: tuple[SweepSpec, ...]) -> list[dict]:
 
 def _evaluate_point(task) -> dict:
     config, index, point = task
-    overridden = dataclasses.replace(config, **point)
+    overridden = argparse.Namespace(**{**vars(config), **point})
     record = {
         "schema": SCHEMA_TAG,
         "kind": "sweep-point",
@@ -395,7 +381,7 @@ def _evaluate_point(task) -> dict:
     return record
 
 
-def _sweep_records(config: RunConfig) -> list[dict]:
+def _sweep_records(config: argparse.Namespace) -> list[dict]:
     tasks = [(config, i, point) for i, point in enumerate(_grid_points(config.sweeps))]
     if config.workers <= 1 or len(tasks) <= 1:
         return [_evaluate_point(t) for t in tasks]
@@ -412,20 +398,19 @@ def _sweep_records(config: RunConfig) -> list[dict]:
         return list(pool.map(_evaluate_point, tasks, chunksize=chunksize))
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _sweep_csv(records: list[dict]) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
+    """One row per branch, or one per failed point; an empty cell is None
+    (floats are written as their repr, which is their str)."""
+    # imported here, like the process pool: only CSV sweeps use it
+    import csv
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_CSV_COLUMNS)
     for rec in records:
         base = [rec["point"]] + [rec["params"][k] for k in SWEEPABLE]
         if rec["error"] is not None:
-            lines.append(",".join(_csv_cell(v) for v in base + ["", None, None, None, None, None, rec["error"]]))
+            writer.writerow(base + [None] * (len(_CSV_COLUMNS) - len(base) - 1) + [rec["error"]])
             continue
         for name, branch in rec["branches"].items():
             analysis = branch["analysis"]
@@ -440,10 +425,10 @@ def _sweep_csv(records: list[dict]) -> str:
                 minus,
                 analysis["support_residual"],
                 analysis["schmidt_entropy"],
-                "",
+                None,
             ]
-            lines.append(",".join(_csv_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+            writer.writerow(row)
+    return out.getvalue()
 
 
 def _json_float(value: float) -> str:
@@ -501,7 +486,7 @@ def _indented_json(value, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _run_config(argv) -> RunConfig | None:
+def _run_config(argv) -> argparse.Namespace | None:
     """The configuration of a ``run`` or ``sweep`` command line; None for
     ``check``."""
     args = _build_parser().parse_args(argv)
@@ -510,7 +495,7 @@ def _run_config(argv) -> RunConfig | None:
     return _config_from_args(args)
 
 
-def _render(config: RunConfig) -> str:
+def _render(config: argparse.Namespace) -> str:
     if config.command == "run":
         return _indented_json(_run_report(config)) + "\n"
     records = _sweep_records(config)

@@ -184,10 +184,11 @@ def tensor_product(a: MultiModeState, b: MultiModeState) -> MultiModeState:
 def normalize(state, threshold: float = ZERO_NORM_THRESHOLD):
     """Scale to unit norm; returns ``(unit_state, previous_norm)``.
 
-    Accepts a :class:`MultiModeState`, a :class:`FockVector`, or a raw 1-d
-    amplitude array (scratch superpositions may exceed unit norm before they
-    are normalized; the typed states may not). Raises :class:`ZeroStateError`
-    when the norm is at or below ``threshold``.
+    Accepts a :class:`MultiModeState`, which stays labelled, or a raw 1-d
+    amplitude array, which becomes a :class:`FockVector` (the scratch
+    superpositions of the cat factories may exceed unit norm before they
+    are normalized; the typed states may not). Raises
+    :class:`ZeroStateError` when the norm is at or below ``threshold``.
     """
     if isinstance(state, np.ndarray):
         arr = np.asarray(state, dtype=np.complex128)
@@ -197,11 +198,11 @@ def normalize(state, threshold: float = ZERO_NORM_THRESHOLD):
         if n <= threshold:
             raise ZeroStateError(f"norm {n!r} is at or below the zero threshold {threshold!r}")
         return FockVector(_Owned(arr / n)), n
+    if not isinstance(state, MultiModeState):
+        raise TypeError(f"cannot normalize a {type(state).__name__}; label it with single() first")
     n = state.norm
     if n <= threshold:
         raise ZeroStateError(f"norm {n!r} is at or below the zero threshold {threshold!r}")
-    if isinstance(state, FockVector):
-        return FockVector(_Owned(state.amplitudes / n)), n
     return MultiModeState(state.labels, _Owned(state.tensor / n)), n
 
 

@@ -138,8 +138,9 @@ def _click_branches(result: ProtocolResult) -> ProtocolResult:
     return ProtocolResult(branches, result.trace)
 
 
-def superposition_targets(params: SuperpositionParams) -> dict[str, FockVector]:
-    """Canonical parity cats of the source, for branch fidelity reporting.
+def superposition_targets(params: SuperpositionParams) -> dict[str, MultiModeState]:
+    """Canonical parity cats of the source on mode ``a``, for branch
+    fidelity reporting.
 
     Keys ``even_cat`` / ``odd_cat``; a key is omitted when the cat vanishes
     identically (zero-amplitude source).
@@ -150,7 +151,7 @@ def superposition_targets(params: SuperpositionParams) -> dict[str, FockVector]:
     targets = {}
     for name, sign in (("even_cat", +1), ("odd_cat", -1)):
         try:
-            targets[name] = cat(source, sign, cutoff, eps)
+            targets[name] = single("a", cat(source, sign, cutoff, eps))
         except ZeroStateError:
             pass
     return targets

@@ -81,14 +81,6 @@ class SqueezeParam:
         # takes it to 0, so that phi lies in [0, 2 pi) and wraps idempotently
         object.__setattr__(self, "phi", self.phi % TWO_PI % TWO_PI)
 
-    @property
-    def xi(self) -> complex:
-        return self.r * cmath.exp(1j * self.phi)
-
-    def negated(self) -> "SqueezeParam":
-        """The parameter of |-xi>: phase advanced by pi, magnitude kept."""
-        return SqueezeParam(self.r, self.phi + math.pi)
-
     def kerr_rotated(self, tau: float) -> "SqueezeParam":
         """The parameter after a cross-Kerr phase tau against one photon:
         xi -> xi * exp(-2i * tau)."""

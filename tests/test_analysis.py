@@ -104,13 +104,13 @@ class TestFidelity:
         assert fidelity(state, state) == pytest.approx(1.0, abs=1e-14)
 
     def test_opposite_parity_cats_are_orthogonal(self):
-        plus = cat_squeezed(SqueezeParam(0.5), +1, 30)
-        minus = cat_squeezed(SqueezeParam(0.5), -1, 30)
+        plus = single("a", cat_squeezed(SqueezeParam(0.5), +1, 30))
+        minus = single("a", cat_squeezed(SqueezeParam(0.5), -1, 30))
         assert fidelity(plus, minus) == 0.0
 
     def test_opposite_squeezed_frozen(self):
-        xi = squeezed_vacuum(SqueezeParam(0.5), 40)
-        mxi = squeezed_vacuum(SqueezeParam(0.5, math.pi), 40)
+        xi = single("a", squeezed_vacuum(SqueezeParam(0.5), 40))
+        mxi = single("a", squeezed_vacuum(SqueezeParam(0.5, math.pi), 40))
         assert abs(fidelity(xi, mxi) - OVERLAP_OPPOSITE_R05**2) < 1e-4
 
     def test_symmetry(self):
@@ -125,15 +125,25 @@ class TestFidelity:
             fidelity(half, single("a", vacuum(1)))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(StateMismatchError):
-            fidelity(single("a", vacuum(1)), single("a", vacuum(2)))
+        # (a:1, b:2) against (a:2, b:1): the same labels and size, swapped cutoffs
+        swapped = [MultiModeState(("a", "b"), np.full(s, 6**-0.5)) for s in ((2, 3), (3, 2))]
+        for state, target in ((single("a", vacuum(1)), single("a", vacuum(2))), swapped):
+            with pytest.raises(StateMismatchError, match="shapes differ"):
+                fidelity(state, target)
 
     def test_label_mismatch_rejected(self):
         with pytest.raises(StateMismatchError):
             fidelity(single("a", vacuum(1)), single("b", vacuum(1)))
 
-    def test_mixed_vector_and_state_inputs(self):
-        assert fidelity(single("a", fock(1, 3)), fock(1, 3)) == pytest.approx(1.0)
+    def test_unlabelled_vector_is_a_type_error(self):
+        state = single("a", fock(1, 3))
+        for call in (
+            lambda: fidelity(state, fock(1, 3)),
+            lambda: fidelity(fock(1, 3), state),
+            lambda: entanglement_entropy(fock(1, 3), {"a"}),
+        ):
+            with pytest.raises(TypeError, match="must be a MultiModeState"):
+                call()
 
 
 class TestEntanglementEntropy:

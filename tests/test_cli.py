@@ -190,6 +190,12 @@ def test_sweep_records_overflowing_squeeze_per_point():
         assert second["error"].startswith("CutoffError: ") and message in second["error"]
         for rec in (first, second):
             validate(rec)
+        # the failed point's CSV row: every cell in its column, the message quoted
+        text = cli.render_output(["sweep", "--protocol", "entanglement", "--sweep",
+                                  f"r:0.2:{stop}:2", "--format", "csv"])
+        assert {len(row) for row in csv.reader(io.StringIO(text))} == {16}
+        *_, failed = csv.DictReader(io.StringIO(text))
+        assert failed["error"] == second["error"] and failed["schmidt_entropy"] == ""
 
 
 def test_import_loads_neither_checks_nor_the_process_pool():
@@ -273,6 +279,13 @@ def test_usage_and_circuit_errors_exit_1(tmp_path, capsys):
     for out in (tmp_path / "missing" / "x.json", tmp_path):
         assert cli.main(["run", "--protocol", "superposition", "--out", str(out)]) == 1
         assert "kerrcat: error: cannot write report: " in capsys.readouterr().err
+    # a repeated axis would silently replace the earlier one; "²" passes
+    # str.isdigit but not int
+    sweep = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.2:2", "--sweep"]
+    for axis, message in (("r:0.3:0.4:2", "--sweep names 'r' more than once"),
+                          ("tau:0:1:²", "argument --sweep: steps must be a positive integer")):
+        assert cli.main(sweep + [axis]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_huge_integer_literals_are_diagnostics(tmp_path):
@@ -283,6 +296,7 @@ def test_huge_integer_literals_are_diagnostics(tmp_path):
     for argv in (
         ("run", "--circuit", str(path)),
         ("run", "--protocol", "superposition", "--tau", "pi/" + "7" * 400),
+        ("sweep", "--protocol", "superposition", "--sweep", "r:0:1:" + "9" * 5000),
     ):
         done = run_kerrcat(*argv)
         assert done.returncode == 1, done.stderr

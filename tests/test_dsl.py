@@ -288,12 +288,27 @@ def test_parser_and_validator_agree(program):
 
 FUZZ_TOKENS = (
     b"mode source bs phase kerr detect cutoff squeezed coherent fock pi "
-    b"r= phi= re= im= n= tau= theta= a b c 0 1 2.5 -1 # \n \t \r\n \xff\xfe"
+    b"r= phi= re= im= n= tau= theta= a b c 0 1 2.5 -1 # \n \t \r\n \xff\xfe "
+    b"r=-1 phi=-1e-17 re=1e999 im=nan n=-1 tau=pi/0 theta=-0.0 cutoff=2"
 ).split(b" ")
+# Every statement kind after two declared modes, each value field hostile:
+# glued tokens alone almost never declare the mode a value line needs.
+HOSTILE_STATEMENTS = AB + (
+    "mode c cutoff {}\nsource a squeezed r={} phi={}\nsource a coherent re={} im={}\n"
+    "source a fock n={}\nbs a b\nphase a theta={}\nkerr a b tau={}\ndetect a n={}\n"
+)
+HOSTILE_PROGRAMS = st.lists(
+    st.sampled_from(["-1", "-0.0", "1e999", "nan", "-1e-17", "pi/0", "pi/" + HUGE, HUGE]),
+    min_size=HOSTILE_STATEMENTS.count("{}"), max_size=HOSTILE_STATEMENTS.count("{}"),
+).map(lambda values: HOSTILE_STATEMENTS.format(*values).encode())
 
 
 @settings(max_examples=300, deadline=None)
-@given(blob=st.binary() | st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40).map(b" ".join))
+@given(
+    blob=st.binary()
+    | st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40).map(b" ".join)
+    | HOSTILE_PROGRAMS
+)
 @example(blob=random.Random(0).randbytes(65536))
 def test_parse_returns_a_result_for_any_bytes(blob):
     # diagnostics for any input, never an exception

@@ -250,6 +250,10 @@ class TestNormalize:
         with pytest.raises(ZeroStateError):
             normalize(state, threshold=1e-6)
 
+    def test_unlabelled_vector_is_a_type_error(self):
+        with pytest.raises(TypeError, match="label it with single"):
+            normalize(FockVector([1.0, 0.0]))
+
 
 class TestProjection:
     def test_split_photon_projection(self):

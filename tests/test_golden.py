@@ -1,11 +1,8 @@
 """Golden corpus: CLI outputs compared with outputs committed in ``golden/``.
 
-Protocol runs and sweeps must match byte for byte. Circuit-file reports are
-compared as parsed JSON: the same keys in the same order, and every float
-within 1e-14 of the recorded one, because circuit files fold their elements
-in a different floating-point order than when the corpus was recorded
-(lazy mode joins: each mode joins just before the first element that
-touches it). None of the cases uses ``--trace``. Every recorded JSON report
+Every case, protocol runs, sweeps and circuit files alike, must match byte
+for byte. Cases run from inside ``golden/``, so a circuit report echoes its
+relative path. None of the cases uses ``--trace``. Every recorded JSON report
 and JSON-lines record must also pass the package's ``report.schema.json``.
 
 Rewrite the expected files, from the repository root, with
@@ -17,7 +14,6 @@ change.
 import csv
 import io
 import json
-import math
 from pathlib import Path
 
 import jsonschema
@@ -30,9 +26,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SCHEMA = json.loads(
     (Path(kerrcat.__file__).resolve().parent / "report.schema.json").read_text(encoding="utf-8")
 )
-FLOAT_TOLERANCE = 1e-14
-
-PROTOCOL_CASES = {
+CASES = {
     "superposition-squeezed.json": ["run", "--protocol", "superposition", "--r", "0.4"],
     "superposition-coherent.json": [
         "run", "--protocol", "superposition", "--source", "coherent",
@@ -53,43 +47,18 @@ PROTOCOL_CASES = {
         "sweep", "--protocol", "entanglement", "--sweep", "tau:pi/2:pi:2", "--sweep", "tau2:pi/2:pi:2",
         "--format", "csv",
     ],
-}
-# run from inside golden/, so the echoed circuit path is the relative one
-CIRCUIT_CASES = {
     "lazy-joins.json": ["run", "--circuit", "lazy-joins.qcirc", "--epsilon", "1e-4"],
 }
 
 
-def assert_close(actual, expected, path="$"):
-    assert type(actual) is type(expected), path
-    if isinstance(expected, dict):
-        assert list(actual) == list(expected), path
-        for key in expected:
-            assert_close(actual[key], expected[key], f"{path}.{key}")
-    elif isinstance(expected, list):
-        assert len(actual) == len(expected), path
-        for i, (a, e) in enumerate(zip(actual, expected)):
-            assert_close(a, e, f"{path}[{i}]")
-    elif isinstance(expected, float):
-        assert math.isclose(actual, expected, rel_tol=0, abs_tol=FLOAT_TOLERANCE), path
-    else:
-        assert actual == expected, path
-
-
-@pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
-def test_protocol_output_is_byte_identical(name):
-    expected = (GOLDEN / name).read_text(encoding="utf-8")
-    assert cli.render_output(PROTOCOL_CASES[name]) == expected
-
-
-@pytest.mark.parametrize("name", sorted(CIRCUIT_CASES))
-def test_circuit_output_matches(name, monkeypatch):
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical(name, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    expected = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
-    assert_close(json.loads(cli.render_output(CIRCUIT_CASES[name])), expected)
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    assert cli.render_output(CASES[name]) == expected
 
 
-JSON_CASES = sorted(n for n in {**PROTOCOL_CASES, **CIRCUIT_CASES} if n.endswith((".json", ".jsonl")))
+JSON_CASES = sorted(n for n in CASES if n.endswith((".json", ".jsonl")))
 
 
 @pytest.mark.parametrize("name", JSON_CASES)
@@ -142,7 +111,7 @@ if __name__ == "__main__":
     import os
 
     os.chdir(GOLDEN)
-    for name, argv in {**PROTOCOL_CASES, **CIRCUIT_CASES}.items():
+    for name, argv in CASES.items():
         text = cli.render_output(argv)
         print(moved(name, Path(name).read_text(encoding="utf-8"), text))
         Path(name).write_text(text, encoding="utf-8", newline="\n")

@@ -58,7 +58,7 @@ class TestSuperposition:
         assert result[DB].probability == 0.0
         assert result[DB].state is None
         assert result[DC].probability == pytest.approx(1.0, abs=1e-12)
-        assert fidelity(result[DC].state, vacuum(0)) == pytest.approx(1.0)
+        assert fidelity(result[DC].state, single("a", vacuum(0))) == pytest.approx(1.0)
 
     def test_branch_probabilities_complete(self):
         rng = np.random.default_rng(41)
@@ -137,6 +137,7 @@ class TestSuperposition:
     def test_targets_track_source_kind(self):
         sq = superposition_targets(SuperpositionParams(SqueezeParam(0.5), tau=1.0))
         assert set(sq) == {"even_cat", "odd_cat"}
+        assert all(cat.labels == ("a",) for cat in sq.values())
         degenerate = superposition_targets(SuperpositionParams(SqueezeParam(0.0), tau=1.0))
         assert set(degenerate) == {"even_cat"}
 

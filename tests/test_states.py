@@ -200,11 +200,12 @@ class TestSqueezedCat:
 
     def test_parity_symmetry(self):
         p = SqueezeParam(0.6, 0.9)
+        negated = SqueezeParam(p.r, p.phi + math.pi)  # |-xi>
         plus = cat_squeezed(p, +1, 30)
-        plus_neg = cat_squeezed(p.negated(), +1, 30)
+        plus_neg = cat_squeezed(negated, +1, 30)
         assert np.abs(plus.amplitudes - plus_neg.amplitudes).max() < 1e-12
         minus = cat_squeezed(p, -1, 30)
-        minus_neg = cat_squeezed(p.negated(), -1, 30)
+        minus_neg = cat_squeezed(negated, -1, 30)
         assert np.abs(minus.amplitudes + minus_neg.amplitudes).max() < 1e-12
 
     def test_bad_sign_rejected(self):
