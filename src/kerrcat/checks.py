@@ -141,6 +141,20 @@ def check_kerr_phase_rules() -> str:
     return f"worst fidelity {worst!r}"
 
 
+def _cat_branches(params: SuperpositionParams, overlap: float, tol: float) -> str:
+    """The clicks of a superposition run are the odd/even cats of its source,
+    with probabilities (1 -+ overlap)/2 to within ``tol``; ``overlap`` is
+    the oracle's <source|-source>."""
+    result, targets = run_superposition(params), superposition_targets(params)
+    fids, errs = [], []
+    for key, cat, word, sign in ((DB, "odd", "minus", -1), (DC, "even", "plus", +1)):
+        fids.append(fidelity(result[key].state, targets[f"{cat}_cat"]))
+        _require(fids[-1] >= 1.0 - 1e-9, f"{cat}-cat branch fidelity {fids[-1]!r}")
+        errs.append(abs(result[key].probability - (1.0 + sign * overlap) / 2.0))
+        _require(errs[-1] <= tol, f"{word}-branch probability off oracle by {errs[-1]:.3e}")
+    return f"fidelities {fids[0]:.12f}/{fids[1]:.12f}, probability error {max(errs):.3e}"
+
+
 def check_squeezed_cat_branches() -> str:
     """r=0.5, tau=pi/2, theta=0: branches are the odd/even squeezed cats.
 
@@ -149,23 +163,8 @@ def check_squeezed_cat_branches() -> str:
     """
     r = 0.5
     params = SuperpositionParams(SqueezeParam(r), tau=math.pi / 2, theta=0.0)
-    result = run_superposition(params)
-    targets = superposition_targets(params)
-
-    f_odd = fidelity(result[DB].state, targets["odd_cat"])
-    f_even = fidelity(result[DC].state, targets["even_cat"])
-    _require(f_odd >= 1.0 - 1e-9, f"odd-cat branch fidelity {f_odd!r}")
-    _require(f_even >= 1.0 - 1e-9, f"even-cat branch fidelity {f_even!r}")
-
     s = _opposite_squeezed_overlap(r)
-    err_db = abs(result[DB].probability - (1.0 - s) / 2.0)
-    err_dc = abs(result[DC].probability - (1.0 + s) / 2.0)
-    _require(err_db <= 1e-6, f"minus-branch probability off oracle by {err_db:.3e}")
-    _require(err_dc <= 1e-6, f"plus-branch probability off oracle by {err_dc:.3e}")
-    return (
-        f"fidelities {f_odd:.12f}/{f_even:.12f}, "
-        f"probability error {max(err_db, err_dc):.3e} vs S={s:.6f}"
-    )
+    return f"{_cat_branches(params, s, 1e-6)} vs S={s:.6f}"
 
 
 def check_cat_support_laws() -> str:
@@ -189,20 +188,7 @@ def check_coherent_cat_branches() -> str:
     (1 -+ |<alpha|-alpha>|)/2 from the brute-force overlap oracle."""
     alpha = 1.0
     params = SuperpositionParams(CoherentParam(alpha), tau=math.pi, theta=0.0, eps=1e-12)
-    result = run_superposition(params)
-    targets = superposition_targets(params)
-
-    f_odd = fidelity(result[DB].state, targets["odd_cat"])
-    f_even = fidelity(result[DC].state, targets["even_cat"])
-    _require(f_odd >= 1.0 - 1e-9, f"odd-cat branch fidelity {f_odd!r}")
-    _require(f_even >= 1.0 - 1e-9, f"even-cat branch fidelity {f_even!r}")
-
-    overlap = _opposite_coherent_overlap(alpha).real
-    err_db = abs(result[DB].probability - (1.0 - overlap) / 2.0)
-    err_dc = abs(result[DC].probability - (1.0 + overlap) / 2.0)
-    _require(err_db <= 1e-9, f"minus-branch probability off oracle by {err_db:.3e}")
-    _require(err_dc <= 1e-9, f"plus-branch probability off oracle by {err_dc:.3e}")
-    return f"fidelities {f_odd:.12f}/{f_even:.12f}, probability error {max(err_db, err_dc):.3e}"
+    return _cat_branches(params, _opposite_coherent_overlap(alpha).real, 1e-9)
 
 
 def check_kerr_budget_advantage() -> str:

@@ -34,13 +34,15 @@ from .protocols import (
     EntanglementParams,
     ProtocolResult,
     SuperpositionParams,
+    entanglement_program,
     entanglement_targets,
     run_circuit,
     run_entanglement,
     run_superposition,
+    superposition_program,
     superposition_targets,
 )
-from .states import DEFAULT_LEAKAGE, CoherentParam, SqueezeParam, suggest_cutoff
+from .states import DEFAULT_LEAKAGE, CoherentParam, SqueezeParam
 
 SCHEMA_TAG = "kerrcat-report/1"
 SWEEPABLE = ("r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta")
@@ -89,11 +91,20 @@ def _finite(value: float, text: str) -> float:
 
 
 def _number(text: str) -> float:
+    """A float in the circuit language's grammar (ASCII digits, no ``_``)."""
+    if not dsl._FLOAT_RE.match(text):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return _finite(float(text), text)
+
+
+def _uint(text: str, what: str = "value") -> int:
+    """An integer in the circuit language's uint grammar: ASCII digits."""
+    if not dsl._UINT_RE.match(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    return _finite(value, text)
+        return dsl._int_literal(text, 1, what)
+    except dsl._LineError as err:
+        raise argparse.ArgumentTypeError(err.message) from None
 
 
 def _angle(text: str) -> float:
@@ -119,10 +130,7 @@ def _sweep_spec(text: str) -> SweepSpec:
     # np.linspace steps by stop - start; past the float range the grid is NaN
     if not math.isfinite(stop_v - start_v):
         raise argparse.ArgumentTypeError(f"sweep range {start}:{stop} overflows the float range")
-    try:  # ASCII digits only: str.isdigit alone also passes "²", which int refuses
-        count = dsl._int_literal(steps, 1, "steps") if steps.isascii() and steps.isdigit() else 0
-    except dsl._LineError as err:
-        raise argparse.ArgumentTypeError(err.message) from None
+    count = _uint(steps, "steps") if dsl._UINT_RE.match(steps) else 0
     if count < 1:
         raise argparse.ArgumentTypeError(f"steps must be a positive integer, got {steps!r}")
     return SweepSpec(param, start_v, stop_v, count)
@@ -144,12 +152,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--tau2", type=_angle, default=math.pi / 2, help="second Kerr phase")
         p.add_argument("--theta", type=_angle, default=0.0, help="phase-shifter angle")
         p.add_argument(
-            "--epsilon", type=float, default=DEFAULT_LEAKAGE, help="truncation leakage budget"
+            "--epsilon", type=_number, default=DEFAULT_LEAKAGE, help="truncation leakage budget"
         )
         p.add_argument("--trace", action="store_true", help="include the stage-by-stage trace")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-        p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+        p.add_argument("--workers", type=_uint, default=1, help="parallel sweep workers")
 
     run_p = sub.add_parser("run", help="run one protocol or circuit")
     add_common(run_p)
@@ -324,17 +332,16 @@ def _run_report(config: argparse.Namespace) -> dict:
     if config.protocol is not None:
         params, result, branches = _run_protocol(config)
         given = {"protocol": config.protocol}
-        taus = {"tau": config.tau}
-        cutoffs = {"a": suggest_cutoff(params.source_a, params.eps), "b": 1, "c": 1}
-        if config.protocol == "entanglement":
-            taus["tau2"] = config.tau2
-            cutoffs["a2"] = suggest_cutoff(params.source_a2, params.eps)
+        if config.protocol == "superposition":
+            program, taus = superposition_program(params), {"tau": config.tau}
+        else:
+            program, taus = entanglement_program(params), {"tau": config.tau, "tau2": config.tau2}
         echo = {"source": _source_dict(config), **taus, "theta": config.theta}
     else:
         program = _read_circuit(config.circuit)
         result = run_circuit(program, eps=config.epsilon, trace=config.trace)
         branches = _branches_dict(result, {})
-        given, echo, cutoffs = {"circuit": config.circuit}, {}, dict(program.modes)
+        given, echo = {"circuit": config.circuit}, {}
     report = {
         "schema": SCHEMA_TAG,
         "kind": "run",
@@ -342,7 +349,7 @@ def _run_report(config: argparse.Namespace) -> dict:
             "input": given,
             **echo,
             "epsilon": config.epsilon,
-            "cutoffs": cutoffs,
+            "cutoffs": dict(program.modes),
             "workers": config.workers,
             "format": config.fmt,
         },

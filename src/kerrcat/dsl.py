@@ -52,8 +52,9 @@ from .errors import CutoffError
 from .states import MAX_STATE_DIMENSION, CoherentParam, FockParam, SqueezeParam
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_UINT_RE = re.compile(r"\d+\Z")
-_FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
+# ASCII digits only: Python's \d also matches every other script's digits
+_UINT_RE = re.compile(r"\d+\Z", re.ASCII)
+_FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
 _TOKEN_RE = re.compile(r"\S+")
 
 # The statement kinds, in the order of CircuitProgram's fields.
@@ -79,7 +80,6 @@ class ParseDiagnostic:
     line: int      # 1-based
     column: int    # 1-based
     message: str
-    excerpt: str
 
     def __str__(self):
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
@@ -335,13 +335,13 @@ def parse(text: str | bytes) -> ParseResult:
             text = bytes(text).decode("utf-8")
         except UnicodeDecodeError as exc:
             line = text[: exc.start].count(b"\n") + 1
-            diag = ParseDiagnostic("error", line, 1, "input is not valid UTF-8", "")
+            diag = ParseDiagnostic("error", line, 1, "input is not valid UTF-8")
             return ParseResult(None, (diag,))
 
     p = _Parser()
     errors: list[ParseDiagnostic] = []
     items: dict[str, list] = {section: [] for section in _SECTIONS}
-    # (line, column, excerpt) of each statement, by section and index
+    # (line, column) of each statement, by section and index
     where: dict[str, list] = {section: [] for section in _SECTIONS}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
@@ -353,14 +353,13 @@ def parse(text: str | bytes) -> ParseResult:
         try:
             section, item = p.read(tokens)
         except _LineError as err:
-            errors.append(ParseDiagnostic("error", line_no, err.column, err.message, line))
+            errors.append(ParseDiagnostic("error", line_no, err.column, err.message))
             continue
         items[section].append(item)
-        where[section].append((line_no, tokens[0][1], line))
+        where[section].append((line_no, tokens[0][1]))
 
     def at(severity, section, index, message):
-        line_no, col, excerpt = where[section][index]
-        return ParseDiagnostic(severity, line_no, col, message, excerpt)
+        return ParseDiagnostic(severity, *where[section][index], message)
 
     program = CircuitProgram(*(tuple(items[section]) for section in _SECTIONS))
     violations, declared_at = _violations(program)

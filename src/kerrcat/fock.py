@@ -5,7 +5,8 @@ A single mode with cutoff N is the span of the photon-number states
 dense C-ordered complex array with one axis per mode; the first label is
 the slowest-varying (row-major) axis. States are immutable after construction
 and may be sub-normalized (e.g. after a projective detection); explicit
-:func:`normalize` is the only place a norm is ever divided out.
+:func:`normalize`, and ``_unit`` for the scratch superpositions that
+become new states, are the only places a norm is ever divided out.
 
 Every :class:`FockVector` and :class:`MultiModeState` is checked when it is
 built: its amplitudes must be finite and its squared norm at most
@@ -37,13 +38,14 @@ from .errors import CutoffError, ModeLabelError, StateMismatchError, ZeroStateEr
 
 # Excess over unit squared norm tolerated at construction.
 NORM_SLACK = 1e-9
-# normalize() refuses states whose norm falls at or below this.
+# normalize() and _unit() refuse amplitudes whose norm falls at or below this.
 ZERO_NORM_THRESHOLD = 1e-12
 
 
 class _Owned:
-    """An array the package has just allocated and hands over to a state,
-    which adopts it instead of copying it (see the module docstring)."""
+    """An array the package has just allocated, or the frozen array of
+    another state, handed over to a state, which adopts it instead of
+    copying it (see the module docstring)."""
 
     __slots__ = ("array",)
 
@@ -170,7 +172,7 @@ class MultiModeState:
 
 def single(label: str, vector: FockVector) -> MultiModeState:
     """Embed a single-mode vector as a one-mode multimode state."""
-    return MultiModeState((label,), vector.amplitudes)
+    return MultiModeState((label,), _Owned(vector.amplitudes))
 
 
 def tensor_product(a: MultiModeState, b: MultiModeState) -> MultiModeState:
@@ -181,29 +183,25 @@ def tensor_product(a: MultiModeState, b: MultiModeState) -> MultiModeState:
     return MultiModeState(a.labels + b.labels, _Owned(np.multiply.outer(a.tensor, b.tensor)))
 
 
-def normalize(state, threshold: float = ZERO_NORM_THRESHOLD):
-    """Scale to unit norm; returns ``(unit_state, previous_norm)``.
-
-    Accepts a :class:`MultiModeState`, which stays labelled, or a raw 1-d
-    amplitude array, which becomes a :class:`FockVector` (the scratch
-    superpositions of the cat factories may exceed unit norm before they
-    are normalized; the typed states may not). Raises
-    :class:`ZeroStateError` when the norm is at or below ``threshold``.
-    """
-    if isinstance(state, np.ndarray):
-        arr = np.asarray(state, dtype=np.complex128)
-        if arr.ndim != 1:
-            raise StateMismatchError("raw amplitude input must be 1-d; label it as a state first")
-        n = float(np.linalg.norm(arr))
-        if n <= threshold:
-            raise ZeroStateError(f"norm {n!r} is at or below the zero threshold {threshold!r}")
-        return FockVector(_Owned(arr / n)), n
+def normalize(state: MultiModeState) -> MultiModeState:
+    """The state scaled to unit norm; :class:`ZeroStateError` when its norm
+    is at or below ``ZERO_NORM_THRESHOLD``, ``TypeError`` for an unlabelled
+    :class:`FockVector` (label it with :func:`single` first)."""
     if not isinstance(state, MultiModeState):
         raise TypeError(f"cannot normalize a {type(state).__name__}; label it with single() first")
     n = state.norm
-    if n <= threshold:
-        raise ZeroStateError(f"norm {n!r} is at or below the zero threshold {threshold!r}")
-    return MultiModeState(state.labels, _Owned(state.tensor / n)), n
+    if n <= ZERO_NORM_THRESHOLD:
+        raise ZeroStateError(f"norm {n!r} is at or below the zero threshold {ZERO_NORM_THRESHOLD!r}")
+    return MultiModeState(state.labels, _Owned(state.tensor / n))
+
+
+def _unit(amplitudes: np.ndarray) -> _Owned:
+    """A scratch superposition, which may exceed unit norm, divided by its
+    norm for a new state to adopt; :class:`ZeroStateError` like normalize."""
+    n = float(np.linalg.norm(amplitudes))
+    if n <= ZERO_NORM_THRESHOLD:
+        raise ZeroStateError(f"norm {n!r} is at or below the zero threshold {ZERO_NORM_THRESHOLD!r}")
+    return _Owned(amplitudes / n)
 
 
 def project_mode(state: MultiModeState, mode: str, n: int) -> tuple[MultiModeState, float]:

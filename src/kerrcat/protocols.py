@@ -24,6 +24,7 @@ themselves are state-agnostic diagonal phases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -37,6 +38,7 @@ from .fock import (
     FockVector,
     MultiModeState,
     _Owned,
+    _unit,
     normalize,
     project_modes,
     single,
@@ -53,8 +55,8 @@ from .states import (
     suggest_cutoff,
 )
 
-# Branches whose joint detection probability falls below this are reported
-# with probability zero and no conditional state.
+# Every branch, detected or unconditional, whose probability falls below this
+# is reported with probability zero and no conditional state.
 ZERO_BRANCH_THRESHOLD = 1e-12
 
 DB = "Db_fires"
@@ -86,7 +88,10 @@ class Branch:
     outcome: tuple[tuple[str, int], ...]
     probability: float
     state: MultiModeState | None
-    pre_norm: float
+
+    @property
+    def pre_norm(self) -> float:  # the branch's norm before normalizing
+        return math.sqrt(self.probability)
 
 
 @dataclass(frozen=True)
@@ -103,9 +108,8 @@ class ProtocolResult:
 def _detection_branch(state: MultiModeState, outcome) -> Branch:
     remaining, prob = project_modes(state, outcome)
     if prob < ZERO_BRANCH_THRESHOLD:
-        return Branch(tuple(outcome), 0.0, None, 0.0)
-    conditioned, pre_norm = normalize(remaining)
-    return Branch(tuple(outcome), prob, conditioned, pre_norm)
+        return Branch(tuple(outcome), 0.0, None)
+    return Branch(tuple(outcome), prob, normalize(remaining))
 
 
 def run_superposition(params: SuperpositionParams, trace: bool = False) -> ProtocolResult:
@@ -134,7 +138,7 @@ def _click_branches(result: ProtocolResult) -> ProtocolResult:
     branches = {}
     for name, outcome in ((DB, (("b", 1), ("c", 0))), (DC, (("b", 0), ("c", 1)))):
         branch = result.branches.get(_outcome_key(outcome))
-        branches[name] = branch or Branch(outcome, 0.0, None, 0.0)
+        branches[name] = branch or Branch(outcome, 0.0, None)
     return ProtocolResult(branches, result.trace)
 
 
@@ -168,19 +172,18 @@ def entanglement_targets(params: EntanglementParams) -> dict[str, MultiModeState
     cutoff_a, cutoff_a2 = suggest_cutoff(a, eps), suggest_cutoff(a2, eps)
     base = tensor_product(
         single("a", build_source(a, cutoff_a, eps)), single("a2", build_source(a2, cutoff_a2, eps))
-    )
+    ).tensor
     rotated = tensor_product(
         single("a", build_source(a.kerr_rotated(params.tau), cutoff_a, eps)),
         single("a2", build_source(a2.kerr_rotated(params.tau2), cutoff_a2, eps)),
-    )
+    ).tensor
     phase = np.exp(1j * params.theta)
     targets = {}
     for name, sign in (("pair_plus", +1), ("pair_minus", -1)):
-        combined = rotated.tensor + sign * phase * base.tensor
-        norm = float(np.linalg.norm(combined))
-        if norm <= ZERO_BRANCH_THRESHOLD:
-            continue
-        targets[name] = MultiModeState(("a", "a2"), _Owned(combined / norm))
+        try:
+            targets[name] = MultiModeState(("a", "a2"), _unit(rotated + sign * phase * base))
+        except ZeroStateError:
+            pass
     return targets
 
 
@@ -252,7 +255,7 @@ def run_circuit(
     ``"b=1 c=0"``. The outcome combination the program asks for is always
     reported, in its place in that order, with probability zero and no
     state if it falls below the threshold. Without any detection the single
-    branch is keyed ``"unconditional"``.
+    branch is keyed ``"unconditional"``, under the same zero rule.
     """
     dsl.validate_program(program)
 
@@ -284,11 +287,7 @@ def run_circuit(
     detected = [(d.mode, d.n) for d in program.detects]
     branches: dict[str, Branch] = {}
     if not detected:
-        if state.norm <= ZERO_BRANCH_THRESHOLD:
-            branches[UNCONDITIONAL] = Branch((), 0.0, None, 0.0)
-        else:
-            unit, pre = normalize(state)
-            branches[UNCONDITIONAL] = Branch((), state.squared_norm, unit, pre)
+        branches[UNCONDITIONAL] = _detection_branch(state, ())
     else:
         requested = tuple(detected)
         modes = [m for m, _ in detected]

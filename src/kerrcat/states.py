@@ -7,12 +7,11 @@ the running sum of |a_n|^2, is the truncation leakage that the factories'
 budget check and :func:`suggest_cutoff` both read. Both runs go in order,
 so a cutoff suggested for a budget is accepted at that budget bit for bit.
 
-The budget is opt-in: ``coherent``, ``squeezed_vacuum``, ``cat_squeezed``
-and ``cat_coherent`` take ``eps=None`` by default, which returns the
-truncated amplitudes unchecked (with their norm deficit). A given ``eps``
-must lie in (0, 1) (``ValueError`` otherwise, NaN included), and a leakage
-at or above it raises :class:`CutoffError`. :func:`build_source`, and so
-``run_circuit`` and the CLI, always pass a budget. ``suggest_cutoff``
+Every source is built against a budget: ``coherent``, ``squeezed_vacuum``,
+``cat_squeezed`` and ``cat_coherent`` check their leakage against ``eps``,
+``DEFAULT_LEAKAGE`` unless given, as ``suggest_cutoff`` and ``run_circuit``
+do. ``eps`` must lie in (0, 1) (``ValueError`` otherwise, NaN included),
+and a leakage at or above it raises :class:`CutoffError`. ``suggest_cutoff``
 computes the law only up to a closed-form bound on the cutoff, and raises
 :class:`CutoffError` before it allocates when that bound reaches
 ``MAX_STATE_DIMENSION`` (r of about 7.7 and above at the default budget).
@@ -29,8 +28,8 @@ These four factories and ``suggest_cutoff`` share one memo of the last
 and so are a source and its cutoff that a sweep keeps across neighbouring
 points. Keys are the exact bit patterns of float and complex arguments:
 0.0 and -0.0 compare equal but give different amplitudes. Arguments of
-other types than ``int``, ``float``, ``complex``, ``None`` and the two
-parameter classes bypass the memo. Results are immutable and shared;
+other types than ``int``, ``float``, ``complex`` and the two parameter
+classes bypass the memo. Results are immutable and shared;
 exceptions are never stored. The memo stays small because a single source
 can hold millions of amplitudes.
 """
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError, ZeroStateError
-from .fock import FockVector, _Owned, normalize
+from .fock import FockVector, _Owned, _unit
 
 DEFAULT_LEAKAGE = 1e-10
 # Amplitudes above which a state is refused: the running product of a
@@ -56,9 +55,9 @@ DEFAULT_LEAKAGE = 1e-10
 MAX_STATE_DIMENSION = 1 << 26
 TWO_PI = 2.0 * math.pi
 # Entries the factory memo keeps. A sweep point of either built-in protocol
-# uses at most five (its cutoff, source, rotated source or negated amplitude,
-# and two cats), so one point's builds all stay in the memo while the next
-# point with the same source reuses them.
+# uses at most four (its cutoff, source, and two cats or two rotated
+# sources), so one point's builds all stay in the memo while the next point
+# with the same source reuses them.
 MEMO_SIZE = 8
 # Entries whose squares _tail adds at a time, so that its temporaries stay
 # small beside a source of millions of amplitudes.
@@ -99,9 +98,6 @@ class CoherentParam:
             raise ValueError("coherent amplitude must be finite")
         object.__setattr__(self, "alpha", a)
 
-    def negated(self) -> "CoherentParam":
-        return CoherentParam(-self.alpha)
-
     def kerr_rotated(self, tau: float) -> "CoherentParam":
         """The parameter after a cross-Kerr phase tau against one photon:
         alpha -> alpha * exp(-i * tau)."""
@@ -132,7 +128,7 @@ def _exact(value):
         return _DOUBLE.pack(value)
     if kind is complex:
         return _DOUBLE.pack(value.real) + _DOUBLE.pack(value.imag)
-    if kind is int or value is None:
+    if kind is int:
         return value
     if kind is SqueezeParam:
         return kind, _exact(value.r), _exact(value.phi)
@@ -249,74 +245,76 @@ def _check_budget(eps: float) -> None:
         raise ValueError(f"leakage budget must lie in (0, 1), got {eps!r}")
 
 
-def _source(param, cutoff: int, eps: float | None) -> FockVector:
+def _source(param, cutoff: int, eps: float) -> FockVector:
     if cutoff < 0:
         raise CutoffError(f"cutoff must be >= 0, got {cutoff}")
     amps, stride = _law(param, cutoff)
-    if eps is not None:
-        _check_budget(eps)
-        leak = _tail(amps[::stride])[-1]
-        if leak >= eps:
-            raise CutoffError(
-                f"{_label(param)}: cutoff {cutoff} leaks probability {leak:.3e} "
-                f">= budget {eps:.3e}"
-            )
+    _check_budget(eps)
+    leak = _tail(amps[::stride])[-1]
+    if leak >= eps:
+        raise CutoffError(
+            f"{_label(param)}: cutoff {cutoff} leaks probability {leak:.3e} >= budget {eps:.3e}"
+        )
     return FockVector(_Owned(amps))
 
 
 @_memoized
-def coherent(param: CoherentParam, cutoff: int, eps: float | None = None) -> FockVector:
+def coherent(param: CoherentParam, cutoff: int, eps: float = DEFAULT_LEAKAGE) -> FockVector:
     """Coherent state |alpha>, amplitudes alpha^n e^{-|alpha|^2/2} / sqrt(n!),
-    checked against the leakage budget ``eps`` unless it is None."""
+    checked against the leakage budget ``eps``."""
     return _source(param, cutoff, eps)
 
 
 @_memoized
-def squeezed_vacuum(param: SqueezeParam, cutoff: int, eps: float | None = None) -> FockVector:
+def squeezed_vacuum(param: SqueezeParam, cutoff: int, eps: float = DEFAULT_LEAKAGE) -> FockVector:
     """Squeezed vacuum |xi>, on even photon numbers only, checked against
-    the leakage budget ``eps`` unless it is None."""
+    the leakage budget ``eps``."""
     return _source(param, cutoff, eps)
+
+
+def _cat(source, param, sign: int, cutoff: int, eps: float, flipped: slice) -> FockVector:
+    """Normalized |base> + sign * |base with the signs at ``flipped``
+    reversed>, where base is ``source(param, cutoff, eps)``. Flipping signs
+    in place keeps the cancelled amplitudes exactly 0, which a phase rotated
+    by a floating-point pi would not."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    base = source(param, cutoff, eps).amplitudes
+    parity = np.ones(base.size)
+    parity[flipped] = -1.0
+    return FockVector(_unit(base * (1.0 + sign * parity)))
 
 
 @_memoized
 def cat_squeezed(
-    param: SqueezeParam, sign: int, cutoff: int, eps: float | None = None
+    param: SqueezeParam, sign: int, cutoff: int, eps: float = DEFAULT_LEAKAGE
 ) -> FockVector:
     """Normalized |xi> + sign * |-xi>.
 
     The + cat is supported on photon numbers 0, 4, 8, ...; the - cat on
     2, 6, 10, .... sign = -1 with r = 0 vanishes identically and raises
     :class:`ZeroStateError`. ``eps`` is the leakage budget of the underlying
-    squeezed vacuum, as in :func:`squeezed_vacuum` (``None``: unchecked).
+    squeezed vacuum, as in :func:`squeezed_vacuum`.
     """
-    _check_sign(sign)
-    base = squeezed_vacuum(param, cutoff, eps)
-    # |-xi> carries exactly (-1)^m on the 2m-photon amplitude relative to
-    # |xi>; flipping signs in place keeps the cancelled amplitudes exactly 0,
-    # which a phase rotated by a floating-point pi would not.
-    parity = np.ones(cutoff + 1)
-    parity[2::4] = -1.0
-    unit, _ = normalize(base.amplitudes * (1.0 + sign * parity))
-    return unit
+    # |-xi> carries exactly (-1)^m on the 2m-photon amplitude of |xi>
+    return _cat(squeezed_vacuum, param, sign, cutoff, eps, slice(2, None, 4))
 
 
 @_memoized
 def cat_coherent(
-    param: CoherentParam, sign: int, cutoff: int, eps: float | None = None
+    param: CoherentParam, sign: int, cutoff: int, eps: float = DEFAULT_LEAKAGE
 ) -> FockVector:
     """Normalized |alpha> + sign * |-alpha> (even/odd photon support).
 
-    ``eps`` is the leakage budget of each coherent component, as in
-    :func:`coherent` (``None``: unchecked).
+    sign = -1 with alpha = 0 vanishes identically and raises
+    :class:`ZeroStateError`. ``eps`` is the leakage budget of the coherent
+    component, as in :func:`coherent`.
     """
-    _check_sign(sign)
-    base = coherent(param, cutoff, eps)
-    flipped = coherent(param.negated(), cutoff, eps)
-    unit, _ = normalize(base.amplitudes + sign * flipped.amplitudes)
-    return unit
+    # |-alpha> carries exactly (-1)^n on the n-photon amplitude of |alpha>
+    return _cat(coherent, param, sign, cutoff, eps, slice(1, None, 2))
 
 
-def build_source(param, cutoff: int, eps: float | None) -> FockVector:
+def build_source(param, cutoff: int, eps: float) -> FockVector:
     """The state of a mode's source: the vacuum for ``None``, else the
     factory of the parameter's type, a :class:`SqueezeParam` or
     :class:`CoherentParam` checked against the leakage budget ``eps``. Each
@@ -331,11 +329,6 @@ def build_source(param, cutoff: int, eps: float | None) -> FockVector:
     if isinstance(param, CoherentParam):
         return coherent(param, cutoff, eps)
     raise TypeError(f"unsupported source parameter {type(param).__name__}")
-
-
-def _check_sign(sign: int) -> None:
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
 def _cutoff_bound(param, eps: float) -> int:

@@ -272,6 +272,12 @@ def test_too_many_workers_is_a_usage_error(serial_pool, capsys):
 def test_usage_and_circuit_errors_exit_1(tmp_path, capsys):
     assert cli.main(["run"]) == 1
     assert cli.main(["run", "--protocol", "superposition", "--epsilon", "nan"]) == 1
+    # numbers take the circuit language's grammar: ASCII digits, no underscores
+    for option, value, message in (("--r", "0_3", "invalid float value"),
+                                   ("--r", "\u0660.\u0663", "invalid float value"),
+                                   ("--workers", "\u0662", "invalid int value")):
+        assert cli.main(["run", "--protocol", "superposition", option, value]) == 1
+        assert f"argument {option}: {message}" in capsys.readouterr().err
     bad = tmp_path / "bad.qcirc"
     bad.write_text("mode a cutoff 3\nbs a zz\n", encoding="utf-8")
     assert cli.main(["run", "--circuit", str(bad)]) == 1

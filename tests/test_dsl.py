@@ -31,6 +31,7 @@ SYNTAX = [
     ("invalid-label", "mode 1a cutoff 2\n", 1, 6, "invalid mode label '1a'"),
     ("cutoff-keyword", "mode a size 2\n", 1, 8, "expected 'cutoff', got 'size'"),
     ("malformed-cutoff", "mode a cutoff -1\n", 1, 15, "malformed cutoff"),
+    ("non-ascii-cutoff", "mode a cutoff \u0663\n", 1, 15, "malformed cutoff"),
     ("trailing-token", "mode a cutoff 2 x\n", 1, 17, "unexpected trailing token 'x'"),
     ("key-value", AB + "source a squeezed s=0.5 phi=0\n", 3, 19, "expected r=<value>"),
     ("malformed-float", AB + "source a coherent re=abc im=0\n", 3, 22, "malformed re value 'abc'"),

@@ -29,7 +29,7 @@ from kerrcat import (
     tensor_product,
     vacuum,
 )
-from kerrcat.fock import _Owned
+from kerrcat.fock import ZERO_NORM_THRESHOLD, _Owned, _unit
 from kerrcat.states import SqueezeParam
 
 # direct evaluation of <xi|-xi> at r=0.5: brute-force amplitude sum agrees
@@ -141,6 +141,12 @@ class TestAdoption:
         vec = np.array([1.0, 0.0j]).reshape(1, 2)[0]  # a view spanning its whole buffer
         assert FockVector(_Owned(vec)).amplitudes is vec
 
+    def test_single_shares_the_frozen_vector(self):
+        for vector in (squeezed_vacuum(SqueezeParam(0.3), 20), FockVector([0.6, 0.8j])):
+            state = single("a", vector)
+            assert np.shares_memory(state.tensor, vector.amplitudes)
+            assert not state.tensor.flags.writeable
+
     @pytest.mark.parametrize("make", [
         lambda big: big[1],  # a slice of a larger tensor
         lambda big: big.T,  # not C-ordered
@@ -229,26 +235,41 @@ class TestNormalize:
         # |xi> + |-xi> at r=0 is twice the vacuum
         xi = squeezed_vacuum(SqueezeParam(0.0), 4)
         mxi = squeezed_vacuum(SqueezeParam(0.0, math.pi), 4)
-        unit, pre = normalize(xi.amplitudes + mxi.amplitudes)
-        assert pre == pytest.approx(2.0)
+        unit = FockVector(_unit(xi.amplitudes + mxi.amplitudes))
         assert np.allclose(unit.amplitudes, vacuum(4).amplitudes)
 
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroStateError):
-            normalize(np.zeros(5, complex))
+            _unit(np.zeros(5, complex))
 
-    def test_difference_prenorm_squared(self):
+    def test_difference_divided_by_its_norm(self):
         xi = squeezed_vacuum(SqueezeParam(0.5), 40)
         mxi = squeezed_vacuum(SqueezeParam(0.5, math.pi), 40)
-        unit, pre = normalize(xi.amplitudes - mxi.amplitudes)
+        difference = xi.amplitudes - mxi.amplitudes
+        unit = FockVector(_unit(difference))
         assert abs(unit.squared_norm - 1.0) < 1e-12
-        assert abs(pre**2 - (2 - 2 * OVERLAP_OPPOSITE_R05)) < 1e-4
+        norm = math.sqrt(2 - 2 * OVERLAP_OPPOSITE_R05)
+        assert np.abs(unit.amplitudes * norm - difference).max() < 1e-4
 
-    def test_threshold_configurable(self):
-        state = single("a", FockVector([1e-8, 0]))
-        normalize(state)  # fine at the default threshold
-        with pytest.raises(ZeroStateError):
-            normalize(state, threshold=1e-6)
+    def test_fixed_zero_threshold(self):
+        # a norm at the threshold is zero, twice the threshold is not
+        for scale, vanishes in ((1.0, True), (2.0, False)):
+            amplitudes = np.array([scale * ZERO_NORM_THRESHOLD, 0.0], complex)
+            for unit in (lambda: normalize(single("a", FockVector(amplitudes))),
+                         lambda: _unit(amplitudes)):
+                if vanishes:
+                    with pytest.raises(ZeroStateError, match="zero threshold 1e-12"):
+                        unit()
+                else:
+                    unit()
+
+    def test_returns_the_unit_state_alone(self):
+        state = MultiModeState(("a", "b"), np.array([[0.3, 0.0], [0.0, 0.4j]]))
+        unit = normalize(state)
+        assert unit.labels == ("a", "b")
+        assert np.allclose(unit.tensor, state.tensor / 0.5, rtol=1e-15, atol=0)
+        with pytest.raises(TypeError, match="label it with single"):
+            normalize(state.tensor)
 
     def test_unlabelled_vector_is_a_type_error(self):
         with pytest.raises(TypeError, match="label it with single"):
@@ -261,7 +282,7 @@ class TestProjection:
         remaining, prob = project_mode(bc, "b", 1)
         assert prob == pytest.approx(0.5)
         assert remaining.labels == ("c",)
-        unit, _ = normalize(remaining)
+        unit = normalize(remaining)
         assert np.allclose(unit.tensor, [1.0, 0.0])
 
     def test_vacuum_has_no_photon(self):

@@ -27,7 +27,7 @@ from kerrcat.fock import (
     tensor_product,
 )
 from kerrcat.protocols import _joined
-from kerrcat.states import CoherentParam, SqueezeParam, coherent, squeezed_vacuum
+from kerrcat.states import CoherentParam, SqueezeParam, cat_coherent, coherent, squeezed_vacuum
 
 AMPLITUDE_BYTES = np.dtype(np.complex128).itemsize
 # phase tables, index arrays, numpy's broadcasting buffers (about 256 KiB
@@ -144,8 +144,8 @@ def test_every_returned_state_is_constructed(monkeypatch):
         lambda: _joined(three, "a2", vector, LABELS),
         lambda: project_modes(small, (("b", 1), ("a", 2)))[0],
         lambda: project_mode(small, "c", 0)[0],
-        lambda: normalize(MultiModeState(small.labels, small.tensor * 0.5))[0],
-        lambda: normalize(vector.amplitudes * 0.5)[0],
+        lambda: normalize(MultiModeState(small.labels, small.tensor * 0.5)),
+        lambda: cat_coherent.__wrapped__(CoherentParam(0.3), -1, 8, 1e-3),
         lambda: tensor_product(three, single("a2", vector)),
         lambda: squeezed_vacuum.__wrapped__(SqueezeParam(0.3), 8, 1e-3),
     ]

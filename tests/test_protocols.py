@@ -19,6 +19,7 @@ from kerrcat import (
     MultiModeState,
     SqueezeParam,
     SuperpositionParams,
+    TruncationWarning,
     coherent,
     entanglement_program,
     entanglement_targets,
@@ -241,7 +242,7 @@ class TestStateDimensionBudget:
             assert a.tensor.size * b.tensor.size <= MAX_STATE_DIMENSION
             return tensor_product(a, b)
 
-        def guarded_source(param, cutoff, eps=None):
+        def guarded_source(param, cutoff, eps):
             assert 4 * (cutoff + 1) <= MAX_STATE_DIMENSION
             return squeezed_vacuum(param, cutoff, eps)
 
@@ -317,7 +318,7 @@ class TestRunCircuit:
         eager = tensor_product(
             tensor_product(single("a", fock(1, 2)), single("d", vacuum(1))),
             tensor_product(
-                single("b", coherent(CoherentParam(0.6 + 0.2j), 3)), single("c", fock(1, 2))
+                single("b", coherent(CoherentParam(0.6 + 0.2j), 3, 0.05)), single("c", fock(1, 2))
             ),
         )
         for element in program.elements:
@@ -353,6 +354,26 @@ class TestRunCircuit:
         )
         unit = MultiModeState(expected.labels, expected.tensor / expected.norm)
         assert fidelity(branch.state, unit) >= 1 - 1e-12
+
+    def test_unconditional_branch_follows_the_probability_rule(self):
+        # probability 1.01e-13 is under ZERO_BRANCH_THRESHOLD, although its
+        # norm, 3.2e-7, is far above the zero norm threshold of normalize()
+        program = parse(
+            "mode a cutoff 1\nmode b cutoff 1\nsource a fock n=1\n"
+            "source b coherent re=5.47 im=0\nbs a b\n"
+        ).program
+        with pytest.warns(TruncationWarning):
+            branch = run_circuit(program, eps=0.999999999999)["unconditional"]
+        assert (branch.probability, branch.state, branch.pre_norm) == (0.0, None, 0.0)
+
+    def test_pre_norm_is_the_norm_of_the_projected_state(self):
+        params = SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2, theta=0.3)
+        result = run_circuit(superposition_program(params), trace=True)
+        detected = result.trace[-1][1]
+        for branch in result.branches.values():
+            remaining, _ = project_modes(detected, branch.outcome)
+            assert 0.0 < branch.probability < 1.0
+            assert branch.pre_norm == remaining.norm
 
     def test_branch_tree_reports_requested_zero_branch(self):
         # photon never in (1,1); the requested combination is still reported

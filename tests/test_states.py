@@ -79,13 +79,23 @@ class TestCoherent:
         with pytest.raises(CutoffError):
             coherent(CoherentParam(1.0), 3, eps=1e-10)
 
-    def test_leakage_budget_only_when_given(self):
-        # a pinned cutoff with no eps returns the truncated amplitudes as-is
-        out = coherent(CoherentParam(2.0), 5)
+    def test_default_budget_is_checked(self):
+        # a pinned cutoff is checked against DEFAULT_LEAKAGE unless eps is given
+        out = coherent(CoherentParam(2.0), 5, eps=0.5)
         expected = [math.exp(-2.0) * 2.0**n / math.sqrt(math.factorial(n)) for n in range(6)]
         assert np.allclose(out.amplitudes, expected, rtol=1e-14, atol=0)
-        with pytest.raises(CutoffError):
-            coherent(CoherentParam(2.0), 5, eps=1e-10)
+        budget = f"budget {states.DEFAULT_LEAKAGE:.3e}"
+        for build in (
+            lambda: coherent(CoherentParam(2.0), 5),
+            lambda: cat_coherent(CoherentParam(2.0), 1, 5),
+            lambda: squeezed_vacuum(SqueezeParam(0.9), 8),
+            lambda: cat_squeezed(SqueezeParam(0.9), -1, 8),
+        ):
+            with pytest.raises(CutoffError, match=budget):
+                build()
+        cutoff = suggest_cutoff(CoherentParam(2.0))
+        assert (coherent(CoherentParam(2.0), cutoff).amplitudes.tobytes()
+                == coherent(CoherentParam(2.0), cutoff, states.DEFAULT_LEAKAGE).amplitudes.tobytes())
 
     def test_given_budget_must_lie_in_unit_interval(self):
         # NaN compares false with everything, so a plain `leak >= eps` test
@@ -123,7 +133,7 @@ class TestSqueezedVacuum:
             assert np.abs(out.amplitudes - direct).max() < 1e-12
 
     def test_odd_amplitudes_exactly_zero(self):
-        out = squeezed_vacuum(SqueezeParam(0.9), 30)
+        out = squeezed_vacuum(SqueezeParam(0.9), 30, 1e-3)
         assert np.all(out.amplitudes[1::2] == 0.0)
 
     def test_even_recurrence(self):
@@ -201,15 +211,16 @@ class TestSqueezedCat:
     def test_parity_symmetry(self):
         p = SqueezeParam(0.6, 0.9)
         negated = SqueezeParam(p.r, p.phi + math.pi)  # |-xi>
-        plus = cat_squeezed(p, +1, 30)
-        plus_neg = cat_squeezed(negated, +1, 30)
+        plus = cat_squeezed(p, +1, 30, 1e-6)
+        plus_neg = cat_squeezed(negated, +1, 30, 1e-6)
         assert np.abs(plus.amplitudes - plus_neg.amplitudes).max() < 1e-12
-        minus = cat_squeezed(p, -1, 30)
-        minus_neg = cat_squeezed(negated, -1, 30)
+        minus = cat_squeezed(p, -1, 30, 1e-6)
+        minus_neg = cat_squeezed(negated, -1, 30, 1e-6)
         assert np.abs(minus.amplitudes + minus_neg.amplitudes).max() < 1e-12
 
     def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
+        # checked before the source, which fails its budget at this cutoff
+        with pytest.raises(ValueError, match="sign must be"):
             cat_squeezed(SqueezeParam(0.5), 0, 10)
 
 
@@ -225,6 +236,18 @@ class TestCoherentCat:
     def test_plus_cat_odd_support_exactly_zero(self):
         out = cat_coherent(CoherentParam(1.0), +1, 20)
         assert np.all(out.amplitudes[1::2] == 0.0)
+
+    def test_is_the_normalized_two_source_superposition(self):
+        # |-alpha> carries exactly (-1)^n on the n-photon amplitude of |alpha>
+        for alpha in (0.7, -1.2 + 0.4j, 2j):
+            param = CoherentParam(alpha)
+            cutoff = suggest_cutoff(param)
+            base = coherent(param, cutoff).amplitudes
+            flipped = coherent(CoherentParam(-alpha), cutoff).amplitudes
+            for sign in (1, -1):
+                direct = base + sign * flipped
+                cat = cat_coherent(param, sign, cutoff).amplitudes
+                assert np.array_equal(cat, direct / np.linalg.norm(direct))
 
     def test_minus_cat_has_no_vacuum_component(self):
         out = cat_coherent(CoherentParam(1.0), -1, 20)
@@ -264,8 +287,8 @@ class TestSuggestCutoff:
         for alpha in (1e200, complex(1e308, 1e308)):
             with pytest.raises(CutoffError, match="overflows"):
                 suggest_cutoff(CoherentParam(alpha), 1e-10)
-            # a pinned cutoff, with or without a budget, fails the same way
-            for eps in (None, 1e-6):
+            # a pinned cutoff, at the default budget or a given one, fails the same way
+            for eps in (states.DEFAULT_LEAKAGE, 1e-6):
                 with pytest.raises(CutoffError, match="overflows"):
                     coherent(CoherentParam(alpha), 3, eps)
 
@@ -346,7 +369,7 @@ def test_overflowing_squeeze_magnitude():
         param = SqueezeParam(r)
         with pytest.raises(CutoffError, match="cosh"):
             suggest_cutoff(param, 1e-10)
-        for eps in (None, 1e-6):
+        for eps in (states.DEFAULT_LEAKAGE, 1e-6):
             with pytest.raises(CutoffError, match="cosh"):
                 squeezed_vacuum(param, 3, eps)
             with pytest.raises(CutoffError, match="cosh"):
@@ -380,13 +403,13 @@ class TestFactoryMemo:
             for phi in self.GRID_PHI:
                 p = SqueezeParam(r, phi)
                 yield lambda p=p: squeezed_vacuum(p, 12, 1e-3)
-                yield lambda p=p: squeezed_vacuum(p, 9)
+                yield lambda p=p: squeezed_vacuum(p, 9, 0.5)
                 for sign in (1, -1):
                     yield lambda p=p, s=sign: cat_squeezed(p, s, 12, 1e-3)
         for alpha in self.GRID_ALPHA:
             p = CoherentParam(alpha)
             yield lambda p=p: coherent(p, 14, 1e-3)
-            yield lambda p=p: coherent(p, 5)
+            yield lambda p=p: coherent(p, 5, 0.5)
             for sign in (1, -1):
                 yield lambda p=p, s=sign: cat_coherent(p, s, 14, eps=1e-3)
 
@@ -410,11 +433,11 @@ class TestFactoryMemo:
         # SqueezeParam reduces phi modulo 2 pi, which maps -0.0 to 0.0: those
         # two parameters are bit for bit the same and may share one build
         pairs = [
-            (True, lambda z: squeezed_vacuum(SqueezeParam(z, 0.5), 4, None)),
-            (False, lambda z: squeezed_vacuum(SqueezeParam(0.5, z), 4, None)),
+            (True, lambda z: squeezed_vacuum(SqueezeParam(z, 0.5), 4, 0.5)),
+            (False, lambda z: squeezed_vacuum(SqueezeParam(0.5, z), 4, 0.5)),
             (True, lambda z: coherent(CoherentParam(complex(z, z)), 3)),
             (True, lambda z: coherent(CoherentParam(complex(0.0, z)), 3)),
-            (True, lambda z: cat_coherent(CoherentParam(complex(0.6, z)), 1, 3)),
+            (True, lambda z: cat_coherent(CoherentParam(complex(0.6, z)), 1, 3, 0.5)),
         ]
         for distinct, build in pairs:
             plus, minus = build(0.0), build(-0.0)
@@ -448,18 +471,23 @@ class TestFactoryMemo:
         # cat_squeezed builds before failing was built once and kept
         assert built == [SqueezeParam(0.9), SqueezeParam(800.0), SqueezeParam(0.0)] + [
             SqueezeParam(0.9), SqueezeParam(800.0)] * 2
-        assert list(states._MEMO.values()) == [squeezed_vacuum(SqueezeParam(0.0), 4, None)]
+        base = squeezed_vacuum(SqueezeParam(0.0), 4, states.DEFAULT_LEAKAGE)
+        assert list(states._MEMO.values()) == [base]
 
     def test_memo_stays_bounded(self):
-        built = [squeezed_vacuum(SqueezeParam(0.1 * k), 6) for k in range(3 * states.MEMO_SIZE)]
+        def build(k):
+            return squeezed_vacuum(SqueezeParam(0.01 * k), 6, 1e-3)
+
+        built = [build(k) for k in range(3 * states.MEMO_SIZE)]
         assert len(states._MEMO) == states.MEMO_SIZE
         # the newest entries are shared, the oldest are rebuilt
-        assert squeezed_vacuum(SqueezeParam(0.1 * (len(built) - 1)), 6) is built[-1]
-        assert squeezed_vacuum(SqueezeParam(0.0), 6) is not built[0]
+        assert build(len(built) - 1) is built[-1]
+        assert build(0) is not built[0]
         assert len(states._MEMO) == states.MEMO_SIZE
 
     def test_other_argument_types_bypass_the_memo(self):
         param = SqueezeParam(np.float64(0.4))
-        first, second = squeezed_vacuum(param, 6), squeezed_vacuum(param, np.int64(6))
+        first, second = squeezed_vacuum(param, 6, 1e-2), squeezed_vacuum(param, np.int64(6), 1e-2)
         assert first is not second and not states._MEMO
-        assert first.amplitudes.tobytes() == squeezed_vacuum(SqueezeParam(0.4), 6).amplitudes.tobytes()
+        same = squeezed_vacuum(SqueezeParam(0.4), 6, 1e-2)
+        assert first.amplitudes.tobytes() == same.amplitudes.tobytes()
