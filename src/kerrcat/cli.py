@@ -8,7 +8,7 @@ Exit codes: 0 success, 1 diagnostics (usage, parse or validation errors,
 or a failed check), 2 numerical errors (leakage budget exceeded, zero-norm
 states, ...). A sweep records a point's numerical or validation error as
 that point's ``error`` and goes on, so it exits 1 on usage errors and
-otherwise 0.
+otherwise 0. Numbers take the circuit language's grammar (``dsl.read_value``).
 """
 
 from __future__ import annotations
@@ -84,35 +84,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _finite(value: float, text: str) -> float:
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"value {text!r} is not finite")
-    return value
+def _reader(kind: str, name: str = "value"):
+    """The argparse type of one ``kind`` value, read by :func:`dsl.read_value`."""
 
+    def read(text: str):
+        try:
+            return dsl.read_value(kind, text, name)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
 
-def _number(text: str) -> float:
-    """A float in the circuit language's grammar (ASCII digits, no ``_``)."""
-    if not dsl._FLOAT_RE.match(text):
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    return _finite(float(text), text)
-
-
-def _uint(text: str, what: str = "value") -> int:
-    """An integer in the circuit language's uint grammar: ASCII digits."""
-    if not dsl._UINT_RE.match(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    try:
-        return dsl._int_literal(text, 1, what)
-    except dsl._LineError as err:
-        raise argparse.ArgumentTypeError(err.message) from None
-
-
-def _angle(text: str) -> float:
-    try:
-        value = dsl._parse_angle(text, 1)
-    except dsl._LineError as err:
-        raise argparse.ArgumentTypeError(err.message) from None
-    return _finite(value, text)
+    return read
 
 
 def _sweep_spec(text: str) -> SweepSpec:
@@ -126,11 +107,11 @@ def _sweep_spec(text: str) -> SweepSpec:
         raise argparse.ArgumentTypeError(
             f"unknown sweep parameter {param!r}; choose from {', '.join(SWEEPABLE)}"
         )
-    start_v, stop_v = _angle(start), _angle(stop)
+    start_v, stop_v = _reader("angle", "start")(start), _reader("angle", "stop")(stop)
     # np.linspace steps by stop - start; past the float range the grid is NaN
     if not math.isfinite(stop_v - start_v):
         raise argparse.ArgumentTypeError(f"sweep range {start}:{stop} overflows the float range")
-    count = _uint(steps, "steps") if dsl._UINT_RE.match(steps) else 0
+    count = _reader("uint", "steps")(steps)
     if count < 1:
         raise argparse.ArgumentTypeError(f"steps must be a positive integer, got {steps!r}")
     return SweepSpec(param, start_v, stop_v, count)
@@ -141,23 +122,24 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
+        angle, real = _reader("angle"), _reader("float")
         p.add_argument("--protocol", choices=("superposition", "entanglement"))
         p.add_argument("--circuit", metavar="PATH", help="circuit file (.qcirc)")
         p.add_argument("--source", choices=("squeezed", "coherent"), default="squeezed")
-        p.add_argument("--r", type=_number, default=0.5, help="squeeze magnitude")
-        p.add_argument("--phi", type=_angle, default=0.0, help="squeeze phase (angle syntax)")
-        p.add_argument("--alpha-re", type=_number, default=1.0, dest="alpha_re")
-        p.add_argument("--alpha-im", type=_number, default=0.0, dest="alpha_im")
-        p.add_argument("--tau", type=_angle, default=math.pi / 2, help="Kerr phase (angle syntax)")
-        p.add_argument("--tau2", type=_angle, default=math.pi / 2, help="second Kerr phase")
-        p.add_argument("--theta", type=_angle, default=0.0, help="phase-shifter angle")
+        p.add_argument("--r", type=_reader("magnitude"), default=0.5, help="squeeze magnitude")
+        p.add_argument("--phi", type=angle, default=0.0, help="squeeze phase (angle syntax)")
+        p.add_argument("--alpha-re", type=real, default=1.0, dest="alpha_re")
+        p.add_argument("--alpha-im", type=real, default=0.0, dest="alpha_im")
+        p.add_argument("--tau", type=angle, default=math.pi / 2, help="Kerr phase (angle syntax)")
+        p.add_argument("--tau2", type=angle, default=math.pi / 2, help="second Kerr phase")
+        p.add_argument("--theta", type=angle, default=0.0, help="phase-shifter angle")
         p.add_argument(
-            "--epsilon", type=_number, default=DEFAULT_LEAKAGE, help="truncation leakage budget"
+            "--epsilon", type=real, default=DEFAULT_LEAKAGE, help="truncation leakage budget"
         )
         p.add_argument("--trace", action="store_true", help="include the stage-by-stage trace")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-        p.add_argument("--workers", type=_uint, default=1, help="parallel sweep workers")
+        p.add_argument("--workers", type=_reader("uint"), default=1, help="parallel sweep workers")
 
     run_p = sub.add_parser("run", help="run one protocol or circuit")
     add_common(run_p)
@@ -181,8 +163,6 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         raise _UsageError(f"--epsilon must lie in (0, 1), got {config.epsilon!r}")
     if not 1 <= config.workers <= MAX_WORKERS:
         raise _UsageError(f"--workers must lie in 1..{MAX_WORKERS}, got {config.workers}")
-    if config.r < 0:
-        raise _UsageError(f"--r must be >= 0, got {config.r!r}")
     if (config.protocol is None) == (config.circuit is None):
         raise _UsageError("give exactly one input: --protocol or --circuit")
     if config.command == "run":

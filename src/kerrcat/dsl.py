@@ -17,8 +17,8 @@ case-sensitive::
 The rules are checked in two places:
 
 * :func:`parse` handles what only the text shows: tokens and their
-  positions, number syntax and range (finite values, ``r >= 0``, which the
-  source types in ``kerrcat.states`` also enforce), statement order (mode
+  positions, every number through the one reader :func:`read_value` (its
+  ASCII syntax, a finite value, ``r >= 0``), statement order (mode
   declarations and sources before circuit elements, detection directives
   last) and that a mode is declared on an earlier line than any statement
   that names it. A line that breaks one of these rules is an error
@@ -47,7 +47,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .elements import BalancedBeamSplitter, CrossKerr, Detect, Element, PhaseShift
+from .elements import BalancedBeamSplitter, CrossKerr, Detect, Element, PhaseShift, element_modes
 from .errors import CutoffError
 from .states import MAX_STATE_DIMENSION, CoherentParam, FockParam, SqueezeParam
 
@@ -56,6 +56,7 @@ _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _UINT_RE = re.compile(r"\d+\Z", re.ASCII)
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
 _TOKEN_RE = re.compile(r"\S+")
+_ANGLE = "<float>, pi, pi/<uint> or <float>*pi"
 
 # The statement kinds, in the order of CircuitProgram's fields.
 _SECTIONS = ("mode", "source", "element", "detect")
@@ -107,40 +108,48 @@ class _LineError(Exception):
     def __init__(self, column: int, message: str):
         super().__init__(message)
         self.column = column
-        self.message = message
 
 
-def _int_literal(text: str, column: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:  # longer than CPython's int-string conversion limit
-        raise _LineError(column, f"{what} has too many digits ({len(text)})") from None
-
-
-def _parse_angle(text: str, column: int) -> float:
-    if text == "pi":
-        return math.pi
-    if text.startswith("pi/"):
-        denom = text[3:]
-        if not _UINT_RE.match(denom):
-            raise _LineError(column, f"malformed angle {text!r}: expected pi/<uint>")
+def read_value(kind: str, text: str, name: str) -> int | float:
+    """``text`` as one number of the circuit language, whose grammar the
+    command line shares: ``kind`` is ``"uint"`` (ASCII digits), ``"float"``,
+    ``"magnitude"`` (a float >= 0) or ``"angle"`` (in radians). Floats and
+    angles must be finite. Raises ``ValueError``, its message naming the
+    value ``name``."""
+    if kind == "uint" or (kind == "angle" and text.startswith("pi/")):
+        digits = text if kind == "uint" else text[3:]
+        if not _UINT_RE.match(digits):
+            expected = "an unsigned integer" if kind == "uint" else "pi/<uint>"
+            raise ValueError(f"malformed {name} {text!r}: expected {expected}")
         try:
-            return math.pi / int(denom)
+            value = int(digits) if kind == "uint" else math.pi / int(digits)
         except ZeroDivisionError:
-            raise _LineError(column, "angle pi/0 is undefined") from None
+            raise ValueError(f"{name} {text!r} is undefined") from None
         except (ValueError, OverflowError):  # past CPython's int-string limit or float range
-            message = f"angle denominator has too many digits ({len(denom)})"
-            raise _LineError(column, message) from None
-    if text.endswith("*pi"):
-        factor = text[:-3]
+            raise ValueError(f"{name} has too many digits ({len(digits)})") from None
+    elif kind == "angle" and text == "pi":
+        value = math.pi
+    else:
+        multiple = kind == "angle" and text.endswith("*pi")
+        factor = text[:-3] if multiple else text
         if not _FLOAT_RE.match(factor):
-            raise _LineError(column, f"malformed angle {text!r}: expected <float>*pi")
-        return float(factor) * math.pi
-    if not _FLOAT_RE.match(text):
-        raise _LineError(
-            column, f"malformed angle {text!r}: expected <float>, pi, pi/<uint> or <float>*pi"
-        )
-    return float(text)
+            expected = ("<float>*pi" if multiple else _ANGLE) if kind == "angle" else "a float"
+            raise ValueError(f"malformed {name} {text!r}: expected {expected}")
+        value = float(factor) * math.pi if multiple else float(factor)
+    if kind != "uint" and not math.isfinite(value):
+        raise ValueError(f"{name} {text!r} is not finite")
+    if kind == "magnitude" and value < 0:
+        raise ValueError(f"{name} {text!r} must be >= 0")
+    return value
+
+
+def _read(kind: str, token: tuple[str, int], key: str):
+    """The value of a ``(text, column)`` token, read by :func:`read_value`."""
+    text, col = token
+    try:
+        return read_value(kind, text, f"{key} value")
+    except ValueError as err:
+        raise _LineError(col, str(err)) from None
 
 
 def _angle_text(value: float) -> str:
@@ -214,30 +223,13 @@ class _Parser:
             raise _LineError(self.tokens[2][1], "modes must be distinct")
         return m1, m2
 
-    def _kv(self, idx, key: str, what: str) -> tuple[str, int]:
-        text, col = self._take(idx, f"{key}=<{what}>")
+    def _value(self, idx, key: str, kind: str = "float"):
+        """The value of the ``key=<kind>`` token at ``idx``."""
+        text, col = self._take(idx, f"{key}=<{kind}>")
         prefix = key + "="
         if not text.startswith(prefix):
             raise _LineError(col, f"expected {key}=<value>, got {text!r}")
-        return text[len(prefix):], col + len(prefix)
-
-    def _kv_float(self, idx, key: str, what: str = "float") -> float:
-        text, col = self._kv(idx, key, what)
-        if what == "angle":
-            value = _parse_angle(text, col)
-        elif _FLOAT_RE.match(text):
-            value = float(text)
-        else:
-            raise _LineError(col, f"malformed {key} value {text!r}: expected a float")
-        if not math.isfinite(value):
-            raise _LineError(col, f"{key} value {text!r} is not finite")
-        return value
-
-    def _kv_uint(self, idx, key: str) -> int:
-        text, col = self._kv(idx, key, "uint")
-        if not _UINT_RE.match(text):
-            raise _LineError(col, f"malformed {key} value {text!r}: expected an unsigned integer")
-        return _int_literal(text, col, f"{key} value")
+        return _read(kind, (text[len(prefix):], col + len(prefix)), key)
 
     def _end(self, idx):
         if len(self.tokens) > idx:
@@ -257,10 +249,7 @@ class _Parser:
         kw, col = self._take(2, "'cutoff'")
         if kw != "cutoff":
             raise _LineError(col, f"expected 'cutoff', got {kw!r}")
-        text, col = self._take(3, "cutoff value")
-        if not _UINT_RE.match(text):
-            raise _LineError(col, f"malformed cutoff: expected an unsigned integer, got {text!r}")
-        cutoff = _int_literal(text, col, "cutoff")
+        cutoff = _read("uint", self._take(3, "cutoff value"), "cutoff")
         self._end(4)
         self.declared.add(label)
         return "mode", (label, cutoff)
@@ -270,14 +259,11 @@ class _Parser:
         label = self._declared(1)
         kind, col = self._take(2, "source kind")
         if kind == "squeezed":
-            r = self._kv_float(3, "r")
-            if r < 0:  # at the value, like a non-finite one
-                raise _LineError(self.tokens[3][1] + 2, "squeeze magnitude r must be >= 0")
-            param = SqueezeParam(r, self._kv_float(4, "phi", "angle"))
+            param = SqueezeParam(self._value(3, "r", "magnitude"), self._value(4, "phi", "angle"))
         elif kind == "coherent":
-            param = CoherentParam(complex(self._kv_float(3, "re"), self._kv_float(4, "im")))
+            param = CoherentParam(complex(self._value(3, "re"), self._value(4, "im")))
         elif kind == "fock":
-            param = FockParam(self._kv_uint(3, "n"))
+            param = FockParam(self._value(3, "n", "uint"))
         else:
             raise _LineError(col, f"unknown source kind {kind!r}")
         self._end(4 if kind == "fock" else 5)
@@ -292,21 +278,21 @@ class _Parser:
     def stmt_phase(self):
         self._enter("elements", _ELEMENTS_FIRST)
         mode = self._declared(1)
-        theta = self._kv_float(2, "theta", "angle")
+        theta = self._value(2, "theta", "angle")
         self._end(3)
         return "element", PhaseShift(mode, theta)
 
     def stmt_kerr(self):
         self._enter("elements", _ELEMENTS_FIRST)
         m1, m2 = self._distinct()
-        tau = self._kv_float(3, "tau", "angle")
+        tau = self._value(3, "tau", "angle")
         self._end(4)
         return "element", CrossKerr(m1, m2, tau)
 
     def stmt_detect(self):
         self._enter("detects")
         mode = self._declared(1)
-        n = self._kv_uint(2, "n")
+        n = self._value(2, "n", "uint")
         self._end(3)
         return "detect", Detect(mode, n)
 
@@ -353,7 +339,7 @@ def parse(text: str | bytes) -> ParseResult:
         try:
             section, item = p.read(tokens)
         except _LineError as err:
-            errors.append(ParseDiagnostic("error", line_no, err.column, err.message))
+            errors.append(ParseDiagnostic("error", line_no, err.column, str(err)))
             continue
         items[section].append(item)
         where[section].append((line_no, tokens[0][1]))
@@ -472,7 +458,7 @@ def _violations(program: CircuitProgram):
         if isinstance(element, Detect):
             reject("element", index, "detection must come after all circuit elements")
             continue
-        for mode in _element_modes(element):
+        for mode in element_modes(element):
             if mode not in cutoffs:
                 reject("element", index, f"mode {mode!r} is not declared")
                 break
@@ -499,10 +485,3 @@ def _violations(program: CircuitProgram):
 
     return violations, declared_at
 
-
-def _element_modes(element: Element) -> tuple[str, ...]:
-    if isinstance(element, (BalancedBeamSplitter, CrossKerr)):
-        return (element.mode_1, element.mode_2)
-    if isinstance(element, (PhaseShift, Detect)):
-        return (element.mode,)
-    raise TypeError(f"not a circuit element: {element!r}")

@@ -316,6 +316,15 @@ def _outside_caller_level() -> int:
     return level
 
 
+def element_modes(element: Element) -> tuple[str, ...]:
+    """The modes an element or a :class:`Detect` acts on."""
+    if isinstance(element, (BalancedBeamSplitter, CrossKerr)):
+        return (element.mode_1, element.mode_2)
+    if isinstance(element, (PhaseShift, Detect)):
+        return (element.mode,)
+    raise TypeError(f"not a circuit element: {element!r}")
+
+
 def apply_element(state: MultiModeState, element: Element) -> MultiModeState:
     """Apply one unitary element; a :class:`Detect` is not one, and raises
     :class:`TypeError` like any other non-element."""

@@ -32,7 +32,14 @@ import numpy as np
 
 from . import dsl
 from .analysis import joint_photon_distribution
-from .elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift, apply_element
+from .elements import (
+    BalancedBeamSplitter,
+    CrossKerr,
+    Detect,
+    PhaseShift,
+    apply_element,
+    element_modes,
+)
 from .errors import ZeroStateError
 from .fock import (
     FockVector,
@@ -268,7 +275,7 @@ def run_circuit(
     stages = []
     # the trailing None stands for detection, before which every mode joins
     for element in (*program.elements, None):
-        touched = unjoined if element is None else dsl._element_modes(element)
+        touched = unjoined if element is None else element_modes(element)
         for label in [m for m in declared if m in unjoined and m in touched]:
             state = _joined(state, label, unjoined.pop(label), declared)
             if trace:

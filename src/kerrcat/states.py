@@ -26,18 +26,21 @@ A source is described by one parameter type: :class:`SqueezeParam`,
 These four factories and ``suggest_cutoff`` share one memo of the last
 ``MEMO_SIZE`` results, so a run's source, cats and targets are built once,
 and so are a source and its cutoff that a sweep keeps across neighbouring
-points. Keys are the exact bit patterns of float and complex arguments:
-0.0 and -0.0 compare equal but give different amplitudes. Arguments of
-other types than ``int``, ``float``, ``complex`` and the two parameter
-classes bypass the memo. Results are immutable and shared;
-exceptions are never stored. The memo stays small because a single source
-can hold millions of amplitudes.
+points. A key holds the arguments bound to the factory's parameters, with
+defaults filled in, so every spelling of one call shares an entry. Float
+and complex arguments are keyed by their exact bit patterns: 0.0 and -0.0
+compare equal but give different amplitudes. Arguments of other types
+than ``int``, ``float``, ``complex`` and the two parameter classes bypass
+the memo. Results are immutable and shared; exceptions are never stored.
+The memo stays small because a single source can hold millions of
+amplitudes.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import inspect
 import math
 import struct
 import threading
@@ -82,8 +85,8 @@ class SqueezeParam:
 
     def kerr_rotated(self, tau: float) -> "SqueezeParam":
         """The parameter after a cross-Kerr phase tau against one photon:
-        xi -> xi * exp(-2i * tau)."""
-        return SqueezeParam(self.r, self.phi + -2.0 * tau)
+        xi -> xi * exp(-2i * tau), with tau reduced exactly by ``fmod``."""
+        return SqueezeParam(self.r, self.phi + -2.0 * math.fmod(tau, math.pi))
 
 
 @dataclass(frozen=True)
@@ -139,15 +142,18 @@ def _exact(value):
 
 def _memoized(factory):
     """``factory`` behind the shared memo (see the module docstring)."""
+    parameters = inspect.signature(factory).parameters.values()
+    names = tuple(p.name for p in parameters)
+    defaults = tuple(p.default for p in parameters)
 
     @functools.wraps(factory)
     def memoized(*args, **kwargs):
+        given = len(args)
         try:
-            key = (
-                factory,
-                tuple(map(_exact, args)),
-                tuple((name, _exact(v)) for name, v in sorted(kwargs.items())),
-            )
+            if kwargs and kwargs.keys() - names[given:]:  # unknown or repeated keywords
+                raise TypeError
+            bound = args + tuple(map(kwargs.get, names[given:], defaults[given:]))
+            key = (factory, tuple(map(_exact, bound)))
         except TypeError:
             return factory(*args, **kwargs)
         with _MEMO_LOCK:

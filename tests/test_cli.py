@@ -156,6 +156,15 @@ def test_non_finite_numbers_are_usage_errors(argv):
     assert "kerrcat: error: argument" in done.stderr
 
 
+@pytest.mark.parametrize("option", ["--tau=1e308", "--tau2=-1e308"])
+def test_huge_kerr_phase_runs(option):
+    # the squeezed phase used to overflow to -inf in kerr_rotated
+    done = run_kerrcat("run", "--protocol", "entanglement", "--r", "0", option)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    validate(json.loads(done.stdout))
+
+
 @pytest.mark.parametrize("given", ["protocol", "circuit", "r=8", "r=20", "r=40"])
 def test_overflowing_squeeze_magnitude_is_a_numerical_error(given, tmp_path):
     # cosh(r) overflows above r of about 710, with or without a pinned
@@ -273,9 +282,11 @@ def test_usage_and_circuit_errors_exit_1(tmp_path, capsys):
     assert cli.main(["run"]) == 1
     assert cli.main(["run", "--protocol", "superposition", "--epsilon", "nan"]) == 1
     # numbers take the circuit language's grammar: ASCII digits, no underscores
-    for option, value, message in (("--r", "0_3", "invalid float value"),
-                                   ("--r", "\u0660.\u0663", "invalid float value"),
-                                   ("--workers", "\u0662", "invalid int value")):
+    for option, value, message in (("--r", "0_3", "malformed value '0_3': expected a float"),
+                                   ("--r", "\u0660.\u0663", "malformed value '\u0660.\u0663': "
+                                    "expected a float"),
+                                   ("--workers", "\u0662", "malformed value '\u0662': "
+                                    "expected an unsigned integer")):
         assert cli.main(["run", "--protocol", "superposition", option, value]) == 1
         assert f"argument {option}: {message}" in capsys.readouterr().err
     bad = tmp_path / "bad.qcirc"
@@ -289,7 +300,8 @@ def test_usage_and_circuit_errors_exit_1(tmp_path, capsys):
     # str.isdigit but not int
     sweep = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.2:2", "--sweep"]
     for axis, message in (("r:0.3:0.4:2", "--sweep names 'r' more than once"),
-                          ("tau:0:1:²", "argument --sweep: steps must be a positive integer")):
+                          ("tau:0:1:²", "argument --sweep: malformed steps '²': "
+                                        "expected an unsigned integer")):
         assert cli.main(sweep + [axis]) == 1
         assert message in capsys.readouterr().err
 

@@ -1,21 +1,24 @@
 """Circuit DSL tests: one case per parser rule (syntax, statement order and
 circuit semantics), each pinning severity, line, column and a message
-substring, plus round-trip, parser/validator agreement and any-bytes
-properties."""
+substring; the one number reader; plus round-trip, parser/validator and
+command-line/circuit agreement and any-bytes properties."""
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kerrcat import cli
 from kerrcat.dsl import (
     CircuitProgram,
     CircuitValidationError,
     ParseResult,
     format_program,
     parse,
+    read_value,
     validate_program,
 )
 from kerrcat.elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift
@@ -36,13 +39,13 @@ SYNTAX = [
     ("key-value", AB + "source a squeezed s=0.5 phi=0\n", 3, 19, "expected r=<value>"),
     ("malformed-float", AB + "source a coherent re=abc im=0\n", 3, 22, "malformed re value 'abc'"),
     ("non-finite-float", AB + "source a squeezed r=1e999 phi=0\n", 3, 21, "is not finite"),
-    ("negative-r", AB + "source a squeezed r=-0.5 phi=0\n", 3, 21, "r must be >= 0"),
+    ("negative-r", AB + "source a squeezed r=-0.5 phi=0\n", 3, 21, "r value '-0.5' must be >= 0"),
     ("malformed-uint", AB + "detect a n=x\n", 3, 12, "malformed n value 'x'"),
     ("unknown-source-kind", AB + "source a thermal\n", 3, 10, "unknown source kind 'thermal'"),
     ("angle-denominator", AB + "phase a theta=pi/x\n", 3, 15, "expected pi/<uint>"),
-    ("angle-pi-over-zero", AB + "phase a theta=pi/0\n", 3, 15, "pi/0 is undefined"),
+    ("angle-pi-over-zero", AB + "phase a theta=pi/0\n", 3, 15, "theta value 'pi/0' is undefined"),
     ("angle-multiple", AB + "phase a theta=x*pi\n", 3, 15, "expected <float>*pi"),
-    ("angle-malformed", AB + "phase a theta=abc\n", 3, 15, "malformed angle 'abc'"),
+    ("angle-malformed", AB + "phase a theta=abc\n", 3, 15, "malformed theta value 'abc'"),
     ("angle-non-finite", AB + "kerr a b tau=1e308*pi\n", 3, 14, "is not finite"),
     ("bs-distinct-modes", AB + "bs a a\n", 3, 6, "modes must be distinct"),
     ("kerr-distinct-modes", AB + "kerr b b tau=1\n", 3, 8, "modes must be distinct"),
@@ -107,6 +110,58 @@ def test_huge_integer_literal(text, line, column):
     (first,) = parse(text).errors
     assert (first.line, first.column) == (line, column)
     assert "too many digits" in first.message
+
+
+# (kind, text, the value or a substring of the error) of the one number reader
+READS = [
+    ("uint", "007", 7),
+    ("uint", "\u0663", "malformed x '\u0663': expected an unsigned integer"),
+    ("uint", HUGE, "x has too many digits (5000)"),
+    ("float", "-1e308", -1e308),
+    ("float", "0_3", "malformed x '0_3': expected a float"),
+    ("float", "1e999", "x '1e999' is not finite"),
+    ("float", "nan", "malformed x 'nan': expected a float"),
+    ("magnitude", "-0.0", -0.0),
+    ("magnitude", "-1", "x '-1' must be >= 0"),
+    ("magnitude", "-1e999", "x '-1e999' is not finite"),
+    ("angle", "pi", math.pi),
+    ("angle", "pi/4", math.pi / 4),
+    ("angle", "-0.25*pi", -0.25 * math.pi),
+    ("angle", "pi/0", "x 'pi/0' is undefined"),
+    ("angle", "pi/" + HUGE, "x has too many digits (5000)"),
+    ("angle", "pi/" + HUGE[:400], "x has too many digits (400)"),  # past the float range
+    ("angle", "pi/-1", "malformed x 'pi/-1': expected pi/<uint>"),
+    ("angle", "1e308*pi", "x '1e308*pi' is not finite"),
+    ("angle", "2*pi*pi", "malformed x '2*pi*pi': expected <float>*pi"),
+    ("angle", "tau", "malformed x 'tau': expected <float>, pi, pi/<uint> or <float>*pi"),
+]
+
+
+@pytest.mark.parametrize("kind, text, expected", READS)
+def test_read_value(kind, text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match="^" + re.escape(expected)):
+            read_value(kind, text, "x")
+    else:  # repr tells -0.0 from 0.0 and an int from a float
+        assert repr(read_value(kind, text, "x")) == repr(expected)
+
+
+NUMBER_TEXTS = st.lists(
+    st.sampled_from(list("0123456789.eE+-_/*\u0663\u00b2") + ["pi", "pi/", "inf", "nan"]),
+    max_size=8,
+).map("".join) | st.floats().map(repr) | st.sampled_from(["pi/0", "pi/" + HUGE, "1e308*pi"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=NUMBER_TEXTS)
+def test_command_line_and_circuit_read_the_same_angles(text):
+    try:
+        option = repr(cli._build_parser().parse_args(["run", f"--tau={text}"]).tau)
+    except cli._UsageError:
+        option = None
+    parsed = parse(AB + f"phase a theta={text}\n")
+    statement = repr(parsed.program.elements[0].theta) if parsed.ok else None
+    assert option == statement
 
 
 def test_undecodable_bytes():

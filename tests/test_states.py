@@ -485,6 +485,19 @@ class TestFactoryMemo:
         assert build(0) is not built[0]
         assert len(states._MEMO) == states.MEMO_SIZE
 
+    def test_every_spelling_of_a_call_shares_one_entry(self):
+        param = SqueezeParam(0.01)
+        first = squeezed_vacuum(param, 4)
+        assert squeezed_vacuum(param, 4, states.DEFAULT_LEAKAGE) is first
+        assert squeezed_vacuum(param, 4, eps=states.DEFAULT_LEAKAGE) is first
+        assert squeezed_vacuum(param, cutoff=4) is first
+        assert len(states._MEMO) == 1
+        # a call the factory rejects is not answered from the memo
+        with pytest.raises(TypeError):
+            squeezed_vacuum(param, 4, cutoff=4)
+        with pytest.raises(TypeError):
+            squeezed_vacuum(param, 4, budget=0.5)
+
     def test_other_argument_types_bypass_the_memo(self):
         param = SqueezeParam(np.float64(0.4))
         first, second = squeezed_vacuum(param, 6, 1e-2), squeezed_vacuum(param, np.int64(6), 1e-2)
