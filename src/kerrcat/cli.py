@@ -3,7 +3,9 @@ parameters in parallel, and check the build against its embedded suite.
 
 Reports are deterministic: the same configuration yields byte-identical
 output regardless of worker count (timing goes to stderr, never into the
-report). JSON is the primary format; CSV is available for sweeps only.
+report). JSON is the primary format: a run's report, like each sweep point,
+is one record on one line from ``json.dumps(allow_nan=False)`` (``python -m
+json.tool`` indents it). CSV is available for sweeps only.
 Exit codes: 0 success, 1 diagnostics (usage, parse or validation errors,
 or a failed check), 2 numerical errors (leakage budget exceeded, zero-norm
 states, ...). A sweep records a point's numerical or validation error as
@@ -21,7 +23,6 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -83,6 +84,30 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise _UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        """Before a ``--`` separator, ``--opt=--`` is refused (argparse would
+        drop the ``--`` and store ``[]``), and a token that reads as a number
+        is the value of the option before it (argparse takes ``-1e-3`` for one)."""
+        tokens = []
+        for token in sys.argv[1:] if args is None else args:
+            if "--" in tokens:
+                tokens.append(token)
+            elif token.startswith("--") and token.partition("=")[2] == "--":
+                self.error(f"argument {token[:-3]}: expected one argument")
+            elif tokens and tokens[-1].startswith("--") and _is_number(token):
+                tokens[-1] += "=" + token
+            else:
+                tokens.append(token)
+        return super().parse_known_args(tokens, namespace)
+
+
+def _is_number(text: str) -> bool:
+    try:
+        dsl.read_value("angle", text, "value")
+    except ValueError:
+        return False
+    return True
+
 
 def _reader(kind: str, name: str = "value"):
     """The argparse type of one ``kind`` value, read by :func:`dsl.read_value`."""
@@ -107,7 +132,8 @@ def _sweep_spec(text: str) -> SweepSpec:
         raise argparse.ArgumentTypeError(
             f"unknown sweep parameter {param!r}; choose from {', '.join(SWEEPABLE)}"
         )
-    start_v, stop_v = _reader("angle", "start")(start), _reader("angle", "stop")(stop)
+    kind = {"r": "magnitude", "alpha_re": "float", "alpha_im": "float"}.get(param, "angle")
+    start_v, stop_v = _reader(kind, "start")(start), _reader(kind, "stop")(stop)
     # np.linspace steps by stop - start; past the float range the grid is NaN
     if not math.isfinite(stop_v - start_v):
         raise argparse.ArgumentTypeError(f"sweep range {start}:{stop} overflows the float range")
@@ -165,9 +191,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         raise _UsageError(f"--workers must lie in 1..{MAX_WORKERS}, got {config.workers}")
     if (config.protocol is None) == (config.circuit is None):
         raise _UsageError("give exactly one input: --protocol or --circuit")
-    if config.command == "run":
-        if config.fmt == "csv":
-            raise _UsageError("CSV output is only available for sweeps; runs are JSON")
+    if config.command == "run" and config.fmt == "csv":
+        raise _UsageError("CSV output is only available for sweeps; runs are JSON")
     if config.command == "sweep":
         if config.circuit is not None:
             raise _UsageError("sweeps need --protocol; circuit files have no sweepable parameters")
@@ -243,22 +268,11 @@ def _branches_dict(result: ProtocolResult, targets: dict, source_kind: str | Non
 
 
 def _trace_list(result: ProtocolResult) -> list[dict]:
-    out = []
-    for stage, state in result.trace or ():
-        flat = state.tensor.ravel().tolist()
-        out.append({
-            "stage": stage,
-            "modes": list(state.labels),
-            "shape": list(state.tensor.shape),
-            "amplitudes": [[z.real, z.imag] for z in flat],
-        })
-    return out
-
-
-def _source_dict(config: argparse.Namespace) -> dict:
-    if config.source == "squeezed":
-        return {"kind": "squeezed", "r": config.r, "phi": config.phi}
-    return {"kind": "coherent", "alpha_re": config.alpha_re, "alpha_im": config.alpha_im}
+    return [
+        {"stage": stage, "modes": list(state.labels), "shape": list(state.tensor.shape),
+         "amplitudes": [[z.real, z.imag] for z in state.tensor.ravel().tolist()]}
+        for stage, state in result.trace or ()
+    ]
 
 
 def _protocol_params(config: argparse.Namespace):
@@ -316,7 +330,9 @@ def _run_report(config: argparse.Namespace) -> dict:
             program, taus = superposition_program(params), {"tau": config.tau}
         else:
             program, taus = entanglement_program(params), {"tau": config.tau, "tau2": config.tau2}
-        echo = {"source": _source_dict(config), **taus, "theta": config.theta}
+        keys = ("r", "phi") if config.source == "squeezed" else ("alpha_re", "alpha_im")
+        source = {"kind": config.source, **{key: getattr(config, key) for key in keys}}
+        echo = {"source": source, **taus, "theta": config.theta}
     else:
         program = _read_circuit(config.circuit)
         result = run_circuit(program, eps=config.epsilon, trace=config.trace)
@@ -360,12 +376,9 @@ def _evaluate_point(task) -> dict:
         "params": {name: getattr(overridden, name) for name in SWEEPABLE},
     }
     try:
-        record["branches"] = _run_protocol(overridden)[2]
-        record["error"] = None
+        return {**record, "branches": _run_protocol(overridden)[2], "error": None}
     except (FockSpaceError, FloatingPointError, ValueError) as err:
-        record["branches"] = {}
-        record["error"] = f"{type(err).__name__}: {err}"
-    return record
+        return {**record, "branches": {}, "error": f"{type(err).__name__}: {err}"}
 
 
 def _sweep_records(config: argparse.Namespace) -> list[dict]:
@@ -418,61 +431,6 @@ def _sweep_csv(records: list[dict]) -> str:
     return out.getvalue()
 
 
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    if "n" in text:  # nan, inf or -inf: no finite float's repr has an "n"
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return text
-
-
-def _indented_json(value, newline: str = "\n") -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, in
-    one recursive pass.
-
-    ``indent`` sends the standard library to its pure-Python encoder, which
-    took a third of a large circuit report's run. Here a list of floats,
-    the bulk of a report, is one ``join`` of ``float.__repr__``, and strings
-    go through the C string encoder. ``newline`` is the line break and
-    indentation of the enclosing level. Dict keys must be strings.
-    """
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = []
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + _indented_json(item, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        try:
-            body = ("," + inner).join(map(float.__repr__, value))
-        except TypeError:  # not all floats
-            body = ("," + inner).join([_indented_json(item, inner) for item in value])
-        else:
-            if "n" in body:
-                for item in value:
-                    _json_float(item)
-        return "[" + inner + body + newline + "]"
-    if isinstance(value, float):
-        return _json_float(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _run_config(argv) -> argparse.Namespace | None:
     """The configuration of a ``run`` or ``sweep`` command line; None for
     ``check``."""
@@ -483,9 +441,7 @@ def _run_config(argv) -> argparse.Namespace | None:
 
 
 def _render(config: argparse.Namespace) -> str:
-    if config.command == "run":
-        return _indented_json(_run_report(config)) + "\n"
-    records = _sweep_records(config)
+    records = [_run_report(config)] if config.command == "run" else _sweep_records(config)
     if config.fmt == "csv":
         return _sweep_csv(records)
     return "".join(json.dumps(rec, allow_nan=False) + "\n" for rec in records)

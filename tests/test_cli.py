@@ -1,7 +1,8 @@
 """CLI tests: rendered reports against the report schema, exit codes, the
-report writer against ``json.dumps``, and the embedded ``kerrcat check``
-suite."""
+command-line grammar (a property over whole command lines), and the embedded
+``kerrcat check`` suite."""
 
+import contextlib
 import csv
 import io
 import json
@@ -12,9 +13,8 @@ import sys
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kerrcat
@@ -147,7 +147,7 @@ def test_sweep_records_unreachable_cutoff_per_point():
     ("run", "--protocol", "superposition", "--phi", "1e308*pi"),
     ("sweep", "--protocol", "superposition", "--sweep", "tau:0:1e308*pi:2"),
     # each end is finite, but the grid step overflows
-    ("sweep", "--protocol", "superposition", "--sweep", "r:-1e308:1e308:3"),
+    ("sweep", "--protocol", "superposition", "--sweep", "alpha_re:-1e308:1e308:3"),
 ])
 def test_non_finite_numbers_are_usage_errors(argv):
     done = run_kerrcat(*argv)
@@ -338,6 +338,142 @@ def test_oversized_sweep_grid_is_a_usage_error(axes, monkeypatch):
     assert cli._run_config(["sweep", "--protocol", "superposition", "--sweep", limit])
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--protocol", "superposition", "--tau=--"],
+    ["run", "--protocol", "superposition", "--workers=--"],
+    ["run", "--circuit=--"],
+    ["sweep", "--protocol", "superposition", "--sweep=--"],
+])
+def test_double_dash_value_is_a_usage_error(argv, capsys):
+    # argparse drops a "--" value before the option's type sees it
+    option = argv[-1].removesuffix("=--")
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"kerrcat: error: argument {option}: expected one argument\n"
+
+
+@pytest.mark.parametrize("source, option, value", [
+    ("coherent", "--alpha-re", "-1e-3"),
+    ("coherent", "--alpha-im", "-2E+0"),
+    ("squeezed", "--tau", "-1."),
+    ("squeezed", "--phi", "-0.25*pi"),
+])
+def test_negative_number_is_the_option_value(source, option, value):
+    # argparse's own negative numbers have no exponent, trailing dot or *pi
+    argv = ["run", "--protocol", "superposition", "--source", source]
+    report = cli.render_output(argv + [option, value])
+    assert report == cli.render_output(argv + [f"{option}={value}"])
+    assert report != cli.render_output(argv)
+
+
+def test_negative_magnitude_is_refused_in_either_spelling(capsys):
+    for spelling in (["--r", "-1e-3"], ["--r=-1e-3"]):
+        assert cli.main(["run", "--protocol", "superposition", *spelling]) == 1
+        assert "kerrcat: error: argument --r: value '-1e-3' must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, message", [
+    ("r:-1:1:3", "start '-1' must be >= 0"),
+    ("alpha_re:0:pi:3", "malformed stop 'pi': expected a float"),
+    ("alpha_im:1:-1e999:3", "stop '-1e999' is not finite"),
+])
+def test_sweep_ends_are_read_as_their_option(axis, message, capsys):
+    assert cli.main(["sweep", "--protocol", "superposition", "--sweep", axis]) == 1
+    assert f"kerrcat: error: argument --sweep: {message}" in capsys.readouterr().err
+
+
+# Values of every option, sized so that no example is slow: r <= 1, |alpha| <= 2,
+# circuit cutoffs <= 4, sweeps of at most 3 points, and --workers either
+# refused or at most 2. Paths are relative to the test's working directory.
+OPTION_VALUES = {
+    "--protocol": ["superposition", "entanglement"],
+    "--circuit": ["ok.qcirc"],
+    "--source": ["squeezed", "coherent"],
+    "--r": ["0", "0.3", "1"],
+    "--phi": ["0", "pi/4", "-0.25*pi"],
+    "--alpha-re": ["-1.4", "0", "1"],
+    "--alpha-im": ["-1.4", "-1e-3", "1"],
+    "--tau": ["pi/2", "pi", "1e308"],
+    "--tau2": ["pi/2", "pi", "-1."],
+    "--theta": ["0", "0.3", "-2e-1"],
+    "--epsilon": ["1e-4", "0.5"],
+    "--trace": [None],
+    "--format": ["json", "csv"],
+    "--out": ["report.txt"],
+    "--workers": ["1", "2"],
+    "--sweep": ["r:0:1:3", "tau:0:pi:3", "alpha_re:-1:1:2", "theta:-1e-3:pi/2:2"],
+    "--no-such-option": [None],
+}
+COMMON = ["--source", "--r", "--phi", "--alpha-re", "--alpha-im", "--tau", "--tau2", "--theta",
+          "--epsilon", "--format", "--out", "--workers"]
+# refused values: every option may take a hostile one, some take one of their own
+HOSTILE = ["--", "-", "", "-1e-3", "nan", "1e999", "pi/0"]
+REFUSED = {
+    "--protocol": ["cat"],
+    "--circuit": ["bad.qcirc", "missing.qcirc", "."],
+    "--epsilon": ["0", "1"],
+    "--out": [".", "missing/report.txt"],
+    "--workers": ["0", "65"],
+    "--sweep": ["r:-1:1:3", "alpha_re:0:pi:3", "theta:0:1e308*pi:2", "x:0:1:2", "r:0:1:0"],
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A ``run`` or ``sweep`` command line with at most one fault: a refused
+    value, a missing input or axis, or an option out of place."""
+    command = draw(st.sampled_from(["run", "sweep"]))
+    if command == "run":
+        options = [draw(st.sampled_from(["--protocol", "--circuit"]))]
+        options += ["--trace"] if draw(st.booleans()) else []
+    else:
+        options = ["--protocol", "--sweep"]
+    options += draw(st.lists(st.sampled_from(COMMON), max_size=4, unique=True))
+    fault = draw(st.sampled_from([None, "value", "missing", "extra"]))
+    if fault == "missing":
+        del options[draw(st.integers(0, 1 if command == "sweep" else 0))]
+    elif fault == "extra":
+        options.append(draw(st.sampled_from(
+            ["--protocol", "--circuit", "--sweep", "--trace", "--no-such-option"])))
+    options = list(dict.fromkeys(options))
+    refused = draw(st.sampled_from(options)) if fault == "value" else None
+    argv = [command]
+    for option in options:
+        values = HOSTILE + REFUSED.get(option, []) if option == refused else OPTION_VALUES[option]
+        value = draw(st.sampled_from(values))
+        if value is None:
+            argv.append(option)
+        else:
+            argv += draw(st.sampled_from([[option, value], [f"{option}={value}"]]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines())
+def test_every_command_line_ends_in_an_exit_code(argv, tmp_path, monkeypatch):
+    # the fixtures are shared by every example: a working directory with one
+    # runnable and one broken circuit file
+    monkeypatch.chdir(tmp_path)
+    Path("ok.qcirc").write_text(
+        "mode a cutoff 4\nmode b cutoff 1\nsource a fock n=2\nsource b fock n=1\n"
+        "kerr a b tau=pi/2\ndetect b n=1\n", encoding="utf-8",
+    )
+    Path("bad.qcirc").write_text("mode a cutoff 3\nbs a zz\n", encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        out = cli._run_config(argv).out
+        report = Path(out).read_text(encoding="utf-8") if out else stdout.getvalue()
+        assert report.endswith("\n")
+        if report.startswith("{"):
+            assert all(json.loads(line) for line in report.splitlines())
+        if out:
+            os.remove(out)
+
+
 def test_truncation_warning_is_a_kerrcat_diagnostic(tmp_path):
     # |1, 1> into a cutoff-1 splitter: all of its mass sits above the cutoff
     path = tmp_path / "spill.qcirc"
@@ -354,52 +490,22 @@ def test_truncation_warning_is_a_kerrcat_diagnostic(tmp_path):
         assert done.stdout == cli.render_output(["run", "--circuit", str(path)])
 
 
-FINITE_FLOATS = (
-    st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308])
-)
-JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.text()
-    | FINITE_FLOATS
-    | FINITE_FLOATS.map(np.float64)
-    # the writer's one-join path for lists made only of floats
-    | st.lists(FINITE_FLOATS | FINITE_FLOATS.map(np.float64)),
-    lambda inner: (
-        st.lists(inner, max_size=5)
-        | st.lists(inner, max_size=5).map(tuple)
-        | st.dictionaries(st.text(), inner, max_size=5)
-    ),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(JSON_VALUES)
-def test_report_writer_matches_json_dumps(value):
-    assert cli._indented_json(value) == json.dumps(value, indent=2, allow_nan=False)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
-def test_report_writer_rejects_non_finite_floats(bad):
-    for value in (bad, [bad], [1.0, bad], {"x": [0.5, bad]}, [1, bad], ("a", bad)):
-        with pytest.raises(ValueError):
-            json.dumps(value, indent=2, allow_nan=False)
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._indented_json(value)
-
-
-@pytest.mark.parametrize("bad", [object(), np.int64(1), 1j, b"x", {1.0}, np.zeros(2)])
-def test_report_writer_rejects_unencodable_objects(bad):
-    for value in (bad, [bad], [0.5, bad], {"x": bad}):
-        with pytest.raises(TypeError):
-            json.dumps(value, indent=2, allow_nan=False)
-        with pytest.raises(TypeError):
-            cli._indented_json(value)
-    with pytest.raises(TypeError, match="keys must be str"):
-        cli._indented_json({1: 2})
+@pytest.mark.parametrize("argv", [
+    ["run", "--protocol", "superposition"],
+    ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.2:2"],
+])
+def test_non_finite_report_is_refused(argv, tmp_path, monkeypatch, capsys):
+    # no report may hold NaN: the encoder refuses it, and nothing is written
+    monkeypatch.setattr(cli, "fidelity", lambda *args: math.nan)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._render(cli._run_config(argv))
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.main(argv + ["--out", str(out)])
+    assert not out.exists()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.main(argv)
+    assert "NaN" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -410,7 +516,7 @@ def test_traced_run_report_is_written_as_json_dumps_would(argv, tmp_path):
     path = tmp_path / "cat.qcirc"
     path.write_text(CIRCUIT, encoding="utf-8")
     config = cli._run_config([str(path) if arg == "CIRCUIT" else arg for arg in argv])
-    expected = json.dumps(cli._run_report(config), indent=2, allow_nan=False) + "\n"
+    expected = json.dumps(cli._run_report(config), allow_nan=False) + "\n"
     assert cli._render(config) == expected
 
 

@@ -154,6 +154,7 @@ NUMBER_TEXTS = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(text=NUMBER_TEXTS)
+@example(text="--")  # argparse drops a "--" value before the option's type sees it
 def test_command_line_and_circuit_read_the_same_angles(text):
     try:
         option = repr(cli._build_parser().parse_args(["run", f"--tau={text}"]).tau)
