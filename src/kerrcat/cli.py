@@ -308,11 +308,11 @@ def _run_protocol(config: argparse.Namespace):
 
 def _read_circuit(path: str) -> dsl.CircuitProgram:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as err:
         raise _UsageError(f"cannot read circuit file: {err}") from None
-    parsed = dsl.parse(text)
+    parsed = dsl.parse(data)
     for diag in parsed.diagnostics:
         if diag.severity == "warning":
             print(f"{path}:{diag}", file=sys.stderr)

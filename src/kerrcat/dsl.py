@@ -314,13 +314,13 @@ def parse(text: str | bytes) -> ParseResult:
     violations (see :func:`validate_program`) and the unused-mode warnings
     point at the statement's first token. Errors come in line order, then
     the warnings. On any error diagnostic, no program is returned. Accepts
-    str or UTF-8 bytes; LF and CRLF line endings are both fine.
+    str or UTF-8 bytes; LF, CRLF and CR line endings are all fine.
     """
     if isinstance(text, (bytes, bytearray)):
         try:
             text = bytes(text).decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = text[: exc.start].count(b"\n") + 1
+            line = len(re.split(rb"\r\n|\r|\n", text[: exc.start]))
             diag = ParseDiagnostic("error", line, 1, "input is not valid UTF-8")
             return ParseResult(None, (diag,))
 
@@ -329,8 +329,7 @@ def parse(text: str | bytes) -> ParseResult:
     items: dict[str, list] = {section: [] for section in _SECTIONS}
     # (line, column) of each statement, by section and index
     where: dict[str, list] = {section: [] for section in _SECTIONS}
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
+    for line_no, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         hash_pos = line.find("#")
         body = line if hash_pos < 0 else line[:hash_pos]
         tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(body)]

@@ -1,7 +1,10 @@
 """Unitary circuit elements and ideal photon detection.
 
 Phase shifts and cross-Kerr couplings are exact diagonal phase
-multiplications. The 50:50 beam splitter mixes two equal-cutoff modes. It
+multiplications, by angles reduced with ``math.fmod(angle, 2 pi)`` as
+``kerr_rotated`` and the targets reduce them, so that a huge angle
+neither overflows nor parts from its target. The 50:50 beam splitter
+mixes two equal-cutoff modes. It
 conserves the pair's total photon number N, so it is stored and applied
 per N block, never as a dense (d, d, d, d) operator: one cached plan per
 cutoff c holds the unitary of each of the 2c + 1 blocks. Block N follows
@@ -90,7 +93,7 @@ class PhaseShift:
     theta: float
 
     def __post_init__(self):
-        _require_finite_angle(self.theta, "theta")
+        _reduced_angle(self.theta, "theta")
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ class CrossKerr:
 
     def __post_init__(self):
         _require_distinct(self.mode_1, self.mode_2)
-        _require_finite_angle(self.tau, "tau")
+        _reduced_angle(self.tau, "tau")
 
 
 @dataclass(frozen=True)
@@ -130,39 +133,33 @@ def _require_distinct(m1: str, m2: str) -> None:
         raise ModeLabelError(f"element needs two distinct modes, got {m1!r} twice")
 
 
-def _require_finite_angle(value: float, name: str) -> None:
+def _reduced_angle(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return math.fmod(value, 2.0 * math.pi)
+
+
+def _photon_numbers(state: MultiModeState, mode: str) -> np.ndarray:
+    """The photon numbers of ``mode``, shaped to broadcast against the state."""
+    ax = state.axis(mode)
+    shape = [1] * state.tensor.ndim
+    shape[ax] = state.tensor.shape[ax]
+    return np.arange(shape[ax]).reshape(shape)
 
 
 def apply_phase_shift(state: MultiModeState, mode: str, theta: float) -> MultiModeState:
-    _require_finite_angle(theta, "theta")
-    ax = state.axis(mode)
-    dim = state.tensor.shape[ax]
-    phases = np.exp(1j * theta * np.arange(dim))
-    shape = [1] * state.tensor.ndim
-    shape[ax] = dim
-    return MultiModeState(state.labels, _Owned(state.tensor * phases.reshape(shape)))
+    theta = _reduced_angle(theta, "theta")
+    phases = np.exp(1j * theta * _photon_numbers(state, mode))
+    return MultiModeState(state.labels, _Owned(state.tensor * phases))
 
 
 def apply_cross_kerr(
     state: MultiModeState, mode_1: str, mode_2: str, tau: float
 ) -> MultiModeState:
     _require_distinct(mode_1, mode_2)
-    _require_finite_angle(tau, "tau")
-    ax1 = state.axis(mode_1)
-    ax2 = state.axis(mode_2)
-    d1 = state.tensor.shape[ax1]
-    d2 = state.tensor.shape[ax2]
-    phases = np.exp(-1j * tau * np.outer(np.arange(d1), np.arange(d2)))
-    shape = [1] * state.tensor.ndim
-    shape[ax1] = d1
-    shape[ax2] = d2
-    # outer() above is laid out (mode_1, mode_2); transpose if the axes are
-    # ordered the other way round in the tensor.
-    if ax1 > ax2:
-        phases = phases.T
-    return MultiModeState(state.labels, _Owned(state.tensor * phases.reshape(shape)))
+    tau = _reduced_angle(tau, "tau")
+    phases = np.exp(-1j * tau * (_photon_numbers(state, mode_1) * _photon_numbers(state, mode_2)))
+    return MultiModeState(state.labels, _Owned(state.tensor * phases))
 
 
 @dataclass(frozen=True, eq=False)

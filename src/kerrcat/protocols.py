@@ -53,6 +53,7 @@ from .fock import (
 )
 from .states import (
     DEFAULT_LEAKAGE,
+    TWO_PI,
     CoherentParam,
     FockParam,
     SqueezeParam,
@@ -184,7 +185,7 @@ def entanglement_targets(params: EntanglementParams) -> dict[str, MultiModeState
         single("a", build_source(a.kerr_rotated(params.tau), cutoff_a, eps)),
         single("a2", build_source(a2.kerr_rotated(params.tau2), cutoff_a2, eps)),
     ).tensor
-    phase = np.exp(1j * params.theta)
+    phase = np.exp(1j * math.fmod(params.theta, TWO_PI))
     targets = {}
     for name, sign in (("pair_plus", +1), ("pair_minus", -1)):
         try:

@@ -23,28 +23,24 @@ A source is described by one parameter type: :class:`SqueezeParam`,
 :func:`build_source` is the one map from a parameter to its factory, and
 ``kerr_rotated`` is each type's cross-Kerr rule against one photon.
 
-These four factories and ``suggest_cutoff`` share one memo of the last
-``MEMO_SIZE`` results, so a run's source, cats and targets are built once,
-and so are a source and its cutoff that a sweep keeps across neighbouring
-points. A key holds the arguments bound to the factory's parameters, with
-defaults filled in, so every spelling of one call shares an entry. Float
-and complex arguments are keyed by their exact bit patterns: 0.0 and -0.0
-compare equal but give different amplitudes. Arguments of other types
-than ``int``, ``float``, ``complex`` and the two parameter classes bypass
-the memo. Results are immutable and shared; exceptions are never stored.
-The memo stays small because a single source can hold millions of
-amplitudes.
+These four factories and ``suggest_cutoff`` share one
+``functools.lru_cache`` of the last ``MEMO_SIZE`` results, so a run's
+source, cats and targets are built once, and so are a source and its
+cutoff that a sweep keeps across neighbouring points. It is keyed on the
+factory and the arguments as given, with their types (``typed=True``):
+``6`` and ``np.int64(6)`` get two entries, and so do a positional and a
+keyword spelling of one call. The parameter types store a zero as +0.0,
+so parameters that compare equal have the same bits and build the same
+amplitudes. An unhashable argument raises ``TypeError``. Results are
+immutable and shared; exceptions are never stored. The memo stays small
+because a single source can hold millions of amplitudes.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import inspect
 import math
-import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +75,8 @@ class SqueezeParam:
             raise ValueError("squeeze parameters must be finite")
         if self.r < 0:
             raise ValueError(f"squeeze magnitude must be >= 0, got {self.r}")
+        # + 0.0 stores -0.0 as 0.0, so that equal parameters have equal bits
+        object.__setattr__(self, "r", self.r + 0.0)
         # a tiny negative phi rounds up to exactly 2 pi; the second modulo
         # takes it to 0, so that phi lies in [0, 2 pi) and wraps idempotently
         object.__setattr__(self, "phi", self.phi % TWO_PI % TWO_PI)
@@ -99,12 +97,12 @@ class CoherentParam:
         a = complex(self.alpha)
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             raise ValueError("coherent amplitude must be finite")
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha", complex(a.real + 0.0, a.imag + 0.0))
 
     def kerr_rotated(self, tau: float) -> "CoherentParam":
         """The parameter after a cross-Kerr phase tau against one photon:
-        alpha -> alpha * exp(-i * tau)."""
-        return CoherentParam(self.alpha * cmath.exp(1j * -tau))
+        alpha -> alpha * exp(-i * tau), with tau reduced exactly by ``fmod``."""
+        return CoherentParam(self.alpha * cmath.exp(1j * -math.fmod(tau, TWO_PI)))
 
 
 @dataclass(frozen=True)
@@ -118,56 +116,14 @@ class FockParam:
             raise ValueError(f"photon number must be >= 0, got {self.n}")
 
 
-_MEMO: OrderedDict = OrderedDict()
-_MEMO_LOCK = threading.Lock()
-_DOUBLE = struct.Struct("<d")
-
-
-def _exact(value):
-    """``value`` as a memo key part that is equal only for identical bits;
-    ``TypeError`` for a type the memo does not key."""
-    kind = type(value)
-    if kind is float:
-        return _DOUBLE.pack(value)
-    if kind is complex:
-        return _DOUBLE.pack(value.real) + _DOUBLE.pack(value.imag)
-    if kind is int:
-        return value
-    if kind is SqueezeParam:
-        return kind, _exact(value.r), _exact(value.phi)
-    if kind is CoherentParam:
-        return kind, _exact(value.alpha)
-    raise TypeError(f"no memo key for {kind.__name__}")
+@functools.lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _memo(factory, *args, **kwargs):
+    return factory(*args, **kwargs)
 
 
 def _memoized(factory):
     """``factory`` behind the shared memo (see the module docstring)."""
-    parameters = inspect.signature(factory).parameters.values()
-    names = tuple(p.name for p in parameters)
-    defaults = tuple(p.default for p in parameters)
-
-    @functools.wraps(factory)
-    def memoized(*args, **kwargs):
-        given = len(args)
-        try:
-            if kwargs and kwargs.keys() - names[given:]:  # unknown or repeated keywords
-                raise TypeError
-            bound = args + tuple(map(kwargs.get, names[given:], defaults[given:]))
-            key = (factory, tuple(map(_exact, bound)))
-        except TypeError:
-            return factory(*args, **kwargs)
-        with _MEMO_LOCK:
-            if key in _MEMO:
-                _MEMO.move_to_end(key)
-                return _MEMO[key]
-        result = factory(*args, **kwargs)
-        with _MEMO_LOCK:
-            _MEMO[key] = result
-            if len(_MEMO) > MEMO_SIZE:
-                _MEMO.popitem(last=False)
-        return result
-
-    return memoized
+    return functools.wraps(factory)(lambda *args, **kwargs: _memo(factory, *args, **kwargs))
 
 
 def vacuum(cutoff: int) -> FockVector:

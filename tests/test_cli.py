@@ -156,13 +156,36 @@ def test_non_finite_numbers_are_usage_errors(argv):
     assert "kerrcat: error: argument" in done.stderr
 
 
-@pytest.mark.parametrize("option", ["--tau=1e308", "--tau2=-1e308"])
-def test_huge_kerr_phase_runs(option):
-    # the squeezed phase used to overflow to -inf in kerr_rotated
-    done = run_kerrcat("run", "--protocol", "entanglement", "--r", "0", option)
+HUGE_ANGLES = (
+    "mode a cutoff 30\nmode b cutoff 1\nsource a coherent re=1 im=0.5\nsource b fock n=1\n"
+    "phase a theta=1e308\nkerr a b tau=-1e308\ndetect b n=1\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--protocol", "entanglement", "--r", "0", "--tau=1e308"),
+    ("--protocol", "entanglement", "--r", "0", "--tau2=-1e308"),
+    ("--protocol", "superposition", "--tau", "1e308"),
+    ("--circuit", "huge-angles.qcirc"),
+])
+def test_huge_angles_run(argv, tmp_path):
+    # the squeezed phase used to overflow to -inf in kerr_rotated, and the
+    # phase tables of the Kerr and phase kernels to inf
+    path = tmp_path / "huge-angles.qcirc"
+    path.write_text(HUGE_ANGLES, encoding="utf-8")
+    done = run_kerrcat("run", *(str(path) if arg == path.name else arg for arg in argv))
     assert done.returncode == 0, done.stderr
-    assert "Traceback" not in done.stderr
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
     validate(json.loads(done.stdout))
+
+
+def test_circuit_file_that_is_not_utf8_is_a_diagnostic(tmp_path):
+    path = tmp_path / "bad.qcirc"
+    path.write_bytes(b"mode a cutoff 2\n\xff\n")
+    done = run_kerrcat("run", "--circuit", str(path))
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"{path}:2:1: error: input is not valid UTF-8" in done.stderr
 
 
 @pytest.mark.parametrize("given", ["protocol", "circuit", "r=8", "r=20", "r=40"])
@@ -409,7 +432,7 @@ COMMON = ["--source", "--r", "--phi", "--alpha-re", "--alpha-im", "--tau", "--ta
 HOSTILE = ["--", "-", "", "-1e-3", "nan", "1e999", "pi/0"]
 REFUSED = {
     "--protocol": ["cat"],
-    "--circuit": ["bad.qcirc", "missing.qcirc", "."],
+    "--circuit": ["bad.qcirc", "latin1.qcirc", "missing.qcirc", "."],
     "--epsilon": ["0", "1"],
     "--out": [".", "missing/report.txt"],
     "--workers": ["0", "65"],
@@ -452,13 +475,14 @@ def command_lines(draw):
 @given(argv=command_lines())
 def test_every_command_line_ends_in_an_exit_code(argv, tmp_path, monkeypatch):
     # the fixtures are shared by every example: a working directory with one
-    # runnable and one broken circuit file
+    # runnable circuit file, one broken one and one that is not UTF-8
     monkeypatch.chdir(tmp_path)
     Path("ok.qcirc").write_text(
         "mode a cutoff 4\nmode b cutoff 1\nsource a fock n=2\nsource b fock n=1\n"
         "kerr a b tau=pi/2\ndetect b n=1\n", encoding="utf-8",
     )
     Path("bad.qcirc").write_text("mode a cutoff 3\nbs a zz\n", encoding="utf-8")
+    Path("latin1.qcirc").write_bytes("mode a cutoff 2\n# \xe9\n".encode("latin-1"))
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)

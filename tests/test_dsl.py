@@ -165,11 +165,12 @@ def test_command_line_and_circuit_read_the_same_angles(text):
     assert option == statement
 
 
-def test_undecodable_bytes():
-    result = parse(b"mode a cutoff 1\n\xff\n")
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_undecodable_bytes(newline):
+    result = parse(b"mode a cutoff 1\n# \n\xff\n".replace(b"\n", newline))
     assert not result.ok
     (first,) = result.errors
-    assert (first.line, first.column) == (2, 1)
+    assert (first.line, first.column) == (3, 1)
     assert "not valid UTF-8" in first.message
 
 
@@ -193,13 +194,15 @@ def test_squeezed_phase_prints_wrapped_into_one_turn():
     assert "source a squeezed r=0.5 phi=1.75*pi\n" in format_program(parse(text).program)
 
 
-def test_comments_crlf_and_blank_lines():
-    text = "# header\r\n\r\nmode a cutoff 1   # one mode\r\nphase a theta=pi/4\r\n"
-    result = parse(text)
-    assert result.ok and result.diagnostics == ()
-    assert result.program == CircuitProgram(
-        modes=(("a", 1),), elements=(PhaseShift("a", math.pi / 4),)
-    )
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_comments_crlf_cr_and_blank_lines(newline):
+    text = "# header\n\nmode a cutoff 1   # one mode\nphase a theta=pi/4\n".replace("\n", newline)
+    for given in (text, text.encode("utf-8")):
+        result = parse(given)
+        assert result.ok and result.diagnostics == ()
+        assert result.program == CircuitProgram(
+            modes=(("a", 1),), elements=(PhaseShift("a", math.pi / 4),)
+        )
 
 
 # --- properties ----------------------------------------------------------------

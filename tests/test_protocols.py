@@ -219,6 +219,15 @@ class TestKerrRotationRule:
         assert isinstance(rotated, CoherentParam)
         assert rotated.alpha == pytest.approx((1.0 + 0.5j) * cmath.exp(-1j * math.pi))
 
+    @pytest.mark.parametrize("source", [SqueezeParam(0.6), CoherentParam(0.8 - 0.3j)])
+    def test_huge_angles_keep_each_click_on_its_target(self, source):
+        # the kernels and the targets reduce an angle by one fmod; reduced
+        # apart, each click parted from its own target at angles this large
+        params = EntanglementParams(source, source, tau=1e15, tau2=3e10, theta=7e12)
+        result, targets = run_entanglement(params), entanglement_targets(params)
+        assert fidelity(result[DB].state, targets["pair_minus"]) >= 1 - 1e-9
+        assert fidelity(result[DC].state, targets["pair_plus"]) >= 1 - 1e-9
+
     def test_targets_take_their_cutoffs_at_the_given_budget(self):
         # both the source and its rotation on each arm sit at the cutoff of
         # the unrotated source at eps, not at the default budget

@@ -344,7 +344,7 @@ def test_large_squeezing_cutoff_is_accepted():
     # and the factory rejected this cutoff by a hair
     param = SqueezeParam(6.0)
     squeezed_vacuum(param, suggest_cutoff(param), 1e-10)
-    states._MEMO.clear()
+    states._memo.cache_clear()
 
 
 @pytest.mark.parametrize("r", [7.7, 8.0, 20.0, 40.0, 700.0])
@@ -387,15 +387,14 @@ class TestFactoryMemo:
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
-        states._MEMO.clear()
+        states._memo.cache_clear()
         yield
-        states._MEMO.clear()
+        states._memo.cache_clear()
 
     @staticmethod
     def uncached(monkeypatch, call):
         with monkeypatch.context() as patch:
-            patch.setattr(states, "MEMO_SIZE", 0)
-            patch.setattr(states, "_MEMO", type(states._MEMO)())
+            patch.setattr(states, "_memo", states._memo.__wrapped__)
             return call()
 
     def calls(self):
@@ -429,27 +428,24 @@ class TestFactoryMemo:
         for _ in range(2):
             assert [self.outcome(c) for c in calls] == expected
 
-    def test_signed_zeros_are_not_merged(self, monkeypatch):
-        # SqueezeParam reduces phi modulo 2 pi, which maps -0.0 to 0.0: those
-        # two parameters are bit for bit the same and may share one build
-        pairs = [
-            (True, lambda z: squeezed_vacuum(SqueezeParam(z, 0.5), 4, 0.5)),
-            (False, lambda z: squeezed_vacuum(SqueezeParam(0.5, z), 4, 0.5)),
-            (True, lambda z: coherent(CoherentParam(complex(z, z)), 3)),
-            (True, lambda z: coherent(CoherentParam(complex(0.0, z)), 3)),
-            (True, lambda z: cat_coherent(CoherentParam(complex(0.6, z)), 1, 3, 0.5)),
+    def test_signed_zeros_share_one_entry_and_its_bits(self, monkeypatch):
+        # the parameters store -0.0 as 0.0, so a build at -0.0 is the build
+        # at 0.0, bit for bit, and may share its entry
+        builds = [
+            lambda z: squeezed_vacuum(SqueezeParam(z, 0.5), 4, 0.5),
+            lambda z: squeezed_vacuum(SqueezeParam(0.5, z), 4, 0.5),
+            lambda z: coherent(CoherentParam(complex(z, z)), 3),
+            lambda z: coherent(CoherentParam(complex(0.0, z)), 3),
+            lambda z: cat_coherent(CoherentParam(complex(0.6, z)), 1, 3, 0.5),
         ]
-        for distinct, build in pairs:
-            plus, minus = build(0.0), build(-0.0)
-            assert (minus is not plus) == distinct
-            for z, got in ((0.0, plus), (-0.0, minus)):
-                want = self.uncached(monkeypatch, lambda: build(z))
-                assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
-        # the documented case: equal, equal-hashing parameters, different bits
-        zero, negative_zero = CoherentParam(0j), CoherentParam(complex(-0.0, -0.0))
-        assert zero == negative_zero and hash(zero) == hash(negative_zero)
-        assert (coherent(zero, 3).amplitudes.tobytes()
-                != coherent(negative_zero, 3).amplitudes.tobytes())
+        for build in builds:
+            plus = build(0.0)
+            assert build(-0.0) is plus
+            want = self.uncached(monkeypatch, lambda: build(0.0))
+            assert plus.amplitudes.tobytes() == want.amplitudes.tobytes()
+        squeeze, alpha = SqueezeParam(-0.0, -0.0), CoherentParam(complex(-0.0, -0.0)).alpha
+        for zero in (squeeze.r, squeeze.phi, alpha.real, alpha.imag):
+            assert math.copysign(1.0, zero) == 1.0
 
     def test_errors_are_raised_on_every_call(self, monkeypatch):
         built = []
@@ -471,36 +467,50 @@ class TestFactoryMemo:
         # cat_squeezed builds before failing was built once and kept
         assert built == [SqueezeParam(0.9), SqueezeParam(800.0), SqueezeParam(0.0)] + [
             SqueezeParam(0.9), SqueezeParam(800.0)] * 2
-        base = squeezed_vacuum(SqueezeParam(0.0), 4, states.DEFAULT_LEAKAGE)
-        assert list(states._MEMO.values()) == [base]
+        kept = states._memo.cache_info()
+        assert kept.currsize == 1
+        squeezed_vacuum(SqueezeParam(0.0), 4, states.DEFAULT_LEAKAGE)
+        assert states._memo.cache_info() == kept._replace(hits=kept.hits + 1)
 
     def test_memo_stays_bounded(self):
         def build(k):
             return squeezed_vacuum(SqueezeParam(0.01 * k), 6, 1e-3)
 
         built = [build(k) for k in range(3 * states.MEMO_SIZE)]
-        assert len(states._MEMO) == states.MEMO_SIZE
+        assert states._memo.cache_info().currsize == states.MEMO_SIZE
         # the newest entries are shared, the oldest are rebuilt
         assert build(len(built) - 1) is built[-1]
         assert build(0) is not built[0]
-        assert len(states._MEMO) == states.MEMO_SIZE
+        assert states._memo.cache_info().currsize == states.MEMO_SIZE
 
-    def test_every_spelling_of_a_call_shares_one_entry(self):
+    def test_every_spelling_of_a_call_builds_the_same_state(self):
         param = SqueezeParam(0.01)
         first = squeezed_vacuum(param, 4)
-        assert squeezed_vacuum(param, 4, states.DEFAULT_LEAKAGE) is first
-        assert squeezed_vacuum(param, 4, eps=states.DEFAULT_LEAKAGE) is first
-        assert squeezed_vacuum(param, cutoff=4) is first
-        assert len(states._MEMO) == 1
+        # a keyword spelling keys an entry of its own: a memo miss, never
+        # a different state
+        for again in (squeezed_vacuum(param, 4, states.DEFAULT_LEAKAGE),
+                      squeezed_vacuum(param, 4, eps=states.DEFAULT_LEAKAGE),
+                      squeezed_vacuum(param, cutoff=4)):
+            assert again.amplitudes.tobytes() == first.amplitudes.tobytes()
         # a call the factory rejects is not answered from the memo
         with pytest.raises(TypeError):
             squeezed_vacuum(param, 4, cutoff=4)
         with pytest.raises(TypeError):
             squeezed_vacuum(param, 4, budget=0.5)
+        with pytest.raises(TypeError, match="unhashable"):
+            squeezed_vacuum(param, [4])
 
-    def test_other_argument_types_bypass_the_memo(self):
-        param = SqueezeParam(np.float64(0.4))
-        first, second = squeezed_vacuum(param, 6, 1e-2), squeezed_vacuum(param, np.int64(6), 1e-2)
-        assert first is not second and not states._MEMO
-        same = squeezed_vacuum(SqueezeParam(0.4), 6, 1e-2)
-        assert first.amplitudes.tobytes() == same.amplitudes.tobytes()
+    def test_argument_types_key_their_own_entries(self):
+        # typed keys: equal arguments of two types get two entries, and
+        # the two builds agree bit for bit
+        param = SqueezeParam(0.4)
+        pairs = [
+            (squeezed_vacuum(param, 6, 1e-2), squeezed_vacuum(param, np.int64(6), 1e-2)),
+            (cat_squeezed(param, 1, 6, 1e-2), cat_squeezed(param, True, 6, 1e-2)),
+        ]
+        assert states._memo.cache_info().currsize == 4
+        for first, second in pairs:
+            assert first is not second
+            assert first.amplitudes.tobytes() == second.amplitudes.tobytes()
+        # a parameter is one argument: equal parameters share an entry
+        assert squeezed_vacuum(SqueezeParam(np.float64(0.4)), 6, 1e-2) is pairs[0][0]
