@@ -48,6 +48,12 @@ CASES = {
         "--format", "csv",
     ],
     "lazy-joins.json": ["run", "--circuit", "lazy-joins.qcirc", "--epsilon", "1e-4"],
+    # two groups of six points that share their source; tau = theta = 0
+    # leaves Db_fires at probability zero inside a group
+    "sweep-superposition.jsonl": [
+        "sweep", "--protocol", "superposition", "--sweep", "r:0.3:0.6:2", "--sweep", "tau:0:pi:3",
+        "--sweep", "theta:0:pi/2:2",
+    ],
 }
 
 
