@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import sys
@@ -35,9 +36,11 @@ from .protocols import (
     EntanglementParams,
     ProtocolResult,
     SuperpositionParams,
+    click_branches,
     entanglement_program,
     entanglement_targets,
     run_circuit,
+    run_circuits,
     run_entanglement,
     run_superposition,
     superposition_program,
@@ -49,7 +52,8 @@ SCHEMA_TAG = "kerrcat-report/1"
 SWEEPABLE = ("r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta")
 # Largest sweep grid (the product of the axes' step counts). Every point's
 # record is held until the report is written, and a record grows with the
-# source cutoff (each branch keeps its photon distribution).
+# source cutoff (each branch keeps its photon distribution). The states of
+# a batch of points are dropped once its records are built.
 MAX_SWEEP_POINTS = 10_000
 # Most --workers a sweep may ask for. The process pool forks all of its
 # workers up front, so an unbounded count could exhaust the process table.
@@ -290,20 +294,16 @@ def _protocol_params(config: argparse.Namespace):
     )
 
 
-def _run_protocol(config: argparse.Namespace):
-    """Run the configured protocol and analyze its branches.
-
-    The fidelity targets are built once per run, after the protocol, and
-    shared by every branch. Returns ``(params, result, branches_dict)``.
-    """
-    params = _protocol_params(config)
-    if config.protocol == "superposition":
-        result = run_superposition(params, trace=config.trace)
-        branches = _branches_dict(result, superposition_targets(params), config.source)
-    else:
-        result = run_entanglement(params, trace=config.trace)
-        branches = _branches_dict(result, entanglement_targets(params))
-    return params, result, branches
+def _analyzed(config: argparse.Namespace, params, results):
+    """The report branches of each result, analyzed against fidelity targets
+    built after it; superposition targets read only the source and eps,
+    which batched points share, so they are built once."""
+    superposition = config.protocol == "superposition"
+    targets = None
+    for p, result in zip(params, results):
+        if targets is None or not superposition:
+            targets = superposition_targets(p) if superposition else entanglement_targets(p)
+        yield _branches_dict(result, targets, config.source if superposition else None)
 
 
 def _read_circuit(path: str) -> dsl.CircuitProgram:
@@ -324,7 +324,10 @@ def _read_circuit(path: str) -> dsl.CircuitProgram:
 def _run_report(config: argparse.Namespace) -> dict:
     """The report of one run, of a built-in protocol or of a circuit file."""
     if config.protocol is not None:
-        params, result, branches = _run_protocol(config)
+        params = _protocol_params(config)
+        run = run_superposition if config.protocol == "superposition" else run_entanglement
+        result = run(params, trace=config.trace)
+        branches = next(_analyzed(config, [params], [result]))
         given = {"protocol": config.protocol}
         if config.protocol == "superposition":
             program, taus = superposition_program(params), {"tau": config.tau}
@@ -366,36 +369,54 @@ def _grid_points(sweeps: tuple[SweepSpec, ...]) -> list[dict]:
     return points
 
 
-def _evaluate_point(task) -> dict:
-    config, index, point = task
-    overridden = argparse.Namespace(**{**vars(config), **point})
-    record = {
-        "schema": SCHEMA_TAG,
-        "kind": "sweep-point",
-        "point": index,
-        "params": {name: getattr(overridden, name) for name in SWEEPABLE},
-    }
+def _evaluate_group(task) -> list[dict]:
+    """The records of a group of points, run as batches. A failed group runs
+    again one point at a time, so that each point records its own error."""
+    config, first, points = task
+    configs = [argparse.Namespace(**{**vars(config), **point}) for point in points]
+    program = superposition_program if config.protocol == "superposition" else entanglement_program
     try:
-        return {**record, "branches": _run_protocol(overridden)[2], "error": None}
+        params = [_protocol_params(c) for c in configs]
+        results = map(click_branches, run_circuits([program(p) for p in params], config.epsilon))
+        outcomes = [(branches, None) for branches in _analyzed(config, params, results)]
     except (FockSpaceError, FloatingPointError, ValueError) as err:
-        return {**record, "branches": {}, "error": f"{type(err).__name__}: {err}"}
+        if len(points) > 1:
+            alone = [_evaluate_group((config, first + i, [p])) for i, p in enumerate(points)]
+            return [record for records in alone for record in records]
+        outcomes = [({}, f"{type(err).__name__}: {err}")]
+    return [
+        {"schema": SCHEMA_TAG, "kind": "sweep-point", "point": first + i,
+         "params": {name: getattr(c, name) for name in SWEEPABLE},
+         "branches": branches, "error": error}
+        for i, (c, (branches, error)) in enumerate(zip(configs, outcomes))
+    ]
 
 
 def _sweep_records(config: argparse.Namespace) -> list[dict]:
-    tasks = [(config, i, point) for i, point in enumerate(_grid_points(config.sweeps))]
+    # one task (config, first point index, points) per run of neighbouring
+    # points that differ only in element angles
+    tasks, first = [], 0
+    for _, group in itertools.groupby(
+        _grid_points(config.sweeps),
+        lambda point: [v for k, v in point.items() if k not in ("tau", "tau2", "theta")],
+    ):
+        tasks.append((config, first, list(group)))
+        first += len(tasks[-1][2])
     if config.workers <= 1 or len(tasks) <= 1:
-        return [_evaluate_point(t) for t in tasks]
+        return [record for task in tasks for record in _evaluate_group(task)]
     # imported here, as the checks are in _cmd_check: every CLI process
     # would pay for the import, and only parallel sweeps use it
     from concurrent.futures import ProcessPoolExecutor
 
-    # Contiguous chunks keep neighbouring points, which often share a source,
-    # in one process (and its factory memo); four chunks per worker still
-    # balance points whose cost grows along the grid.
+    # Each task is a group of points that share a source, so one process
+    # runs it as batches (and keeps its sources in its factory memo); the
+    # pool sends contiguous runs of whole groups, four per worker, which
+    # still balances groups whose cost grows along the grid.
     workers = min(config.workers, len(tasks))
     chunksize = math.ceil(len(tasks) / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_point, tasks, chunksize=chunksize))
+        groups = pool.map(_evaluate_group, tasks, chunksize=chunksize)
+        return [record for records in groups for record in records]
 
 
 def _sweep_csv(records: list[dict]) -> str:

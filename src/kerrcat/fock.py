@@ -81,17 +81,30 @@ def _frozen_complex_array(data, ndim=None) -> tuple[np.ndarray, float]:
         arr = np.array(data.array if owned else data, dtype=np.complex128, order="C")
     if ndim is not None and arr.ndim != ndim:
         raise StateMismatchError(f"expected a {ndim}-d amplitude array, got shape {arr.shape}")
+    n2 = _squared_norm(arr)
+    arr.setflags(write=False)
+    return arr, n2
+
+
+def _squared_norm(arr: np.ndarray) -> float:
+    """The squared norm of ``arr``, whose entries must be finite."""
     n2 = float(np.vdot(arr, arr).real)
     # a NaN or infinite entry always makes the sum NaN or infinite
     if not math.isfinite(n2) and not np.all(np.isfinite(arr)):
         raise StateMismatchError("amplitudes must be finite (no NaN/Inf)")
-    arr.setflags(write=False)
-    return arr, n2
+    return n2
 
 
 def _check_norm_bound(n2: float, what: str) -> None:
     if n2 > 1.0 + NORM_SLACK:
         raise StateMismatchError(f"{what} has squared norm {n2!r} > 1 + {NORM_SLACK}")
+
+
+def _check_members(stack: np.ndarray) -> None:
+    """The :class:`MultiModeState` check of each member of a batch's stack,
+    on views, so the check allocates nothing the size of the stack."""
+    for member in stack:
+        _check_norm_bound(_squared_norm(member), "MultiModeState")
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,13 +8,19 @@ superposition (one data mode) or an entangled pair (two data modes) of the
 original and the Kerr-rotated source states.
 
 Each pipeline is a circuit program (``superposition_program``,
-``entanglement_program``) run by :func:`run_circuit`, the only place states
-go through elements. ``run_circuit`` joins each declared mode to the state
-just before the first element that touches it, so the photon modes are
-mixed before any data mode joins them; ``run_superposition`` and
-``run_entanglement`` run their program and name the two click outcomes
-``Db_fires`` (b=1 c=0) and ``Dc_fires`` (b=0 c=1). Each data mode's cutoff
-is ``suggest_cutoff`` of its source at the protocol's one budget ``eps``.
+``entanglement_program``) run by :func:`run_circuits`, the only place states
+go through elements. It joins each declared mode to the state just before
+the first element that touches it, so the photon modes are mixed before
+any data mode joins them; ``run_superposition`` and ``run_entanglement``
+run their program and name the two click outcomes ``Db_fires`` (b=1 c=0)
+and ``Dc_fires`` (b=0 c=1). Each data mode's cutoff is ``suggest_cutoff``
+of its source at the protocol's one budget ``eps``.
+
+Programs that differ only in their element angles (a sweep over ``tau``,
+``tau2`` and ``theta`` at one source) run as a batch, one state pass with
+a leading member axis, which shares the sources, the joins and the
+elements before the first angle. A single run is a batch of one, and each
+member's result equals it to the bit (:func:`run_circuits`).
 
 The Kerr rotation acts on the source parameters as ``kerr_rotated`` (in
 ``kerrcat.states``): alpha -> alpha * exp(-i * tau) and phi -> phi - 2 * tau
@@ -26,24 +32,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import dsl
 from .analysis import joint_photon_distribution
 from .elements import (
+    _CHUNK_AMPLITUDES,
     BalancedBeamSplitter,
     CrossKerr,
     Detect,
     PhaseShift,
-    apply_element,
+    apply_batch,
     element_modes,
 )
 from .errors import ZeroStateError
 from .fock import (
     FockVector,
     MultiModeState,
+    _check_members,
     _Owned,
     _unit,
     normalize,
@@ -128,7 +136,7 @@ def run_superposition(params: SuperpositionParams, trace: bool = False) -> Proto
     * ``Db_fires`` (1, 0): data mode ~ rotated - e^{i theta} original,
     * ``Dc_fires`` (0, 1): data mode ~ rotated + e^{i theta} original.
     """
-    return _click_branches(run_circuit(superposition_program(params), params.eps, trace))
+    return click_branches(run_circuit(superposition_program(params), params.eps, trace))
 
 
 def run_entanglement(params: EntanglementParams, trace: bool = False) -> ProtocolResult:
@@ -137,10 +145,10 @@ def run_entanglement(params: EntanglementParams, trace: bool = False) -> Protoco
     A click projects modes (a, a2) onto rotated (x) rotated -+ e^{i theta}
     original (x) original; ``Db_fires`` carries the minus combination.
     """
-    return _click_branches(run_circuit(entanglement_program(params), params.eps, trace))
+    return click_branches(run_circuit(entanglement_program(params), params.eps, trace))
 
 
-def _click_branches(result: ProtocolResult) -> ProtocolResult:
+def click_branches(result: ProtocolResult) -> ProtocolResult:
     """Name the two single-click outcomes of a protocol circuit; a click the
     circuit dropped below ``ZERO_BRANCH_THRESHOLD`` is a zero branch."""
     branches = {}
@@ -237,7 +245,8 @@ UNCONDITIONAL = "unconditional"
 def run_circuit(
     program: "dsl.CircuitProgram", eps: float = DEFAULT_LEAKAGE, trace: bool = False
 ) -> ProtocolResult:
-    """Run the program's elements and detections.
+    """Run the program's elements and detections: :func:`run_circuits` on a
+    one-program list.
 
     The program is checked by :func:`dsl.validate_program` before any state
     is built, so a state above ``dsl.MAX_STATE_DIMENSION`` amplitudes raises
@@ -265,63 +274,102 @@ def run_circuit(
     state if it falls below the threshold. Without any detection the single
     branch is keyed ``"unconditional"``, under the same zero rule.
     """
-    dsl.validate_program(program)
+    return next(run_circuits([program], eps, trace))
 
-    sources = dict(program.sources)
-    declared = [label for label, _ in program.modes]
-    unjoined = {
-        label: build_source(sources.get(label), cutoff, eps) for label, cutoff in program.modes
-    }
-    state = MultiModeState((), np.array(1.0 + 0.0j))
-    stages = []
-    # the trailing None stands for detection, before which every mode joins
-    for element in (*program.elements, None):
-        touched = unjoined if element is None else element_modes(element)
-        for label in [m for m in declared if m in unjoined and m in touched]:
-            state = _joined(state, label, unjoined.pop(label), declared)
-            if trace:
-                param = sources.get(label)
-                line = (
-                    dsl.format_mode(label, state.cutoff(label))
-                    if param is None
-                    else dsl.format_source(label, param)
-                )
-                stages.append((line, state))
-        if element is not None:
-            state = apply_element(state, element)
-            if trace:
-                stages.append((dsl.format_element(element), state))
 
-    detected = [(d.mode, d.n) for d in program.detects]
-    branches: dict[str, Branch] = {}
+def run_circuits(
+    programs: Sequence["dsl.CircuitProgram"], eps: float = DEFAULT_LEAKAGE, trace: bool = False
+) -> Iterator[ProtocolResult]:
+    """The result of :func:`run_circuit` on each program, to the bit, from
+    batches that each run as one pass of a stack with a leading member axis.
+
+    The programs must share all but their element angles (``ValueError``
+    otherwise). No circuit rule reads an angle, so only the first program
+    is validated, and the sources are built once. Each member is checked
+    after every join and element as a :class:`MultiModeState` is, and warns
+    in program order. A batch holds at most ``_CHUNK_AMPLITUDES`` (one
+    splitter chunk) over its members, so a larger state runs alone, as does
+    a traced program. Nothing is checked or run before the first result is
+    asked for, and each batch runs when its first result is. A batch raises
+    the first error it meets; to get each program's own error, run the
+    programs of a failed batch one at a time.
+    """
+    first = programs[0]
+    if any(_layout(program) != _layout(first) for program in programs[1:]):
+        raise ValueError("batched programs must share all but their element angles")
+    dsl.validate_program(first)
+    sources = dict(first.sources)
+    declared = [label for label, _ in first.modes]
+    built = {label: build_source(sources.get(label), cutoff, eps) for label, cutoff in first.modes}
+    size = 1 if trace else max(1, _CHUNK_AMPLITUDES // math.prod(c + 1 for _, c in first.modes))
+    for lo in range(0, len(programs), size):
+        batch, unjoined, stages = programs[lo:lo + size], dict(built), []
+        # until the first element with angles, one member stands for them all
+        stack, labels = np.ones(1, dtype=np.complex128), ()
+
+        def member(m: int) -> MultiModeState:
+            return MultiModeState(labels, _Owned(stack[m % len(stack), ...]))
+
+        # the trailing None stands for detection, before which every mode joins
+        for k, element in enumerate((*batch[0].elements, None)):
+            touched = unjoined if element is None else element_modes(element)
+            for label in [m for m in declared if m in unjoined and m in touched]:
+                vector = unjoined.pop(label)
+                stack, labels = _joined(stack, labels, label, vector, declared)
+                _check_members(stack)
+                if trace:
+                    param = sources.get(label)
+                    line = (
+                        dsl.format_mode(label, vector.cutoff)
+                        if param is None
+                        else dsl.format_source(label, param)
+                    )
+                    stages.append((line, member(0)))
+            if element is not None:
+                axes = [1 + labels.index(mode) for mode in element_modes(element)]
+                stack = apply_batch(stack, axes, [program.elements[k] for program in batch])
+                _check_members(stack)
+                if trace:
+                    stages.append((dsl.format_element(element), member(0)))
+        stages = tuple(stages) if trace else None
+        for m in range(len(batch)):
+            yield ProtocolResult(_branches(member(m), first.detects), stages)
+
+
+def _layout(p: "dsl.CircuitProgram"):
+    return p.modes, p.sources, p.detects, [(type(e), element_modes(e)) for e in p.elements]
+
+
+def _branches(state: MultiModeState, detects) -> dict[str, Branch]:
+    detected = [(d.mode, d.n) for d in detects]
     if not detected:
-        branches[UNCONDITIONAL] = _detection_branch(state, ())
-    else:
-        requested = tuple(detected)
-        modes = [m for m, _ in detected]
-        candidates = joint_photon_distribution(state, modes) >= ZERO_BRANCH_THRESHOLD / 2
-        candidates[tuple(n for _, n in detected)] = True
-        for counts in np.argwhere(candidates).tolist():
-            outcome = tuple(zip(modes, counts))
-            branch = _detection_branch(state, outcome)
-            if branch.probability >= ZERO_BRANCH_THRESHOLD or outcome == requested:
-                branches[_outcome_key(outcome)] = branch
-    return ProtocolResult(branches, tuple(stages) if trace else None)
+        return {UNCONDITIONAL: _detection_branch(state, ())}
+    branches = {}
+    requested = tuple(detected)
+    modes = [m for m, _ in detected]
+    candidates = joint_photon_distribution(state, modes) >= ZERO_BRANCH_THRESHOLD / 2
+    candidates[tuple(n for _, n in detected)] = True
+    for counts in np.argwhere(candidates).tolist():
+        outcome = tuple(zip(modes, counts))
+        branch = _detection_branch(state, outcome)
+        if branch.probability >= ZERO_BRANCH_THRESHOLD or outcome == requested:
+            branches[_outcome_key(outcome)] = branch
+    return branches
 
 
-def _joined(state: MultiModeState, label: str, vector: FockVector, declared) -> MultiModeState:
-    """``state`` with ``vector`` joined as mode ``label``, its axis placed so
-    that the labels keep their ``declared`` order."""
-    at = sum(declared.index(m) < declared.index(label) for m in state.labels)
+def _joined(stack: np.ndarray, labels: tuple[str, ...], label: str, vector: FockVector, declared):
+    """``stack`` with ``vector`` joined to every member as mode ``label``, its
+    axis placed so that the labels keep their ``declared`` order, and the
+    joined labels."""
+    at = sum(declared.index(m) < declared.index(label) for m in labels)
     # one broadcast product, laid out in the joined axis order
-    ones = (1,) * (state.tensor.ndim - at)
+    ones = (1,) * (len(labels) - at)
     column = vector.amplitudes.reshape(vector.amplitudes.shape + ones)
-    rest = state.tensor.reshape(state.tensor.shape[:at] + (1,) + state.tensor.shape[at:])
+    rest = stack.reshape(stack.shape[:1 + at] + (1,) + stack.shape[1 + at:])
     # complex products round differently with their operands swapped; a mode
     # joining in front multiplies from the left, like tensor_product(mode, rest)
-    tensor = column * rest if at == 0 else rest * column
-    labels = state.labels[:at] + (label,) + state.labels[at:]
-    return MultiModeState(labels, _Owned(tensor))
+    joined = column * rest if at == 0 else rest * column
+    return joined, labels[:at] + (label,) + labels[at:]
 
 
 def _outcome_key(outcome) -> str:

@@ -269,21 +269,73 @@ def serial_pool(monkeypatch):
 
 
 def test_parallel_sweep_sends_contiguous_chunks(serial_pool):
-    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.4:6",
-            "--sweep", "tau:0:pi:4"]
+    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.4:16",
+            "--sweep", "tau:0:pi:2"]
     parallel = cli.render_output(argv + ["--workers", "2"])
     assert parallel == cli.render_output(argv + ["--workers", "1"])
-    # 24 points on two workers: eight contiguous chunks, four per worker
+    # 16 groups of two tau points on two workers: eight contiguous chunks of
+    # two whole groups, four chunks per worker
     assert serial_pool["workers"] == [2]
-    assert [[index for _, index, _ in chunk] for chunk in serial_pool["chunks"]] == [
-        list(range(i, i + 3)) for i in range(0, 24, 3)
-    ]
+    chunks = serial_pool["chunks"]
+    assert [[len(points) for _, _, points in chunk] for chunk in chunks] == [[2, 2]] * 8
+    assert [
+        [first + i for _, first, points in chunk for i in range(len(points))] for chunk in chunks
+    ] == [list(range(i, i + 4)) for i in range(0, 32, 4)]
 
 
 def test_parallel_sweep_on_the_process_pool_is_byte_identical():
     # the only test that sends points to real worker processes
     argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.4:4", "--format", "csv"]
     assert cli.render_output(argv + ["--workers", "2"]) == cli.render_output(argv + ["--workers", "1"])
+
+
+def test_grouped_parallel_sweep_on_the_process_pool_is_byte_identical():
+    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.4:3",
+            "--sweep", "tau:0:pi:3"]
+    assert cli.render_output(argv + ["--workers", "2"]) == cli.render_output(argv + ["--workers", "1"])
+
+
+ANGLE_AXES = ["--sweep", "tau:0:pi:3", "--sweep", "tau2:0:pi/2:2", "--sweep", "theta:0:pi/2:2"]
+
+
+@pytest.mark.parametrize("protocol", ["superposition", "entanglement"])
+@pytest.mark.parametrize("source", [
+    ["--source", "squeezed", "--phi", "0.3", "--sweep", "r:0.2:0.5:2"],
+    ["--source", "coherent", "--alpha-im", "0.2", "--sweep", "alpha_re:0.4:1.1:2"],
+])
+def test_sweep_point_equals_a_run(protocol, source):
+    # two groups of twelve angle points; tau = tau2 = theta = 0 gives a zero
+    # branch inside each group
+    records = [json.loads(line) for line in cli.render_output(
+        ["sweep", "--protocol", protocol, *source, *ANGLE_AXES]).splitlines()]
+    assert len(records) == 24
+    assert any(b["probability"] == 0.0 for rec in records for b in rec["branches"].values())
+    for rec in records:
+        options = [f"--{name.replace('_', '-')}={value!r}" for name, value in rec["params"].items()]
+        run = json.loads(cli.render_output(
+            ["run", "--protocol", protocol, "--source", source[1], *options]))
+        assert rec["error"] is None
+        assert json.dumps(rec["branches"]) == json.dumps(run["branches"])
+
+
+def test_grouped_sweep_records_each_points_own_error(capsys):
+    # alpha_re = 1e200 has no cutoff: its three tau points form one failing
+    # group, and each records the error it has when it runs alone (here, as
+    # a group of one, with tau the slower axis)
+    base = ["sweep", "--protocol", "superposition", "--source", "coherent"]
+    grouped = [json.loads(line) for line in cli.render_output(
+        base + ["--sweep", "alpha_re:1:1e200:2", "--sweep", "tau:0:pi:3"]).splitlines()]
+    alone = [json.loads(line) for line in cli.render_output(
+        base + ["--sweep", "tau:0:pi:3", "--sweep", "alpha_re:1:1e200:2"]).splitlines()]
+    by_params = {json.dumps(rec["params"]): rec for rec in alone}
+    for rec in grouped:
+        other = by_params[json.dumps(rec["params"])]
+        assert (rec["branches"], rec["error"]) == (other["branches"], other["error"])
+    assert [rec["error"] is None for rec in grouped] == [True] * 3 + [False] * 3
+    assert cli.main(["run", "--protocol", "superposition", "--source", "coherent",
+                     "--alpha-re", "1e200"]) == 2
+    message = capsys.readouterr().err.splitlines()[0].removeprefix("kerrcat: numerical error: ")
+    assert {rec["error"] for rec in grouped[3:]} == {f"CutoffError: {message}"}
 
 
 def test_pool_has_no_more_workers_than_points(serial_pool):
@@ -605,7 +657,8 @@ def test_exit_code_matrix(entry, error, code, tmp_path, monkeypatch, capsys):
     elif error == "parse":
         circuit.write_text("mode a cutoff 3\nbs a zz\n", encoding="utf-8")
     elif error is not None and entry != "check":
-        target = "run_circuit" if entry == "circuit-run" else "run_superposition"
+        target = {"circuit-run": "run_circuit", "sweep-point": "run_circuits"}.get(
+            entry, "run_superposition")
         monkeypatch.setattr(cli, target, raise_error)
 
     assert cli.main(argv) == code

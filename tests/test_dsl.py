@@ -217,9 +217,9 @@ ANGLES = st.one_of(
 
 
 @st.composite
-def valid_programs(draw):
-    labels = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
-    modes = tuple((label, draw(st.integers(0, 6))) for label in labels)
+def valid_programs(draw, max_modes=4, max_cutoff=6):
+    labels = draw(st.lists(LABELS, min_size=1, max_size=max_modes, unique=True))
+    modes = tuple((label, draw(st.integers(0, max_cutoff))) for label in labels)
     cutoff = dict(modes)
 
     sources = []

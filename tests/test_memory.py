@@ -3,10 +3,13 @@
 Each kernel writes its output once, into an array the state adopts without
 a copy. On a state of about a million amplitudes (16 MiB), the bytes a
 kernel allocates beyond its input peak at one output, plus, for the beam
-splitter, one chunk's gathered pairs and their products. Every returned
-state still goes through the state constructor and its checks.
+splitter, one chunk's gathered pairs and their products. The kernels are
+measured as the circuit runner calls them, on a batch of one member; a
+batch of larger states runs one member at a time. Every returned state
+still goes through the state constructor and its checks.
 """
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -15,8 +18,18 @@ import warnings
 import numpy as np
 import pytest
 
-from kerrcat import elements
-from kerrcat.elements import apply_beam_splitter, apply_cross_kerr, apply_phase_shift
+from kerrcat import elements, protocols
+from kerrcat.dsl import CircuitProgram
+from kerrcat.elements import (
+    BalancedBeamSplitter,
+    CrossKerr,
+    Detect,
+    PhaseShift,
+    apply_batch,
+    apply_beam_splitter,
+    apply_cross_kerr,
+    apply_phase_shift,
+)
 from kerrcat.fock import (
     FockVector,
     MultiModeState,
@@ -26,8 +39,8 @@ from kerrcat.fock import (
     single,
     tensor_product,
 )
-from kerrcat.protocols import _joined
-from kerrcat.states import CoherentParam, SqueezeParam, cat_coherent, coherent, squeezed_vacuum
+from kerrcat.protocols import _joined, run_circuit, run_circuits
+from kerrcat.states import CoherentParam, FockParam, SqueezeParam, cat_coherent, coherent, squeezed_vacuum
 
 AMPLITUDE_BYTES = np.dtype(np.complex128).itemsize
 # phase tables, index arrays, numpy's broadcasting buffers (about 256 KiB
@@ -65,20 +78,27 @@ def allocated(kernel, *args):
 
 
 def kernel_calls(large):
-    three = MultiModeState(LABELS[:3], random_tensor((512, 2, 2), seed=1))
-    rest = MultiModeState(LABELS[1:], random_tensor((2, 2, 512), seed=2))
+    """Each kernel as the circuit runner calls it, on a one-member stack."""
+    stack = large.tensor[None]
+    three = random_tensor((1, 512, 2, 2), seed=1)
+    rest = random_tensor((1, 2, 2, 512), seed=2)
     vector = FockVector(np.full(512, 1 / math.sqrt(512)))
     return {
-        "splitter": (apply_beam_splitter, large, "b", "c"),
-        "kerr": (apply_cross_kerr, large, "a2", "b", 0.7),
-        "phase": (apply_phase_shift, large, "c", 0.3),
-        "join-last": (_joined, three, "a2", vector, LABELS),
-        "join-first": (_joined, rest, "a", vector, LABELS),
+        "splitter": (apply_batch, stack, [2, 3], [BalancedBeamSplitter("b", "c")]),
+        "kerr": (apply_batch, stack, [4, 2], [CrossKerr("a2", "b", 0.7)]),
+        "phase": (apply_batch, stack, [3], [PhaseShift("c", 0.3)]),
+        "join-last": (_joined, three, LABELS[:3], "a2", vector, LABELS),
+        "join-first": (_joined, rest, LABELS[1:], "a", vector, LABELS),
         "normalize": (normalize, large),
+        # the public kernels are the same kernels on a batch of one
+        "splitter-state": (apply_beam_splitter, large, "b", "c"),
+        "kerr-state": (apply_cross_kerr, large, "a2", "b", 0.7),
+        "phase-state": (apply_phase_shift, large, "c", 0.3),
     }
 
 
-KERNELS = ("splitter", "kerr", "phase", "join-last", "join-first", "normalize")
+KERNELS = ("splitter", "kerr", "phase", "join-last", "join-first", "normalize",
+           "splitter-state", "kerr-state", "phase-state")
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -86,21 +106,49 @@ def test_kernel_peaks_at_one_output(large, name):
     kernel, *args = kernel_calls(large)[name]
     elements._beam_splitter_plan(1, elements._BS_HALF_ANGLE)  # not the kernel's
     result, peak = allocated(kernel, *args)
-    state = result[0] if isinstance(result, tuple) else result
-    budget = state.tensor.nbytes + SLACK_BYTES
-    if name == "splitter":
+    output = result[0] if isinstance(result, tuple) else result
+    if isinstance(output, MultiModeState):
+        assert not output.tensor.flags.writeable
+        output = output.tensor
+    budget = output.nbytes + SLACK_BYTES
+    if name.startswith("splitter"):
         budget += CHUNK_BYTES
-    assert state.tensor.nbytes == large.tensor.nbytes
+    assert output.nbytes == large.tensor.nbytes
     assert peak <= budget, f"{name}: {peak} bytes allocated, budget {budget}"
-    assert not state.tensor.flags.writeable
 
 
 def test_splitter_on_wide_pair_peaks_at_one_output_and_a_chunk():
     # the pair is (c, a), on either side of a spectator: chunks run along b
-    state = MultiModeState(("a", "b", "c"), random_tensor((64, 256, 64), seed=3))
+    stack = random_tensor((1, 64, 256, 64), seed=3)
     elements._beam_splitter_plan(63, elements._BS_HALF_ANGLE)
-    result, peak = allocated(apply_beam_splitter, state, "c", "a")
-    assert peak <= result.tensor.nbytes + CHUNK_BYTES + SLACK_BYTES
+    result, peak = allocated(apply_batch, stack, [3, 1], [BalancedBeamSplitter("c", "a")])
+    assert peak <= result.nbytes + CHUNK_BYTES + SLACK_BYTES
+
+
+def test_batch_of_large_states_peaks_like_one_member():
+    # 2 * 65 * 65 * 8 = 67,600 amplitudes a member, above one splitter chunk,
+    # so the eight members run one at a time and peak like one run alone
+    cutoff = 64
+    program = CircuitProgram(
+        modes=(("a", cutoff), ("b", 1), ("c", 1), ("a2", cutoff), ("d", 7)),
+        sources=(("a", CoherentParam(1.5)), ("b", FockParam(1)), ("a2", SqueezeParam(0.3))),
+        elements=(BalancedBeamSplitter("b", "c"), CrossKerr("a", "b", 0.0),
+                  PhaseShift("c", 0.0), BalancedBeamSplitter("b", "c")),
+        detects=(Detect("b", 1), Detect("c", 0), Detect("a", 0)),
+    )
+    assert math.prod(c + 1 for _, c in program.modes) > elements._CHUNK_AMPLITUDES
+    programs = [
+        dataclasses.replace(program, elements=(
+            program.elements[0], CrossKerr("a", "b", 0.3 * k), PhaseShift("c", 0.1 * k),
+            program.elements[3],
+        ))
+        for k in range(8)
+    ]
+    elements._beam_splitter_plan(1, elements._BS_HALF_ANGLE)
+    run_circuit(programs[0])  # builds and memoizes the sources
+    _, alone = allocated(run_circuit, programs[0])
+    _, batch = allocated(lambda: [len(r.branches) for r in run_circuits(programs)])
+    assert batch <= alone + SLACK_BYTES, f"batch peak {batch}, one member alone {alone}"
 
 
 @pytest.mark.parametrize("outcomes", [(("b", 1), ("c", 0)), (("b", 0),), (("c", 1), ("b", 0))])
@@ -124,7 +172,9 @@ def test_source_build_peaks_at_twice_its_result(build, param):
 
 def test_every_returned_state_is_constructed(monkeypatch):
     """Each kernel's result went through ``__post_init__`` (and its checks),
-    the hook that counts built states."""
+    the hook that counts built states; inside the circuit runner, every
+    stack a join or an element returns went through the state check of
+    each of its members."""
     built = []
     for cls in (FockVector, MultiModeState):
         original = cls.__post_init__
@@ -137,11 +187,17 @@ def test_every_returned_state_is_constructed(monkeypatch):
     small = MultiModeState(LABELS, random_tensor((3, 2, 2, 3), seed=4))
     vector = FockVector(np.array([0.6, 0.8, 0.0]))
     three = MultiModeState(LABELS[:3], random_tensor((3, 2, 2), seed=5))
+    program = CircuitProgram(
+        modes=(("a", 2), ("b", 1), ("c", 1)),
+        sources=(("a", SqueezeParam(0.3)), ("b", FockParam(1))),
+        elements=(BalancedBeamSplitter("b", "c"), CrossKerr("a", "b", 0.4)),
+        detects=(Detect("b", 1),),
+    )
     calls = [
         lambda: apply_beam_splitter(small, "b", "c"),
         lambda: apply_cross_kerr(small, "a", "b", 0.4),
         lambda: apply_phase_shift(small, "a2", 0.2),
-        lambda: _joined(three, "a2", vector, LABELS),
+        lambda: run_circuit(program, eps=0.05)["b=1"].state,
         lambda: project_modes(small, (("b", 1), ("a", 2)))[0],
         lambda: project_mode(small, "c", 0)[0],
         lambda: normalize(MultiModeState(small.labels, small.tensor * 0.5)),
@@ -155,3 +211,27 @@ def test_every_returned_state_is_constructed(monkeypatch):
             built.clear()
             state = call()
             assert any(b is state for b in built)
+
+    made, checked = [], []
+    join, apply, check = protocols._joined, protocols.apply_batch, protocols._check_members
+
+    def joined(*args):
+        stack, labels = join(*args)
+        made.append(stack)
+        return stack, labels
+
+    def applied(*args):
+        made.append(apply(*args))
+        return made[-1]
+
+    def checked_members(stack):
+        checked.append(stack)
+        check(stack)
+
+    monkeypatch.setattr(protocols, "_joined", joined)
+    monkeypatch.setattr(protocols, "apply_batch", applied)
+    monkeypatch.setattr(protocols, "_check_members", checked_members)
+    angles = [dataclasses.replace(program, elements=(program.elements[0], CrossKerr("a", "b", t)))
+              for t in (0.1, 0.2, 0.3)]
+    list(run_circuits(angles, eps=0.05))
+    assert len(made) == 5 and [id(s) for s in made] == [id(s) for s in checked]

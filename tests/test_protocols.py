@@ -7,9 +7,13 @@ import cmath
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_dsl import ANGLES, valid_programs
 
 from kerrcat import (
     CoherentParam,
@@ -18,6 +22,7 @@ from kerrcat import (
     FockParam,
     MultiModeState,
     SqueezeParam,
+    StateMismatchError,
     SuperpositionParams,
     TruncationWarning,
     coherent,
@@ -40,7 +45,7 @@ from kerrcat import (
 from kerrcat import cli, protocols, states
 from kerrcat.dsl import MAX_STATE_DIMENSION, CircuitProgram, CircuitValidationError, parse
 from kerrcat.elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift, apply_element
-from kerrcat.protocols import DB, DC, ZERO_BRANCH_THRESHOLD
+from kerrcat.protocols import DB, DC, ZERO_BRANCH_THRESHOLD, run_circuits
 
 
 def total_probability(result):
@@ -456,3 +461,100 @@ class TestRunCircuit:
         )
         with pytest.raises(CircuitValidationError, match="cutoff mismatch"):
             run_circuit(program)
+
+
+@st.composite
+def angle_batches(draw):
+    """One valid program of at most 3 modes and cutoffs of at most 4, with
+    1-4 sets of element angles: the members of one batch."""
+    program = draw(valid_programs(max_modes=3, max_cutoff=4))
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        elements = tuple(
+            dataclasses.replace(e, theta=draw(ANGLES)) if isinstance(e, PhaseShift)
+            else dataclasses.replace(e, tau=draw(ANGLES)) if isinstance(e, CrossKerr)
+            else e
+            for e in program.elements
+        )
+        members.append(dataclasses.replace(program, elements=elements))
+    return members
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type and text of what it raises: the
+    batch and its members are compared, whichever they do."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            return run()
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        return type(err), str(err)
+
+
+def result_bytes(result):
+    """A result as plain values, amplitudes as their bytes."""
+    def state(s):
+        return None if s is None else (s.labels, s.tensor.tobytes())
+
+    branches = [(key, b.outcome, b.probability, state(b.state)) for key, b in result.branches.items()]
+    return branches, [(line, state(s)) for line, s in result.trace]
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs=angle_batches(), eps=st.sampled_from([1e-10, 0.01, 0.5]))
+def test_a_batch_equals_its_members_run_alone(programs, eps):
+    alone = [outcome(lambda p=p: run_circuit(p, eps, trace=True)) for p in programs]
+    batch = outcome(lambda: list(run_circuits(programs, eps, trace=True)))
+    if isinstance(alone[0], tuple):  # the sources or the circuit rules fail every member
+        assert all(a == alone[0] for a in alone)
+        assert batch == alone[0]
+        return
+    assert len(batch) == len(programs)
+    for result, single in zip(batch, alone):
+        assert result_bytes(result) == result_bytes(single)
+
+
+def test_programs_of_different_layouts_are_not_a_batch():
+    base = superposition_program(SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2))
+    others = [
+        with_cutoff(base, "a", 30),
+        dataclasses.replace(base, sources=base.sources[1:]),
+        dataclasses.replace(base, detects=base.detects[:1]),
+        dataclasses.replace(base, elements=base.elements[:1] + (CrossKerr("b", "a", 1.0),)
+                            + base.elements[2:]),
+        dataclasses.replace(base, elements=base.elements[:2] + (PhaseShift("b", 1.0),)
+                            + base.elements[3:]),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="batched programs must share"):
+            list(run_circuits([base, other]))
+    angles = dataclasses.replace(base, elements=base.elements[:1] + (CrossKerr("a", "b", 1.0),)
+                                 + (PhaseShift("c", 0.4),) + base.elements[3:])
+    assert len(list(run_circuits([base, angles]))) == 2
+
+
+@pytest.mark.parametrize("poison", ["nan", "norm"])
+def test_each_member_of_a_batch_is_checked(poison, monkeypatch):
+    # the second member's Kerr output is made non-finite, or twice as long
+    apply, bad = protocols.apply_batch, []
+
+    def poisoned(stack, axes, elements):
+        out = apply(stack, axes, elements)
+        if isinstance(elements[0], CrossKerr):
+            if poison == "nan":
+                out[1].flat[3] = np.nan
+            else:
+                out[1] *= 2
+            bad.append(out[1].copy())
+        return out
+
+    monkeypatch.setattr(protocols, "apply_batch", poisoned)
+    programs = [
+        superposition_program(SuperpositionParams(SqueezeParam(0.5), tau=tau)) for tau in (0.5, 1.0)
+    ]
+    with pytest.raises(StateMismatchError) as batch:
+        list(run_circuits(programs))
+    (member,) = bad
+    with pytest.raises(StateMismatchError) as alone:
+        MultiModeState(("a", "b", "c"), member)
+    assert str(batch.value) == str(alone.value)
