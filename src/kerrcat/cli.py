@@ -400,8 +400,9 @@ def _sweep_records(config: argparse.Namespace) -> list[dict]:
         _grid_points(config.sweeps),
         lambda point: [v for k, v in point.items() if k not in ("tau", "tau2", "theta")],
     ):
-        tasks.append((config, first, list(group)))
-        first += len(tasks[-1][2])
+        points = list(group)
+        tasks.append((config, first, points))
+        first += len(points)
     if config.workers <= 1 or len(tasks) <= 1:
         return [record for task in tasks for record in _evaluate_group(task)]
     # imported here, as the checks are in _cmd_check: every CLI process

@@ -339,17 +339,18 @@ def apply_element(state: MultiModeState, element: Element) -> MultiModeState:
 
 
 def apply_batch(stack: np.ndarray, axes: list[int], elements) -> np.ndarray:
-    """A new array: member m of ``stack``, whose first axis runs over the
-    members of a batch (length 1 stands for them all), after
-    ``elements[m]``, which acts on the axes ``axes``. The elements differ
-    at most in their angles; each member's table is built as a single
-    state's, and the members' products keep a single state's bits."""
+    """A new array: each member m of ``stack`` (its first axis runs over the
+    members of a batch; length 1 stands for them all) after ``elements[m]``.
+    The elements act on the axes ``axes`` and differ at most in their angles.
+    A member's phase table is built as a single state's, and its splitter
+    products have a single state's gemm shapes, so it keeps a lone run's bits."""
     element = elements[0]
     if isinstance(element, BalancedBeamSplitter):
         return _split(stack, *axes, *element_modes(element))
     numbers = math.prod(_photon_numbers(stack, ax) for ax in axes)
     if isinstance(element, PhaseShift):
-        rates = [1j * _reduced_angle(e.theta, "theta") for e in elements]
+        exponents = [1j * _reduced_angle(e.theta, "theta") for e in elements]
     else:
-        rates = [-1j * _reduced_angle(e.tau, "tau") for e in elements]
-    return stack * np.exp(np.array(rates).reshape((-1,) + (1,) * (stack.ndim - 1)) * numbers)
+        exponents = [-1j * _reduced_angle(e.tau, "tau") for e in elements]
+    per_member = np.array(exponents).reshape((-1,) + (1,) * (stack.ndim - 1))
+    return stack * np.exp(per_member * numbers)

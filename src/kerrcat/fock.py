@@ -100,11 +100,12 @@ def _check_norm_bound(n2: float, what: str) -> None:
         raise StateMismatchError(f"{what} has squared norm {n2!r} > 1 + {NORM_SLACK}")
 
 
-def _check_members(stack: np.ndarray) -> None:
-    """The :class:`MultiModeState` check of each member of a batch's stack,
-    on views, so the check allocates nothing the size of the stack."""
+def _checked_members(stack: np.ndarray) -> np.ndarray:
+    """``stack`` after the :class:`MultiModeState` check of each member of a
+    batch, on views, so the check allocates nothing the size of the stack."""
     for member in stack:
         _check_norm_bound(_squared_norm(member), "MultiModeState")
+    return stack
 
 
 @dataclass(frozen=True, eq=False)

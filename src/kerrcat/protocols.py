@@ -51,7 +51,7 @@ from .errors import ZeroStateError
 from .fock import (
     FockVector,
     MultiModeState,
-    _check_members,
+    _checked_members,
     _Owned,
     _unit,
     normalize,
@@ -283,16 +283,15 @@ def run_circuits(
     """The result of :func:`run_circuit` on each program, to the bit, from
     batches that each run as one pass of a stack with a leading member axis.
 
-    The programs must share all but their element angles (``ValueError``
-    otherwise). No circuit rule reads an angle, so only the first program
-    is validated, and the sources are built once. Each member is checked
-    after every join and element as a :class:`MultiModeState` is, and warns
-    in program order. A batch holds at most ``_CHUNK_AMPLITUDES`` (one
-    splitter chunk) over its members, so a larger state runs alone, as does
-    a traced program. Nothing is checked or run before the first result is
-    asked for, and each batch runs when its first result is. A batch raises
-    the first error it meets; to get each program's own error, run the
-    programs of a failed batch one at a time.
+    The programs must share all but their element angles (``ValueError``).
+    No circuit rule reads an angle, so only the first program is validated,
+    and the sources are built once. Each member of every stage's stack is
+    checked as a :class:`MultiModeState` is before it is read, and warns in
+    program order. A batch holds at most ``_CHUNK_AMPLITUDES`` (a splitter
+    chunk) over its members, so a larger state, or a traced one, runs alone.
+    Each batch runs, and raises the first error it meets, when its first
+    result is asked for; to get each program's own error, run the programs
+    of a failed batch one at a time.
     """
     first = programs[0]
     if any(_layout(program) != _layout(first) for program in programs[1:]):
@@ -310,13 +309,14 @@ def run_circuits(
         def member(m: int) -> MultiModeState:
             return MultiModeState(labels, _Owned(stack[m % len(stack), ...]))
 
-        # the trailing None stands for detection, before which every mode joins
+        # the trailing None stands for detection, before which every mode joins;
+        # each stack is checked before it is read, by the next stage or, the
+        # last, as the member states detection reads
         for k, element in enumerate((*batch[0].elements, None)):
             touched = unjoined if element is None else element_modes(element)
             for label in [m for m in declared if m in unjoined and m in touched]:
                 vector = unjoined.pop(label)
-                stack, labels = _joined(stack, labels, label, vector, declared)
-                _check_members(stack)
+                stack, labels = _joined(_checked_members(stack), labels, label, vector, declared)
                 if trace:
                     param = sources.get(label)
                     line = (
@@ -327,8 +327,8 @@ def run_circuits(
                     stages.append((line, member(0)))
             if element is not None:
                 axes = [1 + labels.index(mode) for mode in element_modes(element)]
-                stack = apply_batch(stack, axes, [program.elements[k] for program in batch])
-                _check_members(stack)
+                members = [program.elements[k] for program in batch]
+                stack = apply_batch(_checked_members(stack), axes, members)
                 if trace:
                     stages.append((dsl.format_element(element), member(0)))
         stages = tuple(stages) if trace else None

@@ -40,7 +40,14 @@ from kerrcat.fock import (
     tensor_product,
 )
 from kerrcat.protocols import _joined, run_circuit, run_circuits
-from kerrcat.states import CoherentParam, FockParam, SqueezeParam, cat_coherent, coherent, squeezed_vacuum
+from kerrcat.states import (
+    CoherentParam,
+    FockParam,
+    SqueezeParam,
+    cat_coherent,
+    coherent,
+    squeezed_vacuum,
+)
 
 AMPLITUDE_BYTES = np.dtype(np.complex128).itemsize
 # phase tables, index arrays, numpy's broadcasting buffers (about 256 KiB
@@ -212,8 +219,8 @@ def test_every_returned_state_is_constructed(monkeypatch):
             state = call()
             assert any(b is state for b in built)
 
-    made, checked = [], []
-    join, apply, check = protocols._joined, protocols.apply_batch, protocols._check_members
+    made, checked, read = [], [], []
+    join, apply, check = protocols._joined, protocols.apply_batch, protocols._checked_members
 
     def joined(*args):
         stack, labels = join(*args)
@@ -226,12 +233,21 @@ def test_every_returned_state_is_constructed(monkeypatch):
 
     def checked_members(stack):
         checked.append(stack)
-        check(stack)
+        return check(stack)
+
+    def member_state(labels, owned):
+        read.append(owned.array.base)
+        return MultiModeState(labels, owned)
 
     monkeypatch.setattr(protocols, "_joined", joined)
     monkeypatch.setattr(protocols, "apply_batch", applied)
-    monkeypatch.setattr(protocols, "_check_members", checked_members)
+    monkeypatch.setattr(protocols, "_checked_members", checked_members)
+    monkeypatch.setattr(protocols, "MultiModeState", member_state)
     angles = [dataclasses.replace(program, elements=(program.elements[0], CrossKerr("a", "b", t)))
               for t in (0.1, 0.2, 0.3)]
     list(run_circuits(angles, eps=0.05))
-    assert len(made) == 5 and [id(s) for s in made] == [id(s) for s in checked]
+    # each stack is checked before the next stage reads it, from the empty
+    # start on; the last one is checked as the three member states built on it
+    assert len(made) == 5
+    assert [id(s) for s in checked[1:]] == [id(s) for s in made[:-1]]
+    assert [id(base) for base in read] == [id(made[-1])] * 3

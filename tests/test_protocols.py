@@ -496,7 +496,7 @@ def result_bytes(result):
     def state(s):
         return None if s is None else (s.labels, s.tensor.tobytes())
 
-    branches = [(key, b.outcome, b.probability, state(b.state)) for key, b in result.branches.items()]
+    branches = [(k, b.outcome, b.probability, state(b.state)) for k, b in result.branches.items()]
     return branches, [(line, state(s)) for line, s in result.trace]
 
 
