@@ -273,10 +273,10 @@ def _split(stack: np.ndarray, ax1: int, ax2: int, mode_1: str, mode_2: str) -> n
         leading = (slice(None),) * rest[0]
         chunks = [(*leading, slice(lo, lo + step)) for lo in range(0, first, step)]
     out = None
-    boundary = np.zeros(len(stack))
+    boundary = [0.0] * len(stack)
     for index in chunks:
         mass, products = _mixed_chunk(plan, stack[index].transpose(order))
-        boundary += mass
+        boundary = [b + m for b, m in zip(boundary, mass)]
         if out is None:
             # allocated after the first chunk's temporaries, so that freeing
             # them leaves no free block at the top of the heap, which malloc
@@ -284,7 +284,7 @@ def _split(stack: np.ndarray, ax1: int, ax2: int, mode_1: str, mode_2: str) -> n
             out = np.empty_like(stack)
         out[index].transpose(order)[(slice(None), *plan.gather)] = products
         del products  # before the next chunk's, which would be a third temporary
-    for mass in boundary[boundary > _BOUNDARY_MASS_THRESHOLD]:
+    for mass in (b for b in boundary if b > _BOUNDARY_MASS_THRESHOLD):
         warnings.warn(
             f"beam splitter on modes ({mode_1!r}, {mode_2!r}): probability "
             f"{mass:.3e} sits on pair photon numbers above the cutoff "
@@ -347,10 +347,11 @@ def apply_batch(stack: np.ndarray, axes: list[int], elements) -> np.ndarray:
     element = elements[0]
     if isinstance(element, BalancedBeamSplitter):
         return _split(stack, *axes, *element_modes(element))
-    numbers = math.prod(_photon_numbers(stack, ax) for ax in axes)
+    numbers = _photon_numbers(stack, axes[0])
     if isinstance(element, PhaseShift):
         exponents = [1j * _reduced_angle(e.theta, "theta") for e in elements]
     else:
+        numbers = numbers * _photon_numbers(stack, axes[1])
         exponents = [-1j * _reduced_angle(e.tau, "tau") for e in elements]
     per_member = np.array(exponents).reshape((-1,) + (1,) * (stack.ndim - 1))
     return stack * np.exp(per_member * numbers)

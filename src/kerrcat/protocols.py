@@ -121,13 +121,6 @@ class ProtocolResult:
         return self.branches[name]
 
 
-def _detection_branch(state: MultiModeState, outcome) -> Branch:
-    remaining, prob = project_modes(state, outcome)
-    if prob < ZERO_BRANCH_THRESHOLD:
-        return Branch(tuple(outcome), 0.0, None)
-    return Branch(tuple(outcome), prob, normalize(remaining))
-
-
 def run_superposition(params: SuperpositionParams, trace: bool = False) -> ProtocolResult:
     """Single-photon interferometer with one Kerr-coupled data mode.
 
@@ -326,7 +319,7 @@ def run_circuits(
                     )
                     stages.append((line, member(0)))
             if element is not None:
-                axes = [1 + labels.index(mode) for mode in element_modes(element)]
+                axes = [1 + labels.index(mode) for mode in touched]
                 members = [program.elements[k] for program in batch]
                 stack = apply_batch(_checked_members(stack), axes, members)
                 if trace:
@@ -341,19 +334,21 @@ def _layout(p: "dsl.CircuitProgram"):
 
 
 def _branches(state: MultiModeState, detects) -> dict[str, Branch]:
-    detected = [(d.mode, d.n) for d in detects]
-    if not detected:
-        return {UNCONDITIONAL: _detection_branch(state, ())}
+    requested = tuple((d.mode, d.n) for d in detects)
+    modes = [m for m, _ in requested]
+    outcomes = [()]
+    if requested:
+        candidates = joint_photon_distribution(state, modes) >= ZERO_BRANCH_THRESHOLD / 2
+        candidates[tuple(n for _, n in requested)] = True
+        outcomes = [tuple(zip(modes, counts)) for counts in np.argwhere(candidates).tolist()]
     branches = {}
-    requested = tuple(detected)
-    modes = [m for m, _ in detected]
-    candidates = joint_photon_distribution(state, modes) >= ZERO_BRANCH_THRESHOLD / 2
-    candidates[tuple(n for _, n in detected)] = True
-    for counts in np.argwhere(candidates).tolist():
-        outcome = tuple(zip(modes, counts))
-        branch = _detection_branch(state, outcome)
-        if branch.probability >= ZERO_BRANCH_THRESHOLD or outcome == requested:
-            branches[_outcome_key(outcome)] = branch
+    for outcome in outcomes:
+        key = _outcome_key(outcome) if requested else UNCONDITIONAL
+        remaining, prob = project_modes(state, outcome)
+        if prob >= ZERO_BRANCH_THRESHOLD:
+            branches[key] = Branch(outcome, prob, normalize(remaining))
+        elif outcome == requested:
+            branches[key] = Branch(outcome, 0.0, None)
     return branches
 
 
