@@ -286,8 +286,8 @@ def run_circuits(
     result is asked for; to get each program's own error, run the programs
     of a failed batch one at a time.
     """
-    first = programs[0]
-    if any(_layout(program) != _layout(first) for program in programs[1:]):
+    first, layout = programs[0], _layout(programs[0])
+    if any(_layout(program) != layout for program in programs[1:]):
         raise ValueError("batched programs must share all but their element angles")
     dsl.validate_program(first)
     sources = dict(first.sources)

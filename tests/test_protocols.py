@@ -487,24 +487,24 @@ def outcome(run):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             return run()
-    except Exception as err:  # noqa: BLE001 - compared, not handled
+    except Exception as err:  # compared, not handled
         return type(err), str(err)
 
 
 def result_bytes(result):
-    """A result as plain values, amplitudes as their bytes."""
-    def state(s):
-        return None if s is None else (s.labels, s.tensor.tobytes())
-
-    branches = [(k, b.outcome, b.probability, state(b.state)) for k, b in result.branches.items()]
-    return branches, [(line, state(s)) for line, s in result.trace]
+    """A result's branches as plain values, amplitudes as their bytes."""
+    return [
+        (key, b.outcome, b.probability, None if b.state is None else
+         (b.state.labels, b.state.tensor.tobytes()))
+        for key, b in result.branches.items()
+    ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(programs=angle_batches(), eps=st.sampled_from([1e-10, 0.01, 0.5]))
 def test_a_batch_equals_its_members_run_alone(programs, eps):
-    alone = [outcome(lambda p=p: run_circuit(p, eps, trace=True)) for p in programs]
-    batch = outcome(lambda: list(run_circuits(programs, eps, trace=True)))
+    alone = [outcome(lambda p=p: run_circuit(p, eps)) for p in programs]
+    batch = outcome(lambda: list(run_circuits(programs, eps)))
     if isinstance(alone[0], tuple):  # the sources or the circuit rules fail every member
         assert all(a == alone[0] for a in alone)
         assert batch == alone[0]
