@@ -60,6 +60,7 @@ from .protocols import (
     entanglement_program,
     entanglement_targets,
     run_circuit,
+    run_circuits,
     run_entanglement,
     run_superposition,
     superposition_program,
