@@ -294,16 +294,17 @@ def _protocol_params(config: argparse.Namespace):
     )
 
 
-def _analyzed(config: argparse.Namespace, params, results):
+def _analyzed(config: argparse.Namespace, params, results) -> list[dict]:
     """The report branches of each result, analyzed against fidelity targets
-    built after it; superposition targets read only the source and eps,
-    which batched points share, so they are built once."""
+    built after it, each result in turn; superposition targets read only the
+    source and eps, which batched points share, so they are built once."""
     superposition = config.protocol == "superposition"
-    targets = None
+    analyzed, targets = [], None
     for p, result in zip(params, results):
         if targets is None or not superposition:
             targets = superposition_targets(p) if superposition else entanglement_targets(p)
-        yield _branches_dict(result, targets, config.source if superposition else None)
+        analyzed.append(_branches_dict(result, targets, config.source if superposition else None))
+    return analyzed
 
 
 def _read_circuit(path: str) -> dsl.CircuitProgram:
@@ -327,7 +328,7 @@ def _run_report(config: argparse.Namespace) -> dict:
         params = _protocol_params(config)
         run = run_superposition if config.protocol == "superposition" else run_entanglement
         result = run(params, trace=config.trace)
-        branches = next(_analyzed(config, [params], [result]))
+        (branches,) = _analyzed(config, [params], [result])
         given = {"protocol": config.protocol}
         if config.protocol == "superposition":
             program, taus = superposition_program(params), {"tau": config.tau}
