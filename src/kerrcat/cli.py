@@ -296,15 +296,19 @@ def _protocol_params(config: argparse.Namespace):
 
 def _analyzed(config: argparse.Namespace, params, results) -> list[dict]:
     """The report branches of each result, analyzed against fidelity targets
-    built after it, each result in turn; superposition targets read only the
-    source and eps, which batched points share, so they are built once."""
+    built after it; superposition targets read only the source and eps,
+    which batched points share, so they are built once. ``map`` holds no
+    result between calls, so a point's states go before the next batch."""
     superposition = config.protocol == "superposition"
-    analyzed, targets = [], None
-    for p, result in zip(params, results):
-        if targets is None or not superposition:
-            targets = superposition_targets(p) if superposition else entanglement_targets(p)
-        analyzed.append(_branches_dict(result, targets, config.source if superposition else None))
-    return analyzed
+    shared = []
+
+    def analyze(p, result):
+        if superposition and not shared:
+            shared.append(superposition_targets(p))
+        targets = shared[0] if superposition else entanglement_targets(p)
+        return _branches_dict(result, targets, config.source if superposition else None)
+
+    return list(map(analyze, params, results))
 
 
 def _read_circuit(path: str) -> dsl.CircuitProgram:

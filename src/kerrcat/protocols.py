@@ -30,6 +30,7 @@ themselves are state-agnostic diagonal phases.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -283,50 +284,58 @@ def run_circuits(
     program order. A batch holds at most ``_CHUNK_AMPLITUDES`` (a splitter
     chunk) over its members, so a larger state, or a traced one, runs alone.
     Each batch runs, and raises the first error it meets, when its first
-    result is asked for; to get each program's own error, run the programs
-    of a failed batch one at a time.
+    result is asked for, and only its branches outlive it; to get each
+    program's own error, run the programs of a failed batch one at a time.
     """
     first, layout = programs[0], _layout(programs[0])
     if any(_layout(program) != layout for program in programs[1:]):
         raise ValueError("batched programs must share all but their element angles")
     dsl.validate_program(first)
     sources = dict(first.sources)
-    declared = [label for label, _ in first.modes]
     built = {label: build_source(sources.get(label), cutoff, eps) for label, cutoff in first.modes}
     size = 1 if trace else max(1, _CHUNK_AMPLITUDES // math.prod(c + 1 for _, c in first.modes))
-    for lo in range(0, len(programs), size):
-        batch, unjoined, stages = programs[lo:lo + size], dict(built), []
-        # until the first element with angles, one member stands for them all
-        stack, labels = np.ones(1, dtype=np.complex128), ()
+    batches = (programs[lo:lo + size] for lo in range(0, len(programs), size))
+    return itertools.chain.from_iterable(_run_batch(batch, built, trace) for batch in batches)
 
-        def member(m: int) -> MultiModeState:
-            return MultiModeState(labels, _Owned(stack[m % len(stack), ...]))
 
-        # the trailing None stands for detection, before which every mode joins;
-        # each stack is checked before it is read, by the next stage or, the
-        # last, as the member states detection reads
-        for k, element in enumerate((*batch[0].elements, None)):
-            touched = unjoined if element is None else element_modes(element)
-            for label in [m for m in declared if m in unjoined and m in touched]:
-                vector = unjoined.pop(label)
-                stack, labels = _joined(_checked_members(stack), labels, label, vector, declared)
-                if trace:
-                    param = sources.get(label)
-                    line = (
-                        dsl.format_mode(label, vector.cutoff)
-                        if param is None
-                        else dsl.format_source(label, param)
-                    )
-                    stages.append((line, member(0)))
-            if element is not None:
-                axes = [1 + labels.index(mode) for mode in touched]
-                members = [program.elements[k] for program in batch]
-                stack = apply_batch(_checked_members(stack), axes, members)
-                if trace:
-                    stages.append((dsl.format_element(element), member(0)))
-        stages = tuple(stages) if trace else None
-        for m in range(len(batch)):
-            yield ProtocolResult(_branches(member(m), first.detects), stages)
+def _run_batch(programs, built: dict[str, FockVector], trace: bool) -> list[ProtocolResult]:
+    first = programs[0]
+    sources = dict(first.sources)
+    declared = [label for label, _ in first.modes]
+    unjoined = dict(built)
+    # until the first element with angles, one member stands for them all
+    stack, labels = np.ones(1, dtype=np.complex128), ()
+    stages = []
+
+    def member(m: int) -> MultiModeState:
+        return MultiModeState(labels, _Owned(stack[m % len(stack), ...]))
+
+    # the trailing None stands for detection, before which every mode joins;
+    # each stack is checked before it is read, by the next stage or, the
+    # last, as the member states detection reads
+    for k, element in enumerate((*first.elements, None)):
+        touched = unjoined if element is None else element_modes(element)
+        for label in [m for m in declared if m in unjoined and m in touched]:
+            vector = unjoined.pop(label)
+            stack, labels = _joined(_checked_members(stack), labels, label, vector, declared)
+            if trace:
+                param = sources.get(label)
+                line = (
+                    dsl.format_mode(label, vector.cutoff)
+                    if param is None
+                    else dsl.format_source(label, param)
+                )
+                stages.append((line, member(0)))
+        if element is not None:
+            axes = [1 + labels.index(mode) for mode in touched]
+            members = [program.elements[k] for program in programs]
+            stack = apply_batch(_checked_members(stack), axes, members)
+            if trace:
+                stages.append((dsl.format_element(element), member(0)))
+    stages = tuple(stages) if trace else None
+    return [
+        ProtocolResult(_branches(member(m), first.detects), stages) for m in range(len(programs))
+    ]
 
 
 def _layout(p: "dsl.CircuitProgram"):

@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kerrcat import elements, protocols
+from kerrcat import cli, elements, protocols
 from kerrcat.dsl import CircuitProgram
 from kerrcat.elements import (
     BalancedBeamSplitter,
@@ -156,6 +156,18 @@ def test_batch_of_large_states_peaks_like_one_member():
     _, alone = allocated(run_circuit, programs[0])
     _, batch = allocated(lambda: [len(r.branches) for r in run_circuits(programs)])
     assert batch <= alone + SLACK_BYTES, f"batch peak {batch}, one member alone {alone}"
+
+
+def test_group_of_large_sweep_points_peaks_like_one_point():
+    # r = 1.3 gives cutoff 140: 79,524 amplitudes a point, above one splitter
+    # chunk, so the group runs one point at a time, and each point's result
+    # and fidelity targets must go before the next point runs
+    config = cli._run_config(["sweep", "--protocol", "entanglement", "--sweep", "r:1.3:1.3:1"])
+    points = [{"r": 1.3, "tau": tau} for tau in (0.5, 0.8, 1.2, 1.5)]
+    cli._evaluate_group((config, 0, points[:1]))  # builds and memoizes the sources
+    _, one = allocated(cli._evaluate_group, (config, 0, points[:1]))
+    _, four = allocated(cli._evaluate_group, (config, 0, points))
+    assert four <= one + SLACK_BYTES, f"four points peak at {four} bytes, one at {one}"
 
 
 @pytest.mark.parametrize("outcomes", [(("b", 1), ("c", 0)), (("b", 0),), (("c", 1), ("b", 0))])
