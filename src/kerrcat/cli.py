@@ -41,8 +41,6 @@ from .protocols import (
     entanglement_targets,
     run_circuit,
     run_circuits,
-    run_entanglement,
-    run_superposition,
     superposition_program,
     superposition_targets,
 )
@@ -50,6 +48,7 @@ from .states import DEFAULT_LEAKAGE, CoherentParam, SqueezeParam
 
 SCHEMA_TAG = "kerrcat-report/1"
 SWEEPABLE = ("r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta")
+_PROGRAMS = {"superposition": superposition_program, "entanglement": entanglement_program}
 # Largest sweep grid (the product of the axes' step counts). Every point's
 # record is held until the report is written, and a record grows with the
 # source cutoff (each branch keeps its photon distribution). The states of
@@ -330,14 +329,13 @@ def _run_report(config: argparse.Namespace) -> dict:
     """The report of one run, of a built-in protocol or of a circuit file."""
     if config.protocol is not None:
         params = _protocol_params(config)
-        run = run_superposition if config.protocol == "superposition" else run_entanglement
-        result = run(params, trace=config.trace)
+        program = _PROGRAMS[config.protocol](params)
+        result = click_branches(run_circuit(program, config.epsilon, config.trace))
         (branches,) = _analyzed(config, [params], [result])
         given = {"protocol": config.protocol}
-        if config.protocol == "superposition":
-            program, taus = superposition_program(params), {"tau": config.tau}
-        else:
-            program, taus = entanglement_program(params), {"tau": config.tau, "tau2": config.tau2}
+        taus = {"tau": config.tau}
+        if config.protocol == "entanglement":
+            taus["tau2"] = config.tau2
         keys = ("r", "phi") if config.source == "squeezed" else ("alpha_re", "alpha_im")
         source = {"kind": config.source, **{key: getattr(config, key) for key in keys}}
         echo = {"source": source, **taus, "theta": config.theta}
@@ -379,7 +377,7 @@ def _evaluate_group(task) -> list[dict]:
     again one point at a time, so that each point records its own error."""
     config, first, points = task
     configs = [argparse.Namespace(**{**vars(config), **point}) for point in points]
-    program = superposition_program if config.protocol == "superposition" else entanglement_program
+    program = _PROGRAMS[config.protocol]
     try:
         params = [_protocol_params(c) for c in configs]
         results = map(click_branches, run_circuits([program(p) for p in params], config.epsilon))

@@ -5,8 +5,8 @@ A single mode with cutoff N is the span of the photon-number states
 dense C-ordered complex array with one axis per mode; the first label is
 the slowest-varying (row-major) axis. States are immutable after construction
 and may be sub-normalized (e.g. after a projective detection); explicit
-:func:`normalize`, and ``_unit`` for the scratch superpositions that
-become new states, are the only places a norm is ever divided out.
+:func:`normalize`, ``_unit`` for scratch superpositions that become new
+states, and detection's branches are the only places a norm is divided out.
 
 Every :class:`FockVector` and :class:`MultiModeState` is checked when it is
 built: its amplitudes must be finite and its squared norm at most

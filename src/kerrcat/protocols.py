@@ -20,7 +20,8 @@ Programs that differ only in their element angles (a sweep over ``tau``,
 ``tau2`` and ``theta`` at one source) run as a batch, one state pass with
 a leading member axis, which shares the sources, the joins and the
 elements before the first angle. A single run is a batch of one, and each
-member's result equals it to the bit (:func:`run_circuits`).
+member's result equals it to the bit (:func:`run_circuits`). Detection
+takes one Born-rule law per batch, with the member axis leading.
 
 The Kerr rotation acts on the source parameters as ``kerr_rotated`` (in
 ``kerrcat.states``): alpha -> alpha * exp(-i * tau) and phi -> phi - 2 * tau
@@ -38,7 +39,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import dsl
-from .analysis import joint_photon_distribution
 from .elements import (
     _CHUNK_AMPLITUDES,
     BalancedBeamSplitter,
@@ -55,8 +55,6 @@ from .fock import (
     _checked_members,
     _Owned,
     _unit,
-    normalize,
-    project_modes,
     single,
     tensor_product,
 )
@@ -255,18 +253,14 @@ def run_circuit(
     mode (``mode <label> cutoff <n>`` for a vacuum mode), or the element's
     own line.
 
-    Detection directives are enumerated as joint outcomes over the detected
-    modes, in ascending photon numbers with the first detected mode
-    slowest. The joint photon-number law of those modes is computed once
-    and only outcomes whose law clears half the zero-branch threshold are
-    sliced out of the state; each sliced outcome is then kept when its own
-    squared norm is at or above the threshold, exactly as if every outcome
-    had been sliced (the half is a margin far wider than the rounding
-    difference between the two sums). Kept branches are keyed like
-    ``"b=1 c=0"``. The outcome combination the program asks for is always
-    reported, in its place in that order, with probability zero and no
-    state if it falls below the threshold. Without any detection the single
-    branch is keyed ``"unconditional"``, under the same zero rule.
+    Detection reads one law, the final state's ``joint_photon_distribution``
+    of the detected modes (to the bit), in ascending photon numbers with the
+    first detected mode slowest. An outcome whose entry is at or above
+    ``ZERO_BRANCH_THRESHOLD`` is kept, keyed like ``"b=1 c=0"``, with the
+    entry as its probability and its slice over the entry's root as its
+    state; the requested outcome is always reported, in its place, as a zero
+    branch (no state) below it. Without any detection the law is the squared
+    norm, and the one branch, ``"unconditional"``, follows the same rule.
     """
     return next(run_circuits([program], eps, trace))
 
@@ -307,12 +301,12 @@ def _run_batch(programs, built: dict[str, FockVector], trace: bool) -> list[Prot
     stack, labels = np.ones(1, dtype=np.complex128), ()
     stages = []
 
-    def member(m: int) -> MultiModeState:
-        return MultiModeState(labels, _Owned(stack[m % len(stack), ...]))
+    def traced() -> MultiModeState:  # a traced batch has one member
+        return MultiModeState(labels, _Owned(stack[0, ...]))
 
     # the trailing None stands for detection, before which every mode joins;
     # each stack is checked before it is read, by the next stage or, the
-    # last, as the member states detection reads
+    # last, by detection
     for k, element in enumerate((*first.elements, None)):
         touched = unjoined if element is None else element_modes(element)
         for label in [m for m in declared if m in unjoined and m in touched]:
@@ -325,40 +319,48 @@ def _run_batch(programs, built: dict[str, FockVector], trace: bool) -> list[Prot
                     if param is None
                     else dsl.format_source(label, param)
                 )
-                stages.append((line, member(0)))
+                stages.append((line, traced()))
         if element is not None:
             axes = [1 + labels.index(mode) for mode in touched]
             members = [program.elements[k] for program in programs]
             stack = apply_batch(_checked_members(stack), axes, members)
             if trace:
-                stages.append((dsl.format_element(element), member(0)))
+                stages.append((dsl.format_element(element), traced()))
     stages = tuple(stages) if trace else None
-    return [
-        ProtocolResult(_branches(member(m), first.detects), stages) for m in range(len(programs))
-    ]
+    detected = _branches(_checked_members(stack), labels, first.detects, len(programs))
+    return [ProtocolResult(branches, stages) for branches in detected]
 
 
 def _layout(p: "dsl.CircuitProgram"):
     return p.modes, p.sources, p.detects, [(type(e), element_modes(e)) for e in p.elements]
 
 
-def _branches(state: MultiModeState, detects) -> dict[str, Branch]:
+def _branches(stack: np.ndarray, labels, detects, count: int) -> list[dict[str, Branch]]:
+    """Each of ``count`` members' branches, from one law: ``|stack|^2`` summed
+    over the undetected modes, member axis first, detected axes in request order."""
     requested = tuple((d.mode, d.n) for d in detects)
     modes = [m for m, _ in requested]
-    outcomes = [()]
-    if requested:
-        candidates = joint_photon_distribution(state, modes) >= ZERO_BRANCH_THRESHOLD / 2
-        candidates[tuple(n for _, n in requested)] = True
-        outcomes = [tuple(zip(modes, counts)) for counts in np.argwhere(candidates).tolist()]
-    branches = {}
-    for outcome in outcomes:
-        key = _outcome_key(outcome) if requested else UNCONDITIONAL
-        remaining, prob = project_modes(state, outcome)
-        if prob >= ZERO_BRANCH_THRESHOLD:
-            branches[key] = Branch(outcome, prob, normalize(remaining))
-        elif outcome == requested:
-            branches[key] = Branch(outcome, 0.0, None)
-    return branches
+    # a view with the detected axes first, in request order; the rest keep theirs
+    stack = np.moveaxis(stack, [1 + labels.index(m) for m in modes], range(1, 1 + len(modes)))
+    law = np.abs(stack)
+    np.square(law, out=law)  # in place: one float array beside the state
+    if len(modes) < len(labels):
+        law = law.sum(axis=tuple(range(1 + len(modes), stack.ndim)))
+    kept = law >= ZERO_BRANCH_THRESHOLD
+    kept[(slice(None), *(n for _, n in requested))] = True
+    remaining = tuple(label for label in labels if label not in modes)
+    members = [{} for _ in range(count)]
+    for m, branches in enumerate(members):
+        i = m % len(stack)  # until the first element with angles, one member stands for all
+        for counts in np.argwhere(kept[i]).tolist():
+            outcome, prob = tuple(zip(modes, counts)), float(law[(i, *counts)])
+            key = _outcome_key(outcome) if requested else UNCONDITIONAL
+            if prob < ZERO_BRANCH_THRESHOLD:  # the requested outcome
+                branches[key] = Branch(outcome, 0.0, None)
+            else:
+                amplitudes = stack[(i, *counts, Ellipsis)] / math.sqrt(prob)
+                branches[key] = Branch(outcome, prob, MultiModeState(remaining, _Owned(amplitudes)))
+    return members
 
 
 def _joined(stack: np.ndarray, labels: tuple[str, ...], label: str, vector: FockVector, declared):

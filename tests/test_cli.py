@@ -657,8 +657,7 @@ def test_exit_code_matrix(entry, error, code, tmp_path, monkeypatch, capsys):
     elif error == "parse":
         circuit.write_text("mode a cutoff 3\nbs a zz\n", encoding="utf-8")
     elif error is not None and entry != "check":
-        target = {"circuit-run": "run_circuit", "sweep-point": "run_circuits"}.get(
-            entry, "run_superposition")
+        target = "run_circuits" if entry == "sweep-point" else "run_circuit"
         monkeypatch.setattr(cli, target, raise_error)
 
     assert cli.main(argv) == code

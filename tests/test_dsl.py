@@ -217,7 +217,10 @@ ANGLES = st.one_of(
 
 
 @st.composite
-def valid_programs(draw, max_modes=4, max_cutoff=6):
+def valid_programs(draw, max_modes=4, max_cutoff=6, r=FINITE.map(abs),
+                   alpha=st.builds(complex, FINITE, FINITE)):
+    """A program that passes the circuit rules; ``r`` and ``alpha`` draw the
+    squeezed and coherent source parameters."""
     labels = draw(st.lists(LABELS, min_size=1, max_size=max_modes, unique=True))
     modes = tuple((label, draw(st.integers(0, max_cutoff))) for label in labels)
     cutoff = dict(modes)
@@ -226,9 +229,9 @@ def valid_programs(draw, max_modes=4, max_cutoff=6):
     for label in draw(st.lists(st.sampled_from(labels), unique=True)):
         kind = draw(st.sampled_from(("squeezed", "coherent", "fock")))
         if kind == "squeezed":
-            param = SqueezeParam(draw(FINITE.map(abs)), draw(ANGLES))
+            param = SqueezeParam(draw(r), draw(ANGLES))
         elif kind == "coherent":
-            param = CoherentParam(complex(draw(FINITE), draw(FINITE)))
+            param = CoherentParam(draw(alpha))
         else:
             param = FockParam(draw(st.integers(0, cutoff[label])))
         sources.append((label, param))

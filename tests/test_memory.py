@@ -178,6 +178,24 @@ def test_branch_costs_one_copy(large, outcomes):
     assert prob == branch.squared_norm
 
 
+@pytest.mark.parametrize("clicks", ["every", "one"])
+def test_detection_peaks_at_one_law_and_its_branches(large, clicks):
+    # with every (b, c) outcome occupied, the branches together are the size
+    # of the state; with one, only that branch is kept
+    tensor = large.tensor.copy()
+    if clicks == "one":
+        tensor[:, (0, 0, 1), (0, 1, 1), :] = 0
+        tensor /= np.linalg.norm(tensor)
+    stack = tensor[None]
+    detects = (Detect("b", 1), Detect("c", 0))
+    (branches,), peak = allocated(protocols._branches, stack, LABELS, detects, 1)
+    states = [branch.state for branch in branches.values()]
+    assert len(states) == (4 if clicks == "every" else 1)
+    law = stack.size * np.dtype(np.float64).itemsize
+    budget = law + sum(state.tensor.nbytes for state in states) + SLACK_BYTES
+    assert peak <= budget, f"{peak} bytes allocated, budget {budget}"
+
+
 @pytest.mark.parametrize("build, param", [
     (squeezed_vacuum, SqueezeParam(4.0)),
     (coherent, CoherentParam(1.0)),
@@ -193,7 +211,7 @@ def test_every_returned_state_is_constructed(monkeypatch):
     """Each kernel's result went through ``__post_init__`` (and its checks),
     the hook that counts built states; inside the circuit runner, every
     stack a join or an element returns went through the state check of
-    each of its members."""
+    each of its members, the last one before detection included."""
     built = []
     for cls in (FockVector, MultiModeState):
         original = cls.__post_init__
@@ -231,7 +249,7 @@ def test_every_returned_state_is_constructed(monkeypatch):
             state = call()
             assert any(b is state for b in built)
 
-    made, checked, read = [], [], []
+    made, checked = [], []
     join, apply, check = protocols._joined, protocols.apply_batch, protocols._checked_members
 
     def joined(*args):
@@ -247,19 +265,16 @@ def test_every_returned_state_is_constructed(monkeypatch):
         checked.append(stack)
         return check(stack)
 
-    def member_state(labels, owned):
-        read.append(owned.array.base)
-        return MultiModeState(labels, owned)
-
     monkeypatch.setattr(protocols, "_joined", joined)
     monkeypatch.setattr(protocols, "apply_batch", applied)
     monkeypatch.setattr(protocols, "_checked_members", checked_members)
-    monkeypatch.setattr(protocols, "MultiModeState", member_state)
     angles = [dataclasses.replace(program, elements=(program.elements[0], CrossKerr("a", "b", t)))
               for t in (0.1, 0.2, 0.3)]
-    list(run_circuits(angles, eps=0.05))
-    # each stack is checked before the next stage reads it, from the empty
-    # start on; the last one is checked as the three member states built on it
+    built.clear()
+    results = list(run_circuits(angles, eps=0.05))
+    # each stack is checked once, before the next stage or detection reads
+    # it, from the empty start on
     assert len(made) == 5
-    assert [id(s) for s in checked[1:]] == [id(s) for s in made[:-1]]
-    assert [id(base) for base in read] == [id(made[-1])] * 3
+    assert [id(s) for s in checked[1:]] == [id(s) for s in made]
+    states = [b.state for result in results for b in result.branches.values()]
+    assert len(states) == 6 and all(any(b is state for b in built) for state in states)

@@ -5,13 +5,14 @@ are checked once, by the ``kerrcat check`` items in ``kerrcat.checks``."""
 
 import cmath
 import dataclasses
+import itertools
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_dsl import ANGLES, valid_programs
 
@@ -30,6 +31,7 @@ from kerrcat import (
     entanglement_targets,
     fidelity,
     fock,
+    joint_photon_distribution,
     project_modes,
     run_circuit,
     run_entanglement,
@@ -380,14 +382,13 @@ class TestRunCircuit:
             branch = run_circuit(program, eps=0.999999999999)["unconditional"]
         assert (branch.probability, branch.state, branch.pre_norm) == (0.0, None, 0.0)
 
-    def test_pre_norm_is_the_norm_of_the_projected_state(self):
+    def test_pre_norm_is_the_root_of_the_law_entry(self):
         params = SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2, theta=0.3)
         result = run_circuit(superposition_program(params), trace=True)
-        detected = result.trace[-1][1]
+        law = joint_photon_distribution(result.trace[-1][1], ["b", "c"])
         for branch in result.branches.values():
-            remaining, _ = project_modes(detected, branch.outcome)
             assert 0.0 < branch.probability < 1.0
-            assert branch.pre_norm == remaining.norm
+            assert branch.pre_norm == math.sqrt(law[tuple(n for _, n in branch.outcome)])
 
     def test_branch_tree_reports_requested_zero_branch(self):
         # photon never in (1,1); the requested combination is still reported
@@ -399,38 +400,6 @@ class TestRunCircuit:
         assert result["b=1 c=1"].probability == 0.0
         assert result["b=1 c=1"].state is None
         assert abs(total_probability(result) - 1.0) < 1e-12
-
-    def test_branches_match_brute_force_enumeration(self):
-        # s is squeezed, so every odd count on it has probability exactly 0;
-        # the requested (a=0, s=1) sits second in the ascending order
-        program = parse(
-            "mode s cutoff 3\nmode a cutoff 2\nmode b cutoff 2\nmode c cutoff 2\n"
-            "source s squeezed r=0.5 phi=0\nsource a fock n=1\n"
-            "bs c a\nkerr s a tau=pi/3\nbs a b\n"
-            "detect a n=0\ndetect s n=1\n"
-        ).program
-        result = run_circuit(program, eps=0.05, trace=True)
-        final = result.trace[-1][1]
-        requested = (("a", 0), ("s", 1))
-        expected = {}
-        for na in range(3):
-            for ns in range(4):
-                outcome = (("a", na), ("s", ns))
-                _, prob = project_modes(final, outcome)
-                if prob >= ZERO_BRANCH_THRESHOLD or outcome == requested:
-                    expected[f"a={na} s={ns}"] = (outcome, prob)
-        assert list(result.branches) == list(expected)
-        assert list(result.branches).index("a=0 s=1") == 1
-        for key, (outcome, prob) in expected.items():
-            branch = result[key]
-            assert branch.outcome == outcome
-            if prob >= ZERO_BRANCH_THRESHOLD:
-                assert branch.probability == prob
-                assert branch.state.labels == ("b", "c")
-                assert branch.state.tensor.flags.c_contiguous
-            else:
-                assert branch.probability == 0.0 and branch.state is None
-        assert abs(total_probability(result) - final.squared_norm) < 1e-12
 
     def test_validation_errors_carry_element_index(self):
         program = CircuitProgram(
@@ -463,11 +432,61 @@ class TestRunCircuit:
             run_circuit(program)
 
 
+# Valid programs of at most 3 modes and cutoffs of at most 4, whose sources
+# are small enough (|alpha| <= 1, r <= 0.5) that the truncated states keep
+# weight on several outcomes, so detections keep several branches.
+small_programs = valid_programs(
+    max_modes=3, max_cutoff=4, r=st.floats(0, 0.5),
+    alpha=st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=small_programs)
+# s is squeezed, so every odd count on it has probability exactly 0; the
+# requested (a=0, s=1) sits second in the ascending order
+@example(program=parse(
+    "mode s cutoff 3\nmode a cutoff 2\nmode b cutoff 2\nmode c cutoff 2\n"
+    "source s squeezed r=0.5 phi=0\nsource a fock n=1\n"
+    "bs c a\nkerr s a tau=pi/3\nbs a b\n"
+    "detect a n=0\ndetect s n=1\n"
+).program)
+def test_branches_match_brute_force_enumeration(program):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        result = run_circuit(program, eps=0.999999, trace=True)
+    final = result.trace[-1][1]
+    requested = tuple((d.mode, d.n) for d in program.detects)
+    modes = [m for m, _ in requested]
+    law = joint_photon_distribution(final, modes)
+    expected = {}
+    for counts in itertools.product(*(range(final.cutoff(m) + 1) for m in modes)):
+        outcome = tuple(zip(modes, counts))
+        remaining, prob = project_modes(final, outcome)
+        if prob >= ZERO_BRANCH_THRESHOLD or outcome == requested:
+            key = " ".join(f"{m}={n}" for m, n in outcome) if modes else "unconditional"
+            expected[key] = (outcome, remaining, prob)
+    assert list(result.branches) == list(expected)
+    for key, (outcome, remaining, prob) in expected.items():
+        branch = result[key]
+        assert branch.outcome == outcome
+        if prob >= ZERO_BRANCH_THRESHOLD:
+            assert branch.probability == law[tuple(n for _, n in outcome)]
+            assert abs(branch.probability - prob) < 1e-12
+            assert branch.state.labels == remaining.labels
+            assert branch.state.tensor.flags.c_contiguous
+            unit = remaining.tensor / math.sqrt(branch.probability)
+            assert np.abs(branch.state.tensor - unit).max(initial=0.0) < 1e-12
+        else:
+            assert branch.probability == 0.0 and branch.state is None
+    assert abs(total_probability(result) - final.squared_norm) < 1e-12
+
+
 @st.composite
 def angle_batches(draw):
-    """One valid program of at most 3 modes and cutoffs of at most 4, with
-    1-4 sets of element angles: the members of one batch."""
-    program = draw(valid_programs(max_modes=3, max_cutoff=4))
+    """One of ``small_programs``, with 1-4 sets of element angles: the
+    members of one batch."""
+    program = draw(small_programs)
     members = []
     for _ in range(draw(st.integers(1, 4))):
         elements = tuple(

@@ -45,8 +45,8 @@ def test_every_traced_name_exists(layer, name):
     [
         (["run", "--circuit", "tests/golden/lazy-joins.qcirc", "--epsilon", "1e-4"],
          "protocols.run_circuit"),
-        (["run", "--protocol", "superposition", "--r", "0.2"], "protocols.run_superposition"),
-        (["run", "--protocol", "entanglement", "--r", "0.3"], "protocols.run_entanglement"),
+        (["run", "--protocol", "superposition", "--r", "0.2"], "protocols.run_circuit"),
+        (["run", "--protocol", "entanglement", "--r", "0.3"], "protocols.run_circuit"),
     ],
 )
 def test_traced_run_records_spans(argv, span, tmp_path):
