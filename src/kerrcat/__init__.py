@@ -8,6 +8,7 @@ the diagnostics (distributions, fidelities, Schmidt data) to verify them.
 """
 
 from .analysis import (
+    entanglement_entropies,
     entanglement_entropy,
     fidelity,
     joint_photon_distribution,
@@ -49,6 +50,7 @@ from .fock import (
     project_modes,
     schmidt_coefficients,
     schmidt_decompose,
+    schmidt_spectra,
     single,
     tensor_product,
 )
@@ -59,6 +61,7 @@ from .protocols import (
     SuperpositionParams,
     entanglement_program,
     entanglement_targets,
+    run_batches,
     run_circuit,
     run_circuits,
     run_entanglement,

@@ -3,8 +3,8 @@ factory's single-mode vector is labelled with :func:`kerrcat.fock.single`).
 
 Photon-number distributions, probability mass outside a declared support
 set, state fidelities, and bipartite entanglement entropy (base-2, from the
-Schmidt spectrum alone: :func:`kerrcat.fock.schmidt_coefficients`, singular
-values without vectors, over the occupied support).
+Schmidt spectrum alone: :func:`kerrcat.fock.schmidt_spectra`, singular
+values without vectors, over the occupied support, stacked by its shape).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import StateMismatchError
-from .fock import MultiModeState, schmidt_coefficients
+from .fock import MultiModeState, schmidt_spectra
 
 # Schmidt coefficients at or below this count as zero (rank and entropy).
 SCHMIDT_COEFF_THRESHOLD = 1e-10
@@ -46,10 +46,14 @@ def joint_photon_distribution(state: MultiModeState, modes: Iterable[str]) -> np
 
 
 def support_residual(distribution: np.ndarray, allowed: Iterable[int]) -> float:
-    """Probability mass at photon numbers outside ``allowed``."""
-    allowed = set(allowed)
-    mask = np.array([n not in allowed for n in range(len(distribution))])
-    return float(np.asarray(distribution)[mask].sum())
+    """Probability mass at photon numbers outside ``allowed`` (integers; any
+    outside the distribution's range are ignored), summed in ascending order."""
+    distribution = np.asarray(distribution)
+    outside = np.ones(len(distribution), dtype=bool)
+    for n in allowed:
+        if 0 <= n < outside.size:
+            outside[n] = False
+    return float(distribution[outside].sum())
 
 
 def _as_unit_array(state, what: str) -> tuple[np.ndarray, float]:
@@ -83,17 +87,25 @@ def fidelity(state: MultiModeState, target: MultiModeState) -> float:
 
 
 def entanglement_entropy(state: MultiModeState, left_modes) -> float:
-    """Entropy (bits) of the Schmidt spectrum across the bipartition.
+    """Entropy (bits) of the Schmidt spectrum across the bipartition:
+    :func:`entanglement_entropies` of the one state."""
+    (entropy,) = entanglement_entropies([state], left_modes)
+    return entropy
+
+
+def entanglement_entropies(states, left_modes) -> list[float]:
+    """Entropy (bits) of each state's Schmidt spectrum across the
+    bipartition, from :func:`kerrcat.fock.schmidt_spectra`.
 
     Zero (within numerics) iff the state is a product across the cut, and
-    never negative: a sum that rounds to -0.0 or below is 0.0. The
-    spectrum comes from :func:`kerrcat.fock.schmidt_coefficients`: singular
-    values only, of the bipartition matrix with its exactly-zero rows and
-    columns dropped. The state's squared norm must lie within
-    ``_UNIT_NORM_SLACK`` of 1; the Schmidt weights are divided by it, so
-    within that slack the entropy is scale-invariant.
+    never negative: a sum that rounds to -0.0 or below is 0.0. Each state's
+    squared norm must lie within ``_UNIT_NORM_SLACK`` of 1; its Schmidt
+    weights are divided by it, so within that slack the entropy is
+    scale-invariant.
     """
-    _, n2 = _as_unit_array(state, "state")
-    coeffs = schmidt_coefficients(state, left_modes)
-    p = coeffs[coeffs > SCHMIDT_COEFF_THRESHOLD] ** 2 / n2
-    return max(0.0, float(-(p * np.log2(p)).sum()))
+    norms = [_as_unit_array(state, "state")[1] for state in states]
+    entropies = []
+    for coeffs, n2 in zip(schmidt_spectra(states, left_modes), norms):
+        p = coeffs[coeffs > SCHMIDT_COEFF_THRESHOLD] ** 2 / n2
+        entropies.append(max(0.0, float(-(p * np.log2(p)).sum())))
+    return entropies

@@ -24,11 +24,12 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import dsl
-from .analysis import entanglement_entropy, fidelity, photon_distribution, support_residual
+from .analysis import entanglement_entropies, fidelity, photon_distribution, support_residual
 from .errors import FockSpaceError, TruncationWarning
 from .protocols import (
     DB,
@@ -39,8 +40,9 @@ from .protocols import (
     click_branches,
     entanglement_program,
     entanglement_targets,
+    layout,
+    run_batches,
     run_circuit,
-    run_circuits,
     superposition_program,
     superposition_targets,
 )
@@ -227,14 +229,15 @@ _SUPPORT = {
 }
 
 
-def _analysis(state, targets: dict, support=None) -> dict:
+def _analysis(state, targets: dict, support, entropies) -> dict:
     """The analysis record of one branch.
 
     It holds the photon distribution of every remaining mode, the Schmidt
-    entropy across the first mode when exactly two modes remain, the
-    residual outside the ``support`` law ``(label, first, step)`` of a
-    single remaining mode when one is given, and the fidelity with each of
-    ``targets``. A branch with no state gets the empty record.
+    entropy across the first mode when exactly two modes remain (the next
+    of ``entropies``), the residual outside the ``support`` law ``(label,
+    first, step)`` of a single remaining mode when one is given, and the
+    fidelity with each of ``targets``. A branch with no state gets the
+    empty record.
     """
     dists, fidelities = {}, {}
     if state is not None:
@@ -250,24 +253,33 @@ def _analysis(state, targets: dict, support=None) -> dict:
         "support_residual": residual,
         "allowed_support": label,
         "fidelity_targets": fidelities,
-        "schmidt_entropy": (
-            entanglement_entropy(state, {state.labels[0]}) if len(dists) == 2 else None
-        ),
+        "schmidt_entropy": next(entropies) if len(dists) == 2 else None,
     }
 
 
-def _branches_dict(result: ProtocolResult, targets: dict, source_kind: str | None = None) -> dict:
-    """The report's branches, each analyzed against ``targets``; with a
+def _branches_dict(result: ProtocolResult, targets: dict, source_kind, entropies) -> dict:
+    """The report's branches, each analyzed against ``targets``, with Schmidt
+    entropies taken from ``entropies`` (:func:`_entropies`); with a
     ``source_kind``, each branch's support law is checked too."""
     return {
         name: {
             "outcome": {mode: n for mode, n in branch.outcome},
             "probability": branch.probability,
             "pre_norm": branch.pre_norm,
-            "analysis": _analysis(branch.state, targets, _SUPPORT.get((source_kind, name))),
+            "analysis": _analysis(
+                branch.state, targets, _SUPPORT.get((source_kind, name)), entropies
+            ),
         }
         for name, branch in result.branches.items()
     }
+
+
+def _entropies(results) -> Iterator[float]:
+    """The Schmidt entropies of the results' two-mode branch states, in
+    order, from one call; such states of one run or batch share labels."""
+    pairs = [b.state for r in results for b in r.branches.values()
+             if b.state is not None and len(b.state.labels) == 2]
+    return iter(entanglement_entropies(pairs, pairs[0].labels[:1] if pairs else ()))
 
 
 def _trace_list(result: ProtocolResult) -> list[dict]:
@@ -293,21 +305,27 @@ def _protocol_params(config: argparse.Namespace):
     )
 
 
-def _analyzed(config: argparse.Namespace, params, results) -> list[dict]:
-    """The report branches of each result, analyzed against fidelity targets
-    built after it; superposition targets read only the source and eps,
-    which batched points share, so they are built once. ``map`` holds no
-    result between calls, so a point's states go before the next batch."""
+def _analyzed(config: argparse.Namespace, params, batches) -> list[dict]:
+    """The report branches of each protocol result, analyzed a batch at a
+    time against fidelity targets built after the batch ran. Superposition
+    targets read only the source and eps, so neighbouring points with one
+    source share them. ``map`` holds no batch between calls, so a batch's
+    states go before the next batch runs."""
     superposition = config.protocol == "superposition"
-    shared = []
+    kind, params, shared = config.source if superposition else None, iter(params), [None, {}]
 
-    def analyze(p, result):
-        if superposition and not shared:
-            shared.append(superposition_targets(p))
-        targets = shared[0] if superposition else entanglement_targets(p)
-        return _branches_dict(result, targets, config.source if superposition else None)
+    def targets(p):
+        if superposition and shared[0] != p.source_a:
+            shared[:] = [p.source_a, superposition_targets(p)]
+        return shared[1] if superposition else entanglement_targets(p)
 
-    return list(map(analyze, params, results))
+    def analyze(batch):
+        results = [click_branches(result) for result in batch]
+        entropies = _entropies(results)
+        points = itertools.islice(params, len(results))
+        return [_branches_dict(r, targets(p), kind, entropies) for r, p in zip(results, points)]
+
+    return list(itertools.chain.from_iterable(map(analyze, batches)))
 
 
 def _read_circuit(path: str) -> dsl.CircuitProgram:
@@ -330,8 +348,8 @@ def _run_report(config: argparse.Namespace) -> dict:
     if config.protocol is not None:
         params = _protocol_params(config)
         program = _PROGRAMS[config.protocol](params)
-        result = click_branches(run_circuit(program, config.epsilon, config.trace))
-        (branches,) = _analyzed(config, [params], [result])
+        result = run_circuit(program, config.epsilon, config.trace)
+        (branches,) = _analyzed(config, [params], [[result]])
         given = {"protocol": config.protocol}
         taus = {"tau": config.tau}
         if config.protocol == "entanglement":
@@ -342,7 +360,7 @@ def _run_report(config: argparse.Namespace) -> dict:
     else:
         program = _read_circuit(config.circuit)
         result = run_circuit(program, eps=config.epsilon, trace=config.trace)
-        branches = _branches_dict(result, {})
+        branches = _branches_dict(result, {}, None, _entropies([result]))
         given, echo = {"circuit": config.circuit}, {}
     report = {
         "schema": SCHEMA_TAG,
@@ -372,17 +390,46 @@ def _grid_points(sweeps: tuple[SweepSpec, ...]) -> list[dict]:
     return points
 
 
+# the errors a sweep point records as its own, instead of ending the sweep
+_POINT_ERRORS = (FockSpaceError, FloatingPointError, ValueError)
+
+
+def _point(config: argparse.Namespace, values: dict):
+    """A grid point's config, params, program, and the error that building
+    them raised (else None)."""
+    point = argparse.Namespace(**{**vars(config), **values})
+    try:
+        params = _protocol_params(point)
+        return point, params, _PROGRAMS[config.protocol](params), None
+    except _POINT_ERRORS as err:
+        return point, None, None, err
+
+
+def _sweep_tasks(config: argparse.Namespace):
+    """One task (config, first point index, points) per run of neighbouring
+    grid points whose programs share their :func:`kerrcat.protocols.layout`,
+    so that they run as batches. The points are built once, in grid order,
+    as the tasks are asked for."""
+    first = 0
+    points = (_point(config, values) for values in _grid_points(config.sweeps))
+    # a point that failed is a group of its own
+    for _, group in itertools.groupby(points, lambda p: layout(p[2]) if p[3] is None else p[3]):
+        group = list(group)
+        yield config, first, group
+        first += len(group)
+
+
 def _evaluate_group(task) -> list[dict]:
     """The records of a group of points, run as batches. A failed group runs
     again one point at a time, so that each point records its own error."""
     config, first, points = task
-    configs = [argparse.Namespace(**{**vars(config), **point}) for point in points]
-    program = _PROGRAMS[config.protocol]
+    configs, params, programs, errors = zip(*points)
     try:
-        params = [_protocol_params(c) for c in configs]
-        results = map(click_branches, run_circuits([program(p) for p in params], config.epsilon))
-        outcomes = [(branches, None) for branches in _analyzed(config, params, results)]
-    except (FockSpaceError, FloatingPointError, ValueError) as err:
+        if errors[0] is not None:  # the point could not be built; it is a group of one
+            raise errors[0]
+        analyzed = _analyzed(config, params, run_batches(programs, config.epsilon))
+        outcomes = [(branches, None) for branches in analyzed]
+    except _POINT_ERRORS as err:
         if len(points) > 1:
             alone = [_evaluate_group((config, first + i, [p])) for i, p in enumerate(points)]
             return [record for records in alone for record in records]
@@ -396,26 +443,17 @@ def _evaluate_group(task) -> list[dict]:
 
 
 def _sweep_records(config: argparse.Namespace) -> list[dict]:
-    # one task (config, first point index, points) per run of neighbouring
-    # points that differ only in element angles
-    tasks, first = [], 0
-    for _, group in itertools.groupby(
-        _grid_points(config.sweeps),
-        lambda point: [v for k, v in point.items() if k not in ("tau", "tau2", "theta")],
-    ):
-        points = list(group)
-        tasks.append((config, first, points))
-        first += len(points)
+    tasks = _sweep_tasks(config) if config.workers <= 1 else list(_sweep_tasks(config))
     if config.workers <= 1 or len(tasks) <= 1:
         return [record for task in tasks for record in _evaluate_group(task)]
     # imported here, as the checks are in _cmd_check: every CLI process
     # would pay for the import, and only parallel sweeps use it
     from concurrent.futures import ProcessPoolExecutor
 
-    # Each task is a group of points that share a source, so one process
-    # runs it as batches (and keeps its sources in its factory memo); the
-    # pool sends contiguous runs of whole groups, four per worker, which
-    # still balances groups whose cost grows along the grid.
+    # One process runs each task as batches (and keeps their sources in
+    # its factory memo). The pool holds every task's programs, and sends
+    # contiguous runs of whole groups, four per worker, which still
+    # balances groups whose cost grows along the grid.
     workers = min(config.workers, len(tasks))
     chunksize = math.ceil(len(tasks) / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:

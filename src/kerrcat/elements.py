@@ -29,8 +29,9 @@ and emits a :class:`TruncationWarning` if the input actually populates
 such a block (the plan also lists those pairs).
 
 The kernels act on a stack whose first axis runs over the members of a
-batch of circuits that differ only in their angles (:func:`apply_batch`);
-the public ``apply_*`` functions are a batch of one. The splitter
+batch of circuits that share their layout (:func:`apply_batch`; see
+:func:`kerrcat.protocols.run_batches`); the public ``apply_*`` functions
+are a batch of one. The splitter
 multiplies the members' gathered pairs as a stack of single-state blocks
 in one matmul, so each member keeps a single state's gemm shapes and bits;
 laying all members' pairs side by side in one matrix per row changed the

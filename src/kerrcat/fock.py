@@ -328,7 +328,7 @@ def schmidt_decompose(state: MultiModeState, left_modes) -> SchmidtDecomposition
 
 def schmidt_coefficients(state: MultiModeState, left_modes) -> np.ndarray:
     """Schmidt spectrum across the (left_modes | rest) bipartition, without
-    the Schmidt vectors.
+    the Schmidt vectors: :func:`schmidt_spectra` of the one state.
 
     Only the occupied support is decomposed: rows and columns of the
     bipartition matrix that are exactly zero are dropped first, which leaves
@@ -339,6 +339,22 @@ def schmidt_coefficients(state: MultiModeState, left_modes) -> np.ndarray:
     it is shorter than that spectrum by the zero coefficients dropped with
     the empty rows or columns.
     """
-    matrix, _, _ = _bipartition_matrix(state, left_modes)
-    occupied = matrix[np.ix_(matrix.any(axis=1), matrix.any(axis=0))]
-    return np.linalg.svd(occupied, compute_uv=False)
+    (spectrum,) = schmidt_spectra([state], left_modes)
+    return spectrum
+
+
+def schmidt_spectra(states: Sequence[MultiModeState], left_modes) -> list[np.ndarray]:
+    """The :func:`schmidt_coefficients` of each state, to the bit: the
+    occupied matrices of one shape are decomposed in one stacked SVD, which
+    gives each matrix the bits of its lone decomposition."""
+    occupied = []
+    for state in states:
+        matrix, _, _ = _bipartition_matrix(state, left_modes)
+        occupied.append(matrix[np.ix_(matrix.any(axis=1), matrix.any(axis=0))])
+    spectra = [None] * len(occupied)
+    for shape in dict.fromkeys(matrix.shape for matrix in occupied):
+        stacked = [i for i, matrix in enumerate(occupied) if matrix.shape == shape]
+        values = np.linalg.svd(np.stack([occupied[i] for i in stacked]), compute_uv=False)
+        for i, spectrum in zip(stacked, values):
+            spectra[i] = spectrum
+    return spectra

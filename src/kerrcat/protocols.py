@@ -16,12 +16,15 @@ run their program and name the two click outcomes ``Db_fires`` (b=1 c=0)
 and ``Dc_fires`` (b=0 c=1). Each data mode's cutoff is ``suggest_cutoff``
 of its source at the protocol's one budget ``eps``.
 
-Programs that differ only in their element angles (a sweep over ``tau``,
-``tau2`` and ``theta`` at one source) run as a batch, one state pass with
-a leading member axis, which shares the sources, the joins and the
-elements before the first angle. A single run is a batch of one, and each
-member's result equals it to the bit (:func:`run_circuits`). Detection
-takes one Born-rule law per batch, with the member axis leading.
+Programs that share their :func:`layout` (their modes and cutoffs, their
+detections, the kind and modes of every element and every source, and
+their Fock and vacuum sources) run as a batch, one state pass with a
+leading member axis. Their squeezed and coherent parameters and their
+element angles may differ (a sweep over ``r`` at one cutoff, or over
+``tau``, ``tau2`` and ``theta``). Until the first source or angle that
+differs, one member stands for them all. A single run is a batch of one, and each member's
+result equals it to the bit (:func:`run_circuits`). Detection takes one
+Born-rule law per batch, with the member axis leading.
 
 The Kerr rotation acts on the source parameters as ``kerr_rotated`` (in
 ``kerrcat.states``): alpha -> alpha * exp(-i * tau) and phi -> phi - 2 * tau
@@ -50,7 +53,6 @@ from .elements import (
 )
 from .errors import ZeroStateError
 from .fock import (
-    FockVector,
     MultiModeState,
     _checked_members,
     _Owned,
@@ -268,36 +270,43 @@ def run_circuit(
 def run_circuits(
     programs: Sequence["dsl.CircuitProgram"], eps: float = DEFAULT_LEAKAGE, trace: bool = False
 ) -> Iterator[ProtocolResult]:
-    """The result of :func:`run_circuit` on each program, to the bit, from
-    batches that each run as one pass of a stack with a leading member axis.
+    """The result of :func:`run_circuit` on each program, to the bit: the
+    results of :func:`run_batches`, in program order."""
+    return itertools.chain.from_iterable(run_batches(programs, eps, trace))
 
-    The programs must share all but their element angles (``ValueError``).
-    No circuit rule reads an angle, so only the first program is validated,
-    and the sources are built once. Each member of every stage's stack is
-    checked as a :class:`MultiModeState` is before it is read, and warns in
-    program order. A batch holds at most ``_CHUNK_AMPLITUDES`` (a splitter
-    chunk) over its members, so a larger state, or a traced one, runs alone.
-    Each batch runs, and raises the first error it meets, when its first
-    result is asked for, and only its branches outlive it; to get each
-    program's own error, run the programs of a failed batch one at a time.
+
+def run_batches(
+    programs: Sequence["dsl.CircuitProgram"], eps: float = DEFAULT_LEAKAGE, trace: bool = False
+) -> Iterator[list[ProtocolResult]]:
+    """The results of :func:`run_circuits`, a list per batch, each batch run
+    as one pass of a stack with a leading member axis.
+
+    The programs must share their :func:`layout` (``ValueError``), so only
+    the first program is validated. Each distinct source and cutoff of a batch
+    is built, and checked against ``eps``, once, member by member. Each
+    member of every stage's stack is checked as a :class:`MultiModeState`
+    is before it is read, and warns in program order. A batch holds at most
+    ``_CHUNK_AMPLITUDES`` (a splitter chunk) over its members, so a larger
+    state, or a traced one, runs alone. Each batch runs, and raises the
+    first error it meets, when it is asked for, and only its branches
+    outlive it; to get each program's own error, run the programs of a
+    failed batch one at a time.
     """
-    first, layout = programs[0], _layout(programs[0])
-    if any(_layout(program) != layout for program in programs[1:]):
-        raise ValueError("batched programs must share all but their element angles")
+    first, shared = programs[0], layout(programs[0])
+    if any(layout(program) != shared for program in programs[1:]):
+        raise ValueError("batched programs must share all but their squeezed and coherent "
+                         "parameters and their element angles")
     dsl.validate_program(first)
-    sources = dict(first.sources)
-    built = {label: build_source(sources.get(label), cutoff, eps) for label, cutoff in first.modes}
     size = 1 if trace else max(1, _CHUNK_AMPLITUDES // math.prod(c + 1 for _, c in first.modes))
-    batches = (programs[lo:lo + size] for lo in range(0, len(programs), size))
-    return itertools.chain.from_iterable(_run_batch(batch, built, trace) for batch in batches)
+    return (_run_batch(programs[lo:lo + size], eps, trace) for lo in range(0, len(programs), size))
 
 
-def _run_batch(programs, built: dict[str, FockVector], trace: bool) -> list[ProtocolResult]:
+def _run_batch(programs, eps: float, trace: bool) -> list[ProtocolResult]:
     first = programs[0]
     sources = dict(first.sources)
     declared = [label for label, _ in first.modes]
-    unjoined = dict(built)
-    # until the first element with angles, one member stands for them all
+    unjoined = _source_stacks(programs, eps)
+    # until the first source or angle that differs, one member stands for all
     stack, labels = np.ones(1, dtype=np.complex128), ()
     stages = []
 
@@ -310,12 +319,12 @@ def _run_batch(programs, built: dict[str, FockVector], trace: bool) -> list[Prot
     for k, element in enumerate((*first.elements, None)):
         touched = unjoined if element is None else element_modes(element)
         for label in [m for m in declared if m in unjoined and m in touched]:
-            vector = unjoined.pop(label)
-            stack, labels = _joined(_checked_members(stack), labels, label, vector, declared)
+            vectors = unjoined.pop(label)
+            stack, labels = _joined(_checked_members(stack), labels, label, vectors, declared)
             if trace:
                 param = sources.get(label)
                 line = (
-                    dsl.format_mode(label, vector.cutoff)
+                    dsl.format_mode(label, vectors.shape[1] - 1)
                     if param is None
                     else dsl.format_source(label, param)
                 )
@@ -331,8 +340,29 @@ def _run_batch(programs, built: dict[str, FockVector], trace: bool) -> list[Prot
     return [ProtocolResult(branches, stages) for branches in detected]
 
 
-def _layout(p: "dsl.CircuitProgram"):
-    return p.modes, p.sources, p.detects, [(type(e), element_modes(e)) for e in p.elements]
+def _source_stacks(programs, eps: float) -> dict[str, np.ndarray]:
+    """Each declared mode's source amplitudes as a ``(members, cutoff + 1)``
+    stack, of one row when every member has the same source."""
+    built, columns = {}, {label: [] for label, _ in programs[0].modes}
+    for program in programs:  # member by member: a failing member raises its own first error
+        sources = dict(program.sources)
+        for label, cutoff in program.modes:
+            key = (sources.get(label), cutoff)
+            if key not in built:
+                built[key] = build_source(*key, eps).amplitudes
+            columns[label].append(built[key])
+    return {
+        label: rows[0][None] if all(row is rows[0] for row in rows) else np.stack(rows)
+        for label, rows in columns.items()
+    }
+
+
+def layout(p: "dsl.CircuitProgram"):
+    """What the programs of one batch share (:func:`run_batches`): all but
+    their squeezed and coherent values, which no circuit rule reads (a Fock
+    n is read against its cutoff), and their element angles."""
+    sources = [(m, s if isinstance(s, FockParam) else type(s)) for m, s in p.sources]
+    return p.modes, sources, p.detects, [(type(e), element_modes(e)) for e in p.elements]
 
 
 def _branches(stack: np.ndarray, labels, detects, count: int) -> list[dict[str, Branch]]:
@@ -351,7 +381,7 @@ def _branches(stack: np.ndarray, labels, detects, count: int) -> list[dict[str, 
     remaining = tuple(label for label in labels if label not in modes)
     members = [{} for _ in range(count)]
     for m, branches in enumerate(members):
-        i = m % len(stack)  # until the first element with angles, one member stands for all
+        i = m % len(stack)  # one member stands for all when none differs
         for counts in np.argwhere(kept[i]).tolist():
             outcome, prob = tuple(zip(modes, counts)), float(law[(i, *counts)])
             key = _outcome_key(outcome) if requested else UNCONDITIONAL
@@ -363,14 +393,14 @@ def _branches(stack: np.ndarray, labels, detects, count: int) -> list[dict[str, 
     return members
 
 
-def _joined(stack: np.ndarray, labels: tuple[str, ...], label: str, vector: FockVector, declared):
-    """``stack`` with ``vector`` joined to every member as mode ``label``, its
-    axis placed so that the labels keep their ``declared`` order, and the
-    joined labels."""
+def _joined(stack: np.ndarray, labels: tuple[str, ...], label: str, vectors: np.ndarray, declared):
+    """``stack`` with row m of the ``vectors`` stack joined to member m as
+    mode ``label`` (one row stands for all members), its axis placed so that
+    the labels keep their ``declared`` order, and the joined labels."""
     at = sum(declared.index(m) < declared.index(label) for m in labels)
     # one broadcast product, laid out in the joined axis order
-    ones = (1,) * (len(labels) - at)
-    column = vector.amplitudes.reshape(vector.amplitudes.shape + ones)
+    members, size = vectors.shape
+    column = vectors.reshape((members,) + (1,) * at + (size,) + (1,) * (len(labels) - at))
     rest = stack.reshape(stack.shape[:1 + at] + (1,) + stack.shape[1 + at:])
     # complex products round differently with their operands swapped; a mode
     # joining in front multiplies from the left, like tensor_product(mode, rest)

@@ -56,7 +56,10 @@ TWO_PI = 2.0 * math.pi
 # Entries the factory memo keeps. A sweep point of either built-in protocol
 # uses at most four (its cutoff, source, and two cats or two rotated
 # sources), so one point's builds all stay in the memo while the next point
-# with the same source reuses them.
+# with the same source reuses them. The points of one batch may differ in
+# their squeezed or coherent sources (at one cutoff); the batch builds them
+# all before their targets, so past two or three distinct sources the
+# targets rebuild cutoffs and sources that the batch pushed out.
 MEMO_SIZE = 8
 # Entries whose squares _tail adds at a time, so that its temporaries stay
 # small beside a source of millions of amplitudes.

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kerrcat import (
     CoherentParam,
@@ -15,6 +17,7 @@ from kerrcat import (
     cat_coherent,
     cat_squeezed,
     coherent,
+    entanglement_entropies,
     entanglement_entropy,
     fidelity,
     fock,
@@ -96,6 +99,32 @@ class TestSupportResidual:
     def test_vacuum_on_zero_support(self):
         dist = photon_distribution(single("a", vacuum(3)), "a")
         assert support_residual(dist, {0}) == 0.0
+
+
+def set_support_residual(distribution, allowed):
+    """support_residual as a Python set and a list comprehension built its
+    mask, which the numpy mask must reproduce."""
+    allowed = set(allowed)
+    mask = np.array([n not in allowed for n in range(len(distribution))])
+    return float(np.asarray(distribution)[mask].sum())
+
+
+@given(
+    dist=st.lists(st.floats(0, 1), min_size=1, max_size=40),
+    entries=st.lists(st.integers(-8, 50)),
+    steps=st.tuples(st.integers(-8, 50), st.integers(-8, 50), st.integers(-5, 5).filter(bool)),
+    form=st.sampled_from(["list", "set", "generator", "range"]),
+)
+def test_support_residual_sums_what_a_set_mask_sums(dist, entries, steps, form):
+    # negative, out-of-range and repeated entries, as any iterable
+    dist = np.array(dist)
+    allowed = {
+        "list": lambda: list(entries),
+        "set": lambda: set(entries),
+        "generator": lambda: (n for n in entries),
+        "range": lambda: range(*steps),
+    }[form]
+    assert support_residual(dist, allowed()).hex() == set_support_residual(dist, allowed()).hex()
 
 
 class TestFidelity:
@@ -199,8 +228,65 @@ class TestEntanglementEntropy:
         shifted = apply_phase_shift(state, "a", -0.77)
         assert abs(entanglement_entropy(shifted, {"a"}) - before) < 1e-10
 
+    def test_occupied_matrices_of_one_shape_share_one_svd(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        even, odd = np.zeros((5, 5), complex), np.zeros((6, 7), complex)
+        even[::2, ::2] = rng.standard_normal((3, 3))
+        odd[1::2, 1:6:2] = rng.standard_normal((3, 3))
+        states = [MultiModeState(("a", "b"), even / np.linalg.norm(even)),
+                  random_state(rng, ("a", "b"), (4, 4)),
+                  MultiModeState(("a", "b"), odd / np.linalg.norm(odd))]
+        svd, shapes = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        entanglement_entropies(states, {"a"})
+        # the first and last have three rows and three columns occupied
+        assert shapes == [(2, 3, 3), (1, 5, 5)]
+
     def test_entropy_bounded_by_subsystem_dimension(self):
         rng = np.random.default_rng(36)
         state = random_state(rng, ("a", "b"), (1, 7))
         ent = entanglement_entropy(state, {"a"})
         assert 0.0 <= ent <= 1.0 + 1e-12
+
+
+def lone_entropy(state):
+    """The entropy across the first of two modes from one 2-d SVD of the
+    occupied bipartition matrix: the definition before spectra were stacked."""
+    matrix = state.tensor
+    occupied = matrix[np.ix_(matrix.any(axis=1), matrix.any(axis=0))]
+    coeffs = np.linalg.svd(occupied, compute_uv=False)
+    p = coeffs[coeffs > 1e-10] ** 2 / state.squared_norm
+    return max(0.0, float(-(p * np.log2(p)).sum()))
+
+
+@st.composite
+def two_mode_states(draw):
+    """A normalized state on (a, b) of one of three shapes, occupied on all
+    rows and columns or every other one, sometimes a product state."""
+    shape = draw(st.sampled_from([(3, 3), (5, 4), (6, 1)]))
+    rows, cols = (draw(st.sampled_from([slice(None), slice(0, None, 2), slice(1, None, 2)]))
+                  for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = np.zeros(shape, complex)
+    block = arr[rows, cols]
+    if block.size == 0:
+        rows = cols = slice(None)
+        block = arr
+    values = rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)
+    if draw(st.booleans()):
+        values = np.multiply.outer(values[:, 0], values[0])
+    arr[rows, cols] = values
+    return MultiModeState(("a", "b"), arr / np.linalg.norm(arr))
+
+
+@given(states=st.lists(two_mode_states(), min_size=1, max_size=8))
+def test_stacked_entropies_equal_each_states_own(states):
+    stacked = entanglement_entropies(states, {"a"})
+    alone = [entanglement_entropy(state, {"a"}) for state in states]
+    assert [v.hex() for v in stacked] == [v.hex() for v in alone]
+    assert [v.hex() for v in alone] == [lone_entropy(state).hex() for state in states]

@@ -273,14 +273,17 @@ def test_parallel_sweep_sends_contiguous_chunks(serial_pool):
             "--sweep", "tau:0:pi:2"]
     parallel = cli.render_output(argv + ["--workers", "2"])
     assert parallel == cli.render_output(argv + ["--workers", "1"])
-    # 16 groups of two tau points on two workers: eight contiguous chunks of
-    # two whole groups, four chunks per worker
+    # the 16 r values fall on 8 cutoffs (8, 10 x3, 12 x2, 14 x3, 16 x2, 18 x2,
+    # 20 x2, 22), so the 32 points form 8 groups of equal cutoff; on two
+    # workers, eight contiguous chunks of one whole group, four per worker
     assert serial_pool["workers"] == [2]
     chunks = serial_pool["chunks"]
-    assert [[len(points) for _, _, points in chunk] for chunk in chunks] == [[2, 2]] * 8
+    sizes = [2, 6, 4, 6, 4, 4, 4, 2]
+    assert [[len(points) for _, _, points in chunk] for chunk in chunks] == [[n] for n in sizes]
+    starts = [sum(sizes[:k]) for k in range(len(sizes))]
     assert [
         [first + i for _, first, points in chunk for i in range(len(points))] for chunk in chunks
-    ] == [list(range(i, i + 4)) for i in range(0, 32, 4)]
+    ] == [list(range(start, start + n)) for start, n in zip(starts, sizes)]
 
 
 def test_parallel_sweep_on_the_process_pool_is_byte_identical():
@@ -302,20 +305,25 @@ ANGLE_AXES = ["--sweep", "tau:0:pi:3", "--sweep", "tau2:0:pi/2:2", "--sweep", "t
 @pytest.mark.parametrize("source", [
     ["--source", "squeezed", "--phi", "0.3", "--sweep", "r:0.2:0.5:2"],
     ["--source", "coherent", "--alpha-im", "0.2", "--sweep", "alpha_re:0.4:1.1:2"],
+    # r = 0.12 and 0.16 share cutoff 10, so all 24 points form one group
+    ["--source", "squeezed", "--phi", "0.3", "--sweep", "r:0.12:0.16:2"],
 ])
 def test_sweep_point_equals_a_run(protocol, source):
-    # two groups of twelve angle points; tau = tau2 = theta = 0 gives a zero
-    # branch inside each group
-    records = [json.loads(line) for line in cli.render_output(
-        ["sweep", "--protocol", protocol, *source, *ANGLE_AXES]).splitlines()]
+    # twelve angle points per source value, in one group per cutoff;
+    # tau = tau2 = theta = 0 gives a zero branch inside each group
+    argv = ["sweep", "--protocol", protocol, *source, *ANGLE_AXES]
+    records = [json.loads(line) for line in cli.render_output(argv).splitlines()]
     assert len(records) == 24
     assert any(b["probability"] == 0.0 for rec in records for b in rec["branches"].values())
+    cutoffs = set()
     for rec in records:
         options = [f"--{name.replace('_', '-')}={value!r}" for name, value in rec["params"].items()]
         run = json.loads(cli.render_output(
             ["run", "--protocol", protocol, "--source", source[1], *options]))
         assert rec["error"] is None
         assert json.dumps(rec["branches"]) == json.dumps(run["branches"])
+        cutoffs.add(json.dumps(run["config"]["cutoffs"]))
+    assert len(list(cli._sweep_tasks(cli._run_config(argv)))) == len(cutoffs)
 
 
 def test_grouped_sweep_records_each_points_own_error(capsys):
@@ -657,7 +665,7 @@ def test_exit_code_matrix(entry, error, code, tmp_path, monkeypatch, capsys):
     elif error == "parse":
         circuit.write_text("mode a cutoff 3\nbs a zz\n", encoding="utf-8")
     elif error is not None and entry != "check":
-        target = "run_circuits" if entry == "sweep-point" else "run_circuit"
+        target = "run_batches" if entry == "sweep-point" else "run_circuit"
         monkeypatch.setattr(cli, target, raise_error)
 
     assert cli.main(argv) == code

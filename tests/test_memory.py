@@ -89,7 +89,7 @@ def kernel_calls(large):
     stack = large.tensor[None]
     three = random_tensor((1, 512, 2, 2), seed=1)
     rest = random_tensor((1, 2, 2, 512), seed=2)
-    vector = FockVector(np.full(512, 1 / math.sqrt(512)))
+    vector = FockVector(np.full(512, 1 / math.sqrt(512))).amplitudes[None]  # a one-row source stack
     return {
         "splitter": (apply_batch, stack, [2, 3], [BalancedBeamSplitter("b", "c")]),
         "kerr": (apply_batch, stack, [4, 2], [CrossKerr("a2", "b", 0.7)]),
@@ -163,7 +163,7 @@ def test_group_of_large_sweep_points_peaks_like_one_point():
     # chunk, so the group runs one point at a time, and each point's result
     # and fidelity targets must go before the next point runs
     config = cli._run_config(["sweep", "--protocol", "entanglement", "--sweep", "r:1.3:1.3:1"])
-    points = [{"r": 1.3, "tau": tau} for tau in (0.5, 0.8, 1.2, 1.5)]
+    points = [cli._point(config, {"r": 1.3, "tau": tau}) for tau in (0.5, 0.8, 1.2, 1.5)]
     cli._evaluate_group((config, 0, points[:1]))  # builds and memoizes the sources
     _, one = allocated(cli._evaluate_group, (config, 0, points[:1]))
     _, four = allocated(cli._evaluate_group, (config, 0, points))

@@ -482,10 +482,23 @@ def test_branches_match_brute_force_enumeration(program):
     assert abs(total_probability(result) - final.squared_norm) < 1e-12
 
 
+SMALL_R = st.floats(0, 0.5)
+SMALL_ALPHA = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+
+
 @st.composite
 def angle_batches(draw):
-    """One of ``small_programs``, with 1-4 sets of element angles: the
-    members of one batch."""
+    """One of ``small_programs``, with 1-4 sets of element angles and of
+    squeezed and coherent parameters at the same cutoffs: the members of one
+    batch. A member keeps the program's value of a source or draws its own."""
+
+    def member_source(param):
+        if isinstance(param, FockParam) or draw(st.booleans()):
+            return param
+        if isinstance(param, SqueezeParam):
+            return SqueezeParam(draw(SMALL_R), draw(ANGLES))
+        return CoherentParam(draw(SMALL_ALPHA))
+
     program = draw(small_programs)
     members = []
     for _ in range(draw(st.integers(1, 4))):
@@ -495,7 +508,8 @@ def angle_batches(draw):
             else e
             for e in program.elements
         )
-        members.append(dataclasses.replace(program, elements=elements))
+        sources = tuple((label, member_source(param)) for label, param in program.sources)
+        members.append(dataclasses.replace(program, sources=sources, elements=elements))
     return members
 
 
@@ -519,14 +533,30 @@ def result_bytes(result):
     ]
 
 
+def at_first_cutoffs(programs):
+    """``programs`` with every mode declared at the first program's cutoff."""
+    return [dataclasses.replace(p, modes=programs[0].modes) for p in programs]
+
+
 @settings(max_examples=200, deadline=None)
-@given(programs=angle_batches(), eps=st.sampled_from([1e-10, 0.01, 0.5]))
+# at eps = 0.999999 every drawn source passes its leakage check, so members
+# whose sources differ run as batches; so do the sweep-like examples, whose
+# first member has the largest source
+@given(programs=angle_batches(), eps=st.sampled_from([1e-10, 0.01, 0.5, 0.999999]))
+@example(programs=at_first_cutoffs([
+    superposition_program(SuperpositionParams(SqueezeParam(r, phi), tau))
+    for r, phi, tau in ((0.5, 0.0, 0.3), (0.45, 1.0, 1.2), (0.3, 2.0, 0.3))
+]), eps=1e-10)
+@example(programs=at_first_cutoffs([
+    entanglement_program(EntanglementParams(CoherentParam(a), CoherentParam(a2), 0.4, 1.1))
+    for a, a2 in ((1.0, 1.0), (0.8 + 0.3j, 0.9j), (0.5, 1.0))
+]), eps=1e-10)
 def test_a_batch_equals_its_members_run_alone(programs, eps):
     alone = [outcome(lambda p=p: run_circuit(p, eps)) for p in programs]
     batch = outcome(lambda: list(run_circuits(programs, eps)))
-    if isinstance(alone[0], tuple):  # the sources or the circuit rules fail every member
-        assert all(a == alone[0] for a in alone)
-        assert batch == alone[0]
+    errors = [a for a in alone if isinstance(a, tuple)]
+    if errors:  # the circuit rules fail every member, or a source fails some
+        assert batch == errors[0]
         return
     assert len(batch) == len(programs)
     for result, single in zip(batch, alone):
@@ -543,13 +573,20 @@ def test_programs_of_different_layouts_are_not_a_batch():
                             + base.elements[2:]),
         dataclasses.replace(base, elements=base.elements[:2] + (PhaseShift("b", 1.0),)
                             + base.elements[3:]),
+        # Fock and vacuum sources, and the kind of every source, are layout
+        dataclasses.replace(base, sources=base.sources[:1] + (("b", FockParam(0)),)),
+        dataclasses.replace(base, sources=base.sources[:1]),
+        dataclasses.replace(base, sources=(("a", CoherentParam(0.5)),) + base.sources[1:]),
     ]
     for other in others:
         with pytest.raises(ValueError, match="batched programs must share"):
             list(run_circuits([base, other]))
     angles = dataclasses.replace(base, elements=base.elements[:1] + (CrossKerr("a", "b", 1.0),)
                                  + (PhaseShift("c", 0.4),) + base.elements[3:])
-    assert len(list(run_circuits([base, angles]))) == 2
+    # a squeezed source's value is not layout, at the same cutoff
+    squeeze = dataclasses.replace(angles, sources=(("a", SqueezeParam(0.45, 1.0)),)
+                                  + base.sources[1:])
+    assert len(list(run_circuits([base, angles, squeeze]))) == 3
 
 
 @pytest.mark.parametrize("poison", ["nan", "norm"])
