@@ -305,25 +305,20 @@ def _protocol_params(config: argparse.Namespace):
     )
 
 
-def _analyzed(config: argparse.Namespace, params, batches) -> list[dict]:
-    """The report branches of each protocol result, analyzed a batch at a
-    time against fidelity targets built after the batch ran. Superposition
-    targets read only the source and eps, so neighbouring points with one
-    source share them. ``map`` holds no batch between calls, so a batch's
-    states go before the next batch runs."""
+def _analyzed(config: argparse.Namespace, params, cutoffs: dict, batches) -> list[dict]:
+    """The report branches of each protocol result, analyzed a batch at a time
+    against targets read from the points' cutoff table and the batch's sources.
+    ``map`` holds no batch between calls, so each batch goes before the next runs."""
     superposition = config.protocol == "superposition"
-    kind, params, shared = config.source if superposition else None, iter(params), [None, {}]
-
-    def targets(p):
-        if superposition and shared[0] != p.source_a:
-            shared[:] = [p.source_a, superposition_targets(p)]
-        return shared[1] if superposition else entanglement_targets(p)
+    kind, params = config.source if superposition else None, iter(params)
+    targets = superposition_targets if superposition else entanglement_targets
 
     def analyze(batch):
         results = [click_branches(result) for result in batch]
         entropies = _entropies(results)
         points = itertools.islice(params, len(results))
-        return [_branches_dict(r, targets(p), kind, entropies) for r, p in zip(results, points)]
+        return [_branches_dict(r, targets(p, cutoffs, r.sources), kind, entropies)
+                for r, p in zip(results, points)]
 
     return list(itertools.chain.from_iterable(map(analyze, batches)))
 
@@ -346,10 +341,10 @@ def _read_circuit(path: str) -> dsl.CircuitProgram:
 def _run_report(config: argparse.Namespace) -> dict:
     """The report of one run, of a built-in protocol or of a circuit file."""
     if config.protocol is not None:
-        params = _protocol_params(config)
-        program = _PROGRAMS[config.protocol](params)
+        params, cutoffs = _protocol_params(config), {}
+        program = _PROGRAMS[config.protocol](params, cutoffs)
         result = run_circuit(program, config.epsilon, config.trace)
-        (branches,) = _analyzed(config, [params], [[result]])
+        (branches,) = _analyzed(config, [params], cutoffs, [[result]])
         given = {"protocol": config.protocol}
         taus = {"tau": config.tau}
         if config.protocol == "entanglement":
@@ -394,44 +389,45 @@ def _grid_points(sweeps: tuple[SweepSpec, ...]) -> list[dict]:
 _POINT_ERRORS = (FockSpaceError, FloatingPointError, ValueError)
 
 
-def _point(config: argparse.Namespace, values: dict):
-    """A grid point's config, params, program, and the error that building
-    them raised (else None)."""
+def _point(config: argparse.Namespace, values: dict, cutoffs: dict):
+    """A grid point's config, params, program (sized through the cutoff
+    table ``cutoffs``), and the error that building them raised (else None)."""
     point = argparse.Namespace(**{**vars(config), **values})
     try:
         params = _protocol_params(point)
-        return point, params, _PROGRAMS[config.protocol](params), None
+        return point, params, _PROGRAMS[config.protocol](params, cutoffs), None
     except _POINT_ERRORS as err:
         return point, None, None, err
 
 
 def _sweep_tasks(config: argparse.Namespace):
-    """One task (config, first point index, points) per run of neighbouring
-    grid points whose programs share their :func:`kerrcat.protocols.layout`,
-    so that they run as batches. The points are built once, in grid order,
-    as the tasks are asked for."""
-    first = 0
-    points = (_point(config, values) for values in _grid_points(config.sweeps))
+    """One task (config, first point index, points, the sweep's cutoff table)
+    per run of neighbouring grid points whose programs share their
+    :func:`kerrcat.protocols.layout`, so that they run as batches. The points
+    are built once, in grid order, as the tasks are asked for."""
+    first, cutoffs = 0, {}
+    points = (_point(config, values, cutoffs) for values in _grid_points(config.sweeps))
     # a point that failed is a group of its own
     for _, group in itertools.groupby(points, lambda p: layout(p[2]) if p[3] is None else p[3]):
         group = list(group)
-        yield config, first, group
+        yield config, first, group, cutoffs
         first += len(group)
 
 
 def _evaluate_group(task) -> list[dict]:
     """The records of a group of points, run as batches. A failed group runs
     again one point at a time, so that each point records its own error."""
-    config, first, points = task
+    config, first, points, cutoffs = task
     configs, params, programs, errors = zip(*points)
     try:
         if errors[0] is not None:  # the point could not be built; it is a group of one
             raise errors[0]
-        analyzed = _analyzed(config, params, run_batches(programs, config.epsilon))
+        analyzed = _analyzed(config, params, cutoffs, run_batches(programs, config.epsilon))
         outcomes = [(branches, None) for branches in analyzed]
     except _POINT_ERRORS as err:
         if len(points) > 1:
-            alone = [_evaluate_group((config, first + i, [p])) for i, p in enumerate(points)]
+            alone = [_evaluate_group((config, first + i, [p], cutoffs))
+                     for i, p in enumerate(points)]
             return [record for records in alone for record in records]
         outcomes = [({}, f"{type(err).__name__}: {err}")]
     return [
@@ -450,10 +446,9 @@ def _sweep_records(config: argparse.Namespace) -> list[dict]:
     # would pay for the import, and only parallel sweeps use it
     from concurrent.futures import ProcessPoolExecutor
 
-    # One process runs each task as batches (and keeps their sources in
-    # its factory memo). The pool holds every task's programs, and sends
-    # contiguous runs of whole groups, four per worker, which still
-    # balances groups whose cost grows along the grid.
+    # The pool holds every task's programs, and sends contiguous runs of
+    # whole groups, four per worker, which still balances groups whose cost
+    # grows along the grid; each run carries a copy of the cutoff table.
     workers = min(config.workers, len(tasks))
     chunksize = math.ceil(len(tasks) / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -110,7 +110,8 @@ def _checked_members(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """Single-mode state: ``amplitudes[n]`` is the amplitude of ``n`` photons."""
+    """Single-mode state: ``amplitudes[n]`` is the amplitude of ``n`` photons. A
+    source's leakage is its law's running-sum tail, not 1 - ``squared_norm``."""
 
     amplitudes: np.ndarray
     squared_norm: float = field(init=False, repr=False)

@@ -16,15 +16,19 @@ run their program and name the two click outcomes ``Db_fires`` (b=1 c=0)
 and ``Dc_fires`` (b=0 c=1). Each data mode's cutoff is ``suggest_cutoff``
 of its source at the protocol's one budget ``eps``.
 
+Nothing is cached. A sweep sizes its points through one cutoff table, and
+each batch builds its sources into a fresh source table (:func:`_kept`),
+which its results carry for their targets (``ProtocolResult.sources``).
+
 Programs that share their :func:`layout` (their modes and cutoffs, their
 detections, the kind and modes of every element and every source, and
 their Fock and vacuum sources) run as a batch, one state pass with a
 leading member axis. Their squeezed and coherent parameters and their
 element angles may differ (a sweep over ``r`` at one cutoff, or over
 ``tau``, ``tau2`` and ``theta``). Until the first source or angle that
-differs, one member stands for them all. A single run is a batch of one, and each member's
-result equals it to the bit (:func:`run_circuits`). Detection takes one
-Born-rule law per batch, with the member axis leading.
+differs, one member stands for them all. A single run is a batch of one,
+and each member's result equals it to the bit (:func:`run_circuits`).
+Detection takes one Born-rule law per batch, with the member axis leading.
 
 The Kerr rotation acts on the source parameters as ``kerr_rotated`` (in
 ``kerrcat.states``): alpha -> alpha * exp(-i * tau) and phi -> phi - 2 * tau
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -53,6 +57,7 @@ from .elements import (
 )
 from .errors import ZeroStateError
 from .fock import (
+    FockVector,
     MultiModeState,
     _checked_members,
     _Owned,
@@ -66,9 +71,9 @@ from .states import (
     CoherentParam,
     FockParam,
     SqueezeParam,
+    _law,
+    _parity_cat,
     build_source,
-    cat_coherent,
-    cat_squeezed,
     suggest_cutoff,
 )
 
@@ -113,10 +118,11 @@ class Branch:
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """All detection branches, plus an optional trace of pipeline stages."""
+    """All detection branches, an optional trace of stages, and the batch's source table."""
 
     branches: Mapping[str, Branch]
     trace: tuple[tuple[str, MultiModeState], ...] | None = None
+    sources: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __getitem__(self, name: str) -> Branch:
         return self.branches[name]
@@ -149,43 +155,42 @@ def click_branches(result: ProtocolResult) -> ProtocolResult:
     for name, outcome in ((DB, (("b", 1), ("c", 0))), (DC, (("b", 0), ("c", 1)))):
         branch = result.branches.get(_outcome_key(outcome))
         branches[name] = branch or Branch(outcome, 0.0, None)
-    return ProtocolResult(branches, result.trace)
+    return ProtocolResult(branches, result.trace, result.sources)
 
 
-def superposition_targets(params: SuperpositionParams) -> dict[str, MultiModeState]:
+def superposition_targets(params: SuperpositionParams, cutoffs=None, sources=None) -> dict:
     """Canonical parity cats of the source on mode ``a``, for branch
-    fidelity reporting.
+    fidelity reporting, read from (and kept in) a cutoff and a source table.
 
     Keys ``even_cat`` / ``odd_cat``; a key is omitted when the cat vanishes
     identically (zero-amplitude source).
     """
-    source, eps = params.source_a, params.eps
-    cat = cat_squeezed if isinstance(source, SqueezeParam) else cat_coherent
-    cutoff = suggest_cutoff(source, eps)
-    targets = {}
-    for name, sign in (("even_cat", +1), ("odd_cat", -1)):
-        try:
-            targets[name] = single("a", cat(source, sign, cutoff, eps))
-        except ZeroStateError:
-            pass
-    return targets
+    source, eps, sources = params.source_a, params.eps, {} if sources is None else sources
+    cutoff = _kept({} if cutoffs is None else cutoffs, (source, eps), suggest_cutoff)
+    vector = _kept(sources, (source, cutoff, eps), build_source)
+    return _kept(sources, (source, vector), _cats)
 
 
-def entanglement_targets(params: EntanglementParams) -> dict[str, MultiModeState]:
-    """Analytic two-mode conditional states over labels (a, a2).
+def entanglement_targets(params: EntanglementParams, cutoffs=None, sources=None) -> dict:
+    """Analytic two-mode conditional states over labels (a, a2), read from
+    a cutoff and a source table.
 
     Keys ``pair_plus`` / ``pair_minus``; a key is omitted when that
     combination vanishes identically (e.g. both taus zero for the minus
-    branch). Each rotated source is built at the cutoff of its unrotated one.
+    branch). Each rotated source is its own law at the cutoff of its
+    unrotated one, with no leakage check: the budget belongs to the
+    circuit's sources, which were checked at that cutoff.
     """
     a, a2, eps = params.source_a, params.source_a2, params.eps
-    cutoff_a, cutoff_a2 = suggest_cutoff(a, eps), suggest_cutoff(a2, eps)
+    cutoffs, sources = {} if cutoffs is None else cutoffs, {} if sources is None else sources
+    cutoff_a, cutoff_a2 = (_kept(cutoffs, (p, eps), suggest_cutoff) for p in (a, a2))
     base = tensor_product(
-        single("a", build_source(a, cutoff_a, eps)), single("a2", build_source(a2, cutoff_a2, eps))
+        single("a", _kept(sources, (a, cutoff_a, eps), build_source)),
+        single("a2", _kept(sources, (a2, cutoff_a2, eps), build_source)),
     ).tensor
     rotated = tensor_product(
-        single("a", build_source(a.kerr_rotated(params.tau), cutoff_a, eps)),
-        single("a2", build_source(a2.kerr_rotated(params.tau2), cutoff_a2, eps)),
+        single("a", _kept(sources, (a.kerr_rotated(params.tau), cutoff_a), _unchecked_source)),
+        single("a2", _kept(sources, (a2.kerr_rotated(params.tau2), cutoff_a2), _unchecked_source)),
     ).tensor
     phase = np.exp(1j * math.fmod(params.theta, TWO_PI))
     targets = {}
@@ -197,11 +202,12 @@ def entanglement_targets(params: EntanglementParams) -> dict[str, MultiModeState
     return targets
 
 
-def superposition_program(params: SuperpositionParams) -> "dsl.CircuitProgram":
-    """The one-data-mode pipeline as a circuit program."""
+def superposition_program(params: SuperpositionParams, cutoffs=None) -> "dsl.CircuitProgram":
+    """The one-data-mode pipeline as a circuit program, sized through ``cutoffs``."""
+    source, cutoffs = params.source_a, {} if cutoffs is None else cutoffs
     return dsl.CircuitProgram(
-        modes=(("a", suggest_cutoff(params.source_a, params.eps)), ("b", 1), ("c", 1)),
-        sources=(("a", params.source_a), ("b", FockParam(1))),
+        modes=(("a", _kept(cutoffs, (source, params.eps), suggest_cutoff)), ("b", 1), ("c", 1)),
+        sources=(("a", source), ("b", FockParam(1))),
         elements=(
             BalancedBeamSplitter("b", "c"),
             CrossKerr("a", "b", params.tau),
@@ -212,14 +218,15 @@ def superposition_program(params: SuperpositionParams) -> "dsl.CircuitProgram":
     )
 
 
-def entanglement_program(params: EntanglementParams) -> "dsl.CircuitProgram":
-    """The two-data-mode pipeline as a circuit program."""
+def entanglement_program(params: EntanglementParams, cutoffs=None) -> "dsl.CircuitProgram":
+    """The two-data-mode pipeline as a circuit program, sized through ``cutoffs``."""
+    cutoffs = {} if cutoffs is None else cutoffs
     return dsl.CircuitProgram(
         modes=(
-            ("a", suggest_cutoff(params.source_a, params.eps)),
+            ("a", _kept(cutoffs, (params.source_a, params.eps), suggest_cutoff)),
             ("b", 1),
             ("c", 1),
-            ("a2", suggest_cutoff(params.source_a2, params.eps)),
+            ("a2", _kept(cutoffs, (params.source_a2, params.eps), suggest_cutoff)),
         ),
         sources=(("a", params.source_a), ("b", FockParam(1)), ("a2", params.source_a2)),
         elements=(
@@ -231,6 +238,30 @@ def entanglement_program(params: EntanglementParams) -> "dsl.CircuitProgram":
         ),
         detects=(Detect("b", 1), Detect("c", 0)),
     )
+
+
+def _kept(table: dict, key: tuple, build):
+    """``table[key]``, made by ``build(*key)`` on a miss; a failed build stores nothing.
+    Keys: (parameter, budget) for a cutoff, (parameter, cutoff, budget) for a source,
+    (parameter, cutoff) for a rotated source, and (parameter, source) for its cats."""
+    value = table.get(key)
+    if value is None:
+        value = table[key] = build(*key)
+    return value
+
+
+def _unchecked_source(param, cutoff: int) -> FockVector:
+    return FockVector(_Owned(_law(param, cutoff)[0]))
+
+
+def _cats(param, vector: FockVector) -> dict[str, MultiModeState]:
+    targets = {}
+    for name, sign in (("even_cat", +1), ("odd_cat", -1)):
+        try:
+            targets[name] = single("a", _parity_cat(param, vector.amplitudes, sign))
+        except ZeroStateError:
+            pass
+    return targets
 
 
 UNCONDITIONAL = "unconditional"
@@ -283,14 +314,14 @@ def run_batches(
 
     The programs must share their :func:`layout` (``ValueError``), so only
     the first program is validated. Each distinct source and cutoff of a batch
-    is built, and checked against ``eps``, once, member by member. Each
-    member of every stage's stack is checked as a :class:`MultiModeState`
-    is before it is read, and warns in program order. A batch holds at most
-    ``_CHUNK_AMPLITUDES`` (a splitter chunk) over its members, so a larger
-    state, or a traced one, runs alone. Each batch runs, and raises the
-    first error it meets, when it is asked for, and only its branches
-    outlive it; to get each program's own error, run the programs of a
-    failed batch one at a time.
+    is built, and checked against ``eps``, once, member by member, into the
+    batch's source table. Each member of every stage's stack is checked as a
+    :class:`MultiModeState` is before it is read, and warns in program order.
+    A batch holds at most ``_CHUNK_AMPLITUDES`` (a splitter chunk) over its
+    members, so a larger state, or a traced one, runs alone. Each batch runs,
+    and raises the first error it meets, when it is asked for, and only its
+    results outlive it; to get each program's own error, run the programs of
+    a failed batch one at a time.
     """
     first, shared = programs[0], layout(programs[0])
     if any(layout(program) != shared for program in programs[1:]):
@@ -302,10 +333,10 @@ def run_batches(
 
 
 def _run_batch(programs, eps: float, trace: bool) -> list[ProtocolResult]:
-    first = programs[0]
-    sources = dict(first.sources)
+    first, sources = programs[0], {}
+    params = dict(first.sources)
     declared = [label for label, _ in first.modes]
-    unjoined = _source_stacks(programs, eps)
+    unjoined = _source_stacks(programs, eps, sources)
     # until the first source or angle that differs, one member stands for all
     stack, labels = np.ones(1, dtype=np.complex128), ()
     stages = []
@@ -322,7 +353,7 @@ def _run_batch(programs, eps: float, trace: bool) -> list[ProtocolResult]:
             vectors = unjoined.pop(label)
             stack, labels = _joined(_checked_members(stack), labels, label, vectors, declared)
             if trace:
-                param = sources.get(label)
+                param = params.get(label)
                 line = (
                     dsl.format_mode(label, vectors.shape[1] - 1)
                     if param is None
@@ -337,20 +368,19 @@ def _run_batch(programs, eps: float, trace: bool) -> list[ProtocolResult]:
                 stages.append((dsl.format_element(element), traced()))
     stages = tuple(stages) if trace else None
     detected = _branches(_checked_members(stack), labels, first.detects, len(programs))
-    return [ProtocolResult(branches, stages) for branches in detected]
+    return [ProtocolResult(branches, stages, sources) for branches in detected]
 
 
-def _source_stacks(programs, eps: float) -> dict[str, np.ndarray]:
+def _source_stacks(programs, eps: float, sources: dict) -> dict[str, np.ndarray]:
     """Each declared mode's source amplitudes as a ``(members, cutoff + 1)``
-    stack, of one row when every member has the same source."""
-    built, columns = {}, {label: [] for label, _ in programs[0].modes}
+    stack, of one row when every member has the same source, each row from
+    the batch's source table ``sources``."""
+    columns = {label: [] for label, _ in programs[0].modes}
     for program in programs:  # member by member: a failing member raises its own first error
-        sources = dict(program.sources)
+        params = dict(program.sources)
         for label, cutoff in program.modes:
-            key = (sources.get(label), cutoff)
-            if key not in built:
-                built[key] = build_source(*key, eps).amplitudes
-            columns[label].append(built[key])
+            vector = _kept(sources, (params.get(label), cutoff, eps), build_source)
+            columns[label].append(vector.amplitudes)
     return {
         label: rows[0][None] if all(row is rows[0] for row in rows) else np.stack(rows)
         for label, rows in columns.items()

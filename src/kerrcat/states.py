@@ -23,23 +23,16 @@ A source is described by one parameter type: :class:`SqueezeParam`,
 :func:`build_source` is the one map from a parameter to its factory, and
 ``kerr_rotated`` is each type's cross-Kerr rule against one photon.
 
-These four factories and ``suggest_cutoff`` share one
-``functools.lru_cache`` of the last ``MEMO_SIZE`` results, so a run's
-source, cats and targets are built once, and so are a source and its
-cutoff that a sweep keeps across neighbouring points. It is keyed on the
-factory and the arguments as given, with their types (``typed=True``):
-``6`` and ``np.int64(6)`` get two entries, and so do a positional and a
-keyword spelling of one call. The parameter types store a zero as +0.0,
-so parameters that compare equal have the same bits and build the same
-amplitudes. An unhashable argument raises ``TypeError``. Results are
-immutable and shared; exceptions are never stored. The memo stays small
-because a single source can hold millions of amplitudes.
+Nothing is cached; a sweep keeps its own tables (``kerrcat.protocols``).
+Parameters that compare equal (a zero is stored as +0.0) build the same
+bits, so a table may key on them. A source's leakage is the tail of its
+law's running sum, not 1 - ``squared_norm``, which adds the squares in
+another order: at r = 6 the tail is under 1e-10, and 1 - it is 1.0004e-10.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -53,14 +46,6 @@ DEFAULT_LEAKAGE = 1e-10
 # circuit's mode dimensions, and a suggested cutoff.
 MAX_STATE_DIMENSION = 1 << 26
 TWO_PI = 2.0 * math.pi
-# Entries the factory memo keeps. A sweep point of either built-in protocol
-# uses at most four (its cutoff, source, and two cats or two rotated
-# sources), so one point's builds all stay in the memo while the next point
-# with the same source reuses them. The points of one batch may differ in
-# their squeezed or coherent sources (at one cutoff); the batch builds them
-# all before their targets, so past two or three distinct sources the
-# targets rebuild cutoffs and sources that the batch pushed out.
-MEMO_SIZE = 8
 # Entries whose squares _tail adds at a time, so that its temporaries stay
 # small beside a source of millions of amplitudes.
 _SQUARES_CHUNK = 1 << 16
@@ -117,16 +102,6 @@ class FockParam:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"photon number must be >= 0, got {self.n}")
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE, typed=True)
-def _memo(factory, *args, **kwargs):
-    return factory(*args, **kwargs)
-
-
-def _memoized(factory):
-    """``factory`` behind the shared memo (see the module docstring)."""
-    return functools.wraps(factory)(lambda *args, **kwargs: _memo(factory, *args, **kwargs))
 
 
 def vacuum(cutoff: int) -> FockVector:
@@ -223,34 +198,29 @@ def _source(param, cutoff: int, eps: float) -> FockVector:
     return FockVector(_Owned(amps))
 
 
-@_memoized
 def coherent(param: CoherentParam, cutoff: int, eps: float = DEFAULT_LEAKAGE) -> FockVector:
     """Coherent state |alpha>, amplitudes alpha^n e^{-|alpha|^2/2} / sqrt(n!),
     checked against the leakage budget ``eps``."""
     return _source(param, cutoff, eps)
 
 
-@_memoized
 def squeezed_vacuum(param: SqueezeParam, cutoff: int, eps: float = DEFAULT_LEAKAGE) -> FockVector:
     """Squeezed vacuum |xi>, on even photon numbers only, checked against
     the leakage budget ``eps``."""
     return _source(param, cutoff, eps)
 
 
-def _cat(source, param, sign: int, cutoff: int, eps: float, flipped: slice) -> FockVector:
-    """Normalized |base> + sign * |base with the signs at ``flipped``
-    reversed>, where base is ``source(param, cutoff, eps)``. Flipping signs
-    in place keeps the cancelled amplitudes exactly 0, which a phase rotated
-    by a floating-point pi would not."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    base = source(param, cutoff, eps).amplitudes
-    parity = np.ones(base.size)
-    parity[flipped] = -1.0
-    return FockVector(_unit(base * (1.0 + sign * parity)))
+def _parity_cat(param, amplitudes: np.ndarray, sign: int) -> FockVector:
+    """Normalized |base> + sign * |-base>, for the ``amplitudes`` of the source
+    ``param`` and a ``sign`` of +1 or -1. Flipping signs in place keeps the
+    cancelled amplitudes exactly 0, which a phase rotated by pi would not."""
+    parity = np.ones(amplitudes.size)
+    # |-xi> carries exactly (-1)^m on the 2m-photon amplitude of |xi>, and
+    # |-alpha> carries exactly (-1)^n on the n-photon amplitude of |alpha>
+    parity[slice(2, None, 4) if isinstance(param, SqueezeParam) else slice(1, None, 2)] = -1.0
+    return FockVector(_unit(amplitudes * (1.0 + sign * parity)))
 
 
-@_memoized
 def cat_squeezed(
     param: SqueezeParam, sign: int, cutoff: int, eps: float = DEFAULT_LEAKAGE
 ) -> FockVector:
@@ -261,11 +231,9 @@ def cat_squeezed(
     :class:`ZeroStateError`. ``eps`` is the leakage budget of the underlying
     squeezed vacuum, as in :func:`squeezed_vacuum`.
     """
-    # |-xi> carries exactly (-1)^m on the 2m-photon amplitude of |xi>
-    return _cat(squeezed_vacuum, param, sign, cutoff, eps, slice(2, None, 4))
+    return _cat(squeezed_vacuum, param, sign, cutoff, eps)
 
 
-@_memoized
 def cat_coherent(
     param: CoherentParam, sign: int, cutoff: int, eps: float = DEFAULT_LEAKAGE
 ) -> FockVector:
@@ -275,8 +243,13 @@ def cat_coherent(
     :class:`ZeroStateError`. ``eps`` is the leakage budget of the coherent
     component, as in :func:`coherent`.
     """
-    # |-alpha> carries exactly (-1)^n on the n-photon amplitude of |alpha>
-    return _cat(coherent, param, sign, cutoff, eps, slice(1, None, 2))
+    return _cat(coherent, param, sign, cutoff, eps)
+
+
+def _cat(source, param, sign: int, cutoff: int, eps: float) -> FockVector:
+    if sign not in (1, -1):  # before the source is built
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    return _parity_cat(param, source(param, cutoff, eps).amplitudes, sign)
 
 
 def build_source(param, cutoff: int, eps: float) -> FockVector:
@@ -324,7 +297,6 @@ def _cutoff_bound(param, eps: float) -> int:
     return bound
 
 
-@_memoized
 def suggest_cutoff(param, eps: float = DEFAULT_LEAKAGE) -> int:
     """Smallest cutoff whose truncation leakage is below ``eps``.
 

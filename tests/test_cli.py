@@ -125,6 +125,24 @@ def test_overflowing_coherent_source_in_circuit_file(tmp_path):
     assert "numerical error" in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["--r", "1.156", "--phi", "1.705", "--epsilon", "0.03229562628149708"],
+    ["--source", "coherent", "--alpha-re", "2.7052044141492857", "--alpha-im",
+     "-0.30913237221825085", "--epsilon", "0.0002634190152933647", "--tau",
+     "0.15387946498917343", "--tau2", "0"],
+])
+def test_entanglement_run_within_budget_reports_its_targets(argv):
+    # each budget sits one ulp above the source's leakage at its cutoff, and
+    # a rotated source's tail, rounded apart, reaches it; the circuit runs,
+    # and the rotated targets are not checked against the budget again
+    done = run_kerrcat("run", "--protocol", "entanglement", *argv)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    validate(report)
+    for branch in report["branches"].values():
+        assert set(branch["analysis"]["fidelity_targets"]) == {"pair_plus", "pair_minus"}
+
+
 def test_sweep_records_unreachable_cutoff_per_point():
     done = run_kerrcat("sweep", "--protocol", "superposition", "--source", "coherent",
                        "--sweep", "alpha_re:1:1e200:2")
@@ -279,10 +297,10 @@ def test_parallel_sweep_sends_contiguous_chunks(serial_pool):
     assert serial_pool["workers"] == [2]
     chunks = serial_pool["chunks"]
     sizes = [2, 6, 4, 6, 4, 4, 4, 2]
-    assert [[len(points) for _, _, points in chunk] for chunk in chunks] == [[n] for n in sizes]
+    assert [[len(points) for _, _, points, _ in chunk] for chunk in chunks] == [[n] for n in sizes]
     starts = [sum(sizes[:k]) for k in range(len(sizes))]
     assert [
-        [first + i for _, first, points in chunk for i in range(len(points))] for chunk in chunks
+        [first + i for _, first, points, _ in chunk for i in range(len(points))] for chunk in chunks
     ] == [list(range(start, start + n)) for start, n in zip(starts, sizes)]
 
 
@@ -350,7 +368,7 @@ def test_pool_has_no_more_workers_than_points(serial_pool):
     argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"]
     cli.render_output(argv + ["--workers", str(cli.MAX_WORKERS)])
     assert serial_pool["workers"] == [3]
-    assert [[index for _, index, _ in chunk] for chunk in serial_pool["chunks"]] == [[0], [1], [2]]
+    assert [[index for _, index, _, _ in chunk] for chunk in serial_pool["chunks"]] == [[0], [1], [2]]
 
 
 def test_too_many_workers_is_a_usage_error(serial_pool, capsys):

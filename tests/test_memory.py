@@ -152,7 +152,7 @@ def test_batch_of_large_states_peaks_like_one_member():
         for k in range(8)
     ]
     elements._beam_splitter_plan(1, elements._BS_HALF_ANGLE)
-    run_circuit(programs[0])  # builds and memoizes the sources
+    run_circuit(programs[0])  # warms what a run sets up once
     _, alone = allocated(run_circuit, programs[0])
     _, batch = allocated(lambda: [len(r.branches) for r in run_circuits(programs)])
     assert batch <= alone + SLACK_BYTES, f"batch peak {batch}, one member alone {alone}"
@@ -163,10 +163,11 @@ def test_group_of_large_sweep_points_peaks_like_one_point():
     # chunk, so the group runs one point at a time, and each point's result
     # and fidelity targets must go before the next point runs
     config = cli._run_config(["sweep", "--protocol", "entanglement", "--sweep", "r:1.3:1.3:1"])
-    points = [cli._point(config, {"r": 1.3, "tau": tau}) for tau in (0.5, 0.8, 1.2, 1.5)]
-    cli._evaluate_group((config, 0, points[:1]))  # builds and memoizes the sources
-    _, one = allocated(cli._evaluate_group, (config, 0, points[:1]))
-    _, four = allocated(cli._evaluate_group, (config, 0, points))
+    cutoffs = {}
+    points = [cli._point(config, {"r": 1.3, "tau": tau}, cutoffs) for tau in (0.5, 0.8, 1.2, 1.5)]
+    cli._evaluate_group((config, 0, points[:1], cutoffs))  # warms the splitter plan
+    _, one = allocated(cli._evaluate_group, (config, 0, points[:1], cutoffs))
+    _, four = allocated(cli._evaluate_group, (config, 0, points, cutoffs))
     assert four <= one + SLACK_BYTES, f"four points peak at {four} bytes, one at {one}"
 
 
@@ -201,8 +202,7 @@ def test_detection_peaks_at_one_law_and_its_branches(large, clicks):
     (coherent, CoherentParam(1.0)),
 ])
 def test_source_build_peaks_at_twice_its_result(build, param):
-    # unmemoized, so the test keeps no large source alive
-    vector, peak = allocated(build.__wrapped__, param, 1_000_000, 1e-10)
+    vector, peak = allocated(build, param, 1_000_000, 1e-10)
     assert peak <= 2 * vector.amplitudes.nbytes
     assert not vector.amplitudes.flags.writeable
 
@@ -238,9 +238,9 @@ def test_every_returned_state_is_constructed(monkeypatch):
         lambda: project_modes(small, (("b", 1), ("a", 2)))[0],
         lambda: project_mode(small, "c", 0)[0],
         lambda: normalize(MultiModeState(small.labels, small.tensor * 0.5)),
-        lambda: cat_coherent.__wrapped__(CoherentParam(0.3), -1, 8, 1e-3),
+        lambda: cat_coherent(CoherentParam(0.3), -1, 8, 1e-3),
         lambda: tensor_product(three, single("a2", vector)),
-        lambda: squeezed_vacuum.__wrapped__(SqueezeParam(0.3), 8, 1e-3),
+        lambda: squeezed_vacuum(SqueezeParam(0.3), 8, 1e-3),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from kerrcat import (
     StateMismatchError,
     SuperpositionParams,
     TruncationWarning,
+    ZeroStateError,
     coherent,
     entanglement_program,
     entanglement_targets,
@@ -614,3 +616,257 @@ def test_each_member_of_a_batch_is_checked(poison, monkeypatch):
     with pytest.raises(StateMismatchError) as alone:
         MultiModeState(("a", "b", "c"), member)
     assert str(batch.value) == str(alone.value)
+
+
+# --- the sweep's cutoff table and each batch's source table -------------------
+
+# few values, zeros among them, so that members share sources and cutoffs,
+# and cats and pairs vanish; or any values
+SWEEP_ANGLES = st.one_of(st.sampled_from([-0.0, 0.0, math.pi / 2, math.pi, 7.0]), ANGLES)
+SWEEP_SOURCES = {
+    "squeezed": st.builds(
+        SqueezeParam, st.one_of(st.sampled_from([-0.0, 0.0, 0.3]), st.floats(0.0, 1.2)),
+        SWEEP_ANGLES,
+    ),
+    "coherent": st.builds(
+        lambda re, im: CoherentParam(complex(re, im)),
+        st.one_of(st.sampled_from([-0.0, 0.0, 0.7]), st.floats(-2.0, 2.0)),
+        st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-2.0, 2.0)),
+    ),
+}
+
+
+def leakage(source, cutoff):
+    """The running-sum tail of ``source`` at ``cutoff``, which its budget
+    check compares."""
+    stride = 2 if isinstance(source, SqueezeParam) else 1
+    return float(states._tail(states._law(source, cutoff)[0][::stride])[-1])
+
+
+def near_budget(source):
+    """A budget one ulp above the leakage of ``source`` at a cutoff it is
+    accepted at, where a rotated source's tail may reach the budget."""
+    return max(math.nextafter(leakage(source, suggest_cutoff(source, 1e-4)), 1.0), 1e-12)
+
+
+@st.composite
+def sweep_batches(draw):
+    """The params of neighbouring sweep points of one protocol and one
+    source kind: their sources and angles differ, and their budget is the
+    default or one ulp above the first source's leakage."""
+    source = SWEEP_SOURCES[draw(st.sampled_from(sorted(SWEEP_SOURCES)))]
+    entangled = draw(st.booleans())
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, tau, theta = draw(source), draw(SWEEP_ANGLES), draw(SWEEP_ANGLES)
+        if entangled:
+            members.append(EntanglementParams(a, draw(source), tau, draw(SWEEP_ANGLES), theta))
+        else:
+            members.append(SuperpositionParams(a, tau, theta))
+    eps = draw(st.sampled_from([states.DEFAULT_LEAKAGE, near_budget(members[0].source_a)]))
+    return [dataclasses.replace(p, eps=eps) for p in members]
+
+
+def batch_targets(members):
+    """Each member's targets as a sweep takes them: sized through one cutoff
+    table, run in batches of one layout, read from each batch's table."""
+    entangled = isinstance(members[0], EntanglementParams)
+    program = entanglement_program if entangled else superposition_program
+    targets = entanglement_targets if entangled else superposition_targets
+    cutoffs, out = {}, []
+    sized = [(p, program(p, cutoffs)) for p in members]
+    for _, group in itertools.groupby(sized, lambda pair: protocols.layout(pair[1])):
+        params, programs = zip(*group)
+        results = run_circuits(programs, members[0].eps)
+        out += [targets(p, cutoffs, r.sources) for p, r in zip(params, results)]
+    return out
+
+
+def standalone_targets(p):
+    """The targets from the factories alone: the cats of ``cat_squeezed`` and
+    ``cat_coherent``, and the pair of the factory-built sources, each
+    rotated source at the cutoff of its unrotated one."""
+    def build(param, cutoff, eps):
+        factory = squeezed_vacuum if isinstance(param, SqueezeParam) else coherent
+        return factory(param, cutoff, eps).amplitudes
+
+    targets = {}
+    if isinstance(p, SuperpositionParams):
+        cat = states.cat_squeezed if isinstance(p.source_a, SqueezeParam) else states.cat_coherent
+        for name, sign in (("even_cat", 1), ("odd_cat", -1)):
+            try:
+                targets[name] = cat(p.source_a, sign, suggest_cutoff(p.source_a, p.eps), p.eps)
+            except ZeroStateError:
+                pass
+        return {name: vector.amplitudes.tobytes() for name, vector in targets.items()}
+    ca, c2 = suggest_cutoff(p.source_a, p.eps), suggest_cutoff(p.source_a2, p.eps)
+    base = np.multiply.outer(build(p.source_a, ca, p.eps), build(p.source_a2, c2, p.eps))
+    # the rotated builds are the same amplitudes at any budget they pass
+    rotated = np.multiply.outer(build(p.source_a.kerr_rotated(p.tau), ca, 0.5),
+                                build(p.source_a2.kerr_rotated(p.tau2), c2, 0.5))
+    phase = np.exp(1j * math.fmod(p.theta, 2 * math.pi))
+    for name, sign in (("pair_plus", 1), ("pair_minus", -1)):
+        pair = rotated + sign * phase * base
+        norm = float(np.linalg.norm(pair))
+        if norm > 1e-12:
+            targets[name] = (pair / norm).tobytes()
+    return targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(members=sweep_batches())
+@example(members=[SuperpositionParams(SqueezeParam(0.0), -0.0), SuperpositionParams(
+    SqueezeParam(0.3, -0.0), 1.0, -0.0)])
+@example(members=[EntanglementParams(CoherentParam(0j), CoherentParam(0.7), 0.0, 0.0)] * 2)
+# one ulp above its source's leakage, this point's first rotated source
+# would be sized at a larger cutoff of its own
+@example(members=[EntanglementParams(
+    CoherentParam(2.7052044141492857 - 0.30913237221825085j),
+    CoherentParam(2.7052044141492857 - 0.30913237221825085j),
+    0.15387946498917343, 0.0, eps=0.0002634190152933647,
+)])
+def test_batch_targets_equal_standalone_targets_bit_for_bit(members):
+    for p, targets in zip(members, batch_targets(members)):
+        got = {name: target.tensor.tobytes() for name, target in targets.items()}
+        assert got == standalone_targets(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=st.one_of(
+    st.builds(SqueezeParam, st.floats(0.05, 1.5), ANGLES),
+    st.builds(lambda m, t: CoherentParam(m * cmath.exp(1j * t)), st.floats(0.05, 3.0), ANGLES),
+), tau=ANGLES, tau2=ANGLES)
+@example(source=SqueezeParam(1.156, 1.705), tau=math.pi / 2, tau2=math.pi / 2)
+def test_rotated_targets_take_no_budget_of_their_own(source, tau, tau2):
+    # one ulp above the source's leakage, a rotated law's tail, equal to it
+    # but for rounding, may reach the budget; the budget is the circuit's
+    eps = math.nextafter(leakage(source, suggest_cutoff(source, 1e-4)), 1.0)
+    params = EntanglementParams(source, source, tau, tau2, eps=eps)
+    run_entanglement(params)
+    targets = entanglement_targets(params)
+    assert "pair_plus" in targets
+    cutoff = suggest_cutoff(source, eps)
+    assert all(t.tensor.shape == (cutoff + 1, cutoff + 1) for t in targets.values())
+
+
+def test_a_failed_sizing_is_not_stored(monkeypatch):
+    cutoffs = {}
+    with pytest.raises(CutoffError):
+        superposition_program(SuperpositionParams(CoherentParam(1e200), 1.0), cutoffs)
+    assert cutoffs == {}
+    superposition_program(SuperpositionParams(CoherentParam(1.0), 1.0), cutoffs)
+    assert cutoffs == {(CoherentParam(1.0), 1e-10): suggest_cutoff(CoherentParam(1.0))}
+    # in a sweep, each point of a source that cannot be sized raises again
+    events, _ = record_law_passes(monkeypatch)
+    records = [json.loads(line) for line in cli.render_output(
+        "sweep --protocol superposition --source coherent --sweep alpha_re:1e200:1e200:1 "
+        "--sweep tau:0:pi:3".split()).splitlines()]
+    assert [r["error"].split(":")[0] for r in records] == ["CutoffError"] * 3
+    assert [e[0] for e in events] == ["size"] * 3
+
+
+def record_law_passes(monkeypatch):
+    """The events of a run, in order: ("batch",) as each batch starts, and
+    ("size", param), ("build", param, cutoff) and ("rotated", param, cutoff)
+    for each law pass, the three kinds of law pass there are."""
+    events, passes = [], []
+
+    def wrap(module, name, event):
+        original = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            recorded_event = event(*args)
+            if recorded_event is not None:
+                events.append(recorded_event)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    wrap(protocols, "_run_batch", lambda *args: ("batch",))
+    wrap(protocols, "suggest_cutoff", lambda param, eps: ("size", param))
+    wrap(states, "_source", lambda param, cutoff, eps: ("build", param, cutoff))
+    wrap(protocols, "_unchecked_source", lambda param, cutoff: ("rotated", param, cutoff))
+    for module in (states, protocols):
+        wrap(module, "_law", lambda *args: passes.append(args))
+    return events, passes
+
+
+@pytest.mark.parametrize("argv, passes", [
+    # the benchmark's sweeps at their default seed, and its large run
+    ("sweep --protocol superposition --source squeezed --phi 0.0 --sweep r:0.1:1.5:200 "
+     "--sweep tau:0:pi:5", 400),
+    ("sweep --protocol entanglement --source squeezed --phi 0.0 --sweep r:0.1:1.0:200 "
+     "--format csv", 600),
+    ("run --protocol entanglement --source squeezed --r 2.0 --phi 0.0", 3),
+])
+def test_law_passes_of_the_benchmark_workloads(argv, passes, monkeypatch):
+    # each point's source is sized once and built once, and an entanglement
+    # point's one rotated source is built once; its second data mode shares
+    # all three
+    _, laws = record_law_passes(monkeypatch)
+    cli._render(cli._run_config(argv.split()))
+    assert len(laws) == passes
+
+
+@pytest.mark.parametrize("argv, passes", [
+    ("--protocol superposition --sweep r:0.1:0.4:4 --sweep tau:0:pi:3 --sweep theta:0:1:2", 8),
+    ("--protocol superposition --source coherent --sweep alpha_im:0:1:3 --sweep tau:0:pi:2", 6),
+    # six points in one batch: tau = pi/2 rotates the first arm, and
+    # tau2 = 0 and pi leave the second as it was, unchecked
+    ("--protocol entanglement --sweep tau2:0:pi:3 --sweep theta:0:1:2", 4),
+    ("--protocol entanglement --source coherent --sweep tau2:0:pi:7 --sweep alpha_im:0:1:3", 63),
+    ("--protocol entanglement --sweep r:0.1:0.6:12 --sweep tau:0:pi:2", 48),
+])
+def test_each_source_is_sized_once_a_sweep_and_built_once_a_batch(argv, passes, monkeypatch):
+    events, laws = record_law_passes(monkeypatch)
+    tables = []
+    point = cli._point
+
+    def kept(config, values, cutoffs):
+        tables.append(cutoffs)
+        return point(config, values, cutoffs)
+
+    monkeypatch.setattr(cli, "_point", kept)
+    records = cli.render_output(["sweep", *argv.split()]).splitlines()
+    sized = [e[1] for e in events if e[0] == "size"]
+    assert len(sized) == len(set(sized))
+    # one table for the sweep, of ints, one per distinct source
+    assert all(table is tables[0] for table in tables) and len(tables) == len(records)
+    assert {param for param, _ in tables[0]} == set(sized)
+    assert all(type(cutoff) is int for cutoff in tables[0].values())
+    batches = [list(group) for is_mark, group in itertools.groupby(
+        events, lambda e: e == ("batch",)) if not is_mark]
+    for batch in batches:
+        built = [e[1:] for e in batch if e[0] == "build"]
+        rotated = [e[1:] for e in batch if e[0] == "rotated"]
+        assert len(built) == len(set(built)) and len(rotated) == len(set(rotated))
+        assert {param for param, _ in built} <= set(sized)
+    assert len(laws) == sum(e[0] != "batch" for e in events) == passes
+
+
+def test_no_source_outlives_the_records_of_its_batch(monkeypatch):
+    refs, kept, batch = [], protocols._kept, protocols._run_batch
+
+    def tracked_kept(*args):
+        value = kept(*args)
+        # a source, or a cat of one; not a cutoff
+        for state in value.values() if isinstance(value, dict) else [value]:
+            if not isinstance(state, int):
+                refs.append(weakref.ref(state))
+        return value
+
+    def tracked_batch(*args):
+        # the records of every earlier batch are built by now
+        assert all(ref() is None for ref in refs), "a source outlived its batch"
+        started.append(len(refs))
+        return batch(*args)
+
+    started = []
+    monkeypatch.setattr(protocols, "_kept", tracked_kept)
+    monkeypatch.setattr(protocols, "_run_batch", tracked_batch)
+    for protocol in ("superposition", "entanglement"):
+        records = cli.render_output(["sweep", "--protocol", protocol, "--sweep", "r:0.1:0.6:6",
+                                     "--sweep", "tau:0:pi:2"])
+        assert all(ref() is None for ref in refs)
+        assert records.count("\n") == 12
+    assert len(started) > 4 and len(refs) > len(started)

@@ -344,7 +344,6 @@ def test_large_squeezing_cutoff_is_accepted():
     # and the factory rejected this cutoff by a hair
     param = SqueezeParam(6.0)
     squeezed_vacuum(param, suggest_cutoff(param), 1e-10)
-    states._memo.cache_clear()
 
 
 @pytest.mark.parametrize("r", [7.7, 8.0, 20.0, 40.0, 700.0])
@@ -378,59 +377,13 @@ def test_overflowing_squeeze_magnitude():
             build_source(param, 3, 1e-6)
 
 
-class TestFactoryMemo:
-    """The factories share one memo; it must be invisible except for speed."""
+class TestNoCache:
+    """The factories keep nothing between calls; the tables that share their
+    results (``kerrcat.protocols``) key on the parameters."""
 
-    GRID_R = (0.0, 0.3, 1.1)
-    GRID_PHI = (0.0, 1.3, 5.9)
-    GRID_ALPHA = (0j, 0.7 - 0.2j, -1.4 + 0.9j)
-
-    @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        states._memo.cache_clear()
-        yield
-        states._memo.cache_clear()
-
-    @staticmethod
-    def uncached(monkeypatch, call):
-        with monkeypatch.context() as patch:
-            patch.setattr(states, "_memo", states._memo.__wrapped__)
-            return call()
-
-    def calls(self):
-        for r in self.GRID_R:
-            for phi in self.GRID_PHI:
-                p = SqueezeParam(r, phi)
-                yield lambda p=p: squeezed_vacuum(p, 12, 1e-3)
-                yield lambda p=p: squeezed_vacuum(p, 9, 0.5)
-                for sign in (1, -1):
-                    yield lambda p=p, s=sign: cat_squeezed(p, s, 12, 1e-3)
-        for alpha in self.GRID_ALPHA:
-            p = CoherentParam(alpha)
-            yield lambda p=p: coherent(p, 14, 1e-3)
-            yield lambda p=p: coherent(p, 5, 0.5)
-            for sign in (1, -1):
-                yield lambda p=p, s=sign: cat_coherent(p, s, 14, eps=1e-3)
-
-    @staticmethod
-    def outcome(call):
-        try:
-            value = call()
-        except (CutoffError, ZeroStateError) as err:
-            return type(err), str(err)
-        return value.amplitudes.tobytes(), value.squared_norm
-
-    def test_memoized_equal_uncached_builds_bit_for_bit(self, monkeypatch):
-        calls = list(self.calls())
-        expected = [self.uncached(monkeypatch, lambda: self.outcome(c)) for c in calls]
-        # twice over: the first pass fills the memo, the second reads it
-        # wherever the memo still holds the entry
-        for _ in range(2):
-            assert [self.outcome(c) for c in calls] == expected
-
-    def test_signed_zeros_share_one_entry_and_its_bits(self, monkeypatch):
+    def test_signed_zeros_build_the_same_bits(self):
         # the parameters store -0.0 as 0.0, so a build at -0.0 is the build
-        # at 0.0, bit for bit, and may share its entry
+        # at 0.0, bit for bit, and a table keyed on parameters holds one entry
         builds = [
             lambda z: squeezed_vacuum(SqueezeParam(z, 0.5), 4, 0.5),
             lambda z: squeezed_vacuum(SqueezeParam(0.5, z), 4, 0.5),
@@ -439,13 +392,12 @@ class TestFactoryMemo:
             lambda z: cat_coherent(CoherentParam(complex(0.6, z)), 1, 3, 0.5),
         ]
         for build in builds:
-            plus = build(0.0)
-            assert build(-0.0) is plus
-            want = self.uncached(monkeypatch, lambda: build(0.0))
-            assert plus.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert build(-0.0).amplitudes.tobytes() == build(0.0).amplitudes.tobytes()
         squeeze, alpha = SqueezeParam(-0.0, -0.0), CoherentParam(complex(-0.0, -0.0)).alpha
         for zero in (squeeze.r, squeeze.phi, alpha.real, alpha.imag):
             assert math.copysign(1.0, zero) == 1.0
+        assert len({SqueezeParam(-0.0, 0.5): 0, SqueezeParam(0.0, 0.5): 1}) == 1
+        assert len({CoherentParam(complex(0.6, -0.0)): 0, CoherentParam(0.6): 1}) == 1
 
     def test_errors_are_raised_on_every_call(self, monkeypatch):
         built = []
@@ -463,54 +415,18 @@ class TestFactoryMemo:
                 squeezed_vacuum(SqueezeParam(800.0), 4)
             with pytest.raises(ZeroStateError):
                 cat_squeezed(SqueezeParam(0.0), -1, 4)
-        # each failing call ran again; the zero-squeeze base that
-        # cat_squeezed builds before failing was built once and kept
-        assert built == [SqueezeParam(0.9), SqueezeParam(800.0), SqueezeParam(0.0)] + [
-            SqueezeParam(0.9), SqueezeParam(800.0)] * 2
-        kept = states._memo.cache_info()
-        assert kept.currsize == 1
-        squeezed_vacuum(SqueezeParam(0.0), 4, states.DEFAULT_LEAKAGE)
-        assert states._memo.cache_info() == kept._replace(hits=kept.hits + 1)
-
-    def test_memo_stays_bounded(self):
-        def build(k):
-            return squeezed_vacuum(SqueezeParam(0.01 * k), 6, 1e-3)
-
-        built = [build(k) for k in range(3 * states.MEMO_SIZE)]
-        assert states._memo.cache_info().currsize == states.MEMO_SIZE
-        # the newest entries are shared, the oldest are rebuilt
-        assert build(len(built) - 1) is built[-1]
-        assert build(0) is not built[0]
-        assert states._memo.cache_info().currsize == states.MEMO_SIZE
+        # every call ran its build again
+        assert built == [SqueezeParam(0.9), SqueezeParam(800.0), SqueezeParam(0.0)] * 3
 
     def test_every_spelling_of_a_call_builds_the_same_state(self):
         param = SqueezeParam(0.01)
         first = squeezed_vacuum(param, 4)
-        # a keyword spelling keys an entry of its own: a memo miss, never
-        # a different state
         for again in (squeezed_vacuum(param, 4, states.DEFAULT_LEAKAGE),
                       squeezed_vacuum(param, 4, eps=states.DEFAULT_LEAKAGE),
-                      squeezed_vacuum(param, cutoff=4)):
+                      squeezed_vacuum(param, cutoff=4),
+                      squeezed_vacuum(param, np.int64(4))):
             assert again.amplitudes.tobytes() == first.amplitudes.tobytes()
-        # a call the factory rejects is not answered from the memo
         with pytest.raises(TypeError):
             squeezed_vacuum(param, 4, cutoff=4)
         with pytest.raises(TypeError):
             squeezed_vacuum(param, 4, budget=0.5)
-        with pytest.raises(TypeError, match="unhashable"):
-            squeezed_vacuum(param, [4])
-
-    def test_argument_types_key_their_own_entries(self):
-        # typed keys: equal arguments of two types get two entries, and
-        # the two builds agree bit for bit
-        param = SqueezeParam(0.4)
-        pairs = [
-            (squeezed_vacuum(param, 6, 1e-2), squeezed_vacuum(param, np.int64(6), 1e-2)),
-            (cat_squeezed(param, 1, 6, 1e-2), cat_squeezed(param, True, 6, 1e-2)),
-        ]
-        assert states._memo.cache_info().currsize == 4
-        for first, second in pairs:
-            assert first is not second
-            assert first.amplitudes.tobytes() == second.amplitudes.tobytes()
-        # a parameter is one argument: equal parameters share an entry
-        assert squeezed_vacuum(SqueezeParam(np.float64(0.4)), 6, 1e-2) is pairs[0][0]
