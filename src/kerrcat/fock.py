@@ -40,6 +40,8 @@ from .errors import CutoffError, ModeLabelError, StateMismatchError, ZeroStateEr
 NORM_SLACK = 1e-9
 # normalize() and _unit() refuse amplitudes whose norm falls at or below this.
 ZERO_NORM_THRESHOLD = 1e-12
+# schmidt_spectra sketches an occupied matrix this large on its shorter side.
+SKETCH_MIN_SIDE = 64
 
 
 class _Owned:
@@ -336,26 +338,47 @@ def schmidt_coefficients(state: MultiModeState, left_modes) -> np.ndarray:
     every nonzero singular value unchanged (a squeezed source, occupied on
     even photon numbers only, halves each side). The result is sorted
     nonincreasing and holds every nonzero coefficient of
-    :func:`schmidt_decompose`, possibly followed by numerically-zero ones;
-    it is shorter than that spectrum by the zero coefficients dropped with
-    the empty rows or columns.
+    :func:`schmidt_decompose`, possibly followed by numerically-zero ones,
+    less the zeros of the empty rows or columns. A sketched spectrum
+    (:func:`schmidt_spectra`) has k entries, each within 1e-14 ||A||_F of A's.
     """
     (spectrum,) = schmidt_spectra([state], left_modes)
     return spectrum
 
 
 def schmidt_spectra(states: Sequence[MultiModeState], left_modes) -> list[np.ndarray]:
-    """The :func:`schmidt_coefficients` of each state, to the bit: the
-    occupied matrices of one shape are decomposed in one stacked SVD, which
-    gives each matrix the bits of its lone decomposition."""
+    """The :func:`schmidt_coefficients` of each state, to the bit.
+
+    An occupied matrix A at least ``SKETCH_MIN_SIDE`` on its shorter side is
+    sketched alone: Q is an orthonormal basis of AG, for a fixed G of k = 8
+    columns, else 32, and B = Q^H A. Once ||A - QB||_F <= 1e-14 ||A||_F, A's
+    spectrum is B's: by Weyl's inequality none of its values moves by more,
+    so all above ``analysis.SCHMIDT_COEFF_THRESHOLD`` are kept. The rest are
+    decomposed in one stacked SVD per shape, which gives each matrix the
+    bits of its lone decomposition."""
     occupied = []
     for state in states:
         matrix, _, _ = _bipartition_matrix(state, left_modes)
         occupied.append(matrix[np.ix_(matrix.any(axis=1), matrix.any(axis=0))])
-    spectra = [None] * len(occupied)
-    for shape in dict.fromkeys(matrix.shape for matrix in occupied):
-        stacked = [i for i, matrix in enumerate(occupied) if matrix.shape == shape]
+    spectra = [_sketched(m) if min(m.shape) >= SKETCH_MIN_SIDE else None for m in occupied]
+    for shape in dict.fromkeys(m.shape for m, s in zip(occupied, spectra) if s is None):
+        stacked = [i for i, m in enumerate(occupied) if m.shape == shape and spectra[i] is None]
         values = np.linalg.svd(np.stack([occupied[i] for i in stacked]), compute_uv=False)
         for i, spectrum in zip(stacked, values):
             spectra[i] = spectrum
     return spectra
+
+
+def _sketched(matrix: np.ndarray) -> np.ndarray | None:
+    """:func:`schmidt_spectra`'s checked sketch, or None; G is a chirp, not random."""
+    bound = 1e-28 * np.vdot(matrix, matrix).real  # (1e-14 ||A||_F)^2
+    rows = np.arange(matrix.shape[1]) ** 2
+    for k in (8, 32):
+        test = np.exp(2j * np.pi * np.sqrt(2.0) * np.outer(rows, np.arange(1, k + 1)))
+        q = np.linalg.qr(matrix @ test)[0]
+        b = q.conj().T @ matrix
+        residual = q @ b
+        residual -= matrix  # in place; its norm is that of A - QB
+        if np.vdot(residual, residual).real <= bound:
+            return np.linalg.svd(b, compute_uv=False)
+    return None

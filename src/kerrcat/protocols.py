@@ -177,9 +177,9 @@ def entanglement_targets(params: EntanglementParams, cutoffs=None, sources=None)
 
     Keys ``pair_plus`` / ``pair_minus``; a key is omitted when that
     combination vanishes identically (e.g. both taus zero for the minus
-    branch). Each rotated source is its own law at the cutoff of its
-    unrotated one, with no leakage check: the budget belongs to the
-    circuit's sources, which were checked at that cutoff.
+    branch). A rotated source is the table's checked one if the rotation
+    left it as it was, else its own law at the cutoff of its unrotated one,
+    with no leakage check: the budget belongs to the circuit's sources.
     """
     a, a2, eps = params.source_a, params.source_a2, params.eps
     cutoffs, sources = {} if cutoffs is None else cutoffs, {} if sources is None else sources
@@ -189,8 +189,8 @@ def entanglement_targets(params: EntanglementParams, cutoffs=None, sources=None)
         single("a2", _kept(sources, (a2, cutoff_a2, eps), build_source)),
     ).tensor
     rotated = tensor_product(
-        single("a", _kept(sources, (a.kerr_rotated(params.tau), cutoff_a), _unchecked_source)),
-        single("a2", _kept(sources, (a2.kerr_rotated(params.tau2), cutoff_a2), _unchecked_source)),
+        single("a", _rotated(sources, a.kerr_rotated(params.tau), cutoff_a, eps)),
+        single("a2", _rotated(sources, a2.kerr_rotated(params.tau2), cutoff_a2, eps)),
     ).tensor
     phase = np.exp(1j * math.fmod(params.theta, TWO_PI))
     targets = {}
@@ -248,6 +248,11 @@ def _kept(table: dict, key: tuple, build):
     if value is None:
         value = table[key] = build(*key)
     return value
+
+
+def _rotated(sources: dict, param, cutoff: int, eps: float) -> FockVector:
+    """A checked source has the bits of an unchecked one: one law, one cutoff."""
+    return sources.get((param, cutoff, eps)) or _kept(sources, (param, cutoff), _unchecked_source)
 
 
 def _unchecked_source(param, cutoff: int) -> FockVector:

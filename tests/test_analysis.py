@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrcat import (
@@ -24,12 +24,15 @@ from kerrcat import (
     joint_photon_distribution,
     photon_distribution,
     run_entanglement,
+    schmidt_coefficients,
+    schmidt_spectra,
     single,
     squeezed_vacuum,
     support_residual,
     tensor_product,
     vacuum,
 )
+from kerrcat.fock import SKETCH_MIN_SIDE
 from kerrcat.protocols import DC
 
 OVERLAP_OPPOSITE_R05 = 0.8050181821945921
@@ -290,3 +293,51 @@ def test_stacked_entropies_equal_each_states_own(states):
     alone = [entanglement_entropy(state, {"a"}) for state in states]
     assert [v.hex() for v in stacked] == [v.hex() for v in alone]
     assert [v.hex() for v in alone] == [lone_entropy(state).hex() for state in states]
+
+
+@st.composite
+def sketched_states(draw, sides=st.integers(SKETCH_MIN_SIDE, SKETCH_MIN_SIDE + 16)):
+    """A normalized state on (a, b) whose occupied matrix is at least
+    ``SKETCH_MIN_SIDE`` on each side, of rank 1 to 4 or of full rank
+    (``rank`` None), occupied on every row and column or on every other one."""
+    rows, cols = (draw(sides) for _ in range(2))
+    rank = draw(st.sampled_from([1, 2, 3, 4, None]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    block = gaussian(rows, cols) if rank is None else gaussian(rows, rank) @ gaussian(rank, cols)
+    step = draw(st.sampled_from([1, 2]))
+    arr = np.zeros((step * rows, step * cols), complex)
+    arr[::step, ::step] = block
+    return rank, MultiModeState(("a", "b"), arr / np.linalg.norm(arr))
+
+
+def occupied_svd(state):
+    matrix = state.tensor
+    return np.linalg.svd(matrix[np.ix_(matrix.any(axis=1), matrix.any(axis=0))], compute_uv=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=sketched_states())
+def test_large_spectra_are_sketched_or_fall_back_to_the_full_svd(drawn):
+    rank, state = drawn
+    spectrum, full = schmidt_coefficients(state, {"a"}), occupied_svd(state)
+    if rank is None:  # no sketch passes its residual check
+        assert [v.hex() for v in spectrum] == [v.hex() for v in full]
+    else:
+        assert spectrum.size == 8
+        assert np.abs(spectrum - full[:8]).max() < 1e-12 and full[8:].max() < 1e-12
+        assert abs(entanglement_entropy(state, {"a"}) - lone_entropy(state)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+# two sides, so that members of one shape, sketched or not, share a stack
+@given(drawn=st.lists(sketched_states(st.sampled_from([SKETCH_MIN_SIDE, SKETCH_MIN_SIDE + 1])),
+                      min_size=1, max_size=5))
+def test_stacked_sketches_equal_each_states_own(drawn):
+    states = [state for _, state in drawn]
+    stacked = schmidt_spectra(states, {"a"})
+    alone = [schmidt_coefficients(state, {"a"}) for state in states]
+    assert [[v.hex() for v in s] for s in stacked] == [[v.hex() for v in s] for s in alone]

@@ -259,6 +259,25 @@ def test_import_loads_neither_checks_nor_the_process_pool():
     assert done.stdout.strip() == "[]"
 
 
+def test_neither_import_nor_a_sketched_run_loads_numpy_random(tmp_path):
+    # r = 2 gives two 286 x 286 occupied matrices, both sketched
+    script = f"""
+import sys
+import kerrcat.cli as cli
+fock = sys.modules["kerrcat.fock"]  # the package's name "fock" is the factory
+loaded = ["numpy.random" in sys.modules]
+sketched, sketch = [], fock._sketched
+fock._sketched = lambda matrix: sketched.append(matrix.shape) or sketch(matrix)
+out = {str(tmp_path / "large.json")!r}
+code = cli.main(["run", "--protocol", "entanglement", "--r", "2.0", "--out", out])
+print(loaded + ["numpy.random" in sys.modules], code, sketched)
+"""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[False, False] 0 [(286, 286), (286, 286)]"
+
+
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Replaces the process pool by one that maps in this process and
