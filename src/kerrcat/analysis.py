@@ -6,7 +6,7 @@ set, state fidelities, and bipartite entanglement entropy (base-2, from the
 Schmidt spectrum alone: :func:`kerrcat.fock.schmidt_spectra`, singular
 values without vectors, over the occupied support, stacked by its shape;
 a large one from a checked sketch that keeps every coefficient above
-``SCHMIDT_COEFF_THRESHOLD`` to within 1e-14 of its norm).
+``SCHMIDT_COEFF_THRESHOLD``, each to within a hundredth of it).
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import StateMismatchError
-from .fock import MultiModeState, schmidt_spectra
+from .fock import SCHMIDT_COEFF_THRESHOLD, MultiModeState, schmidt_spectra
 
-# Schmidt coefficients at or below this count as zero (rank and entropy).
-SCHMIDT_COEFF_THRESHOLD = 1e-10
 # fidelity() and entanglement_entropy() insist on normalized inputs; this is
 # the slack, generous enough for truncation-level norm deficits. Within it
 # both are scale-invariant: they divide by the squared norms, so a truncated

@@ -40,8 +40,11 @@ from .errors import CutoffError, ModeLabelError, StateMismatchError, ZeroStateEr
 NORM_SLACK = 1e-9
 # normalize() and _unit() refuse amplitudes whose norm falls at or below this.
 ZERO_NORM_THRESHOLD = 1e-12
-# schmidt_spectra sketches an occupied matrix this large on its shorter side.
-SKETCH_MIN_SIDE = 64
+# Schmidt coefficients at or below this count as zero (rank and entropy).
+SCHMIDT_COEFF_THRESHOLD = 1e-10
+# schmidt_spectra sketches an occupied matrix this large on its shorter side,
+# and keeps a sketch whose residual is at most SKETCH_TOLERANCE of its norm.
+SKETCH_MIN_SIDE, SKETCH_TOLERANCE = 64, 1e-2 * SCHMIDT_COEFF_THRESHOLD
 
 
 class _Owned:
@@ -339,8 +342,8 @@ def schmidt_coefficients(state: MultiModeState, left_modes) -> np.ndarray:
     even photon numbers only, halves each side). The result is sorted
     nonincreasing and holds every nonzero coefficient of
     :func:`schmidt_decompose`, possibly followed by numerically-zero ones,
-    less the zeros of the empty rows or columns. A sketched spectrum
-    (:func:`schmidt_spectra`) has k entries, each within 1e-14 ||A||_F of A's.
+    less the zeros of the empty rows or columns; or, sketched, just 8 values,
+    each within ``SKETCH_TOLERANCE`` ||A||_F of A's (:func:`schmidt_spectra`).
     """
     (spectrum,) = schmidt_spectra([state], left_modes)
     return spectrum
@@ -350,11 +353,12 @@ def schmidt_spectra(states: Sequence[MultiModeState], left_modes) -> list[np.nda
     """The :func:`schmidt_coefficients` of each state, to the bit.
 
     An occupied matrix A at least ``SKETCH_MIN_SIDE`` on its shorter side is
-    sketched alone: Q is an orthonormal basis of AG, for a fixed G of k = 8
-    columns, else 32, and B = Q^H A. Once ||A - QB||_F <= 1e-14 ||A||_F, A's
-    spectrum is B's: by Weyl's inequality none of its values moves by more,
-    so all above ``analysis.SCHMIDT_COEFF_THRESHOLD`` are kept. The rest are
-    decomposed in one stacked SVD per shape, which gives each matrix the
+    sketched alone: Q is an orthonormal basis of AG, for a fixed G of 8
+    columns, and B = Q^H A. If ||A - QB||_F <= ``SKETCH_TOLERANCE`` ||A||_F,
+    a hundredth of ``SCHMIDT_COEFF_THRESHOLD`` for a unit state, A's spectrum
+    is B's: by Weyl's inequality no value moves by more and A's ninth is at
+    most that, so every coefficient above the threshold is kept. The rest
+    are decomposed in one stacked SVD per shape, which gives each matrix the
     bits of its lone decomposition."""
     occupied = []
     for state in states:
@@ -371,14 +375,12 @@ def schmidt_spectra(states: Sequence[MultiModeState], left_modes) -> list[np.nda
 
 def _sketched(matrix: np.ndarray) -> np.ndarray | None:
     """:func:`schmidt_spectra`'s checked sketch, or None; G is a chirp, not random."""
-    bound = 1e-28 * np.vdot(matrix, matrix).real  # (1e-14 ||A||_F)^2
     rows = np.arange(matrix.shape[1]) ** 2
-    for k in (8, 32):
-        test = np.exp(2j * np.pi * np.sqrt(2.0) * np.outer(rows, np.arange(1, k + 1)))
-        q = np.linalg.qr(matrix @ test)[0]
-        b = q.conj().T @ matrix
-        residual = q @ b
-        residual -= matrix  # in place; its norm is that of A - QB
-        if np.vdot(residual, residual).real <= bound:
-            return np.linalg.svd(b, compute_uv=False)
-    return None
+    test = np.exp(2j * np.pi * np.sqrt(2.0) * np.outer(rows, np.arange(1, 9)))
+    q = np.linalg.qr(matrix @ test)[0]
+    b = q.conj().T @ matrix
+    residual = q @ b
+    residual -= matrix  # in place; its norm is that of A - QB
+    if np.vdot(residual, residual).real > SKETCH_TOLERANCE**2 * np.vdot(matrix, matrix).real:
+        return None
+    return np.linalg.svd(b, compute_uv=False)

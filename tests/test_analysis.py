@@ -32,7 +32,7 @@ from kerrcat import (
     tensor_product,
     vacuum,
 )
-from kerrcat.fock import SKETCH_MIN_SIDE
+from kerrcat.fock import SKETCH_MIN_SIDE, SKETCH_TOLERANCE
 from kerrcat.protocols import DC
 
 OVERLAP_OPPOSITE_R05 = 0.8050181821945921
@@ -330,6 +330,22 @@ def test_large_spectra_are_sketched_or_fall_back_to_the_full_svd(drawn):
         assert spectrum.size == 8
         assert np.abs(spectrum - full[:8]).max() < 1e-12 and full[8:].max() < 1e-12
         assert abs(entanglement_entropy(state, {"a"}) - lone_entropy(state)) < 1e-12
+
+
+@pytest.mark.parametrize("tail, sketched", [(SKETCH_TOLERANCE / 10, True), (SKETCH_TOLERANCE * 10, False)])
+def test_a_sketch_is_kept_only_within_its_tolerance(tail, sketched):
+    # rank 2 plus a full-rank tail of relative norm `tail`, which no sketch of
+    # 8 columns can capture, so the residual is about `tail` itself
+    rng = np.random.default_rng(5)
+    low, high = (rng.standard_normal((SKETCH_MIN_SIDE, n)) for n in (2, SKETCH_MIN_SIDE))
+    arr = low @ rng.standard_normal((2, SKETCH_MIN_SIDE))
+    arr = arr / np.linalg.norm(arr) + tail * high / np.linalg.norm(high)
+    state = MultiModeState(("a", "b"), arr / np.linalg.norm(arr))
+    spectrum, full = schmidt_coefficients(state, {"a"}), occupied_svd(state)
+    if sketched:
+        assert spectrum.size == 8 and np.abs(spectrum - full[:8]).max() < SKETCH_TOLERANCE
+    else:
+        assert [v.hex() for v in spectrum] == [v.hex() for v in full]
 
 
 @settings(max_examples=30, deadline=None)
