@@ -7,6 +7,10 @@ Schmidt spectrum alone: :func:`kerrcat.fock.schmidt_spectra`, singular
 values without vectors, over the occupied support, stacked by its shape;
 a large one from a checked sketch that keeps every coefficient above
 ``SCHMIDT_COEFF_THRESHOLD``, each to within a hundredth of it).
+
+Each quantity has one implementation, a batch form over the rows of a
+stack of states; the single-state functions are one-row calls of it, and a
+row gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import StateMismatchError
-from .fock import SCHMIDT_COEFF_THRESHOLD, MultiModeState, schmidt_spectra
+from .fock import SCHMIDT_COEFF_THRESHOLD, MultiModeState, _bipartition_matrix, _spectra
 
 # fidelity() and entanglement_entropy() insist on normalized inputs; this is
 # the slack, generous enough for truncation-level norm deficits. Within it
@@ -26,12 +30,19 @@ _UNIT_NORM_SLACK = 1e-6
 
 
 def photon_distribution(state: MultiModeState, mode: str) -> np.ndarray:
-    """P(n) for the given mode, other modes summed over.
+    """P(n) for the given mode, other modes summed over, summing to the
+    state's squared norm: :func:`photon_distributions` of the one state."""
+    state.axis(mode)  # an unknown mode raises ModeLabelError
+    return photon_distributions(state.tensor[None], state.labels)[mode][0]
 
-    Sums to the squared norm of the state (sub-normalized states keep their
-    deficit).
-    """
-    return joint_photon_distribution(state, (mode,))
+
+def photon_distributions(states: np.ndarray, labels) -> dict[str, np.ndarray]:
+    """Each mode's P(n) for every row of ``states``, a stack of states on
+    ``labels``, from one ``|amplitude|^2`` pass."""
+    probs = np.abs(states)
+    np.square(probs, out=probs)
+    axes = range(1, probs.ndim)
+    return {m: probs.sum(axis=tuple(a for a in axes if a != 1 + i)) for i, m in enumerate(labels)}
 
 
 def joint_photon_distribution(state: MultiModeState, modes: Iterable[str]) -> np.ndarray:
@@ -47,43 +58,59 @@ def joint_photon_distribution(state: MultiModeState, modes: Iterable[str]) -> np
 
 def support_residual(distribution: np.ndarray, allowed: Iterable[int]) -> float:
     """Probability mass at photon numbers outside ``allowed`` (integers; any
-    outside the distribution's range are ignored), summed in ascending order."""
-    distribution = np.asarray(distribution)
-    outside = np.ones(len(distribution), dtype=bool)
-    for n in allowed:
-        if 0 <= n < outside.size:
-            outside[n] = False
-    return float(distribution[outside].sum())
+    outside the distribution's range are ignored), summed in ascending
+    order: :func:`support_residuals` of the one distribution."""
+    return support_residuals(np.asarray(distribution)[None], allowed)[0]
 
 
-def _as_unit_array(state, what: str) -> tuple[np.ndarray, float]:
-    """The state's amplitude tensor and its squared norm (the one its
-    constructor computed), which must lie within ``_UNIT_NORM_SLACK`` of 1."""
+def support_residuals(distributions: np.ndarray, allowed: Iterable[int]) -> list[float]:
+    """:func:`support_residual` of each row, from one mask; each row is summed
+    alone, since a 2-d sum adds in another order."""
+    outside = np.ones(distributions.shape[-1], dtype=bool)
+    outside[[n for n in allowed if 0 <= n < outside.size]] = False
+    return [float(np.add.reduce(row)) for row in distributions[:, outside]]
+
+
+def _typed(state, what: str) -> MultiModeState:
     if not isinstance(state, MultiModeState):
         raise TypeError(f"{what} must be a MultiModeState, not {type(state).__name__}")
-    n2 = state.squared_norm
-    if abs(n2 - 1.0) > _UNIT_NORM_SLACK:
-        raise StateMismatchError(f"{what} must be normalized, squared norm is {n2!r}")
-    return state.tensor, n2
+    return state
+
+
+def _unit_norms(states: np.ndarray, rows, what: str = "state") -> dict[int, float]:
+    """The squared norm of each of the ``rows`` of the stack ``states``, as a
+    state's constructor computes it; each must lie within
+    ``_UNIT_NORM_SLACK`` of 1."""
+    norms = {i: float(np.vdot(states[i], states[i]).real) for i in dict.fromkeys(rows)}
+    for n2 in norms.values():
+        if abs(n2 - 1.0) > _UNIT_NORM_SLACK:
+            raise StateMismatchError(f"{what} must be normalized, squared norm is {n2!r}")
+    return norms
 
 
 def fidelity(state: MultiModeState, target: MultiModeState) -> float:
     """|<target|state>|^2 / (<state|state> <target|target>) for normalized
-    states of identical shape.
+    states of identical shape: :func:`fidelities` of the one pair.
 
     Both squared norms must lie within ``_UNIT_NORM_SLACK`` of 1; within that
     slack the value is scale-invariant, so a sub-normalized truncated state
     has fidelity 1 with itself. The two states must carry the same labels in
     the same order, and the same cutoff on each mode.
     """
-    a, a_n2 = _as_unit_array(state, "state")
-    b, b_n2 = _as_unit_array(target, "target")
-    if state.labels != target.labels:
+    if _typed(state, "state").labels != _typed(target, "target").labels:
         raise StateMismatchError(f"labels differ: {state.labels} vs {target.labels}")
-    if a.shape != b.shape:
-        raise StateMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    value = abs(complex(np.vdot(b, a))) ** 2 / (a_n2 * b_n2)
-    return min(value, 1.0)
+    return fidelities(state.tensor[None], target.tensor[None], [(0, 0)])[0]
+
+
+def fidelities(states: np.ndarray, targets: np.ndarray, pairs) -> list[float]:
+    """:func:`fidelity` of row i of the stack ``states`` with row j of the
+    stack ``targets``, for each (i, j) of ``pairs``."""
+    if states.shape[1:] != targets.shape[1:]:
+        raise StateMismatchError(f"shapes differ: {states.shape[1:]} vs {targets.shape[1:]}")
+    n2 = _unit_norms(states, (i for i, _ in pairs))
+    t2 = _unit_norms(targets, (j for _, j in pairs), "target")
+    return [min(abs(complex(np.vdot(targets[j], states[i]))) ** 2 / (n2[i] * t2[j]), 1.0)
+            for i, j in pairs]
 
 
 def entanglement_entropy(state: MultiModeState, left_modes) -> float:
@@ -95,7 +122,7 @@ def entanglement_entropy(state: MultiModeState, left_modes) -> float:
 
 def entanglement_entropies(states, left_modes) -> list[float]:
     """Entropy (bits) of each state's Schmidt spectrum across the
-    bipartition, from :func:`kerrcat.fock.schmidt_spectra`.
+    bipartition: :func:`schmidt_entropies` of their (left | rest) matrices.
 
     Zero (within numerics) iff the state is a product across the cut, and
     never negative: a sum that rounds to -0.0 or below is 0.0. Each state's
@@ -103,9 +130,15 @@ def entanglement_entropies(states, left_modes) -> list[float]:
     weights are divided by it, so within that slack the entropy is
     scale-invariant.
     """
-    norms = [_as_unit_array(state, "state")[1] for state in states]
-    entropies = []
-    for coeffs, n2 in zip(schmidt_spectra(states, left_modes), norms):
-        p = coeffs[coeffs > SCHMIDT_COEFF_THRESHOLD] ** 2 / n2
-        entropies.append(max(0.0, float(-(p * np.log2(p)).sum())))
-    return entropies
+    return schmidt_entropies([_bipartition_matrix(_typed(s, "state"), left_modes)[0]
+                              for s in states])
+
+
+def schmidt_entropies(matrices) -> list[float]:
+    """The entropy of each state of ``matrices``, a stack or a list of its
+    (left | rest) matrices, from their spectra (:func:`kerrcat.fock._spectra`,
+    the array-level core of ``schmidt_spectra``)."""
+    norms = _unit_norms(matrices, range(len(matrices)))
+    weights = (c[c > SCHMIDT_COEFF_THRESHOLD] ** 2 / norms[i]
+               for i, c in enumerate(_spectra(matrices)))
+    return [max(0.0, float(-(p * np.log2(p)).sum())) for p in weights]

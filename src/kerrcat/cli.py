@@ -3,9 +3,11 @@ parameters in parallel, and check the build against its embedded suite.
 
 Reports are deterministic: the same configuration yields byte-identical
 output regardless of worker count (timing goes to stderr, never into the
-report). JSON is the primary format: a run's report, like each sweep point,
-is one record on one line from ``json.dumps(allow_nan=False)`` (``python -m
-json.tool`` indents it). CSV is available for sweeps only.
+report). Report bits are reproducible at a fixed BLAS thread count, which
+can move an SVD's last bits. JSON is the primary format: a run's report,
+like each sweep point, is one record on one line from
+``json.dumps(allow_nan=False)`` (``python -m json.tool`` indents it). CSV is
+available for sweeps only.
 Exit codes: 0 success, 1 diagnostics (usage, parse or validation errors,
 or a failed check), 2 numerical errors (leakage budget exceeded, zero-norm
 states, ...). A sweep records a point's numerical or validation error as
@@ -24,12 +26,11 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from . import dsl
-from .analysis import entanglement_entropies, fidelity, photon_distribution, support_residual
+from .analysis import fidelities, photon_distributions, schmidt_entropies, support_residuals
 from .errors import FockSpaceError, TruncationWarning
 from .protocols import (
     DB,
@@ -39,12 +40,12 @@ from .protocols import (
     SuperpositionParams,
     click_branches,
     entanglement_program,
-    entanglement_targets,
+    entanglement_target_stacks,
     layout,
     run_batches,
     run_circuit,
     superposition_program,
-    superposition_targets,
+    superposition_target_stacks,
 )
 from .states import DEFAULT_LEAKAGE, CoherentParam, SqueezeParam
 
@@ -229,57 +230,50 @@ _SUPPORT = {
 }
 
 
-def _analysis(state, targets: dict, support, entropies) -> dict:
-    """The analysis record of one branch.
-
-    It holds the photon distribution of every remaining mode, the Schmidt
-    entropy across the first mode when exactly two modes remain (the next
-    of ``entropies``), the residual outside the ``support`` law ``(label,
-    first, step)`` of a single remaining mode when one is given, and the
-    fidelity with each of ``targets``. A branch with no state gets the
-    empty record.
-    """
-    dists, fidelities = {}, {}
-    if state is not None:
-        dists = {m: photon_distribution(state, m) for m in state.labels}
-        fidelities = {t: fidelity(state, target) for t, target in targets.items()}
-    label = residual = None
-    if support is not None and dists:
-        label, first, step = support
+def _records(results, targets, kind) -> list[dict]:
+    """The report branches of each of one batch's results. A branch that is a
+    row of the batch's :class:`kerrcat.protocols.Kept` gets, from one pass
+    over those rows, each remaining mode's photon distribution, the Schmidt
+    entropy across the first of two remaining modes, the residual outside
+    its support law ``_SUPPORT[kind, name]`` (label, first, step), and its
+    fidelity with each of its point's ``targets`` (a stack and each name's
+    row for each point, or None, as ``superposition_target_stacks`` gives).
+    Other branches get the empty analysis."""
+    records, live = [{} for _ in results], []
+    for i, result in enumerate(results):
+        for name, b in result.branches.items():
+            analysis = {"distributions": {}, "support_residual": None, "allowed_support": None,
+                        "fidelity_targets": {}, "schmidt_entropy": None}
+            records[i][name] = {"outcome": dict(b.outcome), "probability": b.probability,
+                                "pre_norm": b.pre_norm, "analysis": analysis}
+            if b.row is not None:
+                live.append((i, name, b.row, analysis))
+                kept = b.kept
+    if not live:
+        return records
+    dists = photon_distributions(kept.rows, kept.labels)
+    lists = {mode: dist.tolist() for mode, dist in dists.items()}
+    two = len(kept.labels) == 2
+    entropies = schmidt_entropies(kept.rows) if two else None  # across the first mode
+    for _, _, row, analysis in live:
+        analysis["distributions"] = {mode: rows[row] for mode, rows in lists.items()}
+        analysis["schmidt_entropy"] = entropies[row] if two else None
+    for name in dict.fromkeys(name for _, name, _, _ in live if (kind, name) in _SUPPORT):
+        label, first, step = _SUPPORT[kind, name]
+        chosen = [(row, analysis) for _, n, row, analysis in live if n == name]
         (dist,) = dists.values()
-        residual = support_residual(dist, range(first, dist.size, step))
-    return {
-        "distributions": {m: dist.tolist() for m, dist in dists.items()},
-        "support_residual": residual,
-        "allowed_support": label,
-        "fidelity_targets": fidelities,
-        "schmidt_entropy": next(entropies) if len(dists) == 2 else None,
-    }
-
-
-def _branches_dict(result: ProtocolResult, targets: dict, source_kind, entropies) -> dict:
-    """The report's branches, each analyzed against ``targets``, with Schmidt
-    entropies taken from ``entropies`` (:func:`_entropies`); with a
-    ``source_kind``, each branch's support law is checked too."""
-    return {
-        name: {
-            "outcome": {mode: n for mode, n in branch.outcome},
-            "probability": branch.probability,
-            "pre_norm": branch.pre_norm,
-            "analysis": _analysis(
-                branch.state, targets, _SUPPORT.get((source_kind, name)), entropies
-            ),
-        }
-        for name, branch in result.branches.items()
-    }
-
-
-def _entropies(results) -> Iterator[float]:
-    """The Schmidt entropies of the results' two-mode branch states, in
-    order, from one call; such states of one run or batch share labels."""
-    pairs = [b.state for r in results for b in r.branches.values()
-             if b.state is not None and len(b.state.labels) == 2]
-    return iter(entanglement_entropies(pairs, pairs[0].labels[:1] if pairs else ()))
+        allowed = range(first, dist.shape[1], step)
+        residuals = support_residuals(dist[[row for row, _ in chosen]], allowed)
+        for (_, analysis), residual in zip(chosen, residuals):
+            analysis.update(support_residual=residual, allowed_support=label)
+    if targets is not None:
+        stack, rows = targets
+        pairs = [(row, at[i], analysis["fidelity_targets"], name)
+                 for i, _, row, analysis in live for name, at in rows.items() if at[i] is not None]
+        values = fidelities(kept.rows, stack, [(row, j) for row, j, _, _ in pairs])
+        for (_, _, fids, name), value in zip(pairs, values):
+            fids[name] = value
+    return records
 
 
 def _trace_list(result: ProtocolResult) -> list[dict]:
@@ -307,18 +301,17 @@ def _protocol_params(config: argparse.Namespace):
 
 def _analyzed(config: argparse.Namespace, params, cutoffs: dict, batches) -> list[dict]:
     """The report branches of each protocol result, analyzed a batch at a time
-    against targets read from the points' cutoff table and the batch's sources.
-    ``map`` holds no batch between calls, so each batch goes before the next runs."""
+    against target stacks read from the points' cutoff table and the batch's
+    sources. ``map`` holds no batch between calls, so each batch goes before
+    the next runs."""
     superposition = config.protocol == "superposition"
     kind, params = config.source if superposition else None, iter(params)
-    targets = superposition_targets if superposition else entanglement_targets
+    stacks = superposition_target_stacks if superposition else entanglement_target_stacks
 
     def analyze(batch):
+        points = list(itertools.islice(params, len(batch)))
         results = [click_branches(result) for result in batch]
-        entropies = _entropies(results)
-        points = itertools.islice(params, len(results))
-        return [_branches_dict(r, targets(p, cutoffs, r.sources), kind, entropies)
-                for r, p in zip(results, points)]
+        return _records(results, stacks(points, cutoffs, batch[0].sources), kind)
 
     return list(itertools.chain.from_iterable(map(analyze, batches)))
 
@@ -355,7 +348,7 @@ def _run_report(config: argparse.Namespace) -> dict:
     else:
         program = _read_circuit(config.circuit)
         result = run_circuit(program, eps=config.epsilon, trace=config.trace)
-        branches = _branches_dict(result, {}, None, _entropies([result]))
+        (branches,) = _records([result], None, None)
         given, echo = {"circuit": config.circuit}, {}
     report = {
         "schema": SCHEMA_TAG,

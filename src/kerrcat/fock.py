@@ -217,11 +217,20 @@ def normalize(state: MultiModeState) -> MultiModeState:
 
 def _unit(amplitudes: np.ndarray) -> _Owned:
     """A scratch superposition, which may exceed unit norm, divided by its
-    norm for a new state to adopt; :class:`ZeroStateError` like normalize."""
-    n = float(np.linalg.norm(amplitudes))
+    norm (:func:`_units`) for a new state to adopt; :class:`ZeroStateError`
+    like normalize."""
+    units, (n,) = _units(amplitudes[None])
     if n <= ZERO_NORM_THRESHOLD:
         raise ZeroStateError(f"norm {n!r} is at or below the zero threshold {ZERO_NORM_THRESHOLD!r}")
-    return _Owned(amplitudes / n)
+    return _Owned(units[0])
+
+
+def _units(stack: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Each row of ``stack`` divided by its norm, and the norms; a row whose
+    norm is at or below ``ZERO_NORM_THRESHOLD`` is left as it is."""
+    norms = [float(np.linalg.norm(row)) for row in stack]
+    divisors = np.array([n if n > ZERO_NORM_THRESHOLD else 1.0 for n in norms])
+    return stack / divisors.reshape((-1,) + (1,) * (stack.ndim - 1)), norms
 
 
 def project_mode(state: MultiModeState, mode: str, n: int) -> tuple[MultiModeState, float]:
@@ -350,7 +359,14 @@ def schmidt_coefficients(state: MultiModeState, left_modes) -> np.ndarray:
 
 
 def schmidt_spectra(states: Sequence[MultiModeState], left_modes) -> list[np.ndarray]:
-    """The :func:`schmidt_coefficients` of each state, to the bit.
+    """The :func:`schmidt_coefficients` of each state, to the bit: the
+    spectra (:func:`_spectra`) of their bipartition matrices."""
+    return _spectra([_bipartition_matrix(state, left_modes)[0] for state in states])
+
+
+def _spectra(matrices) -> list[np.ndarray]:
+    """The spectrum of each bipartition matrix of ``matrices`` (a stack or a
+    list), over its occupied rows and columns.
 
     An occupied matrix A at least ``SKETCH_MIN_SIDE`` on its shorter side is
     sketched alone: Q is an orthonormal basis of AG, for a fixed G of 8
@@ -360,10 +376,7 @@ def schmidt_spectra(states: Sequence[MultiModeState], left_modes) -> list[np.nda
     most that, so every coefficient above the threshold is kept. The rest
     are decomposed in one stacked SVD per shape, which gives each matrix the
     bits of its lone decomposition."""
-    occupied = []
-    for state in states:
-        matrix, _, _ = _bipartition_matrix(state, left_modes)
-        occupied.append(matrix[np.ix_(matrix.any(axis=1), matrix.any(axis=0))])
+    occupied = [m[np.ix_(m.any(axis=1), m.any(axis=0))] for m in matrices]
     spectra = [_sketched(m) if min(m.shape) >= SKETCH_MIN_SIDE else None for m in occupied]
     for shape in dict.fromkeys(m.shape for m, s in zip(occupied, spectra) if s is None):
         stacked = [i for i, m in enumerate(occupied) if m.shape == shape and spectra[i] is None]

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -55,15 +56,13 @@ from .elements import (
     apply_batch,
     element_modes,
 )
-from .errors import ZeroStateError
 from .fock import (
+    ZERO_NORM_THRESHOLD,
     FockVector,
     MultiModeState,
     _checked_members,
     _Owned,
-    _unit,
-    single,
-    tensor_product,
+    _units,
 )
 from .states import (
     DEFAULT_LEAKAGE,
@@ -83,6 +82,8 @@ ZERO_BRANCH_THRESHOLD = 1e-12
 
 DB = "Db_fires"
 DC = "Dc_fires"
+# each click's report name, and its branch's key and outcome in a circuit result
+_CLICKS = {DB: ("b=1 c=0", (("b", 1), ("c", 0))), DC: ("b=0 c=1", (("b", 0), ("c", 1)))}
 
 
 @dataclass(frozen=True)
@@ -103,17 +104,36 @@ class EntanglementParams:
     eps: float = DEFAULT_LEAKAGE
 
 
+class Kept:
+    """A batch's kept branches: ``rows[j]``, over the remaining modes ``labels``,
+    is stack member ``members[j]``'s slice at the detected counts ``outcomes[j]``
+    over the root of its probability ``probabilities[j]``. ``rows`` is one
+    read-only C-ordered copy, so the batch's final stack dies with detection."""
+
+    def __init__(self, labels: tuple[str, ...], rows, members, outcomes, probabilities):
+        self.labels, self.rows, self.members = labels, rows, members
+        self.outcomes, self.probabilities = outcomes, probabilities
+
+
 @dataclass(frozen=True)
 class Branch:
-    """One detection outcome: conditional state and its probability."""
+    """One detection outcome and its probability. A kept branch is row ``row``
+    of its batch's :class:`Kept`; ``state``, its conditional state, is built
+    from (a copy of) that row when first read. A zero branch has neither."""
 
     outcome: tuple[tuple[str, int], ...]
     probability: float
-    state: MultiModeState | None
+    row: int | None = None
+    kept: Kept | None = field(default=None, repr=False)
 
     @property
     def pre_norm(self) -> float:  # the branch's norm before normalizing
         return math.sqrt(self.probability)
+
+    @cached_property
+    def state(self) -> MultiModeState | None:
+        kept = self.kept
+        return None if self.row is None else MultiModeState(kept.labels, kept.rows[self.row, ...])
 
 
 @dataclass(frozen=True)
@@ -151,29 +171,42 @@ def run_entanglement(params: EntanglementParams, trace: bool = False) -> Protoco
 def click_branches(result: ProtocolResult) -> ProtocolResult:
     """Name the two single-click outcomes of a protocol circuit; a click the
     circuit dropped below ``ZERO_BRANCH_THRESHOLD`` is a zero branch."""
-    branches = {}
-    for name, outcome in ((DB, (("b", 1), ("c", 0))), (DC, (("b", 0), ("c", 1)))):
-        branch = result.branches.get(_outcome_key(outcome))
-        branches[name] = branch or Branch(outcome, 0.0, None)
+    branches = {name: result.branches.get(key) or Branch(outcome, 0.0)
+                for name, (key, outcome) in _CLICKS.items()}
     return ProtocolResult(branches, result.trace, result.sources)
 
 
 def superposition_targets(params: SuperpositionParams, cutoffs=None, sources=None) -> dict:
     """Canonical parity cats of the source on mode ``a``, for branch
-    fidelity reporting, read from (and kept in) a cutoff and a source table.
+    fidelity reporting, read from (and kept in) a cutoff and a source table:
+    :func:`superposition_target_stacks` of the one point.
 
     Keys ``even_cat`` / ``odd_cat``; a key is omitted when the cat vanishes
     identically (zero-amplitude source).
     """
-    source, eps, sources = params.source_a, params.eps, {} if sources is None else sources
-    cutoff = _kept({} if cutoffs is None else cutoffs, (source, eps), suggest_cutoff)
-    vector = _kept(sources, (source, cutoff, eps), build_source)
-    return _kept(sources, (source, vector), _cats)
+    return _point_targets(superposition_target_stacks([params], cutoffs, sources), ("a",))
+
+
+def superposition_target_stacks(points, cutoffs=None, sources=None) -> tuple[np.ndarray, dict]:
+    """The targets of :func:`superposition_targets` of each of ``points`` (a
+    batch's parameters: one source kind, one cutoff) as one stack, a row per
+    cat of each distinct source, and each name's row for each point
+    (:func:`_target_rows`)."""
+    cutoffs, sources = {} if cutoffs is None else cutoffs, {} if sources is None else sources
+    distinct, at = {}, []  # a table's equal sources are one vector
+    for p in points:
+        cutoff = _kept(cutoffs, (p.source_a, p.eps), suggest_cutoff)
+        vector = _kept(sources, (p.source_a, cutoff, p.eps), build_source)
+        at.append(distinct.setdefault(id(vector), (len(distinct), vector.amplitudes))[0])
+    vectors = np.stack([amplitudes for _, amplitudes in distinct.values()])
+    cats = [_parity_cat(points[0].source_a, vectors, sign) for sign in (+1, -1)]
+    return _target_rows(("even_cat", "odd_cat"), np.concatenate(cats), at)
 
 
 def entanglement_targets(params: EntanglementParams, cutoffs=None, sources=None) -> dict:
     """Analytic two-mode conditional states over labels (a, a2), read from
-    a cutoff and a source table.
+    a cutoff and a source table: :func:`entanglement_target_stacks` of the
+    one point.
 
     Keys ``pair_plus`` / ``pair_minus``; a key is omitted when that
     combination vanishes identically (e.g. both taus zero for the minus
@@ -181,25 +214,47 @@ def entanglement_targets(params: EntanglementParams, cutoffs=None, sources=None)
     left it as it was, else its own law at the cutoff of its unrotated one,
     with no leakage check: the budget belongs to the circuit's sources.
     """
-    a, a2, eps = params.source_a, params.source_a2, params.eps
+    return _point_targets(entanglement_target_stacks([params], cutoffs, sources), ("a", "a2"))
+
+
+def entanglement_target_stacks(points, cutoffs=None, sources=None) -> tuple[np.ndarray, dict]:
+    """The targets of :func:`entanglement_targets` of each of ``points`` (a
+    batch's parameters: one cutoff per mode) as one stack, a row per
+    combination of each point, and each name's row for each point
+    (:func:`_target_rows`)."""
     cutoffs, sources = {} if cutoffs is None else cutoffs, {} if sources is None else sources
-    cutoff_a, cutoff_a2 = (_kept(cutoffs, (p, eps), suggest_cutoff) for p in (a, a2))
-    base = tensor_product(
-        single("a", _kept(sources, (a, cutoff_a, eps), build_source)),
-        single("a2", _kept(sources, (a2, cutoff_a2, eps), build_source)),
-    ).tensor
-    rotated = tensor_product(
-        single("a", _rotated(sources, a.kerr_rotated(params.tau), cutoff_a, eps)),
-        single("a2", _rotated(sources, a2.kerr_rotated(params.tau2), cutoff_a2, eps)),
-    ).tensor
-    phase = np.exp(1j * math.fmod(params.theta, TWO_PI))
-    targets = {}
-    for name, sign in (("pair_plus", +1), ("pair_minus", -1)):
-        try:
-            targets[name] = MultiModeState(("a", "a2"), _unit(rotated + sign * phase * base))
-        except ZeroStateError:
-            pass
-    return targets
+    vectors = []  # each point's source and rotated source on a, then on a2
+    for p in points:
+        for param, tau in ((p.source_a, p.tau), (p.source_a2, p.tau2)):
+            cutoff = _kept(cutoffs, (param, p.eps), suggest_cutoff)
+            vectors += [_kept(sources, (param, cutoff, p.eps), build_source),
+                        _rotated(sources, param.kerr_rotated(tau), cutoff, p.eps)]
+    a, rotated_a, a2, rotated_a2 = (np.stack([v.amplitudes for v in vectors[k::4]])
+                                    for k in range(4))
+    base = a[:, :, None] * a2[:, None, :]
+    rotated = rotated_a[:, :, None] * rotated_a2[:, None, :]
+    phases = np.array([np.exp(1j * math.fmod(p.theta, TWO_PI)) for p in points]).reshape(-1, 1, 1)
+    stack = np.empty((2 * len(points), *base.shape[1:]), dtype=np.complex128)
+    for k, sign in enumerate((+1, -1)):  # in place, so that no combination is held twice
+        np.add(rotated, sign * phases * base, out=stack[k * len(points):(k + 1) * len(points)])
+    del base, rotated
+    return _target_rows(("pair_plus", "pair_minus"), stack, range(len(points)))
+
+
+def _target_rows(names, stack: np.ndarray, at) -> tuple[np.ndarray, dict]:
+    """``stack``, one block of rows per name, each row divided by its norm
+    (:func:`kerrcat.fock._units`), and each name's row for each point:
+    ``at[i]`` in the name's block, None where that row vanishes."""
+    stack, norms = _units(stack)
+    block = len(stack) // len(names)
+    return stack, {name: [k * block + j if norms[k * block + j] > ZERO_NORM_THRESHOLD else None
+                          for j in at] for k, name in enumerate(names)}
+
+
+def _point_targets(stacks, labels) -> dict:
+    stack, rows = stacks
+    return {name: MultiModeState(labels, stack[at[0]])
+            for name, at in rows.items() if at[0] is not None}
 
 
 def superposition_program(params: SuperpositionParams, cutoffs=None) -> "dsl.CircuitProgram":
@@ -243,7 +298,7 @@ def entanglement_program(params: EntanglementParams, cutoffs=None) -> "dsl.Circu
 def _kept(table: dict, key: tuple, build):
     """``table[key]``, made by ``build(*key)`` on a miss; a failed build stores nothing.
     Keys: (parameter, budget) for a cutoff, (parameter, cutoff, budget) for a source,
-    (parameter, cutoff) for a rotated source, and (parameter, source) for its cats."""
+    and (parameter, cutoff) for a rotated source."""
     value = table.get(key)
     if value is None:
         value = table[key] = build(*key)
@@ -257,16 +312,6 @@ def _rotated(sources: dict, param, cutoff: int, eps: float) -> FockVector:
 
 def _unchecked_source(param, cutoff: int) -> FockVector:
     return FockVector(_Owned(_law(param, cutoff)[0]))
-
-
-def _cats(param, vector: FockVector) -> dict[str, MultiModeState]:
-    targets = {}
-    for name, sign in (("even_cat", +1), ("odd_cat", -1)):
-        try:
-            targets[name] = single("a", _parity_cat(param, vector.amplitudes, sign))
-        except ZeroStateError:
-            pass
-    return targets
 
 
 UNCONDITIONAL = "unconditional"
@@ -295,10 +340,12 @@ def run_circuit(
     of the detected modes (to the bit), in ascending photon numbers with the
     first detected mode slowest. An outcome whose entry is at or above
     ``ZERO_BRANCH_THRESHOLD`` is kept, keyed like ``"b=1 c=0"``, with the
-    entry as its probability and its slice over the entry's root as its
-    state; the requested outcome is always reported, in its place, as a zero
-    branch (no state) below it. Without any detection the law is the squared
-    norm, and the one branch, ``"unconditional"``, follows the same rule.
+    entry as its probability and its slice over the entry's root as a row
+    of the run's :class:`Kept` array, from which ``Branch.state`` is built
+    when read; the requested outcome is always reported, in its place, as a
+    zero branch (no row, no state) below it. Without any detection the law
+    is the squared norm, and the one branch, ``"unconditional"``, follows
+    the same rule.
     """
     return next(run_circuits([program], eps, trace))
 
@@ -326,7 +373,10 @@ def run_batches(
     members, so a larger state, or a traced one, runs alone. Each batch runs,
     and raises the first error it meets, when it is asked for, and only its
     results outlive it; to get each program's own error, run the programs of
-    a failed batch one at a time.
+    a failed batch one at a time. A batch's kept branches, of every member,
+    are the rows of one :class:`Kept` array, copied out of its final stack,
+    which the results' branches share; no branch builds its state until
+    ``Branch.state`` is read.
     """
     first, shared = programs[0], layout(programs[0])
     if any(layout(program) != shared for program in programs[1:]):
@@ -402,30 +452,35 @@ def layout(p: "dsl.CircuitProgram"):
 
 def _branches(stack: np.ndarray, labels, detects, count: int) -> list[dict[str, Branch]]:
     """Each of ``count`` members' branches, from one law: ``|stack|^2`` summed
-    over the undetected modes, member axis first, detected axes in request order."""
+    over the undetected modes, member axis first, detected axes in request
+    order. Every kept slice is copied out, divided by the root of its law
+    entry, into the rows of one :class:`Kept`, which the branches share."""
     requested = tuple((d.mode, d.n) for d in detects)
     modes = [m for m, _ in requested]
     # a view with the detected axes first, in request order; the rest keep theirs
-    stack = np.moveaxis(stack, [1 + labels.index(m) for m in modes], range(1, 1 + len(modes)))
+    remaining = tuple(label for label in labels if label not in modes)
+    stack = stack.transpose([0, *(1 + labels.index(m) for m in (*modes, *remaining))])
     law = np.abs(stack)
     np.square(law, out=law)  # in place: one float array beside the state
     if len(modes) < len(labels):
         law = law.sum(axis=tuple(range(1 + len(modes), stack.ndim)))
     kept = law >= ZERO_BRANCH_THRESHOLD
     kept[(slice(None), *(n for _, n in requested))] = True
-    remaining = tuple(label for label in labels if label not in modes)
-    members = [{} for _ in range(count)]
-    for m, branches in enumerate(members):
-        i = m % len(stack)  # one member stands for all when none differs
-        for counts in np.argwhere(kept[i]).tolist():
-            outcome, prob = tuple(zip(modes, counts)), float(law[(i, *counts)])
-            key = _outcome_key(outcome) if requested else UNCONDITIONAL
-            if prob < ZERO_BRANCH_THRESHOLD:  # the requested outcome
-                branches[key] = Branch(outcome, 0.0, None)
-            else:
-                amplitudes = stack[(i, *counts, Ellipsis)] / math.sqrt(prob)
-                branches[key] = Branch(outcome, prob, MultiModeState(remaining, _Owned(amplitudes)))
-    return members
+    found = np.argwhere(kept)  # (member, counts), ascending with the member slowest
+    probabilities = law[tuple(found.T)]
+    live = probabilities >= ZERO_BRANCH_THRESHOLD  # all but a requested zero outcome
+    rows = stack[tuple(found[live].T)]
+    rows /= np.sqrt(probabilities[live]).reshape((-1,) + (1,) * (rows.ndim - 1))
+    rows.setflags(write=False)
+    slices = Kept(remaining, rows, found[live, 0], found[live, 1:], probabilities[live])
+    members, named, row = [{} for _ in range(len(stack))], {}, 0
+    for (member, *counts), prob, alive in zip(found.tolist(), probabilities.tolist(), live.tolist()):
+        counts = tuple(counts)
+        key, outcome = named.get(counts) or named.setdefault(counts, _named(modes, counts))
+        members[member][key] = Branch(outcome, prob, row, slices) if alive else Branch(outcome, 0.0)
+        row += alive
+    # one member stands for all when none differs
+    return [dict(members[m % len(stack)]) for m in range(count)]
 
 
 def _joined(stack: np.ndarray, labels: tuple[str, ...], label: str, vectors: np.ndarray, declared):
@@ -443,5 +498,8 @@ def _joined(stack: np.ndarray, labels: tuple[str, ...], label: str, vectors: np.
     return joined, labels[:at] + (label,) + labels[at:]
 
 
-def _outcome_key(outcome) -> str:
-    return " ".join(f"{mode}={n}" for mode, n in outcome)
+def _named(modes, counts) -> tuple[str, tuple]:
+    """An outcome's key, like ``"b=1 c=0"`` (``"unconditional"`` with no
+    detection), and its (mode, count) pairs."""
+    outcome = tuple(zip(modes, counts))
+    return " ".join(f"{mode}={n}" for mode, n in outcome) or UNCONDITIONAL, outcome

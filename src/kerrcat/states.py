@@ -210,15 +210,16 @@ def squeezed_vacuum(param: SqueezeParam, cutoff: int, eps: float = DEFAULT_LEAKA
     return _source(param, cutoff, eps)
 
 
-def _parity_cat(param, amplitudes: np.ndarray, sign: int) -> FockVector:
-    """Normalized |base> + sign * |-base>, for the ``amplitudes`` of the source
-    ``param`` and a ``sign`` of +1 or -1. Flipping signs in place keeps the
-    cancelled amplitudes exactly 0, which a phase rotated by pi would not."""
-    parity = np.ones(amplitudes.size)
+def _parity_cat(param, amplitudes: np.ndarray, sign: int) -> np.ndarray:
+    """|base> + sign * |-base>, not yet normalized, for each row of
+    ``amplitudes`` (photon numbers along the last axis), sources of the kind
+    of ``param``, and a ``sign`` of +1 or -1. Flipping signs in place keeps
+    the cancelled amplitudes exactly 0, which a phase rotated by pi would not."""
+    parity = np.ones(amplitudes.shape[-1])
     # |-xi> carries exactly (-1)^m on the 2m-photon amplitude of |xi>, and
     # |-alpha> carries exactly (-1)^n on the n-photon amplitude of |alpha>
     parity[slice(2, None, 4) if isinstance(param, SqueezeParam) else slice(1, None, 2)] = -1.0
-    return FockVector(_unit(amplitudes * (1.0 + sign * parity)))
+    return amplitudes * (1.0 + sign * parity)
 
 
 def cat_squeezed(
@@ -249,7 +250,7 @@ def cat_coherent(
 def _cat(source, param, sign: int, cutoff: int, eps: float) -> FockVector:
     if sign not in (1, -1):  # before the source is built
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return _parity_cat(param, source(param, cutoff, eps).amplitudes, sign)
+    return FockVector(_unit(_parity_cat(param, source(param, cutoff, eps).amplitudes, sign)))
 
 
 def build_source(param, cutoff: int, eps: float) -> FockVector:

@@ -278,6 +278,45 @@ print(loaded + ["numpy.random" in sys.modules], code, sketched)
     assert done.stdout.strip() == "[False, False] 0 [(286, 286), (286, 286)]"
 
 
+def kept_branches(output: str) -> int:
+    return sum(bool(branch["analysis"]["distributions"]) for line in output.splitlines()
+               for branch in json.loads(line)["branches"].values())
+
+
+@pytest.mark.parametrize("protocol", ["superposition", "entanglement"])
+def test_no_state_is_built_per_kept_branch_of_a_sweep(protocol, monkeypatch):
+    # branches are analyzed as rows of their batch's kept slices; the count
+    # must not grow with the number of kept branches
+    built, post_init = [], kerrcat.MultiModeState.__post_init__
+    monkeypatch.setattr(kerrcat.MultiModeState, "__post_init__",
+                        lambda state: built.append(state) or post_init(state))
+    counts = []
+    for axes in (["r:0.1:0.3:2"], ["r:0.1:0.6:6", "--sweep", "tau:0.5:pi:3"]):
+        built.clear()
+        output = cli.render_output(["sweep", "--protocol", protocol, "--sweep", *axes])
+        counts.append((kept_branches(output), len(built)))
+    (few, few_built), (many, many_built) = counts
+    assert many > few and many_built == few_built
+
+
+def test_no_state_is_built_per_kept_branch_of_a_circuit(tmp_path, monkeypatch):
+    built, post_init = [], kerrcat.MultiModeState.__post_init__
+    monkeypatch.setattr(kerrcat.MultiModeState, "__post_init__",
+                        lambda state: built.append(state) or post_init(state))
+    counts = []
+    for cutoff in (3, 9):
+        path = tmp_path / f"cutoff-{cutoff}.qcirc"
+        path.write_text(f"mode a cutoff {cutoff}\nmode b cutoff {cutoff}\nmode c cutoff 2\n"
+                        "source a coherent re=1.2 im=0.3\nsource b squeezed r=0.4 phi=0\n"
+                        "kerr a b tau=0.5\nkerr b c tau=0.5\ndetect a n=1\n", encoding="utf-8")
+        built.clear()
+        output = cli.render_output(["run", "--circuit", str(path), "--epsilon", "0.2"])
+        counts.append((kept_branches(output),
+                       len(built)))
+    (few, few_built), (many, many_built) = counts
+    assert many > few and many_built == few_built
+
+
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Replaces the process pool by one that maps in this process and
@@ -617,7 +656,7 @@ def test_truncation_warning_is_a_kerrcat_diagnostic(tmp_path):
 ])
 def test_non_finite_report_is_refused(argv, tmp_path, monkeypatch, capsys):
     # no report may hold NaN: the encoder refuses it, and nothing is written
-    monkeypatch.setattr(cli, "fidelity", lambda *args: math.nan)
+    monkeypatch.setattr(cli, "fidelities", lambda states, targets, pairs: [math.nan] * len(pairs))
     with pytest.raises(ValueError, match="not JSON compliant"):
         cli._render(cli._run_config(argv))
     out = tmp_path / "report.json"

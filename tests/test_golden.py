@@ -4,6 +4,8 @@ Every case, protocol runs, sweeps and circuit files alike, must match byte
 for byte. Cases run from inside ``golden/``, so a circuit report echoes its
 relative path. None of the cases uses ``--trace``. Every recorded JSON report
 and JSON-lines record must also pass the package's ``report.schema.json``.
+Report bits are reproducible at a fixed BLAS thread count: the goldens were
+recorded with one thread (``OPENBLAS_NUM_THREADS=1``), as CI runs them.
 
 Rewrite the expected files, from the repository root, with
 ``PYTHONPATH=src python tests/test_golden.py``. Before it replaces a file,

@@ -254,17 +254,19 @@ class TestKerrRotationRule:
 class TestStateDimensionBudget:
     @pytest.fixture
     def no_oversized_products(self, monkeypatch):
-        # a source or product above the limit fails the test before it is
-        # allocated (a source shares the state with two cutoff-1 modes)
-        def guarded_product(a, b):
-            assert a.tensor.size * b.tensor.size <= MAX_STATE_DIMENSION
-            return tensor_product(a, b)
+        # a source above the limit fails the test before it is allocated (a
+        # source shares the state with two cutoff-1 modes), and a target pair
+        # above it as it is normalized
+        def guarded_units(stack):
+            assert stack[0].size <= MAX_STATE_DIMENSION
+            return units(stack)
 
         def guarded_source(param, cutoff, eps):
             assert 4 * (cutoff + 1) <= MAX_STATE_DIMENSION
             return squeezed_vacuum(param, cutoff, eps)
 
-        monkeypatch.setattr(protocols, "tensor_product", guarded_product)
+        units = protocols._units
+        monkeypatch.setattr(protocols, "_units", guarded_units)
         monkeypatch.setattr(states, "squeezed_vacuum", guarded_source)
 
     def test_entanglement_over_the_limit(self, no_oversized_products):
