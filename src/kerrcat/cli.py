@@ -7,12 +7,14 @@ report). Report bits are reproducible at a fixed BLAS thread count, which
 can move an SVD's last bits. JSON is the primary format: a run's report,
 like each sweep point, is one record on one line from
 ``json.dumps(allow_nan=False)`` (``python -m json.tool`` indents it). CSV is
-available for sweeps only.
-Exit codes: 0 success, 1 diagnostics (usage, parse or validation errors,
-or a failed check), 2 numerical errors (leakage budget exceeded, zero-norm
-states, ...). A sweep records a point's numerical or validation error as
-that point's ``error`` and goes on, so it exits 1 on usage errors and
-otherwise 0. Numbers take the circuit language's grammar (``dsl.read_value``).
+available for sweeps only. Records are written as each batch is analyzed,
+so stdout streams; an ``--out`` file is complete or absent.
+Exit codes: 0 success, 1 diagnostics (usage, parse or validation errors, a
+failed check, or a report that cannot be written, as to a stdout whose reader
+left), 2 numerical errors (leakage budget exceeded, zero-norm states, ...).
+A sweep records a point's numerical or validation error as that point's
+``error`` and goes on, so it exits 1 on usage errors and otherwise 0.
+Numbers take the circuit language's grammar (``dsl.read_value``).
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -41,7 +45,6 @@ from .protocols import (
     click_branches,
     entanglement_program,
     entanglement_target_stacks,
-    layout,
     run_batches,
     run_circuit,
     superposition_program,
@@ -52,10 +55,8 @@ from .states import DEFAULT_LEAKAGE, CoherentParam, SqueezeParam
 SCHEMA_TAG = "kerrcat-report/1"
 SWEEPABLE = ("r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta")
 _PROGRAMS = {"superposition": superposition_program, "entanglement": entanglement_program}
-# Largest sweep grid (the product of the axes' step counts). Every point's
-# record is held until the report is written, and a record grows with the
-# source cutoff (each branch keeps its photon distribution). The states of
-# a batch of points are dropped once its records are built.
+# Largest sweep grid (the product of the axes' step counts). Records stream,
+# but the grid's values and, on --workers > 1, the pool's tasks are listed.
 MAX_SWEEP_POINTS = 10_000
 # Most --workers a sweep may ask for. The process pool forks all of its
 # workers up front, so an unbounded count could exhaust the process table.
@@ -299,11 +300,11 @@ def _protocol_params(config: argparse.Namespace):
     )
 
 
-def _analyzed(config: argparse.Namespace, params, cutoffs: dict, batches) -> list[dict]:
-    """The report branches of each protocol result, analyzed a batch at a time
-    against target stacks read from the points' cutoff table and the batch's
-    sources. ``map`` holds no batch between calls, so each batch goes before
-    the next runs."""
+def _analyzed(config: argparse.Namespace, params, cutoffs: dict, batches) -> Iterator[list]:
+    """The report branches of each protocol result, a list per batch, each
+    batch analyzed when asked for against target stacks read from the points'
+    cutoff table and the batch's sources. ``map`` holds no batch between
+    calls, so each batch goes before the next runs."""
     superposition = config.protocol == "superposition"
     kind, params = config.source if superposition else None, iter(params)
     stacks = superposition_target_stacks if superposition else entanglement_target_stacks
@@ -313,7 +314,7 @@ def _analyzed(config: argparse.Namespace, params, cutoffs: dict, batches) -> lis
         results = [click_branches(result) for result in batch]
         return _records(results, stacks(points, cutoffs, batch[0].sources), kind)
 
-    return list(itertools.chain.from_iterable(map(analyze, batches)))
+    return map(analyze, batches)
 
 
 def _read_circuit(path: str) -> dsl.CircuitProgram:
@@ -337,7 +338,7 @@ def _run_report(config: argparse.Namespace) -> dict:
         params, cutoffs = _protocol_params(config), {}
         program = _PROGRAMS[config.protocol](params, cutoffs)
         result = run_circuit(program, config.epsilon, config.trace)
-        (branches,) = _analyzed(config, [params], cutoffs, [[result]])
+        (branches,) = next(_analyzed(config, [params], cutoffs, [[result]]))
         given = {"protocol": config.protocol}
         taus = {"tau": config.tau}
         if config.protocol == "entanglement":
@@ -395,46 +396,60 @@ def _point(config: argparse.Namespace, values: dict, cutoffs: dict):
 
 def _sweep_tasks(config: argparse.Namespace):
     """One task (config, first point index, points, the sweep's cutoff table)
-    per run of neighbouring grid points whose programs share their
-    :func:`kerrcat.protocols.layout`, so that they run as batches. The points
-    are built once, in grid order, as the tasks are asked for."""
+    per run of neighbouring grid points of equal modes, which in one sweep (one
+    protocol, one source kind) share their :func:`kerrcat.protocols.layout`
+    and so run as batches. The points are built once, in grid order, as the
+    tasks are asked for."""
     first, cutoffs = 0, {}
     points = (_point(config, values, cutoffs) for values in _grid_points(config.sweeps))
     # a point that failed is a group of its own
-    for _, group in itertools.groupby(points, lambda p: layout(p[2]) if p[3] is None else p[3]):
+    for _, group in itertools.groupby(points, lambda p: p[2].modes if p[3] is None else p[3]):
         group = list(group)
         yield config, first, group, cutoffs
         first += len(group)
 
 
-def _evaluate_group(task) -> list[dict]:
-    """The records of a group of points, run as batches. A failed group runs
-    again one point at a time, so that each point records its own error."""
+def _evaluate_group(task) -> Iterator[dict]:
+    """The records of a group of points, in point order, a batch at a time as
+    each batch is analyzed. When a batch fails, its points and the points
+    after it run again one at a time, so that each point records its own
+    error; a batch's records are its points' run alone, to the bit."""
     config, first, points, cutoffs = task
     configs, params, programs, errors = zip(*points)
+    done = 0  # the points whose records are yielded; a batch fails before its first
     try:
         if errors[0] is not None:  # the point could not be built; it is a group of one
             raise errors[0]
-        analyzed = _analyzed(config, params, cutoffs, run_batches(programs, config.epsilon))
-        outcomes = [(branches, None) for branches in analyzed]
+        for batch in _analyzed(config, params, cutoffs, run_batches(programs, config.epsilon)):
+            for branches in batch:
+                yield _record(first + done, configs[done], branches, None)
+                done += 1
     except _POINT_ERRORS as err:
-        if len(points) > 1:
-            alone = [_evaluate_group((config, first + i, [p], cutoffs))
-                     for i, p in enumerate(points)]
-            return [record for records in alone for record in records]
-        outcomes = [({}, f"{type(err).__name__}: {err}")]
-    return [
-        {"schema": SCHEMA_TAG, "kind": "sweep-point", "point": first + i,
-         "params": {name: getattr(c, name) for name in SWEEPABLE},
-         "branches": branches, "error": error}
-        for i, (c, (branches, error)) in enumerate(zip(configs, outcomes))
-    ]
+        if len(points) == 1:
+            yield _record(first, configs[0], {}, f"{type(err).__name__}: {err}")
+        else:
+            for i in range(done, len(points)):
+                yield from _evaluate_group((config, first + i, [points[i]], cutoffs))
 
 
-def _sweep_records(config: argparse.Namespace) -> list[dict]:
+def _record(index: int, point: argparse.Namespace, branches: dict, error) -> dict:
+    return {"schema": SCHEMA_TAG, "kind": "sweep-point", "point": index,
+            "params": {name: getattr(point, name) for name in SWEEPABLE},
+            "branches": branches, "error": error}
+
+
+def _group_records(task) -> list[dict]:  # a pool worker's result
+    return list(_evaluate_group(task))
+
+
+def _sweep_records(config: argparse.Namespace) -> Iterator[dict]:
+    """Each point's record, in point order, as its batch is analyzed (on
+    ``--workers`` > 1, as the pool returns its group)."""
     tasks = _sweep_tasks(config) if config.workers <= 1 else list(_sweep_tasks(config))
     if config.workers <= 1 or len(tasks) <= 1:
-        return [record for task in tasks for record in _evaluate_group(task)]
+        for task in tasks:
+            yield from _evaluate_group(task)
+        return
     # imported here, as the checks are in _cmd_check: every CLI process
     # would pay for the import, and only parallel sweeps use it
     from concurrent.futures import ProcessPoolExecutor
@@ -445,13 +460,13 @@ def _sweep_records(config: argparse.Namespace) -> list[dict]:
     workers = min(config.workers, len(tasks))
     chunksize = math.ceil(len(tasks) / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        groups = pool.map(_evaluate_group, tasks, chunksize=chunksize)
-        return [record for records in groups for record in records]
+        for records in pool.map(_group_records, tasks, chunksize=chunksize):
+            yield from records
 
 
-def _sweep_csv(records: list[dict]) -> str:
-    """One row per branch, or one per failed point; an empty cell is None
-    (floats are written as their repr, which is their str)."""
+def _sweep_csv(records) -> Iterator[str]:
+    """The header, then each record's rows as a chunk: a row per branch, or one
+    per failed point; an empty cell is None (a float is written as its repr)."""
     # imported here, like the process pool: only CSV sweeps use it
     import csv
 
@@ -460,26 +475,18 @@ def _sweep_csv(records: list[dict]) -> str:
     writer.writerow(_CSV_COLUMNS)
     for rec in records:
         base = [rec["point"]] + [rec["params"][k] for k in SWEEPABLE]
-        if rec["error"] is not None:
+        if rec["error"] is not None:  # a failed point has no branches
             writer.writerow(base + [None] * (len(_CSV_COLUMNS) - len(base) - 1) + [rec["error"]])
-            continue
         for name, branch in rec["branches"].items():
             analysis = branch["analysis"]
             targets = analysis["fidelity_targets"]
             plus = targets.get("even_cat", targets.get("pair_plus"))
             minus = targets.get("odd_cat", targets.get("pair_minus"))
-            row = base + [
-                name,
-                branch["probability"],
-                branch["pre_norm"],
-                plus,
-                minus,
-                analysis["support_residual"],
-                analysis["schmidt_entropy"],
-                None,
-            ]
-            writer.writerow(row)
-    return out.getvalue()
+            writer.writerow([*base, name, branch["probability"], branch["pre_norm"], plus, minus,
+                             analysis["support_residual"], analysis["schmidt_entropy"], None])
+        yield out.getvalue()
+        out.seek(0)
+        out.truncate()
 
 
 def _run_config(argv) -> argparse.Namespace | None:
@@ -491,11 +498,17 @@ def _run_config(argv) -> argparse.Namespace | None:
     return _config_from_args(args)
 
 
-def _render(config: argparse.Namespace) -> str:
+def _chunks(config: argparse.Namespace) -> Iterator[str]:
+    """The report, a record at a time, each made when asked for."""
     records = [_run_report(config)] if config.command == "run" else _sweep_records(config)
     if config.fmt == "csv":
-        return _sweep_csv(records)
-    return "".join(json.dumps(rec, allow_nan=False) + "\n" for rec in records)
+        yield from _sweep_csv(records)
+    else:
+        yield from (json.dumps(rec, allow_nan=False) + "\n" for rec in records)
+
+
+def _render(config: argparse.Namespace) -> str:
+    return "".join(_chunks(config))
 
 
 def render_output(argv) -> str:
@@ -537,28 +550,45 @@ def _plain_truncation_warnings(show):
     return showwarning
 
 
+def _write_report(path: str, chunks) -> None:
+    """Write ``chunks`` to ``path`` through a partial file beside it, opened
+    before the first chunk is made, which replaces it once complete and is
+    removed on any error. Special files (``/dev/null``) are written directly."""
+    path = os.path.realpath(path)
+    special = os.path.exists(path) and not os.path.isfile(path)
+    partial = None if special else f"{path}.{os.getpid()}.partial"
+    try:
+        with open(partial or path, "x" if partial else "w", encoding="utf-8", newline="\n") as out:
+            out.writelines(chunks)
+        if partial:
+            os.replace(partial, path)
+    except OSError as err:
+        raise _UsageError(f"cannot write report: {err}") from None
+    finally:
+        if partial and os.path.exists(partial):
+            os.remove(partial)
+
+
 def main(argv=None) -> int:
     try:
         config = _run_config(argv)
         if config is None:
             return _cmd_check()
         started = time.perf_counter()
-        with warnings.catch_warnings():
+        with warnings.catch_warnings():  # the records are made as they are written
             warnings.showwarning = _plain_truncation_warnings(warnings.showwarning)
-            output = _render(config)
+            if config.out:
+                _write_report(config.out, _chunks(config))
+            else:
+                sys.stdout.writelines(_chunks(config))
         elapsed = time.perf_counter() - started
-        if config.out:
-            try:
-                with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
-                    handle.write(output)
-            except OSError as err:
-                raise _UsageError(f"cannot write report: {err}") from None
-        else:
-            sys.stdout.write(output)
         print(f"kerrcat: {config.command} completed in {elapsed:.3f}s", file=sys.stderr)
         return 0
     except _UsageError as err:
         print(f"kerrcat: error: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # stdout's reader left early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no error at exit
         return 1
     except _DiagnosticsError as err:
         for diag in err.diagnostics:

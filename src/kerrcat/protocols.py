@@ -372,11 +372,11 @@ def run_batches(
     A batch holds at most ``_CHUNK_AMPLITUDES`` (a splitter chunk) over its
     members, so a larger state, or a traced one, runs alone. Each batch runs,
     and raises the first error it meets, when it is asked for, and only its
-    results outlive it; to get each program's own error, run the programs of
-    a failed batch one at a time. A batch's kept branches, of every member,
-    are the rows of one :class:`Kept` array, copied out of its final stack,
-    which the results' branches share; no branch builds its state until
-    ``Branch.state`` is read.
+    results outlive it: the batches before a failed one keep theirs, and the
+    failed batch's programs, run one at a time, give their own errors. A
+    batch's kept branches, of every member, are the rows of one :class:`Kept`
+    array, copied out of its final stack, which the results' branches share;
+    no branch builds its state until ``Branch.state`` is read.
     """
     first, shared = programs[0], layout(programs[0])
     if any(layout(program) != shared for program in programs[1:]):

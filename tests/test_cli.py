@@ -5,11 +5,13 @@ command-line grammar (a property over whole command lines), and the embedded
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -18,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kerrcat
-from kerrcat import cli
+from kerrcat import cli, protocols
 from kerrcat.checks import CHECKS, CheckFailure
 
 PACKAGE_DIR = Path(kerrcat.__file__).resolve().parent
@@ -422,6 +424,104 @@ def test_grouped_sweep_records_each_points_own_error(capsys):
     assert {rec["error"] for rec in grouped[3:]} == {f"CutoffError: {message}"}
 
 
+def test_sweep_computes_each_points_layout_once(monkeypatch):
+    # two r values of one cutoff and three tau values: six points, one group
+    layout, layouts = protocols.layout, []
+
+    def counted(program):
+        layouts.append(program)
+        return layout(program)
+
+    for module in (protocols, cli):  # wherever a module binds it
+        monkeypatch.setattr(module, "layout", counted, raising=False)
+    cli.render_output(["sweep", "--protocol", "superposition", "--sweep", "r:0.12:0.16:2",
+                       "--sweep", "tau:0:pi:3"])
+    assert len(layouts) == 6 and len({id(program) for program in layouts}) == 6
+
+
+def test_failed_batch_reruns_only_its_points_and_those_after_it(monkeypatch):
+    # r = 0.3 has one cutoff, so the twelve tau points form one group, run in
+    # batches of four; the Kerr kernel refuses the sixth point's tau
+    argv = ["sweep", "--protocol", "superposition", "--r", "0.3", "--sweep", "tau:0:pi:12"]
+    config = cli._run_config(argv)
+    program, refused = cli._point(config, {}, {})[2], cli._grid_points(config.sweeps)[5]["tau"]
+    apply, run_batches, runs = protocols.apply_batch, cli.run_batches, []
+
+    def refusing(stack, axes, members):
+        if any(getattr(member, "tau", None) == refused for member in members):
+            raise FloatingPointError("refused")
+        return apply(stack, axes, members)
+
+    def counted(programs, eps):
+        runs.append(len(programs))
+        return run_batches(programs, eps)
+
+    monkeypatch.setattr(protocols, "apply_batch", refusing)
+    monkeypatch.setattr(cli, "run_batches", counted)
+    size = math.prod(c + 1 for _, c in program.modes)  # a point's amplitudes
+    monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 4 * size)
+    grouped = cli.render_output(argv)
+    # the first batch ran once; the failed batch and the one after it, point by point
+    assert runs == [12] + [1] * 8
+    records = [json.loads(line) for line in grouped.splitlines()]
+    assert [rec["point"] for rec in records] == list(range(12))
+    errors = [None] * 5 + ["FloatingPointError: refused"] + [None] * 6
+    assert [rec["error"] for rec in records] == errors
+    monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 1)  # a batch of one point
+    assert cli.render_output(argv) == grouped
+
+
+def test_out_is_complete_or_absent(tmp_path, monkeypatch):
+    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.4:4", "--format", "csv"]
+    expected = cli.render_output(argv)
+    out = tmp_path / "report.csv"
+    out.write_text("earlier\n", encoding="utf-8")
+    records = cli._sweep_records
+
+    def failing(config):  # fails after the first two points are written
+        yield from itertools.islice(records(config), 2)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_sweep_records", failing)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(argv + ["--out", str(out)])
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+    assert out.read_text(encoding="utf-8") == "earlier\n"
+    monkeypatch.setattr(cli, "_sweep_records", records)
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+    # a link's target is replaced, and the link kept
+    link = tmp_path / "link.csv"
+    link.symlink_to(out)
+    out.write_text("earlier\n", encoding="utf-8")
+    assert cli.main(argv + ["--out", str(link)]) == 0
+    assert link.is_symlink() and out.read_text(encoding="utf-8") == expected
+    # a target that is not a regular file is written in place
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text(encoding="utf-8")),
+                              daemon=True)
+    reader.start()
+    assert cli.main(argv + ["--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert read == [expected] and fifo.is_fifo()
+
+
+def test_stdout_reader_that_leaves_early_ends_the_sweep_with_exit_1():
+    # 580 KB of records, far above a pipe's buffer: the writer is still
+    # writing when the reader leaves
+    argv = [sys.executable, "-m", "kerrcat", "sweep", "--protocol", "superposition",
+            "--sweep", "r:0.1:1.5:200"]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert child.stdout.read(100).startswith(b'{"schema": ')
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1
+    assert err == ""
+
+
 def test_pool_has_no_more_workers_than_points(serial_pool):
     argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"]
     cli.render_output(argv + ["--workers", str(cli.MAX_WORKERS)])
@@ -437,7 +537,7 @@ def test_too_many_workers_is_a_usage_error(serial_pool, capsys):
     assert serial_pool["workers"] == []
 
 
-def test_usage_and_circuit_errors_exit_1(tmp_path, capsys):
+def test_usage_and_circuit_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert cli.main(["run"]) == 1
     assert cli.main(["run", "--protocol", "superposition", "--epsilon", "nan"]) == 1
     # numbers take the circuit language's grammar: ASCII digits, no underscores
@@ -451,7 +551,12 @@ def test_usage_and_circuit_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.qcirc"
     bad.write_text("mode a cutoff 3\nbs a zz\n", encoding="utf-8")
     assert cli.main(["run", "--circuit", str(bad)]) == 1
-    # the report cannot be written: a missing directory, and a directory
+    # the report cannot be written: a missing directory, and a directory;
+    # either is refused before any program runs
+    def run_circuit(*args, **kwargs):
+        raise AssertionError("a program ran")
+
+    monkeypatch.setattr(cli, "run_circuit", run_circuit)
     for out in (tmp_path / "missing" / "x.json", tmp_path):
         assert cli.main(["run", "--protocol", "superposition", "--out", str(out)]) == 1
         assert "kerrcat: error: cannot write report: " in capsys.readouterr().err

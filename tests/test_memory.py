@@ -165,10 +165,27 @@ def test_group_of_large_sweep_points_peaks_like_one_point():
     config = cli._run_config(["sweep", "--protocol", "entanglement", "--sweep", "r:1.3:1.3:1"])
     cutoffs = {}
     points = [cli._point(config, {"r": 1.3, "tau": tau}, cutoffs) for tau in (0.5, 0.8, 1.2, 1.5)]
-    cli._evaluate_group((config, 0, points[:1], cutoffs))  # warms the splitter plan
-    _, one = allocated(cli._evaluate_group, (config, 0, points[:1], cutoffs))
-    _, four = allocated(cli._evaluate_group, (config, 0, points, cutoffs))
+    # _evaluate_group is a generator, which runs only as it is consumed
+    cli._group_records((config, 0, points[:1], cutoffs))  # warms the splitter plan
+    _, one = allocated(cli._group_records, (config, 0, points[:1], cutoffs))
+    _, four = allocated(cli._group_records, (config, 0, points, cutoffs))
     assert four <= one + SLACK_BYTES, f"four points peak at {four} bytes, one at {one}"
+
+
+def test_sweep_peak_does_not_grow_with_its_point_count(tmp_path, monkeypatch):
+    # r = 2 gives cutoff 570, so each record holds two 571-entry photon
+    # distributions; the tau points form one group, run in batches of two.
+    # Each record is written once its batch is analyzed; what a point keeps
+    # until its group ends (its parameters and its program) is a few KiB
+    argv = ["sweep", "--protocol", "superposition", "--r", "2",
+            "--out", str(tmp_path / "sweep.jsonl"), "--sweep"]
+    program = cli._point(cli._run_config(argv + ["tau:0:1:1"]), {}, {})[2]
+    size = math.prod(c + 1 for _, c in program.modes)  # a point's amplitudes
+    monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 2 * size)
+    cli.main(argv + ["tau:0:pi:2"])  # warms what a run sets up once
+    _, four = allocated(cli.main, argv + ["tau:0:pi:4"])
+    _, many = allocated(cli.main, argv + ["tau:0:pi:32"])
+    assert many <= four + SLACK_BYTES, f"32 points peak at {many} bytes, four at {four}"
 
 
 @pytest.mark.parametrize("outcomes", [(("b", 1), ("c", 0)), (("b", 0),), (("c", 1), ("b", 0))])
