@@ -8,7 +8,6 @@ the diagnostics (distributions, fidelities, Schmidt data) to verify them.
 """
 
 from .analysis import (
-    entanglement_entropies,
     entanglement_entropy,
     fidelity,
     joint_photon_distribution,
@@ -45,12 +44,10 @@ from .fock import (
     FockVector,
     MultiModeState,
     SchmidtDecomposition,
-    normalize,
     project_mode,
     project_modes,
     schmidt_coefficients,
     schmidt_decompose,
-    schmidt_spectra,
     single,
     tensor_product,
 )
@@ -63,7 +60,6 @@ from .protocols import (
     entanglement_targets,
     run_batches,
     run_circuit,
-    run_circuits,
     run_entanglement,
     run_superposition,
     superposition_program,
@@ -76,7 +72,6 @@ from .states import (
     cat_coherent,
     cat_squeezed,
     coherent,
-    fock,
     squeezed_vacuum,
     suggest_cutoff,
     vacuum,

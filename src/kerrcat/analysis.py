@@ -3,8 +3,8 @@ factory's single-mode vector is labelled with :func:`kerrcat.fock.single`).
 
 Photon-number distributions, probability mass outside a declared support
 set, state fidelities, and bipartite entanglement entropy (base-2, from the
-Schmidt spectrum alone: :func:`kerrcat.fock.schmidt_spectra`, singular
-values without vectors, over the occupied support, stacked by its shape;
+Schmidt spectrum alone: ``kerrcat.fock._spectra``, singular values
+without vectors, over the occupied support, stacked by its shape;
 a large one from a checked sketch that keeps every coefficient above
 ``SCHMIDT_COEFF_THRESHOLD``, each to within a hundredth of it).
 
@@ -115,29 +115,22 @@ def fidelities(states: np.ndarray, targets: np.ndarray, pairs) -> list[float]:
 
 def entanglement_entropy(state: MultiModeState, left_modes) -> float:
     """Entropy (bits) of the Schmidt spectrum across the bipartition:
-    :func:`entanglement_entropies` of the one state."""
-    (entropy,) = entanglement_entropies([state], left_modes)
-    return entropy
-
-
-def entanglement_entropies(states, left_modes) -> list[float]:
-    """Entropy (bits) of each state's Schmidt spectrum across the
-    bipartition: :func:`schmidt_entropies` of their (left | rest) matrices.
+    :func:`schmidt_entropies` of the state's (left | rest) matrix.
 
     Zero (within numerics) iff the state is a product across the cut, and
-    never negative: a sum that rounds to -0.0 or below is 0.0. Each state's
+    never negative: a sum that rounds to -0.0 or below is 0.0. The state's
     squared norm must lie within ``_UNIT_NORM_SLACK`` of 1; its Schmidt
     weights are divided by it, so within that slack the entropy is
     scale-invariant.
     """
-    return schmidt_entropies([_bipartition_matrix(_typed(s, "state"), left_modes)[0]
-                              for s in states])
+    (entropy,) = schmidt_entropies([_bipartition_matrix(_typed(state, "state"), left_modes)[0]])
+    return entropy
 
 
 def schmidt_entropies(matrices) -> list[float]:
     """The entropy of each state of ``matrices``, a stack or a list of its
-    (left | rest) matrices, from their spectra (:func:`kerrcat.fock._spectra`,
-    the array-level core of ``schmidt_spectra``)."""
+    (left | rest) matrices, from their spectra (``kerrcat.fock._spectra``, the
+    array-level core of ``schmidt_coefficients``)."""
     norms = _unit_norms(matrices, range(len(matrices)))
     weights = (c[c > SCHMIDT_COEFF_THRESHOLD] ** 2 / norms[i]
                for i, c in enumerate(_spectra(matrices)))

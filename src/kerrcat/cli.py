@@ -507,10 +507,6 @@ def _chunks(config: argparse.Namespace) -> Iterator[str]:
         yield from (json.dumps(rec, allow_nan=False) + "\n" for rec in records)
 
 
-def _render(config: argparse.Namespace) -> str:
-    return "".join(_chunks(config))
-
-
 def render_output(argv) -> str:
     """Everything ``main`` would print to stdout, as a string.
 
@@ -519,7 +515,7 @@ def render_output(argv) -> str:
     config = _run_config(argv)
     if config is None:
         raise _UsageError("render_output does not drive the check command")
-    return _render(config)
+    return "".join(_chunks(config))
 
 
 def _cmd_check() -> int:
@@ -528,10 +524,10 @@ def _cmd_check() -> int:
     results = run_self_checks()
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.name}: {res.detail}")
+        _write(sys.stdout, [f"[{status}] {res.name}: {res.detail}\n"])
         print(f"kerrcat: {res.name} took {res.seconds:.2f}s", file=sys.stderr)
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    _write(sys.stdout, [f"{len(results) - len(failed)}/{len(results)} checks passed\n"])
     return 0 if not failed else 1
 
 
@@ -550,6 +546,17 @@ def _plain_truncation_warnings(show):
     return showwarning
 
 
+def _write(out, chunks) -> None:
+    """Write ``chunks`` to ``out`` as each is made, then flush it. A failed write (not a failed
+    chunk) ends the report and points ``out`` at ``os.devnull``, so that no flush fails again."""
+    for chunk in itertools.chain(chunks, [None]):
+        try:
+            out.write(chunk) if chunk is not None else out.flush()
+        except OSError as err:  # a reader that left early, as `| head` does, ends quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+            raise err if isinstance(err, BrokenPipeError) else _UsageError(f"cannot write report: {err}")
+
+
 def _write_report(path: str, chunks) -> None:
     """Write ``chunks`` to ``path`` through a partial file beside it, opened
     before the first chunk is made, which replaces it once complete and is
@@ -559,7 +566,7 @@ def _write_report(path: str, chunks) -> None:
     partial = None if special else f"{path}.{os.getpid()}.partial"
     try:
         with open(partial or path, "x" if partial else "w", encoding="utf-8", newline="\n") as out:
-            out.writelines(chunks)
+            _write(out, chunks)
         if partial:
             os.replace(partial, path)
     except OSError as err:
@@ -580,15 +587,14 @@ def main(argv=None) -> int:
             if config.out:
                 _write_report(config.out, _chunks(config))
             else:
-                sys.stdout.writelines(_chunks(config))
+                _write(sys.stdout, _chunks(config))
         elapsed = time.perf_counter() - started
         print(f"kerrcat: {config.command} completed in {elapsed:.3f}s", file=sys.stderr)
         return 0
     except _UsageError as err:
         print(f"kerrcat: error: {err}", file=sys.stderr)
         return 1
-    except BrokenPipeError:  # stdout's reader left early, as `| head` does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no error at exit
+    except BrokenPipeError:  # stdout's reader left early; _write pointed it at os.devnull
         return 1
     except _DiagnosticsError as err:
         for diag in err.diagnostics:

@@ -77,7 +77,7 @@ _BOUNDARY_MASS_THRESHOLD = 1e-15
 # slice of the first axis outside the mode pair. Chunk boundaries change
 # which BLAS kernel multiplies which amplitudes, so changing this moves
 # outputs in their last bits. It also caps a batch of circuits (members
-# times amplitudes, protocols.run_circuits), so a batch is one chunk.
+# times amplitudes, protocols.run_batches), so a batch is one chunk.
 _CHUNK_AMPLITUDES = 65_536
 
 # Splitter plans kept, one per cutoff; a plan holds (c + 1)^3 complex entries

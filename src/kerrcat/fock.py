@@ -4,9 +4,9 @@ A single mode with cutoff N is the span of the photon-number states
 |0>, ..., |N>. Multimode states live on the tensor product, stored as a
 dense C-ordered complex array with one axis per mode; the first label is
 the slowest-varying (row-major) axis. States are immutable after construction
-and may be sub-normalized (e.g. after a projective detection); explicit
-:func:`normalize`, ``_unit`` for scratch superpositions that become new
-states, and detection's branches are the only places a norm is divided out.
+and may be sub-normalized (e.g. after a projective detection); ``_units``, for
+scratch superpositions that become new states, and detection's branches are
+the only places a norm is divided out.
 
 Every :class:`FockVector` and :class:`MultiModeState` is checked when it is
 built: its amplitudes must be finite and its squared norm at most
@@ -34,15 +34,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CutoffError, ModeLabelError, StateMismatchError, ZeroStateError
+from .errors import CutoffError, ModeLabelError, StateMismatchError
 
 # Excess over unit squared norm tolerated at construction.
 NORM_SLACK = 1e-9
-# normalize() and _unit() refuse amplitudes whose norm falls at or below this.
+# _units() leaves rows whose norm falls at or below this as they are.
 ZERO_NORM_THRESHOLD = 1e-12
 # Schmidt coefficients at or below this count as zero (rank and entropy).
 SCHMIDT_COEFF_THRESHOLD = 1e-10
-# schmidt_spectra sketches an occupied matrix this large on its shorter side,
+# _spectra sketches an occupied matrix this large on its shorter side,
 # and keeps a sketch whose residual is at most SKETCH_TOLERANCE of its norm.
 SKETCH_MIN_SIDE, SKETCH_TOLERANCE = 64, 1e-2 * SCHMIDT_COEFF_THRESHOLD
 
@@ -203,28 +203,6 @@ def tensor_product(a: MultiModeState, b: MultiModeState) -> MultiModeState:
     return MultiModeState(a.labels + b.labels, _Owned(np.multiply.outer(a.tensor, b.tensor)))
 
 
-def normalize(state: MultiModeState) -> MultiModeState:
-    """The state scaled to unit norm; :class:`ZeroStateError` when its norm
-    is at or below ``ZERO_NORM_THRESHOLD``, ``TypeError`` for an unlabelled
-    :class:`FockVector` (label it with :func:`single` first)."""
-    if not isinstance(state, MultiModeState):
-        raise TypeError(f"cannot normalize a {type(state).__name__}; label it with single() first")
-    n = state.norm
-    if n <= ZERO_NORM_THRESHOLD:
-        raise ZeroStateError(f"norm {n!r} is at or below the zero threshold {ZERO_NORM_THRESHOLD!r}")
-    return MultiModeState(state.labels, _Owned(state.tensor / n))
-
-
-def _unit(amplitudes: np.ndarray) -> _Owned:
-    """A scratch superposition, which may exceed unit norm, divided by its
-    norm (:func:`_units`) for a new state to adopt; :class:`ZeroStateError`
-    like normalize."""
-    units, (n,) = _units(amplitudes[None])
-    if n <= ZERO_NORM_THRESHOLD:
-        raise ZeroStateError(f"norm {n!r} is at or below the zero threshold {ZERO_NORM_THRESHOLD!r}")
-    return _Owned(units[0])
-
-
 def _units(stack: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Each row of ``stack`` divided by its norm, and the norms; a row whose
     norm is at or below ``ZERO_NORM_THRESHOLD`` is left as it is."""
@@ -239,8 +217,8 @@ def project_mode(state: MultiModeState, mode: str, n: int) -> tuple[MultiModeSta
     Returns the (sub-normalized) remaining state and the outcome probability,
     i.e. the squared norm of the kept slice. Probabilities over all n for a
     fixed mode sum to the squared norm of the input. The result is not
-    normalized here; use :func:`normalize` (which rejects numerically-zero
-    branches) to condition on the outcome.
+    normalized here; its tensor over the root of the probability is the
+    state conditioned on the outcome.
     """
     return project_modes(state, ((mode, n),))
 
@@ -343,7 +321,7 @@ def schmidt_decompose(state: MultiModeState, left_modes) -> SchmidtDecomposition
 
 def schmidt_coefficients(state: MultiModeState, left_modes) -> np.ndarray:
     """Schmidt spectrum across the (left_modes | rest) bipartition, without
-    the Schmidt vectors: :func:`schmidt_spectra` of the one state.
+    the Schmidt vectors: :func:`_spectra` of its bipartition matrix.
 
     Only the occupied support is decomposed: rows and columns of the
     bipartition matrix that are exactly zero are dropped first, which leaves
@@ -352,16 +330,10 @@ def schmidt_coefficients(state: MultiModeState, left_modes) -> np.ndarray:
     nonincreasing and holds every nonzero coefficient of
     :func:`schmidt_decompose`, possibly followed by numerically-zero ones,
     less the zeros of the empty rows or columns; or, sketched, just 8 values,
-    each within ``SKETCH_TOLERANCE`` ||A||_F of A's (:func:`schmidt_spectra`).
+    each within ``SKETCH_TOLERANCE`` ||A||_F of A's.
     """
-    (spectrum,) = schmidt_spectra([state], left_modes)
+    (spectrum,) = _spectra([_bipartition_matrix(state, left_modes)[0]])
     return spectrum
-
-
-def schmidt_spectra(states: Sequence[MultiModeState], left_modes) -> list[np.ndarray]:
-    """The :func:`schmidt_coefficients` of each state, to the bit: the
-    spectra (:func:`_spectra`) of their bipartition matrices."""
-    return _spectra([_bipartition_matrix(state, left_modes)[0] for state in states])
 
 
 def _spectra(matrices) -> list[np.ndarray]:
@@ -387,7 +359,7 @@ def _spectra(matrices) -> list[np.ndarray]:
 
 
 def _sketched(matrix: np.ndarray) -> np.ndarray | None:
-    """:func:`schmidt_spectra`'s checked sketch, or None; G is a chirp, not random."""
+    """:func:`_spectra`'s checked sketch, or None; G is a chirp, not random."""
     rows = np.arange(matrix.shape[1]) ** 2
     test = np.exp(2j * np.pi * np.sqrt(2.0) * np.outer(rows, np.arange(1, 9)))
     q = np.linalg.qr(matrix @ test)[0]

@@ -8,7 +8,7 @@ superposition (one data mode) or an entangled pair (two data modes) of the
 original and the Kerr-rotated source states.
 
 Each pipeline is a circuit program (``superposition_program``,
-``entanglement_program``) run by :func:`run_circuits`, the only place states
+``entanglement_program``) run by :func:`run_batches`, the only place states
 go through elements. It joins each declared mode to the state just before
 the first element that touches it, so the photon modes are mixed before
 any data mode joins them; ``run_superposition`` and ``run_entanglement``
@@ -27,7 +27,7 @@ leading member axis. Their squeezed and coherent parameters and their
 element angles may differ (a sweep over ``r`` at one cutoff, or over
 ``tau``, ``tau2`` and ``theta``). Until the first source or angle that
 differs, one member stands for them all. A single run is a batch of one,
-and each member's result equals it to the bit (:func:`run_circuits`).
+and each member's result equals it to the bit (:func:`run_batches`).
 Detection takes one Born-rule law per batch, with the member axis leading.
 
 The Kerr rotation acts on the source parameters as ``kerr_rotated`` (in
@@ -38,7 +38,6 @@ themselves are state-agnostic diagonal phases.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -106,13 +105,12 @@ class EntanglementParams:
 
 class Kept:
     """A batch's kept branches: ``rows[j]``, over the remaining modes ``labels``,
-    is stack member ``members[j]``'s slice at the detected counts ``outcomes[j]``
-    over the root of its probability ``probabilities[j]``. ``rows`` is one
-    read-only C-ordered copy, so the batch's final stack dies with detection."""
+    is a stack member's slice at the detected counts of one branch over the
+    root of its probability. ``rows`` is one read-only C-ordered copy, so the
+    batch's final stack dies with detection."""
 
-    def __init__(self, labels: tuple[str, ...], rows, members, outcomes, probabilities):
-        self.labels, self.rows, self.members = labels, rows, members
-        self.outcomes, self.probabilities = outcomes, probabilities
+    def __init__(self, labels: tuple[str, ...], rows):
+        self.labels, self.rows = labels, rows
 
 
 @dataclass(frozen=True)
@@ -176,23 +174,21 @@ def click_branches(result: ProtocolResult) -> ProtocolResult:
     return ProtocolResult(branches, result.trace, result.sources)
 
 
-def superposition_targets(params: SuperpositionParams, cutoffs=None, sources=None) -> dict:
+def superposition_targets(params: SuperpositionParams) -> dict:
     """Canonical parity cats of the source on mode ``a``, for branch
-    fidelity reporting, read from (and kept in) a cutoff and a source table:
-    :func:`superposition_target_stacks` of the one point.
+    fidelity reporting: :func:`superposition_target_stacks` of the one point.
 
     Keys ``even_cat`` / ``odd_cat``; a key is omitted when the cat vanishes
     identically (zero-amplitude source).
     """
-    return _point_targets(superposition_target_stacks([params], cutoffs, sources), ("a",))
+    return _point_targets(superposition_target_stacks([params], {}, {}), ("a",))
 
 
-def superposition_target_stacks(points, cutoffs=None, sources=None) -> tuple[np.ndarray, dict]:
+def superposition_target_stacks(points, cutoffs: dict, sources: dict) -> tuple[np.ndarray, dict]:
     """The targets of :func:`superposition_targets` of each of ``points`` (a
-    batch's parameters: one source kind, one cutoff) as one stack, a row per
-    cat of each distinct source, and each name's row for each point
-    (:func:`_target_rows`)."""
-    cutoffs, sources = {} if cutoffs is None else cutoffs, {} if sources is None else sources
+    batch's parameters: one source kind, one cutoff), read from (and kept in)
+    a cutoff and a source table, as one stack, a row per cat of each distinct
+    source, and each name's row for each point (:func:`_target_rows`)."""
     distinct, at = {}, []  # a table's equal sources are one vector
     for p in points:
         cutoff = _kept(cutoffs, (p.source_a, p.eps), suggest_cutoff)
@@ -203,10 +199,9 @@ def superposition_target_stacks(points, cutoffs=None, sources=None) -> tuple[np.
     return _target_rows(("even_cat", "odd_cat"), np.concatenate(cats), at)
 
 
-def entanglement_targets(params: EntanglementParams, cutoffs=None, sources=None) -> dict:
-    """Analytic two-mode conditional states over labels (a, a2), read from
-    a cutoff and a source table: :func:`entanglement_target_stacks` of the
-    one point.
+def entanglement_targets(params: EntanglementParams) -> dict:
+    """Analytic two-mode conditional states over labels (a, a2):
+    :func:`entanglement_target_stacks` of the one point.
 
     Keys ``pair_plus`` / ``pair_minus``; a key is omitted when that
     combination vanishes identically (e.g. both taus zero for the minus
@@ -214,15 +209,14 @@ def entanglement_targets(params: EntanglementParams, cutoffs=None, sources=None)
     left it as it was, else its own law at the cutoff of its unrotated one,
     with no leakage check: the budget belongs to the circuit's sources.
     """
-    return _point_targets(entanglement_target_stacks([params], cutoffs, sources), ("a", "a2"))
+    return _point_targets(entanglement_target_stacks([params], {}, {}), ("a", "a2"))
 
 
-def entanglement_target_stacks(points, cutoffs=None, sources=None) -> tuple[np.ndarray, dict]:
+def entanglement_target_stacks(points, cutoffs: dict, sources: dict) -> tuple[np.ndarray, dict]:
     """The targets of :func:`entanglement_targets` of each of ``points`` (a
-    batch's parameters: one cutoff per mode) as one stack, a row per
-    combination of each point, and each name's row for each point
-    (:func:`_target_rows`)."""
-    cutoffs, sources = {} if cutoffs is None else cutoffs, {} if sources is None else sources
+    batch's parameters: one cutoff per mode), read from (and kept in) a
+    cutoff and a source table, as one stack, a row per combination of each
+    point, and each name's row for each point (:func:`_target_rows`)."""
     vectors = []  # each point's source and rotated source on a, then on a2
     for p in points:
         for param, tau in ((p.source_a, p.tau), (p.source_a2, p.tau2)):
@@ -320,7 +314,7 @@ UNCONDITIONAL = "unconditional"
 def run_circuit(
     program: "dsl.CircuitProgram", eps: float = DEFAULT_LEAKAGE, trace: bool = False
 ) -> ProtocolResult:
-    """Run the program's elements and detections: :func:`run_circuits` on a
+    """Run the program's elements and detections: :func:`run_batches` on a
     one-program list.
 
     The program is checked by :func:`dsl.validate_program` before any state
@@ -347,22 +341,15 @@ def run_circuit(
     is the squared norm, and the one branch, ``"unconditional"``, follows
     the same rule.
     """
-    return next(run_circuits([program], eps, trace))
-
-
-def run_circuits(
-    programs: Sequence["dsl.CircuitProgram"], eps: float = DEFAULT_LEAKAGE, trace: bool = False
-) -> Iterator[ProtocolResult]:
-    """The result of :func:`run_circuit` on each program, to the bit: the
-    results of :func:`run_batches`, in program order."""
-    return itertools.chain.from_iterable(run_batches(programs, eps, trace))
+    return next(run_batches([program], eps, trace))[0]
 
 
 def run_batches(
     programs: Sequence["dsl.CircuitProgram"], eps: float = DEFAULT_LEAKAGE, trace: bool = False
 ) -> Iterator[list[ProtocolResult]]:
-    """The results of :func:`run_circuits`, a list per batch, each batch run
-    as one pass of a stack with a leading member axis.
+    """Each program's result, a list per batch, in program order, each batch
+    run as one pass of a stack with a leading member axis; a result equals
+    :func:`run_circuit` of its program alone, to the bit.
 
     The programs must share their :func:`layout` (``ValueError``), so only
     the first program is validated. Each distinct source and cutoff of a batch
@@ -472,7 +459,7 @@ def _branches(stack: np.ndarray, labels, detects, count: int) -> list[dict[str, 
     rows = stack[tuple(found[live].T)]
     rows /= np.sqrt(probabilities[live]).reshape((-1,) + (1,) * (rows.ndim - 1))
     rows.setflags(write=False)
-    slices = Kept(remaining, rows, found[live, 0], found[live, 1:], probabilities[live])
+    slices = Kept(remaining, rows)
     members, named, row = [{} for _ in range(len(stack))], {}, 0
     for (member, *counts), prob, alive in zip(found.tolist(), probabilities.tolist(), live.tolist()):
         counts = tuple(counts)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError, ZeroStateError
-from .fock import FockVector, _Owned, _unit
+from .fock import ZERO_NORM_THRESHOLD, FockVector, _Owned, _units
 
 DEFAULT_LEAKAGE = 1e-10
 # Amplitudes above which a state is refused: the running product of a
@@ -250,7 +250,10 @@ def cat_coherent(
 def _cat(source, param, sign: int, cutoff: int, eps: float) -> FockVector:
     if sign not in (1, -1):  # before the source is built
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return FockVector(_unit(_parity_cat(param, source(param, cutoff, eps).amplitudes, sign)))
+    (cat,), (norm,) = _units(_parity_cat(param, source(param, cutoff, eps).amplitudes[None], sign))
+    if norm <= ZERO_NORM_THRESHOLD:
+        raise ZeroStateError(f"norm {norm!r} is at or below the zero threshold {ZERO_NORM_THRESHOLD!r}")
+    return FockVector(_Owned(cat))
 
 
 def build_source(param, cutoff: int, eps: float) -> FockVector:

@@ -17,23 +17,22 @@ from kerrcat import (
     cat_coherent,
     cat_squeezed,
     coherent,
-    entanglement_entropies,
     entanglement_entropy,
     fidelity,
-    fock,
     joint_photon_distribution,
     photon_distribution,
     run_entanglement,
     schmidt_coefficients,
-    schmidt_spectra,
     single,
     squeezed_vacuum,
     support_residual,
     tensor_product,
     vacuum,
 )
-from kerrcat.fock import SKETCH_MIN_SIDE, SKETCH_TOLERANCE
+from kerrcat.analysis import schmidt_entropies
+from kerrcat.fock import SKETCH_MIN_SIDE, SKETCH_TOLERANCE, _spectra
 from kerrcat.protocols import DC
+from kerrcat.states import fock
 
 OVERLAP_OPPOSITE_R05 = 0.8050181821945921
 
@@ -246,7 +245,7 @@ class TestEntanglementEntropy:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        entanglement_entropies(states, {"a"})
+        schmidt_entropies([state.tensor for state in states])
         # the first and last have three rows and three columns occupied
         assert shapes == [(2, 3, 3), (1, 5, 5)]
 
@@ -289,7 +288,7 @@ def two_mode_states(draw):
 
 @given(states=st.lists(two_mode_states(), min_size=1, max_size=8))
 def test_stacked_entropies_equal_each_states_own(states):
-    stacked = entanglement_entropies(states, {"a"})
+    stacked = schmidt_entropies([state.tensor for state in states])
     alone = [entanglement_entropy(state, {"a"}) for state in states]
     assert [v.hex() for v in stacked] == [v.hex() for v in alone]
     assert [v.hex() for v in alone] == [lone_entropy(state).hex() for state in states]
@@ -354,6 +353,6 @@ def test_a_sketch_is_kept_only_within_its_tolerance(tail, sketched):
                       min_size=1, max_size=5))
 def test_stacked_sketches_equal_each_states_own(drawn):
     states = [state for _, state in drawn]
-    stacked = schmidt_spectra(states, {"a"})
+    stacked = _spectra([state.tensor for state in states])
     alone = [schmidt_coefficients(state, {"a"}) for state in states]
     assert [[v.hex() for v in s] for s in stacked] == [[v.hex() for v in s] for s in alone]

@@ -4,11 +4,13 @@ command-line grammar (a property over whole command lines), and the embedded
 
 import contextlib
 import csv
+import importlib
 import io
 import itertools
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -261,12 +263,19 @@ def test_import_loads_neither_checks_nor_the_process_pool():
     assert done.stdout.strip() == "[]"
 
 
+def test_every_submodule_is_the_package_attribute_of_its_name():
+    names = [m.name for m in pkgutil.iter_modules(kerrcat.__path__) if m.name != "__main__"]
+    assert {"fock", "states", "cli"} <= set(names)
+    for name in names:
+        assert getattr(kerrcat, name) is importlib.import_module(f"kerrcat.{name}"), name
+
+
 def test_neither_import_nor_a_sketched_run_loads_numpy_random(tmp_path):
     # r = 2 gives two 286 x 286 occupied matrices, both sketched
     script = f"""
 import sys
 import kerrcat.cli as cli
-fock = sys.modules["kerrcat.fock"]  # the package's name "fock" is the factory
+import kerrcat.fock as fock
 loaded = ["numpy.random" in sys.modules]
 sketched, sketch = [], fock._sketched
 fock._sketched = lambda matrix: sketched.append(matrix.shape) or sketch(matrix)
@@ -522,6 +531,35 @@ def test_stdout_reader_that_leaves_early_ends_the_sweep_with_exit_1():
     assert err == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["run", "--protocol", "superposition"],
+    ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"],
+    ["check"],
+])
+def test_stdout_that_cannot_be_written_ends_with_exit_1(argv):
+    # every write to /dev/full fails with ENOSPC, at the flush at the latest
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "kerrcat", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "kerrcat: error: cannot write report: [Errno 28] " in done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
+def test_an_os_error_while_records_are_made_is_not_a_write_error(monkeypatch, capsys):
+    def failing(config):  # fails after the first point is written
+        yield from itertools.islice(records(config), 1)
+        raise OSError("raised while a record was made")
+
+    records = cli._sweep_records
+    monkeypatch.setattr(cli, "_sweep_records", failing)
+    with pytest.raises(OSError, match="raised while a record was made"):
+        cli.main(["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"])
+    assert capsys.readouterr().out.count("\n") == 1
+
+
 def test_pool_has_no_more_workers_than_points(serial_pool):
     argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"]
     cli.render_output(argv + ["--workers", str(cli.MAX_WORKERS)])
@@ -763,7 +801,7 @@ def test_non_finite_report_is_refused(argv, tmp_path, monkeypatch, capsys):
     # no report may hold NaN: the encoder refuses it, and nothing is written
     monkeypatch.setattr(cli, "fidelities", lambda states, targets, pairs: [math.nan] * len(pairs))
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli._render(cli._run_config(argv))
+        cli.render_output(argv)
     out = tmp_path / "report.json"
     with pytest.raises(ValueError, match="not JSON compliant"):
         cli.main(argv + ["--out", str(out)])
@@ -780,9 +818,9 @@ def test_non_finite_report_is_refused(argv, tmp_path, monkeypatch, capsys):
 def test_traced_run_report_is_written_as_json_dumps_would(argv, tmp_path):
     path = tmp_path / "cat.qcirc"
     path.write_text(CIRCUIT, encoding="utf-8")
-    config = cli._run_config([str(path) if arg == "CIRCUIT" else arg for arg in argv])
-    expected = json.dumps(cli._run_report(config), allow_nan=False) + "\n"
-    assert cli._render(config) == expected
+    argv = [str(path) if arg == "CIRCUIT" else arg for arg in argv]
+    expected = json.dumps(cli._run_report(cli._run_config(argv)), allow_nan=False) + "\n"
+    assert cli.render_output(argv) == expected
 
 
 @pytest.mark.parametrize("check", [fn for _, fn in CHECKS], ids=[name for name, _ in CHECKS])

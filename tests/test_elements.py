@@ -32,7 +32,6 @@ from kerrcat import (
     apply_phase_shift,
     coherent,
     fidelity,
-    fock,
     photon_distribution,
     run_circuit,
     single,
@@ -40,6 +39,7 @@ from kerrcat import (
     tensor_product,
 )
 from kerrcat.dsl import parse
+from kerrcat.states import fock
 from kerrcat import elements
 from kerrcat.elements import _beam_splitter_plan, _BS_HALF_ANGLE, _PLAN_CACHE_SIZE
 

@@ -18,8 +18,6 @@ from kerrcat import (
     MultiModeState,
     StateMismatchError,
     ZeroStateError,
-    fock,
-    normalize,
     project_mode,
     project_modes,
     schmidt_coefficients,
@@ -29,8 +27,9 @@ from kerrcat import (
     tensor_product,
     vacuum,
 )
-from kerrcat.fock import ZERO_NORM_THRESHOLD, _Owned, _unit
-from kerrcat.states import SqueezeParam
+from kerrcat.fock import ZERO_NORM_THRESHOLD, _Owned, _units
+from kerrcat import states
+from kerrcat.states import CoherentParam, SqueezeParam, fock
 
 # direct evaluation of <xi|-xi> at r=0.5: brute-force amplitude sum agrees
 # with 1/(cosh r * sqrt(1 + tanh^2 r)) to 8e-16 (re-derived in the test below)
@@ -231,49 +230,50 @@ class TestInnerProduct:
         assert abs(np.vdot(two, xi) - (-0.3077191764583704)) < 1e-5
 
 class TestNormalize:
+    # fock._units is the one normalizer; the cats (states._cat) raise
+    # ZeroStateError from the norm it returns
     def test_opposite_sum_at_zero_squeeze(self):
         # |xi> + |-xi> at r=0 is twice the vacuum
         xi = squeezed_vacuum(SqueezeParam(0.0), 4)
         mxi = squeezed_vacuum(SqueezeParam(0.0, math.pi), 4)
-        unit = FockVector(_unit(xi.amplitudes + mxi.amplitudes))
-        assert np.allclose(unit.amplitudes, vacuum(4).amplitudes)
+        (unit,), _ = _units((xi.amplitudes + mxi.amplitudes)[None])
+        assert np.allclose(FockVector(unit).amplitudes, vacuum(4).amplitudes)
 
-    def test_zero_vector_raises(self):
-        with pytest.raises(ZeroStateError):
-            _unit(np.zeros(5, complex))
+    def test_zero_row_is_left_as_it_is(self):
+        units, norms = _units(np.zeros((2, 5), complex))
+        assert norms == [0.0, 0.0] and not units.any()
 
     def test_difference_divided_by_its_norm(self):
         xi = squeezed_vacuum(SqueezeParam(0.5), 40)
         mxi = squeezed_vacuum(SqueezeParam(0.5, math.pi), 40)
         difference = xi.amplitudes - mxi.amplitudes
-        unit = FockVector(_unit(difference))
+        (unit,), _ = _units(difference[None])
+        unit = FockVector(unit)
         assert abs(unit.squared_norm - 1.0) < 1e-12
         norm = math.sqrt(2 - 2 * OVERLAP_OPPOSITE_R05)
         assert np.abs(unit.amplitudes * norm - difference).max() < 1e-4
 
     def test_fixed_zero_threshold(self):
-        # a norm at the threshold is zero, twice the threshold is not
+        # a norm at the threshold is zero, twice the threshold is not: the row
+        # is left as it is, and a cat of that norm is refused
         for scale, vanishes in ((1.0, True), (2.0, False)):
             amplitudes = np.array([scale * ZERO_NORM_THRESHOLD, 0.0], complex)
-            for unit in (lambda: normalize(single("a", FockVector(amplitudes))),
-                         lambda: _unit(amplitudes)):
-                if vanishes:
-                    with pytest.raises(ZeroStateError, match="zero threshold 1e-12"):
-                        unit()
-                else:
-                    unit()
+            (unit,), _ = _units(amplitudes[None])
+            assert np.array_equal(unit, amplitudes) == vanishes
+            # an even coherent cat doubles the vacuum amplitude of its source
+            half = FockVector(amplitudes / 2)
+            cat = lambda: states._cat(lambda *_: half, CoherentParam(0.0), 1, 1, 0.5)
+            if vanishes:
+                with pytest.raises(ZeroStateError, match="zero threshold 1e-12"):
+                    cat()
+            else:
+                assert abs(cat().squared_norm - 1.0) < 1e-15
 
-    def test_returns_the_unit_state_alone(self):
-        state = MultiModeState(("a", "b"), np.array([[0.3, 0.0], [0.0, 0.4j]]))
-        unit = normalize(state)
-        assert unit.labels == ("a", "b")
-        assert np.allclose(unit.tensor, state.tensor / 0.5, rtol=1e-15, atol=0)
-        with pytest.raises(TypeError, match="label it with single"):
-            normalize(state.tensor)
-
-    def test_unlabelled_vector_is_a_type_error(self):
-        with pytest.raises(TypeError, match="label it with single"):
-            normalize(FockVector([1.0, 0.0]))
+    def test_each_row_divided_by_its_own_norm(self):
+        stack = np.array([[[0.3, 0.0], [0.0, 0.4j]], [[0.0, 2e-12], [0.0, 0.0]]])
+        units, norms = _units(stack)
+        assert norms == pytest.approx([0.5, 2e-12], rel=1e-15)
+        assert np.allclose(units, [stack[0] / 0.5, stack[1] / 2e-12], rtol=1e-15, atol=0)
 
 
 class TestProjection:
@@ -282,8 +282,7 @@ class TestProjection:
         remaining, prob = project_mode(bc, "b", 1)
         assert prob == pytest.approx(0.5)
         assert remaining.labels == ("c",)
-        unit = normalize(remaining)
-        assert np.allclose(unit.tensor, [1.0, 0.0])
+        assert np.allclose(remaining.tensor / math.sqrt(prob), [1.0, 0.0])
 
     def test_vacuum_has_no_photon(self):
         s = tensor_product(single("a", vacuum(1)), single("b", vacuum(1)))

@@ -33,13 +33,12 @@ from kerrcat.elements import (
 from kerrcat.fock import (
     FockVector,
     MultiModeState,
-    normalize,
     project_mode,
     project_modes,
     single,
     tensor_product,
 )
-from kerrcat.protocols import _joined, run_circuit, run_circuits
+from kerrcat.protocols import _joined, run_batches, run_circuit
 from kerrcat.states import (
     CoherentParam,
     FockParam,
@@ -96,7 +95,6 @@ def kernel_calls(large):
         "phase": (apply_batch, stack, [3], [PhaseShift("c", 0.3)]),
         "join-last": (_joined, three, LABELS[:3], "a2", vector, LABELS),
         "join-first": (_joined, rest, LABELS[1:], "a", vector, LABELS),
-        "normalize": (normalize, large),
         # the public kernels are the same kernels on a batch of one
         "splitter-state": (apply_beam_splitter, large, "b", "c"),
         "kerr-state": (apply_cross_kerr, large, "a2", "b", 0.7),
@@ -104,7 +102,7 @@ def kernel_calls(large):
     }
 
 
-KERNELS = ("splitter", "kerr", "phase", "join-last", "join-first", "normalize",
+KERNELS = ("splitter", "kerr", "phase", "join-last", "join-first",
            "splitter-state", "kerr-state", "phase-state")
 
 
@@ -154,7 +152,7 @@ def test_batch_of_large_states_peaks_like_one_member():
     elements._beam_splitter_plan(1, elements._BS_HALF_ANGLE)
     run_circuit(programs[0])  # warms what a run sets up once
     _, alone = allocated(run_circuit, programs[0])
-    _, batch = allocated(lambda: [len(r.branches) for r in run_circuits(programs)])
+    _, batch = allocated(lambda: [len(r.branches) for b in run_batches(programs) for r in b])
     assert batch <= alone + SLACK_BYTES, f"batch peak {batch}, one member alone {alone}"
 
 
@@ -254,7 +252,6 @@ def test_every_returned_state_is_constructed(monkeypatch):
         lambda: run_circuit(program, eps=0.05)["b=1"].state,
         lambda: project_modes(small, (("b", 1), ("a", 2)))[0],
         lambda: project_mode(small, "c", 0)[0],
-        lambda: normalize(MultiModeState(small.labels, small.tensor * 0.5)),
         lambda: cat_coherent(CoherentParam(0.3), -1, 8, 1e-3),
         lambda: tensor_product(three, single("a2", vector)),
         lambda: squeezed_vacuum(SqueezeParam(0.3), 8, 1e-3),
@@ -288,7 +285,7 @@ def test_every_returned_state_is_constructed(monkeypatch):
     angles = [dataclasses.replace(program, elements=(program.elements[0], CrossKerr("a", "b", t)))
               for t in (0.1, 0.2, 0.3)]
     built.clear()
-    results = list(run_circuits(angles, eps=0.05))
+    results = [r for batch in run_batches(angles, eps=0.05) for r in batch]
     # each stack is checked once, before the next stage or detection reads
     # it, from the empty start on
     assert len(made) == 5

@@ -155,8 +155,7 @@ def check_against_oracle(program):
             continue
         assert abs(branch.probability - probability) < TOLERANCE
         kept = branch.kept  # the branch is a row of the run's kept slices
-        assert (kept.members[branch.row], kept.probabilities[branch.row]) == (0, branch.probability)
-        assert tuple(kept.outcomes[branch.row]) == tuple(n for _, n in outcome)
+        assert np.array_equal(kept.rows[branch.row], branch.state.tensor)
         assert branch.state.labels == kept.labels == rest
         unnormalized = branch.state.tensor * math.sqrt(branch.probability)
         assert np.abs(unnormalized - amplitudes).max(initial=0.0) < TOLERANCE

@@ -32,7 +32,6 @@ from kerrcat import (
     entanglement_program,
     entanglement_targets,
     fidelity,
-    fock,
     joint_photon_distribution,
     project_modes,
     run_circuit,
@@ -49,7 +48,15 @@ from kerrcat import (
 from kerrcat import cli, protocols, states
 from kerrcat.dsl import MAX_STATE_DIMENSION, CircuitProgram, CircuitValidationError, parse
 from kerrcat.elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift, apply_element
-from kerrcat.protocols import DB, DC, ZERO_BRANCH_THRESHOLD, run_circuits
+from kerrcat.protocols import (
+    DB,
+    DC,
+    ZERO_BRANCH_THRESHOLD,
+    entanglement_target_stacks,
+    run_batches,
+    superposition_target_stacks,
+)
+from kerrcat.states import fock
 
 
 def total_probability(result):
@@ -377,7 +384,7 @@ class TestRunCircuit:
 
     def test_unconditional_branch_follows_the_probability_rule(self):
         # probability 1.01e-13 is under ZERO_BRANCH_THRESHOLD, although its
-        # norm, 3.2e-7, is far above the zero norm threshold of normalize()
+        # norm, 3.2e-7, is far above the fock.ZERO_NORM_THRESHOLD of 1e-12
         program = parse(
             "mode a cutoff 1\nmode b cutoff 1\nsource a fock n=1\n"
             "source b coherent re=5.47 im=0\nbs a b\n"
@@ -557,7 +564,7 @@ def at_first_cutoffs(programs):
 ]), eps=1e-10)
 def test_a_batch_equals_its_members_run_alone(programs, eps):
     alone = [outcome(lambda p=p: run_circuit(p, eps)) for p in programs]
-    batch = outcome(lambda: list(run_circuits(programs, eps)))
+    batch = outcome(lambda: [r for b in run_batches(programs, eps) for r in b])
     errors = [a for a in alone if isinstance(a, tuple)]
     if errors:  # the circuit rules fail every member, or a source fails some
         assert batch == errors[0]
@@ -584,13 +591,13 @@ def test_programs_of_different_layouts_are_not_a_batch():
     ]
     for other in others:
         with pytest.raises(ValueError, match="batched programs must share"):
-            list(run_circuits([base, other]))
+            list(run_batches([base, other]))
     angles = dataclasses.replace(base, elements=base.elements[:1] + (CrossKerr("a", "b", 1.0),)
                                  + (PhaseShift("c", 0.4),) + base.elements[3:])
     # a squeezed source's value is not layout, at the same cutoff
     squeeze = dataclasses.replace(angles, sources=(("a", SqueezeParam(0.45, 1.0)),)
                                   + base.sources[1:])
-    assert len(list(run_circuits([base, angles, squeeze]))) == 3
+    assert [len(batch) for batch in run_batches([base, angles, squeeze])] == [3]
 
 
 @pytest.mark.parametrize("poison", ["nan", "norm"])
@@ -613,7 +620,7 @@ def test_each_member_of_a_batch_is_checked(poison, monkeypatch):
         superposition_program(SuperpositionParams(SqueezeParam(0.5), tau=tau)) for tau in (0.5, 1.0)
     ]
     with pytest.raises(StateMismatchError) as batch:
-        list(run_circuits(programs))
+        list(run_batches(programs))
     (member,) = bad
     with pytest.raises(StateMismatchError) as alone:
         MultiModeState(("a", "b", "c"), member)
@@ -670,17 +677,21 @@ def sweep_batches(draw):
 
 
 def batch_targets(members):
-    """Each member's targets as a sweep takes them: sized through one cutoff
-    table, run in batches of one layout, read from each batch's table."""
+    """Each member's target rows as a sweep takes them: sized through one
+    cutoff table, run in batches of one layout, a target stack per batch
+    read from the batch's table."""
     entangled = isinstance(members[0], EntanglementParams)
     program = entanglement_program if entangled else superposition_program
-    targets = entanglement_targets if entangled else superposition_targets
+    stacks = entanglement_target_stacks if entangled else superposition_target_stacks
     cutoffs, out = {}, []
     sized = [(p, program(p, cutoffs)) for p in members]
     for _, group in itertools.groupby(sized, lambda pair: protocols.layout(pair[1])):
         params, programs = zip(*group)
-        results = run_circuits(programs, members[0].eps)
-        out += [targets(p, cutoffs, r.sources) for p, r in zip(params, results)]
+        for batch in run_batches(programs, members[0].eps):
+            points, params = params[:len(batch)], params[len(batch):]
+            stack, rows = stacks(points, cutoffs, batch[0].sources)
+            out += [{name: stack[at[i]] for name, at in rows.items() if at[i] is not None}
+                    for i in range(len(points))]
     return out
 
 
@@ -729,7 +740,7 @@ def standalone_targets(p):
 )])
 def test_batch_targets_equal_standalone_targets_bit_for_bit(members):
     for p, targets in zip(members, batch_targets(members)):
-        got = {name: target.tensor.tobytes() for name, target in targets.items()}
+        got = {name: target.tobytes() for name, target in targets.items()}
         assert got == standalone_targets(p)
 
 
@@ -806,7 +817,7 @@ def test_law_passes_of_the_benchmark_workloads(argv, passes, monkeypatch):
     # point's one rotated source is built once; its second data mode shares
     # all three
     _, laws = record_law_passes(monkeypatch)
-    cli._render(cli._run_config(argv.split()))
+    cli.render_output(argv.split())
     assert len(laws) == passes
 
 

@@ -17,13 +17,12 @@ from kerrcat import (
     cat_coherent,
     cat_squeezed,
     coherent,
-    fock,
     squeezed_vacuum,
     suggest_cutoff,
     vacuum,
 )
 from kerrcat import states
-from kerrcat.states import build_source
+from kerrcat.states import build_source, fock
 
 
 def squeezed_amp_direct(n, r, phi=0.0):
