@@ -7,8 +7,9 @@ report). Report bits are reproducible at a fixed BLAS thread count, which
 can move an SVD's last bits. JSON is the primary format: a run's report,
 like each sweep point, is one record on one line from
 ``json.dumps(allow_nan=False)`` (``python -m json.tool`` indents it). CSV is
-available for sweeps only. Records are written as each batch is analyzed,
-so stdout streams; an ``--out`` file is complete or absent.
+available for sweeps only. A sweep builds each point as its batch reads it
+(each pool worker its own ranges of points), and writes its records as each
+batch is analyzed, so stdout streams; an ``--out`` file is complete or absent.
 Exit codes: 0 success, 1 diagnostics (usage, parse or validation errors, a
 failed check, or a report that cannot be written, as to a stdout whose reader
 left), 2 numerical errors (leakage budget exceeded, zero-norm states, ...).
@@ -20,6 +21,7 @@ Numbers take the circuit language's grammar (``dsl.read_value``).
 from __future__ import annotations
 
 import argparse
+import collections
 import io
 import itertools
 import json
@@ -37,6 +39,7 @@ from . import dsl
 from .analysis import fidelities, photon_distributions, schmidt_entropies, support_residuals
 from .errors import FockSpaceError, TruncationWarning
 from .protocols import (
+    _POINT_ERRORS,
     DB,
     DC,
     EntanglementParams,
@@ -55,8 +58,8 @@ from .states import DEFAULT_LEAKAGE, CoherentParam, SqueezeParam
 SCHEMA_TAG = "kerrcat-report/1"
 SWEEPABLE = ("r", "phi", "alpha_re", "alpha_im", "tau", "tau2", "theta")
 _PROGRAMS = {"superposition": superposition_program, "entanglement": entanglement_program}
-# Largest sweep grid (the product of the axes' step counts). Records stream,
-# but the grid's values and, on --workers > 1, the pool's tasks are listed.
+# Largest sweep grid (the product of the axes' step counts). Points are built as
+# they run and records stream, so the cap bounds run time and output, not memory.
 MAX_SWEEP_POINTS = 10_000
 # Most --workers a sweep may ask for. The process pool forks all of its
 # workers up front, so an unbounded count could exhaust the process table.
@@ -285,36 +288,29 @@ def _trace_list(result: ProtocolResult) -> list[dict]:
     ]
 
 
-def _protocol_params(config: argparse.Namespace):
-    """The configured protocol's parameters."""
+def _protocol_params(config: argparse.Namespace, point):
+    """The configured protocol's parameters at ``point`` (a value per ``SWEEPABLE`` name)."""
     if config.source == "squeezed":
-        source = SqueezeParam(config.r, config.phi)
+        source = SqueezeParam(point["r"], point["phi"])
     else:
-        source = CoherentParam(complex(config.alpha_re, config.alpha_im))
+        source = CoherentParam(complex(point["alpha_re"], point["alpha_im"]))
     if config.protocol == "superposition":
-        return SuperpositionParams(source, config.tau, config.theta, config.epsilon)
+        return SuperpositionParams(source, point["tau"], point["theta"], config.epsilon)
     # the CLI drives both entanglement arms with the same source parameters;
     # mixed-source pairs are expressed as circuit files or through the API
     return EntanglementParams(
-        source, source, config.tau, config.tau2, config.theta, config.epsilon
+        source, source, point["tau"], point["tau2"], point["theta"], config.epsilon
     )
 
 
-def _analyzed(config: argparse.Namespace, params, cutoffs: dict, batches) -> Iterator[list]:
-    """The report branches of each protocol result, a list per batch, each
-    batch analyzed when asked for against target stacks read from the points'
-    cutoff table and the batch's sources. ``map`` holds no batch between
-    calls, so each batch goes before the next runs."""
+def _analyzed(config: argparse.Namespace, params, cutoffs: dict, batch) -> list[dict]:
+    """The report branches of each of one batch's results, against target stacks
+    read from the points' ``params``, their cutoff table and the batch's sources."""
     superposition = config.protocol == "superposition"
-    kind, params = config.source if superposition else None, iter(params)
     stacks = superposition_target_stacks if superposition else entanglement_target_stacks
-
-    def analyze(batch):
-        points = list(itertools.islice(params, len(batch)))
-        results = [click_branches(result) for result in batch]
-        return _records(results, stacks(points, cutoffs, batch[0].sources), kind)
-
-    return map(analyze, batches)
+    results = [click_branches(result) for result in batch]
+    targets = stacks(params, cutoffs, batch[0].sources)
+    return _records(results, targets, config.source if superposition else None)
 
 
 def _read_circuit(path: str) -> dsl.CircuitProgram:
@@ -335,10 +331,10 @@ def _read_circuit(path: str) -> dsl.CircuitProgram:
 def _run_report(config: argparse.Namespace) -> dict:
     """The report of one run, of a built-in protocol or of a circuit file."""
     if config.protocol is not None:
-        params, cutoffs = _protocol_params(config), {}
+        params, cutoffs = _protocol_params(config, vars(config)), {}
         program = _PROGRAMS[config.protocol](params, cutoffs)
         result = run_circuit(program, config.epsilon, config.trace)
-        (branches,) = next(_analyzed(config, [params], cutoffs, [[result]]))
+        (branches,) = _analyzed(config, [params], cutoffs, [result])
         given = {"protocol": config.protocol}
         taus = {"tau": config.tau}
         if config.protocol == "entanglement":
@@ -371,96 +367,72 @@ def _run_report(config: argparse.Namespace) -> dict:
 
 # --- sweeps ------------------------------------------------------------------
 
-def _grid_points(sweeps: tuple[SweepSpec, ...]) -> list[dict]:
-    points = [{}]
-    for spec in sweeps:
-        values = [float(v) for v in np.linspace(spec.start, spec.stop, spec.steps)]
-        points = [dict(p, **{spec.param: v}) for p in points for v in values]
-    return points
+def _grid_points(config: argparse.Namespace, first: int, stop: int) -> Iterator[tuple]:
+    """Grid points ``first`` to ``stop`` (exclusive), each made when asked for, and their
+    indices: a value per ``SWEEPABLE`` name, from its axis (the last fastest) or the config."""
+    axes = [(spec.param, np.linspace(spec.start, spec.stop, spec.steps).tolist())
+            for spec in reversed(config.sweeps)]
+    for index in range(first, stop):
+        point, rest = {name: getattr(config, name) for name in SWEEPABLE}, index
+        for name, column in axes:
+            rest, at = divmod(rest, len(column))
+            point[name] = column[at]
+        yield index, point
 
 
-# the errors a sweep point records as its own, instead of ending the sweep
-_POINT_ERRORS = (FockSpaceError, FloatingPointError, ValueError)
+def _sweep_range(task) -> Iterator[dict]:
+    """The records of the points of a sweep range ``(config, first, stop)``, a batch at a
+    time. A point is sized (through one cutoff table) and built only when ``run_batches``
+    reads it, which takes a point that cannot be built as its error."""
+    config, first, stop = task
+    cutoffs, queue = {}, collections.deque()
 
+    def programs():
+        for index, point in _grid_points(config, first, stop):
+            try:
+                params = _protocol_params(config, point)
+                program = _PROGRAMS[config.protocol](params, cutoffs)
+            except _POINT_ERRORS as err:
+                params, program = None, err
+            queue.append((index, point, params))
+            yield program
 
-def _point(config: argparse.Namespace, values: dict, cutoffs: dict):
-    """A grid point's config, params, program (sized through the cutoff
-    table ``cutoffs``), and the error that building them raised (else None)."""
-    point = argparse.Namespace(**{**vars(config), **values})
-    try:
-        params = _protocol_params(point)
-        return point, params, _PROGRAMS[config.protocol](params, cutoffs), None
-    except _POINT_ERRORS as err:
-        return point, None, None, err
-
-
-def _sweep_tasks(config: argparse.Namespace):
-    """One task (config, first point index, points, the sweep's cutoff table)
-    per run of neighbouring grid points of equal modes, which in one sweep (one
-    protocol, one source kind) share their :func:`kerrcat.protocols.layout`
-    and so run as batches. The points are built once, in grid order, as the
-    tasks are asked for."""
-    first, cutoffs = 0, {}
-    points = (_point(config, values, cutoffs) for values in _grid_points(config.sweeps))
-    # a point that failed is a group of its own
-    for _, group in itertools.groupby(points, lambda p: p[2].modes if p[3] is None else p[3]):
-        group = list(group)
-        yield config, first, group, cutoffs
-        first += len(group)
-
-
-def _evaluate_group(task) -> Iterator[dict]:
-    """The records of a group of points, in point order, a batch at a time as
-    each batch is analyzed. When a batch fails, its points and the points
-    after it run again one at a time, so that each point records its own
-    error; a batch's records are its points' run alone, to the bit."""
-    config, first, points, cutoffs = task
-    configs, params, programs, errors = zip(*points)
-    done = 0  # the points whose records are yielded; a batch fails before its first
-    try:
-        if errors[0] is not None:  # the point could not be built; it is a group of one
-            raise errors[0]
-        for batch in _analyzed(config, params, cutoffs, run_batches(programs, config.epsilon)):
-            for branches in batch:
-                yield _record(first + done, configs[done], branches, None)
-                done += 1
-    except _POINT_ERRORS as err:
-        if len(points) == 1:
-            yield _record(first, configs[0], {}, f"{type(err).__name__}: {err}")
+    def records(batch):  # map holds no batch between calls, so each goes before the next runs
+        points = [queue.popleft() for _ in batch]
+        if isinstance(batch[0], Exception):
+            branches, error = [{}], f"{type(batch[0]).__name__}: {batch[0]}"
         else:
-            for i in range(done, len(points)):
-                yield from _evaluate_group((config, first + i, [points[i]], cutoffs))
+            branches, error = _analyzed(config, [p for _, _, p in points], cutoffs, batch), None
+        return [{"schema": SCHEMA_TAG, "kind": "sweep-point", "point": index, "params": point,
+                 "branches": point_branches, "error": error}
+                for (index, point, _), point_branches in zip(points, branches)]
+
+    for batch_records in map(records, run_batches(programs(), config.epsilon)):
+        yield from batch_records
 
 
-def _record(index: int, point: argparse.Namespace, branches: dict, error) -> dict:
-    return {"schema": SCHEMA_TAG, "kind": "sweep-point", "point": index,
-            "params": {name: getattr(point, name) for name in SWEEPABLE},
-            "branches": branches, "error": error}
-
-
-def _group_records(task) -> list[dict]:  # a pool worker's result
-    return list(_evaluate_group(task))
+def _range_records(task) -> list[dict]:  # a pool worker's result
+    return list(_sweep_range(task))
 
 
 def _sweep_records(config: argparse.Namespace) -> Iterator[dict]:
     """Each point's record, in point order, as its batch is analyzed (on
-    ``--workers`` > 1, as the pool returns its group)."""
-    tasks = _sweep_tasks(config) if config.workers <= 1 else list(_sweep_tasks(config))
-    if config.workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            yield from _evaluate_group(task)
+    ``--workers`` > 1, as the pool returns its range of points)."""
+    points = math.prod(spec.steps for spec in config.sweeps)
+    workers = min(config.workers, points)
+    if workers <= 1:
+        yield from _sweep_range((config, 0, points))
         return
     # imported here, as the checks are in _cmd_check: every CLI process
     # would pay for the import, and only parallel sweeps use it
     from concurrent.futures import ProcessPoolExecutor
 
-    # The pool holds every task's programs, and sends contiguous runs of
-    # whole groups, four per worker, which still balances groups whose cost
-    # grows along the grid; each run carries a copy of the cutoff table.
-    workers = min(config.workers, len(tasks))
-    chunksize = math.ceil(len(tasks) / (4 * workers))
+    # four contiguous ranges per worker, which still balances points whose
+    # cost grows along the grid; each worker sizes and builds its own points
+    count = min(points, 4 * workers)
+    tasks = [(config, points * k // count, points * (k + 1) // count) for k in range(count)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for records in pool.map(_group_records, tasks, chunksize=chunksize):
+        for records in pool.map(_range_records, tasks):
             yield from records
 
 
@@ -553,27 +525,37 @@ def _write(out, chunks) -> None:
         try:
             out.write(chunk) if chunk is not None else out.flush()
         except OSError as err:  # a reader that left early, as `| head` does, ends quietly
-            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+            with open(os.devnull, "w") as null:  # closed once its descriptor is copied
+                os.dup2(null.fileno(), out.fileno())
             raise err if isinstance(err, BrokenPipeError) else _UsageError(f"cannot write report: {err}")
 
 
 def _write_report(path: str, chunks) -> None:
     """Write ``chunks`` to ``path`` through a partial file beside it, opened
     before the first chunk is made, which replaces it once complete and is
-    removed on any error. Special files (``/dev/null``) are written directly."""
+    removed on any error. Special files (``/dev/null``) are written directly.
+    An ``OSError`` raised while a chunk is made is not the file's; it propagates."""
     path = os.path.realpath(path)
     special = os.path.exists(path) and not os.path.isfile(path)
     partial = None if special else f"{path}.{os.getpid()}.partial"
     try:
-        with open(partial or path, "x" if partial else "w", encoding="utf-8", newline="\n") as out:
+        with _reported(open, partial or path, "x" if partial else "w", encoding="utf-8",
+                       newline="\n") as out:
             _write(out, chunks)
+            _reported(out.close)
         if partial:
-            os.replace(partial, path)
-    except OSError as err:
-        raise _UsageError(f"cannot write report: {err}") from None
+            _reported(os.replace, partial, path)
     finally:
         if partial and os.path.exists(partial):
             os.remove(partial)
+
+
+def _reported(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, whose ``OSError`` cannot write the report."""
+    try:
+        return call(*args, **kwargs)
+    except OSError as err:
+        raise _UsageError(f"cannot write report: {err}") from None
 
 
 def main(argv=None) -> int:

@@ -8,13 +8,13 @@ superposition (one data mode) or an entangled pair (two data modes) of the
 original and the Kerr-rotated source states.
 
 Each pipeline is a circuit program (``superposition_program``,
-``entanglement_program``) run by :func:`run_batches`, the only place states
-go through elements. It joins each declared mode to the state just before
-the first element that touches it, so the photon modes are mixed before
-any data mode joins them; ``run_superposition`` and ``run_entanglement``
-run their program and name the two click outcomes ``Db_fires`` (b=1 c=0)
-and ``Dc_fires`` (b=0 c=1). Each data mode's cutoff is ``suggest_cutoff``
-of its source at the protocol's one budget ``eps``.
+``entanglement_program``) run as a batch (:func:`run_batches`), the only
+place states go through elements. It joins each declared mode to the state
+just before the first element that touches it, so the photon modes are
+mixed before any data mode joins them; ``run_superposition`` and
+``run_entanglement`` run their program and name the two click outcomes
+``Db_fires`` (b=1 c=0) and ``Dc_fires`` (b=0 c=1). Each data mode's cutoff
+is ``suggest_cutoff`` of its source at the protocol's one budget ``eps``.
 
 Nothing is cached. A sweep sizes its points through one cutoff table, and
 each batch builds its sources into a fresh source table (:func:`_kept`),
@@ -38,10 +38,11 @@ themselves are state-agnostic diagonal phases.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .elements import (
     apply_batch,
     element_modes,
 )
+from .errors import FockSpaceError
 from .fock import (
     ZERO_NORM_THRESHOLD,
     FockVector,
@@ -314,8 +316,7 @@ UNCONDITIONAL = "unconditional"
 def run_circuit(
     program: "dsl.CircuitProgram", eps: float = DEFAULT_LEAKAGE, trace: bool = False
 ) -> ProtocolResult:
-    """Run the program's elements and detections: :func:`run_batches` on a
-    one-program list.
+    """Run the program's elements and detections as a batch of one, raising its errors.
 
     The program is checked by :func:`dsl.validate_program` before any state
     is built, so a state above ``dsl.MAX_STATE_DIMENSION`` amplitudes raises
@@ -341,41 +342,57 @@ def run_circuit(
     is the squared norm, and the one branch, ``"unconditional"``, follows
     the same rule.
     """
-    return next(run_batches([program], eps, trace))[0]
+    return _run_batch([program], eps, trace)[0]
 
 
-def run_batches(
-    programs: Sequence["dsl.CircuitProgram"], eps: float = DEFAULT_LEAKAGE, trace: bool = False
-) -> Iterator[list[ProtocolResult]]:
-    """Each program's result, a list per batch, in program order, each batch
-    run as one pass of a stack with a leading member axis; a result equals
-    :func:`run_circuit` of its program alone, to the bit.
+# the errors that a program of run_batches gives as its own result
+_POINT_ERRORS = (FockSpaceError, FloatingPointError, ValueError)
 
-    The programs must share their :func:`layout` (``ValueError``), so only
-    the first program is validated. Each distinct source and cutoff of a batch
-    is built, and checked against ``eps``, once, member by member, into the
-    batch's source table. Each member of every stage's stack is checked as a
-    :class:`MultiModeState` is before it is read, and warns in program order.
-    A batch holds at most ``_CHUNK_AMPLITUDES`` (a splitter chunk) over its
-    members, so a larger state, or a traced one, runs alone. Each batch runs,
-    and raises the first error it meets, when it is asked for, and only its
-    results outlive it: the batches before a failed one keep theirs, and the
-    failed batch's programs, run one at a time, give their own errors. A
-    batch's kept branches, of every member, are the rows of one :class:`Kept`
-    array, copied out of its final stack, which the results' branches share;
-    no branch builds its state until ``Branch.state`` is read.
+
+def run_batches(programs: Iterable, eps: float = DEFAULT_LEAKAGE) -> Iterator[list]:
+    """Each program's result, a list per batch, in program order; a result
+    equals :func:`run_circuit` of its program alone, to the bit.
+
+    ``programs`` is read as the batches run. Neighbours of one :func:`layout`
+    run as batches of at most ``_CHUNK_AMPLITUDES`` (a splitter chunk) over
+    their members, each one pass of a stack with a leading member axis, whose
+    results alone outlive it. A batch validates its first program, builds each
+    distinct source once into its source table, checked against ``eps``, and
+    checks each member of every stage's stack as a :class:`MultiModeState` is.
+    A batch that raises one of ``_POINT_ERRORS`` runs again a program at a
+    time; a program that fails alone gives its error, as a batch of one, in
+    place of its result, and so does an exception given in place of a program.
+    A batch's kept branches are the rows of one :class:`Kept` array, copied
+    out of its final stack; no branch builds its state until it is read.
     """
-    first, shared = programs[0], layout(programs[0])
-    if any(layout(program) != shared for program in programs[1:]):
-        raise ValueError("batched programs must share all but their squeezed and coherent "
-                         "parameters and their element angles")
-    dsl.validate_program(first)
-    size = 1 if trace else max(1, _CHUNK_AMPLITUDES // math.prod(c + 1 for _, c in first.modes))
-    return (_run_batch(programs[lo:lo + size], eps, trace) for lo in range(0, len(programs), size))
+    for key, group in itertools.groupby(programs, _batch_key):
+        if isinstance(key, Exception):
+            yield [key]
+            continue
+        amplitudes = math.prod(c + 1 for _, c in key[0])  # the layout's modes
+        while batch := list(itertools.islice(group, max(1, _CHUNK_AMPLITUDES // amplitudes))):
+            yield from _isolated(batch, eps)
+
+
+def _batch_key(program):  # an exception equals only itself, so it is a group of its own
+    return program if isinstance(program, Exception) else layout(program)
+
+
+def _isolated(programs, eps: float) -> Iterator[list]:
+    """The results of one batch, or, when it fails, of each program alone."""
+    try:
+        yield _run_batch(programs, eps, False)
+    except _POINT_ERRORS as err:
+        if len(programs) == 1:
+            yield [err]
+        else:
+            for program in programs:
+                yield from _isolated([program], eps)
 
 
 def _run_batch(programs, eps: float, trace: bool) -> list[ProtocolResult]:
     first, sources = programs[0], {}
+    dsl.validate_program(first)
     params = dict(first.sources)
     declared = [label for label, _ in first.modes]
     unjoined = _source_stacks(programs, eps, sources)

@@ -17,6 +17,7 @@ import threading
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -331,10 +332,10 @@ def test_no_state_is_built_per_kept_branch_of_a_circuit(tmp_path, monkeypatch):
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Replaces the process pool by one that maps in this process and
-    records its worker count and the chunks it was sent."""
+    records its worker count and the tasks it was sent."""
     import concurrent.futures
 
-    seen = {"workers": [], "chunks": []}
+    seen = {"workers": [], "tasks": []}
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -346,13 +347,22 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize):
-            tasks = list(tasks)
-            seen["chunks"].extend(tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize))
+        def map(self, fn, tasks):
+            seen["tasks"].extend(tasks)
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return seen
+
+
+def pool_ranges(tasks, points):
+    """The ``(first, stop)`` of each pool task, checked to share one config
+    and to cover the ``points`` of the grid in contiguous ranges."""
+    assert all(config is tasks[0][0] for config, _, _ in tasks)
+    ranges = [(first, stop) for _, first, stop in tasks]
+    assert [first for first, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+    assert ranges[-1][1] == points and all(first < stop for first, stop in ranges)
+    return ranges
 
 
 def test_parallel_sweep_sends_contiguous_chunks(serial_pool):
@@ -360,17 +370,22 @@ def test_parallel_sweep_sends_contiguous_chunks(serial_pool):
             "--sweep", "tau:0:pi:2"]
     parallel = cli.render_output(argv + ["--workers", "2"])
     assert parallel == cli.render_output(argv + ["--workers", "1"])
-    # the 16 r values fall on 8 cutoffs (8, 10 x3, 12 x2, 14 x3, 16 x2, 18 x2,
-    # 20 x2, 22), so the 32 points form 8 groups of equal cutoff; on two
-    # workers, eight contiguous chunks of one whole group, four per worker
+    # on two workers, eight contiguous ranges of the 32 points, four per worker
     assert serial_pool["workers"] == [2]
-    chunks = serial_pool["chunks"]
-    sizes = [2, 6, 4, 6, 4, 4, 4, 2]
-    assert [[len(points) for _, _, points, _ in chunk] for chunk in chunks] == [[n] for n in sizes]
-    starts = [sum(sizes[:k]) for k in range(len(sizes))]
-    assert [
-        [first + i for _, first, points, _ in chunk for i in range(len(points))] for chunk in chunks
-    ] == [list(range(start, start + n)) for start, n in zip(starts, sizes)]
+    ranges = pool_ranges(serial_pool["tasks"], 32)
+    assert ranges == [(k, k + 4) for k in range(0, 32, 4)]
+
+
+def test_pool_ranges_that_split_a_group_around_a_failed_point_are_byte_identical():
+    # alpha_im = 1e200 cannot be sized: the twelve points are three sized,
+    # three failed, three sized and three failed, and the eight ranges of
+    # two workers (1, 2, 1, 2, 1, 2, 1, 2 points) split each group of three
+    argv = ["sweep", "--protocol", "superposition", "--source", "coherent",
+            "--sweep", "alpha_re:1:0.5:2", "--sweep", "alpha_im:0:1e200:2", "--sweep", "tau:0:pi:3"]
+    one = cli.render_output(argv + ["--workers", "1"])
+    assert cli.render_output(argv + ["--workers", "2"]) == one
+    records = [json.loads(line) for line in one.splitlines()]
+    assert [rec["error"] is None for rec in records] == ([True] * 3 + [False] * 3) * 2
 
 
 def test_parallel_sweep_on_the_process_pool_is_byte_identical():
@@ -395,11 +410,19 @@ ANGLE_AXES = ["--sweep", "tau:0:pi:3", "--sweep", "tau2:0:pi/2:2", "--sweep", "t
     # r = 0.12 and 0.16 share cutoff 10, so all 24 points form one group
     ["--source", "squeezed", "--phi", "0.3", "--sweep", "r:0.12:0.16:2"],
 ])
-def test_sweep_point_equals_a_run(protocol, source):
-    # twelve angle points per source value, in one group per cutoff;
-    # tau = tau2 = theta = 0 gives a zero branch inside each group
+def test_sweep_point_equals_a_run(protocol, source, monkeypatch):
+    # twelve angle points per source value, in one batch per cutoff;
+    # tau = tau2 = theta = 0 gives a zero branch inside each batch
     argv = ["sweep", "--protocol", protocol, *source, *ANGLE_AXES]
+    run_batch, batches = protocols._run_batch, []
+
+    def counted(programs, eps, trace):
+        batches.append(len(programs))
+        return run_batch(programs, eps, trace)
+
+    monkeypatch.setattr(protocols, "_run_batch", counted)
     records = [json.loads(line) for line in cli.render_output(argv).splitlines()]
+    monkeypatch.setattr(protocols, "_run_batch", run_batch)
     assert len(records) == 24
     assert any(b["probability"] == 0.0 for rec in records for b in rec["branches"].values())
     cutoffs = set()
@@ -410,7 +433,7 @@ def test_sweep_point_equals_a_run(protocol, source):
         assert rec["error"] is None
         assert json.dumps(rec["branches"]) == json.dumps(run["branches"])
         cutoffs.add(json.dumps(run["config"]["cutoffs"]))
-    assert len(list(cli._sweep_tasks(cli._run_config(argv)))) == len(cutoffs)
+    assert len(batches) == len(cutoffs)
 
 
 def test_grouped_sweep_records_each_points_own_error(capsys):
@@ -448,30 +471,31 @@ def test_sweep_computes_each_points_layout_once(monkeypatch):
     assert len(layouts) == 6 and len({id(program) for program in layouts}) == 6
 
 
-def test_failed_batch_reruns_only_its_points_and_those_after_it(monkeypatch):
-    # r = 0.3 has one cutoff, so the twelve tau points form one group, run in
-    # batches of four; the Kerr kernel refuses the sixth point's tau
+def test_failed_batch_reruns_only_its_own_points(monkeypatch):
+    # r = 0.3 has one cutoff, so the twelve tau points share a layout and run
+    # in batches of four; the Kerr kernel refuses the sixth point's tau
     argv = ["sweep", "--protocol", "superposition", "--r", "0.3", "--sweep", "tau:0:pi:12"]
-    config = cli._run_config(argv)
-    program, refused = cli._point(config, {}, {})[2], cli._grid_points(config.sweeps)[5]["tau"]
-    apply, run_batches, runs = protocols.apply_batch, cli.run_batches, []
+    program = kerrcat.superposition_program(
+        kerrcat.SuperpositionParams(kerrcat.SqueezeParam(0.3), 0.0))
+    refused = float(np.linspace(0, math.pi, 12)[5])
+    apply, run_batch, runs = protocols.apply_batch, protocols._run_batch, []
 
     def refusing(stack, axes, members):
         if any(getattr(member, "tau", None) == refused for member in members):
             raise FloatingPointError("refused")
         return apply(stack, axes, members)
 
-    def counted(programs, eps):
+    def counted(programs, eps, trace):
         runs.append(len(programs))
-        return run_batches(programs, eps)
+        return run_batch(programs, eps, trace)
 
     monkeypatch.setattr(protocols, "apply_batch", refusing)
-    monkeypatch.setattr(cli, "run_batches", counted)
+    monkeypatch.setattr(protocols, "_run_batch", counted)
     size = math.prod(c + 1 for _, c in program.modes)  # a point's amplitudes
     monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 4 * size)
     grouped = cli.render_output(argv)
-    # the first batch ran once; the failed batch and the one after it, point by point
-    assert runs == [12] + [1] * 8
+    # the first and last batches ran once; the failed one, point by point
+    assert runs == [4, 4, 1, 1, 1, 1, 4]
     records = [json.loads(line) for line in grouped.splitlines()]
     assert [rec["point"] for rec in records] == list(range(12))
     errors = [None] * 5 + ["FloatingPointError: refused"] + [None] * 6
@@ -548,23 +572,39 @@ def test_stdout_that_cannot_be_written_ends_with_exit_1(argv):
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
-def test_an_os_error_while_records_are_made_is_not_a_write_error(monkeypatch, capsys):
+def test_an_os_error_while_records_are_made_is_not_a_write_error(monkeypatch, capsys, tmp_path):
     def failing(config):  # fails after the first point is written
         yield from itertools.islice(records(config), 1)
         raise OSError("raised while a record was made")
 
     records = cli._sweep_records
     monkeypatch.setattr(cli, "_sweep_records", failing)
+    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"]
     with pytest.raises(OSError, match="raised while a record was made"):
-        cli.main(["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"])
+        cli.main(argv)
     assert capsys.readouterr().out.count("\n") == 1
+    with pytest.raises(OSError, match="raised while a record was made"):
+        cli.main(argv + ["--out", str(tmp_path / "report.jsonl")])
+    assert list(tmp_path.iterdir()) == []
+    assert "cannot write report" not in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_write_leaves_no_descriptor_open():
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails
+    with open(write, "w") as out:
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BrokenPipeError):
+            cli._write(out, ["record\n"])
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_pool_has_no_more_workers_than_points(serial_pool):
     argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"]
     cli.render_output(argv + ["--workers", str(cli.MAX_WORKERS)])
     assert serial_pool["workers"] == [3]
-    assert [[index for _, index, _, _ in chunk] for chunk in serial_pool["chunks"]] == [[0], [1], [2]]
+    assert pool_ranges(serial_pool["tasks"], 3) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_too_many_workers_is_a_usage_error(serial_pool, capsys):
@@ -884,8 +924,9 @@ def test_exit_code_matrix(entry, error, code, tmp_path, monkeypatch, capsys):
     elif error == "parse":
         circuit.write_text("mode a cutoff 3\nbs a zz\n", encoding="utf-8")
     elif error is not None and entry != "check":
-        target = "run_batches" if entry == "sweep-point" else "run_circuit"
-        monkeypatch.setattr(cli, target, raise_error)
+        # a sweep's batch runner fails every batch, and each point alone
+        module, target = (protocols, "_run_batch") if entry == "sweep-point" else (cli, "run_circuit")
+        monkeypatch.setattr(module, target, raise_error)
 
     assert cli.main(argv) == code
     out, err = capsys.readouterr()

@@ -16,6 +16,7 @@ change.
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -23,6 +24,7 @@ import pytest
 
 import kerrcat
 from kerrcat import cli
+from kerrcat.checks import _pair_entropy_oracle
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCHEMA = json.loads(
@@ -50,6 +52,8 @@ CASES = {
         "--format", "csv",
     ],
     "lazy-joins.json": ["run", "--circuit", "lazy-joins.qcirc", "--epsilon", "1e-4"],
+    # a coherent and a squeezed arm, each at the Kerr phase of its opposite state
+    "entanglement-mixed.json": ["run", "--circuit", "entanglement-mixed.qcirc", "--epsilon", "1e-12"],
     # two groups of six points that share their source; tau = theta = 0
     # leaves Db_fires at probability zero inside a group
     "sweep-superposition.jsonl": [
@@ -78,6 +82,20 @@ def test_recorded_reports_match_the_schema(name):
         records = [json.loads(text)]
     for record in records:
         jsonschema.validate(record, SCHEMA)
+
+
+def test_mixed_pair_matches_the_two_state_oracles():
+    # each click leaves |-alpha>|-xi> -+ |alpha>|xi>, whose probability and
+    # entropy follow from the overlaps <-alpha|alpha> = exp(-2 |alpha|^2) and
+    # <-xi|xi> = 1 / (cosh r sqrt(1 + tanh^2 r)), at alpha = 1 and r = 0.8
+    su = math.exp(-2.0)
+    sv = 1.0 / (math.cosh(0.8) * math.sqrt(1.0 + math.tanh(0.8) ** 2))
+    report = json.loads((GOLDEN / "entanglement-mixed.json").read_text(encoding="utf-8"))
+    for key, sign, theta in (("b=1 c=0", -1, 0.0), ("b=0 c=1", 1, math.pi)):
+        branch = report["branches"][key]
+        assert abs(branch["probability"] - (1 + sign * su * sv) / 2) <= 1e-9
+        entropy = _pair_entropy_oracle(su, sv, theta)
+        assert abs(branch["analysis"]["schmidt_entropy"] - entropy) <= 1e-9
 
 
 def _leaves(value):

@@ -12,6 +12,7 @@ still goes through the state constructor and its checks.
 import dataclasses
 import gc
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -158,32 +159,47 @@ def test_batch_of_large_states_peaks_like_one_member():
 
 def test_group_of_large_sweep_points_peaks_like_one_point():
     # r = 1.3 gives cutoff 140: 79,524 amplitudes a point, above one splitter
-    # chunk, so the group runs one point at a time, and each point's result
-    # and fidelity targets must go before the next point runs
-    config = cli._run_config(["sweep", "--protocol", "entanglement", "--sweep", "r:1.3:1.3:1"])
-    cutoffs = {}
-    points = [cli._point(config, {"r": 1.3, "tau": tau}, cutoffs) for tau in (0.5, 0.8, 1.2, 1.5)]
-    # _evaluate_group is a generator, which runs only as it is consumed
-    cli._group_records((config, 0, points[:1], cutoffs))  # warms the splitter plan
-    _, one = allocated(cli._group_records, (config, 0, points[:1], cutoffs))
-    _, four = allocated(cli._group_records, (config, 0, points, cutoffs))
+    # chunk, so the points run one at a time, and each point's result and
+    # fidelity targets must go before the next point runs
+    config = cli._run_config(["sweep", "--protocol", "entanglement", "--r", "1.3",
+                              "--sweep", "tau:0.5:1.5:4"])
+
+    def records(stop):  # _sweep_range is a generator, which runs only as it is consumed
+        return list(cli._sweep_range((config, 0, stop)))
+
+    records(1)  # warms the splitter plan
+    _, one = allocated(records, 1)
+    _, four = allocated(records, 4)
     assert four <= one + SLACK_BYTES, f"four points peak at {four} bytes, one at {one}"
 
 
 def test_sweep_peak_does_not_grow_with_its_point_count(tmp_path, monkeypatch):
     # r = 2 gives cutoff 570, so each record holds two 571-entry photon
-    # distributions; the tau points form one group, run in batches of two.
-    # Each record is written once its batch is analyzed; what a point keeps
-    # until its group ends (its parameters and its program) is a few KiB
+    # distributions; the tau points share a layout, run in batches of two.
+    # Each record is written once its batch is analyzed
     argv = ["sweep", "--protocol", "superposition", "--r", "2",
             "--out", str(tmp_path / "sweep.jsonl"), "--sweep"]
-    program = cli._point(cli._run_config(argv + ["tau:0:1:1"]), {}, {})[2]
+    program = protocols.superposition_program(protocols.SuperpositionParams(SqueezeParam(2), 0.0))
     size = math.prod(c + 1 for _, c in program.modes)  # a point's amplitudes
     monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 2 * size)
     cli.main(argv + ["tau:0:pi:2"])  # warms what a run sets up once
     _, four = allocated(cli.main, argv + ["tau:0:pi:4"])
     _, many = allocated(cli.main, argv + ["tau:0:pi:32"])
     assert many <= four + SLACK_BYTES, f"32 points peak at {many} bytes, four at {four}"
+
+
+def test_sweep_peak_is_flat_in_its_point_count(monkeypatch):
+    # batches of one point: a point is built as its batch reads it and goes
+    # with its record. What grows is the grid's axis (32 bytes a point) and
+    # the interpreter's free lists, which fill up to a fixed size (about
+    # 250 KiB); a sweep that listed its points grew by about 1 MiB here
+    monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 1)
+    argv = ["sweep", "--protocol", "superposition", "--r", "0.5", "--out", os.devnull,
+            "--sweep"]
+    cli.main(argv + ["tau:0:pi:2"])  # warms what a run sets up once
+    _, few = allocated(cli.main, argv + ["tau:0:pi:8"])
+    _, many = allocated(cli.main, argv + ["tau:0:pi:512"])
+    assert many <= few + 384 * 1024, f"512 points peak at {many} bytes, 8 at {few}"
 
 
 @pytest.mark.parametrize("outcomes", [(("b", 1), ("c", 0)), (("b", 0),), (("c", 1), ("b", 0))])
