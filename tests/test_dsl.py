@@ -15,8 +15,11 @@ from kerrcat import cli
 from kerrcat.dsl import (
     CircuitProgram,
     CircuitValidationError,
+    ParseDiagnostic,
     ParseResult,
+    format_element,
     format_program,
+    format_source,
     parse,
     read_value,
     validate_program,
@@ -90,6 +93,62 @@ def test_first_error(text, line, column, message):
     first = result.errors[0]
     assert (first.severity, first.line, first.column) == ("error", line, column)
     assert message in first.message
+
+
+# (case id, text, line, column, exact message) of the one error of a line that
+# stops at a statement kind's label, kind, field or end
+STATEMENT_ERRORS = [
+    ("mode-missing-label", "mode\n", 1, 5, "missing mode label"),
+    ("mode-missing-cutoff-value", "mode a cutoff\n", 1, 14, "missing cutoff value"),
+    ("source-missing-label", AB + "source\n", 3, 7, "missing mode label"),
+    ("source-missing-kind", AB + "source a\n", 3, 9, "missing source kind"),
+    ("squeezed-missing-r", AB + "source a squeezed\n", 3, 18, "missing r=<magnitude>"),
+    ("squeezed-expected-r", AB + "source a squeezed phi=0\n", 3, 19,
+     "expected r=<value>, got 'phi=0'"),
+    ("squeezed-missing-phi", AB + "source a squeezed r=0.5\n", 3, 24, "missing phi=<angle>"),
+    ("squeezed-expected-phi", AB + "source a squeezed r=0.5 theta=0\n", 3, 25,
+     "expected phi=<value>, got 'theta=0'"),
+    ("squeezed-trailing", AB + "source a squeezed r=0.5 phi=0 x\n", 3, 31,
+     "unexpected trailing token 'x'"),
+    ("coherent-missing-re", AB + "source a coherent\n", 3, 18, "missing re=<float>"),
+    ("coherent-expected-re", AB + "source a coherent im=0\n", 3, 19,
+     "expected re=<value>, got 'im=0'"),
+    ("coherent-missing-im", AB + "source a coherent re=1\n", 3, 23, "missing im=<float>"),
+    ("coherent-expected-im", AB + "source a coherent re=1 re=1\n", 3, 24,
+     "expected im=<value>, got 're=1'"),
+    ("coherent-trailing", AB + "source a coherent re=1 im=0 im=0\n", 3, 29,
+     "unexpected trailing token 'im=0'"),
+    ("fock-missing-n", AB + "source a fock\n", 3, 14, "missing n=<uint>"),
+    ("fock-expected-n", AB + "source a fock m=1\n", 3, 15, "expected n=<value>, got 'm=1'"),
+    ("fock-trailing", AB + "source a fock n=1 n=1\n", 3, 19, "unexpected trailing token 'n=1'"),
+    ("bs-missing-first-label", AB + "bs\n", 3, 3, "missing first mode label"),
+    ("bs-missing-second-label", AB + "bs a\n", 3, 5, "missing second mode label"),
+    ("bs-undeclared-second-label", AB + "bs a z\n", 3, 6, "mode 'z' is not declared"),
+    ("bs-trailing", AB + "bs a b c\n", 3, 8, "unexpected trailing token 'c'"),
+    ("phase-missing-label", AB + "phase\n", 3, 6, "missing mode label"),
+    ("phase-missing-theta", AB + "phase a\n", 3, 8, "missing theta=<angle>"),
+    ("phase-expected-theta", AB + "phase a tau=0\n", 3, 9, "expected theta=<value>, got 'tau=0'"),
+    ("phase-trailing", AB + "phase a theta=0 pi\n", 3, 17, "unexpected trailing token 'pi'"),
+    ("kerr-missing-first-label", AB + "kerr\n", 3, 5, "missing first mode label"),
+    ("kerr-missing-second-label", AB + "kerr a\n", 3, 7, "missing second mode label"),
+    ("kerr-undeclared-second-label", AB + "kerr a z tau=1\n", 3, 8, "mode 'z' is not declared"),
+    ("kerr-missing-tau", AB + "kerr a b\n", 3, 9, "missing tau=<angle>"),
+    ("kerr-expected-tau", AB + "kerr a b theta=1\n", 3, 10, "expected tau=<value>, got 'theta=1'"),
+    ("kerr-trailing", AB + "kerr a b tau=1 tau=1\n", 3, 16, "unexpected trailing token 'tau=1'"),
+    ("detect-missing-label", AB + "detect\n", 3, 7, "missing mode label"),
+    ("detect-missing-n", AB + "detect a\n", 3, 9, "missing n=<uint>"),
+    ("detect-expected-n", AB + "detect a N=0\n", 3, 10, "expected n=<value>, got 'N=0'"),
+    ("detect-trailing", AB + "detect a n=0 b\n", 3, 14, "unexpected trailing token 'b'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [case[1:] for case in STATEMENT_ERRORS],
+    ids=[case[0] for case in STATEMENT_ERRORS],
+)
+def test_statement_error(text, line, column, message):
+    assert parse(text).errors == (ParseDiagnostic("error", line, column, message),)
 
 
 HUGE = "9" * 5000  # past CPython's int-string conversion limit
@@ -300,6 +359,19 @@ def test_format_parse_round_trip(program):
     result = parse(format_program(program))
     assert result.errors == ()
     assert result.program == program
+
+
+# every CORPUS text but the 0.25*pi angles (printed as pi/4) and the comments
+@pytest.mark.parametrize("text", [CORPUS[i] for i in (0, 1, 2, 3, 4, 6)])
+def test_canonical_text_formats_back(text):
+    assert format_program(parse(text).program) == text
+
+
+def test_formatter_refuses_other_objects():
+    with pytest.raises(TypeError, match="not a circuit element"):
+        format_element(object())
+    with pytest.raises(TypeError, match="not a source parameter"):
+        format_source("a", object())
 
 
 POOL = ("a", "b", "c")
