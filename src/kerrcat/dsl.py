@@ -4,7 +4,7 @@ One statement per line, ``#`` starts a comment, keywords are
 case-sensitive::
 
     mode <label> cutoff <uint>
-    source <label> squeezed r=<float> phi=<angle>
+    source <label> squeezed r=<magnitude> phi=<angle>
     source <label> coherent re=<float> im=<float>
     source <label> fock n=<uint>
     bs <label> <label>
@@ -14,22 +14,26 @@ case-sensitive::
 
     <angle> := <float> | pi | pi/<uint> | <float>*pi
 
-The rules are checked in two places:
+Each rule lives in one place:
 
-* :func:`parse` handles what only the text shows: tokens and their
-  positions, every number through the one reader :func:`read_value` (its
-  ASCII syntax, a finite value, ``r >= 0``), statement order (mode
-  declarations and sources before circuit elements, detection directives
-  last) and that a mode is declared on an earlier line than any statement
-  that names it. A line that breaks one of these rules is an error
-  diagnostic at the offending token, and the line is dropped.
-* :func:`validate_program` owns the circuit rules, shared by parsed files
+* The grammar: besides the ``mode`` line, each statement kind is one row of
+  ``_ELEMENTS`` (an element keyword's class, mode count and ``key=<kind>``
+  fields) or ``_SOURCES`` (a source kind's parameter class and fields).
+  :func:`parse` walks a line through its row, every number through the one
+  reader :func:`read_value` (a ``<magnitude>`` is a float >= 0), and
+  :func:`format_element` and :func:`format_source` print from the same row.
+* The text-only rules, in :func:`parse`: tokens and their positions, the
+  numbers' ASCII syntax and finite values, statement order (declarations
+  and sources, then elements, then detections) and a mode declared on an
+  earlier line than any statement that names it. A line that breaks one is
+  an error diagnostic at the offending token, and is dropped.
+* The circuit rules, in :func:`validate_program`, shared by parsed files
   and programs built in code (``kerrcat.protocols``): no mode declared
   twice, at most ``MAX_STATE_DIMENSION`` amplitudes in the running product
   of the declared mode dimensions, fock and detected photon numbers within
   the mode's cutoff, one source and one detection per mode, equal cutoffs
-  on both beam-splitter ports, and every named mode declared.
-  It raises :class:`kerrcat.errors.CutoffError` for the state dimension and
+  on both beam-splitter ports, and every named mode declared. It raises
+  :class:`kerrcat.errors.CutoffError` for the state dimension and
   :class:`CircuitValidationError` for every other rule; ``parse`` reports
   the same violations, and warns about declared modes that nothing names,
   as diagnostics at the statement's line and column.
@@ -46,6 +50,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from dataclasses import fields as dataclass_fields
 
 from .elements import BalancedBeamSplitter, CrossKerr, Detect, Element, PhaseShift, element_modes
 from .errors import CutoffError
@@ -58,11 +63,34 @@ _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
 _TOKEN_RE = re.compile(r"\S+")
 _ANGLE = "<float>, pi, pi/<uint> or <float>*pi"
 
-# The statement kinds, in the order of CircuitProgram's fields.
-_SECTIONS = ("mode", "source", "element", "detect")
-# The order of the text: declarations and sources, elements, detections.
-_ORDER = ("decl", "elements", "detects")
-_ELEMENTS_FIRST = "circuit elements must precede detection directives"
+# The statement sections, in the order of CircuitProgram's fields: each one's
+# rank in the text, which never falls, and the error of a line that lowers it.
+_SECTIONS = {
+    "mode": (0, "mode declarations must precede circuit elements"),
+    "source": (0, "sources must precede circuit elements"),
+    "element": (1, "circuit elements must precede detection directives"),
+    "detect": (2, ""),
+}
+
+# The statement grammar, which parse reads and the formatter prints: each
+# element class's keyword, mode count and key=<kind> fields, and each source
+# parameter class's kind and fields. A statement's labels and values are its
+# item's dataclass fields in order, except a coherent amplitude's two parts.
+_ELEMENTS = {
+    BalancedBeamSplitter: ("bs", 2, ()),
+    PhaseShift: ("phase", 1, (("theta", "angle"),)),
+    CrossKerr: ("kerr", 2, (("tau", "angle"),)),
+    Detect: ("detect", 1, (("n", "uint"),)),
+}
+_SOURCES = {
+    SqueezeParam: ("squeezed", 0, (("r", "magnitude"), ("phi", "angle"))),
+    CoherentParam: ("coherent", 0, (("re", "float"), ("im", "float"))),
+    FockParam: ("fock", 0, (("n", "uint"),)),
+}
+# each table's classes by keyword, for the parser, and their field names, for the formatter
+_ELEMENT_OF = {keyword: cls for cls, (keyword, _, _) in _ELEMENTS.items()}
+_SOURCE_OF = {kind: cls for cls, (kind, _, _) in _SOURCES.items()}
+_FIELD_NAMES = {cls: [f.name for f in dataclass_fields(cls)] for cls in (*_ELEMENTS, *_SOURCES)}
 
 
 @dataclass(frozen=True)
@@ -172,139 +200,94 @@ def _float_text(value: float) -> str:
     return repr(float(value))
 
 
-class _Parser:
-    """Statement syntax, section order and declared-before-use.
+# the canonical text of a value of each read_value kind
+_VALUE_TEXT = {"uint": str, "float": _float_text, "magnitude": _float_text, "angle": _angle_text}
 
-    ``read`` takes one line's tokens and returns ``(section, item)`` or
-    raises :class:`_LineError`; the circuit rules are left to
-    :func:`_violations`.
-    """
+
+class _Parser:
+    """Statement syntax, section order and declared-before-use: ``read``
+    takes one line's tokens and returns ``(section, item)`` or raises
+    :class:`_LineError`. The circuit rules are left to :func:`_violations`."""
 
     def __init__(self):
         self.declared: set[str] = set()
         # labels named by any line, rejected ones too: only the parser sees
         # those, and a mode named on a broken line is not "never used"
         self.named: set[str] = set()
-        self.section = "decl"
+        self.rank = 0  # of the last section entered, which no line may lower
         self.tokens: list[tuple[str, int]] = []  # the line being read
+        self.at = 0  # the index of its next token
 
     def read(self, tokens):
-        self.tokens = tokens
+        self.tokens, self.at = tokens, 1
         keyword, col = tokens[0]
-        if keyword not in _HANDLERS:
+        cls = _ELEMENT_OF.get(keyword)
+        if cls is None and keyword not in ("mode", "source"):
             raise _LineError(col, f"unknown keyword {keyword!r}")
-        return _HANDLERS[keyword](self)
+        section = keyword if cls is None else "detect" if cls is Detect else "element"
+        rank, message = _SECTIONS[section]
+        if rank < self.rank:
+            raise _LineError(col, message)
+        self.rank = rank
+        if keyword == "mode":
+            label, _ = self._label("mode label")
+            word, col = self._next("'cutoff'")
+            if word != "cutoff":
+                raise _LineError(col, f"expected 'cutoff', got {word!r}")
+            cutoff = _read("uint", self._next("cutoff value"), "cutoff")
+            self._values(())
+            self.declared.add(label)
+            return section, (label, cutoff)
+        if cls is not None:
+            _, modes, fields = _ELEMENTS[cls]
+            return section, cls(*self._labels(modes), *self._values(fields))
+        (label,) = self._labels(1)
+        kind, col = self._next("source kind")
+        if kind not in _SOURCE_OF:
+            raise _LineError(col, f"unknown source kind {kind!r}")
+        cls = _SOURCE_OF[kind]
+        values = self._values(_SOURCES[cls][2])
+        return section, (label, cls(complex(*values)) if cls is CoherentParam else cls(*values))
 
-    # --- token helpers -----------------------------------------------------
-
-    def _take(self, idx, what):
-        if idx >= len(self.tokens):
+    def _next(self, what: str) -> tuple[str, int]:
+        """The next token; past the last one, a missing ``what`` error."""
+        if self.at == len(self.tokens):
             text, col = self.tokens[-1]
             raise _LineError(col + len(text), f"missing {what}")
-        return self.tokens[idx]
+        self.at += 1
+        return self.tokens[self.at - 1]
 
-    def _label(self, idx, what="mode label") -> str:
-        text, col = self._take(idx, what)
+    def _label(self, what: str) -> tuple[str, int]:
+        text, col = self._next(what)
         if not _LABEL_RE.match(text):
             raise _LineError(col, f"invalid mode label {text!r}")
-        return text
+        return text, col
 
-    def _declared(self, idx, what="mode label") -> str:
-        label = self._label(idx, what)
-        if label not in self.declared:
-            raise _LineError(self.tokens[idx][1], f"mode {label!r} is not declared")
-        self.named.add(label)
-        return label
+    def _labels(self, count: int) -> list[str]:
+        """``count`` distinct declared mode labels, each one named."""
+        labels = []
+        for what in ("mode label",) if count == 1 else ("first mode label", "second mode label"):
+            label, col = self._label(what)
+            if label not in self.declared:
+                raise _LineError(col, f"mode {label!r} is not declared")
+            self.named.add(label)
+            if label in labels:
+                raise _LineError(col, "modes must be distinct")
+            labels.append(label)
+        return labels
 
-    def _distinct(self) -> tuple[str, str]:
-        m1 = self._declared(1, "first mode label")
-        m2 = self._declared(2, "second mode label")
-        if m1 == m2:
-            raise _LineError(self.tokens[2][1], "modes must be distinct")
-        return m1, m2
-
-    def _value(self, idx, key: str, kind: str = "float"):
-        """The value of the ``key=<kind>`` token at ``idx``."""
-        text, col = self._take(idx, f"{key}=<{kind}>")
-        prefix = key + "="
-        if not text.startswith(prefix):
-            raise _LineError(col, f"expected {key}=<value>, got {text!r}")
-        return _read(kind, (text[len(prefix):], col + len(prefix)), key)
-
-    def _end(self, idx):
-        if len(self.tokens) > idx:
-            text, col = self.tokens[idx]
+    def _values(self, fields) -> list:
+        """The values of the ``key=<kind>`` tokens of ``fields``, which end the line."""
+        values = []
+        for key, kind in fields:
+            text, col = self._next(f"{key}=<{kind}>")
+            if not text.startswith(key + "="):
+                raise _LineError(col, f"expected {key}=<value>, got {text!r}")
+            values.append(_read(kind, (text[len(key) + 1:], col + len(key) + 1), key))
+        if self.at < len(self.tokens):
+            text, col = self.tokens[self.at]
             raise _LineError(col, f"unexpected trailing token {text!r}")
-
-    def _enter(self, section: str, message: str = ""):
-        if _ORDER.index(section) < _ORDER.index(self.section):
-            raise _LineError(self.tokens[0][1], message)
-        self.section = section
-
-    # --- statement handlers ------------------------------------------------
-
-    def stmt_mode(self):
-        self._enter("decl", "mode declarations must precede circuit elements")
-        label = self._label(1)
-        kw, col = self._take(2, "'cutoff'")
-        if kw != "cutoff":
-            raise _LineError(col, f"expected 'cutoff', got {kw!r}")
-        cutoff = _read("uint", self._take(3, "cutoff value"), "cutoff")
-        self._end(4)
-        self.declared.add(label)
-        return "mode", (label, cutoff)
-
-    def stmt_source(self):
-        self._enter("decl", "sources must precede circuit elements")
-        label = self._declared(1)
-        kind, col = self._take(2, "source kind")
-        if kind == "squeezed":
-            param = SqueezeParam(self._value(3, "r", "magnitude"), self._value(4, "phi", "angle"))
-        elif kind == "coherent":
-            param = CoherentParam(complex(self._value(3, "re"), self._value(4, "im")))
-        elif kind == "fock":
-            param = FockParam(self._value(3, "n", "uint"))
-        else:
-            raise _LineError(col, f"unknown source kind {kind!r}")
-        self._end(4 if kind == "fock" else 5)
-        return "source", (label, param)
-
-    def stmt_bs(self):
-        self._enter("elements", _ELEMENTS_FIRST)
-        m1, m2 = self._distinct()
-        self._end(3)
-        return "element", BalancedBeamSplitter(m1, m2)
-
-    def stmt_phase(self):
-        self._enter("elements", _ELEMENTS_FIRST)
-        mode = self._declared(1)
-        theta = self._value(2, "theta", "angle")
-        self._end(3)
-        return "element", PhaseShift(mode, theta)
-
-    def stmt_kerr(self):
-        self._enter("elements", _ELEMENTS_FIRST)
-        m1, m2 = self._distinct()
-        tau = self._value(3, "tau", "angle")
-        self._end(4)
-        return "element", CrossKerr(m1, m2, tau)
-
-    def stmt_detect(self):
-        self._enter("detects")
-        mode = self._declared(1)
-        n = self._value(2, "n", "uint")
-        self._end(3)
-        return "detect", Detect(mode, n)
-
-
-_HANDLERS = {
-    "mode": _Parser.stmt_mode,
-    "source": _Parser.stmt_source,
-    "bs": _Parser.stmt_bs,
-    "phase": _Parser.stmt_phase,
-    "kerr": _Parser.stmt_kerr,
-    "detect": _Parser.stmt_detect,
-}
+        return values
 
 
 def parse(text: str | bytes) -> ParseResult:
@@ -362,29 +345,25 @@ def format_mode(label: str, cutoff: int) -> str:
     return f"mode {label} cutoff {cutoff}"
 
 
+def _text(table: dict, item, *head: str) -> str:
+    """The line of ``item``, a key of ``table``: ``head``, its row's keyword, labels, fields."""
+    keyword, modes, fields = table[type(item)]
+    parts = ([item.alpha.real, item.alpha.imag] if type(item) is CoherentParam
+             else [getattr(item, name) for name in _FIELD_NAMES[type(item)]])
+    values = [f"{key}={_VALUE_TEXT[kind](v)}" for (key, kind), v in zip(fields, parts[modes:])]
+    return " ".join((*head, keyword, *parts[:modes], *values))
+
+
 def format_element(element: Element) -> str:
-    match element:
-        case BalancedBeamSplitter(mode_1=m1, mode_2=m2):
-            return f"bs {m1} {m2}"
-        case PhaseShift(mode=m, theta=theta):
-            return f"phase {m} theta={_angle_text(theta)}"
-        case CrossKerr(mode_1=m1, mode_2=m2, tau=tau):
-            return f"kerr {m1} {m2} tau={_angle_text(tau)}"
-        case Detect(mode=m, n=n):
-            return f"detect {m} n={n}"
-    raise TypeError(f"not a circuit element: {element!r}")
+    if type(element) not in _ELEMENTS:
+        raise TypeError(f"not a circuit element: {element!r}")
+    return _text(_ELEMENTS, element)
 
 
 def format_source(label: str, param) -> str:
-    match param:
-        case SqueezeParam(r=r, phi=phi):
-            return f"source {label} squeezed r={_float_text(r)} phi={_angle_text(phi)}"
-        case CoherentParam(alpha=alpha):
-            re_part, im_part = _float_text(alpha.real), _float_text(alpha.imag)
-            return f"source {label} coherent re={re_part} im={im_part}"
-        case FockParam(n=n):
-            return f"source {label} fock n={n}"
-    raise TypeError(f"not a source parameter: {param!r}")
+    if type(param) not in _SOURCES:
+        raise TypeError(f"not a source parameter: {param!r}")
+    return _text(_SOURCES, param, "source", label)
 
 
 def format_program(program: CircuitProgram) -> str:
