@@ -46,7 +46,7 @@ products (and, before them, its over-cutoff pairs for the truncation
 check). Chunks run along the first mode axis outside the pair, never along
 the members, so a chunk is never smaller than one slice of that axis.
 Plans of the last ``_PLAN_CACHE_SIZE`` cutoffs are cached; each holds
-(c + 1)^3 complex entries.
+(c + 1)^3 complex entries, at most ``MAX_STATE_DIMENSION`` (cutoff 405).
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ModeLabelError, StateMismatchError, TruncationWarning
+from .errors import CutoffError, ModeLabelError, StateMismatchError, TruncationWarning
 from .fock import MultiModeState, _Owned
+from .states import MAX_STATE_DIMENSION
 
 # Half-angle of the exponentiated hopping generator. pi/4 realizes the 50:50
 # convention above; the plan cache is keyed on it, so tests can build plans
@@ -213,6 +214,9 @@ def _beam_splitter_plan(cutoff: int, half_angle: float) -> _BeamSplitterPlan:
     alone, the physical unitary restricted to the representable splits.
     """
     d = cutoff + 1
+    if d ** 3 > MAX_STATE_DIMENSION:  # checked before any array of the plan is allocated
+        raise CutoffError(f"a beam splitter at cutoff {cutoff} needs a plan of {d ** 3} entries, "
+                          f"above the maximum state dimension {MAX_STATE_DIMENSION}")
     c, s = math.cos(half_angle), math.sin(half_angle)
     photons = np.arange(2 * cutoff + 1)
     # roots[i, j] = sqrt(i j); row r of roots[::-1] is row 2c - r of roots

@@ -5,6 +5,7 @@ high-precision binomial-expansion reference for the splitter plan."""
 import math
 import re
 import time
+import tracemalloc
 import warnings
 
 import hypothesis.extra.numpy as hnp
@@ -19,6 +20,7 @@ from kerrcat import (
     BalancedBeamSplitter,
     CoherentParam,
     CrossKerr,
+    CutoffError,
     Detect,
     ModeLabelError,
     MultiModeState,
@@ -174,6 +176,20 @@ class TestBeamSplitterPlan:
         info = _beam_splitter_plan.cache_info()
         assert info.maxsize == _PLAN_CACHE_SIZE
         assert info.currsize == _PLAN_CACHE_SIZE
+
+    def test_plan_over_the_state_cap_is_refused_before_it_is_built(self):
+        # a cutoff-406 pair holds 165,649 amplitudes, within the state cap,
+        # but its plan would hold 407^3 > MAX_STATE_DIMENSION entries (1 GiB)
+        state = tensor_product(single("a", fock(1, 406)), single("b", fock(0, 406)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CutoffError, match="^a beam splitter at cutoff 406 needs a plan "
+                                                  "of 67419143 entries, above the maximum"):
+                apply_beam_splitter(state, "a", "b")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_builds_faster_than_eigh(self):
         def best_of(build, runs=5):
