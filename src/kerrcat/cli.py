@@ -14,7 +14,10 @@ Exit codes: 0 success, 1 diagnostics (usage, parse or validation errors, a
 failed check, or a report that cannot be written, as to a stdout whose reader
 left), 2 numerical errors (leakage budget exceeded, zero-norm states, ...).
 A sweep records a point's numerical or validation error as that point's
-``error`` and goes on, so it exits 1 on usage errors and otherwise 0.
+``error`` and goes on, so it exits 1 on usage errors and otherwise 0. A sweep
+axis must be one that the run reads: a squeezed source's ``r`` and ``phi``, a
+coherent one's ``alpha_re`` and ``alpha_im``, ``tau``, ``theta`` and, for
+entanglement, ``tau2``; any other axis would repeat one point, and is a usage error.
 Numbers take the circuit language's grammar (``dsl.read_value``).
 """
 
@@ -212,6 +215,9 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         for param in swept:
             if swept.count(param) > 1:
                 raise _UsageError(f"--sweep names {param!r} more than once; give each axis once")
+            if param not in _read_params(config):
+                raise _UsageError(f"--sweep names {param!r}, which a {config.protocol} run "
+                                  f"of a {config.source} source does not read")
         points = math.prod(spec.steps for spec in config.sweeps)
         if points > MAX_SWEEP_POINTS:
             raise _UsageError(
@@ -288,6 +294,14 @@ def _trace_list(result: ProtocolResult) -> list[dict]:
     ]
 
 
+def _read_params(config: argparse.Namespace) -> tuple[str, ...]:
+    """The ``SWEEPABLE`` names that a run of the configured protocol and source
+    reads: the source's two, then the angles."""
+    source = ("r", "phi") if config.source == "squeezed" else ("alpha_re", "alpha_im")
+    taus = ("tau", "tau2") if config.protocol == "entanglement" else ("tau",)
+    return (*source, *taus, "theta")
+
+
 def _protocol_params(config: argparse.Namespace, point):
     """The configured protocol's parameters at ``point`` (a value per ``SWEEPABLE`` name)."""
     if config.source == "squeezed":
@@ -336,12 +350,9 @@ def _run_report(config: argparse.Namespace) -> dict:
         result = run_circuit(program, config.epsilon, config.trace)
         (branches,) = _analyzed(config, [params], cutoffs, [result])
         given = {"protocol": config.protocol}
-        taus = {"tau": config.tau}
-        if config.protocol == "entanglement":
-            taus["tau2"] = config.tau2
-        keys = ("r", "phi") if config.source == "squeezed" else ("alpha_re", "alpha_im")
-        source = {"kind": config.source, **{key: getattr(config, key) for key in keys}}
-        echo = {"source": source, **taus, "theta": config.theta}
+        names = _read_params(config)
+        source = {"kind": config.source, **{key: getattr(config, key) for key in names[:2]}}
+        echo = {"source": source, **{key: getattr(config, key) for key in names[2:]}}
     else:
         program = _read_circuit(config.circuit)
         result = run_circuit(program, eps=config.epsilon, trace=config.trace)

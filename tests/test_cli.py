@@ -400,20 +400,24 @@ def test_grouped_parallel_sweep_on_the_process_pool_is_byte_identical():
     assert cli.render_output(argv + ["--workers", "2"]) == cli.render_output(argv + ["--workers", "1"])
 
 
-ANGLE_AXES = ["--sweep", "tau:0:pi:3", "--sweep", "tau2:0:pi/2:2", "--sweep", "theta:0:pi/2:2"]
+def angle_axes(protocol):
+    """Sweep axes over the angles that ``protocol`` reads."""
+    tau2 = ["--sweep", "tau2:0:pi/2:2"] if protocol == "entanglement" else []
+    return ["--sweep", "tau:0:pi:3", *tau2, "--sweep", "theta:0:pi/2:2"]
 
 
 @pytest.mark.parametrize("protocol", ["superposition", "entanglement"])
 @pytest.mark.parametrize("source", [
     ["--source", "squeezed", "--phi", "0.3", "--sweep", "r:0.2:0.5:2"],
     ["--source", "coherent", "--alpha-im", "0.2", "--sweep", "alpha_re:0.4:1.1:2"],
-    # r = 0.12 and 0.16 share cutoff 10, so all 24 points form one group
+    # r = 0.12 and 0.16 share cutoff 10, so all points form one group
     ["--source", "squeezed", "--phi", "0.3", "--sweep", "r:0.12:0.16:2"],
 ])
 def test_sweep_point_equals_a_run(protocol, source, monkeypatch):
-    # twelve angle points per source value, in one batch per cutoff;
-    # tau = tau2 = theta = 0 gives a zero branch inside each batch
-    argv = ["sweep", "--protocol", protocol, *source, *ANGLE_AXES]
+    # six angle points per source value (twelve on entanglement, with tau2),
+    # in one batch per cutoff; tau = tau2 = theta = 0 gives a zero branch
+    # inside each batch
+    argv = ["sweep", "--protocol", protocol, *source, *angle_axes(protocol)]
     run_batch, batches = protocols._run_batch, []
 
     def counted(programs, eps, trace):
@@ -423,7 +427,7 @@ def test_sweep_point_equals_a_run(protocol, source, monkeypatch):
     monkeypatch.setattr(protocols, "_run_batch", counted)
     records = [json.loads(line) for line in cli.render_output(argv).splitlines()]
     monkeypatch.setattr(protocols, "_run_batch", run_batch)
-    assert len(records) == 24
+    assert len(records) == (24 if protocol == "entanglement" else 12)
     assert any(b["probability"] == 0.0 for rec in records for b in rec["branches"].values())
     cutoffs = set()
     for rec in records:
@@ -434,6 +438,37 @@ def test_sweep_point_equals_a_run(protocol, source, monkeypatch):
         assert json.dumps(rec["branches"]) == json.dumps(run["branches"])
         cutoffs.add(json.dumps(run["config"]["cutoffs"]))
     assert len(batches) == len(cutoffs)
+
+
+# the sweep axes that each protocol and each source reads
+PROTOCOL_AXES = {"superposition": {"tau", "theta"}, "entanglement": {"tau", "tau2", "theta"}}
+SOURCE_AXES = {"squeezed": {"r", "phi"}, "coherent": {"alpha_re", "alpha_im"}}
+
+
+@pytest.mark.parametrize("axis", cli.SWEEPABLE)
+@pytest.mark.parametrize("source", ["squeezed", "coherent"])
+@pytest.mark.parametrize("protocol", ["superposition", "entanglement"])
+def test_sweep_axis_is_one_the_run_reads(protocol, source, axis, capsys):
+    # an axis the run never reads would give identical points
+    argv = ["sweep", "--protocol", protocol, "--source", source, "--sweep", f"{axis}:0:1:2"]
+    if axis in PROTOCOL_AXES[protocol] | SOURCE_AXES[source]:
+        assert [spec.param for spec in cli._run_config(argv).sweeps] == [axis]
+    else:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (f"kerrcat: error: --sweep names {axis!r}, which a "
+                                           f"{protocol} run of a {source} source does not read\n")
+
+
+def test_splitter_over_the_plan_cap_is_a_numerical_error(tmp_path):
+    # the state (165,649 amplitudes) is legal, but the cutoff-406 splitter's
+    # plan would hold 407^3 entries, above MAX_STATE_DIMENSION
+    path = tmp_path / "wide.qcirc"
+    path.write_text("mode a cutoff 406\nmode b cutoff 406\nsource a fock n=1\nbs a b\n",
+                    encoding="utf-8")
+    done = run_kerrcat("run", "--circuit", str(path))
+    assert done.returncode == 2
+    assert done.stderr.startswith("kerrcat: numerical error: a beam splitter at cutoff 406 ")
+    assert "Traceback" not in done.stderr
 
 
 def test_grouped_sweep_records_each_points_own_error(capsys):
