@@ -462,6 +462,14 @@ small_programs = valid_programs(
     "bs c a\nkerr s a tau=pi/3\nbs a b\n"
     "detect a n=0\ndetect s n=1\n"
 ).program)
+# 25 of the 60 outcomes fall below ZERO_BRANCH_THRESHOLD and are dropped; they
+# sum to 1.4e-12, so the kept branches alone miss the norm by more than 1e-12
+@example(program=parse(
+    "mode A cutoff 3\nmode B cutoff 2\nmode C cutoff 4\n"
+    "source A coherent re=1 im=0\nsource B squeezed r=0.5 phi=0\n"
+    "source C coherent re=0.0625 im=0\n"
+    "detect A n=0\ndetect B n=0\ndetect C n=0\n"
+).program)
 def test_branches_match_brute_force_enumeration(program):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
@@ -490,7 +498,8 @@ def test_branches_match_brute_force_enumeration(program):
             assert np.abs(branch.state.tensor - unit).max(initial=0.0) < 1e-12
         else:
             assert branch.probability == 0.0 and branch.state is None
-    assert abs(total_probability(result) - final.squared_norm) < 1e-12
+    dropped = law[law < ZERO_BRANCH_THRESHOLD].sum()
+    assert abs(total_probability(result) + dropped - final.squared_norm) < 1e-12
 
 
 SMALL_R = st.floats(0, 0.5)
