@@ -297,13 +297,15 @@ def parse(text: str | bytes) -> ParseResult:
     violations (see :func:`validate_program`) and the unused-mode warnings
     point at the statement's first token. Errors come in line order, then
     the warnings. On any error diagnostic, no program is returned. Accepts
-    str or UTF-8 bytes; LF, CRLF and CR line endings are all fine.
+    str or UTF-8 bytes, whose one leading byte-order mark is dropped; LF,
+    CRLF and CR line endings are all fine.
     """
     if isinstance(text, (bytes, bytearray)):
+        data = bytes(text).removeprefix(b"\xef\xbb\xbf")
         try:
-            text = bytes(text).decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = len(re.split(rb"\r\n|\r|\n", text[: exc.start]))
+            line = len(re.split(rb"\r\n|\r|\n", data[: exc.start]))
             diag = ParseDiagnostic("error", line, 1, "input is not valid UTF-8")
             return ParseResult(None, (diag,))
 

@@ -233,6 +233,18 @@ def test_undecodable_bytes(newline):
     assert "not valid UTF-8" in first.message
 
 
+def test_one_leading_byte_order_mark_is_dropped():
+    # an editor's "UTF-8 with BOM" puts U+FEFF before the first keyword;
+    # diagnostics keep the lines and columns of the text without it
+    bom = b"\xef\xbb\xbf"
+    for text in (b"mode a cutoff 1\nsource a fock n=1\n", b"mode a cutoff 1 x\n# \n\xff\n"):
+        assert parse(bom + text) == parse(text)
+    (error,) = parse(b"mode a cutoff 1\n\xff\n").errors
+    assert (error.line, error.column, error.message) == (2, 1, "input is not valid UTF-8")
+    (error,) = parse(bom + bom + b"mode a cutoff 1\n").errors
+    assert (error.line, error.column, error.message) == (1, 1, "unknown keyword '\\ufeffmode'")
+
+
 def test_unused_mode_warning():
     result = parse(AB + "mode c cutoff 1\nsource b fock n=1\nphase a theta=0\n")
     assert result.ok
