@@ -99,8 +99,9 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         """Before a ``--`` separator, ``--opt=--`` is refused (argparse would
-        drop the ``--`` and store ``[]``), and a token that reads as a number
-        is the value of the option before it (argparse takes ``-1e-3`` for one)."""
+        drop the ``--`` and store ``[]``), and a token that reads as a number,
+        or starts as a negative one, is the value of the option before it
+        (argparse takes ``-1e-3`` and ``-pi/2`` for options)."""
         tokens = []
         for token in sys.argv[1:] if args is None else args:
             if "--" in tokens:
@@ -115,6 +116,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _is_number(text: str) -> bool:
+    """Whether ``text`` is a number, or a ``-`` then a digit, ``.``, ``pi``, ``inf`` or ``nan``,
+    which the option's reader then names if it is malformed (``-pi/2``)."""
+    if text[:1] == "-" and text[1:].startswith((*"0123456789.", "pi", "inf", "nan")):
+        return True
     try:
         dsl.read_value("angle", text, "value")
     except ValueError:

@@ -742,6 +742,25 @@ def test_negative_number_is_the_option_value(source, option, value):
     assert report != cli.render_output(argv)
 
 
+@pytest.mark.parametrize("option, value, expected", [
+    ("--phi", "-pi/2", "<float>, pi, pi/<uint> or <float>*pi"),
+    ("--tau", "-pi", "<float>, pi, pi/<uint> or <float>*pi"),
+    ("--alpha-re", "-inf", "a float"),
+])
+def test_malformed_negative_value_is_named_by_its_option(option, value, expected, capsys):
+    # outside the number grammar, but argparse would still take it for an option
+    assert cli.main(["run", "--protocol", "superposition", option, value]) == 1
+    message = f"argument {option}: malformed value {value!r}: expected {expected}"
+    assert capsys.readouterr().err == f"kerrcat: error: {message}\n"
+
+
+def test_help_after_an_option_is_not_its_value(capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["run", "--trace", "-h"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kerrcat run")
+
+
 def test_negative_magnitude_is_refused_in_either_spelling(capsys):
     for spelling in (["--r", "-1e-3"], ["--r=-1e-3"]):
         assert cli.main(["run", "--protocol", "superposition", *spelling]) == 1
