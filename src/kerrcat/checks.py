@@ -3,19 +3,21 @@
 An item belongs here when it checks a claim of the scheme as a whole: the
 Kerr phase rules it rests on, the squeezed and coherent parity cats with
 their click probabilities and photon-number support, the halved Kerr phase
-that squeezed inputs need, and the entangled squeezed pairs. Each item
-checks its claim against an oracle computed by an independent route
-(explicit log-factorial amplitude formulas, small Gram-matrix
-diagonalizations, exhaustive enumerations), never against the code path
-under test. Properties of single parts (element conventions, unitarity,
-projection, the circuit language, parallel sweeps) are tier-1 tests under
-``tests/``, so each claim has exactly one home. All randomness is seeded,
-so repeated runs produce identical reports.
+that squeezed inputs need, and the entangled squeezed pairs. Each item is a
+command line and an independent oracle: it runs ``kerrcat run`` and asserts
+on the report a user gets (and on its ``--trace`` amplitudes where it needs
+a state) against numbers that kerrcat does not compute (log-factorial
+amplitudes, closed-form overlaps, 2x2 Gram matrices, numpy's SVD). Properties
+of single parts (element conventions, unitarity, projection, the circuit
+language, parallel sweeps) are tier-1 tests under ``tests/``, so each claim
+has exactly one home. All randomness is seeded, so repeated runs produce
+identical reports.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -23,26 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import entanglement_entropy, fidelity, photon_distribution, support_residual
-from .elements import apply_cross_kerr
-from .fock import schmidt_coefficients, single, tensor_product
-from .protocols import (
-    DB,
-    DC,
-    EntanglementParams,
-    SuperpositionParams,
-    entanglement_targets,
-    run_entanglement,
-    run_superposition,
-    superposition_targets,
-)
-from .states import (
-    CoherentParam,
-    SqueezeParam,
-    build_source,
-    fock,
-    suggest_cutoff,
-)
+from .cli import render_output
 
 
 class CheckFailure(AssertionError):
@@ -60,6 +43,18 @@ class CheckResult:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise CheckFailure(message)
+
+
+def _run(*argv: str) -> dict:
+    """The report of ``kerrcat run`` with ``argv``."""
+    return json.loads(render_output(["run", *argv]))
+
+
+def _amplitudes(stage: dict, **fixed: int) -> np.ndarray:
+    """A traced stage's amplitudes, with each mode in ``fixed`` at its photon number."""
+    pairs = np.array(stage["amplitudes"])
+    tensor = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(stage["shape"])
+    return tensor[tuple(fixed.get(mode, slice(None)) for mode in stage["modes"])]
 
 
 # --- independent oracles ----------------------------------------------------
@@ -81,19 +76,9 @@ def _coherent_amp_direct(n: int, alpha: complex) -> complex:
     return cmath.exp(n * cmath.log(alpha) - 0.5 * math.lgamma(n + 1) - 0.5 * abs(alpha) ** 2)
 
 
-def _opposite_squeezed_overlap(r: float, terms: int = 200) -> float:
-    """<xi|-xi> by direct amplitude summation."""
-    total = 0.0
-    for m in range(terms):
-        total += (-1) ** m * abs(_squeezed_amp_direct(2 * m, r, 0.0)) ** 2
-    return total
-
-
-def _opposite_coherent_overlap(alpha: complex, terms: int = 200) -> complex:
-    total = 0.0j
-    for n in range(terms):
-        total += _coherent_amp_direct(n, alpha).conjugate() * _coherent_amp_direct(n, -alpha)
-    return total
+def _opposite_squeezed_overlap(r: float) -> float:
+    """<xi|-xi> in closed form."""
+    return 1.0 / math.sqrt(math.cosh(2.0 * r))
 
 
 def _pair_entropy_oracle(su: complex, sv: complex, theta: float) -> float:
@@ -119,38 +104,44 @@ def _pair_entropy_oracle(su: complex, sv: complex, theta: float) -> float:
 def check_kerr_phase_rules() -> str:
     """Cross-Kerr against one photon rotates source parameters analytically.
 
-    Squeezed phase shifts by -2*tau, coherent amplitude by e^{-i*tau}; checked
-    on 20 random parameter draws for each source kind at leakage 1e-12.
+    Squeezed phase shifts by -2*tau, coherent amplitude by e^{-i*tau}: the
+    traced ``kerr a b`` stage of a superposition run, at b=1 and c=0, matches
+    the direct amplitudes at the rotated parameter. Checked on 20 random
+    parameter draws for each source kind at leakage 1e-12.
     """
     rng = np.random.default_rng(20250809)
-    eps = 1e-12
     worst = 1.0
-    photon = single("b", fock(1, 1))
     for _ in range(20):
         r = float(rng.uniform(0.05, 1.0))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         tau = float(rng.uniform(0.0, 2.0 * math.pi))
         alpha = float(rng.uniform(0.05, 1.0)) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        for src in (SqueezeParam(r, phi), CoherentParam(alpha)):
-            cutoff = suggest_cutoff(src, eps)
-            state = tensor_product(single("a", build_source(src, cutoff, eps)), photon)
-            evolved = apply_cross_kerr(state, "a", "b", tau)
-            rotated = build_source(src.kerr_rotated(tau), cutoff, eps)
-            worst = min(worst, fidelity(evolved, tensor_product(single("a", rotated), photon)))
+        for source, direct in (
+            ([f"--r={r!r}", f"--phi={phi!r}"], lambda n: _squeezed_amp_direct(n, r, phi - 2.0 * tau)),
+            (["--source=coherent", f"--alpha-re={alpha.real!r}", f"--alpha-im={alpha.imag!r}"],
+             lambda n: _coherent_amp_direct(n, alpha * cmath.exp(-1j * tau))),
+        ):
+            report = _run("--protocol=superposition", *source, f"--tau={tau!r}",
+                          "--epsilon=1e-12", "--trace")
+            (kerr,) = [stage for stage in report["trace"] if stage["stage"].startswith("kerr a b ")]
+            got = _amplitudes(kerr, b=1, c=0)
+            want = np.array([direct(n) for n in range(got.size)])
+            overlap = abs(np.vdot(want, got)) ** 2
+            worst = min(worst, float(overlap / (np.vdot(want, want).real * np.vdot(got, got).real)))
     _require(worst >= 1.0 - 1e-10, f"worst rotated-parameter fidelity {worst!r}")
     return f"worst fidelity {worst!r}"
 
 
-def _cat_branches(params: SuperpositionParams, overlap: float, tol: float) -> str:
-    """The clicks of a superposition run are the odd/even cats of its source,
-    with probabilities (1 -+ overlap)/2 to within ``tol``; ``overlap`` is
-    the oracle's <source|-source>."""
-    result, targets = run_superposition(params), superposition_targets(params)
+def _cat_branches(argv: list[str], overlap: float, tol: float) -> str:
+    """The clicks of a superposition run of ``argv`` are the odd/even cats of
+    its source, with probabilities (1 -+ overlap)/2 to within ``tol``;
+    ``overlap`` is the oracle's <source|-source>."""
+    branches = _run("--protocol=superposition", *argv)["branches"]
     fids, errs = [], []
-    for key, cat, word, sign in ((DB, "odd", "minus", -1), (DC, "even", "plus", +1)):
-        fids.append(fidelity(result[key].state, targets[f"{cat}_cat"]))
+    for key, cat, word, sign in (("Db_fires", "odd", "minus", -1), ("Dc_fires", "even", "plus", +1)):
+        fids.append(branches[key]["analysis"]["fidelity_targets"][f"{cat}_cat"])
         _require(fids[-1] >= 1.0 - 1e-9, f"{cat}-cat branch fidelity {fids[-1]!r}")
-        errs.append(abs(result[key].probability - (1.0 + sign * overlap) / 2.0))
+        errs.append(abs(branches[key]["probability"] - (1.0 + sign * overlap) / 2.0))
         _require(errs[-1] <= tol, f"{word}-branch probability off oracle by {errs[-1]:.3e}")
     return f"fidelities {fids[0]:.12f}/{fids[1]:.12f}, probability error {max(errs):.3e}"
 
@@ -158,37 +149,31 @@ def _cat_branches(params: SuperpositionParams, overlap: float, tol: float) -> st
 def check_squeezed_cat_branches() -> str:
     """r=0.5, tau=pi/2, theta=0: branches are the odd/even squeezed cats.
 
-    Click probabilities must match (1 -+ S)/2 with S from the direct
-    amplitude-sum overlap oracle.
+    Click probabilities must match (1 -+ S)/2 with S = <xi|-xi> in closed form.
     """
     r = 0.5
-    params = SuperpositionParams(SqueezeParam(r), tau=math.pi / 2, theta=0.0)
     s = _opposite_squeezed_overlap(r)
-    return f"{_cat_branches(params, s, 1e-6)} vs S={s:.6f}"
+    return f"{_cat_branches([f'--r={r}', '--tau=pi/2', '--theta=0'], s, 1e-6)} vs S={s:.6f}"
 
 
 def check_cat_support_laws() -> str:
     """Branch photon distributions live on n=4k (plus) and n=4k+2 (minus)."""
     worst = 0.0
     for r in (0.2, 0.5, 1.0):
-        params = SuperpositionParams(SqueezeParam(r), tau=math.pi / 2, theta=0.0)
-        result = run_superposition(params)
-        dim = suggest_cutoff(params.source_a, params.eps) + 1
-        dist_db = photon_distribution(result[DB].state, "a")
-        dist_dc = photon_distribution(result[DC].state, "a")
-        res_db = support_residual(dist_db, range(2, dim, 4))
-        res_dc = support_residual(dist_dc, range(0, dim, 4))
-        worst = max(worst, res_db, res_dc)
+        branches = _run("--protocol=superposition", f"--r={r}", "--tau=pi/2", "--theta=0")["branches"]
+        for key, first in (("Db_fires", 2), ("Dc_fires", 0)):
+            dist = branches[key]["analysis"]["distributions"]["a"]
+            worst = max(worst, sum(p for n, p in enumerate(dist) if n % 4 != first))
     _require(worst < 1e-12, f"support residual {worst:.3e} >= 1e-12")
     return f"max residual outside allowed support {worst:.3e}"
 
 
 def check_coherent_cat_branches() -> str:
     """alpha=1, tau=pi, theta=0: odd/even coherent cats, probabilities
-    (1 -+ |<alpha|-alpha>|)/2 from the brute-force overlap oracle."""
+    (1 -+ <alpha|-alpha>)/2 with <alpha|-alpha> = e^{-2|alpha|^2}."""
     alpha = 1.0
-    params = SuperpositionParams(CoherentParam(alpha), tau=math.pi, theta=0.0, eps=1e-12)
-    return _cat_branches(params, _opposite_coherent_overlap(alpha).real, 1e-9)
+    argv = ["--source=coherent", f"--alpha-re={alpha}", "--tau=pi", "--theta=0", "--epsilon=1e-12"]
+    return _cat_branches(argv, math.exp(-2.0 * alpha**2), 1e-9)
 
 
 def check_kerr_budget_advantage() -> str:
@@ -198,23 +183,15 @@ def check_kerr_budget_advantage() -> str:
     coherent branches at the same tau stay below 0.99 fidelity with either
     coherent cat (so the coherent protocol genuinely needs the doubled phase).
     """
-    sq_params = SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2)
-    sq = run_superposition(sq_params)
-    sq_cats = superposition_targets(sq_params)
-    f_sq = min(
-        fidelity(sq[DB].state, sq_cats["odd_cat"]), fidelity(sq[DC].state, sq_cats["even_cat"])
-    )
+    sq = _run("--protocol=superposition", "--r=0.5", "--tau=pi/2")["branches"]
+    f_sq = min(sq["Db_fires"]["analysis"]["fidelity_targets"]["odd_cat"],
+               sq["Dc_fires"]["analysis"]["fidelity_targets"]["even_cat"])
     _require(f_sq >= 1.0 - 1e-9, f"squeezed cat fidelity at half phase {f_sq!r}")
 
     alpha = 1.0
-    coh_params = SuperpositionParams(CoherentParam(alpha), tau=math.pi / 2)
-    coh = run_superposition(coh_params)
-    cats = superposition_targets(coh_params).values()
-    f_coh = max(
-        fidelity(branch.state, cat)
-        for branch in (coh[DB], coh[DC])
-        for cat in cats
-    )
+    coh = _run("--protocol=superposition", "--source=coherent", f"--alpha-re={alpha}", "--tau=pi/2")
+    f_coh = max(fid for key in ("Db_fires", "Dc_fires")
+                for fid in coh["branches"][key]["analysis"]["fidelity_targets"].values())
     _require(f_coh < 0.99, f"coherent branch at half phase too cat-like: {f_coh!r}")
 
     # independent bound: same states from the direct amplitude formulas
@@ -237,34 +214,32 @@ def check_entanglement_branches() -> str:
     """r=r'=0.5, tau=tau'=pi/2, theta=0: branch states, probabilities, rank,
     and entropy.
 
-    Targets are assembled from factory outputs. Click probabilities must
-    match (1 -+ S^2)/2 with S from the direct amplitude-sum overlap oracle;
-    the entropy oracle is a 2x2 Gram-matrix diagonalization over the arm
-    overlaps.
+    Each click's rank counts the singular values of its (a | a2) slice of the
+    last traced stage. Click probabilities must match (1 -+ S^2)/2 with S the
+    closed-form <xi|-xi>; the entropy oracle is a 2x2 Gram-matrix
+    diagonalization over the arm overlaps.
     """
     r = 0.5
-    params = EntanglementParams(SqueezeParam(r), SqueezeParam(r), tau=math.pi / 2, tau2=math.pi / 2)
-    result = run_entanglement(params)
-    targets = entanglement_targets(params)
+    report = _run("--protocol=entanglement", f"--r={r}", "--tau=pi/2", "--tau2=pi/2", "--theta=0",
+                  "--trace")
+    minus, plus = report["branches"]["Db_fires"], report["branches"]["Dc_fires"]
 
-    f_minus = fidelity(result[DB].state, targets["pair_minus"])
-    f_plus = fidelity(result[DC].state, targets["pair_plus"])
+    f_minus = minus["analysis"]["fidelity_targets"]["pair_minus"]
+    f_plus = plus["analysis"]["fidelity_targets"]["pair_plus"]
     _require(f_minus >= 1.0 - 1e-9, f"minus-branch fidelity {f_minus!r}")
     _require(f_plus >= 1.0 - 1e-9, f"plus-branch fidelity {f_plus!r}")
 
-    ranks = [
-        int(np.count_nonzero(schmidt_coefficients(result[k].state, {"a"}) > 1e-10))
-        for k in (DB, DC)
-    ]
+    final = report["trace"][-1]
+    spectra = [np.linalg.svd(_amplitudes(final, **b["outcome"]), compute_uv=False) for b in (minus, plus)]
+    ranks = [int(np.count_nonzero(s > 1e-10 * np.linalg.norm(s))) for s in spectra]
     _require(ranks == [2, 2], f"Schmidt ranks {ranks}, expected [2, 2]")
 
     su = _opposite_squeezed_overlap(r)  # <rotated|base> on each arm
-    err_db = abs(result[DB].probability - (1.0 - su**2) / 2.0)
-    err_dc = abs(result[DC].probability - (1.0 + su**2) / 2.0)
+    err_db = abs(minus["probability"] - (1.0 - su**2) / 2.0)
+    err_dc = abs(plus["probability"] - (1.0 + su**2) / 2.0)
     _require(err_db <= 1e-6, f"minus-branch probability off oracle by {err_db:.3e}")
     _require(err_dc <= 1e-6, f"plus-branch probability off oracle by {err_dc:.3e}")
-    ent_minus = entanglement_entropy(result[DB].state, {"a"})
-    ent_plus = entanglement_entropy(result[DC].state, {"a"})
+    ent_minus, ent_plus = (branch["analysis"]["schmidt_entropy"] for branch in (minus, plus))
     oracle_minus = _pair_entropy_oracle(su, su, 0.0)
     oracle_plus = _pair_entropy_oracle(su, su, math.pi)
     err = max(abs(ent_minus - oracle_minus), abs(ent_plus - oracle_plus))

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import kerrcat
 from kerrcat import cli, protocols
-from kerrcat.checks import CHECKS, CheckFailure
+from kerrcat.checks import CHECKS, CheckFailure, check_squeezed_cat_branches
 
 PACKAGE_DIR = Path(kerrcat.__file__).resolve().parent
 SCHEMA = json.loads((PACKAGE_DIR / "report.schema.json").read_text(encoding="utf-8"))
@@ -921,6 +921,13 @@ def test_traced_run_report_is_written_as_json_dumps_would(argv, tmp_path):
 def test_check_item(check):
     # a failing item raises CheckFailure with its finding as the message
     check()
+
+
+def test_checks_read_the_report(monkeypatch):
+    # a check asserts on the numbers that `kerrcat run` reports
+    monkeypatch.setattr(cli, "fidelities", lambda rows, stack, pairs: [0.5] * len(pairs))
+    with pytest.raises(CheckFailure, match="odd-cat branch fidelity 0.5"):
+        check_squeezed_cat_branches()
 
 
 # --- the exit-code contract (module docstring of kerrcat.cli) ---------------
