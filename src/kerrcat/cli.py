@@ -99,32 +99,26 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         """Before a ``--`` separator, ``--opt=--`` is refused (argparse would
-        drop the ``--`` and store ``[]``), and a token that reads as a number,
-        or starts as a negative one, is the value of the option before it
-        (argparse takes ``-1e-3`` and ``-pi/2`` for options)."""
+        drop the ``--`` and store ``[]``), and a token that starts as a negative
+        number is the value of the option before it (argparse takes ``-1e-3``
+        and ``-pi/2`` for options)."""
         tokens = []
         for token in sys.argv[1:] if args is None else args:
             if "--" in tokens:
                 tokens.append(token)
             elif token.startswith("--") and token.partition("=")[2] == "--":
                 self.error(f"argument {token[:-3]}: expected one argument")
-            elif tokens and tokens[-1].startswith("--") and _is_number(token):
+            elif tokens and tokens[-1].startswith("--") and _is_negative_number(token):
                 tokens[-1] += "=" + token
             else:
                 tokens.append(token)
         return super().parse_known_args(tokens, namespace)
 
 
-def _is_number(text: str) -> bool:
-    """Whether ``text`` is a number, or a ``-`` then a digit, ``.``, ``pi``, ``inf`` or ``nan``,
-    which the option's reader then names if it is malformed (``-pi/2``)."""
-    if text[:1] == "-" and text[1:].startswith((*"0123456789.", "pi", "inf", "nan")):
-        return True
-    try:
-        dsl.read_value("angle", text, "value")
-    except ValueError:
-        return False
-    return True
+def _is_negative_number(text: str) -> bool:
+    """Whether ``text`` starts as a negative number: a ``-`` then a digit, ``.``, ``pi``,
+    ``inf`` or ``nan``. The option's reader reads it, or names it if it is malformed."""
+    return text[:1] == "-" and text[1:].startswith((*"0123456789.", "pi", "inf", "nan"))
 
 
 def _reader(kind: str, name: str = "value"):
