@@ -116,16 +116,16 @@ def check_kerr_phase_rules() -> str:
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         tau = float(rng.uniform(0.0, 2.0 * math.pi))
         alpha = float(rng.uniform(0.05, 1.0)) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        for source, direct in (
-            ([f"--r={r!r}", f"--phi={phi!r}"], lambda n: _squeezed_amp_direct(n, r, phi - 2.0 * tau)),
+        for source, direct, rotated in (
+            ([f"--r={r!r}", f"--phi={phi!r}"], _squeezed_amp_direct, (r, phi - 2.0 * tau)),
             (["--source=coherent", f"--alpha-re={alpha.real!r}", f"--alpha-im={alpha.imag!r}"],
-             lambda n: _coherent_amp_direct(n, alpha * cmath.exp(-1j * tau))),
+             _coherent_amp_direct, (alpha * cmath.exp(-1j * tau),)),
         ):
             report = _run("--protocol=superposition", *source, f"--tau={tau!r}",
                           "--epsilon=1e-12", "--trace")
             (kerr,) = [stage for stage in report["trace"] if stage["stage"].startswith("kerr a b ")]
             got = _amplitudes(kerr, b=1, c=0)
-            want = np.array([direct(n) for n in range(got.size)])
+            want = np.array([direct(n, *rotated) for n in range(got.size)])
             overlap = abs(np.vdot(want, got)) ** 2
             worst = min(worst, float(overlap / (np.vdot(want, want).real * np.vdot(got, got).real)))
     _require(worst >= 1.0 - 1e-10, f"worst rotated-parameter fidelity {worst!r}")
