@@ -237,10 +237,10 @@ def test_one_leading_byte_order_mark_is_dropped():
     # an editor's "UTF-8 with BOM" puts U+FEFF before the first keyword;
     # diagnostics keep the lines and columns of the text without it
     bom = b"\xef\xbb\xbf"
-    for text in (b"mode a cutoff 1\nsource a fock n=1\n", b"mode a cutoff 1 x\n# \n\xff\n"):
+    for text in (b"mode a cutoff 1\nsource a fock n=1\n", b"mode a cutoff 1 x\n", b"mode a\n# \n\xff\n"):
         assert parse(bom + text) == parse(text)
-    (error,) = parse(b"mode a cutoff 1\n\xff\n").errors
-    assert (error.line, error.column, error.message) == (2, 1, "input is not valid UTF-8")
+    (error,) = parse(bom + b"mode a cutoff 1\n# \n\xff\n").errors
+    assert (error.line, error.column, error.message) == (3, 1, "input is not valid UTF-8")
     (error,) = parse(bom + bom + b"mode a cutoff 1\n").errors
     assert (error.line, error.column, error.message) == (1, 1, "unknown keyword '\\ufeffmode'")
 
