@@ -12,7 +12,6 @@ from .analysis import (
     fidelity,
     joint_photon_distribution,
     photon_distribution,
-    support_residual,
 )
 from .dsl import (
     CircuitProgram,
@@ -46,7 +45,6 @@ from .fock import (
     SchmidtDecomposition,
     project_mode,
     project_modes,
-    schmidt_coefficients,
     schmidt_decompose,
     single,
     tensor_product,

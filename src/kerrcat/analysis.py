@@ -56,16 +56,10 @@ def joint_photon_distribution(state: MultiModeState, modes: Iterable[str]) -> np
     return np.transpose(summed, [in_tensor_order.index(a) for a in keep])
 
 
-def support_residual(distribution: np.ndarray, allowed: Iterable[int]) -> float:
-    """Probability mass at photon numbers outside ``allowed`` (integers; any
-    outside the distribution's range are ignored), summed in ascending
-    order: :func:`support_residuals` of the one distribution."""
-    return support_residuals(np.asarray(distribution)[None], allowed)[0]
-
-
 def support_residuals(distributions: np.ndarray, allowed: Iterable[int]) -> list[float]:
-    """:func:`support_residual` of each row, from one mask; each row is summed
-    alone, since a 2-d sum adds in another order."""
+    """Each row's probability mass at photon numbers outside ``allowed``
+    (integers; any outside the rows' range are ignored), from one mask, summed
+    in ascending order; each row alone, since a 2-d sum adds in another order."""
     outside = np.ones(distributions.shape[-1], dtype=bool)
     outside[[n for n in allowed if 0 <= n < outside.size]] = False
     return [float(np.add.reduce(row)) for row in distributions[:, outside]]
@@ -129,8 +123,7 @@ def entanglement_entropy(state: MultiModeState, left_modes) -> float:
 
 def schmidt_entropies(matrices) -> list[float]:
     """The entropy of each state of ``matrices``, a stack or a list of its
-    (left | rest) matrices, from their spectra (``kerrcat.fock._spectra``, the
-    array-level core of ``schmidt_coefficients``)."""
+    (left | rest) matrices, from their spectra (``kerrcat.fock._spectra``)."""
     norms = _unit_norms(matrices, range(len(matrices)))
     weights = (c[c > SCHMIDT_COEFF_THRESHOLD] ** 2 / norms[i]
                for i, c in enumerate(_spectra(matrices)))

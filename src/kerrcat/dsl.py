@@ -29,14 +29,14 @@ Each rule lives in one place:
   an error diagnostic at the offending token, and is dropped.
 * The circuit rules, in :func:`validate_program`, shared by parsed files
   and programs built in code (``kerrcat.protocols``): no mode declared
-  twice, at most ``MAX_STATE_DIMENSION`` amplitudes in the running product
-  of the declared mode dimensions, fock and detected photon numbers within
-  the mode's cutoff, one source and one detection per mode, equal cutoffs
-  on both beam-splitter ports, and every named mode declared. It raises
-  :class:`kerrcat.errors.CutoffError` for the state dimension and
-  :class:`CircuitValidationError` for every other rule; ``parse`` reports
-  the same violations, and warns about declared modes that nothing names,
-  as diagnostics at the statement's line and column.
+  twice, at most ``MAX_MODES`` modes, at most ``MAX_STATE_DIMENSION``
+  amplitudes in the running product of the declared mode dimensions, fock
+  and detected photon numbers within the mode's cutoff, one source and one
+  detection per mode, equal cutoffs on both beam-splitter ports, and every
+  named mode declared. It raises :class:`kerrcat.errors.CutoffError` for
+  the state dimension and :class:`CircuitValidationError` for every other
+  rule; ``parse`` reports the same violations, and warns about declared
+  modes that nothing names, as diagnostics at the statement's line and column.
 
 Angles are evaluated to radians at parse time; the formatter prints them
 back in the shortest symbolic form (``pi/2`` rather than a decimal). A
@@ -62,6 +62,9 @@ _UINT_RE = re.compile(r"\d+\Z", re.ASCII)
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
 _TOKEN_RE = re.compile(r"\S+")
 _ANGLE = "<float>, pi, pi/<uint> or <float>*pi"
+# A batch's stack has a member axis and one per mode, and numpy 1.x allows 32
+# axes. Past 26 modes, MAX_STATE_DIMENSION leaves only vacuum modes anyway.
+MAX_MODES = 31
 
 # The statement sections, in the order of CircuitProgram's fields: each one's
 # rank in the text, which never falls, and the error of a line that lowers it.
@@ -413,6 +416,8 @@ def _violations(program: CircuitProgram):
             reject("mode", index, f"mode {label!r} is already declared")
         elif cutoff < 0:
             reject("mode", index, f"mode {label!r} has negative cutoff {cutoff}")
+        elif len(cutoffs) == MAX_MODES:
+            reject("mode", index, f"mode {label!r} is past the maximum of {MAX_MODES} modes")
         elif size > MAX_STATE_DIMENSION:
             reject("mode", index, f"mode {label!r} (cutoff {cutoff}) brings the state to {size} "
                    f"amplitudes, above the maximum state dimension {MAX_STATE_DIMENSION}",

@@ -266,7 +266,7 @@ class SchmidtDecomposition:
     left_vectors: tuple[MultiModeState, ...]
     right_vectors: tuple[MultiModeState, ...]
 
-    def rank(self, threshold: float = 1e-10) -> int:
+    def rank(self, threshold: float = SCHMIDT_COEFF_THRESHOLD) -> int:
         return int(np.count_nonzero(self.coefficients > threshold))
 
 
@@ -301,8 +301,7 @@ def schmidt_decompose(state: MultiModeState, left_modes) -> SchmidtDecomposition
     """SVD of the state across the (left_modes | rest) bipartition.
 
     ``left_modes`` must be a nonempty proper subset of the state's labels;
-    each side keeps the mode order of the original state. Use
-    :func:`schmidt_coefficients` when only the spectrum is needed.
+    each side keeps the mode order of the original state.
     """
     matrix, (left_labels, left_shape), (right_labels, right_shape) = _bipartition_matrix(
         state, left_modes
@@ -319,26 +318,10 @@ def schmidt_decompose(state: MultiModeState, left_modes) -> SchmidtDecomposition
     return SchmidtDecomposition(coeffs, lefts, rights)
 
 
-def schmidt_coefficients(state: MultiModeState, left_modes) -> np.ndarray:
-    """Schmidt spectrum across the (left_modes | rest) bipartition, without
-    the Schmidt vectors: :func:`_spectra` of its bipartition matrix.
-
-    Only the occupied support is decomposed: rows and columns of the
-    bipartition matrix that are exactly zero are dropped first, which leaves
-    every nonzero singular value unchanged (a squeezed source, occupied on
-    even photon numbers only, halves each side). The result is sorted
-    nonincreasing and holds every nonzero coefficient of
-    :func:`schmidt_decompose`, possibly followed by numerically-zero ones,
-    less the zeros of the empty rows or columns; or, sketched, just 8 values,
-    each within ``SKETCH_TOLERANCE`` ||A||_F of A's.
-    """
-    (spectrum,) = _spectra([_bipartition_matrix(state, left_modes)[0]])
-    return spectrum
-
-
 def _spectra(matrices) -> list[np.ndarray]:
     """The spectrum of each bipartition matrix of ``matrices`` (a stack or a
-    list), over its occupied rows and columns.
+    list), sorted nonincreasing, over its occupied rows and columns: dropping
+    an exactly zero row or column leaves every nonzero singular value as it is.
 
     An occupied matrix A at least ``SKETCH_MIN_SIDE`` on its shorter side is
     sketched alone: Q is an orthonormal basis of AG, for a fixed G of 8

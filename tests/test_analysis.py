@@ -22,14 +22,12 @@ from kerrcat import (
     joint_photon_distribution,
     photon_distribution,
     run_entanglement,
-    schmidt_coefficients,
     single,
     squeezed_vacuum,
-    support_residual,
     tensor_product,
     vacuum,
 )
-from kerrcat.analysis import schmidt_entropies
+from kerrcat.analysis import schmidt_entropies, support_residuals
 from kerrcat.fock import SKETCH_MIN_SIDE, SKETCH_TOLERANCE, _spectra
 from kerrcat.protocols import DC
 from kerrcat.states import fock
@@ -91,21 +89,21 @@ class TestSupportResidual:
     def test_plus_cat_support(self):
         cat = cat_squeezed(SqueezeParam(0.5), +1, 40)
         dist = photon_distribution(single("a", cat), "a")
-        assert support_residual(dist, range(0, 41, 4)) < 1e-12
+        assert support_residuals(dist[None], range(0, 41, 4))[0] < 1e-12
 
     def test_minus_cat_support(self):
         cat = cat_squeezed(SqueezeParam(0.5), -1, 40)
         dist = photon_distribution(single("a", cat), "a")
-        assert support_residual(dist, range(2, 41, 4)) < 1e-12
+        assert support_residuals(dist[None], range(2, 41, 4))[0] < 1e-12
 
     def test_vacuum_on_zero_support(self):
         dist = photon_distribution(single("a", vacuum(3)), "a")
-        assert support_residual(dist, {0}) == 0.0
+        assert support_residuals(dist[None], {0})[0] == 0.0
 
 
 def set_support_residual(distribution, allowed):
-    """support_residual as a Python set and a list comprehension built its
-    mask, which the numpy mask must reproduce."""
+    """support_residuals of one row as a Python set and a list comprehension
+    built its mask, which the numpy mask must reproduce."""
     allowed = set(allowed)
     mask = np.array([n not in allowed for n in range(len(distribution))])
     return float(np.asarray(distribution)[mask].sum())
@@ -126,7 +124,8 @@ def test_support_residual_sums_what_a_set_mask_sums(dist, entries, steps, form):
         "generator": lambda: (n for n in entries),
         "range": lambda: range(*steps),
     }[form]
-    assert support_residual(dist, allowed()).hex() == set_support_residual(dist, allowed()).hex()
+    (residual,) = support_residuals(dist[None], allowed())
+    assert residual.hex() == set_support_residual(dist, allowed()).hex()
 
 
 class TestFidelity:
@@ -322,7 +321,7 @@ def occupied_svd(state):
 @given(drawn=sketched_states())
 def test_large_spectra_are_sketched_or_fall_back_to_the_full_svd(drawn):
     rank, state = drawn
-    spectrum, full = schmidt_coefficients(state, {"a"}), occupied_svd(state)
+    (spectrum,), full = _spectra([state.tensor]), occupied_svd(state)
     if rank is None:  # no sketch passes its residual check
         assert [v.hex() for v in spectrum] == [v.hex() for v in full]
     else:
@@ -340,7 +339,7 @@ def test_a_sketch_is_kept_only_within_its_tolerance(tail, sketched):
     arr = low @ rng.standard_normal((2, SKETCH_MIN_SIDE))
     arr = arr / np.linalg.norm(arr) + tail * high / np.linalg.norm(high)
     state = MultiModeState(("a", "b"), arr / np.linalg.norm(arr))
-    spectrum, full = schmidt_coefficients(state, {"a"}), occupied_svd(state)
+    (spectrum,), full = _spectra([state.tensor]), occupied_svd(state)
     if sketched:
         assert spectrum.size == 8 and np.abs(spectrum - full[:8]).max() < SKETCH_TOLERANCE
     else:
@@ -354,5 +353,5 @@ def test_a_sketch_is_kept_only_within_its_tolerance(tail, sketched):
 def test_stacked_sketches_equal_each_states_own(drawn):
     states = [state for _, state in drawn]
     stacked = _spectra([state.tensor for state in states])
-    alone = [schmidt_coefficients(state, {"a"}) for state in states]
+    alone = [_spectra([state.tensor])[0] for state in states]
     assert [[v.hex() for v in s] for s in stacked] == [[v.hex() for v in s] for s in alone]

@@ -211,6 +211,29 @@ def test_circuit_file_that_is_not_utf8_is_a_diagnostic(tmp_path):
     assert f"{path}:2:1: error: input is not valid UTF-8" in done.stderr
 
 
+def test_circuit_with_too_many_modes_is_a_diagnostic(tmp_path):
+    # 64 modes would need 65 stack axes; 31 modes, 32 axes, are numpy 1.x's limit
+    path = tmp_path / "wide.qcirc"
+    path.write_text("".join(f"mode m{i} cutoff 0\n" for i in range(64)), encoding="utf-8")
+    done = run_kerrcat("run", "--circuit", str(path))
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"{path}:32:1: error: mode 'm31' is past the maximum of 31 modes" in done.stderr
+    path.write_text(
+        "mode m0 cutoff 4\nmode m1 cutoff 1\nmode m2 cutoff 1\n"
+        + "".join(f"mode m{i} cutoff 0\n" for i in range(3, 31))
+        + "source m0 squeezed r=0.2 phi=0\nsource m1 fock n=1\n"
+        "bs m1 m2\nkerr m0 m1 tau=pi/2\nbs m1 m2\ndetect m1 n=1\ndetect m2 n=0\ndetect m30 n=0\n",
+        encoding="utf-8",
+    )
+    done = run_kerrcat("run", "--circuit", str(path), "--epsilon", "1e-3")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    validate(report)
+    assert list(report["branches"]) == ["m1=0 m2=1 m30=0", "m1=1 m2=0 m30=0"]
+    assert abs(sum(b["probability"] for b in report["branches"].values()) - 1) < 1e-3
+
+
 @pytest.mark.parametrize("given", ["protocol", "circuit", "r=8", "r=20", "r=40"])
 def test_overflowing_squeeze_magnitude_is_a_numerical_error(given, tmp_path):
     # cosh(r) overflows above r of about 710, with or without a pinned
@@ -681,6 +704,41 @@ def test_usage_and_circuit_errors_exit_1(tmp_path, capsys, monkeypatch):
                                         "expected an unsigned integer")):
         assert cli.main(sweep + [axis]) == 1
         assert message in capsys.readouterr().err
+
+
+SUPERPOSITION_SWEEP = ["sweep", "--protocol", "superposition"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--protocol", "superposition", "--format", "csv"],
+     "CSV output is only available for sweeps; runs are JSON"),
+    (["run", "--protocol", "superposition", "--epsilon", "0"],
+     "--epsilon must lie in (0, 1), got 0.0"),
+    (["run", "--protocol", "superposition", "--epsilon", "1"],
+     "--epsilon must lie in (0, 1), got 1.0"),
+    (["sweep", "--circuit", "any.qcirc", "--sweep", "r:0:1:2"],
+     "sweeps need --protocol; circuit files have no sweepable parameters"),
+    (SUPERPOSITION_SWEEP + ["--sweep", "r:0:1"],
+     "argument --sweep: sweep spec must be param:start:stop:steps, got 'r:0:1'"),
+    (SUPERPOSITION_SWEEP + ["--sweep", "r:0:1:0"],
+     "argument --sweep: steps must be a positive integer, got '0'"),
+    (SUPERPOSITION_SWEEP + ["--sweep", "phi:-1e308:1e308:2"],
+     "argument --sweep: sweep range -1e308:1e308 overflows the float range"),
+    (SUPERPOSITION_SWEEP + ["--sweep", "q:0:1:2"],
+     "argument --sweep: unknown sweep parameter 'q'; choose from "
+     "r, phi, alpha_re, alpha_im, tau, tau2, theta"),
+    (SUPERPOSITION_SWEEP, "sweep needs at least one --sweep PARAM:START:STOP:STEPS"),
+    (SUPERPOSITION_SWEEP + ["--sweep", "r:0:1:2", "--trace"],
+     "--trace is only available for single runs"),
+    (["check"], "render_output does not drive the check command"),
+])
+def test_usage_error_names_its_rule(argv, message, capsys):
+    with pytest.raises(cli._UsageError) as raised:
+        cli.render_output(argv)
+    assert str(raised.value) == message
+    if argv != ["check"]:  # main runs the check suite instead
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"kerrcat: error: {message}\n"
 
 
 def test_huge_integer_literals_are_diagnostics(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from kerrcat import cli
 from kerrcat.dsl import (
+    MAX_MODES,
     CircuitProgram,
     CircuitValidationError,
     ParseDiagnostic,
@@ -256,6 +257,34 @@ def test_unused_mode_warning():
 def test_every_line_reports_its_own_error():
     text = "mode a cutoff 1\nmode a cutoff 1\nbogus\nphase z theta=0\ndetect a n=9\n"
     assert [d.line for d in parse(text).errors] == [2, 3, 4, 5]
+
+
+def many_modes(count: int) -> str:
+    return "".join(f"mode m{i} cutoff 0\n" for i in range(count))
+
+
+def test_modes_past_the_maximum_are_diagnostics():
+    # a batch's stack has an axis per mode besides its member axis
+    assert parse(many_modes(MAX_MODES)).ok
+    result = parse(many_modes(40) + "detect m0 n=0\n")
+    assert [(d.line, d.column, d.message) for d in result.errors] == [
+        (line, 1, f"mode 'm{line - 1}' is past the maximum of {MAX_MODES} modes")
+        for line in range(MAX_MODES + 1, 41)
+    ]
+    with pytest.raises(CircuitValidationError) as raised:
+        validate_program(CircuitProgram(tuple((f"m{i}", 0) for i in range(40))))
+    message = f"mode 'm{MAX_MODES}' is past the maximum of {MAX_MODES} modes"
+    assert str(raised.value) == f"mode {MAX_MODES}: {message}"
+
+
+@pytest.mark.parametrize("program, message", [
+    (CircuitProgram((("a", -1),)), "mode 0: mode 'a' has negative cutoff -1"),
+    (CircuitProgram((("a", 1),), detects=("a",)), "detect 0: not a detection directive"),
+], ids=["negative-cutoff", "detect-not-a-detection"])
+def test_program_built_in_code_names_its_violation(program, message):
+    with pytest.raises(CircuitValidationError) as raised:
+        validate_program(program)
+    assert str(raised.value) == message
 
 
 def test_squeezed_phase_prints_wrapped_into_one_turn():

@@ -43,7 +43,7 @@ from kerrcat import (
 from kerrcat.dsl import parse
 from kerrcat.states import fock
 from kerrcat import elements
-from kerrcat.elements import _beam_splitter_plan, _BS_HALF_ANGLE, _PLAN_CACHE_SIZE
+from kerrcat.elements import _beam_splitter_plan, _BS_HALF_ANGLE, _PLAN_CACHE_SIZE, element_modes
 
 
 def random_state(rng, labels, cutoffs):
@@ -548,6 +548,12 @@ class TestDispatch:
         s = tensor_product(single("b", fock(1, 1)), single("c", fock(0, 1)))
         with pytest.raises(TypeError, match="not a circuit element"):
             apply_element(s, Detect("b", 1))
+
+    def test_element_modes_refuses_other_objects(self):
+        thing = object()
+        with pytest.raises(TypeError) as raised:
+            element_modes(thing)
+        assert str(raised.value) == f"not a circuit element: {thing!r}"
 
     def test_descriptor_validation(self):
         with pytest.raises(ModeLabelError):

@@ -18,16 +18,16 @@ from kerrcat import (
     MultiModeState,
     StateMismatchError,
     ZeroStateError,
+    entanglement_entropy,
     project_mode,
     project_modes,
-    schmidt_coefficients,
     schmidt_decompose,
     single,
     squeezed_vacuum,
     tensor_product,
     vacuum,
 )
-from kerrcat.fock import ZERO_NORM_THRESHOLD, _Owned, _units
+from kerrcat.fock import ZERO_NORM_THRESHOLD, _bipartition_matrix, _Owned, _spectra, _units
 from kerrcat import states
 from kerrcat.states import CoherentParam, SqueezeParam, fock
 
@@ -61,6 +61,11 @@ class TestConstruction:
     def test_rejects_nan(self):
         with pytest.raises(StateMismatchError):
             FockVector([float("nan"), 0.0])
+
+    def test_rejects_an_empty_vector(self):
+        with pytest.raises(StateMismatchError) as raised:
+            FockVector(np.zeros(0))
+        assert str(raised.value) == "a mode needs at least the vacuum amplitude"
 
     def test_rejects_overlong_norm(self):
         with pytest.raises(StateMismatchError):
@@ -353,9 +358,9 @@ class TestProjection:
 
 
 def assert_spectrum_matches_decomposition(state, left):
-    """schmidt_coefficients is the nonzero part of schmidt_decompose's
+    """The occupied spectrum is the nonzero part of schmidt_decompose's
     spectrum; whatever it leaves out is zero."""
-    values = schmidt_coefficients(state, left)
+    (values,) = _spectra([_bipartition_matrix(state, left)[0]])
     full = schmidt_decompose(state, left).coefficients
     assert np.abs(values - full[: values.size]).max() < 1e-12
     assert np.all(full[values.size:] < 1e-12)
@@ -419,7 +424,7 @@ class TestSchmidt:
 
     def test_partition_errors(self):
         state = random_state(np.random.default_rng(16), ("a", "b"), (2, 2))
-        for split in (schmidt_decompose, schmidt_coefficients):
+        for split in (schmidt_decompose, entanglement_entropy):
             with pytest.raises(ModeLabelError):
                 split(state, set())
             with pytest.raises(ModeLabelError):

@@ -289,6 +289,11 @@ class TestStateDimensionBudget:
         with pytest.raises(CutoffError, match="maximum state dimension"):
             run_circuit(with_cutoff(program, "a", MAX_STATE_DIMENSION // 4))
 
+    def test_modes_past_the_maximum_are_refused(self):
+        program = CircuitProgram(tuple((f"m{i}", 0) for i in range(40)))
+        with pytest.raises(CircuitValidationError, match="past the maximum of 31 modes"):
+            run_circuit(program)
+
     def test_cli_run_and_sweep(self, no_oversized_products):
         assert cli.main(["run", "--protocol", "entanglement", "--r", "3"]) == 2
         argv = ["sweep", "--protocol", "entanglement", "--sweep", "r:0.3:3:2"]

@@ -376,6 +376,23 @@ def test_overflowing_squeeze_magnitude():
             build_source(param, 3, 1e-6)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: SqueezeParam(math.nan), ValueError, "squeeze parameters must be finite"),
+    (lambda: CoherentParam(math.inf), ValueError, "coherent amplitude must be finite"),
+    (lambda: fock(0, -1), CutoffError, "cutoff must be >= 0, got -1"),
+    (lambda: coherent(CoherentParam(1), -1), CutoffError, "cutoff must be >= 0, got -1"),
+    (lambda: suggest_cutoff(FockParam(1)), TypeError, "unsupported source parameter FockParam"),
+    # e^(-|alpha|^2) underflows, so no truncation holds any probability
+    (lambda: suggest_cutoff(CoherentParam(38.5)), CutoffError,
+     "coherent((38.5+0j)): e^(-|alpha|^2) underflows to 0; no cutoff exists"),
+], ids=["squeeze-nan", "coherent-inf", "fock-cutoff", "coherent-cutoff", "fock-source-cutoff",
+        "coherent-underflow"])
+def test_invalid_source_input_names_its_rule(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert str(raised.value) == message
+
+
 class TestNoCache:
     """The factories keep nothing between calls; the tables that share their
     results (``kerrcat.protocols``) key on the parameters."""
