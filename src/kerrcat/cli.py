@@ -302,27 +302,27 @@ def _read_params(config: argparse.Namespace) -> tuple[str, ...]:
 
 
 def _protocol_params(config: argparse.Namespace, point):
-    """The configured protocol's parameters at ``point`` (a value per ``SWEEPABLE`` name)."""
-    if config.source == "squeezed":
-        source = SqueezeParam(point["r"], point["phi"])
-    else:
-        source = CoherentParam(complex(point["alpha_re"], point["alpha_im"]))
+    """The configured protocol's parameters at ``point`` (a value per ``SWEEPABLE``
+    name), read from the names of :func:`_read_params` alone."""
+    names = _read_params(config)
+    first, second = (point[name] for name in names[:2])
+    source = (SqueezeParam(first, second) if config.source == "squeezed"
+              else CoherentParam(complex(first, second)))
+    angles = {name: point[name] for name in names[2:]}
     if config.protocol == "superposition":
-        return SuperpositionParams(source, point["tau"], point["theta"], config.epsilon)
+        return SuperpositionParams(source, **angles, eps=config.epsilon)
     # the CLI drives both entanglement arms with the same source parameters;
     # mixed-source pairs are expressed as circuit files or through the API
-    return EntanglementParams(
-        source, source, point["tau"], point["tau2"], point["theta"], config.epsilon
-    )
+    return EntanglementParams(source, source, **angles, eps=config.epsilon)
 
 
-def _analyzed(config: argparse.Namespace, params, cutoffs: dict, batch) -> list[dict]:
+def _analyzed(config: argparse.Namespace, params, batch) -> list[dict]:
     """The report branches of each of one batch's results, against target stacks
-    read from the points' ``params``, their cutoff table and the batch's sources."""
+    read from the points' ``params`` and the sources each result was built from."""
     superposition = config.protocol == "superposition"
     stacks = superposition_target_stacks if superposition else entanglement_target_stacks
     results = [click_branches(result) for result in batch]
-    targets = stacks(params, cutoffs, batch[0].sources)
+    targets = stacks(params, [result.sources for result in results])
     return _records(results, targets, config.source if superposition else None)
 
 
@@ -344,10 +344,10 @@ def _read_circuit(path: str) -> dsl.CircuitProgram:
 def _run_report(config: argparse.Namespace) -> dict:
     """The report of one run, of a built-in protocol or of a circuit file."""
     if config.protocol is not None:
-        params, cutoffs = _protocol_params(config, vars(config)), {}
-        program = _PROGRAMS[config.protocol](params, cutoffs)
+        params = _protocol_params(config, vars(config))
+        program = _PROGRAMS[config.protocol](params)
         result = run_circuit(program, config.epsilon, config.trace)
-        (branches,) = _analyzed(config, [params], cutoffs, [result])
+        (branches,) = _analyzed(config, [params], [result])
         given = {"protocol": config.protocol}
         names = _read_params(config)
         source = {"kind": config.source, **{key: getattr(config, key) for key in names[:2]}}
@@ -412,7 +412,7 @@ def _sweep_range(task) -> Iterator[dict]:
         if isinstance(batch[0], Exception):
             branches, error = [{}], f"{type(batch[0]).__name__}: {batch[0]}"
         else:
-            branches, error = _analyzed(config, [p for _, _, p in points], cutoffs, batch), None
+            branches, error = _analyzed(config, [p for _, _, p in points], batch), None
         return [{"schema": SCHEMA_TAG, "kind": "sweep-point", "point": index, "params": point,
                  "branches": point_branches, "error": error}
                 for (index, point, _), point_branches in zip(points, branches)]
@@ -545,27 +545,29 @@ def _write_report(path: str, chunks) -> None:
     before the first chunk is made, which replaces it once complete and is
     removed on any error. Special files (``/dev/null``) are written directly.
     An ``OSError`` raised while a chunk is made is not the file's; it propagates."""
-    path = os.path.realpath(path)
+    given, path = path, os.path.realpath(path)
     special = os.path.exists(path) and not os.path.isfile(path)
     partial = None if special else f"{path}.{os.getpid()}.partial"
     try:
-        with _reported(open, partial or path, "x" if partial else "w", encoding="utf-8",
+        with _reported(given, open, partial or path, "x" if partial else "w", encoding="utf-8",
                        newline="\n") as out:
             _write(out, chunks)
-            _reported(out.close)
+            _reported(given, out.close)
         if partial:
-            _reported(os.replace, partial, path)
+            _reported(given, os.replace, partial, path)
     finally:
         if partial and os.path.exists(partial):
             os.remove(partial)
 
 
-def _reported(call, *args, **kwargs):
-    """``call(*args, **kwargs)``, whose ``OSError`` cannot write the report."""
+def _reported(path: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, whose ``OSError`` cannot write the report ``path``.
+    An error that names a file names ``path``, not the partial file beside it."""
     try:
         return call(*args, **kwargs)
     except OSError as err:
-        raise _UsageError(f"cannot write report: {err}") from None
+        named = err if err.filename is None else OSError(err.errno, err.strerror, path)
+        raise _UsageError(f"cannot write report: {named}") from None
 
 
 def main(argv=None) -> int:

@@ -16,9 +16,9 @@ mixed before any data mode joins them; ``run_superposition`` and
 ``Db_fires`` (b=1 c=0) and ``Dc_fires`` (b=0 c=1). Each data mode's cutoff
 is ``suggest_cutoff`` of its source at the protocol's one budget ``eps``.
 
-Nothing is cached. A sweep sizes its points through one cutoff table, and
-each batch builds its sources into a fresh source table (:func:`_kept`),
-which its results carry for their targets (``ProtocolResult.sources``).
+Nothing is cached. A sweep sizes its points through one cutoff table, each
+batch builds each distinct source once (:func:`_source_stacks`), and each
+result carries its modes' vectors (``ProtocolResult.sources``) to its targets.
 
 Programs that share their :func:`layout` (their modes and cutoffs, their
 detections, the kind and modes of every element and every source, and
@@ -56,7 +56,7 @@ from .elements import (
     apply_batch,
     element_modes,
 )
-from .errors import FockSpaceError
+from .errors import CutoffError, FockSpaceError
 from .fock import (
     ZERO_NORM_THRESHOLD,
     FockVector,
@@ -80,6 +80,10 @@ from .states import (
 # Every branch, detected or unconditional, whose probability falls below this
 # is reported with probability zero and no conditional state.
 ZERO_BRANCH_THRESHOLD = 1e-12
+# Most outcomes one run's detection may keep. A kept branch costs about 3.8 KB
+# (its row, Branch and record): 16 detected coherent modes at cutoff 1 keep all
+# 65,536 outcomes, and their run took 3.4 s and peaked at 279 MB (2-vCPU VM).
+MAX_KEPT_BRANCHES = 1 << 16
 
 DB = "Db_fires"
 DC = "Dc_fires"
@@ -138,11 +142,11 @@ class Branch:
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """All detection branches, an optional trace of stages, and the batch's source table."""
+    """All detection branches, an optional trace of stages, and each mode's source vector."""
 
     branches: Mapping[str, Branch]
     trace: tuple[tuple[str, MultiModeState], ...] | None = None
-    sources: dict = field(default_factory=dict, compare=False, repr=False)
+    sources: Mapping[str, FockVector] = field(default_factory=dict, compare=False, repr=False)
 
     def __getitem__(self, name: str) -> Branch:
         return self.branches[name]
@@ -183,18 +187,18 @@ def superposition_targets(params: SuperpositionParams) -> dict:
     Keys ``even_cat`` / ``odd_cat``; a key is omitted when the cat vanishes
     identically (zero-amplitude source).
     """
-    return _point_targets(superposition_target_stacks([params], {}, {}), ("a",))
+    sources = _source_stacks([superposition_program(params)], params.eps)[1]
+    return _point_targets(superposition_target_stacks([params], sources), ("a",))
 
 
-def superposition_target_stacks(points, cutoffs: dict, sources: dict) -> tuple[np.ndarray, dict]:
+def superposition_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
     """The targets of :func:`superposition_targets` of each of ``points`` (a
-    batch's parameters: one source kind, one cutoff), read from (and kept in)
-    a cutoff and a source table, as one stack, a row per cat of each distinct
-    source, and each name's row for each point (:func:`_target_rows`)."""
-    distinct, at = {}, []  # a table's equal sources are one vector
-    for p in points:
-        cutoff = _kept(cutoffs, (p.source_a, p.eps), suggest_cutoff)
-        vector = _kept(sources, (p.source_a, cutoff, p.eps), build_source)
+    batch's parameters: one source kind, one cutoff), from the vector that
+    each point's run built on mode ``a`` (its ``sources``), as one stack, a
+    row per cat of each distinct vector, and each name's row for each point
+    (:func:`_target_rows`)."""
+    distinct, at = {}, []  # a batch's equal sources are one vector
+    for vector in (built["a"] for built in sources):
         at.append(distinct.setdefault(id(vector), (len(distinct), vector.amplitudes))[0])
     vectors = np.stack([amplitudes for _, amplitudes in distinct.values()])
     cats = [_parity_cat(points[0].source_a, vectors, sign) for sign in (+1, -1)]
@@ -207,24 +211,26 @@ def entanglement_targets(params: EntanglementParams) -> dict:
 
     Keys ``pair_plus`` / ``pair_minus``; a key is omitted when that
     combination vanishes identically (e.g. both taus zero for the minus
-    branch). A rotated source is the table's checked one if the rotation
-    left it as it was, else its own law at the cutoff of its unrotated one,
+    branch). A rotated source is the point's own vector if the rotation left
+    its parameter as it was, else its own law at the cutoff of that vector,
     with no leakage check: the budget belongs to the circuit's sources.
     """
-    return _point_targets(entanglement_target_stacks([params], {}, {}), ("a", "a2"))
+    sources = _source_stacks([entanglement_program(params)], params.eps)[1]
+    return _point_targets(entanglement_target_stacks([params], sources), ("a", "a2"))
 
 
-def entanglement_target_stacks(points, cutoffs: dict, sources: dict) -> tuple[np.ndarray, dict]:
+def entanglement_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
     """The targets of :func:`entanglement_targets` of each of ``points`` (a
-    batch's parameters: one cutoff per mode), read from (and kept in) a
-    cutoff and a source table, as one stack, a row per combination of each
-    point, and each name's row for each point (:func:`_target_rows`)."""
-    vectors = []  # each point's source and rotated source on a, then on a2
-    for p in points:
-        for param, tau in ((p.source_a, p.tau), (p.source_a2, p.tau2)):
-            cutoff = _kept(cutoffs, (param, p.eps), suggest_cutoff)
-            vectors += [_kept(sources, (param, cutoff, p.eps), build_source),
-                        _rotated(sources, param.kerr_rotated(tau), cutoff, p.eps)]
+    batch's parameters: one cutoff per mode), from the vectors that each
+    point's run built on modes ``a`` and ``a2`` (its ``sources``), as one
+    stack, a row per combination of each point, and each name's row for each
+    point (:func:`_target_rows`). Each rotated law is built once a call."""
+    vectors, rotated = [], {}  # each point's source and rotated source on a, then on a2
+    for p, built in zip(points, sources):
+        for label, param, tau in (("a", p.source_a, p.tau), ("a2", p.source_a2, p.tau2)):
+            vector, turned = built[label], param.kerr_rotated(tau)
+            vectors += [vector, vector if turned == param
+                        else _kept(rotated, (turned, vector.cutoff), _unchecked_source)]
     a, rotated_a, a2, rotated_a2 = (np.stack([v.amplitudes for v in vectors[k::4]])
                                     for k in range(4))
     base = a[:, :, None] * a2[:, None, :]
@@ -301,12 +307,8 @@ def _kept(table: dict, key: tuple, build):
     return value
 
 
-def _rotated(sources: dict, param, cutoff: int, eps: float) -> FockVector:
-    """A checked source has the bits of an unchecked one: one law, one cutoff."""
-    return sources.get((param, cutoff, eps)) or _kept(sources, (param, cutoff), _unchecked_source)
-
-
 def _unchecked_source(param, cutoff: int) -> FockVector:
+    """A checked source has the bits of an unchecked one: one law, one cutoff."""
     return FockVector(_Owned(_law(param, cutoff)[0]))
 
 
@@ -340,7 +342,8 @@ def run_circuit(
     when read; the requested outcome is always reported, in its place, as a
     zero branch (no row, no state) below it. Without any detection the law
     is the squared norm, and the one branch, ``"unconditional"``, follows
-    the same rule.
+    the same rule. A law that keeps more than ``MAX_KEPT_BRANCHES`` outcomes
+    raises :class:`kerrcat.errors.CutoffError` before any row is copied.
     """
     return _run_batch([program], eps, trace)[0]
 
@@ -391,11 +394,11 @@ def _isolated(programs, eps: float) -> Iterator[list]:
 
 
 def _run_batch(programs, eps: float, trace: bool) -> list[ProtocolResult]:
-    first, sources = programs[0], {}
+    first = programs[0]
     dsl.validate_program(first)
     params = dict(first.sources)
     declared = [label for label, _ in first.modes]
-    unjoined = _source_stacks(programs, eps, sources)
+    unjoined, sources = _source_stacks(programs, eps)
     # until the first source or angle that differs, one member stands for all
     stack, labels = np.ones(1, dtype=np.complex128), ()
     stages = []
@@ -427,23 +430,22 @@ def _run_batch(programs, eps: float, trace: bool) -> list[ProtocolResult]:
                 stages.append((dsl.format_element(element), traced()))
     stages = tuple(stages) if trace else None
     detected = _branches(_checked_members(stack), labels, first.detects, len(programs))
-    return [ProtocolResult(branches, stages, sources) for branches in detected]
+    return [ProtocolResult(branches, stages, built) for branches, built in zip(detected, sources)]
 
 
-def _source_stacks(programs, eps: float, sources: dict) -> dict[str, np.ndarray]:
+def _source_stacks(programs, eps: float) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Each declared mode's source amplitudes as a ``(members, cutoff + 1)``
-    stack, of one row when every member has the same source, each row from
-    the batch's source table ``sources``."""
-    columns = {label: [] for label, _ in programs[0].modes}
+    stack, of one row when every member has the same source, and each
+    member's source vector by mode label. Each distinct source is built once,
+    into a table that no caller sees."""
+    table, sources = {}, []
     for program in programs:  # member by member: a failing member raises its own first error
         params = dict(program.sources)
-        for label, cutoff in program.modes:
-            vector = _kept(sources, (params.get(label), cutoff, eps), build_source)
-            columns[label].append(vector.amplitudes)
-    return {
-        label: rows[0][None] if all(row is rows[0] for row in rows) else np.stack(rows)
-        for label, rows in columns.items()
-    }
+        sources.append({label: _kept(table, (params.get(label), cutoff, eps), build_source)
+                        for label, cutoff in program.modes})
+    columns = {label: [built[label].amplitudes for built in sources] for label in sources[0]}
+    return {label: rows[0][None] if all(row is rows[0] for row in rows) else np.stack(rows)
+            for label, rows in columns.items()}, sources
 
 
 def layout(p: "dsl.CircuitProgram"):
@@ -470,6 +472,9 @@ def _branches(stack: np.ndarray, labels, detects, count: int) -> list[dict[str, 
         law = law.sum(axis=tuple(range(1 + len(modes), stack.ndim)))
     kept = law >= ZERO_BRANCH_THRESHOLD
     kept[(slice(None), *(n for _, n in requested))] = True
+    most = int(kept.reshape(len(kept), -1).sum(axis=1).max())  # each member's kept outcomes
+    if most > MAX_KEPT_BRANCHES:
+        raise CutoffError(f"detection would keep {most} branches; the cap is {MAX_KEPT_BRANCHES}")
     found = np.argwhere(kept)  # (member, counts), ascending with the member slowest
     probabilities = law[tuple(found.T)]
     live = probabilities >= ZERO_BRANCH_THRESHOLD  # all but a requested zero outcome

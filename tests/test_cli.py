@@ -482,6 +482,34 @@ def test_sweep_axis_is_one_the_run_reads(protocol, source, axis, capsys):
                                            f"{protocol} run of a {source} source does not read\n")
 
 
+@pytest.mark.parametrize("source", ["squeezed", "coherent"])
+@pytest.mark.parametrize("protocol", ["superposition", "entanglement"])
+def test_a_run_reads_each_name_of_read_params_and_no_other(protocol, source):
+    # the converse of test_sweep_axis_is_one_the_run_reads: a point's
+    # parameters change with each name that _read_params returns, and with
+    # no other SWEEPABLE name
+    config = cli._run_config(["run", "--protocol", protocol, "--source", source])
+    point = dict.fromkeys(cli.SWEEPABLE, 0.25)
+    params = cli._protocol_params(config, point)
+    read = cli._read_params(config)
+    for name in cli.SWEEPABLE:
+        changed = cli._protocol_params(config, {**point, name: 0.5})
+        assert (changed != params) == (name in read), name
+
+
+def test_kept_branches_past_the_cap_are_a_numerical_error(tmp_path):
+    # each of 17 detected coherent modes at cutoff 1 keeps both outcomes
+    path = tmp_path / "many.qcirc"
+    labels = [f"m{i}" for i in range(17)]
+    path.write_text("".join(f"mode {m} cutoff 1\n" for m in labels)
+                    + "".join(f"source {m} coherent re=1 im=0\n" for m in labels)
+                    + "".join(f"detect {m} n=0\n" for m in labels), encoding="utf-8")
+    done = run_kerrcat("run", "--circuit", str(path), "--epsilon", "0.9")
+    assert done.returncode == 2
+    assert done.stderr == ("kerrcat: numerical error: detection would keep 131072 branches; "
+                           f"the cap is {protocols.MAX_KEPT_BRANCHES}\n")
+
+
 def test_splitter_over_the_plan_cap_is_a_numerical_error(tmp_path):
     # the state (165,649 amplitudes) is legal, but the cutoff-406 splitter's
     # plan would hold 407^3 entries, above MAX_STATE_DIMENSION
@@ -695,7 +723,10 @@ def test_usage_and_circuit_errors_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_circuit", run_circuit)
     for out in (tmp_path / "missing" / "x.json", tmp_path):
         assert cli.main(["run", "--protocol", "superposition", "--out", str(out)]) == 1
-        assert "kerrcat: error: cannot write report: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "kerrcat: error: cannot write report: " in err
+        # it names the file asked for, not the partial file written beside it
+        assert repr(str(out)) in err and ".partial" not in err
     # a repeated axis would silently replace the earlier one; "²" passes
     # str.isdigit but not int
     sweep = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.2:2", "--sweep"]

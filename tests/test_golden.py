@@ -13,6 +13,7 @@ it prints how many of the file's numbers change and the largest absolute
 change.
 """
 
+import cmath
 import csv
 import io
 import json
@@ -25,6 +26,7 @@ import pytest
 import kerrcat
 from kerrcat import cli
 from kerrcat.checks import _pair_entropy_oracle
+from kerrcat.protocols import DB, DC
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCHEMA = json.loads(
@@ -85,17 +87,22 @@ def test_recorded_reports_match_the_schema(name):
 
 
 def test_mixed_pair_matches_the_two_state_oracles():
-    # each click leaves |-alpha>|-xi> -+ |alpha>|xi>, whose probability and
-    # entropy follow from the overlaps <-alpha|alpha> = exp(-2 |alpha|^2) and
-    # <-xi|xi> = 1 / (cosh r sqrt(1 + tanh^2 r)), at alpha = 1 and r = 0.8
-    su = math.exp(-2.0)
-    sv = 1.0 / (math.cosh(0.8) * math.sqrt(1.0 + math.tanh(0.8) ** 2))
-    report = json.loads((GOLDEN / "entanglement-mixed.json").read_text(encoding="utf-8"))
-    for key, sign, theta in (("b=1 c=0", -1, 0.0), ("b=0 c=1", 1, math.pi)):
-        branch = report["branches"][key]
-        assert abs(branch["probability"] - (1 + sign * su * sv) / 2) <= 1e-9
-        entropy = _pair_entropy_oracle(su, sv, theta)
-        assert abs(branch["analysis"]["schmidt_entropy"] - entropy) <= 1e-9
+    # each click leaves R|u>R'|v> -+ |u>|v>, whose probability and entropy
+    # follow from the overlaps su = <Ru|u> and sv = <R'v|v>. The mixed pair
+    # rotates alpha = 1 to -alpha and r = 0.8 to -xi: <-alpha|alpha> =
+    # exp(-2 |alpha|^2) and <-xi|xi> = 1 / (cosh r sqrt(1 + tanh^2 r)). The
+    # coherent pair rotates alpha = 0.8 to -i alpha on each arm:
+    # <-i alpha|alpha> = exp(-alpha^2 + i alpha^2).
+    mixed = (math.exp(-2.0), 1.0 / (math.cosh(0.8) * math.sqrt(1.0 + math.tanh(0.8) ** 2)))
+    cases = (("entanglement-mixed.json", mixed, ("b=1 c=0", "b=0 c=1")),
+             ("entanglement-coherent.json", (cmath.exp(-0.64 + 0.64j),) * 2, (DB, DC)))
+    for name, (su, sv), keys in cases:
+        report = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+        for key, sign, theta in zip(keys, (-1, 1), (0.0, math.pi)):
+            branch = report["branches"][key]
+            assert abs(branch["probability"] - (1 + sign * (su * sv).real) / 2) <= 1e-9, name
+            entropy = _pair_entropy_oracle(su, sv, theta)
+            assert abs(branch["analysis"]["schmidt_entropy"] - entropy) <= 1e-9, name
 
 
 def _leaves(value):

@@ -294,6 +294,25 @@ class TestStateDimensionBudget:
         with pytest.raises(CircuitValidationError, match="past the maximum of 31 modes"):
             run_circuit(program)
 
+    def test_kept_branches_past_the_cap_are_refused(self, monkeypatch):
+        # every outcome of n detected coherent modes at cutoff 1 is kept at
+        # alpha = 1, and only the requested one at alpha = 0
+        def detected(n, alpha=1.0):
+            labels = [f"m{i}" for i in range(n)]
+            return CircuitProgram(tuple((m, 1) for m in labels),
+                                  tuple((m, CoherentParam(alpha)) for m in labels),
+                                  detects=tuple(Detect(m, 0) for m in labels))
+
+        monkeypatch.setattr(protocols, "MAX_KEPT_BRANCHES", 8)
+        assert len(run_circuit(detected(3), 0.9).branches) == 8
+        with pytest.raises(CutoffError, match="^detection would keep 16 branches; the cap is 8$"):
+            run_circuit(detected(4), 0.9)
+        # the cap counts each member's branches: the batch runs again a
+        # program at a time, and only the member above the cap is refused
+        (refused,), (alone,) = run_batches([detected(4), detected(4, 0.0)], 0.9)
+        assert isinstance(refused, CutoffError)
+        assert list(alone.branches) == ["m0=0 m1=0 m2=0 m3=0"]
+
     def test_cli_run_and_sweep(self, no_oversized_products):
         assert cli.main(["run", "--protocol", "entanglement", "--r", "3"]) == 2
         argv = ["sweep", "--protocol", "entanglement", "--sweep", "r:0.3:3:2"]
@@ -693,14 +712,14 @@ def sweep_batches(draw):
 def batch_targets(members):
     """Each member's target rows as a sweep takes them: sized through one
     cutoff table, run in batches of one layout, a target stack per batch
-    read from the batch's table."""
+    read from the sources its members were built from."""
     entangled = isinstance(members[0], EntanglementParams)
     program = entanglement_program if entangled else superposition_program
     stacks = entanglement_target_stacks if entangled else superposition_target_stacks
     cutoffs, out, params = {}, [], members
     for batch in run_batches([program(p, cutoffs) for p in members], members[0].eps):
         points, params = params[:len(batch)], params[len(batch):]
-        stack, rows = stacks(points, cutoffs, batch[0].sources)
+        stack, rows = stacks(points, [r.sources for r in batch])
         out += [{name: stack[at[i]] for name, at in rows.items() if at[i] is not None}
                 for i in range(len(points))]
     return out
