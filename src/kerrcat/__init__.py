@@ -5,14 +5,16 @@ The package builds squeezed/coherent sources, propagates them through
 truncated Fock representation, and post-selects on ideal photon detection
 to produce parity-cat superpositions and entangled pairs, together with
 the diagnostics (distributions, fidelities, Schmidt data) to verify them.
+
+The public surface is the command line, its report schema and the names
+exported here: the circuit language, the four element types, the errors,
+``FockVector`` and ``MultiModeState``, the batch runner (``run_circuit``,
+``run_batches``, their results, and each protocol's parameters and program
+builder), and the source factories with their parameter types. Single-state
+functions that no command-line path calls (``kerrcat.analysis.fidelity``,
+``kerrcat.protocols.run_superposition``, ...) stay in their own modules.
 """
 
-from .analysis import (
-    entanglement_entropy,
-    fidelity,
-    joint_photon_distribution,
-    photon_distribution,
-)
 from .dsl import (
     CircuitProgram,
     CircuitValidationError,
@@ -21,16 +23,7 @@ from .dsl import (
     parse,
     validate_program,
 )
-from .elements import (
-    BalancedBeamSplitter,
-    CrossKerr,
-    Detect,
-    PhaseShift,
-    apply_beam_splitter,
-    apply_cross_kerr,
-    apply_element,
-    apply_phase_shift,
-)
+from .elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift
 from .errors import (
     CutoffError,
     FockSpaceError,
@@ -39,36 +32,21 @@ from .errors import (
     TruncationWarning,
     ZeroStateError,
 )
-from .fock import (
-    FockVector,
-    MultiModeState,
-    SchmidtDecomposition,
-    project_mode,
-    project_modes,
-    schmidt_decompose,
-    single,
-    tensor_product,
-)
+from .fock import FockVector, MultiModeState
 from .protocols import (
     Branch,
     EntanglementParams,
     ProtocolResult,
     SuperpositionParams,
     entanglement_program,
-    entanglement_targets,
     run_batches,
     run_circuit,
-    run_entanglement,
-    run_superposition,
     superposition_program,
-    superposition_targets,
 )
 from .states import (
     CoherentParam,
     FockParam,
     SqueezeParam,
-    cat_coherent,
-    cat_squeezed,
     coherent,
     squeezed_vacuum,
     suggest_cutoff,

@@ -187,8 +187,7 @@ def superposition_targets(params: SuperpositionParams) -> dict:
     Keys ``even_cat`` / ``odd_cat``; a key is omitted when the cat vanishes
     identically (zero-amplitude source).
     """
-    sources = _source_stacks([superposition_program(params)], params.eps)[1]
-    return _point_targets(superposition_target_stacks([params], sources), ("a",))
+    return _point_targets(params, superposition_program, superposition_target_stacks, ("a",))
 
 
 def superposition_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
@@ -215,8 +214,7 @@ def entanglement_targets(params: EntanglementParams) -> dict:
     its parameter as it was, else its own law at the cutoff of that vector,
     with no leakage check: the budget belongs to the circuit's sources.
     """
-    sources = _source_stacks([entanglement_program(params)], params.eps)[1]
-    return _point_targets(entanglement_target_stacks([params], sources), ("a", "a2"))
+    return _point_targets(params, entanglement_program, entanglement_target_stacks, ("a", "a2"))
 
 
 def entanglement_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
@@ -253,46 +251,39 @@ def _target_rows(names, stack: np.ndarray, at) -> tuple[np.ndarray, dict]:
                           for j in at] for k, name in enumerate(names)}
 
 
-def _point_targets(stacks, labels) -> dict:
-    stack, rows = stacks
+def _point_targets(params, program, stacks, labels) -> dict:
+    """One point's ``stacks`` over ``labels``, from the sources its ``program`` builds."""
+    stack, rows = stacks([params], _source_stacks([program(params)], params.eps)[1])
     return {name: MultiModeState(labels, stack[at[0]])
             for name, at in rows.items() if at[0] is not None}
 
 
 def superposition_program(params: SuperpositionParams, cutoffs=None) -> "dsl.CircuitProgram":
     """The one-data-mode pipeline as a circuit program, sized through ``cutoffs``."""
-    source, cutoffs = params.source_a, {} if cutoffs is None else cutoffs
-    return dsl.CircuitProgram(
-        modes=(("a", _kept(cutoffs, (source, params.eps), suggest_cutoff)), ("b", 1), ("c", 1)),
-        sources=(("a", source), ("b", FockParam(1))),
-        elements=(
-            BalancedBeamSplitter("b", "c"),
-            CrossKerr("a", "b", params.tau),
-            PhaseShift("c", params.theta),
-            BalancedBeamSplitter("b", "c"),
-        ),
-        detects=(Detect("b", 1), Detect("c", 0)),
-    )
+    return _scheme(params, (("a", params.source_a, params.tau),), cutoffs)
 
 
 def entanglement_program(params: EntanglementParams, cutoffs=None) -> "dsl.CircuitProgram":
     """The two-data-mode pipeline as a circuit program, sized through ``cutoffs``."""
+    arms = (("a", params.source_a, params.tau), ("a2", params.source_a2, params.tau2))
+    return _scheme(params, arms, cutoffs)
+
+
+def _scheme(params, arms, cutoffs) -> "dsl.CircuitProgram":
+    """Both pipelines' interferometer: the photon on b, a splitter with c, a Kerr
+    medium between b and each data mode of ``arms`` ((label, source, tau); the
+    first comes before b, c and the phase on c, the rest after them), a splitter,
+    and the b=1 c=0 click. Each data mode is sized at ``params.eps`` through ``cutoffs``."""
     cutoffs = {} if cutoffs is None else cutoffs
+    modes = [(label, _kept(cutoffs, (source, params.eps), suggest_cutoff))
+             for label, source, _ in arms]
+    sources = [(label, source) for label, source, _ in arms]
+    kerrs = [CrossKerr(label, "b", tau) for label, _, tau in arms]
     return dsl.CircuitProgram(
-        modes=(
-            ("a", _kept(cutoffs, (params.source_a, params.eps), suggest_cutoff)),
-            ("b", 1),
-            ("c", 1),
-            ("a2", _kept(cutoffs, (params.source_a2, params.eps), suggest_cutoff)),
-        ),
-        sources=(("a", params.source_a), ("b", FockParam(1)), ("a2", params.source_a2)),
-        elements=(
-            BalancedBeamSplitter("b", "c"),
-            CrossKerr("a", "b", params.tau),
-            PhaseShift("c", params.theta),
-            CrossKerr("a2", "b", params.tau2),
-            BalancedBeamSplitter("b", "c"),
-        ),
+        modes=(modes[0], ("b", 1), ("c", 1), *modes[1:]),
+        sources=(sources[0], ("b", FockParam(1)), *sources[1:]),
+        elements=(BalancedBeamSplitter("b", "c"), kerrs[0], PhaseShift("c", params.theta),
+                  *kerrs[1:], BalancedBeamSplitter("b", "c")),
         detects=(Detect("b", 1), Detect("c", 0)),
     )
 

@@ -13,24 +13,22 @@ from kerrcat import (
     MultiModeState,
     SqueezeParam,
     StateMismatchError,
-    apply_phase_shift,
-    cat_coherent,
-    cat_squeezed,
     coherent,
+    squeezed_vacuum,
+    vacuum,
+)
+from kerrcat.analysis import (
     entanglement_entropy,
     fidelity,
     joint_photon_distribution,
     photon_distribution,
-    run_entanglement,
-    single,
-    squeezed_vacuum,
-    tensor_product,
-    vacuum,
+    schmidt_entropies,
+    support_residuals,
 )
-from kerrcat.analysis import schmidt_entropies, support_residuals
-from kerrcat.fock import SKETCH_MIN_SIDE, SKETCH_TOLERANCE, _spectra
-from kerrcat.protocols import DC
-from kerrcat.states import fock
+from kerrcat.elements import apply_phase_shift
+from kerrcat.fock import SKETCH_MIN_SIDE, SKETCH_TOLERANCE, _spectra, single, tensor_product
+from kerrcat.protocols import DC, run_entanglement
+from kerrcat.states import cat_coherent, cat_squeezed, fock
 
 OVERLAP_OPPOSITE_R05 = 0.8050181821945921
 

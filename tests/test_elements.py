@@ -28,22 +28,25 @@ from kerrcat import (
     SqueezeParam,
     StateMismatchError,
     TruncationWarning,
+    coherent,
+    run_circuit,
+    squeezed_vacuum,
+)
+from kerrcat.analysis import fidelity, photon_distribution
+from kerrcat.dsl import parse
+from kerrcat.fock import single, tensor_product
+from kerrcat.states import fock
+from kerrcat import elements
+from kerrcat.elements import (
+    _BS_HALF_ANGLE,
+    _PLAN_CACHE_SIZE,
+    _beam_splitter_plan,
     apply_beam_splitter,
     apply_cross_kerr,
     apply_element,
     apply_phase_shift,
-    coherent,
-    fidelity,
-    photon_distribution,
-    run_circuit,
-    single,
-    squeezed_vacuum,
-    tensor_product,
+    element_modes,
 )
-from kerrcat.dsl import parse
-from kerrcat.states import fock
-from kerrcat import elements
-from kerrcat.elements import _beam_splitter_plan, _BS_HALF_ANGLE, _PLAN_CACHE_SIZE, element_modes
 
 
 def random_state(rng, labels, cutoffs):

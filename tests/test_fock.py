@@ -18,16 +18,22 @@ from kerrcat import (
     MultiModeState,
     StateMismatchError,
     ZeroStateError,
-    entanglement_entropy,
+    squeezed_vacuum,
+    vacuum,
+)
+from kerrcat.analysis import entanglement_entropy
+from kerrcat.fock import (
+    ZERO_NORM_THRESHOLD,
+    _bipartition_matrix,
+    _Owned,
+    _spectra,
+    _units,
     project_mode,
     project_modes,
     schmidt_decompose,
     single,
-    squeezed_vacuum,
     tensor_product,
-    vacuum,
 )
-from kerrcat.fock import ZERO_NORM_THRESHOLD, _bipartition_matrix, _Owned, _spectra, _units
 from kerrcat import states
 from kerrcat.states import CoherentParam, SqueezeParam, fock
 

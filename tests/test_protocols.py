@@ -30,31 +30,28 @@ from kerrcat import (
     ZeroStateError,
     coherent,
     entanglement_program,
-    entanglement_targets,
-    fidelity,
-    joint_photon_distribution,
-    project_modes,
     run_circuit,
-    run_entanglement,
-    run_superposition,
-    single,
     squeezed_vacuum,
     suggest_cutoff,
     superposition_program,
-    superposition_targets,
-    tensor_product,
     vacuum,
 )
 from kerrcat import cli, protocols, states
+from kerrcat.analysis import fidelity, joint_photon_distribution
 from kerrcat.dsl import MAX_STATE_DIMENSION, CircuitProgram, CircuitValidationError, parse
 from kerrcat.elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift, apply_element
+from kerrcat.fock import project_modes, single, tensor_product
 from kerrcat.protocols import (
     DB,
     DC,
     ZERO_BRANCH_THRESHOLD,
     entanglement_target_stacks,
+    entanglement_targets,
     run_batches,
+    run_entanglement,
+    run_superposition,
     superposition_target_stacks,
+    superposition_targets,
 )
 from kerrcat.states import fock
 
@@ -392,6 +389,28 @@ class TestRunCircuit:
         reparsed = parse(text)
         assert reparsed.ok
         assert reparsed.program == superposition_program(params)
+
+    def test_program_texts_are_the_scheme(self):
+        # the photon on b, a splitter, the Kerr medium, the phase on c, the
+        # second arm's Kerr medium, a splitter, and the b=1 c=0 click
+        from kerrcat import format_program
+
+        squeezed = SuperpositionParams(SqueezeParam(0.5, 0.3), tau=math.pi / 2, theta=0.25)
+        assert format_program(superposition_program(squeezed)) == (
+            "mode a cutoff 26\nmode b cutoff 1\nmode c cutoff 1\n"
+            "source a squeezed r=0.5 phi=0.3\nsource b fock n=1\n"
+            "bs b c\nkerr a b tau=pi/2\nphase c theta=0.25\nbs b c\n"
+            "detect b n=1\ndetect c n=0\n"
+        )
+        mixed = EntanglementParams(CoherentParam(0.8 + 0.3j), SqueezeParam(0.4, 1.0),
+                                   tau=math.pi, tau2=math.pi / 2, theta=math.pi / 4)
+        assert format_program(entanglement_program(mixed)) == (
+            "mode a cutoff 11\nmode b cutoff 1\nmode c cutoff 1\nmode a2 cutoff 22\n"
+            "source a coherent re=0.8 im=0.3\nsource b fock n=1\n"
+            "source a2 squeezed r=0.4 phi=1.0\n"
+            "bs b c\nkerr a b tau=pi\nphase c theta=pi/4\nkerr a2 b tau=pi/2\nbs b c\n"
+            "detect b n=1\ndetect c n=0\n"
+        )
 
     def test_empty_program_without_detection_is_source_product(self):
         program = parse(

@@ -14,15 +14,13 @@ from kerrcat import (
     FockParam,
     SqueezeParam,
     ZeroStateError,
-    cat_coherent,
-    cat_squeezed,
     coherent,
     squeezed_vacuum,
     suggest_cutoff,
     vacuum,
 )
 from kerrcat import states
-from kerrcat.states import build_source, fock
+from kerrcat.states import build_source, cat_coherent, cat_squeezed, fock
 
 
 def squeezed_amp_direct(n, r, phi=0.0):
