@@ -4,7 +4,9 @@ parameters in parallel, and check the build against its embedded suite.
 Reports are deterministic: the same configuration yields byte-identical
 output regardless of worker count (timing goes to stderr, never into the
 report). Report bits are reproducible at a fixed BLAS thread count, which
-can move an SVD's last bits. JSON is the primary format: a run's report,
+can move the last bits of Schmidt entropies (through the SVD) and of
+fidelities (through the ``np.vdot`` of ``analysis.fidelities`` and
+``analysis._unit_norms``). JSON is the primary format: a run's report,
 like each sweep point, is one record on one line from
 ``json.dumps(allow_nan=False)`` (``python -m json.tool`` indents it). CSV is
 available for sweeps only. A sweep builds each point as its batch reads it
@@ -64,6 +66,10 @@ _PROGRAMS = {"superposition": superposition_program, "entanglement": entanglemen
 # Largest sweep grid (the product of the axes' step counts). Points are built as
 # they run and records stream, so the cap bounds run time and output, not memory.
 MAX_SWEEP_POINTS = 10_000
+# Longest circuit file read, in bytes; a longer one (or /dev/zero) is a usage error.
+# At the cap, a file of 524,288 one-character error lines took 2.9 s and peaked at
+# 156 MB, its diagnostics included (2-vCPU VM); a valid file peaked at 53 MB.
+MAX_CIRCUIT_BYTES = 1 << 20
 # Most --workers a sweep may ask for. The process pool forks all of its
 # workers up front, so an unbounded count could exhaust the process table.
 MAX_WORKERS = 64
@@ -329,9 +335,11 @@ def _analyzed(config: argparse.Namespace, params, batch) -> list[dict]:
 def _read_circuit(path: str) -> dsl.CircuitProgram:
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            data = handle.read(MAX_CIRCUIT_BYTES + 1)
     except OSError as err:
         raise _UsageError(f"cannot read circuit file: {err}") from None
+    if len(data) > MAX_CIRCUIT_BYTES:
+        raise _UsageError(f"circuit file {path} is longer than {MAX_CIRCUIT_BYTES} bytes")
     parsed = dsl.parse(data)
     for diag in parsed.diagnostics:
         if diag.severity == "warning":

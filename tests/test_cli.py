@@ -294,6 +294,46 @@ def test_every_submodule_is_the_package_attribute_of_its_name():
         assert getattr(kerrcat, name) is importlib.import_module(f"kerrcat.{name}"), name
 
 
+# the names kerrcat/__init__.py documents: the circuit language, the element
+# types, the errors, the state types, the batch runner and the source factories
+PACKAGE_SURFACE = {
+    "CircuitProgram", "CircuitValidationError", "ParseResult", "format_program", "parse",
+    "validate_program",
+    "BalancedBeamSplitter", "CrossKerr", "Detect", "PhaseShift",
+    "CutoffError", "FockSpaceError", "ModeLabelError", "StateMismatchError",
+    "TruncationWarning", "ZeroStateError",
+    "FockVector", "MultiModeState",
+    "Branch", "EntanglementParams", "ProtocolResult", "SuperpositionParams",
+    "entanglement_program", "run_batches", "run_circuit", "superposition_program",
+    "CoherentParam", "FockParam", "SqueezeParam", "coherent", "squeezed_vacuum",
+    "suggest_cutoff", "vacuum",
+}
+# single-state names that no CLI path calls, each in its own module alone
+MODULE_NAMES = {
+    "analysis": ("photon_distribution", "joint_photon_distribution", "fidelity",
+                 "entanglement_entropy"),
+    "elements": ("apply_element", "apply_beam_splitter", "apply_cross_kerr", "apply_phase_shift"),
+    "fock": ("single", "tensor_product", "project_mode", "project_modes", "schmidt_decompose",
+             "SchmidtDecomposition"),
+    "protocols": ("run_superposition", "run_entanglement", "superposition_targets",
+                  "entanglement_targets"),
+    "states": ("cat_squeezed", "cat_coherent"),
+}
+
+
+def test_the_package_exports_its_documented_surface():
+    public = {name for name, value in vars(kerrcat).items()
+              if not name.startswith("_") and not isinstance(value, type(kerrcat))}
+    assert public == PACKAGE_SURFACE
+
+
+def test_each_single_state_name_resolves_in_its_module_alone():
+    for module, names in MODULE_NAMES.items():
+        for name in names:
+            assert callable(getattr(importlib.import_module(f"kerrcat.{module}"), name)), name
+            assert not hasattr(kerrcat, name), name
+
+
 def test_neither_import_nor_a_sketched_run_loads_numpy_random(tmp_path):
     # r = 2 gives two 286 x 286 occupied matrices, both sketched
     script = f"""
@@ -735,6 +775,32 @@ def test_usage_and_circuit_errors_exit_1(tmp_path, capsys, monkeypatch):
                                         "expected an unsigned integer")):
         assert cli.main(sweep + [axis]) == 1
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_a_circuit_file_past_the_cap_is_a_usage_error(tmp_path):
+    import resource
+
+    def limited():  # a read without end fails here, not on the machine
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "kerrcat", "run", "--circuit", "/dev/zero"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limited,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == ("kerrcat: error: circuit file /dev/zero is longer than "
+                           f"{cli.MAX_CIRCUIT_BYTES} bytes\n")
+    # a file of exactly the cap runs; one byte more is refused
+    head = b"mode a cutoff 3\nsource a fock n=1\ndetect a n=1\n#"
+    path = tmp_path / "cap.qcirc"
+    path.write_bytes(head + b"#" * (cli.MAX_CIRCUIT_BYTES - len(head)))
+    report = json.loads(cli.render_output(["run", "--circuit", str(path)]))
+    assert report["branches"]["a=1"]["probability"] == 1.0
+    path.write_bytes(path.read_bytes() + b"#")
+    with pytest.raises(cli._UsageError, match="cap.qcirc is longer than 1048576 bytes"):
+        cli.render_output(["run", "--circuit", str(path)])
 
 
 SUPERPOSITION_SWEEP = ["sweep", "--protocol", "superposition"]
