@@ -4,13 +4,14 @@ factory's single-mode vector is labelled with :func:`kerrcat.fock.single`).
 Photon-number distributions, probability mass outside a declared support
 set, state fidelities, and bipartite entanglement entropy (base-2, from the
 Schmidt spectrum alone: ``kerrcat.fock._spectra``, singular values
-without vectors, over the occupied support, stacked by its shape;
-a large one from a checked sketch that keeps every coefficient above
-``SCHMIDT_COEFF_THRESHOLD``, each to within a hundredth of it).
+without vectors, over the occupied support, stacked by its shape).
 
 Each quantity has one implementation, a batch form over the rows of a
 stack of states; the single-state functions are one-row calls of it, and a
-row gets the bits it would get alone.
+row gets the bits it would get alone. Fidelities read factored stacks
+(``kerrcat.fock``; a dense state is one term on one flattened mode), whose
+distributions and entropies come from each mode's Gram matrix of term
+vectors, in O(cutoff * terms^2). Every sum is pairwise, never a BLAS dot.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import StateMismatchError
 from .fock import SCHMIDT_COEFF_THRESHOLD, MultiModeState, _bipartition_matrix, _spectra
+from .fock import _grams, _overlaps, _products
 
 # fidelity() and entanglement_entropy() insist on normalized inputs; this is
 # the slack, generous enough for truncation-level norm deficits. Within it
@@ -43,6 +45,27 @@ def photon_distributions(states: np.ndarray, labels) -> dict[str, np.ndarray]:
     np.square(probs, out=probs)
     axes = range(1, probs.ndim)
     return {m: probs.sum(axis=tuple(a for a in axes if a != 1 + i)) for i, m in enumerate(labels)}
+
+
+def factored_distributions(coefficients, vectors, labels) -> dict[str, np.ndarray]:
+    """Each mode's P(n) for every row of a factored stack: the photon
+    distribution of the row over that mode and the other modes' spans."""
+    spans = _spans(vectors)
+    return {label: photon_distributions(_products(coefficients, [*spans[:d], v, *spans[d + 1:]]), labels)[label]
+            for d, (label, v) in enumerate(zip(labels, vectors))}
+
+
+def _spans(vectors) -> list[np.ndarray]:
+    """Each mode's term vectors in an orthonormal basis of their span: from
+    their Gram matrix ``U w U^H``, term k's are row k of ``conj(U) sqrt(w)``,
+    over the largest eigenvalues, at most one per photon number. One within
+    the Gram's rounding of the largest is 0."""
+    spans = []
+    for v in vectors:
+        w, u = np.linalg.eigh(_grams([v], [v]))
+        w, u = w[:, -v.shape[2]:], u[..., -v.shape[2]:]
+        spans.append(np.conj(u) * np.sqrt(np.where(w > 1e-13 * w[:, -1:], w, 0.0))[:, None, :])
+    return spans
 
 
 def joint_photon_distribution(state: MultiModeState, modes: Iterable[str]) -> np.ndarray:
@@ -71,12 +94,11 @@ def _typed(state, what: str) -> MultiModeState:
     return state
 
 
-def _unit_norms(states: np.ndarray, rows, what: str = "state") -> dict[int, float]:
-    """The squared norm of each of the ``rows`` of the stack ``states``, as a
-    state's constructor computes it; each must lie within
+def _unit_norms(squared, what: str = "state") -> list[float]:
+    """The squared norms ``squared`` as floats; each must lie within
     ``_UNIT_NORM_SLACK`` of 1."""
-    norms = {i: float(np.vdot(states[i], states[i]).real) for i in dict.fromkeys(rows)}
-    for n2 in norms.values():
+    norms = [float(n2) for n2 in squared]
+    for n2 in norms:
         if abs(n2 - 1.0) > _UNIT_NORM_SLACK:
             raise StateMismatchError(f"{what} must be normalized, squared norm is {n2!r}")
     return norms
@@ -93,18 +115,24 @@ def fidelity(state: MultiModeState, target: MultiModeState) -> float:
     """
     if _typed(state, "state").labels != _typed(target, "target").labels:
         raise StateMismatchError(f"labels differ: {state.labels} vs {target.labels}")
-    return fidelities(state.tensor[None], target.tensor[None], [(0, 0)])[0]
+    if state.tensor.shape != target.tensor.shape:
+        raise StateMismatchError(f"shapes differ: {state.tensor.shape} vs {target.tensor.shape}")
+    one = [(np.ones((1, 1)), (s.tensor.reshape(1, 1, -1),)) for s in (state, target)]
+    return fidelities(*one, [(0, 0)])[0]
 
 
-def fidelities(states: np.ndarray, targets: np.ndarray, pairs) -> list[float]:
-    """:func:`fidelity` of row i of the stack ``states`` with row j of the
-    stack ``targets``, for each (i, j) of ``pairs``."""
-    if states.shape[1:] != targets.shape[1:]:
-        raise StateMismatchError(f"shapes differ: {states.shape[1:]} vs {targets.shape[1:]}")
-    n2 = _unit_norms(states, (i for i, _ in pairs))
-    t2 = _unit_norms(targets, (j for _, j in pairs), "target")
-    return [min(abs(complex(np.vdot(targets[j], states[i]))) ** 2 / (n2[i] * t2[j]), 1.0)
-            for i, j in pairs]
+def fidelities(states, targets, pairs) -> list[float]:
+    """:func:`fidelity` of row i of the factored stack ``states`` with row j
+    of the factored stack ``targets``, for each (i, j) of ``pairs``."""
+    (a, u), (b, v) = states, targets
+    if [x.shape[-1] for x in u] != [x.shape[-1] for x in v]:
+        raise StateMismatchError(f"shapes differ: {[x.shape for x in u]} vs {[x.shape for x in v]}")
+    i, j = [p[0] for p in pairs], [p[1] for p in pairs]
+    rows, chosen = (a[i], [x[i] for x in u]), (b[j], [x[j] for x in v])
+    n2 = _unit_norms(_overlaps(rows, rows).real)
+    t2 = _unit_norms(_overlaps(chosen, chosen).real, "target")
+    overlaps = _overlaps(chosen, rows).tolist()
+    return [min(abs(o) ** 2 / (x * y), 1.0) for o, x, y in zip(overlaps, n2, t2)]
 
 
 def entanglement_entropy(state: MultiModeState, left_modes) -> float:
@@ -114,8 +142,8 @@ def entanglement_entropy(state: MultiModeState, left_modes) -> float:
     Zero (within numerics) iff the state is a product across the cut, and
     never negative: a sum that rounds to -0.0 or below is 0.0. The state's
     squared norm must lie within ``_UNIT_NORM_SLACK`` of 1; its Schmidt
-    weights are divided by it, so within that slack the entropy is
-    scale-invariant.
+    weights are divided by their sum, so the entropy is scale-invariant and
+    one weight alone is exactly 0.
     """
     (entropy,) = schmidt_entropies([_bipartition_matrix(_typed(state, "state"), left_modes)[0]])
     return entropy
@@ -124,7 +152,12 @@ def entanglement_entropy(state: MultiModeState, left_modes) -> float:
 def schmidt_entropies(matrices) -> list[float]:
     """The entropy of each state of ``matrices``, a stack or a list of its
     (left | rest) matrices, from their spectra (``kerrcat.fock._spectra``)."""
-    norms = _unit_norms(matrices, range(len(matrices)))
-    weights = (c[c > SCHMIDT_COEFF_THRESHOLD] ** 2 / norms[i]
-               for i, c in enumerate(_spectra(matrices)))
-    return [max(0.0, float(-(p * np.log2(p)).sum())) for p in weights]
+    _unit_norms([np.square(np.abs(m)).sum() for m in matrices])
+    weights = (c[c > SCHMIDT_COEFF_THRESHOLD] ** 2 for c in _spectra(matrices))
+    return [max(0.0, float(-(p * np.log2(p)).sum())) for p in (w / w.sum() for w in weights)]
+
+
+def factored_entropies(coefficients, vectors) -> list[float]:
+    """:func:`schmidt_entropies` of each row of a factored stack on two
+    modes, as a matrix over the two modes' spans (:func:`_spans`)."""
+    return schmidt_entropies(_products(coefficients, _spans(vectors)))

@@ -3,10 +3,10 @@ parameters in parallel, and check the build against its embedded suite.
 
 Reports are deterministic: the same configuration yields byte-identical
 output regardless of worker count (timing goes to stderr, never into the
-report). Report bits are reproducible at a fixed BLAS thread count, which
-can move the last bits of Schmidt entropies (through the SVD) and of
-fidelities (through the ``np.vdot`` of ``analysis.fidelities`` and
-``analysis._unit_norms``). JSON is the primary format: a run's report,
+report). Every sum that reaches a report is a pairwise sum, not a BLAS dot,
+so a protocol report keeps its bits at any BLAS thread count; only the SVD
+of a large dense branch (a circuit's, or a traced run's) may move the last
+bits of its Schmidt entropy. JSON is the primary format: a run's report,
 like each sweep point, is one record on one line from
 ``json.dumps(allow_nan=False)`` (``python -m json.tool`` indents it). CSV is
 available for sweeps only. A sweep builds each point as its batch reads it
@@ -41,13 +41,16 @@ from typing import Iterator
 import numpy as np
 
 from . import dsl
+from .analysis import factored_distributions, factored_entropies
 from .analysis import fidelities, photon_distributions, schmidt_entropies, support_residuals
+from .fock import _products
 from .errors import FockSpaceError, TruncationWarning
 from .protocols import (
     _POINT_ERRORS,
     DB,
     DC,
     EntanglementParams,
+    Kept,
     ProtocolResult,
     SuperpositionParams,
     click_branches,
@@ -70,6 +73,8 @@ MAX_SWEEP_POINTS = 10_000
 # At the cap, a file of 524,288 one-character error lines took 2.9 s and peaked at
 # 156 MB, its diagnostics included (2-vCPU VM); a valid file peaked at 53 MB.
 MAX_CIRCUIT_BYTES = 1 << 20
+# Most diagnostics of one circuit file printed; one line then counts the rest.
+MAX_DIAGNOSTICS = 100
 # Most --workers a sweep may ask for. The process pool forks all of its
 # workers up front, so an unbounded count could exhaust the process table.
 MAX_WORKERS = 64
@@ -266,10 +271,12 @@ def _records(results, targets, kind) -> list[dict]:
                 kept = b.kept
     if not live:
         return records
-    dists = photon_distributions(kept.rows, kept.labels)
+    dense, two = kept.vectors is None, len(kept.labels) == 2
+    dists = (photon_distributions(kept.rows, kept.labels) if dense
+             else factored_distributions(*kept.factored, kept.labels))
     lists = {mode: dist.tolist() for mode, dist in dists.items()}
-    two = len(kept.labels) == 2
-    entropies = schmidt_entropies(kept.rows) if two else None  # across the first mode
+    entropies = None if not two else (  # across the first mode
+        schmidt_entropies(kept.rows) if dense else factored_entropies(*kept.factored))
     for _, _, row, analysis in live:
         analysis["distributions"] = {mode: rows[row] for mode, rows in lists.items()}
         analysis["schmidt_entropy"] = entropies[row] if two else None
@@ -285,7 +292,10 @@ def _records(results, targets, kind) -> list[dict]:
         stack, rows = targets
         pairs = [(row, at[i], analysis["fidelity_targets"], name)
                  for i, _, row, analysis in live for name, at in rows.items() if at[i] is not None]
-        values = fidelities(kept.rows, stack, [(row, j) for row, j, _, _ in pairs])
+        states = kept.factored
+        if len(stack[1]) != len(states[1]):  # a traced run's pairs: as one term on one flattened mode
+            stack = Kept((), _products(*stack)).factored
+        values = fidelities(states, stack, [(row, j) for row, j, _, _ in pairs])
         for (_, _, fids, name), value in zip(pairs, values):
             fids[name] = value
     return records
@@ -599,8 +609,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout's reader left early; _write pointed it at os.devnull
         return 1
     except _DiagnosticsError as err:
-        for diag in err.diagnostics:
+        for diag in err.diagnostics[:MAX_DIAGNOSTICS]:
             print(f"{err.path}:{diag}", file=sys.stderr)
+        if len(err.diagnostics) > MAX_DIAGNOSTICS:
+            print(f"{err.path}: {len(err.diagnostics) - MAX_DIAGNOSTICS} more diagnostics", file=sys.stderr)
         return 1
     except dsl.CircuitValidationError as err:
         print(f"kerrcat: invalid circuit: {err}", file=sys.stderr)

@@ -65,6 +65,7 @@ _ANGLE = "<float>, pi, pi/<uint> or <float>*pi"
 # A batch's stack has a member axis and one per mode, and numpy 1.x allows 32
 # axes. Past 26 modes, MAX_STATE_DIMENSION leaves only vacuum modes anyway.
 MAX_MODES = 31
+MAX_TERMS = 4  # most terms a factored run may hold (factored_modes); the entanglement scheme's 4
 
 # The statement sections, in the order of CircuitProgram's fields: each one's
 # rank in the text, which never falls, and the error of a line that lowers it.
@@ -380,22 +381,40 @@ def format_program(program: CircuitProgram) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def validate_program(program: CircuitProgram) -> None:
+def validate_program(program: CircuitProgram, factored=()) -> None:
     """Check a program, parsed or built in code, against the circuit rules
-    of the module docstring; ``parse`` reports the same violations.
+    of the module docstring; ``parse`` reports the same violations. A mode of
+    ``factored`` (:func:`factored_modes`) counts alone, not in the product.
 
     Raises :class:`kerrcat.errors.CutoffError` when the declared modes
     exceed ``MAX_STATE_DIMENSION`` amplitudes and
     :class:`CircuitValidationError` for any other rule, on the first
     violation in statement order, named like ``element 1: ...``.
     """
-    violations, _ = _violations(program)
+    violations, _ = _violations(program, factored)
     if violations:
         (section, index), err = violations[0]
         raise type(err)(f"{section} {index}: {err}")
 
 
-def _violations(program: CircuitProgram):
+def factored_modes(program: CircuitProgram) -> tuple[str, ...]:
+    """The modes a run holds as rotated source vectors: those that only phase
+    shifts and Kerr media against core modes touch. A core mode is one that a
+    splitter or a detection touches, or the lesser label of a Kerr pair that
+    has none. None factor unless every core mode is detected, exactly two do
+    (one mode's dense product is no larger), and their Kerr media make at
+    most ``MAX_TERMS`` terms (the product of the core counts they read)."""
+    core = {m for e in (*program.elements, *program.detects)
+            if isinstance(e, (BalancedBeamSplitter, Detect)) for m in element_modes(e)}
+    kerrs = [{e.mode_1, e.mode_2} for e in program.elements if isinstance(e, CrossKerr)]
+    core |= {min(pair) for pair in kerrs if not core & pair}
+    factored, cutoffs = [m for m, _ in program.modes if m not in core], dict(program.modes)
+    terms = math.prod(cutoffs.get(m, 0) + 1 for pair in kerrs if pair - core for m in pair & core)
+    detected = {d.mode for d in program.detects if isinstance(d, Detect)}
+    return () if core - detected or len(factored) != 2 or terms > MAX_TERMS else tuple(factored)
+
+
+def _violations(program: CircuitProgram, factored=()):
     """Every circuit-rule violation of ``program``, at most one per
     statement and in statement order, as ``((section, index), error)``;
     and, per declared label, the index of the mode declaration that counts.
@@ -411,7 +430,7 @@ def _violations(program: CircuitProgram):
     declared_at: dict[str, int] = {}  # the mode statement that counts
     dimension = 1
     for index, (label, cutoff) in enumerate(program.modes):
-        size = dimension * (cutoff + 1)
+        size = (1 if label in factored else dimension) * (cutoff + 1)
         if label in cutoffs:
             reject("mode", index, f"mode {label!r} is already declared")
         elif cutoff < 0:
@@ -423,7 +442,7 @@ def _violations(program: CircuitProgram):
                    f"amplitudes, above the maximum state dimension {MAX_STATE_DIMENSION}",
                    CutoffError)
         else:
-            dimension = size
+            dimension = dimension if label in factored else size
             cutoffs[label] = cutoff
             declared_at[label] = index
 

@@ -24,6 +24,12 @@ checks, and marks it read-only. Only an array that owns its whole buffer is
 adopted; anything else, such as a slice that is a view of a larger tensor,
 is still copied, so a state never pins memory beyond its own amplitudes.
 Public ``FockVector(...)`` and ``MultiModeState(...)`` calls always copy.
+
+A factored stack ``(coefficients, vectors)`` holds row i as the sum over terms
+k of ``coefficients[i, k]`` times the product over modes d of
+``vectors[d][i, k]`` (see :mod:`kerrcat.protocols`). Its inner products take
+one Gram matrix per mode (:func:`_overlaps`). No sum that reaches a report is
+a BLAS dot, whose bits move with the thread count.
 """
 
 from __future__ import annotations
@@ -42,9 +48,6 @@ NORM_SLACK = 1e-9
 ZERO_NORM_THRESHOLD = 1e-12
 # Schmidt coefficients at or below this count as zero (rank and entropy).
 SCHMIDT_COEFF_THRESHOLD = 1e-10
-# _spectra sketches an occupied matrix this large on its shorter side,
-# and keeps a sketch whose residual is at most SKETCH_TOLERANCE of its norm.
-SKETCH_MIN_SIDE, SKETCH_TOLERANCE = 64, 1e-2 * SCHMIDT_COEFF_THRESHOLD
 
 
 class _Owned:
@@ -206,9 +209,30 @@ def tensor_product(a: MultiModeState, b: MultiModeState) -> MultiModeState:
 def _units(stack: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Each row of ``stack`` divided by its norm, and the norms; a row whose
     norm is at or below ``ZERO_NORM_THRESHOLD`` is left as it is."""
-    norms = [float(np.linalg.norm(row)) for row in stack]
+    norms = [math.sqrt(np.square(np.abs(row)).sum()) for row in stack]  # pairwise, no BLAS
     divisors = np.array([n if n > ZERO_NORM_THRESHOLD else 1.0 for n in norms])
     return stack / divisors.reshape((-1,) + (1,) * (stack.ndim - 1)), norms
+
+
+def _grams(left, right) -> np.ndarray:
+    """The product over modes of the Grams ``[..., k, l] = <left_k|right_l>`` of two term vector lists."""
+    grams = [(np.conj(u)[..., :, None, :] * v[..., None, :, :]).sum(-1) for u, v in zip(left, right)]
+    return math.prod(grams[1:], start=grams[0])
+
+
+def _overlaps(left, right) -> np.ndarray:
+    """<left_i|right_i> for each row i of two factored stacks."""
+    (a, u), (b, v) = left, right
+    terms = np.conj(a)[:, :, None] * _grams(u, v) * b[:, None, :]
+    return terms.reshape(len(a), a.shape[1] * b.shape[1]).sum(-1)
+
+
+def _products(coefficients, vectors) -> np.ndarray:
+    """Each row of a factored stack as a dense tensor, its terms summed."""
+    tensor = coefficients
+    for v in vectors:
+        tensor = tensor[..., None] * v.reshape(v.shape[:2] + (1,) * (tensor.ndim - 2) + v.shape[2:])
+    return tensor.sum(axis=1)
 
 
 def project_mode(state: MultiModeState, mode: str, n: int) -> tuple[MultiModeState, float]:
@@ -322,33 +346,13 @@ def _spectra(matrices) -> list[np.ndarray]:
     """The spectrum of each bipartition matrix of ``matrices`` (a stack or a
     list), sorted nonincreasing, over its occupied rows and columns: dropping
     an exactly zero row or column leaves every nonzero singular value as it is.
-
-    An occupied matrix A at least ``SKETCH_MIN_SIDE`` on its shorter side is
-    sketched alone: Q is an orthonormal basis of AG, for a fixed G of 8
-    columns, and B = Q^H A. If ||A - QB||_F <= ``SKETCH_TOLERANCE`` ||A||_F,
-    a hundredth of ``SCHMIDT_COEFF_THRESHOLD`` for a unit state, A's spectrum
-    is B's: by Weyl's inequality no value moves by more and A's ninth is at
-    most that, so every coefficient above the threshold is kept. The rest
-    are decomposed in one stacked SVD per shape, which gives each matrix the
-    bits of its lone decomposition."""
+    They are decomposed in one stacked SVD per shape, which gives each matrix
+    the bits of its lone decomposition."""
     occupied = [m[np.ix_(m.any(axis=1), m.any(axis=0))] for m in matrices]
-    spectra = [_sketched(m) if min(m.shape) >= SKETCH_MIN_SIDE else None for m in occupied]
-    for shape in dict.fromkeys(m.shape for m, s in zip(occupied, spectra) if s is None):
-        stacked = [i for i, m in enumerate(occupied) if m.shape == shape and spectra[i] is None]
+    spectra = [None] * len(occupied)
+    for shape in dict.fromkeys(m.shape for m in occupied):
+        stacked = [i for i, m in enumerate(occupied) if m.shape == shape]
         values = np.linalg.svd(np.stack([occupied[i] for i in stacked]), compute_uv=False)
         for i, spectrum in zip(stacked, values):
             spectra[i] = spectrum
     return spectra
-
-
-def _sketched(matrix: np.ndarray) -> np.ndarray | None:
-    """:func:`_spectra`'s checked sketch, or None; G is a chirp, not random."""
-    rows = np.arange(matrix.shape[1]) ** 2
-    test = np.exp(2j * np.pi * np.sqrt(2.0) * np.outer(rows, np.arange(1, 9)))
-    q = np.linalg.qr(matrix @ test)[0]
-    b = q.conj().T @ matrix
-    residual = q @ b
-    residual -= matrix  # in place; its norm is that of A - QB
-    if np.vdot(residual, residual).real > SKETCH_TOLERANCE**2 * np.vdot(matrix, matrix).real:
-        return None
-    return np.linalg.svd(b, compute_uv=False)

@@ -1,39 +1,37 @@
 """Conditional-state protocols and the circuit runner.
 
 Both built-in pipelines interfere a single photon with itself across two
-50:50 beam splitters. Between the splitters, one arm picks up a cross-Kerr
-phase from the data mode(s) and the other a fixed phase shift; detecting
-which output port the photon exits then projects the data mode(s) onto a
-superposition (one data mode) or an entangled pair (two data modes) of the
-original and the Kerr-rotated source states.
+50:50 beam splitters. Between them, one arm picks up a cross-Kerr phase from
+the data mode(s) and the other a fixed phase shift; the port the photon exits
+by projects the data mode(s) onto a superposition (one data mode) or an
+entangled pair (two) of the original and the Kerr-rotated sources. Each is a
+circuit program (``superposition_program``, ``entanglement_program``);
+``run_superposition`` and ``run_entanglement`` run it and name the clicks
+``Db_fires`` (b=1 c=0) and ``Dc_fires`` (b=0 c=1). Each data mode's cutoff is
+``suggest_cutoff`` of its source at the protocol's one budget ``eps``.
 
-Each pipeline is a circuit program (``superposition_program``,
-``entanglement_program``) run as a batch (:func:`run_batches`), the only
-place states go through elements. It joins each declared mode to the state
-just before the first element that touches it, so the photon modes are
-mixed before any data mode joins them; ``run_superposition`` and
-``run_entanglement`` run their program and name the two click outcomes
-``Db_fires`` (b=1 c=0) and ``Dc_fires`` (b=0 c=1). Each data mode's cutoff
-is ``suggest_cutoff`` of its source at the protocol's one budget ``eps``.
+:func:`run_batches` is the only place states go through elements. Programs
+that share their :func:`layout` (all but their squeezed and coherent values
+and their element angles) run as a batch, one pass of a stack with a leading
+member axis; until the first source or angle that differs, one member stands
+for them all, and each member's result equals its run alone to the bit. Each
+batch builds each distinct source once, and each result carries its modes'
+vectors (``ProtocolResult.sources``) to its targets. Nothing is cached.
 
-Nothing is cached. A sweep sizes its points through one cutoff table, each
-batch builds each distinct source once (:func:`_source_stacks`), and each
-result carries its modes' vectors (``ProtocolResult.sources``) to its targets.
+Two factored modes (``dsl.factored_modes``, as the entanglement scheme's data
+modes) never join the dense product: the state is a sum of terms, a core tensor
+over the other modes times each factored mode's source rotated by the term's
+angle, ``e^{i phi n}``. The core stack has a row per term of each member (the
+kernels see more members), and each factored mode an angle per member and
+term: a phase adds to it, and a Kerr medium against core mode m splits every
+term not yet fixed on m by m's count j, slicing its core at j and adding
+``-tau j``. Before detection the terms are rewritten as differences
+(:func:`_differenced`); detection reads the law from them and the modes' Gram
+matrices (:func:`_branches`). A traced run is dense.
 
-Programs that share their :func:`layout` (their modes and cutoffs, their
-detections, the kind and modes of every element and every source, and
-their Fock and vacuum sources) run as a batch, one state pass with a
-leading member axis. Their squeezed and coherent parameters and their
-element angles may differ (a sweep over ``r`` at one cutoff, or over
-``tau``, ``tau2`` and ``theta``). Until the first source or angle that
-differs, one member stands for them all. A single run is a batch of one,
-and each member's result equals it to the bit (:func:`run_batches`).
-Detection takes one Born-rule law per batch, with the member axis leading.
-
-The Kerr rotation acts on the source parameters as ``kerr_rotated`` (in
-``kerrcat.states``): alpha -> alpha * exp(-i * tau) and phi -> phi - 2 * tau
-per photon in the coupled mode. The targets use it; the circuit elements
-themselves are state-agnostic diagonal phases.
+``kerr_rotated`` (in ``kerrcat.states``) is the rotation on the source
+parameters, which the targets use: alpha -> alpha * exp(-i * tau) and
+phi -> phi - 2 * tau per photon in the coupled mode.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ from .elements import (
     apply_batch,
     element_modes,
 )
+from .elements import _photon_numbers, _reduced_angle
 from .errors import CutoffError, FockSpaceError
 from .fock import (
     ZERO_NORM_THRESHOLD,
@@ -65,6 +64,7 @@ from .fock import (
     _Owned,
     _units,
 )
+from .fock import _check_norm_bound, _grams, _overlaps, _products
 from .states import (
     DEFAULT_LEAKAGE,
     TWO_PI,
@@ -113,10 +113,14 @@ class Kept:
     """A batch's kept branches: ``rows[j]``, over the remaining modes ``labels``,
     is a stack member's slice at the detected counts of one branch over the
     root of its probability. ``rows`` is one read-only C-ordered copy, so the
-    batch's final stack dies with detection."""
+    batch's final stack dies with detection. With factored modes, ``factored``
+    is the term coefficients ``rows`` beside each mode's term ``vectors``, as
+    ``kerrcat.fock`` reads it; a dense row is one term on one flattened mode."""
 
-    def __init__(self, labels: tuple[str, ...], rows):
-        self.labels, self.rows = labels, rows
+    def __init__(self, labels: tuple[str, ...], rows, vectors=None):
+        self.labels, self.rows, self.vectors = labels, rows, vectors
+        self.factored = (rows, vectors) if vectors else (
+            np.ones((len(rows), 1)), (rows.reshape(len(rows), 1, math.prod(rows.shape[1:])),))
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,11 @@ class Branch:
 
     @cached_property
     def state(self) -> MultiModeState | None:
-        kept = self.kept
-        return None if self.row is None else MultiModeState(kept.labels, kept.rows[self.row, ...])
+        if self.row is None:
+            return None
+        kept, row = self.kept, slice(self.row, self.row + 1)
+        return MultiModeState(kept.labels, kept.rows[self.row, ...] if kept.vectors is None
+                              else _Owned(_products(kept.rows[row], [v[row] for v in kept.vectors])[0]))
 
 
 @dataclass(frozen=True)
@@ -201,7 +208,8 @@ def superposition_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
         at.append(distinct.setdefault(id(vector), (len(distinct), vector.amplitudes))[0])
     vectors = np.stack([amplitudes for _, amplitudes in distinct.values()])
     cats = [_parity_cat(points[0].source_a, vectors, sign) for sign in (+1, -1)]
-    return _target_rows(("even_cat", "odd_cat"), np.concatenate(cats), at)
+    stack, norms = _units(np.concatenate(cats))  # each cat one term
+    return _target_rows(("even_cat", "odd_cat"), (np.ones((len(stack), 1)), (stack[:, None],)), norms, at)
 
 
 def entanglement_targets(params: EntanglementParams) -> dict:
@@ -221,8 +229,9 @@ def entanglement_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
     """The targets of :func:`entanglement_targets` of each of ``points`` (a
     batch's parameters: one cutoff per mode), from the vectors that each
     point's run built on modes ``a`` and ``a2`` (its ``sources``), as one
-    stack, a row per combination of each point, and each name's row for each
-    point (:func:`_target_rows`). Each rotated law is built once a call."""
+    factored stack (three terms, below), a row per combination of each point,
+    and each name's row for each point (:func:`_target_rows`). Each rotated
+    law is built once a call."""
     vectors, rotated = [], {}  # each point's source and rotated source on a, then on a2
     for p, built in zip(points, sources):
         for label, param, tau in (("a", p.source_a, p.tau), ("a2", p.source_a2, p.tau2)):
@@ -231,22 +240,23 @@ def entanglement_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
                         else _kept(rotated, (turned, vector.cutoff), _unchecked_source)]
     a, rotated_a, a2, rotated_a2 = (np.stack([v.amplitudes for v in vectors[k::4]])
                                     for k in range(4))
-    base = a[:, :, None] * a2[:, None, :]
-    rotated = rotated_a[:, :, None] * rotated_a2[:, None, :]
-    phases = np.array([np.exp(1j * math.fmod(p.theta, TWO_PI)) for p in points]).reshape(-1, 1, 1)
-    stack = np.empty((2 * len(points), *base.shape[1:]), dtype=np.complex128)
-    for k, sign in enumerate((+1, -1)):  # in place, so that no combination is held twice
-        np.add(rotated, sign * phases * base, out=stack[k * len(points):(k + 1) * len(points)])
-    del base, rotated
-    return _target_rows(("pair_plus", "pair_minus"), stack, range(len(points)))
+    phases, ones = (np.array([np.exp(1j * math.fmod(p.theta, TWO_PI)) for p in points]),
+                    np.ones(len(points), dtype=np.complex128))
+    # R a (x) R' a2 + s a (x) a2 as (R a - a) (x) R' a2 + a (x) (R' a2 - a2) + (1 + s) a (x) a2,
+    # whose terms do not cancel: a near-zero pair keeps the digits of its Gram sums
+    coefficients = np.concatenate([np.stack([ones, ones, 1 + sign * phases], 1) for sign in (+1, -1)])
+    arms = tuple(np.concatenate([np.stack(terms, 1)] * 2)
+                 for terms in ((rotated_a - a, a, a), (rotated_a2, rotated_a2 - a2, a2)))
+    norms = np.sqrt(np.maximum(_overlaps((coefficients, arms), (coefficients, arms)).real, 0.0))
+    coefficients /= np.where(norms > ZERO_NORM_THRESHOLD, norms, 1.0)[:, None]
+    return _target_rows(("pair_plus", "pair_minus"), (coefficients, arms), norms, range(len(points)))
 
 
-def _target_rows(names, stack: np.ndarray, at) -> tuple[np.ndarray, dict]:
-    """``stack``, one block of rows per name, each row divided by its norm
-    (:func:`kerrcat.fock._units`), and each name's row for each point:
-    ``at[i]`` in the name's block, None where that row vanishes."""
-    stack, norms = _units(stack)
-    block = len(stack) // len(names)
+def _target_rows(names, stack, norms, at) -> tuple[tuple, dict]:
+    """``stack``, a factored stack of a block of unit rows per name, and each
+    name's row for each point: ``at[i]`` in its block, None where ``norms``,
+    the rows' norms before division, vanish."""
+    block = len(norms) // len(names)
     return stack, {name: [k * block + j if norms[k * block + j] > ZERO_NORM_THRESHOLD else None
                           for j in at] for k, name in enumerate(names)}
 
@@ -254,7 +264,8 @@ def _target_rows(names, stack: np.ndarray, at) -> tuple[np.ndarray, dict]:
 def _point_targets(params, program, stacks, labels) -> dict:
     """One point's ``stacks`` over ``labels``, from the sources its ``program`` builds."""
     stack, rows = stacks([params], _source_stacks([program(params)], params.eps)[1])
-    return {name: MultiModeState(labels, stack[at[0]])
+    dense = _products(*stack)
+    return {name: MultiModeState(labels, dense[at[0]])
             for name, at in rows.items() if at[0] is not None}
 
 
@@ -311,30 +322,27 @@ def run_circuit(
 ) -> ProtocolResult:
     """Run the program's elements and detections as a batch of one, raising its errors.
 
-    The program is checked by :func:`dsl.validate_program` before any state
-    is built, so a state above ``dsl.MAX_STATE_DIMENSION`` amplitudes raises
-    :class:`kerrcat.errors.CutoffError` without being allocated. Every
-    source is then built (and checked against ``eps``). Each declared mode
-    then joins the state just before the first element that touches it, at
-    its declared axis position; modes no element touches join after the
-    last element. The state's labels therefore always keep the declared
-    order, and an element never acts on modes it has not yet met. With
-    ``trace`` the result lists the state after each join and each element,
-    named by the DSL line behind it: the ``source`` line of the joining
-    mode (``mode <label> cutoff <n>`` for a vacuum mode), or the element's
-    own line.
+    :func:`dsl.validate_program` checks the program before any state is
+    built, so a state above ``dsl.MAX_STATE_DIMENSION`` amplitudes (a
+    factored mode counts alone, unless ``trace``) raises
+    :class:`kerrcat.errors.CutoffError` unallocated. Every source is built,
+    checked against ``eps``; each other mode joins the state, at its declared
+    axis position, just before the first element that touches it, or after
+    the last. With ``trace`` the run is dense, and lists the state after
+    each join and element, named by its DSL line (a vacuum mode's ``mode``
+    line).
 
-    Detection reads one law, the final state's ``joint_photon_distribution``
-    of the detected modes (to the bit), in ascending photon numbers with the
-    first detected mode slowest. An outcome whose entry is at or above
-    ``ZERO_BRANCH_THRESHOLD`` is kept, keyed like ``"b=1 c=0"``, with the
-    entry as its probability and its slice over the entry's root as a row
-    of the run's :class:`Kept` array, from which ``Branch.state`` is built
-    when read; the requested outcome is always reported, in its place, as a
-    zero branch (no row, no state) below it. Without any detection the law
-    is the squared norm, and the one branch, ``"unconditional"``, follows
-    the same rule. A law that keeps more than ``MAX_KEPT_BRANCHES`` outcomes
-    raises :class:`kerrcat.errors.CutoffError` before any row is copied.
+    Detection reads one law over the detected modes, in ascending photon
+    numbers with the first detected mode slowest: the final state's
+    ``joint_photon_distribution`` to the bit, or with factored modes its
+    Gram form (:func:`_branches`). An outcome at or above
+    ``ZERO_BRANCH_THRESHOLD`` is kept, keyed like ``"b=1 c=0"``, with its
+    entry as probability and its slice over the entry's root as a row of the
+    run's :class:`Kept`, from which ``Branch.state`` is built when read; the
+    requested outcome is always reported, in its place, below it as a zero
+    branch (no row, no state). With no detection the law is the squared norm
+    and the one branch ``"unconditional"``. A law that keeps more than
+    ``MAX_KEPT_BRANCHES`` outcomes raises :class:`kerrcat.errors.CutoffError`.
     """
     return _run_batch([program], eps, trace)[0]
 
@@ -351,20 +359,20 @@ def run_batches(programs: Iterable, eps: float = DEFAULT_LEAKAGE) -> Iterator[li
     run as batches of at most ``_CHUNK_AMPLITUDES`` (a splitter chunk) over
     their members, each one pass of a stack with a leading member axis, whose
     results alone outlive it. A batch validates its first program, builds each
-    distinct source once into its source table, checked against ``eps``, and
-    checks each member of every stage's stack as a :class:`MultiModeState` is.
-    A batch that raises one of ``_POINT_ERRORS`` runs again a program at a
-    time; a program that fails alone gives its error, as a batch of one, in
-    place of its result, and so does an exception given in place of a program.
-    A batch's kept branches are the rows of one :class:`Kept` array, copied
-    out of its final stack; no branch builds its state until it is read.
+    distinct source once, checked against ``eps``, and checks each row of
+    every stage's stack as a :class:`MultiModeState` is. A batch that raises
+    one of ``_POINT_ERRORS`` runs again a program at a time; a program that
+    fails alone, or an exception given in place of a program, is its result.
     """
     for key, group in itertools.groupby(programs, _batch_key):
         if isinstance(key, Exception):
             yield [key]
             continue
-        amplitudes = math.prod(c + 1 for _, c in key[0])  # the layout's modes
-        while batch := list(itertools.islice(group, max(1, _CHUNK_AMPLITUDES // amplitudes))):
+        first = next(group)  # a factored mode counts as its vector, the rest as their product
+        factored, group = dsl.factored_modes(first), itertools.chain([first], group)
+        size = sum(c + 1 for m, c in key[0] if m in factored) + math.prod(
+            c + 1 for m, c in key[0] if m not in factored)
+        while batch := list(itertools.islice(group, max(1, _CHUNK_AMPLITUDES // size))):
             yield from _isolated(batch, eps)
 
 
@@ -385,25 +393,30 @@ def _isolated(programs, eps: float) -> Iterator[list]:
 
 
 def _run_batch(programs, eps: float, trace: bool) -> list[ProtocolResult]:
-    first = programs[0]
-    dsl.validate_program(first)
+    first, count = programs[0], len(programs)
+    factored = () if trace else dsl.factored_modes(first)
+    dsl.validate_program(first, factored)
     params = dict(first.sources)
     declared = [label for label, _ in first.modes]
     unjoined, sources = _source_stacks(programs, eps)
+    # each factored mode's source stack, and its angle of each member's each term
+    held = {label: (unjoined.pop(label), np.zeros((count, 1))) for label in factored}
     # until the first source or angle that differs, one member stands for all
-    stack, labels = np.ones(1, dtype=np.complex128), ()
-    stages = []
+    stack, labels = np.ones(count if factored else 1, dtype=np.complex128), ()
+    # each term's photon numbers on the core modes that split it, until a splitter mixes them
+    fixed, stages = [{}], []
 
     def traced() -> MultiModeState:  # a traced batch has one member
         return MultiModeState(labels, _Owned(stack[0, ...]))
 
-    # the trailing None stands for detection, before which every mode joins;
-    # each stack is checked before it is read, by the next stage or, the
-    # last, by detection
+    # the trailing None stands for detection, before which every core mode
+    # joins; each stack is checked before it is read, by the next stage or,
+    # the last, by detection
     for k, element in enumerate((*first.elements, None)):
         touched = unjoined if element is None else element_modes(element)
         for label in [m for m in declared if m in unjoined and m in touched]:
             vectors = unjoined.pop(label)
+            vectors = np.repeat(vectors, len(fixed), axis=0) if len(vectors) > 1 else vectors
             stack, labels = _joined(_checked_members(stack), labels, label, vectors, declared)
             if trace:
                 param = params.get(label)
@@ -413,15 +426,57 @@ def _run_batch(programs, eps: float, trace: bool) -> list[ProtocolResult]:
                     else dsl.format_source(label, param)
                 )
                 stages.append((line, traced()))
-        if element is not None:
-            axes = [1 + labels.index(mode) for mode in touched]
-            members = [program.elements[k] for program in programs]
-            stack = apply_batch(_checked_members(stack), axes, members)
+        if element is None:
+            break
+        members = [program.elements[k] for program in programs]
+        mode = next((m for m in touched if m in held), None)
+        if mode is None:
+            if isinstance(element, BalancedBeamSplitter):
+                fixed = [{m: n for m, n in f.items() if m not in touched} for f in fixed]
+            axes = [1 + labels.index(m) for m in touched]
+            stack = apply_batch(_checked_members(stack), axes, [e for e in members for _ in fixed])
             if trace:
                 stages.append((dsl.format_element(element), traced()))
+        elif isinstance(element, PhaseShift):
+            source, angles = held[mode]
+            held[mode] = source, angles + [[_reduced_angle(e.theta, "theta")] for e in members]
+        else:  # a Kerr medium splits each term not yet fixed on its core mode by its count j
+            core = element.mode_1 if element.mode_2 == mode else element.mode_2
+            split = [(t, {**f, core: j}) for t, f in enumerate(fixed)
+                     for j in ([f[core]] if core in f else range(stack.shape[1 + labels.index(core)]))]
+            parents, j = [t for t, _ in split], np.array([f[core] for _, f in split])
+            rows = _checked_members(stack).reshape(count, len(fixed), *stack.shape[1:])[:, parents]
+            at = j.reshape((1, -1) + (1,) * (rows.ndim - 2)) == _photon_numbers(rows, 2 + labels.index(core))
+            stack, fixed = np.where(at, rows, 0).reshape(-1, *stack.shape[1:]), [f for _, f in split]
+            taus = np.array([[_reduced_angle(e.tau, "tau")] for e in members])
+            held = {m: (source, angles[:, parents] - taus * j * (m == mode))
+                    for m, (source, angles) in held.items()}
     stages = tuple(stages) if trace else None
-    detected = _branches(_checked_members(stack), labels, first.detects, len(programs))
+    stack, vectors = _checked_members(stack), None
+    if held:
+        stack, vectors = _differenced(stack, held, count, len(fixed))
+    detected = _branches(stack, labels, first.detects, count, vectors)
     return [ProtocolResult(branches, stages, built) for branches, built in zip(detected, sources)]
+
+
+def _differenced(stack, held, count: int, terms: int):
+    """The final stack and each factored mode's term vectors, with the state
+    ``sum_k C_k u_k (x) w_k`` written over the first term and the differences
+    from it, ``du_k = u_0 expm1(i dphi n)``, so that no Gram sum cancels where
+    the terms nearly do (as a branch of small probability's): the terms are
+    ``u_0 w_0`` (coefficient ``sum_k C_k``), then ``du_k w_0``, ``u_0 dw_k``
+    and ``du_k dw_k`` (coefficient ``C_k`` each, k > 0)."""
+    rows = stack.reshape(count, terms, *stack.shape[1:])
+    stack = np.concatenate([rows.sum(1, keepdims=True)] + [rows[:, 1:]] * 3, 1)
+    vectors = {}
+    for mode, picks in zip(held, ((0, 2, 1, 2), (0, 1, 2, 2))):  # u, then w, in that term order
+        source, angles = held[mode]
+        n = np.arange(source.shape[1])
+        base = source[:, None, :] * np.exp(1j * angles[:, :1, None] * n)
+        differences = base * np.expm1(1j * (angles[:, 1:] - angles[:, :1])[..., None] * n)
+        parts = (base, np.repeat(base, terms - 1, 1), differences)
+        vectors[mode] = np.concatenate([parts[k] for k in picks], 1)
+    return stack.reshape(-1, *stack.shape[2:]), vectors
 
 
 def _source_stacks(programs, eps: float) -> tuple[dict[str, np.ndarray], list[dict]]:
@@ -447,20 +502,31 @@ def layout(p: "dsl.CircuitProgram"):
     return p.modes, sources, p.detects, [(type(e), element_modes(e)) for e in p.elements]
 
 
-def _branches(stack: np.ndarray, labels, detects, count: int) -> list[dict[str, Branch]]:
+def _branches(stack: np.ndarray, labels, detects, count: int, vectors=None) -> list[dict[str, Branch]]:
     """Each of ``count`` members' branches, from one law: ``|stack|^2`` summed
     over the undetected modes, member axis first, detected axes in request
     order. Every kept slice is copied out, divided by the root of its law
-    entry, into the rows of one :class:`Kept`, which the branches share."""
+    entry, into the rows of one :class:`Kept`, which the branches share. With
+    factored modes (``vectors``, each one's term vectors by member), a member's
+    rows are its terms and every core mode is detected: the law is
+    ``sum_{k,l} conj(C_k) C_l prod_d G_d[k, l]``, and a row holds coefficients."""
     requested = tuple((d.mode, d.n) for d in detects)
     modes = [m for m, _ in requested]
     # a view with the detected axes first, in request order; the rest keep theirs
     remaining = tuple(label for label in labels if label not in modes)
     stack = stack.transpose([0, *(1 + labels.index(m) for m in (*modes, *remaining))])
-    law = np.abs(stack)
-    np.square(law, out=law)  # in place: one float array beside the state
-    if len(modes) < len(labels):
-        law = law.sum(axis=tuple(range(1 + len(modes), stack.ndim)))
+    if vectors is not None:  # the term axis last, after the detected axes
+        stack = np.moveaxis(stack.reshape(count, -1, *stack.shape[1:]), 1, -1)
+        grams = _grams(vectors.values(), vectors.values())[(slice(None),) + (None,) * len(modes)]
+        terms = np.conj(stack)[..., :, None] * grams * stack[..., None, :]
+        law, remaining = terms.reshape(*terms.shape[:-2], -1).sum(-1).real, tuple(vectors)
+        for n2 in law.reshape(count, -1).sum(-1).tolist():
+            _check_norm_bound(n2, "MultiModeState")
+    else:
+        law = np.abs(stack)
+        np.square(law, out=law)  # in place: one float array beside the state
+        if len(modes) < len(labels):
+            law = law.sum(axis=tuple(range(1 + len(modes), stack.ndim)))
     kept = law >= ZERO_BRANCH_THRESHOLD
     kept[(slice(None), *(n for _, n in requested))] = True
     most = int(kept.reshape(len(kept), -1).sum(axis=1).max())  # each member's kept outcomes
@@ -472,7 +538,7 @@ def _branches(stack: np.ndarray, labels, detects, count: int) -> list[dict[str, 
     rows = stack[tuple(found[live].T)]
     rows /= np.sqrt(probabilities[live]).reshape((-1,) + (1,) * (rows.ndim - 1))
     rows.setflags(write=False)
-    slices = Kept(remaining, rows)
+    slices = Kept(remaining, rows, vectors and tuple(v[found[live][:, 0]] for v in vectors.values()))
     members, named, row = [{} for _ in range(len(stack))], {}, 0
     for (member, *counts), prob, alive in zip(found.tolist(), probabilities.tolist(), live.tolist()):
         counts = tuple(counts)

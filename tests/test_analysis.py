@@ -19,14 +19,19 @@ from kerrcat import (
 )
 from kerrcat.analysis import (
     entanglement_entropy,
+    factored_distributions,
+    factored_entropies,
+    fidelities,
     fidelity,
     joint_photon_distribution,
     photon_distribution,
+    photon_distributions,
     schmidt_entropies,
     support_residuals,
 )
 from kerrcat.elements import apply_phase_shift
-from kerrcat.fock import SKETCH_MIN_SIDE, SKETCH_TOLERANCE, _spectra, single, tensor_product
+from kerrcat.fock import _products, _spectra, single, tensor_product
+from kerrcat.protocols import Kept
 from kerrcat.protocols import DC, run_entanglement
 from kerrcat.states import cat_coherent, cat_squeezed, fock
 
@@ -259,7 +264,8 @@ def lone_entropy(state):
     matrix = state.tensor
     occupied = matrix[np.ix_(matrix.any(axis=1), matrix.any(axis=0))]
     coeffs = np.linalg.svd(occupied, compute_uv=False)
-    p = coeffs[coeffs > 1e-10] ** 2 / state.squared_norm
+    p = coeffs[coeffs > 1e-10] ** 2
+    p /= p.sum()
     return max(0.0, float(-(p * np.log2(p)).sum()))
 
 
@@ -291,10 +297,15 @@ def test_stacked_entropies_equal_each_states_own(states):
     assert [v.hex() for v in alone] == [lone_entropy(state).hex() for state in states]
 
 
+# an occupied matrix at least this large on each side: spectra that a
+# truncated SVD would approximate are decomposed in full
+LARGE_SIDE = 64
+
+
 @st.composite
-def sketched_states(draw, sides=st.integers(SKETCH_MIN_SIDE, SKETCH_MIN_SIDE + 16)):
+def large_states(draw, sides=st.integers(LARGE_SIDE, LARGE_SIDE + 16)):
     """A normalized state on (a, b) whose occupied matrix is at least
-    ``SKETCH_MIN_SIDE`` on each side, of rank 1 to 4 or of full rank
+    ``LARGE_SIDE`` on each side, of rank 1 to 4 or of full rank
     (``rank`` None), occupied on every row and column or on every other one."""
     rows, cols = (draw(sides) for _ in range(2))
     rank = draw(st.sampled_from([1, 2, 3, 4, None]))
@@ -316,40 +327,62 @@ def occupied_svd(state):
 
 
 @settings(max_examples=60, deadline=None)
-@given(drawn=sketched_states())
-def test_large_spectra_are_sketched_or_fall_back_to_the_full_svd(drawn):
+@given(drawn=large_states())
+def test_large_spectra_are_the_full_svd(drawn):
+    # replaces the sketch's test: with no sketch, every spectrum is the full
+    # SVD of the occupied matrix, low rank or not
     rank, state = drawn
     (spectrum,), full = _spectra([state.tensor]), occupied_svd(state)
-    if rank is None:  # no sketch passes its residual check
-        assert [v.hex() for v in spectrum] == [v.hex() for v in full]
-    else:
-        assert spectrum.size == 8
-        assert np.abs(spectrum - full[:8]).max() < 1e-12 and full[8:].max() < 1e-12
-        assert abs(entanglement_entropy(state, {"a"}) - lone_entropy(state)) < 1e-12
-
-
-@pytest.mark.parametrize("tail, sketched", [(SKETCH_TOLERANCE / 10, True), (SKETCH_TOLERANCE * 10, False)])
-def test_a_sketch_is_kept_only_within_its_tolerance(tail, sketched):
-    # rank 2 plus a full-rank tail of relative norm `tail`, which no sketch of
-    # 8 columns can capture, so the residual is about `tail` itself
-    rng = np.random.default_rng(5)
-    low, high = (rng.standard_normal((SKETCH_MIN_SIDE, n)) for n in (2, SKETCH_MIN_SIDE))
-    arr = low @ rng.standard_normal((2, SKETCH_MIN_SIDE))
-    arr = arr / np.linalg.norm(arr) + tail * high / np.linalg.norm(high)
-    state = MultiModeState(("a", "b"), arr / np.linalg.norm(arr))
-    (spectrum,), full = _spectra([state.tensor]), occupied_svd(state)
-    if sketched:
-        assert spectrum.size == 8 and np.abs(spectrum - full[:8]).max() < SKETCH_TOLERANCE
-    else:
-        assert [v.hex() for v in spectrum] == [v.hex() for v in full]
+    assert [v.hex() for v in spectrum] == [v.hex() for v in full]
+    assert entanglement_entropy(state, {"a"}).hex() == lone_entropy(state).hex()
 
 
 @settings(max_examples=30, deadline=None)
-# two sides, so that members of one shape, sketched or not, share a stack
-@given(drawn=st.lists(sketched_states(st.sampled_from([SKETCH_MIN_SIDE, SKETCH_MIN_SIDE + 1])),
+# two sides, so that members of one shape share a stack
+@given(drawn=st.lists(large_states(st.sampled_from([LARGE_SIDE, LARGE_SIDE + 1])),
                       min_size=1, max_size=5))
-def test_stacked_sketches_equal_each_states_own(drawn):
+def test_stacked_large_spectra_equal_each_states_own(drawn):
     states = [state for _, state in drawn]
     stacked = _spectra([state.tensor for state in states])
     alone = [_spectra([state.tensor])[0] for state in states]
     assert [[v.hex() for v in s] for s in stacked] == [[v.hex() for v in s] for s in alone]
+
+
+@st.composite
+def factored_stacks(draw, modes=2):
+    """A factored stack of 1-3 rows on ``modes`` modes: each row the sum over
+    1-4 terms of a coefficient times each mode's source rotated by the term's
+    angle, some of whose angles, and so terms, coincide; normalized."""
+    rows, terms = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coefficients = rng.standard_normal((rows, terms)) + 1j * rng.standard_normal((rows, terms))
+    vectors = []
+    for cutoff in (draw(st.integers(0, 40)) for _ in range(modes)):
+        source = rng.standard_normal(cutoff + 1) + 1j * rng.standard_normal(cutoff + 1)
+        angles = np.array([draw(st.sampled_from([0.0, np.pi / 2, np.pi, 0.7])) for _ in range(terms)])
+        vectors.append(np.broadcast_to(source * np.exp(1j * angles[:, None] * np.arange(cutoff + 1)),
+                                       (rows, terms, cutoff + 1)).copy())
+    dense = _products(coefficients, vectors)
+    norms = np.sqrt(np.square(np.abs(dense)).reshape(rows, -1).sum(-1))
+    assume_nonzero = norms > 1e-6
+    coefficients[assume_nonzero] /= norms[assume_nonzero, None]
+    return coefficients[assume_nonzero], tuple(v[assume_nonzero] for v in vectors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=factored_stacks())
+def test_factored_analysis_matches_the_dense_rows(stack):
+    # the Gram forms of a factored stack (replacing the sketch as the cheap
+    # path of large two-mode branches) against the dense rows they stand for
+    coefficients, vectors = stack
+    if not len(coefficients):
+        return
+    dense = _products(coefficients, vectors)
+    for mode, dist in factored_distributions(coefficients, vectors, ("a", "b")).items():
+        assert np.abs(dist - photon_distributions(dense, ("a", "b"))[mode]).max() < 1e-12
+        assert not np.signbit(dist).any()
+    factored = factored_entropies(coefficients, vectors)
+    assert np.abs(np.array(factored) - schmidt_entropies(dense)).max() < 1e-9
+    pairs = [(i, j) for i in range(len(dense)) for j in range(len(dense))]
+    flat = Kept((), dense).factored  # each row one term on one flattened mode
+    assert np.abs(np.array(fidelities(stack, stack, pairs)) - fidelities(flat, flat, pairs)).max() < 1e-12

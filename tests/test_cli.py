@@ -334,23 +334,26 @@ def test_each_single_state_name_resolves_in_its_module_alone():
             assert not hasattr(kerrcat, name), name
 
 
-def test_neither_import_nor_a_sketched_run_loads_numpy_random(tmp_path):
-    # r = 2 gives two 286 x 286 occupied matrices, both sketched
+def test_neither_import_nor_a_factored_run_loads_numpy_random(tmp_path):
+    # replaces the sketch's run: at r = 2 each branch's two 571-photon modes
+    # are held as four terms (the two Kerr-split terms, as the first one and
+    # its differences), and its Schmidt spectrum is that of a 4 x 4 matrix
+    # over the modes' spans, not of a 286 x 286 occupied matrix
     script = f"""
 import sys
 import kerrcat.cli as cli
-import kerrcat.fock as fock
+import kerrcat.analysis as analysis
 loaded = ["numpy.random" in sys.modules]
-sketched, sketch = [], fock._sketched
-fock._sketched = lambda matrix: sketched.append(matrix.shape) or sketch(matrix)
+shapes, spectra = [], analysis._spectra
+analysis._spectra = lambda matrices: shapes.extend(m.shape for m in matrices) or spectra(matrices)
 out = {str(tmp_path / "large.json")!r}
 code = cli.main(["run", "--protocol", "entanglement", "--r", "2.0", "--out", out])
-print(loaded + ["numpy.random" in sys.modules], code, sketched)
+print(loaded + ["numpy.random" in sys.modules], code, shapes)
 """
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[False, False] 0 [(286, 286), (286, 286)]"
+    assert done.stdout.strip() == "[False, False] 0 [(4, 4), (4, 4)]"
 
 
 def kept_branches(output: str) -> int:
@@ -1161,3 +1164,53 @@ def test_exit_code_matrix(entry, error, code, tmp_path, monkeypatch, capsys):
         assert err.startswith(f"{circuit}:")
     elif error is CheckFailure:
         assert "[FAIL] stand-in: injected" in out
+
+
+def test_a_circuit_file_prints_at_most_its_first_hundred_diagnostics(tmp_path):
+    # 1 MiB of one-character lines is 524,288 errors; the first hundred are
+    # printed, then one line counts the rest
+    path = tmp_path / "errors.qcirc"
+    path.write_text("x\n" * (cli.MAX_CIRCUIT_BYTES // 2), encoding="utf-8")
+    done = run_kerrcat("run", "--circuit", str(path))
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == cli.MAX_DIAGNOSTICS + 1
+    assert lines[0] == f"{path}:1:1: error: unknown keyword 'x'"
+    assert lines[-1] == f"{path}: {cli.MAX_CIRCUIT_BYTES // 2 - cli.MAX_DIAGNOSTICS} more diagnostics"
+
+
+def test_entanglement_at_r3_runs_factored_and_its_dense_trace_is_refused():
+    # r = 3 gives cutoff 4218: its dense product, 4 * 4219**2 amplitudes, is
+    # above the state cap, so the trace (dense) exits 2; the untraced run
+    # holds each data mode as vectors, and each branch R|u>R|u> -+ |u>|u>
+    # has the entropy of the two-term closed form in s = <-xi|xi>
+    done = run_kerrcat("run", "--protocol", "entanglement", "--r", "3", "--trace")
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert "numerical error" in done.stderr and "maximum state dimension" in done.stderr
+    branches = json.loads(cli.render_output(["run", "--protocol", "entanglement", "--r", "3"]))["branches"]
+    s = 1 / (math.cosh(3) * math.sqrt(1 + math.tanh(3) ** 2))
+    gram = np.array([[1, s], [s, 1]])
+    for name, sign in (("Db_fires", -1), ("Dc_fires", 1)):
+        c = np.array([1, sign])
+        p = np.linalg.eigvals(np.outer(c, c) * gram.T @ gram).real
+        p = p[p > 0] / p.sum()
+        expected = float(-(p * np.log2(p)).sum())
+        assert abs(branches[name]["analysis"]["schmidt_entropy"] - expected) < 1e-9, name
+
+
+@pytest.mark.parametrize("r", ["2.0", "3.5"])
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(r):
+    # every sum that reaches a report is numpy's pairwise sum, not a BLAS
+    # reduction, whose bits move with the thread count. At r = 3.5 the data
+    # modes have 11,467 photon numbers, enough for OpenBLAS to split a dot
+    # product across two threads (at r = 2, 571 are not)
+    argv = ("run", "--protocol", "entanglement", "--r", r)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-m", "kerrcat", *argv], env=env,
+                              capture_output=True, timeout=120, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

@@ -133,16 +133,18 @@ def test_splitter_on_wide_pair_peaks_at_one_output_and_a_chunk():
 
 def test_batch_of_large_states_peaks_like_one_member():
     # 2 * 65 * 65 * 8 = 67,600 amplitudes a member, above one splitter chunk,
-    # so the eight members run one at a time and peak like one run alone
+    # so the eight members run one at a time and peak like one run alone (d
+    # is detected, so that a2 alone would factor, and the program runs dense)
     cutoff = 64
     program = CircuitProgram(
         modes=(("a", cutoff), ("b", 1), ("c", 1), ("a2", cutoff), ("d", 7)),
         sources=(("a", CoherentParam(1.5)), ("b", FockParam(1)), ("a2", SqueezeParam(0.3))),
         elements=(BalancedBeamSplitter("b", "c"), CrossKerr("a", "b", 0.0),
                   PhaseShift("c", 0.0), BalancedBeamSplitter("b", "c")),
-        detects=(Detect("b", 1), Detect("c", 0), Detect("a", 0)),
+        detects=(Detect("b", 1), Detect("c", 0), Detect("a", 0), Detect("d", 0)),
     )
     assert math.prod(c + 1 for _, c in program.modes) > elements._CHUNK_AMPLITUDES
+    assert protocols.dsl.factored_modes(program) == ()
     programs = [
         dataclasses.replace(program, elements=(
             program.elements[0], CrossKerr("a", "b", 0.3 * k), PhaseShift("c", 0.1 * k),
@@ -157,10 +159,12 @@ def test_batch_of_large_states_peaks_like_one_member():
     assert batch <= alone + SLACK_BYTES, f"batch peak {batch}, one member alone {alone}"
 
 
-def test_group_of_large_sweep_points_peaks_like_one_point():
-    # r = 1.3 gives cutoff 140: 79,524 amplitudes a point, above one splitter
-    # chunk, so the points run one at a time, and each point's result and
+def test_group_of_large_sweep_points_peaks_like_one_point(monkeypatch):
+    # points above one splitter chunk run one at a time (r = 1.3 gives cutoff
+    # 140, whose two factored modes a batch counts as 286 amplitudes a point,
+    # so the chunk is shrunk to one point), and each point's result and
     # fidelity targets must go before the next point runs
+    monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 1)
     config = cli._run_config(["sweep", "--protocol", "entanglement", "--r", "1.3",
                               "--sweep", "tau:0.5:1.5:4"])
 
@@ -308,3 +312,14 @@ def test_every_returned_state_is_constructed(monkeypatch):
     assert [id(s) for s in checked[1:]] == [id(s) for s in made]
     states = [b.state for result in results for b in result.branches.values()]
     assert len(states) == 6 and all(any(b is state for b in built) for state in states)
+
+
+def test_large_entanglement_report_holds_no_dense_pair():
+    # r = 2 gives two 571-photon data modes: their dense product held 21 MB a
+    # copy, and the report's traced peak was 41.8 MiB; held as vectors, it
+    # peaks at 1.8 MiB: four terms of 571 entries a mode, their Gram
+    # products over the photon numbers, and the distributions and their text
+    argv = ["run", "--protocol", "entanglement", "--r", "2.0"]
+    cli.render_output(argv)  # warms what a run sets up once
+    _, peak = allocated(cli.render_output, argv)
+    assert peak <= 4 * 1024 * 1024, f"{peak} bytes"

@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import warnings
 import weakref
 
@@ -40,7 +41,7 @@ from kerrcat import cli, protocols, states
 from kerrcat.analysis import fidelity, joint_photon_distribution
 from kerrcat.dsl import MAX_STATE_DIMENSION, CircuitProgram, CircuitValidationError, parse
 from kerrcat.elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift, apply_element
-from kerrcat.fock import project_modes, single, tensor_product
+from kerrcat.fock import _overlaps, project_modes, single, tensor_product
 from kerrcat.protocols import (
     DB,
     DC,
@@ -259,27 +260,40 @@ class TestStateDimensionBudget:
     @pytest.fixture
     def no_oversized_products(self, monkeypatch):
         # a source above the limit fails the test before it is allocated (a
-        # source shares the state with two cutoff-1 modes), and a target pair
-        # above it as it is normalized
+        # source shares the state with two cutoff-1 modes), and so do a cat
+        # above it as it is normalized and a dense product of factored modes
+        # (a branch's state or a target pair) as it is built
         def guarded_units(stack):
             assert stack[0].size <= MAX_STATE_DIMENSION
             return units(stack)
+
+        def guarded_products(coefficients, vectors):
+            assert math.prod(v.shape[-1] for v in vectors) <= MAX_STATE_DIMENSION
+            return products(coefficients, vectors)
 
         def guarded_source(param, cutoff, eps):
             assert 4 * (cutoff + 1) <= MAX_STATE_DIMENSION
             return squeezed_vacuum(param, cutoff, eps)
 
-        units = protocols._units
+        units, products = protocols._units, protocols._products
         monkeypatch.setattr(protocols, "_units", guarded_units)
+        monkeypatch.setattr(protocols, "_products", guarded_products)
         monkeypatch.setattr(states, "squeezed_vacuum", guarded_source)
 
-    def test_entanglement_over_the_limit(self, no_oversized_products):
-        # r = 3 resolves cutoff 4218: 4 * 4219**2 = 71.2M amplitudes
+    def test_entanglement_over_the_dense_limit(self, no_oversized_products):
+        # r = 3 resolves cutoff 4218: the dense product, 4 * 4219**2 = 71.2M
+        # amplitudes, is above the limit, so a traced run (dense) is refused;
+        # factored, each click is R|u>R|v> -+ |u>|v>, of probability
+        # (1 -+ s^2) / 2 with s = <-xi|xi> = 1 / (cosh r sqrt(1 + tanh^2 r))
         params = EntanglementParams(
             SqueezeParam(3.0), SqueezeParam(3.0), tau=math.pi / 2, tau2=math.pi / 2
         )
         with pytest.raises(CutoffError, match="maximum state dimension"):
-            run_entanglement(params)
+            run_entanglement(params, trace=True)
+        s = 1 / (math.cosh(3.0) * math.sqrt(1 + math.tanh(3.0) ** 2))
+        result = run_entanglement(params)
+        for name, sign in ((DB, -1), (DC, 1)):
+            assert abs(result[name].probability - (1 + sign * s**2) / 2) < 1e-9
 
     def test_superposition_over_the_limit(self, no_oversized_products):
         program = superposition_program(SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2))
@@ -311,13 +325,13 @@ class TestStateDimensionBudget:
         assert list(alone.branches) == ["m0=0 m1=0 m2=0 m3=0"]
 
     def test_cli_run_and_sweep(self, no_oversized_products):
-        assert cli.main(["run", "--protocol", "entanglement", "--r", "3"]) == 2
+        # the traced run is dense, and is refused; untraced, r = 3 runs
+        assert cli.main(["run", "--protocol", "entanglement", "--r", "3", "--trace"]) == 2
+        assert cli.main(["run", "--protocol", "entanglement", "--r", "3", "--out", os.devnull]) == 0
         argv = ["sweep", "--protocol", "entanglement", "--sweep", "r:0.3:3:2"]
         inside, outside = (json.loads(line) for line in cli.render_output(argv).splitlines())
-        assert inside["error"] is None and inside["branches"]
-        assert outside["branches"] == {}
-        assert outside["error"].startswith("CutoffError: ")
-        assert "maximum state dimension" in outside["error"]
+        for point in (inside, outside):
+            assert point["error"] is None and set(point["branches"]) == {DB, DC}
 
 
 class TestRunCircuit:
@@ -738,16 +752,17 @@ def batch_targets(members):
     cutoffs, out, params = {}, [], members
     for batch in run_batches([program(p, cutoffs) for p in members], members[0].eps):
         points, params = params[:len(batch)], params[len(batch):]
-        stack, rows = stacks(points, [r.sources for r in batch])
-        out += [{name: stack[at[i]] for name, at in rows.items() if at[i] is not None}
-                for i in range(len(points))]
+        (coefficients, vectors), rows = stacks(points, [r.sources for r in batch])
+        out += [{name: (coefficients[at[i]].tobytes(), *(v[at[i]].tobytes() for v in vectors))
+                 for name, at in rows.items() if at[i] is not None} for i in range(len(points))]
     return out
 
 
 def standalone_targets(p):
-    """The targets from the factories alone: the cats of ``cat_squeezed`` and
-    ``cat_coherent``, and the pair of the factory-built sources, each
-    rotated source at the cutoff of its unrotated one."""
+    """The targets from the factories alone, as factored rows' bytes: the
+    cats of ``cat_squeezed`` and ``cat_coherent``, each one term of
+    coefficient 1, and the pair of the factory-built sources, each rotated
+    source at the cutoff of its unrotated one, beside its coefficients."""
     def build(param, cutoff, eps):
         factory = squeezed_vacuum if isinstance(param, SqueezeParam) else coherent
         return factory(param, cutoff, eps).amplitudes
@@ -760,18 +775,21 @@ def standalone_targets(p):
                 targets[name] = cat(p.source_a, sign, suggest_cutoff(p.source_a, p.eps), p.eps)
             except ZeroStateError:
                 pass
-        return {name: vector.amplitudes.tobytes() for name, vector in targets.items()}
-    ca, c2 = suggest_cutoff(p.source_a, p.eps), suggest_cutoff(p.source_a2, p.eps)
-    base = np.multiply.outer(build(p.source_a, ca, p.eps), build(p.source_a2, c2, p.eps))
-    # the rotated builds are the same amplitudes at any budget they pass
-    rotated = np.multiply.outer(build(p.source_a.kerr_rotated(p.tau), ca, 0.5),
-                                build(p.source_a2.kerr_rotated(p.tau2), c2, 0.5))
+        return {name: (np.ones(1).tobytes(), vector.amplitudes[None].tobytes())
+                for name, vector in targets.items()}
+    # the rotated builds are the same amplitudes at any budget they pass; the
+    # pair R a R'a2 + s a a2 is (R a - a) R'a2 + a (R'a2 - a2) + (1 + s) a a2
+    (ra, a), (ra2, a2) = ((build(param.kerr_rotated(tau), cutoff, 0.5), build(param, cutoff, p.eps))
+                          for param, tau, cutoff in ((p.source_a, p.tau, suggest_cutoff(p.source_a, p.eps)),
+                                                     (p.source_a2, p.tau2, suggest_cutoff(p.source_a2, p.eps))))
+    arms = (np.stack([ra - a, a, a]), np.stack([ra2, ra2 - a2, a2]))
     phase = np.exp(1j * math.fmod(p.theta, 2 * math.pi))
     for name, sign in (("pair_plus", 1), ("pair_minus", -1)):
-        pair = rotated + sign * phase * base
-        norm = float(np.linalg.norm(pair))
-        if norm > 1e-12:
-            targets[name] = (pair / norm).tobytes()
+        coefficients = np.array([[1.0, 1.0, 1 + sign * phase]])
+        norm = np.sqrt(_overlaps((coefficients, [a[None] for a in arms]),
+                                 (coefficients, [a[None] for a in arms])).real)
+        if norm[0] > 1e-12:
+            targets[name] = ((coefficients / norm[:, None])[0].tobytes(), *(a.tobytes() for a in arms))
     return targets
 
 
@@ -789,8 +807,7 @@ def standalone_targets(p):
 )])
 def test_batch_targets_equal_standalone_targets_bit_for_bit(members):
     for p, targets in zip(members, batch_targets(members)):
-        got = {name: target.tobytes() for name, target in targets.items()}
-        assert got == standalone_targets(p)
+        assert targets == standalone_targets(p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -936,3 +953,24 @@ def test_no_source_outlives_the_records_of_its_batch(monkeypatch):
         assert all(ref() is None for ref in refs)
         assert records.count("\n") == 12
     assert len(started) > 4 and len(refs) > len(started)
+
+
+def test_a_factored_batch_equals_its_members_run_alone_where_terms_coincide(monkeypatch):
+    # at tau = 0 (or tau2 = 0) a Kerr split leaves equal rotated vectors on
+    # its data mode, so two terms coincide; the points share one cutoff per
+    # mode and run as one batch, whose results, states and records must be
+    # those of each point alone, to the bit
+    taus = (0.0, math.pi / 4, math.pi / 2)
+    programs = [entanglement_program(EntanglementParams(SqueezeParam(0.7), CoherentParam(0.8j),
+                                                        tau, tau2, theta))
+                for tau in taus for tau2 in taus for theta in (0.0, 1.0)]
+    assert all(protocols.dsl.factored_modes(p) == ("a", "a2") for p in programs)
+    (batch,) = run_batches(programs)
+    assert len(batch) == len(programs)
+    for result, program in zip(batch, programs):
+        assert result_bytes(result) == result_bytes(run_circuit(program))
+    argv = ["sweep", "--protocol", "entanglement", "--r", "0.7", "--sweep", "tau:0:pi/2:3",
+            "--sweep", "tau2:0:pi/2:3", "--sweep", "theta:0:1:2"]
+    grouped = cli.render_output(argv)
+    monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 1)  # a batch of one point
+    assert cli.render_output(argv) == grouped
