@@ -128,10 +128,9 @@ def fidelities(states, targets, pairs) -> list[float]:
     if [x.shape[-1] for x in u] != [x.shape[-1] for x in v]:
         raise StateMismatchError(f"shapes differ: {[x.shape for x in u]} vs {[x.shape for x in v]}")
     i, j = [p[0] for p in pairs], [p[1] for p in pairs]
-    rows, chosen = (a[i], [x[i] for x in u]), (b[j], [x[j] for x in v])
-    n2 = _unit_norms(_overlaps(rows, rows).real)
-    t2 = _unit_norms(_overlaps(chosen, chosen).real, "target")
-    overlaps = _overlaps(chosen, rows).tolist()
+    n2 = _unit_norms(_overlaps(states, states).real[i])
+    t2 = _unit_norms(_overlaps(targets, targets).real[j], "target")
+    overlaps = _overlaps(targets, states, j, i).tolist()
     return [min(abs(o) ** 2 / (x * y), 1.0) for o, x, y in zip(overlaps, n2, t2)]
 
 

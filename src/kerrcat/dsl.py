@@ -30,7 +30,8 @@ Each rule lives in one place:
 * The circuit rules, in :func:`validate_program`, shared by parsed files
   and programs built in code (``kerrcat.protocols``): no mode declared
   twice, at most ``MAX_MODES`` modes, at most ``MAX_STATE_DIMENSION``
-  amplitudes in the running product of the declared mode dimensions, fock
+  amplitudes in the running product of the declared mode dimensions (a mode
+  of :func:`factored_modes` adds ``MAX_TERMS ** 2`` vectors to it), fock
   and detected photon numbers within the mode's cutoff, one source and one
   detection per mode, equal cutoffs on both beam-splitter ports, and every
   named mode declared. It raises :class:`kerrcat.errors.CutoffError` for
@@ -65,7 +66,10 @@ _ANGLE = "<float>, pi, pi/<uint> or <float>*pi"
 # A batch's stack has a member axis and one per mode, and numpy 1.x allows 32
 # axes. Past 26 modes, MAX_STATE_DIMENSION leaves only vacuum modes anyway.
 MAX_MODES = 31
-MAX_TERMS = 4  # most terms a factored run may hold (factored_modes); the entanglement scheme's 4
+# Most terms the Kerr media of a factored program may make (factored_modes): the
+# entanglement scheme's 4. A factored mode counts MAX_TERMS**2 vectors toward
+# MAX_STATE_DIMENSION; the scheme's r = 4 report peaked at 24 vectors a mode.
+MAX_TERMS = 4
 
 # The statement sections, in the order of CircuitProgram's fields: each one's
 # rank in the text, which never falls, and the error of a line that lowers it.
@@ -381,17 +385,21 @@ def format_program(program: CircuitProgram) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def validate_program(program: CircuitProgram, factored=()) -> None:
+def validate_program(program: CircuitProgram) -> None:
     """Check a program, parsed or built in code, against the circuit rules
-    of the module docstring; ``parse`` reports the same violations. A mode of
-    ``factored`` (:func:`factored_modes`) counts alone, not in the product.
+    of the module docstring; ``parse`` reports the same violations.
 
     Raises :class:`kerrcat.errors.CutoffError` when the declared modes
     exceed ``MAX_STATE_DIMENSION`` amplitudes and
     :class:`CircuitValidationError` for any other rule, on the first
     violation in statement order, named like ``element 1: ...``.
     """
-    violations, _ = _violations(program, factored)
+    _check(program)
+
+
+def _check(program: CircuitProgram, dense: bool = False) -> None:
+    """:func:`validate_program`, with every mode in the product if ``dense``."""
+    violations, _ = _violations(program, dense)
     if violations:
         (section, index), err = violations[0]
         raise type(err)(f"{section} {index}: {err}")
@@ -399,38 +407,44 @@ def validate_program(program: CircuitProgram, factored=()) -> None:
 
 def factored_modes(program: CircuitProgram) -> tuple[str, ...]:
     """The modes a run holds as rotated source vectors: those that only phase
-    shifts and Kerr media against core modes touch. A core mode is one that a
-    splitter or a detection touches, or the lesser label of a Kerr pair that
-    has none. None factor unless every core mode is detected, exactly two do
-    (one mode's dense product is no larger), and their Kerr media make at
-    most ``MAX_TERMS`` terms (the product of the core counts they read)."""
+    shifts and Kerr media against core modes (those that a splitter or a
+    detection touches) touch. None factor unless there are core modes, every
+    Kerr medium touches one, all are detected, exactly two modes factor (one
+    mode's dense product is no larger), and their Kerr media make at most
+    ``MAX_TERMS`` terms (the product of the core counts they read)."""
     core = {m for e in (*program.elements, *program.detects)
             if isinstance(e, (BalancedBeamSplitter, Detect)) for m in element_modes(e)}
-    kerrs = [{e.mode_1, e.mode_2} for e in program.elements if isinstance(e, CrossKerr)]
-    core |= {min(pair) for pair in kerrs if not core & pair}
-    factored, cutoffs = [m for m, _ in program.modes if m not in core], dict(program.modes)
-    terms = math.prod(cutoffs.get(m, 0) + 1 for pair in kerrs if pair - core for m in pair & core)
+    factored = [m for m, _ in program.modes if m not in core]
     detected = {d.mode for d in program.detects if isinstance(d, Detect)}
-    return () if core - detected or len(factored) != 2 or terms > MAX_TERMS else tuple(factored)
+    if len(factored) != 2 or not core or core - detected:
+        return ()
+    kerrs = [{e.mode_1, e.mode_2} for e in program.elements if isinstance(e, CrossKerr)]
+    cutoffs = dict(program.modes)
+    terms = math.prod(cutoffs.get(m, 0) + 1 for pair in kerrs if pair - core for m in pair & core)
+    return tuple(factored) if all(core & pair for pair in kerrs) and terms <= MAX_TERMS else ()
 
 
-def _violations(program: CircuitProgram, factored=()):
+def _violations(program: CircuitProgram, dense: bool = False):
     """Every circuit-rule violation of ``program``, at most one per
     statement and in statement order, as ``((section, index), error)``;
     and, per declared label, the index of the mode declaration that counts.
+    Unless ``dense``, a mode of :func:`factored_modes` adds ``MAX_TERMS ** 2``
+    vectors to the state's size, not a factor to its product.
 
     A rejected statement counts as absent for the rules of later ones.
     """
-    violations = []
+    violations, factored = [], () if dense else factored_modes(program)
 
     def reject(section, index, message, kind=CircuitValidationError):
         violations.append(((section, index), kind(message)))
 
     cutoffs: dict[str, int] = {}
     declared_at: dict[str, int] = {}  # the mode statement that counts
-    dimension = 1
+    dimension, vectors = 1, 0  # the dense modes' product; the factored modes' vectors
     for index, (label, cutoff) in enumerate(program.modes):
-        size = (1 if label in factored else dimension) * (cutoff + 1)
+        held = ((dimension, vectors + MAX_TERMS**2 * (cutoff + 1)) if label in factored
+                else (dimension * (cutoff + 1), vectors))
+        size = sum(held)
         if label in cutoffs:
             reject("mode", index, f"mode {label!r} is already declared")
         elif cutoff < 0:
@@ -442,7 +456,7 @@ def _violations(program: CircuitProgram, factored=()):
                    f"amplitudes, above the maximum state dimension {MAX_STATE_DIMENSION}",
                    CutoffError)
         else:
-            dimension = dimension if label in factored else size
+            dimension, vectors = held
             cutoffs[label] = cutoff
             declared_at[label] = index
 

@@ -48,6 +48,8 @@ NORM_SLACK = 1e-9
 ZERO_NORM_THRESHOLD = 1e-12
 # Schmidt coefficients at or below this count as zero (rank and entropy).
 SCHMIDT_COEFF_THRESHOLD = 1e-10
+# _grams forms a mode's products all at once up to this many (1 MiB).
+_GRAM_PRODUCTS = 1 << 16
 
 
 class _Owned:
@@ -214,25 +216,38 @@ def _units(stack: np.ndarray) -> tuple[np.ndarray, list[float]]:
     return stack / divisors.reshape((-1,) + (1,) * (stack.ndim - 1)), norms
 
 
-def _grams(left, right) -> np.ndarray:
-    """The product over modes of the Grams ``[..., k, l] = <left_k|right_l>`` of two term vector lists."""
-    grams = [(np.conj(u)[..., :, None, :] * v[..., None, :, :]).sum(-1) for u, v in zip(left, right)]
+def _grams(left, right, i=slice(None), j=slice(None)) -> np.ndarray:
+    """The product over modes of the Grams ``[r, k, l] = <left_k|right_l>`` of rows ``i``
+    and ``j`` of two term vector lists. Past ``_GRAM_PRODUCTS`` products a mode,
+    each entry is summed alone, with the same bits, so that no vector is held
+    per pair of terms."""
+    grams = []
+    for u, v in zip(left, right):
+        gram = np.empty(u[i, :, 0].shape + v.shape[1:2], dtype=np.complex128)
+        if gram.size * u.shape[-1] <= _GRAM_PRODUCTS:
+            gram[...] = (np.conj(u[i])[:, :, None] * v[j][:, None]).sum(-1)
+        else:
+            for k, l in np.ndindex(gram.shape[1:]):
+                gram[:, k, l] = (np.conj(u[i, k]) * v[j, l]).sum(-1)
+        grams.append(gram)
     return math.prod(grams[1:], start=grams[0])
 
 
-def _overlaps(left, right) -> np.ndarray:
-    """<left_i|right_i> for each row i of two factored stacks."""
+def _overlaps(left, right, i=slice(None), j=slice(None)) -> np.ndarray:
+    """<left_i|right_j> for rows ``i`` and ``j`` (each row, by default) of two factored stacks."""
     (a, u), (b, v) = left, right
-    terms = np.conj(a)[:, :, None] * _grams(u, v) * b[:, None, :]
-    return terms.reshape(len(a), a.shape[1] * b.shape[1]).sum(-1)
+    terms = np.conj(a[i])[:, :, None] * _grams(u, v, i, j) * b[j][:, None, :]
+    return terms.reshape(len(terms), -1).sum(-1)
 
 
 def _products(coefficients, vectors) -> np.ndarray:
-    """Each row of a factored stack as a dense tensor, its terms summed."""
-    tensor = coefficients
-    for v in vectors:
-        tensor = tensor[..., None] * v.reshape(v.shape[:2] + (1,) * (tensor.ndim - 2) + v.shape[2:])
-    return tensor.sum(axis=1)
+    """Each row of a factored stack as a dense tensor, its terms added one at a time."""
+    for k in range(coefficients.shape[1]):
+        term = coefficients[:, k]
+        for v in vectors:
+            term = term[..., None] * v[:, k].reshape((len(v),) + (1,) * (term.ndim - 1) + v.shape[2:])
+        total = term if k == 0 else np.add(total, term, out=total)
+    return total
 
 
 def project_mode(state: MultiModeState, mode: str, n: int) -> tuple[MultiModeState, float]:

@@ -67,6 +67,7 @@ from .fock import (
 from .fock import _check_norm_bound, _grams, _overlaps, _products
 from .states import (
     DEFAULT_LEAKAGE,
+    MAX_STATE_DIMENSION,
     TWO_PI,
     CoherentParam,
     FockParam,
@@ -127,7 +128,9 @@ class Kept:
 class Branch:
     """One detection outcome and its probability. A kept branch is row ``row``
     of its batch's :class:`Kept`; ``state``, its conditional state, is built
-    from (a copy of) that row when first read. A zero branch has neither."""
+    from (a copy of) that row when first read (a factored one's dense tensor
+    above ``MAX_STATE_DIMENSION`` raises :class:`CutoffError`). A zero branch
+    has neither."""
 
     outcome: tuple[tuple[str, int], ...]
     probability: float
@@ -144,7 +147,7 @@ class Branch:
             return None
         kept, row = self.kept, slice(self.row, self.row + 1)
         return MultiModeState(kept.labels, kept.rows[self.row, ...] if kept.vectors is None
-                              else _Owned(_products(kept.rows[row], [v[row] for v in kept.vectors])[0]))
+                              else _Owned(_dense(kept.rows[row], [v[row] for v in kept.vectors])[0]))
 
 
 @dataclass(frozen=True)
@@ -264,9 +267,19 @@ def _target_rows(names, stack, norms, at) -> tuple[tuple, dict]:
 def _point_targets(params, program, stacks, labels) -> dict:
     """One point's ``stacks`` over ``labels``, from the sources its ``program`` builds."""
     stack, rows = stacks([params], _source_stacks([program(params)], params.eps)[1])
-    dense = _products(*stack)
+    dense = _dense(*stack)
     return {name: MultiModeState(labels, dense[at[0]])
             for name, at in rows.items() if at[0] is not None}
+
+
+def _dense(coefficients, vectors) -> np.ndarray:
+    """Each row of a factored stack as a dense tensor; rows above
+    ``MAX_STATE_DIMENSION`` amplitudes in all raise :class:`CutoffError` unbuilt."""
+    size = len(coefficients) * math.prod(v.shape[-1] for v in vectors)
+    if size > MAX_STATE_DIMENSION:
+        raise CutoffError(f"a dense state of {size} amplitudes is above the maximum state "
+                          f"dimension {MAX_STATE_DIMENSION}")
+    return _products(coefficients, vectors)
 
 
 def superposition_program(params: SuperpositionParams, cutoffs=None) -> "dsl.CircuitProgram":
@@ -324,8 +337,8 @@ def run_circuit(
 
     :func:`dsl.validate_program` checks the program before any state is
     built, so a state above ``dsl.MAX_STATE_DIMENSION`` amplitudes (a
-    factored mode counts alone, unless ``trace``) raises
-    :class:`kerrcat.errors.CutoffError` unallocated. Every source is built,
+    factored mode adds ``dsl.MAX_TERMS ** 2`` vectors, unless ``trace``)
+    raises :class:`kerrcat.errors.CutoffError` unallocated. Every source is built,
     checked against ``eps``; each other mode joins the state, at its declared
     axis position, just before the first element that touches it, or after
     the last. With ``trace`` the run is dense, and lists the state after
@@ -344,7 +357,7 @@ def run_circuit(
     and the one branch ``"unconditional"``. A law that keeps more than
     ``MAX_KEPT_BRANCHES`` outcomes raises :class:`kerrcat.errors.CutoffError`.
     """
-    return _run_batch([program], eps, trace)[0]
+    return _run_batch([program], eps, () if trace else dsl.factored_modes(program), trace)[0]
 
 
 # the errors that a program of run_batches gives as its own result
@@ -368,34 +381,35 @@ def run_batches(programs: Iterable, eps: float = DEFAULT_LEAKAGE) -> Iterator[li
         if isinstance(key, Exception):
             yield [key]
             continue
-        first = next(group)  # a factored mode counts as its vector, the rest as their product
+        first = next(group)  # a factored mode counts as its vectors, the rest as their product
         factored, group = dsl.factored_modes(first), itertools.chain([first], group)
-        size = sum(c + 1 for m, c in key[0] if m in factored) + math.prod(
+        size = sum(dsl.MAX_TERMS**2 * (c + 1) for m, c in key[0] if m in factored) + math.prod(
             c + 1 for m, c in key[0] if m not in factored)
         while batch := list(itertools.islice(group, max(1, _CHUNK_AMPLITUDES // size))):
-            yield from _isolated(batch, eps)
+            yield from _isolated(batch, eps, factored)
 
 
 def _batch_key(program):  # an exception equals only itself, so it is a group of its own
     return program if isinstance(program, Exception) else layout(program)
 
 
-def _isolated(programs, eps: float) -> Iterator[list]:
+def _isolated(programs, eps: float, factored) -> Iterator[list]:
     """The results of one batch, or, when it fails, of each program alone."""
     try:
-        yield _run_batch(programs, eps, False)
+        yield _run_batch(programs, eps, factored, False)
     except _POINT_ERRORS as err:
         if len(programs) == 1:
             yield [err]
         else:
             for program in programs:
-                yield from _isolated([program], eps)
+                yield from _isolated([program], eps, factored)
 
 
-def _run_batch(programs, eps: float, trace: bool) -> list[ProtocolResult]:
+def _run_batch(programs, eps: float, factored, trace: bool) -> list[ProtocolResult]:
     first, count = programs[0], len(programs)
-    factored = () if trace else dsl.factored_modes(first)
-    dsl.validate_program(first, factored)
+    dsl.validate_program(first)
+    if trace:  # a traced run is dense
+        dsl._check(first, dense=True)
     params = dict(first.sources)
     declared = [label for label, _ in first.modes]
     unjoined, sources = _source_stacks(programs, eps)

@@ -486,9 +486,9 @@ def test_sweep_point_equals_a_run(protocol, source, monkeypatch):
     argv = ["sweep", "--protocol", protocol, *source, *angle_axes(protocol)]
     run_batch, batches = protocols._run_batch, []
 
-    def counted(programs, eps, trace):
+    def counted(programs, *rest):
         batches.append(len(programs))
-        return run_batch(programs, eps, trace)
+        return run_batch(programs, *rest)
 
     monkeypatch.setattr(protocols, "_run_batch", counted)
     records = [json.loads(line) for line in cli.render_output(argv).splitlines()]
@@ -614,9 +614,9 @@ def test_failed_batch_reruns_only_its_own_points(monkeypatch):
             raise FloatingPointError("refused")
         return apply(stack, axes, members)
 
-    def counted(programs, eps, trace):
+    def counted(programs, *rest):
         runs.append(len(programs))
-        return run_batch(programs, eps, trace)
+        return run_batch(programs, *rest)
 
     monkeypatch.setattr(protocols, "apply_batch", refusing)
     monkeypatch.setattr(protocols, "_run_batch", counted)

@@ -317,9 +317,22 @@ def test_every_returned_state_is_constructed(monkeypatch):
 def test_large_entanglement_report_holds_no_dense_pair():
     # r = 2 gives two 571-photon data modes: their dense product held 21 MB a
     # copy, and the report's traced peak was 41.8 MiB; held as vectors, it
-    # peaks at 1.8 MiB: four terms of 571 entries a mode, their Gram
-    # products over the photon numbers, and the distributions and their text
+    # peaks at 1.3 MiB: four terms of 571 entries a mode, the targets' terms,
+    # their Gram products over the photon numbers, and the distributions and
+    # their text
     argv = ["run", "--protocol", "entanglement", "--r", "2.0"]
     cli.render_output(argv)  # warms what a run sets up once
     _, peak = allocated(cli.render_output, argv)
     assert peak <= 4 * 1024 * 1024, f"{peak} bytes"
+
+
+def test_factored_report_holds_no_vector_per_pair_of_terms():
+    # r = 4 gives two 31,167-photon data modes, 0.48 MiB a vector. At this
+    # size each Gram entry is its own sum, so the report peaks at 22.7 MiB,
+    # about 24 vectors a mode; Gram matrices built over the photon numbers
+    # first, a vector per pair of terms (4 x 4 a branch, and 4 x 3 a branch
+    # and target pair), peaked at 83.3 MiB
+    argv = ["run", "--protocol", "entanglement", "--r", "4.0"]
+    cli.render_output(argv)
+    _, peak = allocated(cli.render_output, argv)
+    assert peak <= 32 * 1024 * 1024, f"{peak} bytes"

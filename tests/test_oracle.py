@@ -17,15 +17,15 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from test_dsl import valid_programs
+from test_dsl import ANGLES, valid_programs
 
 from kerrcat import TruncationWarning, run_circuit
-from kerrcat.dsl import factored_modes, format_element, format_mode, format_source, parse
-from kerrcat.elements import BalancedBeamSplitter, CrossKerr, PhaseShift
-from kerrcat.states import CoherentParam, FockParam
+from kerrcat.dsl import CircuitProgram, factored_modes, format_element, format_mode, format_source, parse
+from kerrcat.elements import BalancedBeamSplitter, CrossKerr, Detect, PhaseShift
+from kerrcat.states import CoherentParam, FockParam, SqueezeParam
 
 TOLERANCE = 1e-12
 THRESHOLD = 1e-12  # a branch below this probability is reported without a state
@@ -172,8 +172,9 @@ def check_branch(branch, outcome, probability, amplitudes, rest):
 
 
 # The event of each example says whether its program factors: in three runs
-# of 150 examples, 17.3 %, 10.6 % and 9.4 % did (see pytest's
-# --hypothesis-show-statistics), besides the two explicit factored examples.
+# of 150 examples, 3, 8 and 7 did (see pytest's --hypothesis-show-statistics),
+# besides the two explicit factored examples; factored_programs() below draws
+# programs that factor, and each of its 100 examples does.
 @settings(max_examples=150, deadline=None)
 @given(program=valid_programs(
     max_modes=3, max_cutoff=4, r=st.floats(0, 0.5),
@@ -202,4 +203,46 @@ def check_branch(branch, outcome, probability, amplitudes, rest):
                        "bs b d\nkerr a b tau=pi/2\nbs d b\nkerr b c tau=0.4\n"
                        "detect b n=1\ndetect d n=0\n").program)
 def test_every_stage_and_branch_match_the_oracle(program):
+    check_against_oracle(program)
+
+
+@st.composite
+def factored_programs(draw):
+    """A program whose data modes a and d meet only phase shifts and Kerr
+    media against the detected core modes (b, or b and c), in a drawn
+    declaration order; it factors unless its Kerr media make too many terms."""
+    core = draw(st.lists(st.sampled_from("bc"), min_size=1, max_size=2, unique=True))
+    core_cutoff = draw(st.integers(1, 2))
+    cutoffs = {m: core_cutoff for m in core} | {m: draw(st.integers(0, 4)) for m in "ad"}
+    labels = draw(st.permutations(sorted(cutoffs)))
+    sources = []
+    for label in labels:
+        kind = draw(st.sampled_from(("vacuum", "squeezed", "coherent", "fock")))
+        if kind == "squeezed":
+            sources.append((label, SqueezeParam(draw(st.floats(0, 0.5)), draw(ANGLES))))
+        elif kind == "coherent":
+            sources.append((label, CoherentParam(draw(st.complex_numbers(
+                max_magnitude=1, allow_nan=False, allow_infinity=False)))))
+        elif kind == "fock":
+            sources.append((label, FockParam(draw(st.integers(0, cutoffs[label])))))
+    elements = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("bs", "phase", "kerr")))
+        if kind == "bs" and len(core) == 2:
+            elements.append(BalancedBeamSplitter(*draw(st.permutations(core))))
+        elif kind == "kerr":
+            pair = [draw(st.sampled_from("ad")), draw(st.sampled_from(core))]
+            elements.append(CrossKerr(*draw(st.permutations(pair)), draw(ANGLES)))
+        else:
+            elements.append(PhaseShift(draw(st.sampled_from(labels)), draw(ANGLES)))
+    detects = tuple(Detect(m, draw(st.integers(0, core_cutoff))) for m in draw(st.permutations(core)))
+    return CircuitProgram(tuple((m, cutoffs[m]) for m in labels), tuple(sources),
+                          tuple(elements), detects)
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=factored_programs())
+def test_every_factored_run_matches_the_oracle(program):
+    # the untraced run holds a and d as rotated source vectors, the traced one is dense
+    assume(factored_modes(program))
     check_against_oracle(program)

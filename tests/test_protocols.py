@@ -268,7 +268,8 @@ class TestStateDimensionBudget:
             return units(stack)
 
         def guarded_products(coefficients, vectors):
-            assert math.prod(v.shape[-1] for v in vectors) <= MAX_STATE_DIMENSION
+            # every row's tensor at once; the terms are added into it one at a time
+            assert len(coefficients) * math.prod(v.shape[-1] for v in vectors) <= MAX_STATE_DIMENSION
             return products(coefficients, vectors)
 
         def guarded_source(param, cutoff, eps):
@@ -294,6 +295,29 @@ class TestStateDimensionBudget:
         result = run_entanglement(params)
         for name, sign in ((DB, -1), (DC, 1)):
             assert abs(result[name].probability - (1 + sign * s**2) / 2) < 1e-9
+
+    def test_dense_reads_of_factored_pairs_over_the_limit(self, no_oversized_products):
+        # r = 3.5 resolves cutoff 11,466: a branch's dense pair, 11467**2 =
+        # 131M amplitudes, and the two target pairs are refused unbuilt
+        params = EntanglementParams(
+            SqueezeParam(3.5), SqueezeParam(3.5), tau=math.pi / 2, tau2=math.pi / 2
+        )
+        result = run_entanglement(params)
+        with pytest.raises(CutoffError, match="maximum state dimension"):
+            result[DB].state
+        with pytest.raises(CutoffError, match="maximum state dimension"):
+            entanglement_targets(params)
+
+    def test_factored_modes_count_their_term_vectors(self, no_oversized_products, monkeypatch,
+                                                      capsys):
+        # r = 7 resolves cutoff 12,546,786, and each data mode adds
+        # MAX_TERMS**2 = 16 vectors: 401M amplitudes, refused before any
+        # source is built (the Gram sums would hold 4 x 4 of its vectors)
+        built = []
+        monkeypatch.setattr(protocols, "build_source", lambda *args: built.append(args))
+        assert cli.main(["run", "--protocol", "entanglement", "--r", "7", "--out", os.devnull]) == 2
+        assert "maximum state dimension" in capsys.readouterr().err
+        assert built == []
 
     def test_superposition_over_the_limit(self, no_oversized_products):
         program = superposition_program(SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2))
@@ -686,7 +710,7 @@ def test_each_member_of_a_batch_is_checked(poison, monkeypatch):
         superposition_program(SuperpositionParams(SqueezeParam(0.5), tau=tau)) for tau in (0.5, 1.0)
     ]
     with pytest.raises(StateMismatchError) as batch:
-        protocols._run_batch(programs, states.DEFAULT_LEAKAGE, False)
+        protocols._run_batch(programs, states.DEFAULT_LEAKAGE, (), False)
     (member,) = bad
     with pytest.raises(StateMismatchError) as alone:
         MultiModeState(("a", "b", "c"), member)
@@ -974,3 +998,13 @@ def test_a_factored_batch_equals_its_members_run_alone_where_terms_coincide(monk
     grouped = cli.render_output(argv)
     monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 1)  # a batch of one point
     assert cli.render_output(argv) == grouped
+
+
+@pytest.mark.parametrize("protocol", ["superposition", "entanglement"])
+def test_gram_entries_summed_alone_keep_their_bits(protocol, monkeypatch):
+    # past fock._GRAM_PRODUCTS products a mode, each Gram entry is summed on
+    # its own, so that a batch and its member alone may take different paths
+    argv = ["sweep", "--protocol", protocol, "--sweep", "r:0.3:1.5:4", "--sweep", "tau:0:pi:3"]
+    at_once = cli.render_output(argv)
+    monkeypatch.setattr("kerrcat.fock._GRAM_PRODUCTS", 0)
+    assert cli.render_output(argv) == at_once
