@@ -9,7 +9,7 @@ on the report a user gets (and on its ``--trace`` amplitudes where it needs
 a state) against numbers that kerrcat does not compute (log-factorial
 amplitudes, closed-form overlaps, 2x2 Gram matrices, numpy's SVD). Properties
 of single parts (element conventions, unitarity, projection, the circuit
-language, parallel sweeps) are tier-1 tests under ``tests/``, so each claim
+language, sweeps) are tier-1 tests under ``tests/``, so each claim
 has exactly one home. All randomness is seeded, so repeated runs produce
 identical reports.
 """

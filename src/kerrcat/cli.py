@@ -1,17 +1,17 @@
 """Command-line front end: run circuits or built-in protocols, sweep
-parameters in parallel, and check the build against its embedded suite.
+parameters over a grid, and check the build against its embedded suite.
 
 Reports are deterministic: the same configuration yields byte-identical
-output regardless of worker count (timing goes to stderr, never into the
-report). Every sum that reaches a report is a pairwise sum, not a BLAS dot,
-so a protocol report keeps its bits at any BLAS thread count; only the SVD
-of a large dense branch (a circuit's, or a traced run's) may move the last
-bits of its Schmidt entropy. JSON is the primary format: a run's report,
+output (timing goes to stderr, never into the report). Every sum that
+reaches a report is a pairwise sum, not a BLAS dot, so a protocol report
+keeps its bits at any BLAS thread count; only the SVD of a large dense
+branch (a circuit's, or a traced run's) may move the last bits of its
+Schmidt entropy. JSON is the primary format: a run's report,
 like each sweep point, is one record on one line from
 ``json.dumps(allow_nan=False)`` (``python -m json.tool`` indents it). CSV is
-available for sweeps only. A sweep builds each point as its batch reads it
-(each pool worker its own ranges of points), and writes its records as each
-batch is analyzed, so stdout streams; an ``--out`` file is complete or absent.
+available for sweeps only. A sweep runs in one process. It builds each point
+as its batch reads it, and writes its records as each batch is analyzed, so
+stdout streams; an ``--out`` file is complete or absent.
 Exit codes: 0 success, 1 diagnostics (usage, parse or validation errors, a
 failed check, or a report that cannot be written, as to a stdout whose reader
 left), 2 numerical errors (leakage budget exceeded, zero-norm states, ...).
@@ -75,9 +75,6 @@ MAX_SWEEP_POINTS = 10_000
 MAX_CIRCUIT_BYTES = 1 << 20
 # Most diagnostics of one circuit file printed; one line then counts the rest.
 MAX_DIAGNOSTICS = 100
-# Most --workers a sweep may ask for. The process pool forks all of its
-# workers up front, so an unbounded count could exhaust the process table.
-MAX_WORKERS = 64
 
 _CSV_COLUMNS = (
     "point", *SWEEPABLE, "branch", "probability", "pre_norm", "fidelity_plus", "fidelity_minus",
@@ -188,7 +185,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--trace", action="store_true", help="include the stage-by-stage trace")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-        p.add_argument("--workers", type=_reader("uint"), default=1, help="parallel sweep workers")
+        p.add_argument("--workers", type=_reader("uint"), default=1,
+                       help="ignored (a sweep runs in one process); kept for older command lines")
 
     run_p = sub.add_parser("run", help="run one protocol or circuit")
     add_common(run_p)
@@ -210,8 +208,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     config = argparse.Namespace(**{**vars(args), "sweeps": tuple(getattr(args, "sweeps", ()))})
     if not 0.0 < config.epsilon < 1.0:
         raise _UsageError(f"--epsilon must lie in (0, 1), got {config.epsilon!r}")
-    if not 1 <= config.workers <= MAX_WORKERS:
-        raise _UsageError(f"--workers must lie in 1..{MAX_WORKERS}, got {config.workers}")
+    if config.workers < 1:  # a run report echoes it, and the schema asks for at least 1
+        raise _UsageError(f"--workers must be at least 1, got {config.workers}")
     if (config.protocol is None) == (config.circuit is None):
         raise _UsageError("give exactly one input: --protocol or --circuit")
     if config.command == "run" and config.fmt == "csv":
@@ -395,28 +393,25 @@ def _run_report(config: argparse.Namespace) -> dict:
 
 # --- sweeps ------------------------------------------------------------------
 
-def _grid_points(config: argparse.Namespace, first: int, stop: int) -> Iterator[tuple]:
-    """Grid points ``first`` to ``stop`` (exclusive), each made when asked for, and their
-    indices: a value per ``SWEEPABLE`` name, from its axis (the last fastest) or the config."""
-    axes = [(spec.param, np.linspace(spec.start, spec.stop, spec.steps).tolist())
-            for spec in reversed(config.sweeps)]
-    for index in range(first, stop):
-        point, rest = {name: getattr(config, name) for name in SWEEPABLE}, index
-        for name, column in axes:
-            rest, at = divmod(rest, len(column))
-            point[name] = column[at]
+def _grid_points(config: argparse.Namespace) -> Iterator[tuple]:
+    """The grid's points, each made when asked for, and their indices: a value per
+    ``SWEEPABLE`` name, from its axis (the last fastest) or the config."""
+    names = [spec.param for spec in config.sweeps]
+    columns = [np.linspace(spec.start, spec.stop, spec.steps).tolist() for spec in config.sweeps]
+    for index, values in enumerate(itertools.product(*columns)):
+        point = {name: getattr(config, name) for name in SWEEPABLE}
+        point.update(zip(names, values))
         yield index, point
 
 
-def _sweep_range(task) -> Iterator[dict]:
-    """The records of the points of a sweep range ``(config, first, stop)``, a batch at a
-    time. A point is sized (through one cutoff table) and built only when ``run_batches``
-    reads it, which takes a point that cannot be built as its error."""
-    config, first, stop = task
+def _sweep_records(config: argparse.Namespace) -> Iterator[dict]:
+    """Each point's record, in point order, a batch at a time. A point is sized
+    (through one cutoff table) and built only when ``run_batches`` reads it,
+    which takes a point that cannot be built as its error."""
     cutoffs, queue = {}, collections.deque()
 
     def programs():
-        for index, point in _grid_points(config, first, stop):
+        for index, point in _grid_points(config):
             try:
                 params = _protocol_params(config, point)
                 program = _PROGRAMS[config.protocol](params, cutoffs)
@@ -439,35 +434,10 @@ def _sweep_range(task) -> Iterator[dict]:
         yield from batch_records
 
 
-def _range_records(task) -> list[dict]:  # a pool worker's result
-    return list(_sweep_range(task))
-
-
-def _sweep_records(config: argparse.Namespace) -> Iterator[dict]:
-    """Each point's record, in point order, as its batch is analyzed (on
-    ``--workers`` > 1, as the pool returns its range of points)."""
-    points = math.prod(spec.steps for spec in config.sweeps)
-    workers = min(config.workers, points)
-    if workers <= 1:
-        yield from _sweep_range((config, 0, points))
-        return
-    # imported here, as the checks are in _cmd_check: every CLI process
-    # would pay for the import, and only parallel sweeps use it
-    from concurrent.futures import ProcessPoolExecutor
-
-    # four contiguous ranges per worker, which still balances points whose
-    # cost grows along the grid; each worker sizes and builds its own points
-    count = min(points, 4 * workers)
-    tasks = [(config, points * k // count, points * (k + 1) // count) for k in range(count)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for records in pool.map(_range_records, tasks):
-            yield from records
-
-
 def _sweep_csv(records) -> Iterator[str]:
     """The header, then each record's rows as a chunk: a row per branch, or one
     per failed point; an empty cell is None (a float is written as its repr)."""
-    # imported here, like the process pool: only CSV sweeps use it
+    # imported here, as the checks are in _cmd_check: only CSV sweeps use it
     import csv
 
     out = io.StringIO()

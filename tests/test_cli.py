@@ -276,15 +276,34 @@ def test_sweep_records_overflowing_squeeze_per_point():
         assert failed["error"] == second["error"] and failed["schmidt_entropy"] == ""
 
 
-def test_import_loads_neither_checks_nor_the_process_pool():
-    lazy = ("kerrcat.checks", "concurrent.futures.process")
+def test_import_does_not_load_the_checks():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     done = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, kerrcat.cli; print([m for m in {lazy!r} if m in sys.modules])"],
+        [sys.executable, "-c", "import sys, kerrcat.cli; print('kerrcat.checks' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("workers", ["2", "65"])
+@pytest.mark.parametrize("argv", [
+    ["--protocol", "superposition", "--sweep", "r:0.1:0.3:3", "--sweep", "tau:0:pi:4"],
+    ["--protocol", "entanglement", "--sweep", "r:0.1:0.6:12", "--sweep", "tau:0:pi:2",
+     "--format", "csv"],
+])
+def test_a_sweep_runs_in_one_process_whatever_its_workers(argv, workers):
+    # --workers is read and ignored: no value loads a process pool's modules,
+    # and each writes the bytes of one worker
+    pool = ("concurrent.futures.process", "multiprocessing")
+    script = ("import sys\nfrom kerrcat import cli\ncode = cli.main(sys.argv[1:])\n"
+              f"print([m for m in {pool!r} if m in sys.modules], file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    done = subprocess.run([sys.executable, "-c", script, "sweep", *argv, "--workers", workers],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "[]", done.stderr
+    assert done.stdout == cli.render_output(["sweep", *argv, "--workers", "1"])
 
 
 def test_every_submodule_is_the_package_attribute_of_its_name():
@@ -395,75 +414,17 @@ def test_no_state_is_built_per_kept_branch_of_a_circuit(tmp_path, monkeypatch):
     assert many > few and many_built == few_built
 
 
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Replaces the process pool by one that maps in this process and
-    records its worker count and the tasks it was sent."""
-    import concurrent.futures
-
-    seen = {"workers": [], "tasks": []}
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen["workers"].append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            seen["tasks"].extend(tasks)
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return seen
-
-
-def pool_ranges(tasks, points):
-    """The ``(first, stop)`` of each pool task, checked to share one config
-    and to cover the ``points`` of the grid in contiguous ranges."""
-    assert all(config is tasks[0][0] for config, _, _ in tasks)
-    ranges = [(first, stop) for _, first, stop in tasks]
-    assert [first for first, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
-    assert ranges[-1][1] == points and all(first < stop for first, stop in ranges)
-    return ranges
-
-
-def test_parallel_sweep_sends_contiguous_chunks(serial_pool):
-    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.4:16",
-            "--sweep", "tau:0:pi:2"]
-    parallel = cli.render_output(argv + ["--workers", "2"])
-    assert parallel == cli.render_output(argv + ["--workers", "1"])
-    # on two workers, eight contiguous ranges of the 32 points, four per worker
-    assert serial_pool["workers"] == [2]
-    ranges = pool_ranges(serial_pool["tasks"], 32)
-    assert ranges == [(k, k + 4) for k in range(0, 32, 4)]
-
-
-def test_pool_ranges_that_split_a_group_around_a_failed_point_are_byte_identical():
+def test_groups_split_by_failed_points_are_byte_identical_in_batches_of_one(monkeypatch):
     # alpha_im = 1e200 cannot be sized: the twelve points are three sized,
-    # three failed, three sized and three failed, and the eight ranges of
-    # two workers (1, 2, 1, 2, 1, 2, 1, 2 points) split each group of three
+    # three failed, three sized and three failed, and batches of one point
+    # split each group of three
     argv = ["sweep", "--protocol", "superposition", "--source", "coherent",
             "--sweep", "alpha_re:1:0.5:2", "--sweep", "alpha_im:0:1e200:2", "--sweep", "tau:0:pi:3"]
-    one = cli.render_output(argv + ["--workers", "1"])
-    assert cli.render_output(argv + ["--workers", "2"]) == one
-    records = [json.loads(line) for line in one.splitlines()]
+    grouped = cli.render_output(argv)
+    records = [json.loads(line) for line in grouped.splitlines()]
     assert [rec["error"] is None for rec in records] == ([True] * 3 + [False] * 3) * 2
-
-
-def test_parallel_sweep_on_the_process_pool_is_byte_identical():
-    # the only test that sends points to real worker processes
-    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.4:4", "--format", "csv"]
-    assert cli.render_output(argv + ["--workers", "2"]) == cli.render_output(argv + ["--workers", "1"])
-
-
-def test_grouped_parallel_sweep_on_the_process_pool_is_byte_identical():
-    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.4:3",
-            "--sweep", "tau:0:pi:3"]
-    assert cli.render_output(argv + ["--workers", "2"]) == cli.render_output(argv + ["--workers", "1"])
+    monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 1)  # a batch of one point
+    assert cli.render_output(argv) == grouped
 
 
 def angle_axes(protocol):
@@ -729,19 +690,12 @@ def test_a_failed_write_leaves_no_descriptor_open():
         assert len(os.listdir("/proc/self/fd")) == before
 
 
-def test_pool_has_no_more_workers_than_points(serial_pool):
-    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"]
-    cli.render_output(argv + ["--workers", str(cli.MAX_WORKERS)])
-    assert serial_pool["workers"] == [3]
-    assert pool_ranges(serial_pool["tasks"], 3) == [(0, 1), (1, 2), (2, 3)]
-
-
-def test_too_many_workers_is_a_usage_error(serial_pool, capsys):
-    argv = ["sweep", "--protocol", "superposition", "--sweep", "r:0.1:0.3:3"]
-    for workers in (0, cli.MAX_WORKERS + 1, 100_000):
-        assert cli.main(argv + ["--workers", str(workers)]) == 1
-        assert "kerrcat: error: --workers must lie in" in capsys.readouterr().err
-    assert serial_pool["workers"] == []
+def test_zero_workers_is_a_usage_error(capsys):
+    # a run report echoes --workers, and its schema asks for at least 1
+    for command in (["run"], ["sweep", "--sweep", "r:0.1:0.3:3"]):
+        argv = [*command, "--protocol", "superposition", "--workers", "0"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", "kerrcat: error: --workers must be at least 1, got 0\n")
 
 
 def test_usage_and_circuit_errors_exit_1(tmp_path, capsys, monkeypatch):
@@ -936,8 +890,8 @@ def test_sweep_ends_are_read_as_their_option(axis, message, capsys):
 
 
 # Values of every option, sized so that no example is slow: r <= 1, |alpha| <= 2,
-# circuit cutoffs <= 4, sweeps of at most 3 points, and --workers either
-# refused or at most 2. Paths are relative to the test's working directory.
+# circuit cutoffs <= 4, sweeps of at most 3 points, and --workers, which is read
+# and ignored. Paths are relative to the test's working directory.
 OPTION_VALUES = {
     "--protocol": ["superposition", "entanglement"],
     "--circuit": ["ok.qcirc"],
@@ -953,7 +907,7 @@ OPTION_VALUES = {
     "--trace": [None],
     "--format": ["json", "csv"],
     "--out": ["report.txt"],
-    "--workers": ["1", "2"],
+    "--workers": ["1", "2", "65"],
     "--sweep": ["r:0:1:3", "tau:0:pi:3", "alpha_re:-1:1:2", "theta:-1e-3:pi/2:2"],
     "--no-such-option": [None],
 }
@@ -966,7 +920,7 @@ REFUSED = {
     "--circuit": ["bad.qcirc", "latin1.qcirc", "missing.qcirc", "."],
     "--epsilon": ["0", "1"],
     "--out": [".", "missing/report.txt"],
-    "--workers": ["0", "65"],
+    "--workers": ["0"],
     "--sweep": ["r:-1:1:3", "alpha_re:0:pi:3", "theta:0:1e308*pi:2", "x:0:1:2", "r:0:1:0"],
 }
 

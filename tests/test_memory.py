@@ -11,6 +11,7 @@ still goes through the state constructor and its checks.
 
 import dataclasses
 import gc
+import itertools
 import math
 import os
 import tracemalloc
@@ -168,8 +169,8 @@ def test_group_of_large_sweep_points_peaks_like_one_point(monkeypatch):
     config = cli._run_config(["sweep", "--protocol", "entanglement", "--r", "1.3",
                               "--sweep", "tau:0.5:1.5:4"])
 
-    def records(stop):  # _sweep_range is a generator, which runs only as it is consumed
-        return list(cli._sweep_range((config, 0, stop)))
+    def records(stop):  # _sweep_records is a generator, which runs only as it is consumed
+        return list(itertools.islice(cli._sweep_records(config), stop))
 
     records(1)  # warms the splitter plan
     _, one = allocated(records, 1)
