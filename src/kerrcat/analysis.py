@@ -10,8 +10,9 @@ Each quantity has one implementation, a batch form over the rows of a
 stack of states; the single-state functions are one-row calls of it, and a
 row gets the bits it would get alone. Fidelities read factored stacks
 (``kerrcat.fock``; a dense state is one term on one flattened mode), whose
-distributions and entropies come from each mode's Gram matrix of term
-vectors, in O(cutoff * terms^2). Every sum is pairwise, never a BLAS dot.
+distributions and entropies (over the modes' :func:`_spans`) come from each
+mode's Gram matrix of term vectors, in O(cutoff * terms^2). Every sum is
+pairwise, never a BLAS dot.
 """
 
 from __future__ import annotations
@@ -47,22 +48,22 @@ def photon_distributions(states: np.ndarray, labels) -> dict[str, np.ndarray]:
     return {m: probs.sum(axis=tuple(a for a in axes if a != 1 + i)) for i, m in enumerate(labels)}
 
 
-def factored_distributions(coefficients, vectors, labels) -> dict[str, np.ndarray]:
-    """Each mode's P(n) for every row of a factored stack: the photon
-    distribution of the row over that mode and the other modes' spans."""
-    spans = _spans(vectors)
+def factored_distributions(coefficients, vectors, labels, spans=None) -> dict[str, np.ndarray]:
+    """Each mode's P(n) for every row of a factored stack: the photon distribution of the
+    row over that mode and the other modes' ``spans`` (:func:`_spans` unless given)."""
+    spans = _spans(vectors) if spans is None else spans
     return {label: photon_distributions(_products(coefficients, [*spans[:d], v, *spans[d + 1:]]), labels)[label]
             for d, (label, v) in enumerate(zip(labels, vectors))}
 
 
-def _spans(vectors) -> list[np.ndarray]:
-    """Each mode's term vectors in an orthonormal basis of their span: from
-    their Gram matrix ``U w U^H``, term k's are row k of ``conj(U) sqrt(w)``,
-    over the largest eigenvalues, at most one per photon number. One within
-    the Gram's rounding of the largest is 0."""
+def _spans(vectors, lengths=None) -> list[np.ndarray]:
+    """Each mode's term vectors in an orthonormal basis of their span: from their Gram
+    matrix ``U w U^H`` (``lengths`` as ``kerrcat.fock._grams`` takes them), term k's are
+    row k of ``conj(U) sqrt(w)``, over the largest eigenvalues, at most one per (padded)
+    photon number. One within the Gram's rounding of the largest is 0."""
     spans = []
-    for v in vectors:
-        w, u = np.linalg.eigh(_grams([v], [v]))
+    for d, v in enumerate(vectors):
+        w, u = np.linalg.eigh(_grams([v], [v], lengths=lengths and [lengths[d]]))
         w, u = w[:, -v.shape[2]:], u[..., -v.shape[2]:]
         spans.append(np.conj(u) * np.sqrt(np.where(w > 1e-13 * w[:, -1:], w, 0.0))[:, None, :])
     return spans
@@ -121,16 +122,18 @@ def fidelity(state: MultiModeState, target: MultiModeState) -> float:
     return fidelities(*one, [(0, 0)])[0]
 
 
-def fidelities(states, targets, pairs) -> list[float]:
-    """:func:`fidelity` of row i of the factored stack ``states`` with row j
-    of the factored stack ``targets``, for each (i, j) of ``pairs``."""
+def fidelities(states, targets, pairs, lengths=None) -> list[float]:
+    """:func:`fidelity` of row i of the factored stack ``states`` with row j of the factored
+    stack ``targets``, for each (i, j) of ``pairs``; zero-padded rows i and j share ``lengths[d][i]``."""
     (a, u), (b, v) = states, targets
     if [x.shape[-1] for x in u] != [x.shape[-1] for x in v]:
         raise StateMismatchError(f"shapes differ: {[x.shape for x in u]} vs {[x.shape for x in v]}")
     i, j = [p[0] for p in pairs], [p[1] for p in pairs]
-    n2 = _unit_norms(_overlaps(states, states).real[i])
-    t2 = _unit_norms(_overlaps(targets, targets).real[j], "target")
-    overlaps = _overlaps(targets, states, j, i).tolist()
+    paired = lengths and [np.asarray(n)[i] for n in lengths]
+    n2 = _unit_norms(_overlaps(states, states, lengths=lengths).real[i])
+    t2 = _unit_norms(_overlaps(targets, targets, j, j, paired).real if lengths
+                     else _overlaps(targets, targets).real[j], "target")
+    overlaps = _overlaps(targets, states, j, i, paired).tolist()
     return [min(abs(o) ** 2 / (x * y), 1.0) for o, x, y in zip(overlaps, n2, t2)]
 
 
@@ -155,8 +158,3 @@ def schmidt_entropies(matrices) -> list[float]:
     weights = (c[c > SCHMIDT_COEFF_THRESHOLD] ** 2 for c in _spectra(matrices))
     return [max(0.0, float(-(p * np.log2(p)).sum())) for p in (w / w.sum() for w in weights)]
 
-
-def factored_entropies(coefficients, vectors) -> list[float]:
-    """:func:`schmidt_entropies` of each row of a factored stack on two
-    modes, as a matrix over the two modes' spans (:func:`_spans`)."""
-    return schmidt_entropies(_products(coefficients, _spans(vectors)))

@@ -41,7 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from . import dsl
-from .analysis import factored_distributions, factored_entropies
+from .analysis import _spans, factored_distributions
 from .analysis import fidelities, photon_distributions, schmidt_entropies, support_residuals
 from .fock import _products
 from .errors import FockSpaceError, TruncationWarning
@@ -270,11 +270,13 @@ def _records(results, targets, kind) -> list[dict]:
     if not live:
         return records
     dense, two = kept.vectors is None, len(kept.labels) == 2
+    spans = None if dense else _spans(kept.vectors, kept.lengths)
     dists = (photon_distributions(kept.rows, kept.labels) if dense
-             else factored_distributions(*kept.factored, kept.labels))
+             else factored_distributions(*kept.factored, kept.labels, spans))
     lists = {mode: dist.tolist() for mode, dist in dists.items()}
-    entropies = None if not two else (  # across the first mode
-        schmidt_entropies(kept.rows) if dense else factored_entropies(*kept.factored))
+    for mode, ends in zip(kept.labels, kept.lengths or ()):  # a factored row's own cutoff + 1
+        lists[mode] = [row[:end] for row, end in zip(lists[mode], ends.tolist())]
+    entropies = two and schmidt_entropies(kept.rows if dense else _products(kept.rows, spans))
     for _, _, row, analysis in live:
         analysis["distributions"] = {mode: rows[row] for mode, rows in lists.items()}
         analysis["schmidt_entropy"] = entropies[row] if two else None
@@ -293,7 +295,7 @@ def _records(results, targets, kind) -> list[dict]:
         states = kept.factored
         if len(stack[1]) != len(states[1]):  # a traced run's pairs: as one term on one flattened mode
             stack = Kept((), _products(*stack)).factored
-        values = fidelities(states, stack, [(row, j) for row, j, _, _ in pairs])
+        values = fidelities(states, stack, [(row, j) for row, j, _, _ in pairs], kept.lengths)
         for (_, _, fids, name), value in zip(pairs, values):
             fids[name] = value
     return records
@@ -430,8 +432,10 @@ def _sweep_records(config: argparse.Namespace) -> Iterator[dict]:
                  "branches": point_branches, "error": error}
                 for (index, point, _), point_branches in zip(points, branches)]
 
-    for batch_records in map(records, run_batches(programs(), config.epsilon)):
-        yield from batch_records
+    for batch in map(records, run_batches(programs(), config.epsilon)):
+        batch.reverse()  # popped, so that no record outlives its writing as the next batch runs
+        while batch:
+            yield batch.pop()
 
 
 def _sweep_csv(records) -> Iterator[str]:
@@ -443,7 +447,8 @@ def _sweep_csv(records) -> Iterator[str]:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for rec in records:
+
+    def rows(rec) -> str:  # a record's chunk (the first after the header); map holds no record
         base = [rec["point"]] + [rec["params"][k] for k in SWEEPABLE]
         if rec["error"] is not None:  # a failed point has no branches
             writer.writerow(base + [None] * (len(_CSV_COLUMNS) - len(base) - 1) + [rec["error"]])
@@ -454,9 +459,12 @@ def _sweep_csv(records) -> Iterator[str]:
             minus = targets.get("odd_cat", targets.get("pair_minus"))
             writer.writerow([*base, name, branch["probability"], branch["pre_norm"], plus, minus,
                              analysis["support_residual"], analysis["schmidt_entropy"], None])
-        yield out.getvalue()
+        chunk = out.getvalue()
         out.seek(0)
         out.truncate()
+        return chunk
+
+    yield from map(rows, records)
 
 
 def _run_config(argv) -> argparse.Namespace | None:
@@ -474,7 +482,7 @@ def _chunks(config: argparse.Namespace) -> Iterator[str]:
     if config.fmt == "csv":
         yield from _sweep_csv(records)
     else:
-        yield from (json.dumps(rec, allow_nan=False) + "\n" for rec in records)
+        yield from map(lambda rec: json.dumps(rec, allow_nan=False) + "\n", records)  # holds none
 
 
 def render_output(argv) -> str:
@@ -522,6 +530,7 @@ def _write(out, chunks) -> None:
     for chunk in itertools.chain(chunks, [None]):
         try:
             out.write(chunk) if chunk is not None else out.flush()
+            del chunk  # before the next is made
         except OSError as err:  # a reader that left early, as `| head` does, ends quietly
             with open(os.devnull, "w") as null:  # closed once its descriptor is copied
                 os.dup2(null.fileno(), out.fileno())

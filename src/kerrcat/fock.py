@@ -216,27 +216,33 @@ def _units(stack: np.ndarray) -> tuple[np.ndarray, list[float]]:
     return stack / divisors.reshape((-1,) + (1,) * (stack.ndim - 1)), norms
 
 
-def _grams(left, right, i=slice(None), j=slice(None)) -> np.ndarray:
-    """The product over modes of the Grams ``[r, k, l] = <left_k|right_l>`` of rows ``i``
-    and ``j`` of two term vector lists. Past ``_GRAM_PRODUCTS`` products a mode,
-    each entry is summed alone, with the same bits, so that no vector is held
-    per pair of terms."""
+def _grams(left, right, i=slice(None), j=slice(None), lengths=None) -> np.ndarray:
+    """The product over modes of the Grams ``[r, k, l] = <left_k|right_l>`` of rows ``i`` (each
+    row, by default) and ``j`` of two term vector lists. Zero-padded ones take ``lengths``, each
+    mode's length of each result row, summing the rows of one length at a time (padding moves
+    numpy's pairwise-sum blocks). Past ``_GRAM_PRODUCTS`` products a mode, each entry is
+    summed alone, with the same bits, so that no vector is held per pair of terms."""
     grams = []
-    for u, v in zip(left, right):
+    for d, (u, v) in enumerate(zip(left, right)):
         gram = np.empty(u[i, :, 0].shape + v.shape[1:2], dtype=np.complex128)
-        if gram.size * u.shape[-1] <= _GRAM_PRODUCTS:
-            gram[...] = (np.conj(u[i])[:, :, None] * v[j][:, None]).sum(-1)
-        else:
-            for k, l in np.ndindex(gram.shape[1:]):
-                gram[:, k, l] = (np.conj(u[i, k]) * v[j, l]).sum(-1)
+        sizes = None if lengths is None else np.asarray(lengths[d])
+        ri, rj = (i, j) if sizes is None else (np.arange(len(u))[i], np.arange(len(v))[j])
+        for n in [u.shape[-1]] if sizes is None else sorted(set(sizes.tolist())):
+            at = slice(None) if sizes is None else np.flatnonzero(sizes == n)
+            a, b = (ri, rj) if sizes is None else (ri[at], rj[at])
+            if gram[at].size * n <= _GRAM_PRODUCTS:
+                gram[at] = (np.conj(u[a, :, :n])[:, :, None] * v[b, :, :n][:, None]).sum(-1)
+            else:
+                for k, l in np.ndindex(gram.shape[1:]):
+                    gram[at, k, l] = (np.conj(u[a, k, :n]) * v[b, l, :n]).sum(-1)
         grams.append(gram)
     return math.prod(grams[1:], start=grams[0])
 
 
-def _overlaps(left, right, i=slice(None), j=slice(None)) -> np.ndarray:
-    """<left_i|right_j> for rows ``i`` and ``j`` (each row, by default) of two factored stacks."""
+def _overlaps(left, right, i=slice(None), j=slice(None), lengths=None) -> np.ndarray:
+    """<left_i|right_j> for rows ``i`` and ``j`` of two factored stacks (``lengths``: :func:`_grams`)."""
     (a, u), (b, v) = left, right
-    terms = np.conj(a[i])[:, :, None] * _grams(u, v, i, j) * b[j][:, None, :]
+    terms = np.conj(a[i])[:, :, None] * _grams(u, v, i, j, lengths) * b[j][:, None, :]
     return terms.reshape(len(terms), -1).sum(-1)
 
 

@@ -11,8 +11,8 @@ circuit program (``superposition_program``, ``entanglement_program``);
 ``suggest_cutoff`` of its source at the protocol's one budget ``eps``.
 
 :func:`run_batches` is the only place states go through elements. Programs
-that share their :func:`layout` (all but their squeezed and coherent values
-and their element angles) run as a batch, one pass of a stack with a leading
+that share their :func:`layout` (all but their squeezed and coherent values, element
+angles and factored cutoffs) run as a batch, one pass of a stack with a leading
 member axis; until the first source or angle that differs, one member stands
 for them all, and each member's result equals its run alone to the bit. Each
 batch builds each distinct source once, and each result carries its modes'
@@ -27,7 +27,8 @@ term: a phase adds to it, and a Kerr medium against core mode m splits every
 term not yet fixed on m by m's count j, slicing its core at j and adding
 ``-tau j``. Before detection the terms are rewritten as differences
 (:func:`_differenced`); detection reads the law from them and the modes' Gram
-matrices (:func:`_branches`). A traced run is dense.
+matrices (:func:`_branches`), over each member's own lengths of the vectors,
+which a batch zero-pads to its longest. A traced run is dense.
 
 ``kerr_rotated`` (in ``kerrcat.states``) is the rotation on the source
 parameters, which the targets use: alpha -> alpha * exp(-i * tau) and
@@ -39,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -115,11 +116,11 @@ class Kept:
     is a stack member's slice at the detected counts of one branch over the
     root of its probability. ``rows`` is one read-only C-ordered copy, so the
     batch's final stack dies with detection. With factored modes, ``factored``
-    is the term coefficients ``rows`` beside each mode's term ``vectors``, as
-    ``kerrcat.fock`` reads it; a dense row is one term on one flattened mode."""
+    is the term coefficients ``rows`` beside each mode's term ``vectors``, as ``kerrcat.fock``
+    reads it, zero-padded past each mode's ``lengths`` of a row; a dense row is one term."""
 
-    def __init__(self, labels: tuple[str, ...], rows, vectors=None):
-        self.labels, self.rows, self.vectors = labels, rows, vectors
+    def __init__(self, labels: tuple[str, ...], rows, vectors=None, lengths=None):
+        self.labels, self.rows, self.vectors, self.lengths = labels, rows, vectors, lengths
         self.factored = (rows, vectors) if vectors else (
             np.ones((len(rows), 1)), (rows.reshape(len(rows), 1, math.prod(rows.shape[1:])),))
 
@@ -128,9 +129,9 @@ class Kept:
 class Branch:
     """One detection outcome and its probability. A kept branch is row ``row``
     of its batch's :class:`Kept`; ``state``, its conditional state, is built
-    from (a copy of) that row when first read (a factored one's dense tensor
-    above ``MAX_STATE_DIMENSION`` raises :class:`CutoffError`). A zero branch
-    has neither."""
+    from (a copy of) that row, at its own cutoffs, when first read (a factored
+    one's dense tensor above ``MAX_STATE_DIMENSION`` raises :class:`CutoffError`).
+    A zero branch has neither."""
 
     outcome: tuple[tuple[str, int], ...]
     probability: float
@@ -146,8 +147,9 @@ class Branch:
         if self.row is None:
             return None
         kept, row = self.kept, slice(self.row, self.row + 1)
+        own = kept.vectors and [v[row, :, :n[self.row]] for v, n in zip(kept.vectors, kept.lengths)]
         return MultiModeState(kept.labels, kept.rows[self.row, ...] if kept.vectors is None
-                              else _Owned(_dense(kept.rows[row], [v[row] for v in kept.vectors])[0]))
+                              else _Owned(_dense(kept.rows[row], own)[0]))
 
 
 @dataclass(frozen=True)
@@ -230,19 +232,20 @@ def entanglement_targets(params: EntanglementParams) -> dict:
 
 def entanglement_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
     """The targets of :func:`entanglement_targets` of each of ``points`` (a
-    batch's parameters: one cutoff per mode), from the vectors that each
-    point's run built on modes ``a`` and ``a2`` (its ``sources``), as one
-    factored stack (three terms, below), a row per combination of each point,
-    and each name's row for each point (:func:`_target_rows`). Each rotated
-    law is built once a call."""
+    batch's parameters), from the vectors that each point's run built on
+    modes ``a`` and ``a2`` (its ``sources``), as one factored stack (three
+    terms, below), a row per combination of each point, its vectors
+    zero-padded to the longest, and each name's row for each point
+    (:func:`_target_rows`). Each rotated law is built once a call."""
     vectors, rotated = [], {}  # each point's source and rotated source on a, then on a2
     for p, built in zip(points, sources):
         for label, param, tau in (("a", p.source_a, p.tau), ("a2", p.source_a2, p.tau2)):
             vector, turned = built[label], param.kerr_rotated(tau)
             vectors += [vector, vector if turned == param
                         else _kept(rotated, (turned, vector.cutoff), _unchecked_source)]
-    a, rotated_a, a2, rotated_a2 = (np.stack([v.amplitudes for v in vectors[k::4]])
+    a, rotated_a, a2, rotated_a2 = (_padded([v.amplitudes for v in vectors[k::4]])
                                     for k in range(4))
+    lengths = [[v.amplitudes.size for v in vectors[k::4]] * 2 for k in (0, 2)]
     phases, ones = (np.array([np.exp(1j * math.fmod(p.theta, TWO_PI)) for p in points]),
                     np.ones(len(points), dtype=np.complex128))
     # R a (x) R' a2 + s a (x) a2 as (R a - a) (x) R' a2 + a (x) (R' a2 - a2) + (1 + s) a (x) a2,
@@ -250,9 +253,10 @@ def entanglement_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
     coefficients = np.concatenate([np.stack([ones, ones, 1 + sign * phases], 1) for sign in (+1, -1)])
     arms = tuple(np.concatenate([np.stack(terms, 1)] * 2)
                  for terms in ((rotated_a - a, a, a), (rotated_a2, rotated_a2 - a2, a2)))
-    norms = np.sqrt(np.maximum(_overlaps((coefficients, arms), (coefficients, arms)).real, 0.0))
+    stack = (coefficients, arms)
+    norms = np.sqrt(np.maximum(_overlaps(stack, stack, lengths=lengths).real, 0.0))
     coefficients /= np.where(norms > ZERO_NORM_THRESHOLD, norms, 1.0)[:, None]
-    return _target_rows(("pair_plus", "pair_minus"), (coefficients, arms), norms, range(len(points)))
+    return _target_rows(("pair_plus", "pair_minus"), stack, norms, range(len(points)))
 
 
 def _target_rows(names, stack, norms, at) -> tuple[tuple, dict]:
@@ -297,10 +301,12 @@ def _scheme(params, arms, cutoffs) -> "dsl.CircuitProgram":
     """Both pipelines' interferometer: the photon on b, a splitter with c, a Kerr
     medium between b and each data mode of ``arms`` ((label, source, tau); the
     first comes before b, c and the phase on c, the rest after them), a splitter,
-    and the b=1 c=0 click. Each data mode is sized at ``params.eps`` through ``cutoffs``."""
+    and the b=1 c=0 click. Each data mode is sized at ``params.eps`` through ``cutoffs``, up to
+    the most it holds beside the photon modes' 4 amplitudes (as MAX_TERMS**2 vectors if factored)."""
     cutoffs = {} if cutoffs is None else cutoffs
-    modes = [(label, _kept(cutoffs, (source, params.eps), suggest_cutoff))
-             for label, source, _ in arms]
+    size = partial(suggest_cutoff, ceiling=(MAX_STATE_DIMENSION - 4) // dsl.MAX_TERMS**2 - 1
+                   if len(arms) == 2 else MAX_STATE_DIMENSION // 4 - 1)
+    modes = [(label, _kept(cutoffs, (source, params.eps), size)) for label, source, _ in arms]
     sources = [(label, source) for label, source, _ in arms]
     kerrs = [CrossKerr(label, "b", tau) for label, _, tau in arms]
     return dsl.CircuitProgram(
@@ -370,27 +376,38 @@ def run_batches(programs: Iterable, eps: float = DEFAULT_LEAKAGE) -> Iterator[li
 
     ``programs`` is read as the batches run. Neighbours of one :func:`layout`
     run as batches of at most ``_CHUNK_AMPLITUDES`` (a splitter chunk) over
-    their members, each one pass of a stack with a leading member axis, whose
-    results alone outlive it. A batch validates its first program, builds each
+    their members at the largest member's size, each one pass of a stack with
+    a leading member axis, whose results alone outlive it. A batch validates
+    its first program and its widest member's, builds each
     distinct source once, checked against ``eps``, and checks each row of
     every stage's stack as a :class:`MultiModeState` is. A batch that raises
     one of ``_POINT_ERRORS`` runs again a program at a time; a program that
     fails alone, or an exception given in place of a program, is its result.
     """
-    for key, group in itertools.groupby(programs, _batch_key):
+    last = [None, None]  # the last program's layout, and its group's key
+
+    def keyed(program):  # an exception equals only itself; factored_modes runs once a layout
+        if not isinstance(program, Exception) and (shape := layout(program)) != last[0]:
+            factored = dsl.factored_modes(program)
+            last[:] = shape, layout(program, factored) if factored else shape
+        return program if isinstance(program, Exception) else last[1]
+
+    for key, group in itertools.groupby(programs, keyed):
         if isinstance(key, Exception):
             yield [key]
             continue
         first = next(group)  # a factored mode counts as its vectors, the rest as their product
-        factored, group = dsl.factored_modes(first), itertools.chain([first], group)
-        size = sum(dsl.MAX_TERMS**2 * (c + 1) for m, c in key[0] if m in factored) + math.prod(
-            c + 1 for m, c in key[0] if m not in factored)
-        while batch := list(itertools.islice(group, max(1, _CHUNK_AMPLITUDES // size))):
-            yield from _isolated(batch, eps, factored)
-
-
-def _batch_key(program):  # an exception equals only itself, so it is a group of its own
-    return program if isinstance(program, Exception) else layout(program)
+        factored, batch, largest = dsl.factored_modes(first), [], 0
+        dense = math.prod(c + 1 for m, c in first.modes if m not in factored)
+        for program in itertools.chain([first], group):
+            size = dense + sum(dsl.MAX_TERMS**2 * (c + 1) for m, c in program.modes
+                               if m in factored) if factored else dense
+            if batch and (len(batch) + 1) * max(largest, size) > _CHUNK_AMPLITUDES:
+                yield from _isolated(batch, eps, factored)
+                batch, largest = [], 0
+            batch.append(program)
+            largest = max(largest, size)
+        yield from _isolated(batch, eps, factored)
 
 
 def _isolated(programs, eps: float, factored) -> Iterator[list]:
@@ -408,6 +425,8 @@ def _isolated(programs, eps: float, factored) -> Iterator[list]:
 def _run_batch(programs, eps: float, factored, trace: bool) -> list[ProtocolResult]:
     first, count = programs[0], len(programs)
     dsl.validate_program(first)
+    if factored:  # and the member of the widest factored modes, before any is built
+        dsl.validate_program(max(programs, key=lambda p: sum(c for m, c in p.modes if m in factored)))
     if trace:  # a traced run is dense
         dsl._check(first, dense=True)
     params = dict(first.sources)
@@ -415,6 +434,7 @@ def _run_batch(programs, eps: float, factored, trace: bool) -> list[ProtocolResu
     unjoined, sources = _source_stacks(programs, eps)
     # each factored mode's source stack, and its angle of each member's each term
     held = {label: (unjoined.pop(label), np.zeros((count, 1))) for label in factored}
+    lengths = [np.array([built[label].amplitudes.size for built in sources]) for label in factored]
     # until the first source or angle that differs, one member stands for all
     stack, labels = np.ones(count if factored else 1, dtype=np.complex128), ()
     # each term's photon numbers on the core modes that split it, until a splitter mixes them
@@ -469,7 +489,7 @@ def _run_batch(programs, eps: float, factored, trace: bool) -> list[ProtocolResu
     stack, vectors = _checked_members(stack), None
     if held:
         stack, vectors = _differenced(stack, held, count, len(fixed))
-    detected = _branches(stack, labels, first.detects, count, vectors)
+    detected = _branches(stack, labels, first.detects, count, vectors, lengths)
     return [ProtocolResult(branches, stages, built) for branches, built in zip(detected, sources)]
 
 
@@ -495,35 +515,46 @@ def _differenced(stack, held, count: int, terms: int):
 
 def _source_stacks(programs, eps: float) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Each declared mode's source amplitudes as a ``(members, cutoff + 1)``
-    stack, of one row when every member has the same source, and each
-    member's source vector by mode label. Each distinct source is built once,
-    into a table that no caller sees."""
+    stack, zero-padded to the longest, of one row when every member has the same
+    source, and each member's source vector by mode label. Each distinct source
+    is built once, into a table that no caller sees."""
     table, sources = {}, []
     for program in programs:  # member by member: a failing member raises its own first error
         params = dict(program.sources)
         sources.append({label: _kept(table, (params.get(label), cutoff, eps), build_source)
                         for label, cutoff in program.modes})
     columns = {label: [built[label].amplitudes for built in sources] for label in sources[0]}
-    return {label: rows[0][None] if all(row is rows[0] for row in rows) else np.stack(rows)
+    return {label: rows[0][None] if all(row is rows[0] for row in rows) else _padded(rows)
             for label, rows in columns.items()}, sources
 
 
-def layout(p: "dsl.CircuitProgram"):
+def _padded(rows) -> np.ndarray:
+    """One stack of the 1-d arrays ``rows``, each zero-padded to the longest."""
+    stack = np.zeros((len(rows), max(map(len, rows))), dtype=np.complex128)
+    for out, row in zip(stack, rows):
+        out[: len(row)] = row
+    return stack
+
+
+def layout(p: "dsl.CircuitProgram", factored=()):
     """What the programs of one batch share (:func:`run_batches`): all but
     their squeezed and coherent values, which no circuit rule reads (a Fock
-    n is read against its cutoff), and their element angles."""
+    n is read against its cutoff), their element angles and, from 3 MAX_TERMS - 3 up, the
+    cutoffs of their ``factored`` modes, which size only vectors that a batch zero-pads (below,
+    a member's span, ``analysis._spans``, may have fewer columns than its terms)."""
     sources = [(m, s if isinstance(s, FockParam) else type(s)) for m, s in p.sources]
-    return p.modes, sources, p.detects, [(type(e), element_modes(e)) for e in p.elements]
+    modes = tuple((m, min(c, 3 * dsl.MAX_TERMS - 3) if m in factored else c) for m, c in p.modes)
+    return modes, sources, p.detects, [(type(e), element_modes(e)) for e in p.elements]
 
 
-def _branches(stack: np.ndarray, labels, detects, count: int, vectors=None) -> list[dict[str, Branch]]:
+def _branches(stack, labels, detects, count: int, vectors=None, lengths=None) -> list[dict[str, Branch]]:
     """Each of ``count`` members' branches, from one law: ``|stack|^2`` summed
     over the undetected modes, member axis first, detected axes in request
     order. Every kept slice is copied out, divided by the root of its law
     entry, into the rows of one :class:`Kept`, which the branches share. With
-    factored modes (``vectors``, each one's term vectors by member), a member's
-    rows are its terms and every core mode is detected: the law is
-    ``sum_{k,l} conj(C_k) C_l prod_d G_d[k, l]``, and a row holds coefficients."""
+    factored modes (``vectors``, each one's term vectors by member, zero-padded
+    past its ``lengths``), a member's rows are its terms and every core mode is
+    detected: the law is ``sum_{k,l} conj(C_k) C_l prod_d G_d[k, l]``, and a row holds coefficients."""
     requested = tuple((d.mode, d.n) for d in detects)
     modes = [m for m, _ in requested]
     # a view with the detected axes first, in request order; the rest keep theirs
@@ -531,7 +562,8 @@ def _branches(stack: np.ndarray, labels, detects, count: int, vectors=None) -> l
     stack = stack.transpose([0, *(1 + labels.index(m) for m in (*modes, *remaining))])
     if vectors is not None:  # the term axis last, after the detected axes
         stack = np.moveaxis(stack.reshape(count, -1, *stack.shape[1:]), 1, -1)
-        grams = _grams(vectors.values(), vectors.values())[(slice(None),) + (None,) * len(modes)]
+        grams = _grams(vectors.values(), vectors.values(), lengths=lengths)[
+            (slice(None),) + (None,) * len(modes)]
         terms = np.conj(stack)[..., :, None] * grams * stack[..., None, :]
         law, remaining = terms.reshape(*terms.shape[:-2], -1).sum(-1).real, tuple(vectors)
         for n2 in law.reshape(count, -1).sum(-1).tolist():
@@ -552,7 +584,9 @@ def _branches(stack: np.ndarray, labels, detects, count: int, vectors=None) -> l
     rows = stack[tuple(found[live].T)]
     rows /= np.sqrt(probabilities[live]).reshape((-1,) + (1,) * (rows.ndim - 1))
     rows.setflags(write=False)
-    slices = Kept(remaining, rows, vectors and tuple(v[found[live][:, 0]] for v in vectors.values()))
+    at = found[live][:, 0]  # each row's member
+    slices = Kept(remaining, rows, vectors and tuple(v[at] for v in vectors.values()),
+                  vectors and tuple(n[at] for n in lengths))
     members, named, row = [{} for _ in range(len(stack))], {}, 0
     for (member, *counts), prob, alive in zip(found.tolist(), probabilities.tolist(), live.tolist()):
         counts = tuple(counts)

@@ -12,9 +12,9 @@ Every source is built against a budget: ``coherent``, ``squeezed_vacuum``,
 ``DEFAULT_LEAKAGE`` unless given, as ``suggest_cutoff`` and ``run_circuit``
 do. ``eps`` must lie in (0, 1) (``ValueError`` otherwise, NaN included),
 and a leakage at or above it raises :class:`CutoffError`. ``suggest_cutoff``
-computes the law only up to a closed-form bound on the cutoff, and raises
-:class:`CutoffError` before it allocates when that bound reaches
-``MAX_STATE_DIMENSION`` (r of about 7.7 and above at the default budget).
+computes the law only up to a closed-form bound on the cutoff, or the largest cutoff
+its caller holds if smaller, and raises :class:`CutoffError` before it allocates
+when that bound reaches ``MAX_STATE_DIMENSION`` (r of about 7.7 and above at the default budget).
 A cosh(r) or |alpha|^2 that overflows raises :class:`CutoffError` at any
 cutoff.
 
@@ -301,26 +301,29 @@ def _cutoff_bound(param, eps: float) -> int:
     return bound
 
 
-def suggest_cutoff(param, eps: float = DEFAULT_LEAKAGE) -> int:
+def suggest_cutoff(param, eps: float = DEFAULT_LEAKAGE, ceiling: int = MAX_STATE_DIMENSION - 1) -> int:
     """Smallest cutoff whose truncation leakage is below ``eps``.
 
     Accepts a :class:`SqueezeParam` or a :class:`CoherentParam`. The leakage
     is the one the factories check, so they accept the returned cutoff at
     ``eps`` and reject every smaller one. The law is computed once, up to a
-    closed-form bound on the cutoff: the squeezed tail beyond photon number
+    closed-form bound on the cutoff, or ``ceiling`` (the largest cutoff the
+    caller can hold) if smaller: the squeezed tail beyond photon number
     2m is at most cosh(r) tanh(r)^(2m+2), and the coherent tail obeys the
     Poisson Chernoff bound. :class:`CutoffError` is raised, before anything
     is allocated, when that bound reaches ``MAX_STATE_DIMENSION`` (r of
     about 7.7 and above at the default budget, and any r whose tanh(r)^2
     rounds to 1), when cosh(r) or |alpha|^2 overflows, and when
     e^(-|alpha|^2) underflows to 0 (|alpha|^2 above about 745). It is also
-    raised when ``eps`` is too small for the computed leakage to get under.
+    raised when the computed leakage does not get under ``eps``, by ``ceiling``
+    or at all. The law is prefix-stable: every ceiling that holds the cutoff finds it.
     """
     _check_budget(eps)
     if not isinstance(param, (SqueezeParam, CoherentParam)):
         raise TypeError(f"unsupported source parameter {type(param).__name__}")
-    amps, stride = _law(param, _cutoff_bound(param, eps))
+    amps, stride = _law(param, min(bound := _cutoff_bound(param, eps), ceiling))
     tail = _tail(amps[::stride])
     if not tail[-1] < eps:  # the tail never grows, so no entry is under eps
-        raise CutoffError(f"{_label(param)}: the leakage stays at {tail[-1]:.3e} >= {eps:.3e}")
+        capped = f"up to cutoff {ceiling} (the maximum state dimension), " if bound > ceiling else ""
+        raise CutoffError(f"{_label(param)}: {capped}the leakage stays at {tail[-1]:.3e} >= {eps:.3e}")
     return stride * int(np.argmax(tail < eps))

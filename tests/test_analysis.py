@@ -17,10 +17,10 @@ from kerrcat import (
     squeezed_vacuum,
     vacuum,
 )
+from kerrcat.analysis import _spans
 from kerrcat.analysis import (
     entanglement_entropy,
     factored_distributions,
-    factored_entropies,
     fidelities,
     fidelity,
     joint_photon_distribution,
@@ -381,7 +381,7 @@ def test_factored_analysis_matches_the_dense_rows(stack):
     for mode, dist in factored_distributions(coefficients, vectors, ("a", "b")).items():
         assert np.abs(dist - photon_distributions(dense, ("a", "b"))[mode]).max() < 1e-12
         assert not np.signbit(dist).any()
-    factored = factored_entropies(coefficients, vectors)
+    factored = schmidt_entropies(_products(coefficients, _spans(vectors)))  # as a report takes them
     assert np.abs(np.array(factored) - schmidt_entropies(dense)).max() < 1e-9
     pairs = [(i, j) for i in range(len(dense)) for j in range(len(dense))]
     flat = Kept((), dense).factored  # each row one term on one flattened mode

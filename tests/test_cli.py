@@ -439,11 +439,16 @@ def angle_axes(protocol):
     ["--source", "coherent", "--alpha-im", "0.2", "--sweep", "alpha_re:0.4:1.1:2"],
     # r = 0.12 and 0.16 share cutoff 10, so all points form one group
     ["--source", "squeezed", "--phi", "0.3", "--sweep", "r:0.12:0.16:2"],
+    # three cutoffs each: 16, 24 and 34; 8, 15 and 22
+    ["--source", "squeezed", "--phi", "0.3", "--sweep", "r:0.3:0.6:3"],
+    ["--source", "coherent", "--alpha-im", "0.2", "--sweep", "alpha_re:0.5:2:3"],
 ])
 def test_sweep_point_equals_a_run(protocol, source, monkeypatch):
     # six angle points per source value (twelve on entanglement, with tau2),
-    # in one batch per cutoff; tau = tau2 = theta = 0 gives a zero branch
-    # inside each batch
+    # in one batch per cutoff of the data mode; tau = tau2 = theta = 0 gives
+    # a zero branch inside each batch. The entanglement scheme's factored data
+    # modes zero-pad their vectors, so their cutoffs share a batch from
+    # 3 * MAX_TERMS - 3 up (protocols.layout)
     argv = ["sweep", "--protocol", protocol, *source, *angle_axes(protocol)]
     run_batch, batches = protocols._run_batch, []
 
@@ -454,17 +459,19 @@ def test_sweep_point_equals_a_run(protocol, source, monkeypatch):
     monkeypatch.setattr(protocols, "_run_batch", counted)
     records = [json.loads(line) for line in cli.render_output(argv).splitlines()]
     monkeypatch.setattr(protocols, "_run_batch", run_batch)
-    assert len(records) == (24 if protocol == "entanglement" else 12)
+    values = int(source[-1].rsplit(":", 1)[1])
+    assert len(records) == values * (12 if protocol == "entanglement" else 6)
     assert any(b["probability"] == 0.0 for rec in records for b in rec["branches"].values())
-    cutoffs = set()
+    keys = set()
     for rec in records:
         options = [f"--{name.replace('_', '-')}={value!r}" for name, value in rec["params"].items()]
         run = json.loads(cli.render_output(
             ["run", "--protocol", protocol, "--source", source[1], *options]))
         assert rec["error"] is None
         assert json.dumps(rec["branches"]) == json.dumps(run["branches"])
-        cutoffs.add(json.dumps(run["config"]["cutoffs"]))
-    assert len(batches) == len(cutoffs)
+        cutoff = run["config"]["cutoffs"]["a"]
+        keys.add(min(cutoff, 3 * protocols.dsl.MAX_TERMS - 3) if protocol == "entanglement" else cutoff)
+    assert len(batches) == len(keys)
 
 
 # the sweep axes that each protocol and each source reads
@@ -760,6 +767,23 @@ def test_a_circuit_file_past_the_cap_is_a_usage_error(tmp_path):
         cli.render_output(["run", "--circuit", str(path)])
 
 
+@pytest.mark.parametrize("protocol", ["superposition", "entanglement"])
+def test_a_source_past_the_cap_is_refused_within_a_small_address_space(protocol):
+    import resource
+
+    def limited():  # sizing r = 7.6 up to its tail bound took 1.4 GB
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "kerrcat", "run", "--protocol", protocol, "--r", "7.6"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limited,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "(the maximum state dimension), the leakage stays at" in done.stderr
+
+
 SUPERPOSITION_SWEEP = ["sweep", "--protocol", "superposition"]
 
 
@@ -1005,7 +1029,7 @@ def test_truncation_warning_is_a_kerrcat_diagnostic(tmp_path):
 ])
 def test_non_finite_report_is_refused(argv, tmp_path, monkeypatch, capsys):
     # no report may hold NaN: the encoder refuses it, and nothing is written
-    monkeypatch.setattr(cli, "fidelities", lambda states, targets, pairs: [math.nan] * len(pairs))
+    monkeypatch.setattr(cli, "fidelities", lambda states, targets, pairs, lengths: [math.nan] * len(pairs))
     with pytest.raises(ValueError, match="not JSON compliant"):
         cli.render_output(argv)
     out = tmp_path / "report.json"
@@ -1037,7 +1061,7 @@ def test_check_item(check):
 
 def test_checks_read_the_report(monkeypatch):
     # a check asserts on the numbers that `kerrcat run` reports
-    monkeypatch.setattr(cli, "fidelities", lambda rows, stack, pairs: [0.5] * len(pairs))
+    monkeypatch.setattr(cli, "fidelities", lambda rows, stack, pairs, lengths: [0.5] * len(pairs))
     with pytest.raises(CheckFailure, match="odd-cat branch fidelity 0.5"):
         check_squeezed_cat_branches()
 

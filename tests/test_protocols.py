@@ -348,6 +348,30 @@ class TestStateDimensionBudget:
         assert isinstance(refused, CutoffError)
         assert list(alone.branches) == ["m0=0 m1=0 m2=0 m3=0"]
 
+    def test_a_ragged_batch_refuses_its_oversized_member_alone(self, no_oversized_products,
+                                                               monkeypatch, capsys):
+        # r = 0.5, the third of five points in one batch, is sized at
+        # MAX_STATE_DIMENSION // 4: its two factored modes are above the cap.
+        # As the batch's widest member it is validated before any source is
+        # built, and it fails alone as its run does; the others run alone too
+        size, batches = protocols.suggest_cutoff, []
+        monkeypatch.setattr(protocols, "suggest_cutoff", lambda param, eps, ceiling: (
+            MAX_STATE_DIMENSION // 4 if param.r == 0.5 else size(param, eps, ceiling)))
+        run_batch = protocols._run_batch
+        monkeypatch.setattr(protocols, "_run_batch",
+                            lambda programs, *rest: batches.append(len(programs)) or run_batch(programs, *rest))
+        monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 1 << 40)
+        argv = ["sweep", "--protocol", "entanglement", "--sweep", "r:0.3:0.7:5"]
+        grouped = cli.render_output(argv)
+        assert batches == [5, 1, 1, 1, 1, 1]
+        monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 1)  # a batch of one point
+        assert cli.render_output(argv) == grouped
+        assert cli.main(["run", "--protocol", "entanglement", "--r", "0.5"]) == 2
+        message = capsys.readouterr().err.removeprefix("kerrcat: numerical error: ").strip()
+        records = [json.loads(line) for line in grouped.splitlines()]
+        assert "maximum state dimension" in message
+        assert [rec["error"] for rec in records] == [None, None, f"CutoffError: {message}", None, None]
+
     def test_cli_run_and_sweep(self, no_oversized_products):
         # the traced run is dense, and is refused; untraced, r = 3 runs
         assert cli.main(["run", "--protocol", "entanglement", "--r", "3", "--trace"]) == 2
@@ -769,7 +793,8 @@ def sweep_batches(draw):
 def batch_targets(members):
     """Each member's target rows as a sweep takes them: sized through one
     cutoff table, run in batches of one layout, a target stack per batch
-    read from the sources its members were built from."""
+    read from the sources its members were built from, each row's vectors
+    up to its member's own cutoffs (a batch zero-pads them past those)."""
     entangled = isinstance(members[0], EntanglementParams)
     program = entanglement_program if entangled else superposition_program
     stacks = entanglement_target_stacks if entangled else superposition_target_stacks
@@ -777,8 +802,11 @@ def batch_targets(members):
     for batch in run_batches([program(p, cutoffs) for p in members], members[0].eps):
         points, params = params[:len(batch)], params[len(batch):]
         (coefficients, vectors), rows = stacks(points, [r.sources for r in batch])
-        out += [{name: (coefficients[at[i]].tobytes(), *(v[at[i]].tobytes() for v in vectors))
-                 for name, at in rows.items() if at[i] is not None} for i in range(len(points))]
+        for i, result in enumerate(batch):
+            lengths = [result.sources[label].amplitudes.size for label in ("a", "a2")[:len(vectors)]]
+            out.append({name: (coefficients[at[i]].tobytes(),
+                               *(v[at[i], ..., :n].tobytes() for v, n in zip(vectors, lengths)))
+                        for name, at in rows.items() if at[i] is not None})
     return out
 
 
@@ -852,6 +880,26 @@ def test_rotated_targets_take_no_budget_of_their_own(source, tau, tau2):
     assert all(t.tensor.shape == (cutoff + 1, cutoff + 1) for t in targets.values())
 
 
+def test_a_padded_members_state_is_its_run_alone():
+    # one batch: mode a's cutoffs are 16 and 62, and a2's 17 and 12, so each
+    # member's vectors are zero-padded on one mode; each branch's state has
+    # its own cutoffs and the bits of its run alone
+    pairs = ((SqueezeParam(0.3), CoherentParam(1.5)), (SqueezeParam(0.9), CoherentParam(1.0)))
+    programs = [entanglement_program(EntanglementParams(a, a2, tau=1.0, tau2=0.5, theta=0.2))
+                for a, a2 in pairs]
+    assert [dict(p.modes)["a"] for p in programs] == [16, 62]
+    assert [dict(p.modes)["a2"] for p in programs] == [17, 12]
+    (batch,) = run_batches(programs)
+    for result, program in zip(batch, programs):
+        alone = run_circuit(program)
+        assert list(result.branches) == list(alone.branches)
+        for key, branch in alone.branches.items():
+            state = result.branches[key].state
+            assert state.tensor.shape == branch.state.tensor.shape == tuple(
+                dict(program.modes)[m] + 1 for m in ("a", "a2"))
+            assert state.tensor.tobytes() == branch.state.tensor.tobytes()
+
+
 def test_a_failed_sizing_is_not_stored(monkeypatch):
     cutoffs = {}
     with pytest.raises(CutoffError):
@@ -918,7 +966,9 @@ def test_law_passes_of_the_benchmark_workloads(argv, passes, monkeypatch):
     # tau2 = 0 and pi leave the second as it was, so its checked source
     # stands for its rotated one and no law is built once more
     ("--protocol entanglement --sweep tau2:0:pi:3 --sweep theta:0:1:2", 3),
-    ("--protocol entanglement --source coherent --sweep tau2:0:pi:7 --sweep alpha_im:0:1:3", 60),
+    # the three sources' cutoffs (12, 13 and 16) share one batch: each source
+    # is sized and built once, and rotated once for a and five times for a2
+    ("--protocol entanglement --source coherent --sweep tau2:0:pi:7 --sweep alpha_im:0:1:3", 24),
     ("--protocol entanglement --sweep r:0.1:0.6:12 --sweep tau:0:pi:2", 36),
 ])
 def test_each_source_is_sized_once_a_sweep_and_built_once_a_batch(argv, passes, monkeypatch):
