@@ -48,10 +48,9 @@ def photon_distributions(states: np.ndarray, labels) -> dict[str, np.ndarray]:
     return {m: probs.sum(axis=tuple(a for a in axes if a != 1 + i)) for i, m in enumerate(labels)}
 
 
-def factored_distributions(coefficients, vectors, labels, spans=None) -> dict[str, np.ndarray]:
+def factored_distributions(coefficients, vectors, labels, spans) -> dict[str, np.ndarray]:
     """Each mode's P(n) for every row of a factored stack: the photon distribution of the
-    row over that mode and the other modes' ``spans`` (:func:`_spans` unless given)."""
-    spans = _spans(vectors) if spans is None else spans
+    row over that mode and the other modes' ``spans`` (:func:`_spans`)."""
     return {label: photon_distributions(_products(coefficients, [*spans[:d], v, *spans[d + 1:]]), labels)[label]
             for d, (label, v) in enumerate(zip(labels, vectors))}
 
@@ -118,22 +117,20 @@ def fidelity(state: MultiModeState, target: MultiModeState) -> float:
         raise StateMismatchError(f"labels differ: {state.labels} vs {target.labels}")
     if state.tensor.shape != target.tensor.shape:
         raise StateMismatchError(f"shapes differ: {state.tensor.shape} vs {target.tensor.shape}")
-    one = [(np.ones((1, 1)), (s.tensor.reshape(1, 1, -1),)) for s in (state, target)]
+    one = [(np.ones((1, 1)), (s.tensor.reshape(1, 1, -1),), None) for s in (state, target)]
     return fidelities(*one, [(0, 0)])[0]
 
 
-def fidelities(states, targets, pairs, lengths=None) -> list[float]:
+def fidelities(states, targets, pairs) -> list[float]:
     """:func:`fidelity` of row i of the factored stack ``states`` with row j of the factored
-    stack ``targets``, for each (i, j) of ``pairs``; zero-padded rows i and j share ``lengths[d][i]``."""
-    (a, u), (b, v) = states, targets
+    stack ``targets``, for each (i, j) of ``pairs``; rows i and j share their lengths."""
+    (_, u, _), (_, v, _) = states, targets
     if [x.shape[-1] for x in u] != [x.shape[-1] for x in v]:
         raise StateMismatchError(f"shapes differ: {[x.shape for x in u]} vs {[x.shape for x in v]}")
     i, j = [p[0] for p in pairs], [p[1] for p in pairs]
-    paired = lengths and [np.asarray(n)[i] for n in lengths]
-    n2 = _unit_norms(_overlaps(states, states, lengths=lengths).real[i])
-    t2 = _unit_norms(_overlaps(targets, targets, j, j, paired).real if lengths
-                     else _overlaps(targets, targets).real[j], "target")
-    overlaps = _overlaps(targets, states, j, i, paired).tolist()
+    n2 = _unit_norms(_overlaps(states, states).real[i])
+    t2 = _unit_norms(_overlaps(targets, targets).real[j], "target")
+    overlaps = _overlaps(targets, states, j, i).tolist()
     return [min(abs(o) ** 2 / (x * y), 1.0) for o, x, y in zip(overlaps, n2, t2)]
 
 

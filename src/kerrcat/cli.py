@@ -272,7 +272,7 @@ def _records(results, targets, kind) -> list[dict]:
     dense, two = kept.vectors is None, len(kept.labels) == 2
     spans = None if dense else _spans(kept.vectors, kept.lengths)
     dists = (photon_distributions(kept.rows, kept.labels) if dense
-             else factored_distributions(*kept.factored, kept.labels, spans))
+             else factored_distributions(kept.rows, kept.vectors, kept.labels, spans))
     lists = {mode: dist.tolist() for mode, dist in dists.items()}
     for mode, ends in zip(kept.labels, kept.lengths or ()):  # a factored row's own cutoff + 1
         lists[mode] = [row[:end] for row, end in zip(lists[mode], ends.tolist())]
@@ -294,8 +294,8 @@ def _records(results, targets, kind) -> list[dict]:
                  for i, _, row, analysis in live for name, at in rows.items() if at[i] is not None]
         states = kept.factored
         if len(stack[1]) != len(states[1]):  # a traced run's pairs: as one term on one flattened mode
-            stack = Kept((), _products(*stack)).factored
-        values = fidelities(states, stack, [(row, j) for row, j, _, _ in pairs], kept.lengths)
+            stack = Kept((), _products(*stack[:2])).factored
+        values = fidelities(states, stack, [(row, j) for row, j, _, _ in pairs])
         for (_, _, fids, name), value in zip(pairs, values):
             fids[name] = value
     return records

@@ -5,8 +5,9 @@ A single mode with cutoff N is the span of the photon-number states
 dense C-ordered complex array with one axis per mode; the first label is
 the slowest-varying (row-major) axis. States are immutable after construction
 and may be sub-normalized (e.g. after a projective detection); ``_units``, for
-scratch superpositions that become new states, and detection's branches are
-the only places a norm is divided out.
+scratch superpositions that become new states, detection's branches and the
+coefficients of ``kerrcat.protocols.entanglement_target_stacks`` are the only
+places a norm is divided out.
 
 Every :class:`FockVector` and :class:`MultiModeState` is checked when it is
 built: its amplitudes must be finite and its squared norm at most
@@ -25,11 +26,12 @@ adopted; anything else, such as a slice that is a view of a larger tensor,
 is still copied, so a state never pins memory beyond its own amplitudes.
 Public ``FockVector(...)`` and ``MultiModeState(...)`` calls always copy.
 
-A factored stack ``(coefficients, vectors)`` holds row i as the sum over terms
-k of ``coefficients[i, k]`` times the product over modes d of
-``vectors[d][i, k]`` (see :mod:`kerrcat.protocols`). Its inner products take
-one Gram matrix per mode (:func:`_overlaps`). No sum that reaches a report is
-a BLAS dot, whose bits move with the thread count.
+A factored stack ``(coefficients, vectors, lengths)`` holds row i as the sum
+over terms k of ``coefficients[i, k]`` times the product over modes d of
+``vectors[d][i, k]`` (see :mod:`kerrcat.protocols`), zero-padded past
+``lengths[d][i]`` (``lengths`` is None where nothing is padded). Its inner
+products take one Gram matrix per mode (:func:`_overlaps`). No sum that
+reaches a report is a BLAS dot, whose bits move with the thread count.
 """
 
 from __future__ import annotations
@@ -218,18 +220,18 @@ def _units(stack: np.ndarray) -> tuple[np.ndarray, list[float]]:
 
 def _grams(left, right, i=slice(None), j=slice(None), lengths=None) -> np.ndarray:
     """The product over modes of the Grams ``[r, k, l] = <left_k|right_l>`` of rows ``i`` (each
-    row, by default) and ``j`` of two term vector lists. Zero-padded ones take ``lengths``, each
-    mode's length of each result row, summing the rows of one length at a time (padding moves
+    row, by default) and ``j`` of two term vector lists, each mode's over its ``lengths`` of the
+    left rows (in full if None), summing the rows of one length at a time (padding moves
     numpy's pairwise-sum blocks). Past ``_GRAM_PRODUCTS`` products a mode, each entry is
     summed alone, with the same bits, so that no vector is held per pair of terms."""
     grams = []
     for d, (u, v) in enumerate(zip(left, right)):
-        gram = np.empty(u[i, :, 0].shape + v.shape[1:2], dtype=np.complex128)
-        sizes = None if lengths is None else np.asarray(lengths[d])
-        ri, rj = (i, j) if sizes is None else (np.arange(len(u))[i], np.arange(len(v))[j])
-        for n in [u.shape[-1]] if sizes is None else sorted(set(sizes.tolist())):
-            at = slice(None) if sizes is None else np.flatnonzero(sizes == n)
-            a, b = (ri, rj) if sizes is None else (ri[at], rj[at])
+        ri, rj = np.arange(len(u))[i], np.arange(len(v))[j]
+        sizes = np.full(len(ri), u.shape[-1]) if lengths is None else np.asarray(lengths[d])[ri]
+        gram = np.empty((len(ri), u.shape[1], v.shape[1]), dtype=np.complex128)
+        for n in sorted(set(sizes.tolist())):
+            at = np.flatnonzero(sizes == n)
+            a, b = ri[at], rj[at]
             if gram[at].size * n <= _GRAM_PRODUCTS:
                 gram[at] = (np.conj(u[a, :, :n])[:, :, None] * v[b, :, :n][:, None]).sum(-1)
             else:
@@ -239,9 +241,10 @@ def _grams(left, right, i=slice(None), j=slice(None), lengths=None) -> np.ndarra
     return math.prod(grams[1:], start=grams[0])
 
 
-def _overlaps(left, right, i=slice(None), j=slice(None), lengths=None) -> np.ndarray:
-    """<left_i|right_j> for rows ``i`` and ``j`` of two factored stacks (``lengths``: :func:`_grams`)."""
-    (a, u), (b, v) = left, right
+def _overlaps(left, right, i=slice(None), j=slice(None)) -> np.ndarray:
+    """<left_i|right_j> for rows ``i`` and ``j`` of two factored stacks, over the left rows'
+    lengths, which the right rows they pair with share."""
+    (a, u, lengths), (b, v, _) = left, right
     terms = np.conj(a[i])[:, :, None] * _grams(u, v, i, j, lengths) * b[j][:, None, :]
     return terms.reshape(len(terms), -1).sum(-1)
 

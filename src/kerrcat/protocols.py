@@ -116,13 +116,13 @@ class Kept:
     is a stack member's slice at the detected counts of one branch over the
     root of its probability. ``rows`` is one read-only C-ordered copy, so the
     batch's final stack dies with detection. With factored modes, ``factored``
-    is the term coefficients ``rows`` beside each mode's term ``vectors``, as ``kerrcat.fock``
-    reads it, zero-padded past each mode's ``lengths`` of a row; a dense row is one term."""
+    is the term coefficients ``rows``, each mode's term ``vectors`` and their ``lengths`` of a
+    row (zero-padded past them), as ``kerrcat.fock`` reads a stack; a dense row is one term."""
 
     def __init__(self, labels: tuple[str, ...], rows, vectors=None, lengths=None):
         self.labels, self.rows, self.vectors, self.lengths = labels, rows, vectors, lengths
-        self.factored = (rows, vectors) if vectors else (
-            np.ones((len(rows), 1)), (rows.reshape(len(rows), 1, math.prod(rows.shape[1:])),))
+        self.factored = (rows, vectors, lengths) if vectors else (
+            np.ones((len(rows), 1)), (rows.reshape(len(rows), 1, math.prod(rows.shape[1:])),), None)
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def superposition_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
     vectors = np.stack([amplitudes for _, amplitudes in distinct.values()])
     cats = [_parity_cat(points[0].source_a, vectors, sign) for sign in (+1, -1)]
     stack, norms = _units(np.concatenate(cats))  # each cat one term
-    return _target_rows(("even_cat", "odd_cat"), (np.ones((len(stack), 1)), (stack[:, None],)), norms, at)
+    return _target_rows(("even_cat", "odd_cat"), Kept((), stack).factored, norms, at)
 
 
 def entanglement_targets(params: EntanglementParams) -> dict:
@@ -245,7 +245,6 @@ def entanglement_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
                         else _kept(rotated, (turned, vector.cutoff), _unchecked_source)]
     a, rotated_a, a2, rotated_a2 = (_padded([v.amplitudes for v in vectors[k::4]])
                                     for k in range(4))
-    lengths = [[v.amplitudes.size for v in vectors[k::4]] * 2 for k in (0, 2)]
     phases, ones = (np.array([np.exp(1j * math.fmod(p.theta, TWO_PI)) for p in points]),
                     np.ones(len(points), dtype=np.complex128))
     # R a (x) R' a2 + s a (x) a2 as (R a - a) (x) R' a2 + a (x) (R' a2 - a2) + (1 + s) a (x) a2,
@@ -253,8 +252,8 @@ def entanglement_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
     coefficients = np.concatenate([np.stack([ones, ones, 1 + sign * phases], 1) for sign in (+1, -1)])
     arms = tuple(np.concatenate([np.stack(terms, 1)] * 2)
                  for terms in ((rotated_a - a, a, a), (rotated_a2, rotated_a2 - a2, a2)))
-    stack = (coefficients, arms)
-    norms = np.sqrt(np.maximum(_overlaps(stack, stack, lengths=lengths).real, 0.0))
+    stack = (coefficients, arms, [[v.amplitudes.size for v in vectors[k::4]] * 2 for k in (0, 2)])
+    norms = np.sqrt(np.maximum(_overlaps(stack, stack).real, 0.0))
     coefficients /= np.where(norms > ZERO_NORM_THRESHOLD, norms, 1.0)[:, None]
     return _target_rows(("pair_plus", "pair_minus"), stack, norms, range(len(points)))
 
@@ -271,7 +270,7 @@ def _target_rows(names, stack, norms, at) -> tuple[tuple, dict]:
 def _point_targets(params, program, stacks, labels) -> dict:
     """One point's ``stacks`` over ``labels``, from the sources its ``program`` builds."""
     stack, rows = stacks([params], _source_stacks([program(params)], params.eps)[1])
-    dense = _dense(*stack)
+    dense = _dense(*stack[:2])
     return {name: MultiModeState(labels, dense[at[0]])
             for name, at in rows.items() if at[0] is not None}
 
@@ -378,11 +377,11 @@ def run_batches(programs: Iterable, eps: float = DEFAULT_LEAKAGE) -> Iterator[li
     run as batches of at most ``_CHUNK_AMPLITUDES`` (a splitter chunk) over
     their members at the largest member's size, each one pass of a stack with
     a leading member axis, whose results alone outlive it. A batch validates
-    its first program and its widest member's, builds each
-    distinct source once, checked against ``eps``, and checks each row of
-    every stage's stack as a :class:`MultiModeState` is. A batch that raises
-    one of ``_POINT_ERRORS`` runs again a program at a time; a program that
-    fails alone, or an exception given in place of a program, is its result.
+    one member (:func:`_run_batch`), builds each distinct source once, checked
+    against ``eps``, and checks each row of every stage's stack as a
+    :class:`MultiModeState` is. A batch that raises one of ``_POINT_ERRORS``
+    runs again a program at a time; a program that fails alone, or an
+    exception given in place of a program, is its result.
     """
     last = [None, None]  # the last program's layout, and its group's key
 
@@ -424,9 +423,8 @@ def _isolated(programs, eps: float, factored) -> Iterator[list]:
 
 def _run_batch(programs, eps: float, factored, trace: bool) -> list[ProtocolResult]:
     first, count = programs[0], len(programs)
-    dsl.validate_program(first)
-    if factored:  # and the member of the widest factored modes, before any is built
-        dsl.validate_program(max(programs, key=lambda p: sum(c for m, c in p.modes if m in factored)))
+    # a layout's members differ in no rule but their factored sizes: the widest (or first) stands for all
+    dsl.validate_program(max(programs, key=lambda p: sum(c for m, c in p.modes if m in factored)))
     if trace:  # a traced run is dense
         dsl._check(first, dense=True)
     params = dict(first.sources)

@@ -366,7 +366,7 @@ def factored_stacks(draw, modes=2):
     norms = np.sqrt(np.square(np.abs(dense)).reshape(rows, -1).sum(-1))
     assume_nonzero = norms > 1e-6
     coefficients[assume_nonzero] /= norms[assume_nonzero, None]
-    return coefficients[assume_nonzero], tuple(v[assume_nonzero] for v in vectors)
+    return coefficients[assume_nonzero], tuple(v[assume_nonzero] for v in vectors), None
 
 
 @settings(max_examples=100, deadline=None)
@@ -374,14 +374,14 @@ def factored_stacks(draw, modes=2):
 def test_factored_analysis_matches_the_dense_rows(stack):
     # the Gram forms of a factored stack (replacing the sketch as the cheap
     # path of large two-mode branches) against the dense rows they stand for
-    coefficients, vectors = stack
+    coefficients, vectors, _ = stack
     if not len(coefficients):
         return
-    dense = _products(coefficients, vectors)
-    for mode, dist in factored_distributions(coefficients, vectors, ("a", "b")).items():
+    dense, spans = _products(coefficients, vectors), _spans(vectors)
+    for mode, dist in factored_distributions(coefficients, vectors, ("a", "b"), spans).items():
         assert np.abs(dist - photon_distributions(dense, ("a", "b"))[mode]).max() < 1e-12
         assert not np.signbit(dist).any()
-    factored = schmidt_entropies(_products(coefficients, _spans(vectors)))  # as a report takes them
+    factored = schmidt_entropies(_products(coefficients, spans))  # as a report takes them
     assert np.abs(np.array(factored) - schmidt_entropies(dense)).max() < 1e-9
     pairs = [(i, j) for i in range(len(dense)) for j in range(len(dense))]
     flat = Kept((), dense).factored  # each row one term on one flattened mode

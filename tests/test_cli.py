@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kerrcat
-from kerrcat import cli, protocols
+from kerrcat import analysis, cli, dsl, protocols
 from kerrcat.checks import CHECKS, CheckFailure, check_squeezed_cat_branches
 
 PACKAGE_DIR = Path(kerrcat.__file__).resolve().parent
@@ -1029,7 +1029,7 @@ def test_truncation_warning_is_a_kerrcat_diagnostic(tmp_path):
 ])
 def test_non_finite_report_is_refused(argv, tmp_path, monkeypatch, capsys):
     # no report may hold NaN: the encoder refuses it, and nothing is written
-    monkeypatch.setattr(cli, "fidelities", lambda states, targets, pairs, lengths: [math.nan] * len(pairs))
+    monkeypatch.setattr(cli, "fidelities", lambda states, targets, pairs: [math.nan] * len(pairs))
     with pytest.raises(ValueError, match="not JSON compliant"):
         cli.render_output(argv)
     out = tmp_path / "report.json"
@@ -1061,9 +1061,51 @@ def test_check_item(check):
 
 def test_checks_read_the_report(monkeypatch):
     # a check asserts on the numbers that `kerrcat run` reports
-    monkeypatch.setattr(cli, "fidelities", lambda rows, stack, pairs, lengths: [0.5] * len(pairs))
+    monkeypatch.setattr(cli, "fidelities", lambda rows, stack, pairs: [0.5] * len(pairs))
     with pytest.raises(CheckFailure, match="odd-cat branch fidelity 0.5"):
         check_squeezed_cat_branches()
+
+
+def test_each_target_rows_norm_is_summed_once(monkeypatch):
+    # an entanglement point has two target rows, each paired with both of its
+    # branches; the norm of each is one row of the targets' own norm sum
+    fidelities, overlaps, stacks, covered = cli.fidelities, analysis._overlaps, [], []
+
+    def counted_fidelities(states, targets, *args):
+        stacks.append(targets)
+        return fidelities(states, targets, *args)
+
+    def counted_overlaps(left, right, *args, **kwargs):
+        values = overlaps(left, right, *args, **kwargs)
+        if left is right and any(left is targets for targets in stacks):
+            covered.append(len(values))
+        return values
+
+    monkeypatch.setattr(cli, "fidelities", counted_fidelities)
+    monkeypatch.setattr(analysis, "_overlaps", counted_overlaps)
+    cli.render_output(["sweep", "--protocol", "entanglement", "--sweep", "r:0.2:0.6:5"])
+    assert sum(covered) == sum(len(targets[0]) for targets in stacks) == 2 * 5
+
+
+def test_each_batch_validates_one_member(monkeypatch):
+    # r from 1 to 3 spans cutoffs 76 to 4,218, whose factored data modes share
+    # batches; a batch's widest member stands for all in the circuit rules
+    validate, run_batch, batches = dsl.validate_program, protocols._run_batch, []
+
+    def counted_batch(programs, *rest):
+        batches.append({"members": len(programs), "validated": 0})
+        return run_batch(programs, *rest)
+
+    def counted_validate(program):
+        batches[-1]["validated"] += 1
+        return validate(program)
+
+    monkeypatch.setattr(dsl, "validate_program", counted_validate)
+    monkeypatch.setattr(protocols, "_run_batch", counted_batch)
+    cli.render_output(["sweep", "--protocol", "entanglement", "--sweep", "r:1:3:12"])
+    assert [batch["validated"] for batch in batches] == [1] * len(batches)
+    members = [batch["members"] for batch in batches]
+    assert sum(members) == 12 and max(members) > 1
 
 
 # --- the exit-code contract (module docstring of kerrcat.cli) ---------------

@@ -801,7 +801,7 @@ def batch_targets(members):
     cutoffs, out, params = {}, [], members
     for batch in run_batches([program(p, cutoffs) for p in members], members[0].eps):
         points, params = params[:len(batch)], params[len(batch):]
-        (coefficients, vectors), rows = stacks(points, [r.sources for r in batch])
+        (coefficients, vectors, _), rows = stacks(points, [r.sources for r in batch])
         for i, result in enumerate(batch):
             lengths = [result.sources[label].amplitudes.size for label in ("a", "a2")[:len(vectors)]]
             out.append({name: (coefficients[at[i]].tobytes(),
@@ -838,8 +838,8 @@ def standalone_targets(p):
     phase = np.exp(1j * math.fmod(p.theta, 2 * math.pi))
     for name, sign in (("pair_plus", 1), ("pair_minus", -1)):
         coefficients = np.array([[1.0, 1.0, 1 + sign * phase]])
-        norm = np.sqrt(_overlaps((coefficients, [a[None] for a in arms]),
-                                 (coefficients, [a[None] for a in arms])).real)
+        norm = np.sqrt(_overlaps((coefficients, [a[None] for a in arms], None),
+                                 (coefficients, [a[None] for a in arms], None)).real)
         if norm[0] > 1e-12:
             targets[name] = ((coefficients / norm[:, None])[0].tobytes(), *(a.tobytes() for a in arms))
     return targets
