@@ -79,13 +79,14 @@ def joint_photon_distribution(state: MultiModeState, modes: Iterable[str]) -> np
     return np.transpose(summed, [in_tensor_order.index(a) for a in keep])
 
 
-def support_residuals(distributions: np.ndarray, allowed: Iterable[int]) -> list[float]:
-    """Each row's probability mass at photon numbers outside ``allowed``
-    (integers; any outside the rows' range are ignored), from one mask, summed
-    in ascending order; each row alone, since a 2-d sum adds in another order."""
+def support_residuals(distributions: np.ndarray, allowed: Iterable[int], lengths=None) -> list[float]:
+    """Each row's probability mass at photon numbers outside ``allowed`` (integers; any outside the
+    rows' range are ignored), from one mask, summed in ascending order over its first ``lengths[i]``
+    entries (all if None); each row alone, since a 2-d sum, or one over padding, adds in another order."""
     outside = np.ones(distributions.shape[-1], dtype=bool)
     outside[[n for n in allowed if 0 <= n < outside.size]] = False
-    return [float(np.add.reduce(row)) for row in distributions[:, outside]]
+    ends = [None] * len(distributions) if lengths is None else np.cumsum(outside)[np.asarray(lengths) - 1]
+    return [float(np.add.reduce(row[:end])) for row, end in zip(distributions[:, outside], ends)]
 
 
 def _typed(state, what: str) -> MultiModeState:

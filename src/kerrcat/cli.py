@@ -273,9 +273,9 @@ def _records(results, targets, kind) -> list[dict]:
     spans = None if dense else _spans(kept.vectors, kept.lengths)
     dists = (photon_distributions(kept.rows, kept.labels) if dense
              else factored_distributions(kept.rows, kept.vectors, kept.labels, spans))
-    lists = {mode: dist.tolist() for mode, dist in dists.items()}
-    for mode, ends in zip(kept.labels, kept.lengths or ()):  # a factored row's own cutoff + 1
-        lists[mode] = [row[:end] for row, end in zip(lists[mode], ends.tolist())]
+    ends = dict(zip(kept.labels, kept.lengths or ()))  # a padded row's own cutoff + 1
+    lists = {mode: [row[:end].tolist() for row, end in zip(dist, ends[mode].tolist())] if mode in ends
+             else dist.tolist() for mode, dist in dists.items()}
     entropies = two and schmidt_entropies(kept.rows if dense else _products(kept.rows, spans))
     for _, _, row, analysis in live:
         analysis["distributions"] = {mode: rows[row] for mode, rows in lists.items()}
@@ -283,9 +283,9 @@ def _records(results, targets, kind) -> list[dict]:
     for name in dict.fromkeys(name for _, name, _, _ in live if (kind, name) in _SUPPORT):
         label, first, step = _SUPPORT[kind, name]
         chosen = [(row, analysis) for _, n, row, analysis in live if n == name]
-        (dist,) = dists.values()
+        (dist,), rows = dists.values(), [row for row, _ in chosen]
         allowed = range(first, dist.shape[1], step)
-        residuals = support_residuals(dist[[row for row, _ in chosen]], allowed)
+        residuals = support_residuals(dist[rows], allowed, kept.lengths and kept.lengths[0][rows])
         for (_, analysis), residual in zip(chosen, residuals):
             analysis.update(support_residual=residual, allowed_support=label)
     if targets is not None:

@@ -343,20 +343,27 @@ def apply_element(state: MultiModeState, element: Element) -> MultiModeState:
     return MultiModeState(state.labels, _Owned(apply_batch(state.tensor[None], axes, [element])[0]))
 
 
-def apply_batch(stack: np.ndarray, axes: list[int], elements) -> np.ndarray:
-    """A new array: each member m of ``stack`` (its first axis runs over the
-    members of a batch; length 1 stands for them all) after ``elements[m]``.
-    The elements act on the axes ``axes`` and differ at most in their angles.
-    A member's phase table is built as a single state's, and its splitter
-    products have a single state's gemm shapes, so it keeps a lone run's bits."""
+def apply_batch(stack: np.ndarray, axes: list[int], elements, padded=None) -> np.ndarray:
+    """A new array: each member m of ``stack`` (its first axis runs over the members of a batch;
+    length 1 stands for them all) after ``elements[m]``. The elements act on the axes ``axes`` and
+    differ at most in their angles. A member's phase table is built as a single state's, and its
+    splitter products have a single state's gemm shapes, so it keeps a lone run's bits: with
+    ``padded``, an axis no element mixes and each member's length on it, past which ``stack`` is
+    zeros, the splitter runs on the members of one length at a time, sliced to it."""
     element = elements[0]
     if isinstance(element, BalancedBeamSplitter):
-        return _split(stack, *axes, *element_modes(element))
+        if padded is None:
+            return _split(stack, *axes, *element_modes(element))
+        (axis, lengths), out = padded, np.zeros_like(stack)
+        for n in sorted(set(lengths.tolist())):
+            at = (np.flatnonzero(lengths == n), *[slice(None)] * (axis - 1), slice(n))
+            out[at] = _split(stack[at], *axes, *element_modes(element))
+        return out
     numbers = _photon_numbers(stack, axes[0])
     if isinstance(element, PhaseShift):
         exponents = [1j * _reduced_angle(e.theta, "theta") for e in elements]
     else:
         numbers = numbers * _photon_numbers(stack, axes[1])
         exponents = [-1j * _reduced_angle(e.tau, "tau") for e in elements]
-    per_member = np.array(exponents).reshape((-1,) + (1,) * (stack.ndim - 1))
-    return stack * np.exp(per_member * numbers)
+    table = np.array(exponents).reshape((-1,) + (1,) * (stack.ndim - 1)) * numbers
+    return stack * np.exp(table, out=table)

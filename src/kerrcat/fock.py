@@ -210,10 +210,11 @@ def tensor_product(a: MultiModeState, b: MultiModeState) -> MultiModeState:
     return MultiModeState(a.labels + b.labels, _Owned(np.multiply.outer(a.tensor, b.tensor)))
 
 
-def _units(stack: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Each row of ``stack`` divided by its norm, and the norms; a row whose
-    norm is at or below ``ZERO_NORM_THRESHOLD`` is left as it is."""
-    norms = [math.sqrt(np.square(np.abs(row)).sum()) for row in stack]  # pairwise, no BLAS
+def _units(stack: np.ndarray, lengths=None) -> tuple[np.ndarray, list[float]]:
+    """Each row of ``stack`` divided by its norm (a pairwise sum, no BLAS, over its first
+    ``lengths[i]`` entries, all if None), and the norms; a row whose norm is at or below
+    ``ZERO_NORM_THRESHOLD`` is left as it is."""
+    norms = [math.sqrt(np.square(np.abs(r[:n])).sum()) for r, n in zip(stack, lengths or [None] * len(stack))]
     divisors = np.array([n if n > ZERO_NORM_THRESHOLD else 1.0 for n in norms])
     return stack / divisors.reshape((-1,) + (1,) * (stack.ndim - 1)), norms
 

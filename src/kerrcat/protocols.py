@@ -12,11 +12,13 @@ circuit program (``superposition_program``, ``entanglement_program``);
 
 :func:`run_batches` is the only place states go through elements. Programs
 that share their :func:`layout` (all but their squeezed and coherent values, element
-angles and factored cutoffs) run as a batch, one pass of a stack with a leading
-member axis; until the first source or angle that differs, one member stands
-for them all, and each member's result equals its run alone to the bit. Each
-batch builds each distinct source once, and each result carries its modes'
-vectors (``ProtocolResult.sources``) to its targets. Nothing is cached.
+angles and the cutoffs of the modes a batch zero-pads: factored ones, below, and the
+:func:`_free` one, as the superposition scheme's data mode) run as a batch, one pass
+of a stack with a leading member axis; until the first source or angle that differs,
+one member stands for them all, and each member's result equals its run alone to the
+bit (a padded free mode would move only a splitter gemm's, so a splitter runs the
+members of one length at a time). Each batch builds each distinct source once, and each
+result carries its modes' vectors (``ProtocolResult.sources``) to its targets. Nothing is cached.
 
 Two factored modes (``dsl.factored_modes``, as the entanglement scheme's data
 modes) never join the dense product: the state is a sum of terms, a core tensor
@@ -112,17 +114,16 @@ class EntanglementParams:
 
 
 class Kept:
-    """A batch's kept branches: ``rows[j]``, over the remaining modes ``labels``,
-    is a stack member's slice at the detected counts of one branch over the
-    root of its probability. ``rows`` is one read-only C-ordered copy, so the
-    batch's final stack dies with detection. With factored modes, ``factored``
-    is the term coefficients ``rows``, each mode's term ``vectors`` and their ``lengths`` of a
-    row (zero-padded past them), as ``kerrcat.fock`` reads a stack; a dense row is one term."""
+    """A batch's kept branches: ``rows[j]``, over the remaining modes ``labels``, is a stack member's
+    slice at the detected counts of one branch over the root of its probability. ``rows`` is one
+    read-only C-ordered copy, so the batch's final stack dies with detection. ``factored`` holds them
+    as ``kerrcat.fock`` reads a stack: the term coefficients ``rows`` (a dense row is one term), each
+    mode's term ``vectors`` and their ``lengths`` of a row, zeros past them (a :func:`_free` mode's too)."""
 
     def __init__(self, labels: tuple[str, ...], rows, vectors=None, lengths=None):
         self.labels, self.rows, self.vectors, self.lengths = labels, rows, vectors, lengths
         self.factored = (rows, vectors, lengths) if vectors else (
-            np.ones((len(rows), 1)), (rows.reshape(len(rows), 1, math.prod(rows.shape[1:])),), None)
+            np.ones((len(rows), 1)), (rows.reshape(len(rows), 1, math.prod(rows.shape[1:])),), lengths)
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,9 @@ class Branch:
         if self.row is None:
             return None
         kept, row = self.kept, slice(self.row, self.row + 1)
-        own = kept.vectors and [v[row, :, :n[self.row]] for v, n in zip(kept.vectors, kept.lengths)]
-        return MultiModeState(kept.labels, kept.rows[self.row, ...] if kept.vectors is None
+        cut = [slice(n[self.row]) for n in kept.lengths or ()]  # the row's own cutoffs
+        own = kept.vectors and [v[row, :, c] for v, c in zip(kept.vectors, cut)]
+        return MultiModeState(kept.labels, kept.rows[(self.row, ..., *cut)] if kept.vectors is None
                               else _Owned(_dense(kept.rows[row], own)[0]))
 
 
@@ -204,17 +206,18 @@ def superposition_targets(params: SuperpositionParams) -> dict:
 
 def superposition_target_stacks(points, sources) -> tuple[np.ndarray, dict]:
     """The targets of :func:`superposition_targets` of each of ``points`` (a
-    batch's parameters: one source kind, one cutoff), from the vector that
-    each point's run built on mode ``a`` (its ``sources``), as one stack, a
-    row per cat of each distinct vector, and each name's row for each point
-    (:func:`_target_rows`)."""
+    batch's parameters: one source kind), from the vector that each point's
+    run built on mode ``a`` (its ``sources``), as one stack, a row per cat of
+    each distinct vector, zero-padded to the longest (each row's norm and
+    lengths its own), and each name's row for each point (:func:`_target_rows`)."""
     distinct, at = {}, []  # a batch's equal sources are one vector
     for vector in (built["a"] for built in sources):
         at.append(distinct.setdefault(id(vector), (len(distinct), vector.amplitudes))[0])
-    vectors = np.stack([amplitudes for _, amplitudes in distinct.values()])
+    rows = [amplitudes for _, amplitudes in distinct.values()]
+    lengths, vectors = [len(row) for row in rows] * 2, _padded(rows)
     cats = [_parity_cat(points[0].source_a, vectors, sign) for sign in (+1, -1)]
-    stack, norms = _units(np.concatenate(cats))  # each cat one term
-    return _target_rows(("even_cat", "odd_cat"), Kept((), stack).factored, norms, at)
+    stack, norms = _units(np.concatenate(cats), lengths)  # each cat one term
+    return _target_rows(("even_cat", "odd_cat"), Kept((), stack, None, (lengths,)).factored, norms, at)
 
 
 def entanglement_targets(params: EntanglementParams) -> dict:
@@ -373,15 +376,14 @@ def run_batches(programs: Iterable, eps: float = DEFAULT_LEAKAGE) -> Iterator[li
     """Each program's result, a list per batch, in program order; a result
     equals :func:`run_circuit` of its program alone, to the bit.
 
-    ``programs`` is read as the batches run. Neighbours of one :func:`layout`
-    run as batches of at most ``_CHUNK_AMPLITUDES`` (a splitter chunk) over
-    their members at the largest member's size, each one pass of a stack with
-    a leading member axis, whose results alone outlive it. A batch validates
-    one member (:func:`_run_batch`), builds each distinct source once, checked
-    against ``eps``, and checks each row of every stage's stack as a
-    :class:`MultiModeState` is. A batch that raises one of ``_POINT_ERRORS``
-    runs again a program at a time; a program that fails alone, or an
-    exception given in place of a program, is its result.
+    ``programs`` is read as the batches run. Neighbours of one :func:`layout` run as batches
+    of at most ``_CHUNK_AMPLITUDES`` (a splitter chunk) over their members at the largest
+    member's size, to which it zero-pads them, each one pass of a stack with a leading member
+    axis, whose results alone outlive it. A batch validates one member (:func:`_run_batch`),
+    builds each distinct source once, checked against ``eps``, and checks each row of every
+    stage's stack as a :class:`MultiModeState` is. A batch that raises one of ``_POINT_ERRORS``
+    runs again a program at a time; a program that fails alone, or an exception given in place
+    of a program, is its result.
     """
     last = [None, None]  # the last program's layout, and its group's key
 
@@ -395,12 +397,11 @@ def run_batches(programs: Iterable, eps: float = DEFAULT_LEAKAGE) -> Iterator[li
         if isinstance(key, Exception):
             yield [key]
             continue
-        first = next(group)  # a factored mode counts as its vectors, the rest as their product
+        first = next(group)
         factored, batch, largest = dsl.factored_modes(first), [], 0
-        dense = math.prod(c + 1 for m, c in first.modes if m not in factored)
-        for program in itertools.chain([first], group):
-            size = dense + sum(dsl.MAX_TERMS**2 * (c + 1) for m, c in program.modes
-                               if m in factored) if factored else dense
+        for program in itertools.chain([first], group):  # factored modes as vectors, the rest a product
+            size = math.prod(c + 1 for m, c in program.modes if m not in factored) + sum(
+                dsl.MAX_TERMS**2 * (c + 1) for m, c in program.modes if m in factored)
             if batch and (len(batch) + 1) * max(largest, size) > _CHUNK_AMPLITUDES:
                 yield from _isolated(batch, eps, factored)
                 batch, largest = [], 0
@@ -423,8 +424,8 @@ def _isolated(programs, eps: float, factored) -> Iterator[list]:
 
 def _run_batch(programs, eps: float, factored, trace: bool) -> list[ProtocolResult]:
     first, count = programs[0], len(programs)
-    # a layout's members differ in no rule but their factored sizes: the widest (or first) stands for all
-    dsl.validate_program(max(programs, key=lambda p: sum(c for m, c in p.modes if m in factored)))
+    # a layout's members differ in no rule but their padded sizes: the widest (or first) stands for all
+    dsl.validate_program(max(programs, key=lambda p: sum(c for _, c in p.modes)))
     if trace:  # a traced run is dense
         dsl._check(first, dense=True)
     params = dict(first.sources)
@@ -432,7 +433,9 @@ def _run_batch(programs, eps: float, factored, trace: bool) -> list[ProtocolResu
     unjoined, sources = _source_stacks(programs, eps)
     # each factored mode's source stack, and its angle of each member's each term
     held = {label: (unjoined.pop(label), np.zeros((count, 1))) for label in factored}
-    lengths = [np.array([built[label].amplitudes.size for built in sources]) for label in factored]
+    # each zero-padded mode's lengths: every factored mode's, and the free mode's where they differ
+    lengths = {m: np.array([b[m].amplitudes.size for b in sources]) for m in (*factored, _free(first)) if m}
+    padded = {m: n for m, n in lengths.items() if m in factored or n.min() < n.max()}
     # until the first source or angle that differs, one member stands for all
     stack, labels = np.ones(count if factored else 1, dtype=np.complex128), ()
     # each term's photon numbers on the core modes that split it, until a splitter mixes them
@@ -466,7 +469,8 @@ def _run_batch(programs, eps: float, factored, trace: bool) -> list[ProtocolResu
             if isinstance(element, BalancedBeamSplitter):
                 fixed = [{m: n for m, n in f.items() if m not in touched} for f in fixed]
             axes = [1 + labels.index(m) for m in touched]
-            stack = apply_batch(_checked_members(stack), axes, [e for e in members for _ in fixed])
+            ragged = [(1 + labels.index(m), n) for m, n in padded.items() if m in labels]
+            stack = apply_batch(_checked_members(stack), axes, [e for e in members for _ in fixed], *ragged)
             if trace:
                 stages.append((dsl.format_element(element), traced()))
         elif isinstance(element, PhaseShift):
@@ -487,7 +491,7 @@ def _run_batch(programs, eps: float, factored, trace: bool) -> list[ProtocolResu
     stack, vectors = _checked_members(stack), None
     if held:
         stack, vectors = _differenced(stack, held, count, len(fixed))
-    detected = _branches(stack, labels, first.detects, count, vectors, lengths)
+    detected = _branches(stack, labels, first.detects, count, vectors, list(padded.values()) or None)
     return [ProtocolResult(branches, stages, built) for branches, built in zip(detected, sources)]
 
 
@@ -535,24 +539,36 @@ def _padded(rows) -> np.ndarray:
 
 
 def layout(p: "dsl.CircuitProgram", factored=()):
-    """What the programs of one batch share (:func:`run_batches`): all but
-    their squeezed and coherent values, which no circuit rule reads (a Fock
-    n is read against its cutoff), their element angles and, from 3 MAX_TERMS - 3 up, the
-    cutoffs of their ``factored`` modes, which size only vectors that a batch zero-pads (below,
-    a member's span, ``analysis._spans``, may have fewer columns than its terms)."""
-    sources = [(m, s if isinstance(s, FockParam) else type(s)) for m, s in p.sources]
-    modes = tuple((m, min(c, 3 * dsl.MAX_TERMS - 3) if m in factored else c) for m, c in p.modes)
+    """What the programs of one batch share (:func:`run_batches`): all but their squeezed and
+    coherent values, which no circuit rule reads (a Fock n is read against its cutoff), their
+    element angles and the cutoffs that size only vectors that a batch zero-pads: their :func:`_free`
+    mode's and, from 3 MAX_TERMS - 3 up, their ``factored`` modes' (below, a member's span,
+    ``analysis._spans``, may have fewer columns than its terms)."""
+    sources, free = [(m, s if isinstance(s, FockParam) else type(s)) for m, s in p.sources], _free(p)
+    modes = tuple((m, min(c, 3 * dsl.MAX_TERMS - 3) if m in factored else c if m != free else None)
+                  for m, c in p.modes)
     return modes, sources, p.detects, [(type(e), element_modes(e)) for e in p.elements]
 
 
+def _free(p: "dsl.CircuitProgram") -> str | None:
+    """The one mode that detection leaves, if no splitter touches it and modes of more than one amplitude
+    in all follow it (the superposition scheme's data mode): only elementwise kernels read it, and the
+    law sums it as an outer axis, a term at a time, so zeros a batch pads it with move no member's bits."""
+    detected = [d.mode for d in p.detects]
+    left = [i for i, (m, _) in enumerate(p.modes) if m not in detected]
+    (mode, _), *after = p.modes[left[0]:] if len(left) == 1 else [(None, 0)]  # it, then the modes after it
+    split = any(mode in (e.mode_1, e.mode_2) for e in p.elements if isinstance(e, BalancedBeamSplitter))
+    return mode if not split and math.prod(c + 1 for _, c in after) > 1 else None
+
+
 def _branches(stack, labels, detects, count: int, vectors=None, lengths=None) -> list[dict[str, Branch]]:
-    """Each of ``count`` members' branches, from one law: ``|stack|^2`` summed
-    over the undetected modes, member axis first, detected axes in request
-    order. Every kept slice is copied out, divided by the root of its law
-    entry, into the rows of one :class:`Kept`, which the branches share. With
-    factored modes (``vectors``, each one's term vectors by member, zero-padded
-    past its ``lengths``), a member's rows are its terms and every core mode is
-    detected: the law is ``sum_{k,l} conj(C_k) C_l prod_d G_d[k, l]``, and a row holds coefficients."""
+    """Each of ``count`` members' branches, from one law: ``|stack|^2`` summed over the undetected
+    modes, member axis first, detected axes in request order. Every kept slice is copied out, divided
+    by the root of its law entry, into the rows of one :class:`Kept`, which the branches share, with
+    each padded mode's ``lengths`` of them by member. With factored modes (``vectors``, each one's
+    term vectors by member, zero-padded past its ``lengths``), a member's rows are its terms and every
+    core mode is detected: the law is ``sum_{k,l} conj(C_k) C_l prod_d G_d[k, l]``, and a row holds
+    coefficients."""
     requested = tuple((d.mode, d.n) for d in detects)
     modes = [m for m, _ in requested]
     # a view with the detected axes first, in request order; the rest keep theirs
@@ -584,7 +600,7 @@ def _branches(stack, labels, detects, count: int, vectors=None, lengths=None) ->
     rows.setflags(write=False)
     at = found[live][:, 0]  # each row's member
     slices = Kept(remaining, rows, vectors and tuple(v[at] for v in vectors.values()),
-                  vectors and tuple(n[at] for n in lengths))
+                  lengths and tuple(n[at] for n in lengths))
     members, named, row = [{} for _ in range(len(stack))], {}, 0
     for (member, *counts), prob, alive in zip(found.tolist(), probabilities.tolist(), live.tolist()):
         counts = tuple(counts)

@@ -442,13 +442,16 @@ def angle_axes(protocol):
     # three cutoffs each: 16, 24 and 34; 8, 15 and 22
     ["--source", "squeezed", "--phi", "0.3", "--sweep", "r:0.3:0.6:3"],
     ["--source", "coherent", "--alpha-im", "0.2", "--sweep", "alpha_re:0.5:2:3"],
+    # ten cutoffs, 5 to 14
+    ["--source", "coherent", "--alpha-im", "0.2", "--sweep", "alpha_re:0.1:1.2:10"],
 ])
 def test_sweep_point_equals_a_run(protocol, source, monkeypatch):
-    # six angle points per source value (twelve on entanglement, with tau2),
-    # in one batch per cutoff of the data mode; tau = tau2 = theta = 0 gives
-    # a zero branch inside each batch. The entanglement scheme's factored data
-    # modes zero-pad their vectors, so their cutoffs share a batch from
-    # 3 * MAX_TERMS - 3 up (protocols.layout)
+    # six angle points per source value (twelve on entanglement, with tau2);
+    # tau = tau2 = theta = 0 gives a zero branch inside each batch. A batch
+    # zero-pads each data mode to its longest member's cutoff, so the
+    # superposition points share one batch a chunk (here one), and the
+    # entanglement scheme's factored data modes share one from 3 * MAX_TERMS - 3
+    # up (protocols.layout)
     argv = ["sweep", "--protocol", protocol, *source, *angle_axes(protocol)]
     run_batch, batches = protocols._run_batch, []
 
@@ -462,16 +465,20 @@ def test_sweep_point_equals_a_run(protocol, source, monkeypatch):
     values = int(source[-1].rsplit(":", 1)[1])
     assert len(records) == values * (12 if protocol == "entanglement" else 6)
     assert any(b["probability"] == 0.0 for rec in records for b in rec["branches"].values())
-    keys = set()
+    cutoffs = set()
     for rec in records:
         options = [f"--{name.replace('_', '-')}={value!r}" for name, value in rec["params"].items()]
         run = json.loads(cli.render_output(
             ["run", "--protocol", protocol, "--source", source[1], *options]))
         assert rec["error"] is None
         assert json.dumps(rec["branches"]) == json.dumps(run["branches"])
-        cutoff = run["config"]["cutoffs"]["a"]
-        keys.add(min(cutoff, 3 * protocols.dsl.MAX_TERMS - 3) if protocol == "entanglement" else cutoff)
-    assert len(batches) == len(keys)
+        cutoffs.add(run["config"]["cutoffs"]["a"])
+    if protocol == "entanglement":
+        assert len(batches) == len({min(c, 3 * protocols.dsl.MAX_TERMS - 3) for c in cutoffs})
+    else:  # every point fits one chunk at the largest point's size
+        assert len(records) * 4 * (max(cutoffs) + 1) <= protocols._CHUNK_AMPLITUDES
+        assert batches == [len(records)]
+    assert len(cutoffs) == 10 or values < 10
 
 
 # the sweep axes that each protocol and each source reads
@@ -1219,13 +1226,19 @@ def test_entanglement_at_r3_runs_factored_and_its_dense_trace_is_refused():
         assert abs(branches[name]["analysis"]["schmidt_entropy"] - expected) < 1e-9, name
 
 
-@pytest.mark.parametrize("r", ["2.0", "3.5"])
-def test_report_bytes_do_not_depend_on_the_blas_thread_count(r):
+@pytest.mark.parametrize("argv", [
+    ("run", "--protocol", "entanglement", "--r", "2.0"),
+    ("run", "--protocol", "entanglement", "--r", "3.5"),
+    ("sweep", "--protocol", "superposition", "--source", "squeezed", "--phi", "0.0",
+     "--sweep", "r:0.1:1.5:200", "--sweep", "tau:0:pi:5"),
+], ids=["2.0", "3.5", "superposition-sweep"])
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(argv):
     # every sum that reaches a report is numpy's pairwise sum, not a BLAS
     # reduction, whose bits move with the thread count. At r = 3.5 the data
     # modes have 11,467 photon numbers, enough for OpenBLAS to split a dot
-    # product across two threads (at r = 2, 571 are not)
-    argv = ("run", "--protocol", "entanglement", "--r", r)
+    # product across two threads (at r = 2, 571 are not). The benchmark's
+    # superposition sweep runs its splitters as gemms, the one BLAS call left
+    # on a protocol report's path, over batches whose data modes are padded
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent), OPENBLAS_NUM_THREADS=threads,

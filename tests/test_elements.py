@@ -299,6 +299,28 @@ class TestBeamSplitterConvention:
             assert np.abs(chunked - whole).max() <= 1e-15
             assert chunked_mass == pytest.approx(mass, rel=1e-3)
 
+    @pytest.mark.parametrize("padded_axis, pair_axes", [(1, [2, 3]), (3, [1, 2])])
+    def test_a_zero_padded_batch_keeps_each_members_lone_bits(self, padded_axis, pair_axes):
+        # members of several lengths along an axis the splitter does not mix,
+        # zero-padded to the longest, as protocols.run_batches stacks a data
+        # mode; split over the whole padded width, some products round apart
+        rng = np.random.default_rng(31)
+        splitter = BalancedBeamSplitter("b", "c")
+        pair = np.add.outer(np.arange(3), np.arange(3)) <= 2  # nothing above the cutoff
+        for _ in range(3):
+            lengths = rng.integers(5, 200, size=12)
+            stack = np.zeros((len(lengths), lengths.max(), 3, 3), dtype=np.complex128)
+            for member, n in zip(stack, lengths):
+                member[:n] = pair * (rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3)))
+            stack = np.moveaxis(stack, 1, padded_axis).copy()
+            out = elements.apply_batch(stack, pair_axes, [splitter] * len(stack),
+                                       (padded_axis, lengths))
+            for m, n in enumerate(lengths):
+                cut = (slice(m, m + 1), *[slice(None)] * (padded_axis - 1), slice(n))
+                alone = elements.apply_batch(stack[cut].copy(), pair_axes, [splitter])
+                assert np.array_equal(out[cut], alone)
+                assert not np.moveaxis(out[m], padded_axis - 1, 0)[n:].any()
+
     @settings(max_examples=60, deadline=None)
     @given(
         cutoff=st.integers(0, 6),

@@ -207,16 +207,21 @@ def test_sweep_peak_is_flat_in_its_point_count(monkeypatch):
     assert many <= few + 384 * 1024, f"512 points peak at {many} bytes, 8 at {few}"
 
 
-def test_sweep_across_cutoffs_peaks_like_its_largest_point():
-    # r from 1 to 3 spans cutoffs 76 to 4,218. The entanglement scheme's data
-    # modes factor, so the smaller points share batches, their vectors
-    # zero-padded to the longest member's; a chunk is sized from its largest
-    # member, so no batch holds more vectors than r = 3, which runs alone
-    argv = ["sweep", "--protocol", "entanglement", "--out", os.devnull, "--sweep"]
+@pytest.mark.parametrize("protocol, largest_batch", [
+    ("entanglement", ["r:3:3:1"]),  # alone above a chunk
+    ("superposition", ["r:3:3:1", "--sweep", "tau:0:pi:3"]),  # three of them fill one
+])
+def test_sweep_across_cutoffs_peaks_like_its_largest_point(protocol, largest_batch):
+    # r from 1 to 3 spans cutoffs 76 to 4,218. The smaller points share
+    # batches with larger ones, their data modes zero-padded to the longest
+    # member's (the entanglement scheme's factored vectors, the superposition
+    # scheme's dense mode); a chunk is sized from its largest member, so no
+    # batch holds more than the most points of r = 3 that one chunk holds
+    argv = ["sweep", "--protocol", protocol, "--out", os.devnull, "--sweep"]
     cli.main(argv + ["r:3:3:1"])  # warms what a run sets up once
-    _, largest = allocated(cli.main, argv + ["r:3:3:1"])
+    _, largest = allocated(cli.main, argv + largest_batch)
     _, sweep = allocated(cli.main, argv + ["r:1:3:12"])
-    assert sweep <= 1.1 * largest, f"the sweep peaks at {sweep} bytes, r = 3 alone at {largest}"
+    assert sweep <= 1.1 * largest, f"the sweep peaks at {sweep} bytes, r = 3's batch at {largest}"
 
 
 @pytest.mark.parametrize("outcomes", [(("b", 1), ("c", 0)), (("b", 0),), (("c", 1), ("b", 0))])

@@ -692,7 +692,6 @@ def test_a_batch_equals_its_members_run_alone(programs, eps):
 def test_programs_of_different_layouts_are_not_a_batch():
     base = superposition_program(SuperpositionParams(SqueezeParam(0.5), tau=math.pi / 2))
     others = [
-        with_cutoff(base, "a", 30),
         dataclasses.replace(base, sources=base.sources[1:]),
         dataclasses.replace(base, detects=base.detects[:1]),
         dataclasses.replace(base, elements=base.elements[:1] + (CrossKerr("b", "a", 1.0),)
@@ -711,7 +710,24 @@ def test_programs_of_different_layouts_are_not_a_batch():
     # a squeezed source's value is not layout, at the same cutoff
     squeeze = dataclasses.replace(angles, sources=(("a", SqueezeParam(0.45, 1.0)),)
                                   + base.sources[1:])
-    assert [len(batch) for batch in run_batches([base, angles, squeeze])] == [3]
+    # nor is the cutoff of the data mode, which a batch zero-pads (protocols._free)
+    wider = with_cutoff(base, "a", 30)
+    assert [len(batch) for batch in run_batches([base, angles, squeeze, wider])] == [4]
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_a_data_mode_declared_last_keeps_its_cutoff_in_the_layout(last):
+    # declared last, the data mode is the law's innermost axis, a pairwise sum
+    # that zero padding would move (13 probabilities and states here); so such
+    # programs batch by cutoff, and the scheme's own order batches across them
+    programs = [superposition_program(SuperpositionParams(SqueezeParam(r, 0.3), tau=1.1))
+                for r in np.linspace(0.5, 1.6, 12)]
+    if last:
+        programs = [dataclasses.replace(p, modes=p.modes[1:] + p.modes[:1]) for p in programs]
+    batches = list(run_batches(programs))
+    assert len(batches) == (12 if last else 1)
+    for result, program in zip(itertools.chain(*batches), programs):
+        assert result_bytes(result) == result_bytes(run_circuit(program))
 
 
 @pytest.mark.parametrize("poison", ["nan", "norm"])
@@ -943,9 +959,11 @@ def record_law_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, passes", [
-    # the benchmark's sweeps at their default seed, and its large run
+    # the benchmark's sweeps at their default seed, and its large run; a source
+    # is built once a batch, so each r value whose tau points two of the
+    # superposition sweep's six batches share is built twice (three here)
     ("sweep --protocol superposition --source squeezed --phi 0.0 --sweep r:0.1:1.5:200 "
-     "--sweep tau:0:pi:5", 400),
+     "--sweep tau:0:pi:5", 403),
     ("sweep --protocol entanglement --source squeezed --phi 0.0 --sweep r:0.1:1.0:200 "
      "--format csv", 600),
     ("run --protocol entanglement --source squeezed --r 2.0 --phi 0.0", 3),
@@ -1021,6 +1039,9 @@ def test_no_source_outlives_the_records_of_its_batch(monkeypatch):
     started = []
     monkeypatch.setattr(protocols, "_kept", tracked_kept)
     monkeypatch.setattr(protocols, "_run_batch", tracked_batch)
+    # padded data modes let points of every cutoff share a batch: a chunk of two
+    # superposition points at the largest cutoff (34) keeps batches many
+    monkeypatch.setattr(protocols, "_CHUNK_AMPLITUDES", 2 * 4 * 35)
     for protocol in ("superposition", "entanglement"):
         records = cli.render_output(["sweep", "--protocol", protocol, "--sweep", "r:0.1:0.6:6",
                                      "--sweep", "tau:0:pi:2"])
